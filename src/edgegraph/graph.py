@@ -324,20 +324,23 @@ def _run_node(node: Node, args: list, session: Session) -> Tensor:
 
     if node.op == "box_nms":
         rows = args[0].to_array()
-        shape = rows.shape
-        rows2 = rows.reshape(-1, 6) if rows.ndim != 2 else rows
+        # leading dims of (..., boxes, 6) input index separate images
+        sets = rows.reshape(-1, *rows.shape[-2:]) if rows.ndim > 2 else rows[None]
         kwargs = dict(
             iou_threshold=float(at.get("iou_threshold", 0.5)),
             score_threshold=float(at.get("score_threshold", 0.0)),
             top_k=at.get("top_k"),
             max_output=at.get("max_output"),
         )
-        bs = vision.BoxSet.from_array(rows2)
-        if on_gpu:
-            res = vision.box_nms(bs, session=session, **kwargs)
-        else:
-            res = vision.box_nms_sequential(bs, **kwargs)
-        return Tensor.from_array(res.to_array().reshape(shape), dtype="f32")
+        out = np.empty(sets.shape, np.float32)
+        for i, one in enumerate(sets):
+            bs = vision.BoxSet.from_array(one)
+            if on_gpu:
+                res = vision.box_nms(bs, session=session, **kwargs)
+            else:
+                res = vision.box_nms_sequential(bs, **kwargs)
+            out[i] = res.to_array().reshape(one.shape)
+        return Tensor.from_array(out.reshape(rows.shape), dtype="f32")
 
     if node.op == "multibox_detection":
         probs, locs, anchors = (a.to_array() for a in args[:3])
@@ -395,7 +398,8 @@ def run_graph(g: Graph, inputs: dict, session: Session | None = None) -> dict:
     GPU-tagged nodes run through emulator kernels on a shared session;
     CPU-tagged nodes run sequential implementations of the same
     operators, so outputs do not depend on the placement. A graph with
-    no devices assigned runs entirely on the CPU.
+    no devices assigned runs entirely on the CPU. Each input must have
+    the shape and dtype its graph declares.
     """
     assigned = [n.device != UNASSIGNED for n in g.nodes]
     if any(assigned) and not all(assigned):
@@ -410,6 +414,8 @@ def run_graph(g: Graph, inputs: dict, session: Session | None = None) -> dict:
         want = tuple(spec.get("shape", t.shape))
         if tuple(t.shape) != want:
             raise GraphExecutionError(f"input {name!r}: shape {t.shape} does not match declared {want}")
+        if t.dtype != spec.get("dtype", t.dtype):
+            raise GraphExecutionError(f"input {name!r}: dtype {t.dtype} does not match declared {spec['dtype']}")
         env[name] = t
     for node in topo_order(g):
         args = [env[r] for r in node.inputs]

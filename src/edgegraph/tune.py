@@ -20,6 +20,7 @@ import json
 import math
 import os
 import time
+import warnings
 import zlib
 from dataclasses import dataclass
 
@@ -206,10 +207,17 @@ def records_append(records, path) -> None:
 
 
 def records_load(path) -> list:
-    """Read a records file back; malformed lines report their line number."""
+    """Read a records file back; malformed lines report their line number.
+
+    A malformed final line with no newline after it is what a crash in the
+    middle of ``records_append`` leaves behind, so it is skipped with a
+    warning instead. A complete malformed line anywhere is damage.
+    """
     out = []
     with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+        text = f.read()
+    lines = text.splitlines()
+    torn = None if text.endswith("\n") else len(lines)
     if not lines:
         raise ValueError(f"{path}: empty records file (missing header)")
     try:
@@ -224,6 +232,9 @@ def records_load(path) -> list:
         try:
             out.append(TuningRecord.from_json(line))
         except (json.JSONDecodeError, KeyError) as e:
+            if i == torn:
+                warnings.warn(f"{path}:{i}: skipping torn final record: {e}", stacklevel=2)
+                continue
             raise ValueError(f"{path}:{i}: malformed record: {e}") from None
     return out
 

@@ -1,10 +1,18 @@
 """Box-level detection operators: greedy NMS and SSD-style decoding.
 
 box_nms keeps the standard sequential-greedy semantics while running the
-GPU-unfriendly parts the GPU way: scores go through the segmented
-argsort, the output buffer is pre-initialized to all-invalid rows so no
-thread ever branches on "is this slot mine", and the inner IoU loop of
-each greedy step is spread across the threads of one block.
+GPU-unfriendly parts the GPU way, in the layout of torchvision's CUDA
+NMS. Scores go through the segmented argsort. One launch then fills a
+candidate x candidate "suppresses" mask, each thread a tile of TILE rows
+computed with the array form of ``iou``. The greedy sweep over that mask
+is a single pass on the host, and a last launch writes the kept rows into
+an output buffer pre-initialized to all-invalid rows, so no thread ever
+branches on "is this slot mine". The sequential twin builds the same
+mask with the same helper and runs the same sweep.
+
+multibox_detection decodes one contiguous slice of anchors per thread
+with the same vectorized helper as its sequential twin, then runs
+box_nms per batch element.
 """
 
 from __future__ import annotations
@@ -14,10 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..simt import GPU, LaunchConfig, Session
+from ..simt import GPU, LaunchConfig, Session, ceil_div
 from .sort import SegmentedArray, segmented_argsort
 
 INVALID = -1.0  # marker filled into every field of a suppressed row
+TILE = 64  # suppression-mask rows one NMS thread fills
 
 
 @dataclass(frozen=True)
@@ -66,37 +75,69 @@ class BoxSet:
         return cls(class_ids=rows[:, 0].astype(np.int32), scores=rows[:, 1], corners=rows[:, 2:])
 
 
-def iou(a, b) -> float:
-    """Corner-coordinate intersection over union; zero-area pairs give 0."""
-    ax1, ay1, ax2, ay2 = (float(v) for v in a)
-    bx1, by1, bx2, by2 = (float(v) for v in b)
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
+def _pymin(x, y):
+    """Elementwise ``min(x, y)`` as Python computes it: y if y < x else x."""
+    return np.where(y < x, y, x)
 
 
-def _candidate_order(boxes: BoxSet, score_threshold: float, top_k, session) -> list[int]:
-    """Indices of live candidates in descending score order (at most top_k)."""
-    seg = SegmentedArray(values=boxes.scores, offsets=np.array([0, len(boxes)]))
-    ranks = segmented_argsort(seg, order="descending", session=session)
-    cands = []
-    for idx in ranks:
-        if top_k is not None and len(cands) >= top_k:
+def _pymax(x, y):
+    """Elementwise ``max(x, y)`` as Python computes it: y if y > x else x."""
+    return np.where(y > x, y, x)
+
+
+def iou(a, b):
+    """Corner-coordinate intersection over union of (..., 4) box arrays.
+
+    ``a`` and ``b`` broadcast against each other. The arithmetic is float64
+    in the order of the scalar rule, with Python's min/max semantics (which
+    matter for NaN corners), so every value is bitwise what the scalar rule
+    gives for that pair. Pairs with no positive width, height or union give
+    0. Two single boxes give a float.
+    """
+    ax1, ay1, ax2, ay2 = np.moveaxis(np.asarray(a, dtype=np.float64), -1, 0)
+    bx1, by1, bx2, by2 = np.moveaxis(np.asarray(b, dtype=np.float64), -1, 0)
+    with np.errstate(all="ignore"):
+        iw = _pymin(ax2, bx2) - _pymax(ax1, bx1)
+        ih = _pymin(ay2, by2) - _pymax(ay1, by1)
+        inter = iw * ih
+        union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+        out = np.where((iw <= 0.0) | (ih <= 0.0) | (union <= 0.0), 0.0, inter / union)
+    return float(out) if out.ndim == 0 else out
+
+
+def _live(boxes: BoxSet, order: np.ndarray, score_threshold: float, top_k) -> np.ndarray:
+    """The rows of ``order`` that are valid and score >= score_threshold
+    (NaN never does), at most the first top_k of them."""
+    ok = (boxes.class_ids[order] >= 0) & (boxes.scores[order].astype(np.float64) >= score_threshold)
+    cands = order[ok]
+    return cands if top_k is None else cands[: max(math.ceil(top_k), 0)]
+
+
+def _suppression_rows(cls: np.ndarray, xy: np.ndarray, lo: int, hi: int,
+                      iou_threshold: float) -> np.ndarray:
+    """Rows lo:hi of the candidate x candidate suppression mask.
+
+    Entry [k, j] is True iff candidate k, once kept, suppresses candidate
+    j: same class and iou(box k, box j) >= iou_threshold.
+    """
+    return (cls[lo:hi, None] == cls) & (iou(xy[lo:hi, None], xy) >= iou_threshold)
+
+
+def _greedy_sweep(mask: np.ndarray, max_output) -> list[int]:
+    """Candidate positions greedy NMS keeps, walking them in score order.
+
+    A candidate is kept iff no already kept candidate suppresses it;
+    the walk stops once max_output candidates are kept.
+    """
+    removed = np.zeros(len(mask), dtype=bool)
+    kept = []
+    for j in range(len(mask)):
+        if max_output is not None and len(kept) >= max_output:
             break
-        i = int(idx)
-        if boxes.class_ids[i] < 0:
-            continue
-        s = float(boxes.scores[i])
-        if math.isnan(s) or s < score_threshold:
-            continue
-        cands.append(i)
-    return cands
+        if not removed[j]:
+            kept.append(j)
+            removed |= mask[j]
+    return kept
 
 
 def box_nms(boxes: BoxSet, iou_threshold: float, score_threshold: float = 0.0,
@@ -117,44 +158,26 @@ def box_nms(boxes: BoxSet, iou_threshold: float, score_threshold: float = 0.0,
     if n == 0:
         return BoxSet.invalid(0)
     sess = session if session is not None else Session()
-    cands = _candidate_order(boxes, score_threshold, top_k, sess)
-    cap = len(cands) if max_output is None else min(max_output, len(cands))
+    seg = SegmentedArray(values=boxes.scores, offsets=np.array([0, n]))
+    cands = _live(boxes, segmented_argsort(seg, order="descending", session=sess),
+                  score_threshold, top_k)
+    c = len(cands)
+    cls = boxes.class_ids[cands]
+    xy = boxes.corners[cands].astype(np.float64)
+    mask_buf = sess.alloc(max(1, c * c), "bool", device=GPU, name="nms_mask")
 
-    cls = boxes.class_ids
-    xy = boxes.corners
-    threads = min(32, max(1, len(cands)))
-    kept_buf = sess.alloc(max(1, len(cands)), "i32", device=GPU, name="nms_kept")
-    count_buf = sess.alloc(1, "i32", device=GPU, name="nms_count")
+    def fill_mask(ctx):
+        lo = ctx.thread_id * TILE
+        hi = min(lo + TILE, c)
+        if hi > lo:
+            mask_buf[lo * c : hi * c] = _suppression_rows(cls, xy, lo, hi, iou_threshold).reshape(-1)
+        ctx.add_work(hi - lo)
 
-    def suppress(ctx):
-        # shared[0] = kept count, shared[1 + t] = thread t's conflict flag
-        t = ctx.thread_id
-        for cand in cands:
-            kc = ctx.shared[0]
-            if kc >= cap:
-                break
-            hit = 0
-            mine = range(t, kc, ctx.block_dim)
-            if ctx.guard(len(mine) > 0):
-                for q in mine:
-                    k = int(kept_buf[q])
-                    if cls[k] == cls[cand] and iou(xy[k], xy[cand]) >= iou_threshold:
-                        hit = 1
-                        break
-            ctx.shared[1 + t] = hit
-            ctx.add_work(len(mine))
-            yield ctx.barrier()
-            if t == 0 and not any(ctx.shared[1 : 1 + ctx.block_dim]):
-                kept_buf[ctx.shared[0]] = cand
-                ctx.shared[0] = kc + 1
-            yield ctx.barrier()
-        if t == 0:
-            count_buf[0] = ctx.shared[0]
+    sess.launch(fill_mask, LaunchConfig(grid=1, block=max(1, ceil_div(c, TILE))))
+    mask = mask_buf.to_numpy()[: c * c].reshape(c, c)
+    kept = cands[_greedy_sweep(mask, max_output)]
 
-    sess.launch(suppress, LaunchConfig(grid=1, block=threads, shared_slots=1 + threads))
-    kept_count = int(count_buf.to_numpy()[0])
-    kept = [int(kept_buf.data[q]) for q in range(kept_count)]
-
+    packed = boxes.to_array()
     out_rows = sess.alloc(n * 6, "f32", device=GPU, name="nms_out")
 
     def write_out(ctx):
@@ -166,12 +189,7 @@ def box_nms(boxes: BoxSet, iou_threshold: float, score_threshold: float = 0.0,
         ctx.add_work(hi - lo)
         yield ctx.barrier()
         for r in range(t, len(kept), ctx.block_dim):
-            i = kept[r]
-            row = np.array(
-                [float(cls[i]), boxes.scores[i], xy[i, 0], xy[i, 1], xy[i, 2], xy[i, 3]],
-                dtype=np.float32,
-            )
-            out_rows[r * 6 : r * 6 + 6] = row
+            out_rows[r * 6 : r * 6 + 6] = packed[kept[r]]
             ctx.add_work(1)
 
     sess.launch(write_out, LaunchConfig(grid=1, block=min(32, max(1, n))))
@@ -180,43 +198,22 @@ def box_nms(boxes: BoxSet, iou_threshold: float, score_threshold: float = 0.0,
 
 def box_nms_sequential(boxes: BoxSet, iou_threshold: float, score_threshold: float = 0.0,
                        top_k: int | None = None, max_output: int | None = None) -> BoxSet:
-    """Plain greedy NMS with the same selection rule, no emulator."""
+    """Greedy NMS through the same suppression mask and sweep as box_nms, no emulator."""
     if not (0.0 < iou_threshold <= 1.0):
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
     n = len(boxes)
-    order = sorted(
-        range(n),
-        key=lambda i: (
-            math.isnan(float(boxes.scores[i])),
-            -float(boxes.scores[i]) if not math.isnan(float(boxes.scores[i])) else 0.0,
-            i,
-        ),
-    )
-    cands = []
-    for i in order:
-        if top_k is not None and len(cands) >= top_k:
-            break
-        if boxes.class_ids[i] < 0:
-            continue
-        s = float(boxes.scores[i])
-        if math.isnan(s) or s < score_threshold:
-            continue
-        cands.append(i)
-    cap = len(cands) if max_output is None else min(max_output, len(cands))
-    kept = []
-    for cand in cands:
-        if len(kept) >= cap:
-            break
-        ok = True
-        for k in kept:
-            if boxes.class_ids[k] == boxes.class_ids[cand] and iou(boxes.corners[k], boxes.corners[cand]) >= iou_threshold:
-                ok = False
-                break
-        if ok:
-            kept.append(cand)
+    # stable descending order with NaN scores last, ties by row index
+    order = np.argsort(-boxes.scores.astype(np.float64), kind="stable")
+    cands = _live(boxes, order, score_threshold, top_k)
+    c = len(cands)
+    cls = boxes.class_ids[cands]
+    xy = boxes.corners[cands].astype(np.float64)
+    mask = np.zeros((c, c), dtype=bool)
+    for lo in range(0, c, TILE):
+        mask[lo : lo + TILE] = _suppression_rows(cls, xy, lo, lo + TILE, iou_threshold)
+    kept = cands[_greedy_sweep(mask, max_output)]
     rows = np.full((n, 6), INVALID, np.float32)
-    for r, i in enumerate(kept):
-        rows[r] = [boxes.class_ids[i], boxes.scores[i], *boxes.corners[i]]
+    rows[: len(kept)] = boxes.to_array()[kept]
     return BoxSet.from_array(rows)
 
 
@@ -263,6 +260,21 @@ def best_foreground_class(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cls, score.astype(np.float32)
 
 
+def _detection_rows(probs: np.ndarray, locs: np.ndarray, anchors: np.ndarray, variances,
+                    clip: bool) -> np.ndarray:
+    """Packed (k, 6) detection rows for k anchors of one batch element.
+
+    ``probs`` is (classes, k), ``locs`` the k anchors' offsets (flat or
+    (k, 4)) and ``anchors`` (k, 4) corners.
+    """
+    cls, score = best_foreground_class(probs)
+    rows = np.empty((len(cls), 6), np.float32)
+    rows[:, 0] = cls
+    rows[:, 1] = score
+    rows[:, 2:] = decode_boxes(locs, anchors, variances, clip)
+    return rows
+
+
 def multibox_detection(class_probs, loc_preds, anchors, variances=DEFAULT_VARIANCES,
                        score_threshold: float = 0.01, iou_threshold: float = 0.5,
                        top_k: int | None = None, max_output: int | None = None,
@@ -294,21 +306,14 @@ def multibox_detection(class_probs, loc_preds, anchors, variances=DEFAULT_VARIAN
     threads = min(32, max(1, a))
 
     def decode_kernel(ctx):
-        bi = ctx.block_id
-        pb = probs[bi]
-        lb = locs[bi].reshape(a, 4)
-        for i in range(ctx.thread_id, a, ctx.block_dim):
-            fg = pb[1:, i]
-            if fg.size:
-                c = int(np.argmax(fg))  # ties -> lowest class id
-                s = np.float32(fg[c])
-            else:
-                c, s = -1, np.float32(0)
-            box = decode_boxes(lb[i], anc2[i], variances, clip)[0]
-            base = (bi * a + i) * 6
-            row = np.array([float(c), s, box[0], box[1], box[2], box[3]], dtype=np.float32)
-            decoded[base : base + 6] = row
-            ctx.add_work(1)
+        bi, t = ctx.block_id, ctx.thread_id
+        lo = (a * t) // ctx.block_dim
+        hi = (a * (t + 1)) // ctx.block_dim
+        if hi > lo:
+            rows = _detection_rows(probs[bi, :, lo:hi], locs[bi, 4 * lo : 4 * hi], anc2[lo:hi],
+                                   variances, clip)
+            decoded[(bi * a + lo) * 6 : (bi * a + hi) * 6] = rows.reshape(-1)
+        ctx.add_work(hi - lo)
 
     sess.launch(decode_kernel, LaunchConfig(grid=b, block=threads))
     rows = decoded.to_numpy().reshape(b, a, 6)
@@ -330,15 +335,9 @@ def multibox_detection_sequential(class_probs, loc_preds, anchors, variances=DEF
     probs = np.asarray(class_probs, dtype=np.float32)
     locs = np.asarray(loc_preds, dtype=np.float32)
     anc2 = np.asarray(anchors, dtype=np.float32)[0]
-    b, _, a = probs.shape
     results = []
-    for bi in range(b):
-        cls, score = best_foreground_class(probs[bi])
-        boxes = decode_boxes(locs[bi].reshape(a, 4), anc2, variances, clip)
-        rows = np.empty((a, 6), np.float32)
-        rows[:, 0] = cls
-        rows[:, 1] = score
-        rows[:, 2:] = boxes
+    for bi in range(probs.shape[0]):
+        rows = _detection_rows(probs[bi], locs[bi], anc2, variances, clip)
         results.append(
             box_nms_sequential(BoxSet.from_array(rows), iou_threshold, score_threshold, top_k, max_output)
         )

@@ -274,3 +274,38 @@ def test_roi_align_op_device_transparent():
     gpu = run_graph(insert_copies(assign_devices(g, DEFAULT_GPU_OPS)), {"f": f, "r": r})
     cpu = run_graph(insert_copies(assign_devices(g, set())), {"f": f, "r": r})
     assert np.array_equal(gpu["pooled"].data, cpu["pooled"].data)
+
+
+def test_box_nms_node_runs_each_image_of_a_batch_separately():
+    g = load_graph(doc(
+        [{"id": "kept", "op": "box_nms", "attrs": {"iou_threshold": 0.5}, "inputs": ["boxes"]}],
+        inputs={"boxes": {"shape": [2, 1, 6], "dtype": "f32"}},
+        outputs=["kept"],
+    ))
+    row = [0.0, 0.9, 0.1, 0.1, 0.5, 0.5]
+    boxes = np.array([[row], [row]], np.float32)
+    for gpu_ops in (DEFAULT_GPU_OPS, set()):
+        out = run_graph(insert_copies(assign_devices(g, gpu_ops)), {"boxes": boxes})["kept"]
+        assert out.shape == (2, 1, 6)
+        assert np.array_equal(out.to_array(), boxes)
+
+
+def test_input_dtype_must_match_declaration():
+    g = load_graph(doc(
+        [{"id": "a", "op": "identity", "inputs": ["x"]}],
+        inputs={"x": {"shape": [3], "dtype": "i32"}},
+        outputs=["a"],
+    ))
+    with pytest.raises(GraphExecutionError, match="dtype"):
+        run_graph(g, {"x": np.array([1.5, 2.0, 3.0], np.float32)})
+    out = run_graph(g, {"x": np.array([1, 2, 3], np.int32)})["a"]
+    assert out.dtype == "i32"
+
+
+def test_all_gpu_fixture_inference_launches_and_barriers():
+    g = insert_copies(assign_devices(load_graph(ssd_like_doc()), DEFAULT_GPU_OPS))
+    sess = Session()
+    run_graph(g, ssd_like_inputs(0), sess)
+    st = sess.stats()
+    assert st.launches == 17
+    assert st.barriers < 20

@@ -347,3 +347,23 @@ def test_dp_deterministic_tie_break_by_enumeration_order():
         g, {"n0": {"NCHWc2": 1.0, "NCHW": 1.0}}, lambda s, d, shape: 0.0
     )
     assert assign["n0"] == LayoutTag("NCHWc", 2)
+
+
+def test_records_torn_final_line_skipped_with_warning(tmp_path):
+    p = tmp_path / "torn.jsonl"
+    rec = make_record(WL.key(), ScheduleConfig(), 1.0)
+    records_save([rec], str(p))
+    with open(p, "a") as f:
+        f.write(rec.to_json()[:25])  # a crash cut the append short of its newline
+    with pytest.warns(UserWarning, match=":3:.*torn"):
+        assert records_load(str(p)) == [rec]
+
+
+def test_records_damaged_line_before_the_end_still_raises(tmp_path):
+    p = tmp_path / "bad.jsonl"
+    rec = make_record(WL.key(), ScheduleConfig(), 1.0)
+    records_save([rec], str(p))
+    with open(p, "a") as f:
+        f.write(rec.to_json()[:25] + "\n" + rec.to_json())
+    with pytest.raises(ValueError, match=":3:"):
+        records_load(str(p))

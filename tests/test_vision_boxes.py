@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from edgegraph.vision import BoxSet, box_nms, multibox_detection
+from edgegraph.simt import Session
+from edgegraph.vision import BoxSet, box_nms, iou, multibox_detection
 
 INVALID_ROW = [-1.0] * 6
 
@@ -245,3 +246,67 @@ def test_multibox_batched():
         want = oracle_multibox(probs[bi], locs[bi], anchors[0], (0.1, 0.1, 0.2, 0.2), 0.2, 0.5)
         assert np.array_equal(out.to_array()[:, 0], want[:, 0])
         assert np.allclose(out.to_array()[:, 1:], want[:, 1:], atol=1e-6)
+
+
+def iou_cases(rng, n):
+    """(n, 4) float64 box pairs: random, touching edges, zero-area, NaN corners."""
+    a = np.concatenate([rng.random((n, 2)), rng.random((n, 2)) * 0.5], axis=1)
+    a[:, 2:] += a[:, :2]
+    b = a + rng.normal(0.0, 0.2, (n, 4))
+    b[:, 2:] = np.maximum(b[:, 2:], b[:, :2])
+    q = n // 4
+    b[:q, 0] = a[:q, 2]  # b starts where a ends: iw == 0
+    b[q : 2 * q, 2] = b[q : 2 * q, 0]  # zero-width b
+    nan = rng.random((n, 4)) < 0.05
+    a[nan] = np.nan
+    b[np.roll(nan, 1, axis=0)] = np.nan
+    # Python's max(nan, 2.0) is nan but max(2.0, nan) is 2.0: NaN one way, 0 the other
+    a[-1], b[-1] = [np.nan, 0.0, 1.0, 1.0], [2.0, 0.0, 3.0, 1.0]
+    return a, b
+
+
+def same_iou(got, want):
+    got, want = np.asarray(got, np.float64), np.asarray(want, np.float64)
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and np.array_equal(
+        got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def test_array_iou_bitwise_equals_scalar_oracle_pair_by_pair():
+    rng = np.random.default_rng(5)
+    a, b = iou_cases(rng, 400)
+    for x, y in ((a, b), (b, a)):
+        want = [oracle_iou(p.tolist(), q.tolist()) for p, q in zip(x, y)]
+        assert same_iou(iou(x, y), want)
+        assert same_iou([iou(p, q) for p, q in zip(x, y)], want)
+    m = 30
+    pairwise = iou(a[:m, None], b[None, :m])
+    assert pairwise.shape == (m, m)
+    want = [[oracle_iou(p.tolist(), q.tolist()) for q in b[:m]] for p in a[:m]]
+    assert same_iou(pairwise, want)
+
+
+def test_nms_and_multibox_race_checked_against_oracles():
+    rng = np.random.default_rng(6)
+    for trial in range(12):
+        n = int(rng.integers(1, 200))  # past one 64-row mask tile
+        b = rand_boxset(rng, n)
+        corners = b.corners.copy()
+        corners[rng.random(corners.shape) < 0.03] = np.nan  # pairs with a NaN corner never suppress
+        b = BoxSet(class_ids=b.class_ids, scores=b.scores, corners=corners)
+        thr = float(rng.uniform(0.2, 1.0))
+        got = box_nms(b, thr, 0.1, session=Session(race_check=True)).to_array()
+        assert np.array_equal(got, oracle_nms(b.to_array(), thr, 0.1), equal_nan=True), f"trial {trial}"
+    for trial in range(6):
+        a = int(rng.integers(2, 150))
+        probs = rng.random((2, 3, a)).astype(np.float32)
+        locs = (rng.standard_normal((2, 4 * a)) * 0.6).astype(np.float32)
+        x1 = rng.random(a).astype(np.float32) * 0.5
+        y1 = rng.random(a).astype(np.float32) * 0.5
+        anchors = np.stack([x1, y1, x1 + 0.3, y1 + 0.3], axis=1)[None]
+        outs = multibox_detection(probs, locs, anchors, score_threshold=0.1, iou_threshold=0.45,
+                                  session=Session(race_check=True))
+        for bi, out in enumerate(outs):
+            want = oracle_multibox(probs[bi], locs[bi], anchors[0], (0.1, 0.1, 0.2, 0.2), 0.1, 0.45)
+            assert np.array_equal(out.to_array()[:, 0], want[:, 0]), f"trial {trial}"
+            assert np.allclose(out.to_array()[:, 1:], want[:, 1:], atol=1e-6), f"trial {trial}"
