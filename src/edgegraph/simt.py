@@ -35,6 +35,8 @@ DTYPES = {"f32": np.float32, "i32": np.int32, "bool": np.bool_}
 # sentinel meaning "no owner yet" / "multiple readers" in the shadow maps
 _FREE = -1
 _MANY = -2
+# what next() returns for a generator kernel that has finished
+_DONE = object()
 
 
 class LaunchConfigError(ValueError):
@@ -75,10 +77,11 @@ class LaunchStats:
     """Accumulated counters plus the load profile of the last launch.
 
     ``launches``, ``barriers`` and ``divergence_events`` never decrease
-    within a session. ``per_thread_items`` holds one work-item count per
-    logical thread of the most recent launch that reported work, and
-    ``load_imbalance`` is (max - min) / mean of those counts (0 when the
-    profile is empty or all-zero).
+    within a session. Every launch overwrites ``per_thread_items`` with
+    one Python ``int`` work-item count per logical thread of that launch
+    (all zero when its kernel reported no work), and ``load_imbalance``
+    is (max - min) / mean of those counts (0 when the profile is empty or
+    all-zero).
     """
 
     launches: int = 0
@@ -129,11 +132,21 @@ class DeviceBuffer:
         cur = self._session._current if self._session is not None else None
         if cur is None:
             return "host"
-        return f"block {cur[0]}, thread {cur[1]}"
+        return f"block {cur.block_id}, thread {cur.thread_id}"
 
     def _resolve(self, idx):
         """Normalize an index to a (start, stop) extent, validating bounds."""
         n = len(self.data)
+        # fast paths for the common in-range int and unit-step slice; any
+        # other index, or one out of range, takes the checks below
+        if type(idx) is int:
+            if 0 <= idx < n:
+                return idx, idx + 1
+        elif type(idx) is slice and idx.step is None:
+            start = 0 if idx.start is None else idx.start
+            stop = n if idx.stop is None else idx.stop
+            if 0 <= start <= stop <= n:
+                return int(start), int(stop)
         if isinstance(idx, (int, np.integer)):
             if idx < 0 or idx >= n:
                 raise BufferBoundsError(
@@ -295,16 +308,21 @@ class _SharedMem:
 
 
 class ThreadCtx:
-    """Per-thread view handed to a kernel instance."""
+    """Per-thread view handed to a kernel instance.
+
+    One context per thread id serves every block of a launch: the
+    session sets ``block_id`` and a fresh ``shared`` before each block
+    runs, so a kernel must not keep its context past its own block.
+    """
 
     __slots__ = ("block_id", "thread_id", "block_dim", "grid_dim", "shared", "_session", "_guards")
 
-    def __init__(self, block_id, thread_id, block_dim, grid_dim, shared, session):
-        self.block_id = block_id
+    def __init__(self, thread_id, block_dim, grid_dim, session):
+        self.block_id = 0
         self.thread_id = thread_id
         self.block_dim = block_dim
         self.grid_dim = grid_dim
-        self.shared = shared
+        self.shared = None
         self._session = session
         self._guards = None
 
@@ -323,7 +341,7 @@ class ThreadCtx:
 
     def add_work(self, items: int = 1) -> None:
         """Report ``items`` processed work items for this thread."""
-        self._session._work[self.global_id] += items
+        self._session._work[self.block_id * self.block_dim + self.thread_id] += items
 
     def guard(self, active) -> bool:
         """Record a guarded phase and return its condition.
@@ -332,7 +350,9 @@ class ThreadCtx:
         the same phase is True counts as one divergence event.
         """
         active = bool(active)
-        if self._guards is not None:
+        if self._guards is None:
+            self._guards = [active]
+        else:
             self._guards.append(active)
         return active
 
@@ -349,17 +369,22 @@ class Session:
         self.race_check = race_check
         self.workers = workers
         self._stats = LaunchStats()
-        self._buffers: list[DeviceBuffer] = []
+        self._buffers: list[DeviceBuffer] = []  # race-checked buffers
+        self._allocs = 0
         self._current = None
         self._current_gid = None
         self._work = None
         self.launch_log: list[LaunchConfig] = []
 
     def alloc(self, length: int, dtype: str = "f32", device: str = GPU, name: str = "") -> DeviceBuffer:
-        buf = DeviceBuffer(self, length, dtype=dtype, device=device, name=name or f"buf{len(self._buffers)}")
+        buf = DeviceBuffer(self, length, dtype=dtype, device=device, name=name or f"buf{self._allocs}")
+        self._allocs += 1
+        # only race checks need the session to reach its buffers; a list
+        # kept otherwise would close a buffer -> session -> buffer cycle
+        # that holds every dropped buffer until the cycle collector runs
         if self.race_check:
             buf._race_arm()
-        self._buffers.append(buf)
+            self._buffers.append(buf)
         return buf
 
     def stats(self) -> LaunchStats:
@@ -384,11 +409,12 @@ class Session:
         grid, block = config.grid, config.block
         self._stats.launches += 1
         self.launch_log.append(config)
-        self._work = np.zeros(grid * block, dtype=np.int64)
+        self._work = [0] * (grid * block)
         is_gen = inspect.isgeneratorfunction(kernel)
+        ctxs = [ThreadCtx(t, block, grid, self) for t in range(block)]
         try:
             for b in range(grid):
-                self._run_block(kernel, is_gen, b, config, buffers)
+                self._run_block(kernel, is_gen, b, config, ctxs, buffers)
         finally:
             self._current = None
             self._current_gid = None
@@ -396,61 +422,57 @@ class Session:
         self._stats.load_imbalance = _imbalance(self._stats.per_thread_items)
         self._work = None
 
-    def _run_block(self, kernel, is_gen, b, config, buffers):
-        block = config.block
+    def _run_block(self, kernel, is_gen, b, config, ctxs, buffers):
         if self.race_check:
             shared = _SharedMem(config.shared_slots, self)
         else:
             shared = [0] * config.shared_slots
-        ctxs = [ThreadCtx(b, t, block, config.grid, shared, self) for t in range(block)]
+        base = b * config.block
+        for c in ctxs:
+            c.block_id = b
+            c.shared = shared
 
         if not is_gen:
-            for t in range(block):
-                self._enter(b, t, ctxs[t])
-                kernel(ctxs[t], *buffers)
+            for c in ctxs:
+                self._current = c
+                self._current_gid = base + c.thread_id
+                kernel(c, *buffers)
             self._phase_end(ctxs, shared)
             return
 
-        gens = []
-        for t in range(block):
-            self._enter(b, t, ctxs[t])
-            gens.append(kernel(ctxs[t], *buffers))
-
-        alive = list(range(block))
+        # calling a generator kernel runs none of its body yet
+        gens = [kernel(c, *buffers) for c in ctxs]
+        alive = ctxs
         while alive:
             yielded, finished = [], []
-            for t in alive:
-                self._enter(b, t, ctxs[t])
-                try:
-                    next(gens[t])
-                    yielded.append(t)
-                except StopIteration:
-                    finished.append(t)
-            self._phase_end([ctxs[t] for t in alive], shared)
+            for c in alive:
+                self._current = c
+                self._current_gid = base + c.thread_id
+                if next(gens[c.thread_id], _DONE) is _DONE:
+                    finished.append(c)
+                else:
+                    yielded.append(c)
+            self._phase_end(alive, shared)
             if yielded and finished:
                 raise BarrierDivergenceError(
-                    f"block {b}: threads {finished} skipped a barrier reached by threads {yielded}"
+                    f"block {b}: threads {[c.thread_id for c in finished]} skipped a barrier "
+                    f"reached by threads {[c.thread_id for c in yielded]}"
                 )
             if yielded:
                 self._stats.barriers += 1
             alive = yielded
 
-    def _enter(self, b, t, ctx):
-        self._current = (b, t)
-        self._current_gid = ctx.global_id
-        ctx._guards = []
-
     def _phase_end(self, ctxs, shared):
         # divergence metric: for each guard position, threads reporting
         # False while some sibling reported True skipped a guarded phase
-        if ctxs:
-            depth = max(len(c._guards) for c in ctxs)
-            for j in range(depth):
-                vals = [c._guards[j] for c in ctxs if len(c._guards) > j]
+        guards = [c._guards for c in ctxs if c._guards is not None]
+        if guards:
+            for j in range(max(map(len, guards))):
+                vals = [g[j] for g in guards if len(g) > j]
                 if any(vals) and not all(vals):
                     self._stats.divergence_events += sum(1 for v in vals if not v)
-        for c in ctxs:
-            c._guards = None
+            for c in ctxs:
+                c._guards = None
         if self.race_check:
             for buf in self._buffers:
                 buf._race_reset()

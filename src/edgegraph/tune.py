@@ -197,8 +197,21 @@ def records_save(records, path) -> None:
 
 
 def records_append(records, path) -> None:
-    """Append records, creating the file (and header) if needed."""
+    """Append records, creating the file (and header) if needed.
+
+    A file that does not end in a newline holds what a crashed append
+    left: it is cut back to its last newline first, and one with no
+    newline left (a torn header) is started afresh.
+    """
     fresh = not os.path.exists(path) or os.path.getsize(path) == 0
+    if not fresh:
+        with open(path, "rb+") as f:
+            f.seek(-1, os.SEEK_END)
+            if f.read(1) != b"\n":
+                f.seek(0)
+                keep = f.read().rfind(b"\n") + 1
+                f.truncate(keep)
+                fresh = keep == 0
     with open(path, "a", encoding="utf-8") as f:
         if fresh:
             f.write(json.dumps(RECORDS_HEADER) + "\n")

@@ -8,6 +8,14 @@ Elements never cross a segment boundary, and in each merge only the
 segment spanning the active interface between two runs needs work; pairs
 that are already ordered (or contain no spanning segment) are copied
 through. Ranks are stable: equal keys keep their original order.
+
+Each launch works from a plan computed once from the offsets with a
+vectorized ``searchsorted``: the segment boundaries inside every sort
+block, and for every merge group its interface and the window of the
+segment spanning it. A merging block stages its window's keys in shared
+storage, each thread copying its own share with one slice read, passes
+one barrier, and then runs the Merge Path co-rank search (Green, McColl
+and Bader, ICS 2012) and its slice of the merge on the staged keys.
 """
 
 from __future__ import annotations
@@ -68,28 +76,15 @@ def _sort_keys(values: np.ndarray, order: str):
     return nan.astype(np.int8), keyv
 
 
-def _boundaries_in(offsets: np.ndarray, a: int, z: int) -> list[int]:
-    """Segment boundaries strictly inside [a, z), plus the ends."""
-    lo = np.searchsorted(offsets, a, side="right")
-    hi = np.searchsorted(offsets, z, side="left")
-    return [a] + [int(x) for x in offsets[lo:hi]] + [z]
+def _corank(d: int, na: int, nb: int, win) -> int:
+    """Split point: the first d merged elements take i from A, d-i from B.
 
-
-def _spanning_segment(offsets: np.ndarray, m: int) -> tuple[int, int] | None:
-    """The (start, stop) of the segment strictly containing position m."""
-    s = int(np.searchsorted(offsets, m, side="right")) - 1
-    start, stop = int(offsets[s]), int(offsets[s + 1])
-    if start < m < stop:
-        return start, stop
-    return None
-
-
-def _corank(d: int, na: int, nb: int, key_a, key_b) -> int:
-    """Split point: the first d merged elements take i from A, d-i from B."""
+    ``win`` holds A in ``win[:na]`` and B in ``win[na:na + nb]``.
+    """
     lo, hi = max(0, d - nb), min(d, na)
     while lo < hi:
         i = (lo + hi) // 2
-        if key_a(i) < key_b(d - i - 1):
+        if win[i] < win[na + d - i - 1]:
             lo = i + 1
         else:
             hi = i
@@ -122,11 +117,18 @@ def segmented_argsort(a: SegmentedArray, order: str = "ascending", block: int = 
     perm_a = sess.alloc(n, "i32", device=GPU, name="sort_perm_a")
     perm_b = sess.alloc(n, "i32", device=GPU, name="sort_perm_b")
 
+    # per-launch plan: the segment boundaries strictly inside each block
+    block_starts = np.arange(0, n, block)
+    cut_lo = np.searchsorted(offsets, block_starts, side="right").tolist()
+    cut_hi = np.searchsorted(offsets, np.minimum(block_starts + block, n), side="left").tolist()
+    offs_l = offsets.tolist()
+
     def block_sort(ctx):
-        a0 = ctx.block_id * block
+        b = ctx.block_id
+        a0 = b * block
         z0 = min(a0 + block, n)
         ctx.add_work(z0 - a0)
-        bounds = _boundaries_in(offsets, a0, z0)
+        bounds = [a0] + offs_l[cut_lo[b] : cut_hi[b]] + [z0]
         for u, w in zip(bounds, bounds[1:]):
             if w - u <= 0:
                 continue
@@ -135,16 +137,14 @@ def segmented_argsort(a: SegmentedArray, order: str = "ascending", block: int = 
 
     sess.launch(block_sort, LaunchConfig(grid=num_blocks, block=1))
 
-    # scalar key lookups in the merges are cheaper on plain lists; the
-    # float32 -> float widening is exact, so the order is unchanged
-    nan_l = nanflag.tolist()
-    key_l = keyv.tolist()
+    # each slot's key as a plain tuple; the float32 -> float widening is
+    # exact and the slot index breaks ties, so the order is strict
+    keys = list(zip(nanflag.tolist(), keyv.tolist(), range(n)))
     src, dst = perm_a, perm_b
     for k in range(log2_ceil(num_blocks)):
         run = (1 << k) * block  # sorted-run width entering this pass
         coop = 1 << (k + 1)  # threads cooperating per merged pair
-        groups = ceil_div(n, 2 * run)
-        _merge_pass(sess, src, dst, nan_l, key_l, offsets, n, run, coop, groups)
+        _merge_pass(sess, src, dst, keys, offsets, n, run, coop)
         src, dst = dst, src
 
     return src.to_numpy() - _segment_starts(offsets, n)
@@ -158,76 +158,71 @@ def _segment_starts(offsets: np.ndarray, n: int) -> np.ndarray:
     return offsets[seg].astype(np.int32)
 
 
-def _merge_pass(sess, src, dst, nan_l, key_l, offsets, n, run, coop, groups):
+def _merge_plan(offsets: np.ndarray, n: int, run: int) -> list:
+    """Per merge group: (u0, m, u1) of the window [u0, u1) around its run
+    interface m, where one segment strictly contains m; None elsewhere."""
+    g0 = np.arange(0, n, 2 * run)
+    m = g0 + run
+    s = np.minimum(np.searchsorted(offsets, m, side="right") - 1, len(offsets) - 2)
+    start, stop = offsets[s], offsets[s + 1]
+    u0 = np.maximum(start, g0).tolist()
+    u1 = np.minimum(stop, g0 + 2 * run).tolist()  # stop <= n
+    spans = ((start < m) & (m < stop)).tolist()
+    return [(a, c, z) if ok else None for ok, a, c, z in zip(spans, u0, m.tolist(), u1)]
+
+
+def _merge_pass(sess, src, dst, keys, offsets, n, run, coop):
+    plan = _merge_plan(offsets, n, run)
+
     def merge(ctx):
-        g0 = ctx.block_id * 2 * run
-        g1 = min(g0 + 2 * run, n)
-        m = g0 + run
         t = ctx.thread_id
-        span = _spanning_segment(offsets, m) if m < g1 else None
+        g0 = ctx.block_id * 2 * run
+        size = min(2 * run, n - g0)
+        c0 = g0 + (size * t) // coop
+        c1 = g0 + (size * (t + 1)) // coop
+        span = plan[ctx.block_id]
         if span is not None:
             # adjacent runs of one segment may already be in order
-            la = int(src[m - 1])
-            fb = int(src[m])
-            if (nan_l[la], key_l[la], la) < (nan_l[fb], key_l[fb], fb):
+            last_a, first_b = src[span[1] - 1 : span[1] + 1].tolist()
+            if keys[last_a] < keys[first_b]:
                 span = None
+        # each thread reads its share of the group with one slice read
+        share = src[c0:c1]
         if not ctx.guard(span is not None):
-            _copy_share(ctx, src, dst, g0, g1, coop)
+            dst[c0:c1] = share
+            ctx.add_work(c1 - c0)
             return
-        u0, u1 = max(span[0], g0), min(span[1], g1)
-        na, nb = m - u0, u1 - m
-
-        def key_a(i):
-            s = int(src[u0 + i])
-            return (nan_l[s], key_l[s], s)
-
-        def key_b(j):
-            s = int(src[m + j])
-            return (nan_l[s], key_l[s], s)
-
-        total = na + nb
+        u0, m, u1 = span
+        # the parts of the share outside the window [u0, u1) are copied
+        # through; the part inside is staged in shared storage, where A
+        # sits at [0, na) and B at [na, total)
+        lo, hi = max(c0, u0), min(c1, u1)
+        if c0 < u0:
+            z = min(c1, u0)
+            dst[c0:z] = share[: z - c0]
+        if c1 > u1:
+            a = max(c0, u1)
+            dst[a:c1] = share[a - c0 :]
+        ctx.add_work(c1 - c0 - max(0, hi - lo))
+        win = ctx.shared
+        if hi > lo:
+            win[lo - u0 : hi - u0] = [keys[s] for s in share[lo - c0 : hi - c0].tolist()]
+        yield ctx.barrier()
+        total, na = u1 - u0, m - u0
         d0 = (total * t) // coop
         d1 = (total * (t + 1)) // coop
-        i0 = _corank(d0, na, nb, key_a, key_b)
-        i1 = _corank(d1, na, nb, key_a, key_b)
-        j0, j1 = d0 - i0, d1 - i1
-        # the output window [d0, d1) consumes exactly A[i0:i1) and B[j0:j1)
-        ka = [(nan_l[s], key_l[s], s) for s in src[u0 + i0 : u0 + i1].tolist()]
-        kb = [(nan_l[s], key_l[s], s) for s in src[m + j0 : m + j1].tolist()]
-        out = []
-        i, j = 0, 0
-        while i < len(ka) and j < len(kb):
-            if ka[i] < kb[j]:
-                out.append(ka[i][2])
-                i += 1
-            else:
-                out.append(kb[j][2])
-                j += 1
-        for q in range(i, len(ka)):
-            out.append(ka[q][2])
-        for q in range(j, len(kb)):
-            out.append(kb[q][2])
-        if out:
-            dst[u0 + d0 : u0 + d1] = np.asarray(out, dtype=np.int32)
-        ctx.add_work(d1 - d0)
-        # untouched slots around the merged span are copied through
-        _copy_share(ctx, src, dst, g0, u0, coop)
-        _copy_share(ctx, src, dst, u1, g1, coop)
+        if d1 > d0:
+            i0 = _corank(d0, na, total - na, win)
+            i1 = _corank(d1, na, total - na, win)
+            j0, j1 = d0 - i0, d1 - i1
+            # the output window [d0, d1) consumes exactly A[i0:i1) and
+            # B[j0:j1); the keys are distinct, so sorting the two runs
+            # together gives their merge
+            merged = sorted(win[i0:i1] + win[na + j0 : na + j1])
+            dst[u0 + d0 : u0 + d1] = [key[2] for key in merged]
+            ctx.add_work(d1 - d0)
 
-    sess.launch(merge, LaunchConfig(grid=groups, block=coop))
-
-
-def _copy_share(ctx, src, dst, a, z, coop):
-    """Thread ``ctx`` copies its slice of src[a:z] into dst."""
-    length = z - a
-    if length <= 0:
-        return
-    t = ctx.thread_id
-    c0 = a + (length * t) // coop
-    c1 = a + (length * (t + 1)) // coop
-    if c1 > c0:
-        dst[c0:c1] = src[c0:c1]
-        ctx.add_work(c1 - c0)
+    sess.launch(merge, LaunchConfig(grid=len(plan), block=coop, shared_slots=2 * run))
 
 
 def argsort_sequential(values, order: str = "ascending", offsets=None) -> np.ndarray:

@@ -1,5 +1,8 @@
 """Execution-model contract: lockstep launches, barriers, stats, races."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -283,3 +286,61 @@ def test_launch_log_records_geometry():
     sess.launch(kernel, LaunchConfig(grid=3, block=5))
     assert sess.launch_log[-1].grid == 3
     assert sess.launch_log[-1].block == 5
+
+
+@pytest.mark.parametrize("race_check", [False, True])
+def test_shared_storage_is_fresh_per_block(race_check):
+    sess = Session(race_check=race_check)
+    seen = sess.alloc(6, "i32")
+    after = sess.alloc(6, "i32")
+
+    def kernel(ctx):
+        t = ctx.thread_id
+        seen[ctx.global_id] = ctx.shared[t]
+        ctx.shared[t] = 10 * ctx.block_id + t + 1
+        yield ctx.barrier()
+        after[ctx.global_id] = ctx.shared[(t + 1) % 2]
+
+    sess.launch(kernel, LaunchConfig(grid=3, block=2, shared_slots=2))
+    assert seen.to_numpy().tolist() == [0] * 6
+    assert after.to_numpy().tolist() == [2, 1, 12, 11, 22, 21]
+
+
+def test_ids_are_right_in_every_block_and_phase():
+    sess = Session()
+    seen = []
+
+    def kernel(ctx):
+        for phase in range(3):
+            seen.append((phase, ctx.block_id, ctx.thread_id, ctx.global_id))
+            yield ctx.barrier()
+
+    sess.launch(kernel, LaunchConfig(grid=4, block=3))
+    want = [(p, b, t, b * 3 + t) for b in range(4) for p in range(3) for t in range(3)]
+    assert seen == want
+
+
+def test_guards_do_not_carry_across_blocks_or_phases():
+    sess = Session()
+
+    def kernel(ctx):
+        if ctx.block_id == 0:
+            ctx.guard(ctx.thread_id == 0)  # threads 1-3 skip: 3 events
+        yield ctx.barrier()
+        if ctx.thread_id == 0:
+            ctx.guard(True)  # no sibling guards in this phase: no event
+
+    sess.launch(kernel, LaunchConfig(grid=3, block=4))
+    assert sess.stats().divergence_events == 3
+
+
+def test_dropped_buffers_are_freed_without_the_cycle_collector():
+    sess = Session()
+    buf = sess.alloc(1000, "f32")
+    storage = weakref.ref(buf.data)
+    gc.disable()
+    try:
+        del sess, buf
+        assert storage() is None
+    finally:
+        gc.enable()

@@ -78,6 +78,32 @@ def test_randomized_against_oracle():
         assert np.array_equal(got, stable_sort_oracle(sa.values, sa.offsets, order))
 
 
+def test_race_checked_merges_against_oracle():
+    # the merges stage their windows in shared storage behind one barrier;
+    # the race checker sees every buffer and shared-slot access
+    rng = np.random.default_rng(5)
+    for trial in range(24):
+        sa = random_segmented(rng, max_segments=8, max_len=30)
+        n = sa.values.size
+        vals = sa.values.copy()
+        if n > 6:
+            vals[rng.integers(0, n, 2)] = np.nan
+            vals[rng.integers(0, n, 3)] = vals[int(rng.integers(0, n))]
+        order = ("ascending", "descending")[trial % 2]
+        block = (1, 2, 7, 16)[trial % 4]
+        sess = Session(race_check=True)
+        got = segmented_argsort(SegmentedArray(values=vals, offsets=sa.offsets), order,
+                                block=block, session=sess)
+        assert np.array_equal(got, stable_sort_oracle(vals, sa.offsets, order))
+        if n == 0:
+            continue
+        passes = log2_ceil(ceil_div(n, block))
+        st = sess.stats()
+        assert st.launches == 1 + passes
+        merge_blocks = sum(cfg.grid for cfg in sess.launch_log[1:])
+        assert st.barriers <= merge_blocks
+
+
 def test_two_hundred_segments_of_lengths_up_to_thousand():
     rng = np.random.default_rng(9)
     lens = rng.integers(0, 1000, 200)

@@ -359,6 +359,25 @@ def test_records_torn_final_line_skipped_with_warning(tmp_path):
         assert records_load(str(p)) == [rec]
 
 
+def test_records_append_cuts_a_torn_final_line(tmp_path):
+    p = tmp_path / "torn.jsonl"
+    rec = make_record(WL.key(), ScheduleConfig(), 1.0)
+    other = make_record(WL.key(), ScheduleConfig(unroll=1), 2.0)
+    records_save([rec], str(p))
+    with open(p, "a") as f:
+        f.write(rec.to_json()[:20])  # a crash cut the append short of its newline
+    records_append([other], str(p))
+    assert records_load(str(p)) == [rec, other]
+
+
+def test_records_append_restarts_a_torn_header(tmp_path):
+    p = tmp_path / "torn.jsonl"
+    p.write_text('{"schema": "edge')
+    rec = make_record(WL.key(), ScheduleConfig(), 1.0)
+    records_append([rec], str(p))
+    assert records_load(str(p)) == [rec]
+
+
 def test_records_damaged_line_before_the_end_still_raises(tmp_path):
     p = tmp_path / "bad.jsonl"
     rec = make_record(WL.key(), ScheduleConfig(), 1.0)
