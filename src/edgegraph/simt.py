@@ -105,7 +105,8 @@ class DeviceBuffer:
 
     Index with ints, slices or integer arrays; negative indices are
     rejected (device code has no wraparound). Reads of never-written
-    slots return zero.
+    slots return zero. Under race check a slice read is a read-only
+    view, so every write goes through ``__setitem__``.
     """
 
     __slots__ = ("device", "dtype", "data", "name", "_session", "_w_owner", "_r_owner")
@@ -177,9 +178,14 @@ class DeviceBuffer:
 
     def __getitem__(self, idx):
         start, stop = self._resolve(idx)
-        if self._w_owner is not None:
-            self._race_read(start, stop)
-        return self.data[idx]
+        if self._w_owner is None:
+            return self.data[idx]
+        self._race_read(start, stop)
+        got = self.data[idx]
+        if got.base is self.data:
+            # a write through a view of the storage would bypass the checks
+            got.flags.writeable = False
+        return got
 
     def __setitem__(self, idx, value):
         start, stop = self._resolve(idx)
@@ -227,6 +233,7 @@ class DeviceBuffer:
         gid = self._session._current_gid
         if gid is None:
             return
+        self._session._race_touched.add(self)
         w = self._w_owner[start:stop]
         if np.any((w != _FREE) & (w != gid)):
             raise RaceError(
@@ -241,6 +248,7 @@ class DeviceBuffer:
         gid = self._session._current_gid
         if gid is None:
             return
+        self._session._race_touched.add(self)
         w = self._w_owner[start:stop]
         r = self._r_owner[start:stop]
         if np.any((w != _FREE) & (w != gid)) or np.any((r != _FREE) & (r != gid)):
@@ -369,7 +377,8 @@ class Session:
         self.race_check = race_check
         self.workers = workers
         self._stats = LaunchStats()
-        self._buffers: list[DeviceBuffer] = []  # race-checked buffers
+        # race-checked buffers read or written in the current block phase
+        self._race_touched: set[DeviceBuffer] = set()
         self._allocs = 0
         self._current = None
         self._current_gid = None
@@ -379,12 +388,8 @@ class Session:
     def alloc(self, length: int, dtype: str = "f32", device: str = GPU, name: str = "") -> DeviceBuffer:
         buf = DeviceBuffer(self, length, dtype=dtype, device=device, name=name or f"buf{self._allocs}")
         self._allocs += 1
-        # only race checks need the session to reach its buffers; a list
-        # kept otherwise would close a buffer -> session -> buffer cycle
-        # that holds every dropped buffer until the cycle collector runs
         if self.race_check:
             buf._race_arm()
-            self._buffers.append(buf)
         return buf
 
     def stats(self) -> LaunchStats:
@@ -418,6 +423,8 @@ class Session:
         finally:
             self._current = None
             self._current_gid = None
+            # a launch that raised mid-phase leaves no owners behind
+            self._race_phase_reset()
         self._stats.per_thread_items = [int(x) for x in self._work]
         self._stats.load_imbalance = _imbalance(self._stats.per_thread_items)
         self._work = None
@@ -474,12 +481,17 @@ class Session:
             for c in ctxs:
                 c._guards = None
         if self.race_check:
-            for buf in self._buffers:
-                buf._race_reset()
+            self._race_phase_reset()
             if isinstance(shared, _SharedMem):
                 shared._reset()
         self._current = None
         self._current_gid = None
+
+    def _race_phase_reset(self):
+        # only the buffers this phase touched hold owners
+        for buf in self._race_touched:
+            buf._race_reset()
+        self._race_touched.clear()
 
 
 def ceil_div(a: int, b: int) -> int:

@@ -276,6 +276,22 @@ def test_roi_align_op_device_transparent():
     assert np.array_equal(gpu["pooled"].data, cpu["pooled"].data)
 
 
+def test_roi_align_node_rejects_batched_features_on_every_placement():
+    g = load_graph(doc(
+        [{"id": "pooled", "op": "roi_align", "attrs": {"output_size": [2, 2]}, "inputs": ["f", "r"]}],
+        inputs={"f": {"shape": [2, 2, 6, 6], "dtype": "f32"}, "r": {"shape": [1, 4], "dtype": "f32"}},
+        outputs=["pooled"],
+    ))
+    f = np.ones((2, 2, 6, 6), np.float32)
+    r = np.array([[0.5, 0.5, 4, 4]], np.float32)
+    errors = []
+    for gpu_ops in (DEFAULT_GPU_OPS, set()):
+        with pytest.raises(GraphExecutionError, match=r"features must be \(1, C, H, W\)") as e:
+            run_graph(insert_copies(assign_devices(g, gpu_ops)), {"f": f, "r": r})
+        errors.append(str(e.value))
+    assert errors[0] == errors[1]
+
+
 def test_box_nms_node_runs_each_image_of_a_batch_separately():
     g = load_graph(doc(
         [{"id": "kept", "op": "box_nms", "attrs": {"iou_threshold": 0.5}, "inputs": ["boxes"]}],

@@ -9,6 +9,7 @@ import pytest
 from edgegraph.simt import (
     BarrierDivergenceError,
     BufferBoundsError,
+    DeviceBuffer,
     LaunchConfig,
     LaunchConfigError,
     RaceError,
@@ -344,3 +345,51 @@ def test_dropped_buffers_are_freed_without_the_cycle_collector():
         assert storage() is None
     finally:
         gc.enable()
+
+
+def test_race_check_resets_only_buffers_the_phase_touched(monkeypatch):
+    from edgegraph.vision import SegmentedArray, segmented_argsort
+
+    resets = {}
+    reset = DeviceBuffer._race_reset
+
+    def counting(buf):
+        resets[buf.name] = resets.get(buf.name, 0) + 1
+        reset(buf)
+
+    monkeypatch.setattr(DeviceBuffer, "_race_reset", counting)
+    sess = Session(race_check=True)
+    sess.alloc(1 << 16, "f32", name="unrelated")
+    x = np.random.default_rng(0).standard_normal(200).astype(np.float32)
+    order = segmented_argsort(SegmentedArray(values=x, offsets=np.array([0, 200])), "ascending",
+                              block=8, session=sess)
+    assert np.array_equal(order, np.argsort(x, kind="stable"))
+    assert resets and "unrelated" not in resets
+
+
+def test_race_check_rejects_writes_through_a_slice_read():
+    sess = Session(race_check=True)
+    buf = sess.alloc(4, "i32")
+
+    def kernel(ctx):
+        view = buf[0:4]
+        view[0] = ctx.thread_id
+
+    with pytest.raises(ValueError, match="read-only"):
+        sess.launch(kernel, LaunchConfig(grid=1, block=2))
+    assert buf.to_numpy().tolist() == [0, 0, 0, 0]
+
+
+def test_race_check_state_does_not_outlive_a_failed_launch():
+    sess = Session(race_check=True)
+    buf = sess.alloc(1, "i32")
+
+    def racy(ctx):
+        buf[0] = ctx.thread_id
+
+    def read_all(ctx):
+        ctx.add_work(int(buf[0]))
+
+    with pytest.raises(RaceError):
+        sess.launch(racy, LaunchConfig(grid=1, block=2))
+    sess.launch(read_all, LaunchConfig(grid=1, block=2))
