@@ -98,9 +98,10 @@ class ScheduleConfig:
 
     oc_split groups the output channels (one block per group), h_split
     cuts the output height into bands (more blocks), w_tile and vec set
-    the per-block thread count over the column domain, unroll flattens
-    the reduction nest. vec must divide oc_split; every split must divide
-    its axis.
+    the per-block thread count over the column domain, unroll marks the
+    reduction nest unrolled, which the proxy timer charges less per MAC
+    (the accumulation order is the same either way). vec must divide
+    oc_split; every split must divide its axis.
     """
 
     oc_split: int = 1
@@ -217,6 +218,8 @@ def conv2d_scheduled(inp, wgt, wl: ConvWorkload, cfg: ScheduleConfig,
     wbuf.load(wgt.reshape(-1))
     obuf = sess.alloc(wl.n * wl.k * oh * ow, "f32", device=GPU, name="conv_out")
 
+    # the reduction nest in (r, s, c ascending) order; ``unroll`` changes
+    # only what the proxy timer charges per MAC, never the order
     red = [(ri, si, ci) for ri in range(wl.r) for si in range(wl.s) for ci in range(cg)]
 
     def kernel(ctx):
@@ -238,22 +241,12 @@ def conv2d_scheduled(inp, wgt, wl: ConvWorkload, cfg: ScheduleConfig,
                 g = ki // kg_grp
                 wk = w4[ki]
                 acc = np.zeros((band, csize), np.float32)
-                if cfg.unroll:
-                    for ri, si, ci in red:
-                        c0 = t * sw + si * dw
-                        patch = x4[ni, g * cg + ci,
-                                   rs0 + ri * dh : rs1 + ri * dh : sh,
-                                   c0 : c0 + (csize - 1) * cstep + 1 : cstep]
-                        acc += patch * wk[ci, ri, si]
-                else:
-                    for ri in range(wl.r):
-                        for si in range(wl.s):
-                            c0 = t * sw + si * dw
-                            for ci in range(cg):
-                                patch = x4[ni, g * cg + ci,
-                                           rs0 + ri * dh : rs1 + ri * dh : sh,
-                                           c0 : c0 + (csize - 1) * cstep + 1 : cstep]
-                                acc += patch * wk[ci, ri, si]
+                for ri, si, ci in red:
+                    c0 = t * sw + si * dw
+                    patch = x4[ni, g * cg + ci,
+                               rs0 + ri * dh : rs1 + ri * dh : sh,
+                               c0 : c0 + (csize - 1) * cstep + 1 : cstep]
+                    acc += patch * wk[ci, ri, si]
                 o4[ni, ki, y0 : y0 + band, t : ow : ctx.block_dim] = acc
 
     sess.launch(kernel, LaunchConfig(grid=cfg.oc_split * cfg.h_split, block=threads))

@@ -4,10 +4,10 @@ Placement is deliberately simple: pass one tags every node GPU if its
 op kind is on the caller's GPU list and CPU otherwise; pass two inserts
 an explicit copy node on every edge whose endpoints disagree. Copy
 nodes are ordinary graph nodes, so the fallback overhead they model is
-inspectable. The executor dispatches GPU-tagged nodes through emulator
-kernels and CPU-tagged nodes through sequential implementations of the
-same operators, which keeps graph outputs bitwise independent of the
-placement.
+inspectable. The executor is one table, ``OPS``, with one runner per
+op kind: it calls the emulator kernel for a GPU-tagged node and the
+kernel's sequential twin for a CPU-tagged one, which keeps graph
+outputs bitwise independent of the placement.
 """
 
 from __future__ import annotations
@@ -16,32 +16,14 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import vision
 from .conv import ConvWorkload, ScheduleConfig, conv2d_reference, conv2d_scheduled
 from .simt import CPU, GPU, LaunchConfig, Session
-from .tensor import LayoutTag, Tensor
+from .tensor import Tensor
 
 UNASSIGNED = "unassigned"
-
-KNOWN_OPS = (
-    "identity",
-    "conv2d",
-    "relu",
-    "add",
-    "pool",
-    "reshape",
-    "box_nms",
-    "multibox_detection",
-    "roi_align",
-    "argsort",
-    "scan",
-    "copy",
-)
-
-# ops with an emulator-kernel implementation; default GPU list for placement
-DEFAULT_GPU_OPS = frozenset(op for op in KNOWN_OPS if op != "copy")
-
 
 class GraphError(ValueError):
     """Graph document or graph state violates the format contract."""
@@ -58,7 +40,6 @@ class Node:
     attrs: dict = field(default_factory=dict)
     inputs: list = field(default_factory=list)
     device: str = UNASSIGNED
-    layout: LayoutTag | None = None
     schedule: ScheduleConfig | None = None
 
 
@@ -67,12 +48,6 @@ class Graph:
     nodes: list
     inputs: dict
     outputs: list
-
-    def node(self, node_id: str) -> Node:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
 
     def edges(self):
         """Producer -> consumer node pairs (graph-input feeds excluded)."""
@@ -105,7 +80,7 @@ def load_graph(text) -> Graph:
             raise GraphError(f"duplicate tensor producer {nid!r}")
         seen.add(nid)
         op = raw.get("op")
-        if op not in KNOWN_OPS:
+        if op not in OPS:
             raise GraphError(f"node {nid!r}: unknown op kind {op!r}")
         nodes.append(Node(id=nid, op=op, attrs=dict(raw.get("attrs", {})), inputs=list(raw.get("inputs", []))))
     known = seen | set(graph_inputs)
@@ -223,173 +198,173 @@ def _conv_workload(data: np.ndarray, weight: np.ndarray, attrs: dict) -> ConvWor
     )
 
 
-def _elementwise_gpu(session, fn, *arrays):
-    """Launch fn over equal-length flat buffers, chunked across threads."""
-    flat = [a.reshape(-1).astype(np.float32) for a in arrays]
-    n = flat[0].size
-    bufs = []
-    for i, f in enumerate(flat):
-        b = session.alloc(n, "f32", device=GPU, name=f"ew_in{i}")
-        b.load(f)
-        bufs.append(b)
-    out = session.alloc(n, "f32", device=GPU, name="ew_out")
-    threads = min(8, max(1, n))
+def _by_rows(gpu, fn, out_shape, *arrays):
+    """``fn(*arrays)``, of shape ``out_shape``, for f32 arrays whose
+    leading axis indexes independent rows.
+
+    On the CPU (``gpu`` is None) that is one call. On a GPU session one
+    launch gives each of up to 8 threads a contiguous range of rows,
+    which it reads with one slice read per input and writes with one
+    slice store, so the race check sees every access.
+    """
+    if gpu is None:
+        return fn(*arrays)
+    rows = out_shape[0]
+    ins = []  # (buffer, shape of one row)
+    for i, a in enumerate(arrays):
+        b = gpu.alloc(a.size, "f32", device=GPU, name=f"rows_in{i}")
+        b.load(a.reshape(-1))
+        ins.append((b, a.shape[1:]))
+    out = gpu.alloc(int(np.prod(out_shape)), "f32", device=GPU, name="rows_out")
+    out_row = len(out) // rows
 
     def kernel(ctx):
         t = ctx.thread_id
-        lo = (n * t) // ctx.block_dim
-        hi = (n * (t + 1)) // ctx.block_dim
+        lo = (rows * t) // ctx.block_dim
+        hi = (rows * (t + 1)) // ctx.block_dim
         if hi > lo:
-            out[lo:hi] = fn(*(b[lo:hi] for b in bufs))
-            ctx.add_work(hi - lo)
+            parts = []
+            for b, shape in ins:
+                size = len(b) // rows
+                parts.append(b[lo * size : hi * size].reshape(hi - lo, *shape))
+            out[lo * out_row : hi * out_row] = fn(*parts).reshape(-1)
+            ctx.add_work((hi - lo) * out_row)
 
-    session.launch(kernel, LaunchConfig(grid=1, block=threads))
-    return out.to_numpy()
+    gpu.launch(kernel, LaunchConfig(grid=1, block=min(8, rows)))
+    return out.to_numpy().reshape(out_shape)
 
 
-def _pool_out(x: np.ndarray, kh, kw, sh, sw) -> tuple:
+def _max_pool(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
+    """Max over every (kh, kw) window of the last two axes, at strides (sh, sw)."""
+    win = sliding_window_view(x, (kh, kw), axis=(-2, -1))
+    return win[..., ::sh, ::sw, :, :].max(axis=(-2, -1))
+
+
+def _f32(t: Tensor) -> np.ndarray:
+    return t.to_array().astype(np.float32)
+
+
+def _vision(gpu, name: str, *args, **kwargs):
+    """``vision.<name>`` on the GPU session, or its sequential twin on the CPU.
+
+    Looked up when called, so a patched vision function is the one that runs.
+    """
+    if gpu is None:
+        return getattr(vision, name + "_sequential")(*args, **kwargs)
+    return getattr(vision, name)(*args, session=gpu, **kwargs)
+
+
+def _nms_attrs(at: dict, default_score: float) -> dict:
+    return dict(
+        iou_threshold=float(at.get("iou_threshold", 0.5)),
+        score_threshold=float(at.get("score_threshold", default_score)),
+        top_k=at.get("top_k"),
+        max_output=at.get("max_output"),
+    )
+
+
+def _relu(node, args, gpu):
+    x = _f32(args[0])
+    return _by_rows(gpu, lambda v: np.maximum(v, np.float32(0)), (x.size,), x.reshape(-1)).reshape(x.shape)
+
+
+def _add(node, args, gpu):
+    a, b = _f32(args[0]), _f32(args[1])
+    if a.shape != b.shape:
+        raise ValueError(f"add operands differ in shape: {a.shape} vs {b.shape}")
+    return _by_rows(gpu, np.add, (a.size,), a.reshape(-1), b.reshape(-1)).reshape(a.shape)
+
+
+def _pool(node, args, gpu):
+    at = node.attrs
+    x = _f32(args[0])
     n, c, h, w = x.shape
-    return n, c, (h - kh) // sh + 1, (w - kw) // sw + 1
+    kh = int(at.get("kernel", 2))
+    kw = int(at.get("kernel_w", kh))
+    sh = int(at.get("stride", kh))
+    sw = int(at.get("stride_w", sh))
+    if min(kh, kw, sh, sw) < 1:
+        raise ValueError(f"pool kernel {kh}x{kw} and stride {sh}x{sw} must be >= 1")
+    if kh > h or kw > w:
+        raise ValueError(f"pool window {kh}x{kw} is larger than the {h}x{w} map")
+    oh, ow = (h - kh) // sh + 1, (w - kw) // sw + 1
+    y = _by_rows(gpu, lambda planes: _max_pool(planes, kh, kw, sh, sw), (n * c, oh, ow),
+                 x.reshape(n * c, h, w))
+    return y.reshape(n, c, oh, ow)
+
+
+def _conv2d(node, args, gpu):
+    data, weight = _f32(args[0]), _f32(args[1])
+    wl = _conv_workload(data, weight, node.attrs)
+    if gpu is None:
+        return conv2d_reference(data, weight, wl)
+    cfg = node.schedule if node.schedule is not None else ScheduleConfig()
+    return conv2d_scheduled(data, weight, wl, cfg, session=gpu)
+
+
+def _box_nms(node, args, gpu):
+    rows = args[0].to_array()
+    # leading dims of (..., boxes, 6) input index separate images
+    sets = rows.reshape(-1, *rows.shape[-2:]) if rows.ndim > 2 else rows[None]
+    attrs = _nms_attrs(node.attrs, 0.0)
+    out = np.empty(sets.shape, np.float32)
+    for i, one in enumerate(sets):
+        out[i] = _vision(gpu, "box_nms", vision.BoxSet.from_array(one), **attrs).to_array().reshape(one.shape)
+    return out.reshape(rows.shape)
+
+
+def _multibox_detection(node, args, gpu):
+    variances = tuple(node.attrs.get("variances", vision.boxes.DEFAULT_VARIANCES))
+    res = _vision(gpu, "multibox_detection", *(a.to_array() for a in args[:3]), variances=variances,
+                  **_nms_attrs(node.attrs, 0.01))
+    return np.stack([r.to_array() for r in res])
+
+
+def _roi_align(node, args, gpu):
+    size = tuple(node.attrs.get("output_size", (2, 2)))
+    ratio = int(node.attrs.get("sampling_ratio", 2))
+    return _vision(gpu, "roi_align", args[0].to_array(), args[1].to_array(), size, ratio)
+
+
+def _argsort(node, args, gpu):
+    vals = args[0].to_array().reshape(-1)
+    order = node.attrs.get("order", "ascending")
+    if gpu is None:
+        return vision.argsort_sequential(vals, order)
+    sa = vision.SegmentedArray(values=vals.astype(np.float32), offsets=np.array([0, vals.size]))
+    return vision.segmented_argsort(sa, order, block=int(node.attrs.get("block", 64)), session=gpu)
+
+
+def _scan(node, args, gpu):
+    vals = args[0].to_array().reshape(-1)
+    return _vision(gpu, "scan", vals, node.attrs.get("kind", "inclusive"), p=int(node.attrs.get("p", 8)))
+
+
+# op kind -> runner(node, args, gpu), returning a Tensor or an array of
+# its dtype; ``gpu`` is the session on a GPU placement and None on the
+# CPU, where the sequential twins run
+OPS = {
+    "identity": lambda node, args, gpu: args[0],
+    "copy": lambda node, args, gpu: args[0],
+    "reshape": lambda node, args, gpu: args[0].to_array().reshape(tuple(node.attrs["shape"])),
+    "relu": _relu,
+    "add": _add,
+    "pool": _pool,
+    "conv2d": _conv2d,
+    "box_nms": _box_nms,
+    "multibox_detection": _multibox_detection,
+    "roi_align": _roi_align,
+    "argsort": _argsort,
+    "scan": _scan,
+}
+
+# ops with an emulator-kernel implementation; default GPU list for placement
+DEFAULT_GPU_OPS = frozenset(OPS) - {"copy"}
 
 
 def _run_node(node: Node, args: list, session: Session) -> Tensor:
-    on_gpu = node.device == GPU
-    at = node.attrs
-    if node.op in ("identity", "copy"):
-        return args[0]
-
-    if node.op == "reshape":
-        arr = args[0].to_array()
-        return Tensor.from_array(arr.reshape(tuple(at["shape"])), dtype=args[0].dtype)
-
-    if node.op == "relu":
-        x = args[0].to_array()
-        if on_gpu:
-            y = _elementwise_gpu(session, lambda a: np.maximum(a, np.float32(0)), x).reshape(x.shape)
-        else:
-            y = np.maximum(x.astype(np.float32), np.float32(0))
-        return Tensor.from_array(y, dtype="f32")
-
-    if node.op == "add":
-        a, b = args[0].to_array(), args[1].to_array()
-        if a.shape != b.shape:
-            raise ValueError(f"add operands differ in shape: {a.shape} vs {b.shape}")
-        if on_gpu:
-            y = _elementwise_gpu(session, lambda u, v: u + v, a, b).reshape(a.shape)
-        else:
-            y = a.astype(np.float32) + b.astype(np.float32)
-        return Tensor.from_array(y, dtype="f32")
-
-    if node.op == "pool":
-        x = args[0].to_array().astype(np.float32)
-        kh = int(at.get("kernel", 2))
-        kw = int(at.get("kernel_w", kh))
-        sh = int(at.get("stride", kh))
-        sw = int(at.get("stride_w", sh))
-        n, c, oh, ow = _pool_out(x, kh, kw, sh, sw)
-        if on_gpu:
-            xin = session.alloc(x.size, "f32", device=GPU, name="pool_in")
-            xin.load(x.reshape(-1))
-            out = session.alloc(n * c * oh * ow, "f32", device=GPU, name="pool_out")
-            cells = n * c * oh * ow
-            threads = min(8, max(1, cells))
-
-            def kernel(ctx):
-                x4 = xin.as_array(x.shape)
-                for idx in range(ctx.thread_id, cells, ctx.block_dim):
-                    ni, rem = divmod(idx, c * oh * ow)
-                    ci, rem = divmod(rem, oh * ow)
-                    yi, xi = divmod(rem, ow)
-                    win = x4[ni, ci, yi * sh : yi * sh + kh, xi * sw : xi * sw + kw]
-                    out[idx] = np.max(win)
-                    ctx.add_work(1)
-
-            session.launch(kernel, LaunchConfig(grid=1, block=threads))
-            y = out.to_numpy().reshape(n, c, oh, ow)
-        else:
-            y = x[:, :, : oh * sh, : ow * sw]
-            y = y.reshape(n, c, oh, sh, ow, sw)[:, :, :, :kh, :, :kw].max(axis=(3, 5))
-        return Tensor.from_array(y, dtype="f32")
-
-    if node.op == "conv2d":
-        data = args[0].to_array().astype(np.float32)
-        weight = args[1].to_array().astype(np.float32)
-        wl = _conv_workload(data, weight, at)
-        if on_gpu:
-            cfg = node.schedule if node.schedule is not None else ScheduleConfig()
-            y = conv2d_scheduled(data, weight, wl, cfg, session=session)
-        else:
-            y = conv2d_reference(data, weight, wl)
-        return Tensor.from_array(y, dtype="f32")
-
-    if node.op == "box_nms":
-        rows = args[0].to_array()
-        # leading dims of (..., boxes, 6) input index separate images
-        sets = rows.reshape(-1, *rows.shape[-2:]) if rows.ndim > 2 else rows[None]
-        kwargs = dict(
-            iou_threshold=float(at.get("iou_threshold", 0.5)),
-            score_threshold=float(at.get("score_threshold", 0.0)),
-            top_k=at.get("top_k"),
-            max_output=at.get("max_output"),
-        )
-        out = np.empty(sets.shape, np.float32)
-        for i, one in enumerate(sets):
-            bs = vision.BoxSet.from_array(one)
-            if on_gpu:
-                res = vision.box_nms(bs, session=session, **kwargs)
-            else:
-                res = vision.box_nms_sequential(bs, **kwargs)
-            out[i] = res.to_array().reshape(one.shape)
-        return Tensor.from_array(out.reshape(rows.shape), dtype="f32")
-
-    if node.op == "multibox_detection":
-        probs, locs, anchors = (a.to_array() for a in args[:3])
-        kwargs = dict(
-            variances=tuple(at.get("variances", vision.boxes.DEFAULT_VARIANCES)),
-            score_threshold=float(at.get("score_threshold", 0.01)),
-            iou_threshold=float(at.get("iou_threshold", 0.5)),
-            top_k=at.get("top_k"),
-            max_output=at.get("max_output"),
-        )
-        if on_gpu:
-            res = vision.multibox_detection(probs, locs, anchors, session=session, **kwargs)
-        else:
-            res = vision.multibox_detection_sequential(probs, locs, anchors, **kwargs)
-        stacked = np.stack([r.to_array() for r in res])
-        return Tensor.from_array(stacked, dtype="f32")
-
-    if node.op == "roi_align":
-        feats = args[0].to_array()
-        rois = args[1].to_array()
-        size = tuple(at.get("output_size", (2, 2)))
-        ratio = int(at.get("sampling_ratio", 2))
-        if on_gpu:
-            y = vision.roi_align(feats, rois, size, ratio, session=session)
-        else:
-            y = vision.roi_align_sequential(feats, rois, size, ratio)
-        return Tensor.from_array(y, dtype="f32")
-
-    if node.op == "argsort":
-        vals = args[0].to_array().reshape(-1)
-        order = at.get("order", "ascending")
-        if on_gpu:
-            sa = vision.SegmentedArray(values=vals.astype(np.float32), offsets=np.array([0, vals.size]))
-            y = vision.segmented_argsort(sa, order, block=int(at.get("block", 64)), session=session)
-        else:
-            y = vision.argsort_sequential(vals, order)
-        return Tensor.from_array(y, dtype="i32")
-
-    if node.op == "scan":
-        vals = args[0].to_array().reshape(-1)
-        kind = at.get("kind", "inclusive")
-        p = int(at.get("p", 8))
-        if on_gpu:
-            y = vision.scan(vals, kind, p=p, session=session)
-        else:
-            y = vision.scan_sequential(vals, kind, p=p)
-        return Tensor.from_array(y)
-
-    raise GraphExecutionError(f"node {node.id!r}: no executor for op {node.op!r}")
+    out = OPS[node.op](node, args, session if node.device == GPU else None)
+    return out if isinstance(out, Tensor) else Tensor.from_array(out)
 
 
 def run_graph(g: Graph, inputs: dict, session: Session | None = None) -> dict:

@@ -10,8 +10,8 @@ A kernel that needs barriers is written as a generator and marks each
 barrier with ``yield ctx.barrier()`` (a bare ``yield`` is equivalent).
 The emulator runs phase k of every thread of a block to completion, in
 ascending thread id, before any thread starts phase k+1. That makes the
-final buffer contents bitwise reproducible regardless of the ``workers``
-hint or how many times the launch is repeated.
+final buffer contents bitwise reproducible however many times the
+launch is repeated.
 
 Buffers are zero-initialized and fixed-length. Out-of-range accesses
 raise :class:`BufferBoundsError` naming the offending block and thread.
@@ -369,13 +369,11 @@ class Session:
     """One ordered stream of kernel launches with shared counters.
 
     Not shareable across concurrent callers: one session, one caller at a
-    time. ``workers`` is a scheduling hint only; results are identical
-    for any value.
+    time.
     """
 
-    def __init__(self, race_check: bool = False, workers: int = 1):
+    def __init__(self, race_check: bool = False):
         self.race_check = race_check
-        self.workers = workers
         self._stats = LaunchStats()
         # race-checked buffers read or written in the current block phase
         self._race_touched: set[DeviceBuffer] = set()

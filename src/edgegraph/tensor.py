@@ -11,7 +11,6 @@ axis is an error.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,11 +239,6 @@ def transform_cost(src: LayoutTag, dst: LayoutTag, shape, table: dict | None = N
         transform_kernel(probe, dst, session)
         samples.append(clock() - t0)
     return float(np.median(samples))
-
-
-def measured_transform_cost(src: LayoutTag, dst: LayoutTag, shape, repeats: int = 3) -> float:
-    """Wall-clock variant of :func:`transform_cost`."""
-    return transform_cost(src, dst, shape, clock=time.perf_counter, repeats=repeats)
 
 
 def tensor_to_json(t: Tensor) -> str:

@@ -38,7 +38,6 @@ from .simt import Session, ceil_div
 from .tensor import LayoutTag
 
 RECORDS_HEADER = {"schema": 1, "features": "v1"}
-FEATURE_VERSION = "v1"
 MAX_SPACE = 2000  # desk-scale bound on exhaustive spaces
 
 

@@ -275,17 +275,9 @@ def _detection_rows(probs: np.ndarray, locs: np.ndarray, anchors: np.ndarray, va
     return rows
 
 
-def multibox_detection(class_probs, loc_preds, anchors, variances=DEFAULT_VARIANCES,
-                       score_threshold: float = 0.01, iou_threshold: float = 0.5,
-                       top_k: int | None = None, max_output: int | None = None,
-                       clip: bool = True, session: Session | None = None) -> list[BoxSet]:
-    """SSD-style detection: per-anchor class selection, offset decoding, NMS.
-
-    class_probs is (batch, classes, anchors) with class 0 = background,
-    loc_preds is (batch, anchors*4), anchors is (1, anchors, 4) in corner
-    form within [0, 1]. Returns one BoxSet of capacity ``anchors`` per
-    batch element.
-    """
+def _check_multibox(class_probs, loc_preds, anchors):
+    """float32 (b, cls, a) probs, (b, 4a) offsets and (a, 4) anchors; rejects
+    inputs whose shapes do not fit together."""
     probs = np.asarray(class_probs, dtype=np.float32)
     locs = np.asarray(loc_preds, dtype=np.float32)
     ancs = np.asarray(anchors, dtype=np.float32)
@@ -299,8 +291,23 @@ def multibox_detection(class_probs, loc_preds, anchors, variances=DEFAULT_VARIAN
         raise ValueError(
             f"shape mismatch: {probs.shape} probs vs {locs.shape} loc_preds vs {ancs.shape} anchors"
         )
+    return probs, locs, ancs[0]
+
+
+def multibox_detection(class_probs, loc_preds, anchors, variances=DEFAULT_VARIANCES,
+                       score_threshold: float = 0.01, iou_threshold: float = 0.5,
+                       top_k: int | None = None, max_output: int | None = None,
+                       clip: bool = True, session: Session | None = None) -> list[BoxSet]:
+    """SSD-style detection: per-anchor class selection, offset decoding, NMS.
+
+    class_probs is (batch, classes, anchors) with class 0 = background,
+    loc_preds is (batch, anchors*4), anchors is (1, anchors, 4) in corner
+    form within [0, 1]. Returns one BoxSet of capacity ``anchors`` per
+    batch element.
+    """
+    probs, locs, anc2 = _check_multibox(class_probs, loc_preds, anchors)
+    b, _, a = probs.shape
     sess = session if session is not None else Session()
-    anc2 = ancs[0]
 
     decoded = sess.alloc(b * a * 6, "f32", device=GPU, name="mbx_decoded")
     threads = min(32, max(1, a))
@@ -331,10 +338,9 @@ def multibox_detection_sequential(class_probs, loc_preds, anchors, variances=DEF
                                   score_threshold: float = 0.01, iou_threshold: float = 0.5,
                                   top_k: int | None = None, max_output: int | None = None,
                                   clip: bool = True) -> list[BoxSet]:
-    """Straight-line decode + greedy NMS, no emulator."""
-    probs = np.asarray(class_probs, dtype=np.float32)
-    locs = np.asarray(loc_preds, dtype=np.float32)
-    anc2 = np.asarray(anchors, dtype=np.float32)[0]
+    """Straight-line decode + greedy NMS, no emulator; same input check as
+    multibox_detection."""
+    probs, locs, anc2 = _check_multibox(class_probs, loc_preds, anchors)
     results = []
     for bi in range(probs.shape[0]):
         rows = _detection_rows(probs[bi], locs[bi], anc2, variances, clip)

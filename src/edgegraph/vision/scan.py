@@ -65,6 +65,65 @@ def _check_i32(values, what: str = "scan result") -> None:
         raise OverflowError(f"{what} exceeds the i32 range")
 
 
+def _prepare(values, kind: str) -> tuple[np.ndarray, str]:
+    """The input as a flat f32 or i32 array and its buffer dtype name.
+
+    Rejects an unknown ``kind``, a non-flat input, a dtype that is
+    neither float nor integer/bool, and integers outside the i32 range.
+    """
+    if kind not in ("inclusive", "exclusive"):
+        raise ValueError(f"kind must be 'inclusive' or 'exclusive', got {kind!r}")
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise ValueError(f"scan expects a flat buffer, got shape {arr.shape}")
+    if arr.dtype.kind == "f":
+        return arr.astype(np.float32), "f32"
+    if arr.dtype.kind in "iub":
+        _check_i32(arr)
+        return arr.astype(np.int32), "i32"
+    raise ValueError(f"unsupported scan dtype {arr.dtype}")
+
+
+def _running_sums(chunk: np.ndarray) -> np.ndarray:
+    """Inclusive running sums of one chunk in its own dtype; i32 sums are exact or raise."""
+    if chunk.dtype == np.int32:
+        csum = np.cumsum(chunk, dtype=np.int64)
+        _check_i32(csum)
+        return csum.astype(np.int32)
+    return np.cumsum(chunk, dtype=np.float32)
+
+
+def _exact(total):
+    """A chunk total as the cooperative scan adds it: i32 as a Python int,
+    so sums of totals never wrap, f32 as is."""
+    return int(total) if isinstance(total, np.integer) else total
+
+
+def _as_base(value, dtype: str):
+    """A scanned total stored as a chunk base; an i32 base out of range raises."""
+    if dtype == "i32":
+        _check_i32(value)
+        return np.int32(value)
+    return np.float32(value)
+
+
+def _chunk_out(sums: np.ndarray, base, kind: str) -> np.ndarray:
+    """One chunk's output: its running sums plus its base, shifted one slot
+    right behind the base for an exclusive scan. i32 results are exact or raise."""
+    out = np.empty_like(sums)
+    rest = out
+    if kind == "exclusive":
+        out[0] = base
+        sums, rest = sums[:-1], out[1:]
+    if out.dtype == np.int32:
+        res = sums.astype(np.int64) + int(base)
+        _check_i32(res)
+        rest[:] = res
+    else:
+        rest[:] = sums + base
+    return out
+
+
 def scan(values, kind: str = "inclusive", p: int = 8, session: Session | None = None) -> np.ndarray:
     """Prefix sum of a flat buffer: out[i] = sum(values[0..=i]) (inclusive)
     or sum(values[0..i)) with out[0] = 0 (exclusive).
@@ -74,20 +133,7 @@ def scan(values, kind: str = "inclusive", p: int = 8, session: Session | None = 
     passes. i32 input gives exact results or an OverflowError; f32 input
     is summed in the fixed chunked order described in the module docstring.
     """
-    if kind not in ("inclusive", "exclusive"):
-        raise ValueError(f"kind must be 'inclusive' or 'exclusive', got {kind!r}")
-    arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ValueError(f"scan expects a flat buffer, got shape {arr.shape}")
-    if arr.dtype.kind == "f":
-        dtype = "f32"
-        arr = arr.astype(np.float32)
-    elif arr.dtype.kind in "iub":
-        dtype = "i32"
-        _check_i32(arr)
-        arr = arr.astype(np.int32)
-    else:
-        raise ValueError(f"unsupported scan dtype {arr.dtype}")
+    arr, dtype = _prepare(values, kind)
     n = arr.size
     if n == 0:
         return arr.copy()
@@ -102,39 +148,27 @@ def scan(values, kind: str = "inclusive", p: int = 8, session: Session | None = 
     totals = sess.alloc(plan.p, dtype, device=GPU, name="scan_totals")
     scanned = sess.alloc(plan.p, dtype, device=GPU, name="scan_bases")
     out = sess.alloc(n, dtype, device=GPU, name="scan_out")
-    is_int = dtype == "i32"
 
     def up_sweep(ctx):
         a, z = ranges[ctx.block_id]
         ctx.add_work(z - a)
-        seg = vals[a:z]
-        if is_int:
-            csum = np.cumsum(seg, dtype=np.int64)
-            _check_i32(csum)
-            local[a:z] = csum.astype(np.int32)
-            totals[ctx.block_id] = np.int32(csum[-1])
-        else:
-            csum = np.cumsum(seg, dtype=np.float32)
-            local[a:z] = csum
-            totals[ctx.block_id] = csum[-1]
+        csum = _running_sums(vals[a:z])
+        local[a:z] = csum
+        totals[ctx.block_id] = csum[-1]
 
     def coop_scan(ctx):
         # Hillis-Steele over the chunk totals, double-buffered in shared
         # storage: pass d adds element i - 2**d into element i.
         i = ctx.thread_id
-        pp = plan.p
         passes = plan.num_coop_passes
         ctx.add_work(max(1, passes))
-        if passes == 0:
-            scanned[i] = 0
-            return
-        cur, nxt = 0, pp
+        cur, nxt = 0, plan.p
         for d in range(passes):
             stride = 1 << d
             if d == 0:
-                v = int(totals[i]) if is_int else totals[i]
+                v = _exact(totals[i])
                 if i >= stride:
-                    v = v + (int(totals[i - stride]) if is_int else totals[i - stride])
+                    v = v + _exact(totals[i - stride])
             else:
                 v = ctx.shared[cur + i]
                 if i >= stride:
@@ -142,35 +176,12 @@ def scan(values, kind: str = "inclusive", p: int = 8, session: Session | None = 
             ctx.shared[nxt + i] = v
             yield ctx.barrier()
             cur, nxt = nxt, cur
-        base = ctx.shared[cur + i - 1] if i > 0 else 0
-        if is_int:
-            _check_i32(base)
-            scanned[i] = np.int32(base)
-        else:
-            scanned[i] = np.float32(base)
+        scanned[i] = _as_base(ctx.shared[cur + i - 1] if i > 0 else 0, dtype)
 
     def down_sweep(ctx):
         a, z = ranges[ctx.block_id]
         ctx.add_work(z - a)
-        base = scanned[ctx.block_id]
-        if is_int:
-            if kind == "inclusive":
-                res = local[a:z].astype(np.int64) + int(base)
-                _check_i32(res)
-                out[a:z] = res.astype(np.int32)
-            else:
-                out[a] = base
-                if z - a > 1:
-                    res = local[a : z - 1].astype(np.int64) + int(base)
-                    _check_i32(res)
-                    out[a + 1 : z] = res.astype(np.int32)
-        else:
-            if kind == "inclusive":
-                out[a:z] = local[a:z] + base
-            else:
-                out[a] = base
-                if z - a > 1:
-                    out[a + 1 : z] = local[a : z - 1] + base
+        out[a:z] = _chunk_out(local[a:z], scanned[ctx.block_id], kind)
 
     sess.launch(up_sweep, LaunchConfig(grid=plan.p, block=1))
     sess.launch(coop_scan, LaunchConfig(grid=1, block=plan.p, shared_slots=2 * plan.p))
@@ -181,57 +192,22 @@ def scan(values, kind: str = "inclusive", p: int = 8, session: Session | None = 
 def scan_sequential(values, kind: str = "inclusive", p: int = 8) -> np.ndarray:
     """CPU realization of the same chunked summation order, no emulator.
 
-    Bitwise identical to :func:`scan`, which keeps graph outputs
-    independent of the device an operator lands on.
+    Runs the kernel's own input check and per-chunk helpers, so it is
+    bitwise identical to :func:`scan` and raises where it raises, which
+    keeps graph outputs independent of the device an operator lands on.
     """
-    arr = np.asarray(values)
-    if arr.dtype.kind == "f":
-        arr = arr.astype(np.float32)
-        acc_dtype = np.float32
-    else:
-        _check_i32(arr)
-        arr = arr.astype(np.int32)
-        acc_dtype = np.int64
+    arr, dtype = _prepare(values, kind)
     n = arr.size
     if n == 0:
         return arr.copy()
     plan = ScanPlan.for_size(n, p)
-    ranges = partition_chunks(n, plan.p)
-    local = np.zeros(n, arr.dtype)
-    totals = [arr.dtype.type(0)] * plan.p
-    for b, (a, z) in enumerate(ranges):
-        csum = np.cumsum(arr[a:z], dtype=acc_dtype)
-        if acc_dtype is np.int64:
-            _check_i32(csum)
-        local[a:z] = csum.astype(arr.dtype)
-        totals[b] = csum[-1]
-    cur = list(totals)
+    sums = [_running_sums(arr[a:z]) for a, z in partition_chunks(n, plan.p)]
+    cur = [_exact(s[-1]) for s in sums]
     for d in range(plan.num_coop_passes):
         stride = 1 << d
         cur = [cur[i] + cur[i - stride] if i >= stride else cur[i] for i in range(plan.p)]
-    bases = [arr.dtype.type(0)] + [v for v in cur[:-1]]
-    if acc_dtype is np.int64:
-        _check_i32(bases)
-    out = np.zeros(n, arr.dtype)
-    for b, (a, z) in enumerate(ranges):
-        base = arr.dtype.type(bases[b])
-        if kind == "inclusive":
-            if acc_dtype is np.int64:
-                res = local[a:z].astype(np.int64) + int(base)
-                _check_i32(res)
-                out[a:z] = res.astype(np.int32)
-            else:
-                out[a:z] = local[a:z] + base
-        else:
-            out[a] = base
-            if z - a > 1:
-                if acc_dtype is np.int64:
-                    res = local[a : z - 1].astype(np.int64) + int(base)
-                    _check_i32(res)
-                    out[a + 1 : z] = res.astype(np.int32)
-                else:
-                    out[a + 1 : z] = local[a : z - 1] + base
-    return out
+    bases = [_as_base(v, dtype) for v in [0] + cur[:-1]]
+    return np.concatenate([_chunk_out(s, base, kind) for s, base in zip(sums, bases)])
 
 
 def compact(values, keep, p: int = 8, session: Session | None = None) -> tuple[np.ndarray, int]:

@@ -67,7 +67,10 @@ def _sort_keys(values: np.ndarray, order: str):
     """Key arrays giving a strict total order: (nan-last flag, value, index).
 
     Descending negates the value key; NaNs sort last in either order.
+    Any other ``order`` raises.
     """
+    if order not in ("ascending", "descending"):
+        raise ValueError(f"order must be 'ascending' or 'descending', got {order!r}")
     vals = np.asarray(values, dtype=np.float32)
     nan = np.isnan(vals)
     keyv = np.where(nan, np.float32(0), vals)
@@ -101,15 +104,13 @@ def segmented_argsort(a: SegmentedArray, order: str = "ascending", block: int = 
     block-sort launch plus ceil(log2 num_blocks) merge launches; the
     result is independent of ``block``.
     """
-    if order not in ("ascending", "descending"):
-        raise ValueError(f"order must be 'ascending' or 'descending', got {order!r}")
+    nanflag, keyv = _sort_keys(a.values, order)
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
     n = int(a.values.size)
     if n == 0:
         return np.zeros(0, dtype=np.int32)
 
-    nanflag, keyv = _sort_keys(a.values, order)
     offsets = a.offsets
     num_blocks = ceil_div(n, block)
     sess = session if session is not None else Session()
@@ -228,8 +229,8 @@ def _merge_pass(sess, src, dst, keys, offsets, n, run, coop):
 def argsort_sequential(values, order: str = "ascending", offsets=None) -> np.ndarray:
     """Per-segment stable argsort without the emulator.
 
-    Uses the same key mapping as the kernel path, so the (unique)
-    permutation it returns is identical.
+    Uses the same key mapping and ``order`` check as the kernel path, so
+    the (unique) permutation it returns is identical.
     """
     vals = np.asarray(values, dtype=np.float32).reshape(-1)
     offs = np.asarray(offsets if offsets is not None else [0, vals.size], dtype=np.int64)

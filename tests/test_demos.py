@@ -18,8 +18,11 @@ def test_demos_are_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, TMPDIR=str(tmp_path),
+    tmpdir = tmp_path / "tmpdir"
+    tmpdir.mkdir()
+    env = dict(os.environ, TMPDIR=str(tmpdir),
                PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""))
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert list(tmpdir.iterdir()) == []  # a demo leaves no temporary files behind

@@ -325,3 +325,97 @@ def test_all_gpu_fixture_inference_launches_and_barriers():
     st = sess.stats()
     assert st.launches == 17
     assert st.barriers < 20
+
+
+def pool_oracle(x, kh, kw, sh, sw):
+    """Max pooling by a plain loop over output cells."""
+    n, c, h, w = x.shape
+    oh, ow = (h - kh) // sh + 1, (w - kw) // sw + 1
+    out = np.empty((n, c, oh, ow), np.float32)
+    for i in range(oh):
+        for j in range(ow):
+            out[:, :, i, j] = x[:, :, i * sh : i * sh + kh, j * sw : j * sw + kw].max(axis=(2, 3))
+    return out
+
+
+def pool_graph(attrs, shape):
+    return load_graph(doc(
+        [{"id": "p", "op": "pool", "attrs": attrs, "inputs": ["x"]}],
+        inputs={"x": {"shape": list(shape), "dtype": "f32"}},
+        outputs=["p"],
+    ))
+
+
+@pytest.mark.parametrize("attrs", [
+    {"kernel": 2, "stride": 2},
+    {"kernel": 3, "stride": 2},
+    {"kernel": 3, "stride": 1},
+    {"kernel": 2, "stride": 3},
+    {"kernel": 3, "kernel_w": 2, "stride": 1, "stride_w": 2},
+    {"kernel": 2, "kernel_w": 4, "stride": 2, "stride_w": 1},
+])
+def test_pool_windows_equal_loop_oracle_on_every_placement(attrs):
+    x = np.random.default_rng(3).standard_normal((2, 3, 7, 7)).astype(np.float32)
+    g = pool_graph(attrs, x.shape)
+    kh = attrs["kernel"]
+    kw = attrs.get("kernel_w", kh)
+    want = pool_oracle(x, kh, kw, attrs["stride"], attrs.get("stride_w", attrs["stride"]))
+    got = [run_graph(insert_copies(assign_devices(g, ops)), {"x": x}, Session(race_check=True))["p"]
+           for ops in (DEFAULT_GPU_OPS, set())]
+    assert got[0].data.tobytes() == got[1].data.tobytes()
+    assert np.array_equal(got[0].to_array(), want)
+
+
+@pytest.mark.parametrize("attrs, match", [
+    ({"kernel": 8}, "larger than the 7x7 map"),
+    ({"kernel": 2, "kernel_w": 8}, "larger than the 7x7 map"),
+    ({"kernel": 2, "stride": 0}, "must be >= 1"),
+    ({"kernel": 2, "stride_w": 0}, "must be >= 1"),
+])
+def test_pool_bad_window_raises_on_every_placement(attrs, match):
+    g = pool_graph(attrs, (1, 1, 7, 7))
+    for ops in (DEFAULT_GPU_OPS, set()):
+        with pytest.raises(GraphExecutionError, match=match):
+            run_graph(insert_copies(assign_devices(g, ops)), {"x": np.ones((1, 1, 7, 7), np.float32)})
+
+
+@pytest.mark.parametrize("op, attrs, match", [
+    ("scan", {"kind": "bogus"}, "kind must be"),
+    ("argsort", {"order": "desc"}, "order must be"),
+])
+def test_bad_vision_attrs_raise_the_same_error_on_every_placement(op, attrs, match):
+    g = load_graph(doc(
+        [{"id": "v", "op": op, "attrs": attrs, "inputs": ["x"]}],
+        inputs={"x": {"shape": [5], "dtype": "f32"}},
+        outputs=["v"],
+    ))
+    errors = []
+    for ops in (DEFAULT_GPU_OPS, set()):
+        with pytest.raises(GraphExecutionError, match=match) as e:
+            run_graph(insert_copies(assign_devices(g, ops)), {"x": np.arange(5, dtype=np.float32)})
+        errors.append(str(e.value))
+    assert errors[0] == errors[1]
+
+
+def test_executor_looks_up_vision_and_conv_functions_when_called(monkeypatch):
+    # per-layer tracing wraps these module attributes; the executor must
+    # call through them, not through references taken at import
+    import edgegraph.graph
+    import edgegraph.vision
+
+    calls = {"box_nms": 0, "conv2d_scheduled": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(edgegraph.vision, "box_nms")
+    counting(edgegraph.graph, "conv2d_scheduled")
+    g = insert_copies(assign_devices(load_graph(ssd_like_doc()), DEFAULT_GPU_OPS))
+    run_graph(g, ssd_like_inputs(0))
+    assert calls == {"box_nms": 1, "conv2d_scheduled": 4}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from edgegraph.simt import Session, log2_ceil
-from edgegraph.vision import ScanPlan, compact, partition_chunks, scan
+from edgegraph.vision import ScanPlan, compact, partition_chunks, scan, scan_sequential
 
 
 def chunked_scan_oracle(values, kind, p):
@@ -197,3 +197,19 @@ def test_shared_session_accumulates_across_scans():
     scan(np.ones(30, np.int32), p=4, session=sess)
     scan(np.ones(30, np.int32), p=4, session=sess)
     assert sess.stats().launches == 6
+
+
+@pytest.mark.parametrize("values, kind", [
+    (np.arange(4, dtype=np.float32), "bogus"),
+    (np.ones((2, 3), np.float32), "inclusive"),
+    (np.array([1 + 2j, 3 - 1j]), "inclusive"),
+    (np.array(["a", "b"]), "exclusive"),
+])
+def test_kernel_and_twin_reject_bad_input_alike(values, kind):
+    errors = []
+    for run in (lambda: scan(values, kind, p=2, session=Session()),
+                lambda: scan_sequential(values, kind, p=2)):
+        with pytest.raises(ValueError) as e:
+            run()
+        errors.append(str(e.value))
+    assert errors[0] == errors[1]

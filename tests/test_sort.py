@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from edgegraph.simt import Session, ceil_div, log2_ceil
-from edgegraph.vision import SegmentedArray, segmented_argsort
+from edgegraph.vision import SegmentedArray, argsort_sequential, segmented_argsort
 
 
 def stable_sort_oracle(values, offsets, order):
@@ -180,3 +180,15 @@ def test_invalid_arguments():
         segmented_argsort(sa, order="sideways")
     with pytest.raises(ValueError):
         segmented_argsort(sa, block=0)
+
+
+@pytest.mark.parametrize("values", [np.array([3, 1, 2], np.float32), np.zeros(0, np.float32)])
+def test_kernel_and_twin_reject_unknown_order_alike(values):
+    sa = SegmentedArray(values=values, offsets=np.array([0, values.size]))
+    errors = []
+    for run in (lambda: segmented_argsort(sa, order="desc", session=Session()),
+                lambda: argsort_sequential(values, order="desc")):
+        with pytest.raises(ValueError, match="order must be") as e:
+            run()
+        errors.append(str(e.value))
+    assert errors[0] == errors[1]

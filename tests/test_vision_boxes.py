@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from edgegraph.simt import Session
-from edgegraph.vision import BoxSet, box_nms, iou, multibox_detection
+from edgegraph.vision import BoxSet, box_nms, iou, multibox_detection, multibox_detection_sequential
 
 INVALID_ROW = [-1.0] * 6
 
@@ -310,3 +310,21 @@ def test_nms_and_multibox_race_checked_against_oracles():
             want = oracle_multibox(probs[bi], locs[bi], anchors[0], (0.1, 0.1, 0.2, 0.2), 0.1, 0.45)
             assert np.array_equal(out.to_array()[:, 0], want[:, 0]), f"trial {trial}"
             assert np.allclose(out.to_array()[:, 1:], want[:, 1:], atol=1e-6), f"trial {trial}"
+
+
+@pytest.mark.parametrize("probs_shape, locs_shape, anchors_shape", [
+    ((1, 3, 4), (1, 16), (2, 4, 4)),  # anchors shared across the batch have a leading 1
+    ((1, 3, 4), (1, 12), (1, 4, 4)),
+    ((1, 3, 4), (1, 16), (1, 4, 3)),
+    ((3, 4), (1, 16), (1, 4, 4)),
+])
+def test_multibox_kernel_and_twin_reject_bad_shapes_alike(probs_shape, locs_shape, anchors_shape):
+    args = (np.full(probs_shape, 0.5, np.float32), np.zeros(locs_shape, np.float32),
+            np.full(anchors_shape, 0.25, np.float32))
+    errors = []
+    for run in (lambda: multibox_detection(*args, session=Session()),
+                lambda: multibox_detection_sequential(*args)):
+        with pytest.raises(ValueError) as e:
+            run()
+        errors.append(str(e.value))
+    assert errors[0] == errors[1]
