@@ -25,7 +25,7 @@ from .conv import ConvWorkload
 from .graph import DEFAULT_GPU_OPS, assign_devices, count_copies, insert_copies, load_graph, run_graph, topo_order
 from .simt import Session
 from .tensor import tensor_from_json, tensor_to_json
-from .tune import graph_tune_dp, proxy_timer, tune_model, tune_random, wall_timer
+from .tune import graph_tune_dp, proxy_timer, tune_model, wall_timer
 
 DEFAULT_RECORDS = "records.jsonl"
 RECORDS_ENV = "EDGEGRAPH_RECORDS"
@@ -99,12 +99,10 @@ def cmd_tune(args) -> int:
     wl = ConvWorkload.from_key(args.workload_key)
     timer = proxy_timer if args.timer == "proxy" else wall_timer
     records = _records_path(args.records)
-    tuner = tune_random if args.method == "random" else tune_model
-    kwargs = dict(budget=args.budget, seed=args.seed, repeats=args.repeats,
-                  timer=timer, records_path=records)
-    if args.method == "model":
-        kwargs["batch"] = args.batch
-    best = tuner(wl, **kwargs)
+    # random search is the model search with one batch the size of the budget
+    batch = args.budget if args.method == "random" else args.batch
+    best = tune_model(wl, args.budget, batch=batch, seed=args.seed, repeats=args.repeats,
+                      timer=timer, records_path=records)
     cfg = best.config
     print(f"workload\t{wl.key()}")
     print(

@@ -193,8 +193,10 @@ def conv2d_scheduled(inp, wgt, wl: ConvWorkload, cfg: ScheduleConfig,
 
     The launch uses grid = oc_split * h_split blocks; each block's
     w_tile * vec threads share the columns of the block's channel group
-    and height band. Per-element accumulation order matches the
-    reference, so results agree bitwise.
+    and height band. A thread reads the input and weight buffers as
+    views and stores its output cells with one checked index-array
+    write, so the race check sees every cell it writes. Per-element
+    accumulation order matches the reference, so results agree bitwise.
     """
     inp = np.asarray(inp, dtype=np.float32)
     wgt = np.asarray(wgt, dtype=np.float32)
@@ -221,11 +223,12 @@ def conv2d_scheduled(inp, wgt, wl: ConvWorkload, cfg: ScheduleConfig,
     # the reduction nest in (r, s, c ascending) order; ``unroll`` changes
     # only what the proxy timer charges per MAC, never the order
     red = [(ri, si, ci) for ri in range(wl.r) for si in range(wl.s) for ci in range(cg)]
+    # flat offset of every output cell; a thread stores its cells through them
+    cells = np.arange(len(obuf)).reshape(wl.n, wl.k, oh, ow)
 
     def kernel(ctx):
-        x4 = xbuf.as_array(x.shape)
-        w4 = wbuf.as_array(wgt.shape)
-        o4 = obuf.as_array((wl.n, wl.k, oh, ow))
+        x4 = xbuf[:].reshape(x.shape)
+        w4 = wbuf[:].reshape(wgt.shape)
         kb = (ctx.block_id // cfg.h_split) * k_per_block
         y0 = (ctx.block_id % cfg.h_split) * band
         t = ctx.thread_id
@@ -236,18 +239,19 @@ def conv2d_scheduled(inp, wgt, wl: ConvWorkload, cfg: ScheduleConfig,
         cstep = ctx.block_dim * sw
         rs0 = y0 * sh
         rs1 = rs0 + (band - 1) * sh + 1
-        for ni in range(wl.n):
-            for ki in range(kb, kb + k_per_block):
-                g = ki // kg_grp
-                wk = w4[ki]
-                acc = np.zeros((band, csize), np.float32)
-                for ri, si, ci in red:
-                    c0 = t * sw + si * dw
-                    patch = x4[ni, g * cg + ci,
-                               rs0 + ri * dh : rs1 + ri * dh : sh,
-                               c0 : c0 + (csize - 1) * cstep + 1 : cstep]
-                    acc += patch * wk[ci, ri, si]
-                o4[ni, ki, y0 : y0 + band, t : ow : ctx.block_dim] = acc
+        # every (n, output channel) plane of the block at once, one run per
+        # group its channels fall in
+        acc = np.zeros((wl.n, k_per_block, band, csize), np.float32)
+        for g in range(kb // kg_grp, (kb + k_per_block - 1) // kg_grp + 1):
+            k0, k1 = max(kb, g * kg_grp), min(kb + k_per_block, (g + 1) * kg_grp)
+            run = acc[:, k0 - kb : k1 - kb]
+            for ri, si, ci in red:
+                c0 = t * sw + si * dw
+                patch = x4[:, g * cg + ci,
+                           rs0 + ri * dh : rs1 + ri * dh : sh,
+                           c0 : c0 + (csize - 1) * cstep + 1 : cstep]
+                run += patch[:, None] * w4[k0:k1, ci, ri, si, None, None]
+        obuf[cells[:, kb : kb + k_per_block, y0 : y0 + band, t : ow : ctx.block_dim]] = acc
 
     sess.launch(kernel, LaunchConfig(grid=cfg.oc_split * cfg.h_split, block=threads))
     return obuf.to_numpy().reshape(wl.n, wl.k, oh, ow)

@@ -329,10 +329,13 @@ def _roi_align(node, args, gpu):
 def _argsort(node, args, gpu):
     vals = args[0].to_array().reshape(-1)
     order = node.attrs.get("order", "ascending")
+    block = int(node.attrs.get("block", 64))
+    if block < 1:
+        raise ValueError(f"block must be >= 1, got {block}")
     if gpu is None:
         return vision.argsort_sequential(vals, order)
     sa = vision.SegmentedArray(values=vals.astype(np.float32), offsets=np.array([0, vals.size]))
-    return vision.segmented_argsort(sa, order, block=int(node.attrs.get("block", 64)), session=gpu)
+    return vision.segmented_argsort(sa, order, block=block, session=gpu)
 
 
 def _scan(node, args, gpu):

@@ -13,11 +13,13 @@ ascending thread id, before any thread starts phase k+1. That makes the
 final buffer contents bitwise reproducible however many times the
 launch is repeated.
 
-Buffers are zero-initialized and fixed-length. Out-of-range accesses
-raise :class:`BufferBoundsError` naming the offending block and thread.
-An optional race-check mode keeps a shadow last-writer/last-reader map
-per slot per phase and rejects programs whose output would depend on
-cross-thread ordering without a barrier.
+Buffers are zero-initialized and fixed-length, and kernels reach them
+only through indexing. Out-of-range accesses raise
+:class:`BufferBoundsError` naming the offending block and thread. An
+optional race-check mode keeps a shadow last-writer/last-reader map per
+slot per phase, marking exactly the slots each access selects, and
+rejects programs whose output would depend on cross-thread ordering
+without a barrier.
 """
 
 from __future__ import annotations
@@ -103,10 +105,14 @@ def _imbalance(items) -> float:
 class DeviceBuffer:
     """Fixed-length, zero-initialized flat storage with a device tag.
 
-    Index with ints, slices or integer arrays; negative indices are
-    rejected (device code has no wraparound). Reads of never-written
-    slots return zero. Under race check a slice read is a read-only
-    view, so every write goes through ``__setitem__``.
+    Index with ints, slices (any positive step) or integer arrays;
+    negative indices are rejected (device code has no wraparound).
+    Reads of never-written slots return zero. Indexing is the only
+    kernel path to the storage: every access is bounds-checked, and
+    under race check it marks exactly the slots it selects, so threads
+    that touch disjoint strided or scattered slots never conflict. A
+    slice read under race check is a read-only view, so every write goes
+    through ``__setitem__``.
     """
 
     __slots__ = ("device", "dtype", "data", "name", "_session", "_w_owner", "_r_owner")
@@ -135,26 +141,26 @@ class DeviceBuffer:
             return "host"
         return f"block {cur.block_id}, thread {cur.thread_id}"
 
-    def _resolve(self, idx):
-        """Normalize an index to a (start, stop) extent, validating bounds."""
+    def _resolve(self, idx) -> None:
+        """Validate an int, slice or int-array index against the bounds."""
         n = len(self.data)
         # fast paths for the common in-range int and unit-step slice; any
         # other index, or one out of range, takes the checks below
         if type(idx) is int:
             if 0 <= idx < n:
-                return idx, idx + 1
+                return
         elif type(idx) is slice and idx.step is None:
             start = 0 if idx.start is None else idx.start
             stop = n if idx.stop is None else idx.stop
             if 0 <= start <= stop <= n:
-                return int(start), int(stop)
+                return
         if isinstance(idx, (int, np.integer)):
             if idx < 0 or idx >= n:
                 raise BufferBoundsError(
                     f"{self._where()}: index {int(idx)} out of range for buffer "
                     f"{self.name!r} of length {n}"
                 )
-            return int(idx), int(idx) + 1
+            return
         if isinstance(idx, slice):
             start = 0 if idx.start is None else idx.start
             stop = n if idx.stop is None else idx.stop
@@ -164,23 +170,19 @@ class DeviceBuffer:
                     f"{self._where()}: slice [{idx.start}:{idx.stop}:{idx.step}] invalid "
                     f"for buffer {self.name!r} of length {n}"
                 )
-            return int(start), int(stop)
+            return
         arr = np.asarray(idx)
-        if arr.size == 0:
-            return 0, 0
-        lo, hi = int(arr.min()), int(arr.max())
-        if lo < 0 or hi >= n:
+        if arr.size and (arr.min() < 0 or arr.max() >= n):
             raise BufferBoundsError(
-                f"{self._where()}: indices [{lo}..{hi}] out of range for buffer "
-                f"{self.name!r} of length {n}"
+                f"{self._where()}: indices [{int(arr.min())}..{int(arr.max())}] out of range "
+                f"for buffer {self.name!r} of length {n}"
             )
-        return lo, hi + 1
 
     def __getitem__(self, idx):
-        start, stop = self._resolve(idx)
+        self._resolve(idx)
         if self._w_owner is None:
             return self.data[idx]
-        self._race_read(start, stop)
+        self._race_read(idx)
         got = self.data[idx]
         if got.base is self.data:
             # a write through a view of the storage would bypass the checks
@@ -188,21 +190,10 @@ class DeviceBuffer:
         return got
 
     def __setitem__(self, idx, value):
-        start, stop = self._resolve(idx)
+        self._resolve(idx)
         if self._w_owner is not None:
-            self._race_write(start, stop)
+            self._race_write(idx)
         self.data[idx] = value
-
-    def as_array(self, shape=None) -> np.ndarray:
-        """View of the raw storage, optionally reshaped.
-
-        Bypasses per-access bounds and race checks; intended for
-        performance-sensitive kernels that index a logically
-        n-dimensional buffer.
-        """
-        if shape is None:
-            return self.data
-        return self.data.reshape(shape)
 
     def load(self, values) -> None:
         """Host-side write of the whole buffer."""
@@ -229,34 +220,37 @@ class DeviceBuffer:
             self._w_owner.fill(_FREE)
             self._r_owner.fill(_FREE)
 
-    def _race_read(self, start, stop):
-        gid = self._session._current_gid
-        if gid is None:
-            return
-        self._session._race_touched.add(self)
-        w = self._w_owner[start:stop]
-        if np.any((w != _FREE) & (w != gid)):
-            raise RaceError(
-                f"{self._where()}: read of buffer {self.name!r} slots [{start}:{stop}] "
-                "written by another thread in the same phase"
-            )
-        r = self._r_owner[start:stop]
-        r[(r != _FREE) & (r != gid)] = _MANY
-        r[r == _FREE] = gid
+    # each access marks exactly the slots its own index selects
 
-    def _race_write(self, start, stop):
+    def _race_read(self, idx):
         gid = self._session._current_gid
         if gid is None:
             return
         self._session._race_touched.add(self)
-        w = self._w_owner[start:stop]
-        r = self._r_owner[start:stop]
-        if np.any((w != _FREE) & (w != gid)) or np.any((r != _FREE) & (r != gid)):
-            raise RaceError(
-                f"{self._where()}: write to buffer {self.name!r} slots [{start}:{stop}] "
-                "conflicts with another thread in the same phase"
-            )
-        w[:] = gid
+        w = self._w_owner[idx]
+        bad = (w != _FREE) & (w != gid)
+        if np.any(bad):
+            self._race_error("read of", idx, bad, "written by another thread")
+        r = self._r_owner[idx]
+        self._r_owner[idx] = np.where((r == _FREE) | (r == gid), gid, _MANY)
+
+    def _race_write(self, idx):
+        gid = self._session._current_gid
+        if gid is None:
+            return
+        self._session._race_touched.add(self)
+        w = self._w_owner[idx]
+        r = self._r_owner[idx]
+        bad = ((w != _FREE) & (w != gid)) | ((r != _FREE) & (r != gid))
+        if np.any(bad):
+            self._race_error("write to", idx, bad, "conflicts with another thread")
+        self._w_owner[idx] = gid
+
+    def _race_error(self, what, idx, bad, why):
+        slot = np.ravel(np.arange(len(self.data))[idx])[np.flatnonzero(bad)[0]]
+        raise RaceError(
+            f"{self._where()}: {what} buffer {self.name!r} slot {slot} {why} in the same phase"
+        )
 
 
 class _SharedMem:

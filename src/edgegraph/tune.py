@@ -39,6 +39,8 @@ from .tensor import LayoutTag
 
 RECORDS_HEADER = {"schema": 1, "features": "v1"}
 MAX_SPACE = 2000  # desk-scale bound on exhaustive spaces
+EPSILON = 0.1  # chance that tune_model explores past its model's top pick
+KNN_K = 3  # neighbours the cost model averages
 
 
 class UnsupportedGraphError(ValueError):
@@ -126,23 +128,21 @@ def _workload_seed(wl: ConvWorkload) -> int:
 _workload_cache: dict = {}
 
 
-def _workload_data(wl: ConvWorkload, want_ref: bool):
+def _workload_data(wl: ConvWorkload):
     entry = _workload_cache.get(wl)
     if entry is None:
         rng = np.random.default_rng(_workload_seed(wl))
         inp = rng.standard_normal((wl.n, wl.c, wl.h, wl.w)).astype(np.float32)
         wgt = rng.standard_normal((wl.k, wl.c // wl.groups, wl.r, wl.s)).astype(np.float32)
-        entry = {"inp": inp, "wgt": wgt, "ref": None}
+        entry = {"inp": inp, "wgt": wgt, "ref": conv2d_reference(inp, wgt, wl)}
         if len(_workload_cache) > 32:
             _workload_cache.clear()
         _workload_cache[wl] = entry
-    if want_ref and entry["ref"] is None:
-        entry["ref"] = conv2d_reference(entry["inp"], entry["wgt"], wl)
     return entry
 
 
 def measure(wl: ConvWorkload, cfg: ScheduleConfig, repeats: int = 3, timer=None,
-            device_tag: str = "emu", verify: bool = True) -> TuningRecord:
+            device_tag: str = "emu") -> TuningRecord:
     """Time one config on fixed pseudo-random inputs for its workload.
 
     Returns a record whose cost_mean is the median of ``repeats`` timed
@@ -162,20 +162,18 @@ def measure(wl: ConvWorkload, cfg: ScheduleConfig, repeats: int = 3, timer=None,
             workload_key=wl.key(), config=cfg, cost_mean=None, cost_std=None,
             repeats=0, device_tag=device_tag, created_at=now, failed=True, error=str(e),
         )
-    data = _workload_data(wl, want_ref=verify)
-    inp, wgt = data["inp"], data["wgt"]
+    data = _workload_data(wl)
+    inp, wgt, ref = data["inp"], data["wgt"], data["ref"]
 
     def run():
         sess = Session()
         conv2d_scheduled(inp, wgt, wl, cfg, session=sess)
         return sess
 
-    if verify:
-        ref = data["ref"]
-        got = conv2d_scheduled(inp, wgt, wl, cfg)
-        scale = max(float(np.max(np.abs(ref))), 1e-30)
-        if float(np.max(np.abs(got - ref))) / scale > 1e-4:
-            raise RuntimeError(f"config {cfg} produced wrong output for {wl.key()}")
+    got = conv2d_scheduled(inp, wgt, wl, cfg)
+    scale = max(float(np.max(np.abs(ref))), 1e-30)
+    if float(np.max(np.abs(got - ref))) / scale > 1e-4:
+        raise RuntimeError(f"config {cfg} produced wrong output for {wl.key()}")
 
     samples = [float(timer(run, wl, cfg)) for _ in range(repeats)]
     return TuningRecord(
@@ -320,68 +318,34 @@ class KnnCostModel:
         return self._y[idx].mean(axis=1)
 
 
-def _space_for(wl: ConvWorkload, max_space: int) -> list:
-    space = schedule_space(wl)
-    if not space:
-        raise ValueError(f"empty schedule space for {wl.key()}")
-    if len(space) > max_space:
-        raise ValueError(
-            f"schedule space of {wl.key()} has {len(space)} configs, beyond the "
-            f"desk-scale bound of {max_space}"
-        )
-    return space
-
-
-def _finish(trials, records_path):
-    if records_path:
-        records_append(trials, records_path)
-    ok = [t for t in trials if t.ok]
-    if not ok:
-        raise RuntimeError("no config measured successfully")
-    best = ok[0]
-    for t in ok[1:]:
-        if t.cost_mean < best.cost_mean:
-            best = t
-    return best
-
-
-def tune_random(wl: ConvWorkload, budget: int, seed: int = 0, repeats: int = 3,
-                timer=None, records_path=None, device_tag: str = "emu",
-                max_space: int = MAX_SPACE) -> TuningRecord:
-    """Measure ``budget`` distinct uniformly-sampled configs; return the best.
-
-    With budget >= |space| this is exhaustive search. Deterministic for
-    a given seed.
-    """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    space = _space_for(wl, max_space)
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(space))[: min(budget, len(space))]
-    trials = [measure(wl, space[i], repeats=repeats, timer=timer, device_tag=device_tag)
-              for i in order]
-    return _finish(trials, records_path)
-
-
 def tune_model(wl: ConvWorkload, budget: int, batch: int = 8, seed: int = 0,
                repeats: int = 3, timer=None, records_path=None,
-               device_tag: str = "emu", epsilon: float = 0.1, knn_k: int = 3,
-               max_space: int = MAX_SPACE) -> TuningRecord:
+               device_tag: str = "emu") -> TuningRecord:
     """Cost-model-guided search: train, rank, measure the top batch, repeat.
 
-    Each round fits the kNN model on everything measured so far, ranks
-    the unmeasured configs by predicted cost and measures the best
-    ``batch`` of them with epsilon-greedy exploration. Never exceeds
-    ``budget`` measurements; the best-so-far cost is non-increasing.
+    The first batch is a uniform draw of distinct configs; each later
+    round fits the kNN model on everything measured so far, ranks the
+    unmeasured configs by predicted cost and measures the best ``batch``
+    of them with epsilon-greedy exploration. Never exceeds ``budget``
+    measurements; the best-so-far cost is non-increasing. With
+    ``batch=budget`` it is pure random search, exhaustive once budget
+    >= |space|, and deterministic for a given seed.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     if not (1 <= batch <= budget):
         raise ValueError(f"need 1 <= batch <= budget, got batch={batch} budget={budget}")
-    space = _space_for(wl, max_space)
+    space = schedule_space(wl)
+    if not space:
+        raise ValueError(f"empty schedule space for {wl.key()}")
+    if len(space) > MAX_SPACE:
+        raise ValueError(
+            f"schedule space of {wl.key()} has {len(space)} configs, beyond the "
+            f"desk-scale bound of {MAX_SPACE}"
+        )
     feats = np.stack([config_features(wl, c) for c in space])
     rng = np.random.default_rng(seed)
-    model = KnnCostModel(k=knn_k)
+    model = KnnCostModel(k=KNN_K)
 
     unmeasured = list(range(len(space)))
     trials = []
@@ -408,17 +372,26 @@ def tune_model(wl: ConvWorkload, budget: int, batch: int = 8, seed: int = 0,
         else:
             ranked = list(unmeasured)
         picks = []
-        pool = [i for i in ranked]
         for _ in range(room):
-            if rng.random() < epsilon and len(pool) > 1:
-                choice = pool[int(rng.integers(0, len(pool)))]
+            if rng.random() < EPSILON and len(ranked) > 1:
+                choice = ranked[int(rng.integers(0, len(ranked)))]
             else:
-                choice = pool[0]
-            pool.remove(choice)
+                choice = ranked[0]
+            ranked.remove(choice)
             picks.append(choice)
         run_batch(picks)
 
-    return _finish(trials, records_path)
+    if records_path:
+        records_append(trials, records_path)
+    ok = [t for t in trials if t.ok]
+    if not ok:
+        raise RuntimeError("no config measured successfully")
+    return min(ok, key=lambda t: t.cost_mean)
+
+
+def tune_random(wl: ConvWorkload, budget: int, **kw) -> TuningRecord:
+    """Measure ``budget`` distinct uniformly drawn configs; return the best."""
+    return tune_model(wl, budget, batch=budget, **kw)
 
 
 # --- graph-level layout DP ----------------------------------------------------

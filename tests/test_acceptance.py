@@ -224,12 +224,13 @@ def test_conv_schedule_space_sweeps_match_reference():
         ref = conv2d_reference(x, w, wl)
         scale = max(float(np.max(np.abs(ref))), 1e-30)
         for cfg in space:
-            sess = Session()
+            sess = Session(race_check=True)
             got = conv2d_scheduled(x, w, wl, cfg, session=sess)
             assert float(np.max(np.abs(got - ref))) / scale <= 1e-4, (wl.key(), cfg)
             assert sess.launch_log[-1].grid == cfg.oc_split * cfg.h_split, (wl.key(), cfg)
     total = sum(len(schedule_space(wl)) for wl in CONV_WORKLOADS)
-    report(f"conv2d_scheduled == reference (1e-4 rel) over {total} configs on {len(CONV_WORKLOADS)} workloads")
+    report(f"conv2d_scheduled == reference (1e-4 rel), race-checked, over {total} configs "
+           f"on {len(CONV_WORKLOADS)} workloads")
 
 
 def test_placement_fallback_structure_and_transparency():

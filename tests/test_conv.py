@@ -174,3 +174,17 @@ def test_workload_validation():
         ConvWorkload(n=1, c=3, h=4, w=4, k=4, r=3, s=3, groups=2)  # c % groups
     with pytest.raises(ValueError):
         ConvWorkload(n=1, c=1, h=2, w=2, k=1, r=3, s=3)  # oh < 1
+
+
+def test_blocks_spanning_groups_match_reference_race_checked():
+    # with oc_split=1 one block owns every output channel of all 3 groups
+    wl = ConvWorkload(n=2, c=6, h=5, w=6, k=6, r=3, s=3, pad=(1, 1), groups=3)
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((2, 6, 5, 6)).astype(np.float32)
+    w = rng.standard_normal((6, 2, 3, 3)).astype(np.float32)
+    ref = conv2d_reference(x, w, wl)
+    space = schedule_space(wl)
+    assert any(cfg.oc_split == 1 for cfg in space)
+    for cfg in space:
+        got = conv2d_scheduled(x, w, wl, cfg, session=Session(race_check=True))
+        assert got.tobytes() == ref.tobytes(), cfg

@@ -249,7 +249,8 @@ def test_shape_mismatch_names_node():
 def test_scan_and_argsort_ops_device_transparent():
     g = load_graph(doc(
         [
-            {"id": "sorted", "op": "argsort", "attrs": {"order": "descending"}, "inputs": ["x"]},
+            {"id": "sorted", "op": "argsort", "attrs": {"order": "descending", "block": 3},
+             "inputs": ["x"]},
             {"id": "summed", "op": "scan", "attrs": {"kind": "exclusive", "p": 4}, "inputs": ["x"]},
         ],
         inputs={"x": {"shape": [50], "dtype": "f32"}},
@@ -382,6 +383,7 @@ def test_pool_bad_window_raises_on_every_placement(attrs, match):
 @pytest.mark.parametrize("op, attrs, match", [
     ("scan", {"kind": "bogus"}, "kind must be"),
     ("argsort", {"order": "desc"}, "order must be"),
+    ("argsort", {"block": 0}, "block must be >= 1"),
 ])
 def test_bad_vision_attrs_raise_the_same_error_on_every_placement(op, attrs, match):
     g = load_graph(doc(

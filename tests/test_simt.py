@@ -392,3 +392,40 @@ def test_race_check_state_does_not_outlive_a_failed_launch():
     with pytest.raises(RaceError):
         sess.launch(racy, LaunchConfig(grid=1, block=2))
     sess.launch(read_all, LaunchConfig(grid=1, block=2))
+
+
+@pytest.mark.parametrize("index", [
+    lambda t: slice(t, 8, 2),
+    lambda t: np.arange(t, 8, 2),
+    lambda t: np.array([[t, t + 2], [t + 4, t + 6]]),
+], ids=["strided-slice", "int-array", "2-d-int-array"])
+def test_race_check_tracks_exactly_the_slots_an_access_touches(index):
+    # the two threads write interleaved slots whose extents overlap
+    sess = Session(race_check=True)
+    buf = sess.alloc(8, "i32")
+
+    def kernel(ctx):
+        t = ctx.thread_id
+        buf[index(t)] = t + 1
+        ctx.add_work(int(np.sum(buf[index(t)])))
+
+    sess.launch(kernel, LaunchConfig(grid=1, block=2))
+    assert buf.to_numpy().tolist() == [1, 2] * 4
+    assert sess.stats().per_thread_items == [4, 8]
+
+
+@pytest.mark.parametrize("second", ["write", "read"])
+def test_race_check_flags_index_arrays_sharing_one_slot(second):
+    sess = Session(race_check=True)
+    buf = sess.alloc(8, "i32")
+
+    def kernel(ctx):
+        if ctx.thread_id == 0:
+            buf[np.array([0, 3, 6])] = 1
+        elif second == "write":
+            buf[np.array([1, 6, 7])] = 2
+        else:
+            ctx.add_work(int(buf[np.array([2, 5, 6])].sum()))
+
+    with pytest.raises(RaceError, match=r"block 0, thread 1: .* slot 6 "):
+        sess.launch(kernel, LaunchConfig(grid=1, block=2))
