@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simt import GPU, LaunchConfig, Session
+from .simt import GPU, LaunchConfig, Session, lane_form
 
 
 class ScheduleRejectedError(ValueError):
@@ -193,9 +193,11 @@ def conv2d_scheduled(inp, wgt, wl: ConvWorkload, cfg: ScheduleConfig,
 
     The launch uses grid = oc_split * h_split blocks; each block's
     w_tile * vec threads share the columns of the block's channel group
-    and height band. A thread reads the input and weight buffers as
-    views and stores its output cells with one checked index-array
-    write, so the race check sees every cell it writes. Per-element
+    and height band, thread t owning columns t, t + block, .... The
+    kernel is lane-form: one call computes the output region its lanes
+    own, the whole output when it has every lane, and stores it with
+    one checked index-array write, so the race check, which runs it one
+    lane at a time, sees every cell a thread writes. Per-element
     accumulation order matches the reference, so results agree bitwise.
     """
     inp = np.asarray(inp, dtype=np.float32)
@@ -220,38 +222,46 @@ def conv2d_scheduled(inp, wgt, wl: ConvWorkload, cfg: ScheduleConfig,
     wbuf.load(wgt.reshape(-1))
     obuf = sess.alloc(wl.n * wl.k * oh * ow, "f32", device=GPU, name="conv_out")
 
-    # the reduction nest in (r, s, c ascending) order; ``unroll`` changes
-    # only what the proxy timer charges per MAC, never the order
-    red = [(ri, si, ci) for ri in range(wl.r) for si in range(wl.s) for ci in range(cg)]
-    # flat offset of every output cell; a thread stores its cells through them
+    # flat offset of every output cell; the kernel stores its region through them
     cells = np.arange(len(obuf)).reshape(wl.n, wl.k, oh, ow)
 
+    @lane_form
     def kernel(ctx):
+        t = ctx.thread_id
+        live = ctx.guard(t < ow)
+        # columns t, t + threads, ... below ow
+        ctx.add_work(wl.n * k_per_block * band * np.maximum(-((t - ow) // threads), 0))
+        # the region these lanes own: for one lane (under race check), its
+        # block's channels x band x columns t::threads; for every lane, all
+        if t.size == 1:
+            if not live[0]:
+                return
+            b = int(ctx.block_id[0])
+            kb, kn = (b // cfg.h_split) * k_per_block, k_per_block
+            y0, yn = (b % cfg.h_split) * band, band
+            x0, xstep = int(t[0]), threads
+        else:
+            kb, kn, y0, yn, x0, xstep = 0, wl.k, 0, oh, 0, 1
         x4 = xbuf[:].reshape(x.shape)
         w4 = wbuf[:].reshape(wgt.shape)
-        kb = (ctx.block_id // cfg.h_split) * k_per_block
-        y0 = (ctx.block_id % cfg.h_split) * band
-        t = ctx.thread_id
-        csize = len(range(t, ow, ctx.block_dim))
-        if not ctx.guard(csize > 0):
-            return
-        ctx.add_work(k_per_block * band * csize * wl.n)
-        cstep = ctx.block_dim * sw
-        rs0 = y0 * sh
-        rs1 = rs0 + (band - 1) * sh + 1
-        # every (n, output channel) plane of the block at once, one run per
-        # group its channels fall in
-        acc = np.zeros((wl.n, k_per_block, band, csize), np.float32)
-        for g in range(kb // kg_grp, (kb + k_per_block - 1) // kg_grp + 1):
-            k0, k1 = max(kb, g * kg_grp), min(kb + k_per_block, (g + 1) * kg_grp)
+        # input rows under each filter row, (r, yn), and columns under each
+        # filter column, (s, xn)
+        iy = (np.arange(wl.r) * dh)[:, None] + (y0 + np.arange(yn)) * sh
+        ix = (np.arange(wl.s) * dw)[:, None] + np.arange(x0, ow, xstep) * sw
+        acc = np.zeros((wl.n, kn, yn, ix.shape[1]), np.float32)
+        # every (n, output channel) plane of the region at once, one run per
+        # group its channels fall in. The products come in the reference's
+        # (r, s, c ascending) order and are added one at a time; ``unroll``
+        # changes only what the proxy timer charges per MAC, never the order
+        for g in range(kb // kg_grp, (kb + kn - 1) // kg_grp + 1):
+            k0, k1 = max(kb, g * kg_grp), min(kb + kn, (g + 1) * kg_grp)
+            taps = x4[:, g * cg : (g + 1) * cg][:, :, iy[:, None, :, None], ix[None, :, None, :]]
+            taps = taps.transpose(2, 3, 1, 0, 4, 5).reshape(-1, wl.n, 1, *acc.shape[2:])
+            wts = w4[k0:k1].transpose(2, 3, 1, 0).reshape(-1, 1, k1 - k0, 1, 1)
             run = acc[:, k0 - kb : k1 - kb]
-            for ri, si, ci in red:
-                c0 = t * sw + si * dw
-                patch = x4[:, g * cg + ci,
-                           rs0 + ri * dh : rs1 + ri * dh : sh,
-                           c0 : c0 + (csize - 1) * cstep + 1 : cstep]
-                run += patch[:, None] * w4[k0:k1, ci, ri, si, None, None]
-        obuf[cells[:, kb : kb + k_per_block, y0 : y0 + band, t : ow : ctx.block_dim]] = acc
+            for prod in taps * wts:
+                run += prod
+        obuf[cells[:, kb : kb + kn, y0 : y0 + yn, x0 : ow : xstep]] = acc
 
     sess.launch(kernel, LaunchConfig(grid=cfg.oc_split * cfg.h_split, block=threads))
     return obuf.to_numpy().reshape(wl.n, wl.k, oh, ow)

@@ -13,9 +13,18 @@ ascending thread id, before any thread starts phase k+1. That makes the
 final buffer contents bitwise reproducible however many times the
 launch is repeated.
 
+A kernel with no barrier and no shared storage may instead be marked
+lane-form with :func:`lane_form`. It is then called once per launch,
+with the ids of every lane as int arrays, the way a SIMD machine runs
+work-items as the lanes of one hardware thread; ``add_work`` takes one
+count per lane and ``guard`` a mask. Under race check the same kernel
+runs one lane at a time, with one-element id arrays, so every access is
+checked per (block, thread) exactly as for a per-thread kernel.
+
 Buffers are zero-initialized and fixed-length, and kernels reach them
 only through indexing. Out-of-range accesses raise
-:class:`BufferBoundsError` naming the offending block and thread. An
+:class:`BufferBoundsError` naming the offending block and thread (or,
+for a lane-form call over every lane, the launch's grid and block). An
 optional race-check mode keeps a shadow last-writer/last-reader map per
 slot per phase, marking exactly the slots each access selects, and
 rejects programs whose output would depend on cross-thread ordering
@@ -137,9 +146,7 @@ class DeviceBuffer:
 
     def _where(self) -> str:
         cur = self._session._current if self._session is not None else None
-        if cur is None:
-            return "host"
-        return f"block {cur.block_id}, thread {cur.thread_id}"
+        return "host" if cur is None else cur.where()
 
     def _resolve(self, idx) -> None:
         """Validate an int, slice or int-array index against the bounds."""
@@ -332,6 +339,9 @@ class ThreadCtx:
     def global_id(self) -> int:
         return self.block_id * self.block_dim + self.thread_id
 
+    def where(self) -> str:
+        return f"block {self.block_id}, thread {self.thread_id}"
+
     def barrier(self):
         """Marker for a block-wide barrier; kernels write ``yield ctx.barrier()``.
 
@@ -356,6 +366,63 @@ class ThreadCtx:
             self._guards = [active]
         else:
             self._guards.append(active)
+        return active
+
+
+def lane_form(kernel):
+    """Mark ``kernel`` to run once per launch over int arrays of lane ids.
+
+    Only a plain function launched with no shared storage qualifies:
+    lanes of one call cannot meet at a barrier.
+    """
+    kernel.lane_form = True
+    return kernel
+
+
+class LaneCtx:
+    """Many lanes of one launch, handed to a lane-form kernel in one call.
+
+    ``block_id`` and ``thread_id`` are int arrays with one entry per lane:
+    every lane of the launch, block-major, or, under race check, a single
+    lane. ``add_work`` takes one count per lane and ``guard`` one bool
+    per lane; each guard call covers every lane of the call.
+    """
+
+    __slots__ = ("block_id", "thread_id", "block_dim", "grid_dim", "_session", "_lanes", "_guards")
+
+    def __init__(self, block_id, thread_id, block_dim, grid_dim, session, lanes):
+        self.block_id = block_id
+        self.thread_id = thread_id
+        self.block_dim = block_dim
+        self.grid_dim = grid_dim
+        self._session = session
+        self._lanes = lanes  # this call's slice of the launch's work counts
+        self._guards = []
+
+    @property
+    def global_id(self) -> np.ndarray:
+        return self.block_id * self.block_dim + self.thread_id
+
+    def where(self) -> str:
+        if self.thread_id.size == 1:
+            return f"block {int(self.block_id[0])}, thread {int(self.thread_id[0])}"
+        return f"lanes of grid {self.grid_dim} x block {self.block_dim}"
+
+    def add_work(self, items) -> None:
+        """Report processed work items, one count per lane."""
+        self._session._work[self._lanes] += items
+
+    def guard(self, active) -> np.ndarray:
+        """Record a guarded phase from a mask of one bool per lane; return it.
+
+        As for :meth:`ThreadCtx.guard`, a lane whose entry is False while
+        a lane of its block has True counts as one divergence event.
+        """
+        active = np.asarray(active, dtype=bool)
+        if active.shape != self.thread_id.shape:
+            raise ValueError(f"guard takes one bool per lane, {self.thread_id.shape}, "
+                             f"got shape {active.shape}")
+        self._guards.append(active)
         return active
 
 
@@ -400,26 +467,64 @@ class Session:
 
         The effect on the buffers is identical to lockstep-between-barriers
         execution of every instance, regardless of physical parallelism.
+        A kernel marked with :func:`lane_form` runs all of them in one call.
         """
         if not isinstance(config, LaunchConfig):
             config = LaunchConfig(*config)
         grid, block = config.grid, config.block
+        is_gen = inspect.isgeneratorfunction(kernel)
+        lanes = getattr(kernel, "lane_form", False)
+        if lanes and (is_gen or config.shared_slots):
+            raise LaunchConfigError(
+                f"lane-form kernel {getattr(kernel, '__qualname__', kernel)!r} must be a plain "
+                f"function launched without shared storage, got generator={is_gen} "
+                f"shared_slots={config.shared_slots}"
+            )
         self._stats.launches += 1
         self.launch_log.append(config)
-        self._work = [0] * (grid * block)
-        is_gen = inspect.isgeneratorfunction(kernel)
-        ctxs = [ThreadCtx(t, block, grid, self) for t in range(block)]
         try:
-            for b in range(grid):
-                self._run_block(kernel, is_gen, b, config, ctxs, buffers)
+            if lanes:
+                self._work = np.zeros(grid * block, np.int64)
+                self._run_lanes(kernel, grid, block, buffers)
+                items = self._work.tolist()
+            else:
+                self._work = [0] * (grid * block)
+                ctxs = [ThreadCtx(t, block, grid, self) for t in range(block)]
+                for b in range(grid):
+                    self._run_block(kernel, is_gen, b, config, ctxs, buffers)
+                items = [int(x) for x in self._work]
         finally:
             self._current = None
             self._current_gid = None
+            self._work = None
             # a launch that raised mid-phase leaves no owners behind
             self._race_phase_reset()
-        self._stats.per_thread_items = [int(x) for x in self._work]
-        self._stats.load_imbalance = _imbalance(self._stats.per_thread_items)
-        self._work = None
+        self._stats.per_thread_items = items
+        self._stats.load_imbalance = _imbalance(items)
+
+    def _run_lanes(self, kernel, grid, block, buffers):
+        if not self.race_check:
+            gid = np.arange(grid * block)
+            ctx = LaneCtx(gid // block, gid % block, block, grid, self, slice(None))
+            self._current = ctx
+            kernel(ctx, *buffers)
+            if ctx._guards:
+                g = np.reshape(ctx._guards, (-1, grid, block))
+                mixed = g.any(axis=2) & ~g.all(axis=2)
+                self._stats.divergence_events += int(np.count_nonzero(~g & mixed[:, :, None]))
+            return
+        # one lane at a time, so the per-slot race check applies unchanged
+        for b in range(grid):
+            guards = []
+            for t in range(block):
+                gid = b * block + t
+                ctx = LaneCtx(np.array([b]), np.array([t]), block, grid, self, slice(gid, gid + 1))
+                self._current = ctx
+                self._current_gid = gid
+                kernel(ctx, *buffers)
+                guards.append([bool(m[0]) for m in ctx._guards])
+            self._stats.divergence_events += _divergence(guards)
+            self._race_phase_reset()
 
     def _run_block(self, kernel, is_gen, b, config, ctxs, buffers):
         if self.race_check:
@@ -462,14 +567,9 @@ class Session:
             alive = yielded
 
     def _phase_end(self, ctxs, shared):
-        # divergence metric: for each guard position, threads reporting
-        # False while some sibling reported True skipped a guarded phase
         guards = [c._guards for c in ctxs if c._guards is not None]
         if guards:
-            for j in range(max(map(len, guards))):
-                vals = [g[j] for g in guards if len(g) > j]
-                if any(vals) and not all(vals):
-                    self._stats.divergence_events += sum(1 for v in vals if not v)
+            self._stats.divergence_events += _divergence(guards)
             for c in ctxs:
                 c._guards = None
         if self.race_check:
@@ -484,6 +584,20 @@ class Session:
         for buf in self._race_touched:
             buf._race_reset()
         self._race_touched.clear()
+
+
+def _divergence(guards) -> int:
+    """Divergence events of one phase, given each thread's guard values.
+
+    For each guard position, threads reporting False while some sibling
+    reported True skipped a guarded phase.
+    """
+    events = 0
+    for j in range(max(map(len, guards), default=0)):
+        vals = [g[j] for g in guards if len(g) > j]
+        if any(vals) and not all(vals):
+            events += sum(1 for v in vals if not v)
+    return events
 
 
 def ceil_div(a: int, b: int) -> int:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from edgegraph import tune
 from edgegraph.conv import (
     ConvWorkload,
     ScheduleConfig,
@@ -187,4 +188,78 @@ def test_blocks_spanning_groups_match_reference_race_checked():
     assert any(cfg.oc_split == 1 for cfg in space)
     for cfg in space:
         got = conv2d_scheduled(x, w, wl, cfg, session=Session(race_check=True))
+        assert got.tobytes() == ref.tobytes(), cfg
+
+
+# the fixture graph's convolutions, plus one grouped, strided, dilated batch
+DIFFERENTIAL_WORKLOADS = {
+    "c1": ConvWorkload(n=1, c=3, h=16, w=16, k=8, r=3, s=3, pad=(1, 1)),
+    "c2": ConvWorkload(n=1, c=8, h=8, w=8, k=8, r=3, s=3, pad=(1, 1)),
+    "cls": ConvWorkload(n=1, c=8, h=8, w=8, k=6, r=1, s=1),
+    "loc": ConvWorkload(n=1, c=8, h=8, w=8, k=8, r=1, s=1),
+    "grouped": ConvWorkload(n=2, c=6, h=7, w=9, k=6, r=3, s=2, stride=(2, 1), pad=(1, 2),
+                            dilation=(1, 2), groups=3),
+}
+
+
+def _run_counted(x, w, wl, cfg, race_check):
+    sess = Session(race_check=race_check)
+    got = conv2d_scheduled(x, w, wl, cfg, session=sess)
+    st = sess.stats()
+    return got, (st.launches, st.barriers, st.divergence_events, st.per_thread_items,
+                 st.load_imbalance, sess.launch_log)
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL_WORKLOADS))
+def test_lane_form_and_race_checked_runs_agree_over_the_full_space(name):
+    # the lane-form call computes every lane's cells at once; the
+    # race-checked run calls the kernel once per (block, thread)
+    wl = DIFFERENTIAL_WORKLOADS[name]
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((wl.n, wl.c, wl.h, wl.w)).astype(np.float32)
+    w = rng.standard_normal((wl.k, wl.c // wl.groups, wl.r, wl.s)).astype(np.float32)
+    ref = conv2d_reference(x, w, wl).tobytes()
+    for cfg in schedule_space(wl):
+        lanes, counted = _run_counted(x, w, wl, cfg, race_check=False)
+        checked, counted_checked = _run_counted(x, w, wl, cfg, race_check=True)
+        assert lanes.tobytes() == ref and checked.tobytes() == ref, cfg
+        assert counted == counted_checked, cfg
+        work = wl.n * (wl.k // cfg.oc_split) * (wl.oh // cfg.h_split)
+        threads = cfg.w_tile * cfg.vec
+        assert counted[3] == [work * len(range(i % threads, wl.ow, threads))
+                              for i in range(cfg.oc_split * cfg.h_split * threads)], cfg
+
+
+def test_proxy_cost_of_default_and_tuned_configs_is_pinned():
+    # the tuner's objective reads the launch's work profile and geometry
+    want = {
+        ("c1", ScheduleConfig()): 0.0007308480000000001,
+        ("c1", ScheduleConfig(1, 4, 8, 1, 1)): 3.528e-05,
+        ("c2", ScheduleConfig()): 0.000491232,
+        ("c2", ScheduleConfig(1, 4, 8, 1, 1)): 2.9520000000000002e-05,
+    }
+    for (name, cfg), cost in want.items():
+        wl = DIFFERENTIAL_WORKLOADS[name]
+
+        def run():
+            sess = Session()
+            conv2d_scheduled(np.zeros((wl.n, wl.c, wl.h, wl.w), np.float32),
+                             np.zeros((wl.k, wl.c // wl.groups, wl.r, wl.s), np.float32),
+                             wl, cfg, session=sess)
+            return sess
+
+        assert tune.proxy_timer(run, wl, cfg) == cost, (name, cfg)
+
+
+@pytest.mark.parametrize("race_check", [False, True])
+def test_sum_of_negative_zero_products_is_positive_zero(race_check):
+    # every product is -0.0; the reference's first add onto its zero
+    # accumulator makes the sum +0.0, and so must every schedule
+    wl = ConvWorkload(n=1, c=2, h=4, w=4, k=4, r=3, s=3, pad=(1, 1))
+    x = np.zeros((1, 2, 4, 4), np.float32)
+    w = -np.ones((4, 2, 3, 3), np.float32)
+    ref = conv2d_reference(x, w, wl)
+    assert not np.signbit(ref).any()
+    for cfg in (ScheduleConfig(), ScheduleConfig(oc_split=4, h_split=2, w_tile=2, vec=4)):
+        got = conv2d_scheduled(x, w, wl, cfg, session=Session(race_check=race_check))
         assert got.tobytes() == ref.tobytes(), cfg

@@ -14,6 +14,7 @@ from edgegraph.simt import (
     LaunchConfigError,
     RaceError,
     Session,
+    lane_form,
 )
 
 
@@ -429,3 +430,98 @@ def test_race_check_flags_index_arrays_sharing_one_slot(second):
 
     with pytest.raises(RaceError, match=r"block 0, thread 1: .* slot 6 "):
         sess.launch(kernel, LaunchConfig(grid=1, block=2))
+
+
+def _toy_lane_kernel(out):
+    @lane_form
+    def kernel(ctx):
+        b, t = ctx.block_id, ctx.thread_id
+        live = ctx.guard(t <= b)  # mixed in blocks 0-2, all True in block 3
+        ctx.guard(b % 2 == 0)  # uniform within each block: no event
+        ctx.add_work(np.where(live, t + 2 * b, 0))
+        gid = ctx.global_id
+        out[gid[live]] = gid[live] + 1
+
+    return kernel
+
+
+def _toy_thread_kernel(out):
+    def kernel(ctx):
+        b, t = ctx.block_id, ctx.thread_id
+        live = ctx.guard(t <= b)
+        ctx.guard(b % 2 == 0)
+        if live:
+            ctx.add_work(t + 2 * b)
+            out[ctx.global_id] = ctx.global_id + 1
+
+    return kernel
+
+
+@pytest.mark.parametrize("make, race_check", [
+    (_toy_lane_kernel, False), (_toy_lane_kernel, True), (_toy_thread_kernel, False),
+], ids=["lanes", "one-lane-at-a-time", "per-thread"])
+def test_lane_form_counts_like_one_lane_at_a_time(make, race_check):
+    sess = Session(race_check=race_check)
+    out = sess.alloc(16, "i32")
+    sess.launch(lambda ctx: None, LaunchConfig(grid=2, block=3))
+    sess.launch(make(out), LaunchConfig(grid=4, block=4))
+    st = sess.stats()
+    assert (st.launches, st.barriers, st.divergence_events) == (2, 0, 3 + 2 + 1)
+    assert st.per_thread_items == [0, 0, 0, 0, 2, 3, 0, 0, 4, 5, 6, 0, 6, 7, 8, 9]
+    assert type(st.per_thread_items[0]) is int
+    assert st.load_imbalance == (9 - 0) / (50 / 16)
+    assert sess.launch_log == [LaunchConfig(2, 3), LaunchConfig(4, 4)]
+    assert out.to_numpy().tolist() == [1, 0, 0, 0, 5, 6, 0, 0, 9, 10, 11, 0, 13, 14, 15, 16]
+
+
+def test_race_checked_lane_form_flags_two_lanes_sharing_a_slot():
+    sess = Session(race_check=True)
+    buf = sess.alloc(8, "i32")
+
+    @lane_form
+    def kernel(ctx):
+        buf[ctx.global_id // 2] = ctx.thread_id
+
+    with pytest.raises(RaceError, match=r"block 0, thread 1: write to buffer 'buf0' slot 0 "):
+        sess.launch(kernel, LaunchConfig(grid=2, block=2))
+
+
+def test_lane_form_rejects_barriers_shared_storage_and_scalar_guards():
+    sess = Session()
+
+    @lane_form
+    def generator(ctx):
+        yield ctx.barrier()
+
+    @lane_form
+    def plain(ctx):
+        pass
+
+    @lane_form
+    def scalar_guard(ctx):
+        ctx.guard(True)
+
+    with pytest.raises(LaunchConfigError, match="generator=True"):
+        sess.launch(generator, LaunchConfig(grid=1, block=2))
+    with pytest.raises(LaunchConfigError, match="shared_slots=4"):
+        sess.launch(plain, LaunchConfig(grid=1, block=2, shared_slots=4))
+    assert sess.stats().launches == 0 and sess.launch_log == []
+    with pytest.raises(ValueError, match="one bool per lane"):
+        sess.launch(scalar_guard, LaunchConfig(grid=1, block=2))
+
+
+@pytest.mark.parametrize("race_check, where", [
+    (False, "lanes of grid 2 x block 4"), (True, "block 1, thread 3"),
+])
+def test_lane_form_bounds_error_names_a_readable_location(race_check, where):
+    sess = Session(race_check=race_check)
+    buf = sess.alloc(7, "f32")
+
+    @lane_form
+    def kernel(ctx):
+        buf[ctx.global_id] = 1.0
+
+    with pytest.raises(BufferBoundsError) as err:
+        sess.launch(kernel, LaunchConfig(grid=2, block=4))
+    assert str(err.value).startswith(f"{where}: ")
+    assert "[" not in str(err.value).split(":")[0]
