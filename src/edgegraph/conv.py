@@ -271,16 +271,20 @@ def _divisors(x: int) -> list[int]:
     return [d for d in range(1, x + 1) if x % d == 0]
 
 
-def schedule_space(wl: ConvWorkload, vec_options=(1, 4, 8)) -> list[ScheduleConfig]:
+# emulated SIMD widths a schedule may pick
+VEC_OPTIONS = (1, 4, 8)
+
+
+def schedule_space(wl: ConvWorkload) -> list[ScheduleConfig]:
     """All valid configs for a workload, in a fixed enumeration order.
 
     Cartesian product of divisors(k) x divisors(oh) x divisors(ow) x
-    unroll {0, 1} x ({1, 4, 8} intersected with divisors(oc_split)).
+    unroll {0, 1} x (VEC_OPTIONS intersected with divisors(oc_split)).
     The all-ones default is always the first entry.
     """
     out = []
     for oc in _divisors(wl.k):
-        vecs = [v for v in vec_options if oc % v == 0]
+        vecs = [v for v in VEC_OPTIONS if oc % v == 0]
         for hs in _divisors(wl.oh):
             for wt in _divisors(wl.ow):
                 for un in (0, 1):

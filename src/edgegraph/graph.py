@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import wraps
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import vision
 from .conv import ConvWorkload, ScheduleConfig, conv2d_reference, conv2d_scheduled
-from .simt import CPU, GPU, LaunchConfig, Session
+from .simt import CPU, GPU, LaunchConfig, Session, launch_rows
 from .tensor import Tensor
 
 UNASSIGNED = "unassigned"
@@ -203,34 +204,25 @@ def _by_rows(gpu, fn, out_shape, *arrays):
     leading axis indexes independent rows.
 
     On the CPU (``gpu`` is None) that is one call. On a GPU session one
-    launch gives each of up to 8 threads a contiguous range of rows,
-    which it reads with one slice read per input and writes with one
-    slice store, so the race check sees every access.
+    :func:`launch_rows` launch splits the rows among up to 8 threads,
+    which read each input with one slice read and store with one slice
+    write, so the race check sees every access.
     """
     if gpu is None:
         return fn(*arrays)
     rows = out_shape[0]
-    ins = []  # (buffer, shape of one row)
+    ins = []  # (buffer, elements of one row, shape of one row)
     for i, a in enumerate(arrays):
         b = gpu.alloc(a.size, "f32", device=GPU, name=f"rows_in{i}")
         b.load(a.reshape(-1))
-        ins.append((b, a.shape[1:]))
+        ins.append((b, a.size // rows, a.shape[1:]))
     out = gpu.alloc(int(np.prod(out_shape)), "f32", device=GPU, name="rows_out")
-    out_row = len(out) // rows
 
-    def kernel(ctx):
-        t = ctx.thread_id
-        lo = (rows * t) // ctx.block_dim
-        hi = (rows * (t + 1)) // ctx.block_dim
-        if hi > lo:
-            parts = []
-            for b, shape in ins:
-                size = len(b) // rows
-                parts.append(b[lo * size : hi * size].reshape(hi - lo, *shape))
-            out[lo * out_row : hi * out_row] = fn(*parts).reshape(-1)
-            ctx.add_work((hi - lo) * out_row)
+    @wraps(fn)
+    def by_rows(lo, hi):
+        return fn(*(b[lo * k : hi * k].reshape(hi - lo, *shape) for b, k, shape in ins))
 
-    gpu.launch(kernel, LaunchConfig(grid=1, block=min(8, rows)))
+    launch_rows(gpu, LaunchConfig(grid=1, block=min(8, rows)), out, rows, by_rows)
     return out.to_numpy().reshape(out_shape)
 
 

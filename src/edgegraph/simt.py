@@ -20,6 +20,7 @@ work-items as the lanes of one hardware thread; ``add_work`` takes one
 count per lane and ``guard`` a mask. Under race check the same kernel
 runs one lane at a time, with one-element id arrays, so every access is
 checked per (block, thread) exactly as for a per-thread kernel.
+:func:`launch_rows` launches one over rows of an output buffer.
 
 Buffers are zero-initialized and fixed-length, and kernels reach them
 only through indexing. Out-of-range accesses raise
@@ -34,7 +35,7 @@ without a barrier.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -103,12 +104,42 @@ class LaunchStats:
 
 
 def _imbalance(items) -> float:
-    if len(items) == 0:
-        return 0.0
-    mean = sum(items) / len(items)
-    if mean == 0:
-        return 0.0
-    return (max(items) - min(items)) / mean
+    mean = sum(items) / len(items) if items else 0
+    return (max(items) - min(items)) / mean if mean else 0.0
+
+
+def _check_index(idx, n: int, owner) -> None:
+    """Validate an int, slice (any positive step) or int-array index
+    against length ``n``. An error names ``owner._where()`` and the
+    buffer ``owner.name``, or shared storage when the name is None."""
+    # fast paths for the common in-range int and unit-step slice; any
+    # other index, or one out of range, takes the checks below
+    if type(idx) is int:
+        if 0 <= idx < n:
+            return
+    elif type(idx) is slice and idx.step is None:
+        start = 0 if idx.start is None else idx.start
+        stop = n if idx.stop is None else idx.stop
+        if 0 <= start <= stop <= n:
+            return
+    what = "shared storage" if owner.name is None else f"buffer {owner.name!r}"
+    if isinstance(idx, (int, np.integer)):
+        if idx < 0 or idx >= n:
+            raise BufferBoundsError(f"{owner._where()}: index {int(idx)} out of range for {what} "
+                                    f"of length {n}")
+        return
+    if isinstance(idx, slice):
+        start = 0 if idx.start is None else idx.start
+        stop = n if idx.stop is None else idx.stop
+        step = 1 if idx.step is None else idx.step
+        if step <= 0 or start < 0 or stop > n or start > stop:
+            raise BufferBoundsError(f"{owner._where()}: slice [{idx.start}:{idx.stop}:{idx.step}] "
+                                    f"invalid for {what} of length {n}")
+        return
+    arr = np.asarray(idx)
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        raise BufferBoundsError(f"{owner._where()}: indices [{int(arr.min())}..{int(arr.max())}] out "
+                                f"of range for {what} of length {n}")
 
 
 class DeviceBuffer:
@@ -148,45 +179,8 @@ class DeviceBuffer:
         cur = self._session._current if self._session is not None else None
         return "host" if cur is None else cur.where()
 
-    def _resolve(self, idx) -> None:
-        """Validate an int, slice or int-array index against the bounds."""
-        n = len(self.data)
-        # fast paths for the common in-range int and unit-step slice; any
-        # other index, or one out of range, takes the checks below
-        if type(idx) is int:
-            if 0 <= idx < n:
-                return
-        elif type(idx) is slice and idx.step is None:
-            start = 0 if idx.start is None else idx.start
-            stop = n if idx.stop is None else idx.stop
-            if 0 <= start <= stop <= n:
-                return
-        if isinstance(idx, (int, np.integer)):
-            if idx < 0 or idx >= n:
-                raise BufferBoundsError(
-                    f"{self._where()}: index {int(idx)} out of range for buffer "
-                    f"{self.name!r} of length {n}"
-                )
-            return
-        if isinstance(idx, slice):
-            start = 0 if idx.start is None else idx.start
-            stop = n if idx.stop is None else idx.stop
-            step = 1 if idx.step is None else idx.step
-            if step <= 0 or start < 0 or stop > n or start > stop:
-                raise BufferBoundsError(
-                    f"{self._where()}: slice [{idx.start}:{idx.stop}:{idx.step}] invalid "
-                    f"for buffer {self.name!r} of length {n}"
-                )
-            return
-        arr = np.asarray(idx)
-        if arr.size and (arr.min() < 0 or arr.max() >= n):
-            raise BufferBoundsError(
-                f"{self._where()}: indices [{int(arr.min())}..{int(arr.max())}] out of range "
-                f"for buffer {self.name!r} of length {n}"
-            )
-
     def __getitem__(self, idx):
-        self._resolve(idx)
+        _check_index(idx, len(self.data), self)
         if self._w_owner is None:
             return self.data[idx]
         self._race_read(idx)
@@ -197,7 +191,7 @@ class DeviceBuffer:
         return got
 
     def __setitem__(self, idx, value):
-        self._resolve(idx)
+        _check_index(idx, len(self.data), self)
         if self._w_owner is not None:
             self._race_write(idx)
         self.data[idx] = value
@@ -261,9 +255,15 @@ class DeviceBuffer:
 
 
 class _SharedMem:
-    """Block-shared storage with per-slot race tracking."""
+    """Block-shared storage with per-slot race tracking.
+
+    Used under race check; as for a buffer, a negative or out-of-range
+    index raises :class:`BufferBoundsError` and a conflict
+    :class:`RaceError`, each naming the block and thread.
+    """
 
     __slots__ = ("slots", "_ctx_session", "_w_owner", "_r_owner")
+    name = None  # so bounds errors call it shared storage, not a named buffer
 
     def __init__(self, n, session):
         self.slots = [0] * n
@@ -275,28 +275,30 @@ class _SharedMem:
         return len(self.slots)
 
     def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            for i in range(*idx.indices(len(self.slots))):
-                self._check_read(i)
-            return self.slots[idx]
-        self._check_read(idx)
+        for i in self._slots_of(idx):
+            self._check_read(i)
         return self.slots[idx]
 
     def __setitem__(self, idx, value):
-        if isinstance(idx, slice):
-            rng = range(*idx.indices(len(self.slots)))
-            for i in rng:
-                self._check_write(i)
-            self.slots[idx] = value
-            return
-        self._check_write(idx)
+        for i in self._slots_of(idx):
+            self._check_write(i)
         self.slots[idx] = value
+
+    def _where(self) -> str:
+        return self._ctx_session._current.where()
+
+    def _slots_of(self, idx):
+        """The slots an int or slice index selects; rejects one out of range."""
+        _check_index(idx, len(self.slots), self)
+        picked = range(len(self.slots))[idx]
+        return picked if isinstance(idx, slice) else (picked,)
 
     def _check_read(self, i):
         gid = self._ctx_session._current_gid
         w = self._w_owner[i]
         if w != _FREE and w != gid:
-            raise RaceError(f"shared slot {i} read after write by another thread in the same phase")
+            raise RaceError(f"{self._where()}: read of shared slot {i} written by another "
+                            f"thread in the same phase")
         if self._r_owner[i] == _FREE:
             self._r_owner[i] = gid
         elif self._r_owner[i] != gid:
@@ -307,7 +309,8 @@ class _SharedMem:
         if (self._w_owner[i] != _FREE and self._w_owner[i] != gid) or (
             self._r_owner[i] != _FREE and self._r_owner[i] != gid
         ):
-            raise RaceError(f"shared slot {i} write conflicts with another thread in the same phase")
+            raise RaceError(f"{self._where()}: write to shared slot {i} conflicts with another "
+                            f"thread in the same phase")
         self._w_owner[i] = gid
 
     def _reset(self):
@@ -453,14 +456,7 @@ class Session:
 
     def stats(self) -> LaunchStats:
         """Snapshot of the accumulated counters; does not reset them."""
-        s = self._stats
-        return LaunchStats(
-            launches=s.launches,
-            barriers=s.barriers,
-            divergence_events=s.divergence_events,
-            per_thread_items=list(s.per_thread_items),
-            load_imbalance=s.load_imbalance,
-        )
+        return replace(self._stats, per_thread_items=list(self._stats.per_thread_items))
 
     def launch(self, kernel, config: LaunchConfig, *buffers: DeviceBuffer) -> None:
         """Run ``kernel(ctx, *buffers)`` over all (block, thread) instances.
@@ -584,6 +580,37 @@ class Session:
         for buf in self._race_touched:
             buf._race_reset()
         self._race_touched.clear()
+
+
+def launch_rows(session: Session, config: LaunchConfig, out: DeviceBuffer, rows: int, fn,
+                tile: int = 1) -> None:
+    """Launch a lane-form kernel that stores ``fn(lo, hi)`` as rows lo..hi-1 of ``out``.
+
+    ``out`` holds ``rows`` rows of ``len(out) // rows`` elements. The
+    lanes split the rows, in tiles of ``tile`` rows, into consecutive
+    even shares (lanes past the tile count get none) and report the
+    elements they store as work. ``fn`` runs once per call over the
+    union of the call's lanes (every lane unchecked, one under race
+    check); its result is stored with one checked slice write. The
+    kernel takes ``fn``'s name, so a launch is named after its operator.
+    """
+    width = len(out) // rows if rows else 0
+    tiles = ceil_div(rows, tile)
+    busy = max(1, min(config.grid * config.block, tiles))
+    # row where each lane's share starts; lane g owns edges[g]..edges[g+1]-1
+    edges = np.minimum(tiles * np.minimum(np.arange(config.grid * config.block + 1), busy)
+                       // busy * tile, rows)
+
+    @lane_form
+    def kernel(ctx):
+        gid = ctx.global_id
+        ctx.add_work((edges[gid + 1] - edges[gid]) * width)
+        lo, hi = int(edges[gid[0]]), int(edges[gid[-1] + 1])
+        if hi > lo:
+            out[lo * width : hi * width] = np.reshape(fn(lo, hi), -1)
+
+    kernel.__name__, kernel.__qualname__ = fn.__name__, fn.__qualname__
+    session.launch(kernel, config)
 
 
 def _divergence(guards) -> int:

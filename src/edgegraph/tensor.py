@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simt import DTYPES
+from .simt import DTYPES, GPU, LaunchConfig, Session, launch_rows
 
 TILED_KINDS = {"NCHWc": 1, "OIHWo": 0}  # kind -> index of the packed logical axis
 PLAIN_KINDS = ("NCHW", "OIHW")
@@ -184,24 +184,17 @@ def transform_kernel(t: Tensor, target: LayoutTag, session) -> Tensor:
     Same result as :func:`layout_transform`; exists so transform costs
     can be measured on the same execution model the operators use.
     """
-    from .simt import GPU, LaunchConfig  # local import avoids a module cycle
-
     _check_compatible(target, t.shape)
     perm = _physical_permutation(t.layout, target, t.shape)
     n = perm.size
     src = session.alloc(n, t.dtype, device=GPU, name="lt_src")
     src.load(t.data)
     dst = session.alloc(n, t.dtype, device=GPU, name="lt_dst")
-    threads = min(8, max(1, n))
 
-    def kernel(ctx):
-        lo = (n * ctx.global_id) // (ctx.grid_dim * ctx.block_dim)
-        hi = (n * (ctx.global_id + 1)) // (ctx.grid_dim * ctx.block_dim)
-        if hi > lo:
-            dst[lo:hi] = src[perm[lo:hi]]
-            ctx.add_work(hi - lo)
+    def transform(lo, hi):
+        return src[perm[lo:hi]]
 
-    session.launch(kernel, LaunchConfig(grid=1, block=threads))
+    launch_rows(session, LaunchConfig(grid=1, block=min(8, max(1, n))), dst, n, transform)
     return Tensor(shape=t.shape, dtype=t.dtype, layout=target, data=dst.to_numpy())
 
 
@@ -229,8 +222,6 @@ def transform_cost(src: LayoutTag, dst: LayoutTag, shape, table: dict | None = N
         raise KeyError(f"no transform-cost table entry for {key}")
     if clock is None:
         return float(np.prod(shape))
-    from .simt import Session  # local import avoids a module cycle
-
     probe = Tensor.from_array(np.zeros(shape, dtype=np.float32), layout=src)
     samples = []
     for _ in range(repeats):

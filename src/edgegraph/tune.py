@@ -146,9 +146,11 @@ def measure(wl: ConvWorkload, cfg: ScheduleConfig, repeats: int = 3, timer=None,
     """Time one config on fixed pseudo-random inputs for its workload.
 
     Returns a record whose cost_mean is the median of ``repeats`` timed
-    runs and cost_std their standard deviation. Rejected configs come
-    back failure-flagged; a correctness mismatch against the reference
-    is a hard error and is never recorded as a cost.
+    runs and cost_std their standard deviation. Under ``proxy_timer``,
+    whose cost is a function of the launch alone, the verification run
+    is priced once instead (``repeats=1``, ``cost_std=0``). Rejected
+    configs come back failure-flagged; a correctness mismatch against
+    the reference is a hard error and is never recorded as a cost.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -170,16 +172,20 @@ def measure(wl: ConvWorkload, cfg: ScheduleConfig, repeats: int = 3, timer=None,
         conv2d_scheduled(inp, wgt, wl, cfg, session=sess)
         return sess
 
-    got = conv2d_scheduled(inp, wgt, wl, cfg)
+    verified = Session()
+    got = conv2d_scheduled(inp, wgt, wl, cfg, session=verified)
     scale = max(float(np.max(np.abs(ref))), 1e-30)
     if float(np.max(np.abs(got - ref))) / scale > 1e-4:
         raise RuntimeError(f"config {cfg} produced wrong output for {wl.key()}")
 
-    samples = [float(timer(run, wl, cfg)) for _ in range(repeats)]
+    if timer is proxy_timer:  # looked up when called, so a wrapped proxy_timer matches too
+        samples = [float(timer(lambda: verified, wl, cfg))]
+    else:
+        samples = [float(timer(run, wl, cfg)) for _ in range(repeats)]
     return TuningRecord(
         workload_key=wl.key(), config=cfg,
         cost_mean=float(np.median(samples)), cost_std=float(np.std(samples)),
-        repeats=repeats, device_tag=device_tag, created_at=now,
+        repeats=len(samples), device_tag=device_tag, created_at=now,
     )
 
 

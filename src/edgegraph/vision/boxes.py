@@ -5,14 +5,14 @@ GPU-unfriendly parts the GPU way, in the layout of torchvision's CUDA
 NMS. Scores go through the segmented argsort. One launch then fills a
 candidate x candidate "suppresses" mask, each thread a tile of TILE rows
 computed with the array form of ``iou``. The greedy sweep over that mask
-is a single pass on the host, and a last launch writes the kept rows into
-an output buffer pre-initialized to all-invalid rows, so no thread ever
-branches on "is this slot mine". The sequential twin builds the same
-mask with the same helper and runs the same sweep.
+is a single pass on the host, and a last launch writes the output in one
+pass: kept rows first, then all-invalid rows. Both launches go through
+``simt.launch_rows``, and the sequential twin calls the same range
+functions over all rows.
 
-multibox_detection decodes one contiguous slice of anchors per thread
-with the same vectorized helper as its sequential twin, then runs
-box_nms per batch element.
+multibox_detection decodes the batch's anchors in flat (image, anchor)
+order, one contiguous slice per thread, with the same range function as
+its sequential twin, then runs box_nms per batch element.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..simt import GPU, LaunchConfig, Session, ceil_div
+from ..simt import GPU, LaunchConfig, Session, ceil_div, launch_rows
 from .sort import SegmentedArray, segmented_argsort
 
 INVALID = -1.0  # marker filled into every field of a suppressed row
@@ -105,12 +105,13 @@ def iou(a, b):
     return float(out) if out.ndim == 0 else out
 
 
-def _live(boxes: BoxSet, order: np.ndarray, score_threshold: float, top_k) -> np.ndarray:
+def _live(boxes: BoxSet, order: np.ndarray, score_threshold: float, top_k):
     """The rows of ``order`` that are valid and score >= score_threshold
-    (NaN never does), at most the first top_k of them."""
+    (NaN never does), at most the first top_k of them, with their class
+    ids and float64 corners."""
     ok = (boxes.class_ids[order] >= 0) & (boxes.scores[order].astype(np.float64) >= score_threshold)
-    cands = order[ok]
-    return cands if top_k is None else cands[: max(math.ceil(top_k), 0)]
+    cands = order[ok] if top_k is None else order[ok][: max(math.ceil(top_k), 0)]
+    return cands, boxes.class_ids[cands], boxes.corners[cands].astype(np.float64)
 
 
 def _suppression_rows(cls: np.ndarray, xy: np.ndarray, lo: int, hi: int,
@@ -118,9 +119,15 @@ def _suppression_rows(cls: np.ndarray, xy: np.ndarray, lo: int, hi: int,
     """Rows lo:hi of the candidate x candidate suppression mask.
 
     Entry [k, j] is True iff candidate k, once kept, suppresses candidate
-    j: same class and iou(box k, box j) >= iou_threshold.
+    j: same class and iou(box k, box j) >= iou_threshold. The rows are
+    computed TILE at a time from ``lo``, which bounds the float64
+    temporaries.
     """
-    return (cls[lo:hi, None] == cls) & (iou(xy[lo:hi, None], xy) >= iou_threshold)
+    out = np.empty((hi - lo, len(cls)), dtype=bool)
+    for a in range(lo, hi, TILE):
+        z = min(a + TILE, hi)
+        out[a - lo : z - lo] = (cls[a:z, None] == cls) & (iou(xy[a:z, None], xy) >= iou_threshold)
+    return out
 
 
 def _greedy_sweep(mask: np.ndarray, max_output) -> list[int]:
@@ -138,6 +145,15 @@ def _greedy_sweep(mask: np.ndarray, max_output) -> list[int]:
             kept.append(j)
             removed |= mask[j]
     return kept
+
+
+def _result_rows(packed: np.ndarray, kept: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of the NMS output: row r is ``packed[kept[r]]`` for
+    r < len(kept), in score order, and all-invalid past them."""
+    rows = np.full((hi - lo, 6), INVALID, np.float32)
+    ours = kept[lo:hi]
+    rows[: len(ours)] = packed[ours]
+    return rows
 
 
 def box_nms(boxes: BoxSet, iou_threshold: float, score_threshold: float = 0.0,
@@ -159,40 +175,26 @@ def box_nms(boxes: BoxSet, iou_threshold: float, score_threshold: float = 0.0,
         return BoxSet.invalid(0)
     sess = session if session is not None else Session()
     seg = SegmentedArray(values=boxes.scores, offsets=np.array([0, n]))
-    cands = _live(boxes, segmented_argsort(seg, order="descending", session=sess),
-                  score_threshold, top_k)
+    cands, cls, xy = _live(boxes, segmented_argsort(seg, order="descending", session=sess),
+                           score_threshold, top_k)
     c = len(cands)
-    cls = boxes.class_ids[cands]
-    xy = boxes.corners[cands].astype(np.float64)
     mask_buf = sess.alloc(max(1, c * c), "bool", device=GPU, name="nms_mask")
 
-    def fill_mask(ctx):
-        lo = ctx.thread_id * TILE
-        hi = min(lo + TILE, c)
-        if hi > lo:
-            mask_buf[lo * c : hi * c] = _suppression_rows(cls, xy, lo, hi, iou_threshold).reshape(-1)
-        ctx.add_work(hi - lo)
+    def fill_mask(lo, hi):
+        return _suppression_rows(cls, xy, lo, hi, iou_threshold)
 
-    sess.launch(fill_mask, LaunchConfig(grid=1, block=max(1, ceil_div(c, TILE))))
+    launch_rows(sess, LaunchConfig(grid=1, block=max(1, ceil_div(c, TILE))), mask_buf, c,
+                fill_mask, tile=TILE)
     mask = mask_buf.to_numpy()[: c * c].reshape(c, c)
     kept = cands[_greedy_sweep(mask, max_output)]
 
     packed = boxes.to_array()
     out_rows = sess.alloc(n * 6, "f32", device=GPU, name="nms_out")
 
-    def write_out(ctx):
-        t = ctx.thread_id
-        lo = (n * t) // ctx.block_dim
-        hi = (n * (t + 1)) // ctx.block_dim
-        if hi > lo:
-            out_rows[lo * 6 : hi * 6] = INVALID
-        ctx.add_work(hi - lo)
-        yield ctx.barrier()
-        for r in range(t, len(kept), ctx.block_dim):
-            out_rows[r * 6 : r * 6 + 6] = packed[kept[r]]
-            ctx.add_work(1)
+    def write_out(lo, hi):
+        return _result_rows(packed, kept, lo, hi)
 
-    sess.launch(write_out, LaunchConfig(grid=1, block=min(32, max(1, n))))
+    launch_rows(sess, LaunchConfig(grid=1, block=min(32, n)), out_rows, n, write_out)
     return BoxSet.from_array(out_rows.to_numpy().reshape(n, 6))
 
 
@@ -204,17 +206,9 @@ def box_nms_sequential(boxes: BoxSet, iou_threshold: float, score_threshold: flo
     n = len(boxes)
     # stable descending order with NaN scores last, ties by row index
     order = np.argsort(-boxes.scores.astype(np.float64), kind="stable")
-    cands = _live(boxes, order, score_threshold, top_k)
-    c = len(cands)
-    cls = boxes.class_ids[cands]
-    xy = boxes.corners[cands].astype(np.float64)
-    mask = np.zeros((c, c), dtype=bool)
-    for lo in range(0, c, TILE):
-        mask[lo : lo + TILE] = _suppression_rows(cls, xy, lo, lo + TILE, iou_threshold)
-    kept = cands[_greedy_sweep(mask, max_output)]
-    rows = np.full((n, 6), INVALID, np.float32)
-    rows[: len(kept)] = boxes.to_array()[kept]
-    return BoxSet.from_array(rows)
+    cands, cls, xy = _live(boxes, order, score_threshold, top_k)
+    kept = cands[_greedy_sweep(_suppression_rows(cls, xy, 0, len(cands), iou_threshold), max_output)]
+    return BoxSet.from_array(_result_rows(boxes.to_array(), kept, 0, n))
 
 
 DEFAULT_VARIANCES = (0.1, 0.1, 0.2, 0.2)
@@ -261,23 +255,24 @@ def best_foreground_class(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _detection_rows(probs: np.ndarray, locs: np.ndarray, anchors: np.ndarray, variances,
-                    clip: bool) -> np.ndarray:
-    """Packed (k, 6) detection rows for k anchors of one batch element.
+                    clip: bool, lo: int, hi: int) -> np.ndarray:
+    """Packed (hi - lo, 6) detection rows of anchors lo..hi-1.
 
-    ``probs`` is (classes, k), ``locs`` the k anchors' offsets (flat or
-    (k, 4)) and ``anchors`` (k, 4) corners.
+    The inputs are in flat (image, anchor) order: ``probs`` is
+    (classes, anchors), ``locs`` and ``anchors`` (anchors, 4).
     """
-    cls, score = best_foreground_class(probs)
-    rows = np.empty((len(cls), 6), np.float32)
+    cls, score = best_foreground_class(probs[:, lo:hi])
+    rows = np.empty((hi - lo, 6), np.float32)
     rows[:, 0] = cls
     rows[:, 1] = score
-    rows[:, 2:] = decode_boxes(locs, anchors, variances, clip)
+    rows[:, 2:] = decode_boxes(locs[lo:hi], anchors[lo:hi], variances, clip)
     return rows
 
 
 def _check_multibox(class_probs, loc_preds, anchors):
-    """float32 (b, cls, a) probs, (b, 4a) offsets and (a, 4) anchors; rejects
-    inputs whose shapes do not fit together."""
+    """The batch as float32 (cls, b * a) probs, (b * a, 4) offsets and
+    (b * a, 4) anchors in flat (image, anchor) order, plus b and a;
+    rejects inputs whose shapes do not fit together."""
     probs = np.asarray(class_probs, dtype=np.float32)
     locs = np.asarray(loc_preds, dtype=np.float32)
     ancs = np.asarray(anchors, dtype=np.float32)
@@ -286,12 +281,13 @@ def _check_multibox(class_probs, loc_preds, anchors):
             f"expected class_probs (b, cls, a), loc_preds (b, 4a), anchors (1, a, 4); "
             f"got {probs.shape}, {locs.shape}, {ancs.shape}"
         )
-    b, _, a = probs.shape
+    b, k, a = probs.shape
     if ancs.shape[1] != a or ancs.shape[2] != 4 or locs.shape != (b, 4 * a):
         raise ValueError(
             f"shape mismatch: {probs.shape} probs vs {locs.shape} loc_preds vs {ancs.shape} anchors"
         )
-    return probs, locs, ancs[0]
+    flat_probs = probs.transpose(1, 0, 2).reshape(k, b * a)
+    return flat_probs, locs.reshape(b * a, 4), np.tile(ancs[0], (b, 1)), b, a
 
 
 def multibox_detection(class_probs, loc_preds, anchors, variances=DEFAULT_VARIANCES,
@@ -305,33 +301,16 @@ def multibox_detection(class_probs, loc_preds, anchors, variances=DEFAULT_VARIAN
     form within [0, 1]. Returns one BoxSet of capacity ``anchors`` per
     batch element.
     """
-    probs, locs, anc2 = _check_multibox(class_probs, loc_preds, anchors)
-    b, _, a = probs.shape
+    probs, locs, ancs, b, a = _check_multibox(class_probs, loc_preds, anchors)
     sess = session if session is not None else Session()
-
     decoded = sess.alloc(b * a * 6, "f32", device=GPU, name="mbx_decoded")
-    threads = min(32, max(1, a))
 
-    def decode_kernel(ctx):
-        bi, t = ctx.block_id, ctx.thread_id
-        lo = (a * t) // ctx.block_dim
-        hi = (a * (t + 1)) // ctx.block_dim
-        if hi > lo:
-            rows = _detection_rows(probs[bi, :, lo:hi], locs[bi, 4 * lo : 4 * hi], anc2[lo:hi],
-                                   variances, clip)
-            decoded[(bi * a + lo) * 6 : (bi * a + hi) * 6] = rows.reshape(-1)
-        ctx.add_work(hi - lo)
+    def decode(lo, hi):
+        return _detection_rows(probs, locs, ancs, variances, clip, lo, hi)
 
-    sess.launch(decode_kernel, LaunchConfig(grid=b, block=threads))
-    rows = decoded.to_numpy().reshape(b, a, 6)
-
-    results = []
-    for bi in range(b):
-        bs = BoxSet.from_array(rows[bi])
-        results.append(
-            box_nms(bs, iou_threshold, score_threshold, top_k=top_k, max_output=max_output, session=sess)
-        )
-    return results
+    launch_rows(sess, LaunchConfig(grid=b, block=min(32, max(1, a))), decoded, b * a, decode)
+    return [box_nms(BoxSet.from_array(r), iou_threshold, score_threshold, top_k, max_output, sess)
+            for r in decoded.to_numpy().reshape(b, a, 6)]
 
 
 def multibox_detection_sequential(class_probs, loc_preds, anchors, variances=DEFAULT_VARIANCES,
@@ -340,11 +319,7 @@ def multibox_detection_sequential(class_probs, loc_preds, anchors, variances=DEF
                                   clip: bool = True) -> list[BoxSet]:
     """Straight-line decode + greedy NMS, no emulator; same input check as
     multibox_detection."""
-    probs, locs, anc2 = _check_multibox(class_probs, loc_preds, anchors)
-    results = []
-    for bi in range(probs.shape[0]):
-        rows = _detection_rows(probs[bi], locs[bi], anc2, variances, clip)
-        results.append(
-            box_nms_sequential(BoxSet.from_array(rows), iou_threshold, score_threshold, top_k, max_output)
-        )
-    return results
+    probs, locs, ancs, b, a = _check_multibox(class_probs, loc_preds, anchors)
+    rows = _detection_rows(probs, locs, ancs, variances, clip, 0, b * a).reshape(b, a, 6)
+    return [box_nms_sequential(BoxSet.from_array(r), iou_threshold, score_threshold, top_k, max_output)
+            for r in rows]

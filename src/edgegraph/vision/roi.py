@@ -11,16 +11,17 @@ Sample rows and columns depend only on the ROI, so a launch first builds
 its sampling plan for every ROI in one vectorized float64 pass
 (``_plan``). The pooling then runs on tiles of ``TILE`` consecutive ROIs:
 each tile takes all channels at once, with one gather per bilinear corner
-(``_pool_many``). In the kernel each thread pools one tile and writes it
-with one slice store; the sequential twin pools the same tiles in order,
-so the two agree bit for bit, NaNs included.
+(``_pool_many``). The kernel is one ``simt.launch_rows`` launch whose
+threads each pool one tile (``_pool_tiles``) and write it with one slice
+store; the sequential twin runs ``_pool_tiles`` over every ROI, so it
+pools the same tiles and the two agree bit for bit, NaNs included.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..simt import GPU, LaunchConfig, Session, ceil_div
+from ..simt import GPU, LaunchConfig, Session, ceil_div, launch_rows
 
 # ROIs pooled together. It bounds a tile's float64 temporaries, each
 # C x TILE x ph x pw x ratio**2 values. With 16 channels, 7x7 cells and
@@ -121,6 +122,16 @@ def _pool_many(flat: np.ndarray, w: int, plan, lo: int, hi: int) -> np.ndarray:
     return cells.mean(axis=-1).astype(np.float32).transpose(1, 0, 2, 3)
 
 
+def _pool_tiles(flat: np.ndarray, w: int, plan, lo: int, hi: int) -> np.ndarray:
+    """Pooled (hi - lo, C, ph, pw) maps of ROIs lo..hi-1, one tile of
+    ``TILE`` ROIs at a time from ``lo``."""
+    (y0, _, _), (x0, _, _) = plan
+    out = np.empty((hi - lo, flat.shape[0], y0.shape[1], x0.shape[1]), np.float32)
+    for a in range(lo, hi, TILE):
+        out[a - lo : a - lo + TILE] = _pool_many(flat, w, plan, a, min(a + TILE, hi))
+    return out
+
+
 def roi_align(features, rois, output_size, sampling_ratio: int = 2,
               session: Session | None = None) -> np.ndarray:
     """ROIAlign over a (1, C, H, W) feature map.
@@ -137,20 +148,15 @@ def roi_align(features, rois, output_size, sampling_ratio: int = 2,
     plan = _plan(boxes, (ph, pw), ratio, h, w)
     flat = feats[0].reshape(c, h * w)
     sess = session if session is not None else Session()
-    per_roi = c * ph * pw
-    out = sess.alloc(r * per_roi, "f32", device=GPU, name="roi_out")
+    out = sess.alloc(r * c * ph * pw, "f32", device=GPU, name="roi_out")
     tiles = ceil_div(r, TILE)
     block = min(4, tiles)
 
-    def kernel(ctx):
-        t = ctx.global_id
-        if t >= tiles:
-            return
-        lo, hi = t * TILE, min(r, (t + 1) * TILE)
-        out[lo * per_roi : hi * per_roi] = _pool_many(flat, w, plan, lo, hi).reshape(-1)
-        ctx.add_work((hi - lo) * per_roi)
+    def pool(lo, hi):
+        return _pool_tiles(flat, w, plan, lo, hi)
 
-    sess.launch(kernel, LaunchConfig(grid=ceil_div(tiles, block), block=block))
+    launch_rows(sess, LaunchConfig(grid=ceil_div(tiles, block), block=block), out, r, pool,
+                tile=TILE)
     return out.to_numpy().reshape(r, c, ph, pw)
 
 
@@ -158,11 +164,5 @@ def roi_align_sequential(features, rois, output_size, sampling_ratio: int = 2) -
     """Same pooling without the emulator, over the kernel's tiles."""
     feats, boxes, (ph, pw), ratio = _check_inputs(features, rois, output_size, sampling_ratio)
     _, c, h, w = feats.shape
-    r = boxes.shape[0]
-    out = np.zeros((r, c, ph, pw), np.float32)
     plan = _plan(boxes, (ph, pw), ratio, h, w)
-    flat = feats[0].reshape(c, h * w)
-    for lo in range(0, r, TILE):
-        hi = min(r, lo + TILE)
-        out[lo:hi] = _pool_many(flat, w, plan, lo, hi)
-    return out
+    return _pool_tiles(feats[0].reshape(c, h * w), w, plan, 0, boxes.shape[0])

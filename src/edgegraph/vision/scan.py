@@ -240,9 +240,8 @@ def compact(values, keep, p: int = 8, session: Session | None = None) -> tuple[n
     def scatter(ctx):
         a, z = ranges[ctx.block_id]
         ctx.add_work(z - a)
-        for j in range(a, z):
-            if flags[j]:
-                dst[int(positions[j])] = src[j]
+        sel = flags[a:z]
+        dst[positions[a:z][sel]] = src[a:z][sel]
 
     sess.launch(scatter, LaunchConfig(grid=len(ranges), block=1))
     return dst.to_numpy()[:count], count

@@ -213,3 +213,22 @@ def test_kernel_and_twin_reject_bad_input_alike(values, kind):
             run()
         errors.append(str(e.value))
     assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("p", [1, 3, 8])
+def test_scan_and_compact_race_checked_match_unchecked(p):
+    rng = np.random.default_rng(p)
+    vals = rng.integers(-9, 9, 45).astype(np.int32)
+    floats = rng.standard_normal(45).astype(np.float32)
+    keep = rng.random(45) < 0.4
+    for kind in ("inclusive", "exclusive"):
+        for v in (vals, floats):
+            want = scan(v, kind, p=p, session=Session())
+            got = scan(v, kind, p=p, session=Session(race_check=True))
+            assert got.tobytes() == want.tobytes()
+    for v in (vals, floats):
+        sessions = Session(), Session(race_check=True)
+        want, got = (compact(v, keep, p=p, session=s) for s in sessions)
+        assert got[1] == want[1] == int(keep.sum())
+        assert got[0].tobytes() == want[0].tobytes() == v[keep].tobytes()
+        assert sessions[0].stats() == sessions[1].stats()

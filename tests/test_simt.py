@@ -15,6 +15,7 @@ from edgegraph.simt import (
     RaceError,
     Session,
     lane_form,
+    launch_rows,
 )
 
 
@@ -525,3 +526,91 @@ def test_lane_form_bounds_error_names_a_readable_location(race_check, where):
         sess.launch(kernel, LaunchConfig(grid=2, block=4))
     assert str(err.value).startswith(f"{where}: ")
     assert "[" not in str(err.value).split(":")[0]
+
+
+@pytest.mark.parametrize("rows, tile, grid, block, shares", [
+    (10, 1, 1, 8, [(0, 1), (1, 2), (2, 3), (3, 5), (5, 6), (6, 7), (7, 8), (8, 10)]),
+    (3, 1, 1, 3, [(0, 1), (1, 2), (2, 3)]),
+    # three tiles of 4 over 8 lanes: the first three lanes take one each
+    (10, 4, 2, 4, [(0, 4), (4, 8), (8, 10)] + [(10, 10)] * 5),
+    (0, 4, 1, 1, [(0, 0)]),
+])
+@pytest.mark.parametrize("race_check", [False, True])
+def test_launch_rows_splits_tiles_into_consecutive_even_shares(rows, tile, grid, block, shares,
+                                                               race_check):
+    sess = Session(race_check=race_check)
+    out = sess.alloc(max(1, 2 * rows), "i32", name="rows")
+    calls = []
+
+    def twice(lo, hi):
+        calls.append((lo, hi))
+        return np.repeat(np.arange(lo, hi), 2)
+
+    launch_rows(sess, LaunchConfig(grid, block), out, rows, twice, tile=tile)
+    assert out.to_numpy()[: 2 * rows].tolist() == np.repeat(np.arange(rows), 2).tolist()
+    assert sess.stats().per_thread_items == [2 * (hi - lo) for lo, hi in shares]
+    assert sess.launch_log == [LaunchConfig(grid, block)]
+    # one call over every lane's rows, or one per lane that owns any
+    assert calls == ([(0, rows)] if rows and not race_check
+                     else [s for s in shares if s[1] > s[0]] if race_check else [])
+
+
+def test_launch_rows_names_its_kernel_after_the_range_function():
+    sess = Session()
+    names = []
+    launch = sess.launch
+    sess.launch = lambda kernel, config: (names.append(kernel.__qualname__), launch(kernel, config))
+
+    def fill(lo, hi):
+        return np.zeros(hi - lo)
+
+    launch_rows(sess, LaunchConfig(1, 2), sess.alloc(4), 4, fill)
+    assert names == [fill.__qualname__]
+
+
+def test_launch_rows_race_check_sees_the_range_functions_reads():
+    sess = Session(race_check=True)
+    src = sess.alloc(4, "i32", name="src")
+    out = sess.alloc(4, "i32", name="out")
+
+    def neighbour(lo, hi):
+        return src[lo + 1 : hi + 1] if hi < 4 else src[lo:hi]
+
+    src.load([1, 2, 3, 4])
+    launch_rows(sess, LaunchConfig(1, 2), out, 4, neighbour)
+    with pytest.raises(RaceError, match=r"block 0, thread 1: write to buffer 'src' slot 2 "):
+        launch_rows(sess, LaunchConfig(1, 2), src, 4, neighbour)
+
+
+@pytest.mark.parametrize("index", [-1, 2, slice(-1, None), slice(0, 3), slice(1, 0)])
+def test_race_checked_shared_storage_rejects_indices_out_of_range(index):
+    sess = Session(race_check=True)
+
+    def kernel(ctx):
+        if ctx.block_id == 1:
+            ctx.shared[index] = [1]
+
+    with pytest.raises(BufferBoundsError, match=r"^block 1, thread 0: .*shared storage of length 2"):
+        sess.launch(kernel, LaunchConfig(grid=2, block=1, shared_slots=2))
+
+
+def test_race_checked_shared_slot_race_names_block_thread_and_slot():
+    sess = Session(race_check=True)
+    out = sess.alloc(2, "i32")
+
+    def write_write(ctx):
+        if ctx.block_id == 1:
+            ctx.shared[0] = ctx.thread_id
+
+    def write_read(ctx):
+        if ctx.thread_id == 0:
+            ctx.shared[1] = 5
+        else:
+            out[1] = ctx.shared[1]
+
+    with pytest.raises(RaceError, match=r"^block 1, thread 1: write to shared slot 0 conflicts"):
+        sess.launch(write_write, LaunchConfig(grid=2, block=2, shared_slots=1))
+    with pytest.raises(RaceError, match=r"^block 0, thread 1: read of shared slot 1 written by"):
+        sess.launch(write_read, LaunchConfig(grid=1, block=2, shared_slots=2))
+    # unchecked, the same kernels run on plain storage
+    Session().launch(write_write, LaunchConfig(grid=2, block=2, shared_slots=1))

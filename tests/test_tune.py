@@ -386,3 +386,31 @@ def test_records_damaged_line_before_the_end_still_raises(tmp_path):
         f.write(rec.to_json()[:25] + "\n" + rec.to_json())
     with pytest.raises(ValueError, match=":3:"):
         records_load(str(p))
+
+
+def running_timer(run, wl, cfg):
+    run()
+    return 1.0
+
+
+@pytest.mark.parametrize("timer, runs, repeats", [
+    (proxy_timer, 1, 1), (running_timer, 4, 3),
+])
+def test_proxy_measure_prices_its_verification_run(monkeypatch, timer, runs, repeats):
+    import edgegraph.tune as tune
+
+    calls = []
+    real = tune.conv2d_scheduled
+    monkeypatch.setattr(tune, "conv2d_scheduled", lambda *a, **k: calls.append(1) or real(*a, **k))
+    cfg = ScheduleConfig(oc_split=2, w_tile=3)
+    rec = measure(WL, cfg, repeats=3, timer=timer)
+    assert len(calls) == runs
+    assert (rec.repeats, rec.cost_std) == (repeats, 0.0)
+    if timer is proxy_timer:
+        # the same cost as pricing a fresh run of the config
+        def run():
+            sess = tune.Session()
+            real(*(tune._workload_data(WL)[k] for k in ("inp", "wgt")), WL, cfg, session=sess)
+            return sess
+
+        assert rec.cost_mean == proxy_timer(run, WL, cfg)
