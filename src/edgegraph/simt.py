@@ -258,8 +258,9 @@ class _SharedMem:
     """Block-shared storage with per-slot race tracking.
 
     Used under race check; as for a buffer, a negative or out-of-range
-    index raises :class:`BufferBoundsError` and a conflict
-    :class:`RaceError`, each naming the block and thread.
+    index, or a slice store of another length than the slots it selects,
+    raises :class:`BufferBoundsError` and a conflict :class:`RaceError`,
+    each naming the block and thread.
     """
 
     __slots__ = ("slots", "_ctx_session", "_w_owner", "_r_owner")
@@ -280,7 +281,14 @@ class _SharedMem:
         return self.slots[idx]
 
     def __setitem__(self, idx, value):
-        for i in self._slots_of(idx):
+        picked = self._slots_of(idx)
+        if isinstance(idx, slice):
+            value = list(value)
+            if len(value) != len(picked):
+                # a list slice store of another length would resize the storage
+                raise BufferBoundsError(f"{self._where()}: slice [{idx.start}:{idx.stop}:{idx.step}] "
+                                        f"of shared storage takes {len(picked)} values, got {len(value)}")
+        for i in picked:
             self._check_write(i)
         self.slots[idx] = value
 
@@ -537,7 +545,7 @@ class Session:
                 self._current = c
                 self._current_gid = base + c.thread_id
                 kernel(c, *buffers)
-            self._phase_end(ctxs, shared)
+            self._phase_end(ctxs, shared, config.shared_slots)
             return
 
         # calling a generator kernel runs none of its body yet
@@ -552,7 +560,7 @@ class Session:
                     finished.append(c)
                 else:
                     yielded.append(c)
-            self._phase_end(alive, shared)
+            self._phase_end(alive, shared, config.shared_slots)
             if yielded and finished:
                 raise BarrierDivergenceError(
                     f"block {b}: threads {[c.thread_id for c in finished]} skipped a barrier "
@@ -562,7 +570,11 @@ class Session:
                 self._stats.barriers += 1
             alive = yielded
 
-    def _phase_end(self, ctxs, shared):
+    def _phase_end(self, ctxs, shared, slots):
+        if len(shared) != slots:
+            # unchecked storage is a plain list, which a slice store can resize
+            raise BufferBoundsError(f"block {ctxs[0].block_id}: a slice store resized shared storage "
+                                    f"of length {slots} to {len(shared)}")
         guards = [c._guards for c in ctxs if c._guards is not None]
         if guards:
             self._stats.divergence_events += _divergence(guards)
@@ -591,7 +603,8 @@ def launch_rows(session: Session, config: LaunchConfig, out: DeviceBuffer, rows:
     even shares (lanes past the tile count get none) and report the
     elements they store as work. ``fn`` runs once per call over the
     union of the call's lanes (every lane unchecked, one under race
-    check); its result is stored with one checked slice write. The
+    check); its result is stored with one checked slice write. Each of
+    ``lo`` and ``hi`` is a multiple of ``tile`` or equal to ``rows``. The
     kernel takes ``fn``'s name, so a launch is named after its operator.
     """
     width = len(out) // rows if rows else 0

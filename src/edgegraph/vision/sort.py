@@ -2,20 +2,24 @@
 
 Variable-length segments are kept flat, with segment start offsets on
 the side, and the flat array is chopped into equal-size sort blocks.
-One launch sorts every block locally (respecting segment boundaries);
-then a tree of merge passes doubles the cooperative width each round.
-Elements never cross a segment boundary, and in each merge only the
-segment spanning the active interface between two runs needs work; pairs
-that are already ordered (or contain no spanning segment) are copied
-through. Ranks are stable: equal keys keep their original order.
+Every launch is one :func:`simt.launch_rows` call over the output slots
+in tiles of one sort block, so lane g owns sort block g in every pass.
+The first launch, one thread per block, sorts each block; merge pass k,
+blocks of 2**k threads, leaves sorted runs of ``block << k`` slots, so
+ceil(log2 num_blocks) merge passes sort every segment. Elements never
+cross a segment boundary: a pass sorts each of its pieces, the part of
+one segment that lies in one of the pass's runs.
 
-Each launch works from a plan computed once from the offsets with a
-vectorized ``searchsorted``: the segment boundaries inside every sort
-block, and for every merge group its interface and the window of the
-segment spanning it. A merging block stages its window's keys in shared
-storage, each thread copying its own share with one slice read, passes
-one barrier, and then runs the Merge Path co-rank search (Green, McColl
-and Bader, ICS 2012) and its slice of the merge on the staged keys.
+A lane widens its rows to the run that holds them, ranks that run from
+the previous pass's permutation, and keeps its own rows. Ranking a run
+is a stable sort of each piece by (nan flag, value), and in a merge
+pass that sort is the piece's merge. There a piece is at most two sorted
+pieces of the previous pass, A before B. Equal keys sit in ascending
+index order within each, and every index in A is below every index in
+B, so the stable sort puts equal keys in index order: the strict order
+(nan flag, value, index) that merging A and B gives. Ranks are
+therefore stable, and the launches need no barrier and no shared
+storage.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..simt import GPU, LaunchConfig, Session, ceil_div, log2_ceil
+from ..simt import GPU, LaunchConfig, Session, ceil_div, launch_rows, log2_ceil
 
 
 @dataclass(frozen=True)
@@ -79,19 +83,11 @@ def _sort_keys(values: np.ndarray, order: str):
     return nan.astype(np.int8), keyv
 
 
-def _corank(d: int, na: int, nb: int, win) -> int:
-    """Split point: the first d merged elements take i from A, d-i from B.
-
-    ``win`` holds A in ``win[:na]`` and B in ``win[na:na + nb]``.
-    """
-    lo, hi = max(0, d - nb), min(d, na)
-    while lo < hi:
-        i = (lo + hi) // 2
-        if win[i] < win[na + d - i - 1]:
-            lo = i + 1
-        else:
-            hi = i
-    return lo
+def _ranked(src, piece, nanflag, keyv, lo: int, hi: int) -> np.ndarray:
+    """``src[lo:hi]`` stably sorted by (nan flag, value) of its entries
+    within each run of equal ``piece``, which never decreases."""
+    s = src[lo:hi]
+    return s[np.lexsort((keyv[s], nanflag[s], piece[lo:hi]))]
 
 
 def segmented_argsort(a: SegmentedArray, order: str = "ascending", block: int = 64,
@@ -111,119 +107,25 @@ def segmented_argsort(a: SegmentedArray, order: str = "ascending", block: int = 
     if n == 0:
         return np.zeros(0, dtype=np.int32)
 
-    offsets = a.offsets
-    num_blocks = ceil_div(n, block)
     sess = session if session is not None else Session()
+    slots = np.arange(n)
+    seg = np.searchsorted(a.offsets, slots, side="right") - 1
+    perms = [sess.alloc(n, "i32", device=GPU, name=f"sort_perm_{c}") for c in "ab"]
+    src = slots
+    for k in range(log2_ceil(ceil_div(n, block)) + 1):
+        run = block << k  # sorted-run width this pass leaves
+        # both terms never decrease, so runs of equal sum are the pass's
+        # pieces: one (run, segment) pair each
+        piece = slots // run + seg
 
-    perm_a = sess.alloc(n, "i32", device=GPU, name="sort_perm_a")
-    perm_b = sess.alloc(n, "i32", device=GPU, name="sort_perm_b")
+        def rank(lo, hi):
+            r0, r1 = lo - lo % run, min(n, ceil_div(hi, run) * run)
+            return _ranked(src, piece, nanflag, keyv, r0, r1)[lo - r0 : hi - r0]
 
-    # per-launch plan: the segment boundaries strictly inside each block
-    block_starts = np.arange(0, n, block)
-    cut_lo = np.searchsorted(offsets, block_starts, side="right").tolist()
-    cut_hi = np.searchsorted(offsets, np.minimum(block_starts + block, n), side="left").tolist()
-    offs_l = offsets.tolist()
-
-    def block_sort(ctx):
-        b = ctx.block_id
-        a0 = b * block
-        z0 = min(a0 + block, n)
-        ctx.add_work(z0 - a0)
-        bounds = [a0] + offs_l[cut_lo[b] : cut_hi[b]] + [z0]
-        for u, w in zip(bounds, bounds[1:]):
-            if w - u <= 0:
-                continue
-            ranked = np.lexsort((keyv[u:w], nanflag[u:w]))  # stable: ties keep index order
-            perm_a[u:w] = (u + ranked).astype(np.int32)
-
-    sess.launch(block_sort, LaunchConfig(grid=num_blocks, block=1))
-
-    # each slot's key as a plain tuple; the float32 -> float widening is
-    # exact and the slot index breaks ties, so the order is strict
-    keys = list(zip(nanflag.tolist(), keyv.tolist(), range(n)))
-    src, dst = perm_a, perm_b
-    for k in range(log2_ceil(num_blocks)):
-        run = (1 << k) * block  # sorted-run width entering this pass
-        coop = 1 << (k + 1)  # threads cooperating per merged pair
-        _merge_pass(sess, src, dst, keys, offsets, n, run, coop)
-        src, dst = dst, src
-
-    return src.to_numpy() - _segment_starts(offsets, n)
-
-
-def _segment_starts(offsets: np.ndarray, n: int) -> np.ndarray:
-    """For every slot, the start offset of the segment owning it."""
-    if n == 0:
-        return np.zeros(0, dtype=np.int32)
-    seg = np.searchsorted(offsets, np.arange(n), side="right") - 1
-    return offsets[seg].astype(np.int32)
-
-
-def _merge_plan(offsets: np.ndarray, n: int, run: int) -> list:
-    """Per merge group: (u0, m, u1) of the window [u0, u1) around its run
-    interface m, where one segment strictly contains m; None elsewhere."""
-    g0 = np.arange(0, n, 2 * run)
-    m = g0 + run
-    s = np.minimum(np.searchsorted(offsets, m, side="right") - 1, len(offsets) - 2)
-    start, stop = offsets[s], offsets[s + 1]
-    u0 = np.maximum(start, g0).tolist()
-    u1 = np.minimum(stop, g0 + 2 * run).tolist()  # stop <= n
-    spans = ((start < m) & (m < stop)).tolist()
-    return [(a, c, z) if ok else None for ok, a, c, z in zip(spans, u0, m.tolist(), u1)]
-
-
-def _merge_pass(sess, src, dst, keys, offsets, n, run, coop):
-    plan = _merge_plan(offsets, n, run)
-
-    def merge(ctx):
-        t = ctx.thread_id
-        g0 = ctx.block_id * 2 * run
-        size = min(2 * run, n - g0)
-        c0 = g0 + (size * t) // coop
-        c1 = g0 + (size * (t + 1)) // coop
-        span = plan[ctx.block_id]
-        if span is not None:
-            # adjacent runs of one segment may already be in order
-            last_a, first_b = src[span[1] - 1 : span[1] + 1].tolist()
-            if keys[last_a] < keys[first_b]:
-                span = None
-        # each thread reads its share of the group with one slice read
-        share = src[c0:c1]
-        if not ctx.guard(span is not None):
-            dst[c0:c1] = share
-            ctx.add_work(c1 - c0)
-            return
-        u0, m, u1 = span
-        # the parts of the share outside the window [u0, u1) are copied
-        # through; the part inside is staged in shared storage, where A
-        # sits at [0, na) and B at [na, total)
-        lo, hi = max(c0, u0), min(c1, u1)
-        if c0 < u0:
-            z = min(c1, u0)
-            dst[c0:z] = share[: z - c0]
-        if c1 > u1:
-            a = max(c0, u1)
-            dst[a:c1] = share[a - c0 :]
-        ctx.add_work(c1 - c0 - max(0, hi - lo))
-        win = ctx.shared
-        if hi > lo:
-            win[lo - u0 : hi - u0] = [keys[s] for s in share[lo - c0 : hi - c0].tolist()]
-        yield ctx.barrier()
-        total, na = u1 - u0, m - u0
-        d0 = (total * t) // coop
-        d1 = (total * (t + 1)) // coop
-        if d1 > d0:
-            i0 = _corank(d0, na, total - na, win)
-            i1 = _corank(d1, na, total - na, win)
-            j0, j1 = d0 - i0, d1 - i1
-            # the output window [d0, d1) consumes exactly A[i0:i1) and
-            # B[j0:j1); the keys are distinct, so sorting the two runs
-            # together gives their merge
-            merged = sorted(win[i0:i1] + win[na + j0 : na + j1])
-            dst[u0 + d0 : u0 + d1] = [key[2] for key in merged]
-            ctx.add_work(d1 - d0)
-
-    sess.launch(merge, LaunchConfig(grid=len(plan), block=coop, shared_slots=2 * run))
+        dst = perms[k % 2]
+        launch_rows(sess, LaunchConfig(grid=ceil_div(n, run), block=1 << k), dst, n, rank, tile=block)
+        src = dst
+    return (src.to_numpy() - a.offsets[seg]).astype(np.int32)
 
 
 def argsort_sequential(values, order: str = "ascending", offsets=None) -> np.ndarray:
@@ -236,9 +138,6 @@ def argsort_sequential(values, order: str = "ascending", offsets=None) -> np.nda
     offs = np.asarray(offsets if offsets is not None else [0, vals.size], dtype=np.int64)
     sa = SegmentedArray(values=vals, offsets=offs)
     nanflag, keyv = _sort_keys(sa.values, order)
-    out = np.zeros(vals.size, dtype=np.int32)
-    for s in range(sa.num_segments):
-        u, w = int(offs[s]), int(offs[s + 1])
-        if w > u:
-            out[u:w] = np.lexsort((keyv[u:w], nanflag[u:w]))
-    return out
+    slots = np.arange(vals.size)
+    seg = np.searchsorted(offs, slots, side="right") - 1
+    return (_ranked(slots, seg, nanflag, keyv, 0, vals.size) - offs[seg]).astype(np.int32)

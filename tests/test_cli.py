@@ -86,8 +86,9 @@ def test_stats_dumps_launch_counters(fixture_files, capsys):
     graph, inputs = fixture_files
     assert main(["stats", graph, inputs]) == 0
     stats = json.loads(capsys.readouterr().out)
-    assert stats["launches"] > 5
-    assert stats["barriers"] >= 1
+    # all-GPU fixture: every launch, argsort's included, is barrier-free
+    assert stats["launches"] == 17
+    assert stats["barriers"] == 0
     assert "per_thread_items" in stats
 
 

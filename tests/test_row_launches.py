@@ -6,7 +6,7 @@ import pytest
 
 from edgegraph import vision
 from edgegraph.graph import assign_devices, load_graph, run_graph
-from edgegraph.simt import Session
+from edgegraph.simt import LaunchConfig, Session, ceil_div, log2_ceil
 from edgegraph.tensor import LayoutTag, Tensor, transform_kernel
 
 
@@ -93,3 +93,32 @@ def test_row_launches_agree_race_checked_and_unchecked(op):
     seen = {name for name, _, _ in unchecked[1]}
     # each of the operator's row launches ran, named after it, not after the helper
     assert names <= seen and not any("launch_rows" in n for n in seen)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 64])
+def test_segmented_argsort_row_launches_agree_race_checked_and_unchecked(block):
+    offsets = np.array([0, 9, 9, 40, 41, 100])  # an empty and a one-element segment
+    n = int(offsets[-1])
+
+    def run(sess, rng):
+        vals = rng.integers(-3, 3, n).astype(np.float32)  # many ties
+        vals[rng.integers(0, n, 8)] = np.nan
+        sa = vision.SegmentedArray(values=vals, offsets=offsets)
+        outs = [vision.segmented_argsort(sa, order, block=block, session=sess)
+                for order in ("ascending", "descending")]
+        for order, got in zip(("ascending", "descending"), outs):
+            assert np.array_equal(got, vision.argsort_sequential(vals, order, offsets))
+        return outs
+
+    unchecked, checked = _run(run, False), _run(run, True)
+    assert checked == unchecked
+    passes = 1 + log2_ceil(ceil_div(n, block))
+    launches = unchecked[1]
+    assert len(launches) == 2 * passes
+    for i, (name, config, items) in enumerate(launches):
+        k = i % passes
+        assert name == "segmented_argsort.<locals>.rank"
+        assert config == LaunchConfig(grid=ceil_div(n, block << k), block=1 << k)
+        # lane g stores sort block g: the block sort and every merge pass alike
+        lanes = config.grid * config.block
+        assert items == [max(0, min(block, n - g * block)) for g in range(lanes)]

@@ -555,6 +555,23 @@ def test_launch_rows_splits_tiles_into_consecutive_even_shares(rows, tile, grid,
                      else [s for s in shares if s[1] > s[0]] if race_check else [])
 
 
+@pytest.mark.parametrize("rows, tile, grid, block", [
+    (100, 7, 3, 4), (100, 7, 1, 1), (64, 8, 2, 8), (13, 4, 5, 2), (5, 16, 1, 4), (30, 1, 2, 3),
+])
+@pytest.mark.parametrize("race_check", [False, True])
+def test_launch_rows_calls_fn_only_at_tile_edges_or_rows(rows, tile, grid, block, race_check):
+    sess = Session(race_check=race_check)
+    calls = []
+
+    def edges(lo, hi):
+        calls.append((lo, hi))
+        return np.arange(lo, hi)
+
+    launch_rows(sess, LaunchConfig(grid, block), sess.alloc(rows, "i32"), rows, edges, tile=tile)
+    assert calls
+    assert all(e % tile == 0 or e == rows for call in calls for e in call)
+
+
 def test_launch_rows_names_its_kernel_after_the_range_function():
     sess = Session()
     names = []
@@ -614,3 +631,17 @@ def test_race_checked_shared_slot_race_names_block_thread_and_slot():
         sess.launch(write_read, LaunchConfig(grid=1, block=2, shared_slots=2))
     # unchecked, the same kernels run on plain storage
     Session().launch(write_write, LaunchConfig(grid=2, block=2, shared_slots=1))
+
+
+@pytest.mark.parametrize("race_check, message", [
+    (False, r"^block 1: a slice store resized shared storage of length 4 to 3$"),
+    (True, r"^block 1, thread 0: slice \[0:2:None\] of shared storage takes 2 values, got 1$"),
+])
+def test_shared_slice_store_of_another_length_raises(race_check, message):
+    # a plain list would take the short store and shrink to 3 slots
+    def kernel(ctx):
+        ctx.shared[0:2] = [7, 8] if ctx.block_id == 0 else [7]
+        yield ctx.barrier()
+
+    with pytest.raises(BufferBoundsError, match=message):
+        Session(race_check=race_check).launch(kernel, LaunchConfig(grid=2, block=1, shared_slots=4))
