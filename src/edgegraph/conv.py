@@ -138,7 +138,9 @@ class ScheduleConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScheduleConfig":
-        return cls(**{k: int(v) for k, v in d.items()})
+        if any(type(v) is not int for v in d.values()):
+            raise ValueError(f"schedule fields must be ints, got {d}")
+        return cls(**d)
 
 
 def _check_shapes(inp: np.ndarray, wgt: np.ndarray, wl: ConvWorkload) -> None:

@@ -89,11 +89,12 @@ class LaunchStats:
     """Accumulated counters plus the load profile of the last launch.
 
     ``launches``, ``barriers`` and ``divergence_events`` never decrease
-    within a session. Every launch overwrites ``per_thread_items`` with
-    one Python ``int`` work-item count per logical thread of that launch
-    (all zero when its kernel reported no work), and ``load_imbalance``
-    is (max - min) / mean of those counts (0 when the profile is empty or
-    all-zero).
+    within a session. ``per_thread_items`` is a fresh list of one Python
+    ``int`` work-item count per logical thread of the last launch (all
+    zero when its kernel reported no work), and ``load_imbalance`` is
+    (max - min) / mean of those counts (0 when the profile is empty or
+    all-zero). A session keeps the counts as an int64 array, from which
+    :meth:`Session.stats` builds both fields.
     """
 
     launches: int = 0
@@ -103,9 +104,10 @@ class LaunchStats:
     load_imbalance: float = 0.0
 
 
-def _imbalance(items) -> float:
-    mean = sum(items) / len(items) if items else 0
-    return (max(items) - min(items)) / mean if mean else 0.0
+def _imbalance(items: np.ndarray) -> float:
+    # the sum as an exact int, so the division is Python's, as for a list
+    mean = int(items.sum()) / items.size if items.size else 0
+    return int(items.max() - items.min()) / mean if mean else 0.0
 
 
 def _check_index(idx, n: int, owner) -> None:
@@ -453,6 +455,7 @@ class Session:
         self._current = None
         self._current_gid = None
         self._work = None
+        self._items = np.zeros(0, np.int64)  # the last launch's work counts
         self.launch_log: list[LaunchConfig] = []
 
     def alloc(self, length: int, dtype: str = "f32", device: str = GPU, name: str = "") -> DeviceBuffer:
@@ -464,7 +467,8 @@ class Session:
 
     def stats(self) -> LaunchStats:
         """Snapshot of the accumulated counters; does not reset them."""
-        return replace(self._stats, per_thread_items=list(self._stats.per_thread_items))
+        return replace(self._stats, per_thread_items=self._items.tolist(),
+                       load_imbalance=_imbalance(self._items))
 
     def launch(self, kernel, config: LaunchConfig, *buffers: DeviceBuffer) -> None:
         """Run ``kernel(ctx, *buffers)`` over all (block, thread) instances.
@@ -490,21 +494,20 @@ class Session:
             if lanes:
                 self._work = np.zeros(grid * block, np.int64)
                 self._run_lanes(kernel, grid, block, buffers)
-                items = self._work.tolist()
+                items = self._work
             else:
                 self._work = [0] * (grid * block)
                 ctxs = [ThreadCtx(t, block, grid, self) for t in range(block)]
                 for b in range(grid):
                     self._run_block(kernel, is_gen, b, config, ctxs, buffers)
-                items = [int(x) for x in self._work]
+                items = np.array(self._work, dtype=np.int64)
         finally:
             self._current = None
             self._current_gid = None
             self._work = None
             # a launch that raised mid-phase leaves no owners behind
             self._race_phase_reset()
-        self._stats.per_thread_items = items
-        self._stats.load_imbalance = _imbalance(items)
+        self._items = items
 
     def _run_lanes(self, kernel, grid, block, buffers):
         if not self.race_check:

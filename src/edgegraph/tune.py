@@ -80,6 +80,8 @@ class TuningRecord:
     @classmethod
     def from_json(cls, text: str) -> "TuningRecord":
         rec = json.loads(text)
+        if not isinstance(rec, dict) or not isinstance(rec.get("config"), dict):
+            raise ValueError("a record and its config must be JSON objects")
         return cls(
             workload_key=rec["workload"],
             config=ScheduleConfig.from_dict(rec["config"]),
@@ -240,14 +242,14 @@ def records_load(path) -> list:
         header = json.loads(lines[0])
     except json.JSONDecodeError as e:
         raise ValueError(f"{path}:1: bad header: {e}") from None
-    if header.get("schema") != RECORDS_HEADER["schema"]:
-        raise ValueError(f"{path}:1: unsupported schema {header.get('schema')!r}")
+    if not isinstance(header, dict) or header.get("schema") != RECORDS_HEADER["schema"]:
+        raise ValueError(f"{path}:1: unsupported schema in header {header!r}")
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
             out.append(TuningRecord.from_json(line))
-        except (json.JSONDecodeError, KeyError) as e:
+        except (ValueError, KeyError, TypeError) as e:
             if i == torn:
                 warnings.warn(f"{path}:{i}: skipping torn final record: {e}", stacklevel=2)
                 continue

@@ -12,14 +12,15 @@ one segment that lies in one of the pass's runs.
 
 A lane widens its rows to the run that holds them, ranks that run from
 the previous pass's permutation, and keeps its own rows. Ranking a run
-is a stable sort of each piece by (nan flag, value), and in a merge
-pass that sort is the piece's merge. There a piece is at most two sorted
-pieces of the previous pass, A before B. Equal keys sit in ascending
-index order within each, and every index in A is below every index in
-B, so the stable sort puts equal keys in index order: the strict order
-(nan flag, value, index) that merging A and B gives. Ranks are
-therefore stable, and the launches need no barrier and no shared
-storage.
+is one stable sort of packed int64 keys: the piece id above bit 33, the
+nan flag at bit 32 and an order-preserving image of the float32 value
+below it. In a merge pass a piece is at most two sorted pieces of the
+previous pass, A before B. Equal keys sit in ascending index order
+within each, and every index in A is below every index in B, so the
+stable sort puts equal keys in index order, as merging A and B does.
+numpy's stable int64 sort is a timsort, which finds A and B as runs and
+merges them, so a merge pass costs a merge. Ranks are therefore stable,
+and the launches need no barrier and no shared storage.
 """
 
 from __future__ import annotations
@@ -40,9 +41,12 @@ class SegmentedArray:
 
     def __post_init__(self):
         vals = np.asarray(self.values)
-        offs = np.asarray(self.offsets, dtype=np.int64)
+        offs = np.asarray(self.offsets)
         if vals.ndim != 1 or offs.ndim != 1:
             raise ValueError("values and offsets must be flat")
+        if offs.size and offs.dtype.kind not in "iu":
+            raise ValueError(f"offsets must be integers, got dtype {offs.dtype}")
+        offs = offs.astype(np.int64)
         if offs.size < 1 or offs[0] != 0:
             raise ValueError("offsets must start at 0")
         if np.any(np.diff(offs) < 0):
@@ -63,31 +67,37 @@ class SegmentedArray:
     def num_segments(self) -> int:
         return len(self.offsets) - 1
 
-    def segment(self, s: int) -> np.ndarray:
-        return self.values[self.offsets[s] : self.offsets[s + 1]]
 
+def _keyed(a: SegmentedArray, order: str):
+    """(slots, segment of each slot, sort key of each slot) of ``a``.
 
-def _sort_keys(values: np.ndarray, order: str):
-    """Key arrays giving a strict total order: (nan-last flag, value, index).
-
-    Descending negates the value key; NaNs sort last in either order.
-    Any other ``order`` raises.
+    A key is an int64 whose order is (nan-last flag, value) with -0 ==
+    +0: bit 32 is the nan flag, bits 0-31 an order-preserving uint32
+    image of the value (0 for a nan). Descending negates the value. Any
+    other ``order`` raises, as does an array whose piece ids, each below
+    elements + segments, would not fit above the 33 key bits.
     """
     if order not in ("ascending", "descending"):
         raise ValueError(f"order must be 'ascending' or 'descending', got {order!r}")
-    vals = np.asarray(values, dtype=np.float32)
-    nan = np.isnan(vals)
-    keyv = np.where(nan, np.float32(0), vals)
-    if order == "descending":
-        keyv = -keyv
-    return nan.astype(np.int8), keyv
+    n = int(a.values.size)
+    if n + a.num_segments > 1 << 30:  # so (piece << 33) | key < 2**63
+        raise ValueError(f"argsort of {n} elements in {a.num_segments} segments overflows its "
+                         f"packed int64 sort key: elements + segments must be at most 2**30")
+    slots = np.arange(n)
+    vals = np.asarray(a.values, dtype=np.float32)
+    # adding to or subtracting from +0 also turns -0 into +0, so they tie
+    vals = np.float32(0) - vals if order == "descending" else vals + np.float32(0)
+    # a negative value's bits flip whole, a non-negative one's sign bit sets
+    flip = (vals.view(np.int32) >> 31).view(np.uint32) | np.uint32(1 << 31)
+    key = np.where(np.isnan(vals), np.int64(1 << 32), vals.view(np.uint32) ^ flip)
+    return slots, np.searchsorted(a.offsets, slots, side="right") - 1, key
 
 
-def _ranked(src, piece, nanflag, keyv, lo: int, hi: int) -> np.ndarray:
-    """``src[lo:hi]`` stably sorted by (nan flag, value) of its entries
-    within each run of equal ``piece``, which never decreases."""
+def _ranked(src, piece, key, lo: int, hi: int) -> np.ndarray:
+    """``src[lo:hi]`` stably sorted by the key of its entries within each
+    run of equal ``piece``, which never decreases."""
     s = src[lo:hi]
-    return s[np.lexsort((keyv[s], nanflag[s], piece[lo:hi]))]
+    return s[np.argsort((piece[lo:hi] << 33) | key[s], kind="stable")]
 
 
 def segmented_argsort(a: SegmentedArray, order: str = "ascending", block: int = 64,
@@ -100,16 +110,14 @@ def segmented_argsort(a: SegmentedArray, order: str = "ascending", block: int = 
     block-sort launch plus ceil(log2 num_blocks) merge launches; the
     result is independent of ``block``.
     """
-    nanflag, keyv = _sort_keys(a.values, order)
+    slots, seg, key = _keyed(a, order)
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
-    n = int(a.values.size)
+    n = slots.size
     if n == 0:
         return np.zeros(0, dtype=np.int32)
 
     sess = session if session is not None else Session()
-    slots = np.arange(n)
-    seg = np.searchsorted(a.offsets, slots, side="right") - 1
     perms = [sess.alloc(n, "i32", device=GPU, name=f"sort_perm_{c}") for c in "ab"]
     src = slots
     for k in range(log2_ceil(ceil_div(n, block)) + 1):
@@ -120,7 +128,7 @@ def segmented_argsort(a: SegmentedArray, order: str = "ascending", block: int = 
 
         def rank(lo, hi):
             r0, r1 = lo - lo % run, min(n, ceil_div(hi, run) * run)
-            return _ranked(src, piece, nanflag, keyv, r0, r1)[lo - r0 : hi - r0]
+            return _ranked(src, piece, key, r0, r1)[lo - r0 : hi - r0]
 
         dst = perms[k % 2]
         launch_rows(sess, LaunchConfig(grid=ceil_div(n, run), block=1 << k), dst, n, rank, tile=block)
@@ -131,13 +139,10 @@ def segmented_argsort(a: SegmentedArray, order: str = "ascending", block: int = 
 def argsort_sequential(values, order: str = "ascending", offsets=None) -> np.ndarray:
     """Per-segment stable argsort without the emulator.
 
-    Uses the same key mapping and ``order`` check as the kernel path, so
-    the (unique) permutation it returns is identical.
+    Takes flat ``values`` and uses the same checks and key mapping as the
+    kernel path, so the (unique) permutation it returns is identical.
     """
-    vals = np.asarray(values, dtype=np.float32).reshape(-1)
-    offs = np.asarray(offsets if offsets is not None else [0, vals.size], dtype=np.int64)
-    sa = SegmentedArray(values=vals, offsets=offs)
-    nanflag, keyv = _sort_keys(sa.values, order)
-    slots = np.arange(vals.size)
-    seg = np.searchsorted(offs, slots, side="right") - 1
-    return (_ranked(slots, seg, nanflag, keyv, 0, vals.size) - offs[seg]).astype(np.int32)
+    vals = np.asarray(values, dtype=np.float32)
+    sa = SegmentedArray(values=vals, offsets=offsets if offsets is not None else [0, vals.size])
+    slots, seg, key = _keyed(sa, order)
+    return (_ranked(slots, seg, key, 0, slots.size) - sa.offsets[seg]).astype(np.int32)

@@ -475,6 +475,29 @@ def test_lane_form_counts_like_one_lane_at_a_time(make, race_check):
     assert out.to_numpy().tolist() == [1, 0, 0, 0, 5, 6, 0, 0, 9, 10, 11, 0, 13, 14, 15, 16]
 
 
+@pytest.mark.parametrize("lanes", [True, False], ids=["lane-form", "per-thread"])
+def test_work_profile_is_a_fresh_int_list_and_imbalance_is_the_list_formula(lanes):
+    rng = np.random.default_rng(11)
+    sess = Session()
+    for trial in range(30):
+        grid, block = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        top = (0, 1, 3, 10**12)[trial % 4]
+        work = rng.integers(0, top + 1, grid * block)
+
+        def kernel(ctx):
+            ctx.add_work(work[ctx.global_id])
+
+        sess.launch(lane_form(kernel) if lanes else kernel, LaunchConfig(grid, block))
+        st = sess.stats()
+        items = st.per_thread_items
+        assert type(items) is list and all(type(x) is int for x in items)
+        assert items == work.tolist()
+        mean = sum(items) / len(items)
+        assert st.load_imbalance == ((max(items) - min(items)) / mean if mean else 0.0)
+        items.append(-1)  # a snapshot owns its list
+        assert sess.stats().per_thread_items == work.tolist()
+
+
 def test_race_checked_lane_form_flags_two_lanes_sharing_a_slot():
     sess = Session(race_check=True)
     buf = sess.alloc(8, "i32")

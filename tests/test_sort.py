@@ -192,3 +192,66 @@ def test_kernel_and_twin_reject_unknown_order_alike(values):
             run()
         errors.append(str(e.value))
     assert errors[0] == errors[1]
+
+
+SPECIAL = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-45, -1e-45, 1e-40, -3e-39,
+                    3.4e38, -3.4e38, 1.0, -1.0], np.float32)
+
+
+def special_segmented(rng, trial):
+    """Segments mixing special values, ties and normal draws, with empty
+    and one-element segments among them."""
+    lens = rng.integers(0, (2, 9, 60)[trial % 3], int(rng.integers(1, 10)))
+    lens[rng.integers(0, lens.size)] = trial % 2  # an empty or a one-element segment
+    offsets = np.concatenate([[0], np.cumsum(lens)])
+    n = int(offsets[-1])
+    vals = rng.choice(SPECIAL, n)
+    normal = rng.random(n) < 0.4
+    vals[normal] = rng.integers(-3, 4, int(normal.sum()))  # ties among normal values
+    return vals.astype(np.float32), offsets
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 64])
+def test_special_values_against_sorted_oracle(block):
+    # the oracle keys on (nan last, value with -0 == +0, index) through
+    # Python floats, so it shares nothing with the packed int64 key
+    rng = np.random.default_rng(block)
+    for trial in range(40):
+        vals, offsets = special_segmented(rng, trial)
+        order = ("ascending", "descending")[trial % 2]
+        want = stable_sort_oracle(vals, offsets, order)
+        sess = Session(race_check=trial % 8 == 0)
+        got = segmented_argsort(SegmentedArray(values=vals, offsets=offsets), order, block=block,
+                                session=sess)
+        assert got.dtype == np.int32 and np.array_equal(got, want), (block, trial)
+        twin = argsort_sequential(vals, order, offsets)
+        assert twin.dtype == np.int32 and np.array_equal(twin, want), (block, trial)
+
+
+def test_packed_key_overflow_guard():
+    # a zero-stride view stands for 2**30 elements without allocating them
+    huge = np.broadcast_to(np.float32(1), (1 << 30,))
+    sa = SegmentedArray(values=huge, offsets=[0, huge.size])
+    with pytest.raises(ValueError, match="overflows its packed int64 sort key"):
+        segmented_argsort(sa, block=64, session=Session())
+    with pytest.raises(ValueError, match="overflows its packed int64 sort key"):
+        argsort_sequential(huge)
+    # below the limit the largest piece id still fits above the 33 key bits
+    assert (((1 << 30) - 1) << 33 | (1 << 33) - 1) < 2**63
+
+
+def test_twin_rejects_non_flat_values_like_the_kernel():
+    vals = np.array([[3, 1], [2, 0]], np.float32)
+    with pytest.raises(ValueError, match="values and offsets must be flat"):
+        argsort_sequential(vals)
+    with pytest.raises(ValueError, match="values and offsets must be flat"):
+        segmented_argsort(SegmentedArray(values=vals, offsets=[0, 4]))
+
+
+def test_non_integer_offsets_rejected():
+    with pytest.raises(ValueError, match="offsets must be integers"):
+        SegmentedArray(values=np.zeros(3, np.float32), offsets=[0, 1.5, 3])
+    with pytest.raises(ValueError, match="offsets must be integers"):
+        argsort_sequential(np.zeros(3, np.float32), offsets=np.array([0.0, 3.0]))
+    sa = SegmentedArray(values=np.zeros(3, np.float32), offsets=np.array([0, 1, 3], np.uint8))
+    assert sa.offsets.dtype == np.int64 and sa.offsets.tolist() == [0, 1, 3]

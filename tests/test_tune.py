@@ -3,6 +3,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -414,3 +415,39 @@ def test_proxy_measure_prices_its_verification_run(monkeypatch, timer, runs, rep
             return sess
 
         assert rec.cost_mean == proxy_timer(run, WL, cfg)
+
+
+@pytest.mark.parametrize("damage", [
+    lambda doc: [],
+    lambda doc: "a string",
+    lambda doc: {"workload": doc["workload"]},
+    lambda doc: dict(doc, config=dict(doc["config"], w_tile="two")),
+    lambda doc: dict(doc, config=dict(doc["config"], w_tile=1.5)),
+    lambda doc: dict(doc, config=[1]),
+], ids=["list", "string", "missing-fields", "config-field-str", "config-field-float",
+        "config-not-object"])
+def test_records_invalid_complete_line_reports_path_and_line(tmp_path, damage):
+    p = tmp_path / "bad.jsonl"
+    rec = make_record(WL.key(), ScheduleConfig(), 1.0)
+    records_save([rec], str(p))
+    with open(p, "a") as f:
+        f.write(json.dumps(damage(json.loads(rec.to_json()))) + "\n" + rec.to_json() + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:3: malformed record"):
+        records_load(str(p))
+
+
+def test_records_header_that_is_not_an_object_is_rejected(tmp_path):
+    p = tmp_path / "bad.jsonl"
+    p.write_text("[]\n")
+    with pytest.raises(ValueError, match=":1: unsupported schema"):
+        records_load(str(p))
+
+
+def test_records_torn_final_line_that_parses_is_still_skipped(tmp_path):
+    p = tmp_path / "torn.jsonl"
+    rec = make_record(WL.key(), ScheduleConfig(), 1.0)
+    records_save([rec], str(p))
+    with open(p, "a") as f:
+        f.write("[]")  # a torn append can cut a line at a point where it parses
+    with pytest.warns(UserWarning, match=":3:.*torn"):
+        assert records_load(str(p)) == [rec]
