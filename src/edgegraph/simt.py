@@ -16,9 +16,11 @@ launch is repeated.
 A kernel with no barrier and no shared storage may instead be marked
 lane-form with :func:`lane_form`. It is then called once per launch,
 with the ids of every lane as int arrays, the way a SIMD machine runs
-work-items as the lanes of one hardware thread; ``add_work`` takes one
-count per lane and ``guard`` a mask. Under race check the same kernel
-runs one lane at a time, with one-element id arrays, so every access is
+work-items as the lanes of one hardware thread. Both kinds get the same
+context class, :class:`ThreadCtx`, whose ids are ints or int arrays:
+``add_work`` takes one count per lane and ``guard`` one bool per lane.
+Under race check a lane-form kernel runs through the per-thread loop,
+one lane per call with one-element id arrays, so every access is
 checked per (block, thread) exactly as for a per-thread kernel.
 :func:`launch_rows` launches one over rows of an output buffer.
 
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 
 import numpy as np
 
@@ -330,30 +333,37 @@ class _SharedMem:
 
 
 class ThreadCtx:
-    """Per-thread view handed to a kernel instance.
+    """The view of one launch handed to a kernel call.
 
-    One context per thread id serves every block of a launch: the
-    session sets ``block_id`` and a fresh ``shared`` before each block
-    runs, so a kernel must not keep its context past its own block.
+    For a per-thread kernel, ``block_id`` and ``thread_id`` are ints and
+    ``shared`` is the block's storage. A lane-form kernel gets int arrays
+    with one entry per lane instead: every lane of the launch,
+    block-major, or, under race check, a single lane. ``add_work`` takes
+    one count per lane and ``guard`` one bool per lane, so a per-thread
+    kernel passes scalars.
     """
 
-    __slots__ = ("block_id", "thread_id", "block_dim", "grid_dim", "shared", "_session", "_guards")
+    __slots__ = ("block_id", "thread_id", "block_dim", "grid_dim", "shared", "_work", "_lanes", "_guards")
 
-    def __init__(self, thread_id, block_dim, grid_dim, session):
-        self.block_id = 0
+    def __init__(self, block_id, thread_id, config, work, lanes, shared=None):
+        self.block_id = block_id
         self.thread_id = thread_id
-        self.block_dim = block_dim
-        self.grid_dim = grid_dim
-        self.shared = None
-        self._session = session
-        self._guards = None
+        self.block_dim = config.block
+        self.grid_dim = config.grid
+        self.shared = shared
+        self._work = work  # the launch's int64 work counts
+        self._lanes = lanes  # this context's gid, or slice of them
+        self._guards = []
 
     @property
-    def global_id(self) -> int:
+    def global_id(self):
         return self.block_id * self.block_dim + self.thread_id
 
     def where(self) -> str:
-        return f"block {self.block_id}, thread {self.thread_id}"
+        b, t = np.ravel(self.block_id), np.ravel(self.thread_id)
+        if t.size == 1:
+            return f"block {b[0]}, thread {t[0]}"
+        return f"lanes of grid {self.grid_dim} x block {self.block_dim}"
 
     def barrier(self):
         """Marker for a block-wide barrier; kernels write ``yield ctx.barrier()``.
@@ -364,22 +374,28 @@ class ThreadCtx:
         """
         return None
 
-    def add_work(self, items: int = 1) -> None:
-        """Report ``items`` processed work items for this thread."""
-        self._session._work[self.block_id * self.block_dim + self.thread_id] += items
+    def add_work(self, items=1) -> None:
+        """Report processed work items, one count per lane."""
+        self._work[self._lanes] += items
 
-    def guard(self, active) -> bool:
-        """Record a guarded phase and return its condition.
+    def guard(self, active):
+        """Record a guarded phase from one bool per lane and return it.
 
-        A thread whose condition is False while a sibling's j-th guard in
-        the same phase is True counts as one divergence event.
+        A lane whose j-th guard in a phase is False while that of a lane
+        of its block is True counts as one divergence event.
         """
-        active = bool(active)
-        if self._guards is None:
-            self._guards = [active]
-        else:
-            self._guards.append(active)
+        active = np.asarray(active, dtype=bool)
+        if active.shape != np.shape(self.thread_id):
+            raise ValueError(f"guard takes one bool per lane, {np.shape(self.thread_id)}, "
+                             f"got shape {active.shape}")
+        self._guards.append(active)
         return active
+
+
+def _plain(kernel, ctx, buffers):
+    """``kernel(ctx, *buffers)`` as a generator that reaches no barrier."""
+    kernel(ctx, *buffers)
+    yield from ()
 
 
 def lane_form(kernel):
@@ -390,53 +406,6 @@ def lane_form(kernel):
     """
     kernel.lane_form = True
     return kernel
-
-
-class LaneCtx:
-    """Many lanes of one launch, handed to a lane-form kernel in one call.
-
-    ``block_id`` and ``thread_id`` are int arrays with one entry per lane:
-    every lane of the launch, block-major, or, under race check, a single
-    lane. ``add_work`` takes one count per lane and ``guard`` one bool
-    per lane; each guard call covers every lane of the call.
-    """
-
-    __slots__ = ("block_id", "thread_id", "block_dim", "grid_dim", "_session", "_lanes", "_guards")
-
-    def __init__(self, block_id, thread_id, block_dim, grid_dim, session, lanes):
-        self.block_id = block_id
-        self.thread_id = thread_id
-        self.block_dim = block_dim
-        self.grid_dim = grid_dim
-        self._session = session
-        self._lanes = lanes  # this call's slice of the launch's work counts
-        self._guards = []
-
-    @property
-    def global_id(self) -> np.ndarray:
-        return self.block_id * self.block_dim + self.thread_id
-
-    def where(self) -> str:
-        if self.thread_id.size == 1:
-            return f"block {int(self.block_id[0])}, thread {int(self.thread_id[0])}"
-        return f"lanes of grid {self.grid_dim} x block {self.block_dim}"
-
-    def add_work(self, items) -> None:
-        """Report processed work items, one count per lane."""
-        self._session._work[self._lanes] += items
-
-    def guard(self, active) -> np.ndarray:
-        """Record a guarded phase from a mask of one bool per lane; return it.
-
-        As for :meth:`ThreadCtx.guard`, a lane whose entry is False while
-        a lane of its block has True counts as one divergence event.
-        """
-        active = np.asarray(active, dtype=bool)
-        if active.shape != self.thread_id.shape:
-            raise ValueError(f"guard takes one bool per lane, {self.thread_id.shape}, "
-                             f"got shape {active.shape}")
-        self._guards.append(active)
-        return active
 
 
 class Session:
@@ -454,7 +423,6 @@ class Session:
         self._allocs = 0
         self._current = None
         self._current_gid = None
-        self._work = None
         self._items = np.zeros(0, np.int64)  # the last launch's work counts
         self.launch_log: list[LaunchConfig] = []
 
@@ -477,8 +445,6 @@ class Session:
         execution of every instance, regardless of physical parallelism.
         A kernel marked with :func:`lane_form` runs all of them in one call.
         """
-        if not isinstance(config, LaunchConfig):
-            config = LaunchConfig(*config)
         grid, block = config.grid, config.block
         is_gen = inspect.isgeneratorfunction(kernel)
         lanes = getattr(kernel, "lane_form", False)
@@ -490,85 +456,47 @@ class Session:
             )
         self._stats.launches += 1
         self.launch_log.append(config)
+        work = np.zeros(grid * block, np.int64)
         try:
-            if lanes:
-                self._work = np.zeros(grid * block, np.int64)
-                self._run_lanes(kernel, grid, block, buffers)
-                items = self._work
+            if lanes and not self.race_check:  # one call over every lane
+                gid = np.arange(grid * block)
+                ctx = self._current = ThreadCtx(gid // block, gid % block, config, work, slice(None))
+                kernel(ctx, *buffers)
+                if ctx._guards:
+                    self._stats.divergence_events += _divergence([ctx._guards], block)
             else:
-                self._work = [0] * (grid * block)
-                ctxs = [ThreadCtx(t, block, grid, self) for t in range(block)]
                 for b in range(grid):
-                    self._run_block(kernel, is_gen, b, config, ctxs, buffers)
-                items = np.array(self._work, dtype=np.int64)
+                    self._run_block(kernel, is_gen, lanes, b, config, buffers, work)
         finally:
             self._current = None
             self._current_gid = None
-            self._work = None
             # a launch that raised mid-phase leaves no owners behind
             self._race_phase_reset()
-        self._items = items
+        self._items = work
 
-    def _run_lanes(self, kernel, grid, block, buffers):
-        if not self.race_check:
-            gid = np.arange(grid * block)
-            ctx = LaneCtx(gid // block, gid % block, block, grid, self, slice(None))
-            self._current = ctx
-            kernel(ctx, *buffers)
-            if ctx._guards:
-                g = np.reshape(ctx._guards, (-1, grid, block))
-                mixed = g.any(axis=2) & ~g.all(axis=2)
-                self._stats.divergence_events += int(np.count_nonzero(~g & mixed[:, :, None]))
-            return
-        # one lane at a time, so the per-slot race check applies unchanged
-        for b in range(grid):
-            guards = []
-            for t in range(block):
-                gid = b * block + t
-                ctx = LaneCtx(np.array([b]), np.array([t]), block, grid, self, slice(gid, gid + 1))
-                self._current = ctx
-                self._current_gid = gid
-                kernel(ctx, *buffers)
-                guards.append([bool(m[0]) for m in ctx._guards])
-            self._stats.divergence_events += _divergence(guards)
-            self._race_phase_reset()
-
-    def _run_block(self, kernel, is_gen, b, config, ctxs, buffers):
-        if self.race_check:
-            shared = _SharedMem(config.shared_slots, self)
-        else:
-            shared = [0] * config.shared_slots
+    def _run_block(self, kernel, is_gen, lanes, b, config, buffers, work):
+        shared = _SharedMem(config.shared_slots, self) if self.race_check else [0] * config.shared_slots
         base = b * config.block
-        for c in ctxs:
-            c.block_id = b
-            c.shared = shared
+        # a race-checked lane-form kernel runs here one lane per call, with
+        # one-element id arrays, so every access is checked per lane
+        ctxs = [ThreadCtx(np.array([b]), np.array([t]), config, work, slice(base + t, base + t + 1))
+                if lanes else ThreadCtx(b, t, config, work, base + t, shared)
+                for t in range(config.block)]
 
-        if not is_gen:
-            for c in ctxs:
-                self._current = c
-                self._current_gid = base + c.thread_id
-                kernel(c, *buffers)
-            self._phase_end(ctxs, shared, config.shared_slots)
-            return
-
-        # calling a generator kernel runs none of its body yet
-        gens = [kernel(c, *buffers) for c in ctxs]
-        alive = ctxs
+        # calling a generator kernel runs none of its body yet; a plain
+        # kernel runs as a generator that reaches no barrier
+        gens = [kernel(c, *buffers) if is_gen else _plain(kernel, c, buffers) for c in ctxs]
+        alive = list(range(config.block))
         while alive:
             yielded, finished = [], []
-            for c in alive:
-                self._current = c
-                self._current_gid = base + c.thread_id
-                if next(gens[c.thread_id], _DONE) is _DONE:
-                    finished.append(c)
-                else:
-                    yielded.append(c)
-            self._phase_end(alive, shared, config.shared_slots)
+            for t in alive:
+                self._current = ctxs[t]
+                self._current_gid = base + t
+                (finished if next(gens[t], _DONE) is _DONE else yielded).append(t)
+            self._phase_end([ctxs[t] for t in alive], shared, config.shared_slots)
             if yielded and finished:
                 raise BarrierDivergenceError(
-                    f"block {b}: threads {[c.thread_id for c in finished]} skipped a barrier "
-                    f"reached by threads {[c.thread_id for c in yielded]}"
-                )
+                    f"block {b}: threads {finished} skipped a barrier reached by threads {yielded}")
             if yielded:
                 self._stats.barriers += 1
             alive = yielded
@@ -578,11 +506,11 @@ class Session:
             # unchecked storage is a plain list, which a slice store can resize
             raise BufferBoundsError(f"block {ctxs[0].block_id}: a slice store resized shared storage "
                                     f"of length {slots} to {len(shared)}")
-        guards = [c._guards for c in ctxs if c._guards is not None]
-        if guards:
-            self._stats.divergence_events += _divergence(guards)
+        guards = [c._guards for c in ctxs]
+        if any(guards):
+            self._stats.divergence_events += _divergence(guards, len(ctxs))
             for c in ctxs:
-                c._guards = None
+                c._guards = []
         if self.race_check:
             self._race_phase_reset()
             if isinstance(shared, _SharedMem):
@@ -606,9 +534,10 @@ def launch_rows(session: Session, config: LaunchConfig, out: DeviceBuffer, rows:
     even shares (lanes past the tile count get none) and report the
     elements they store as work. ``fn`` runs once per call over the
     union of the call's lanes (every lane unchecked, one under race
-    check); its result is stored with one checked slice write. Each of
-    ``lo`` and ``hi`` is a multiple of ``tile`` or equal to ``rows``. The
-    kernel takes ``fn``'s name, so a launch is named after its operator.
+    check); its result must hold hi - lo rows and is stored with one
+    checked slice write. Each of ``lo`` and ``hi`` is a multiple of
+    ``tile`` or equal to ``rows``. The kernel takes ``fn``'s name, so a
+    launch is named after its operator.
     """
     width = len(out) // rows if rows else 0
     tiles = ceil_div(rows, tile)
@@ -623,24 +552,29 @@ def launch_rows(session: Session, config: LaunchConfig, out: DeviceBuffer, rows:
         ctx.add_work((edges[gid + 1] - edges[gid]) * width)
         lo, hi = int(edges[gid[0]]), int(edges[gid[-1] + 1])
         if hi > lo:
-            out[lo * width : hi * width] = np.reshape(fn(lo, hi), -1)
+            got = np.reshape(fn(lo, hi), -1)
+            if got.size != (hi - lo) * width:  # a slice store would broadcast it
+                raise ValueError(f"{ctx.where()}: {fn.__qualname__}({lo}, {hi}) returned {got.size} "
+                                 f"elements for {hi - lo} rows of {width}")
+            out[lo * width : hi * width] = got
 
     kernel.__name__, kernel.__qualname__ = fn.__name__, fn.__qualname__
     session.launch(kernel, config)
 
 
-def _divergence(guards) -> int:
-    """Divergence events of one phase, given each thread's guard values.
+def _divergence(guards, block: int) -> int:
+    """Divergence events of one phase, given each context's guard masks.
 
-    For each guard position, threads reporting False while some sibling
-    reported True skipped a guarded phase.
+    ``guards`` holds one list per context, in launch order, and the lanes
+    of all the contexts form blocks of ``block`` lanes. At each guard
+    position, a lane that reports False while a lane of its block reports
+    True skipped a guarded phase. A context with fewer guards takes no
+    part in the later positions.
     """
-    events = 0
-    for j in range(max(map(len, guards), default=0)):
-        vals = [g[j] for g in guards if len(g) > j]
-        if any(vals) and not all(vals):
-            events += sum(1 for v in vals if not v)
-    return events
+    # one row per (guard position, block): 1 True, 0 False, -1 no guard
+    vals = np.array([np.concatenate([np.ravel(v) for v in pos])
+                     for pos in zip_longest(*guards, fillvalue=-1)], np.int8).reshape(-1, block)
+    return int(np.count_nonzero((vals == 0) & (vals == 1).any(axis=1, keepdims=True)))
 
 
 def ceil_div(a: int, b: int) -> int:

@@ -82,6 +82,10 @@ class TuningRecord:
         rec = json.loads(text)
         if not isinstance(rec, dict) or not isinstance(rec.get("config"), dict):
             raise ValueError("a record and its config must be JSON objects")
+        rec = {"failed": False, "error": None, **rec}
+        for key, types in _RECORD_TYPES.items():
+            if not isinstance(rec[key], types) or (type(rec[key]) is bool) != (types is bool):
+                raise TypeError(f"field {key!r} has type {type(rec[key]).__name__}")
         return cls(
             workload_key=rec["workload"],
             config=ScheduleConfig.from_dict(rec["config"]),
@@ -90,9 +94,15 @@ class TuningRecord:
             repeats=rec["repeats"],
             device_tag=rec["device"],
             created_at=rec["created_at"],
-            failed=rec.get("failed", False),
-            error=rec.get("error"),
+            failed=rec["failed"],
+            error=rec["error"],
         )
+
+
+# the JSON types each record field may take; a bool is never a number
+_RECORD_TYPES = {"workload": str, "cost_mean": (int, float, type(None)),
+                 "cost_std": (int, float, type(None)), "repeats": int, "device": str,
+                 "created_at": (int, float), "failed": bool, "error": (str, type(None))}
 
 
 # --- timers -----------------------------------------------------------------

@@ -2,12 +2,19 @@
 
 The scan assigns ceil(n/p) consecutive elements to each of p processors
 (register blocking). Launch 1 sweeps up: every processor scans its chunk
-sequentially and emits the chunk total. Launch 2 runs a cooperative
-Hillis-Steele scan over the p totals inside a single block, one barrier
-per pass, so no global synchronization is needed. Launch 3 sweeps down,
-adding each processor's scanned base back onto its chunk. Integer scans
-are exact (overflow raises); float32 scans follow this fixed chunked
-summation order bit-for-bit.
+sequentially and stores only the running sums. Launch 2 runs a
+cooperative Hillis-Steele scan over the p chunk totals, which it reads
+at the chunk ends of those sums, inside a single block, one barrier per
+pass, so no global synchronization is needed. Launch 3 sweeps down,
+adding each processor's scanned base back onto its chunk. Launches 1
+and 3 are :func:`simt.launch_rows` calls over the elements in tiles of
+one chunk, so lane g owns chunk g. Integer scans are exact (overflow
+raises); float32 scans follow this fixed chunked summation order
+bit-for-bit.
+
+Compaction is one more row launch, a gather: output slot k holds the
+last input whose exclusive-scan position is k, which is the kept input
+of rank k.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..simt import GPU, LaunchConfig, Session, ceil_div, log2_ceil
+from ..simt import GPU, LaunchConfig, Session, ceil_div, launch_rows, log2_ceil
 
 I32_MIN = -(2**31)
 I32_MAX = 2**31 - 1
@@ -77,20 +84,35 @@ def _prepare(values, kind: str) -> tuple[np.ndarray, str]:
     if arr.ndim != 1:
         raise ValueError(f"scan expects a flat buffer, got shape {arr.shape}")
     if arr.dtype.kind == "f":
-        return arr.astype(np.float32), "f32"
+        return arr.astype(np.float32, copy=False), "f32"
     if arr.dtype.kind in "iub":
         _check_i32(arr)
-        return arr.astype(np.int32), "i32"
+        return arr.astype(np.int32, copy=False), "i32"
     raise ValueError(f"unsupported scan dtype {arr.dtype}")
 
 
-def _running_sums(chunk: np.ndarray) -> np.ndarray:
-    """Inclusive running sums of one chunk in its own dtype; i32 sums are exact or raise."""
-    if chunk.dtype == np.int32:
-        csum = np.cumsum(chunk, dtype=np.int64)
-        _check_i32(csum)
-        return csum.astype(np.int32)
-    return np.cumsum(chunk, dtype=np.float32)
+def _chunk_rows(vals: np.ndarray, chunk: int) -> np.ndarray:
+    """``vals`` as rows of ``chunk`` elements, the last row padded with
+    zeros, and i32 widened to int64 so that sums of it are exact."""
+    rows = np.zeros((ceil_div(vals.size, chunk), chunk),
+                    np.int64 if vals.dtype == np.int32 else np.float32)
+    rows.reshape(-1)[: vals.size] = vals
+    return rows
+
+
+def _from_rows(rows: np.ndarray, size: int, dtype) -> np.ndarray:
+    """The first ``size`` elements of ``rows`` as ``dtype``; i32 exact or raise."""
+    flat = rows.reshape(-1)[:size]
+    if dtype == np.int32:
+        _check_i32(flat)
+    return flat.astype(dtype, copy=False)
+
+
+def _running_sums(vals: np.ndarray, chunk: int) -> np.ndarray:
+    """Inclusive running sums within each ``chunk`` elements of ``vals`` (the
+    last chunk may be short), in its own dtype; i32 sums are exact or raise.
+    Each row is summed in order, so a float32 chunk sums as it does alone."""
+    return _from_rows(np.cumsum(_chunk_rows(vals, chunk), axis=1), vals.size, vals.dtype)
 
 
 def _exact(total):
@@ -107,21 +129,16 @@ def _as_base(value, dtype: str):
     return np.float32(value)
 
 
-def _chunk_out(sums: np.ndarray, base, kind: str) -> np.ndarray:
-    """One chunk's output: its running sums plus its base, shifted one slot
-    right behind the base for an exclusive scan. i32 results are exact or raise."""
-    out = np.empty_like(sums)
-    rest = out
+def _chunk_out(sums: np.ndarray, bases, kind: str, chunk: int) -> np.ndarray:
+    """The output of consecutive chunks: each chunk's running sums plus its
+    base, shifted one slot right behind the base for an exclusive scan.
+    i32 results are exact or raise."""
+    rows = _chunk_rows(sums, chunk)
+    col = np.asarray(bases, rows.dtype)[:, None]
+    res = rows + col
     if kind == "exclusive":
-        out[0] = base
-        sums, rest = sums[:-1], out[1:]
-    if out.dtype == np.int32:
-        res = sums.astype(np.int64) + int(base)
-        _check_i32(res)
-        rest[:] = res
-    else:
-        rest[:] = sums + base
-    return out
+        res = np.concatenate([col, res[:, :-1]], axis=1)
+    return _from_rows(res, sums.size, sums.dtype)
 
 
 def scan(values, kind: str = "inclusive", p: int = 8, session: Session | None = None) -> np.ndarray:
@@ -139,22 +156,18 @@ def scan(values, kind: str = "inclusive", p: int = 8, session: Session | None = 
         return arr.copy()
 
     plan = ScanPlan.for_size(n, p)
-    ranges = partition_chunks(n, plan.p)
+    chunk = plan.chunk
+    last = [z - 1 for _, z in partition_chunks(n, plan.p)]
     sess = session if session is not None else Session()
 
     vals = sess.alloc(n, dtype, device=GPU, name="scan_in")
     vals.load(arr)
     local = sess.alloc(n, dtype, device=GPU, name="scan_local")
-    totals = sess.alloc(plan.p, dtype, device=GPU, name="scan_totals")
     scanned = sess.alloc(plan.p, dtype, device=GPU, name="scan_bases")
     out = sess.alloc(n, dtype, device=GPU, name="scan_out")
 
-    def up_sweep(ctx):
-        a, z = ranges[ctx.block_id]
-        ctx.add_work(z - a)
-        csum = _running_sums(vals[a:z])
-        local[a:z] = csum
-        totals[ctx.block_id] = csum[-1]
+    def chunk_sums(lo, hi):
+        return _running_sums(vals[lo:hi], chunk)
 
     def coop_scan(ctx):
         # Hillis-Steele over the chunk totals, double-buffered in shared
@@ -166,9 +179,9 @@ def scan(values, kind: str = "inclusive", p: int = 8, session: Session | None = 
         for d in range(passes):
             stride = 1 << d
             if d == 0:
-                v = _exact(totals[i])
+                v = _exact(local[last[i]])
                 if i >= stride:
-                    v = v + _exact(totals[i - stride])
+                    v = v + _exact(local[last[i - stride]])
             else:
                 v = ctx.shared[cur + i]
                 if i >= stride:
@@ -178,21 +191,20 @@ def scan(values, kind: str = "inclusive", p: int = 8, session: Session | None = 
             cur, nxt = nxt, cur
         scanned[i] = _as_base(ctx.shared[cur + i - 1] if i > 0 else 0, dtype)
 
-    def down_sweep(ctx):
-        a, z = ranges[ctx.block_id]
-        ctx.add_work(z - a)
-        out[a:z] = _chunk_out(local[a:z], scanned[ctx.block_id], kind)
+    def add_bases(lo, hi):
+        return _chunk_out(local[lo:hi], scanned[lo // chunk : ceil_div(hi, chunk)], kind, chunk)
 
-    sess.launch(up_sweep, LaunchConfig(grid=plan.p, block=1))
+    rows = LaunchConfig(grid=plan.p, block=1)
+    launch_rows(sess, rows, local, n, chunk_sums, tile=chunk)
     sess.launch(coop_scan, LaunchConfig(grid=1, block=plan.p, shared_slots=2 * plan.p))
-    sess.launch(down_sweep, LaunchConfig(grid=plan.p, block=1))
+    launch_rows(sess, rows, out, n, add_bases, tile=chunk)
     return out.to_numpy()
 
 
 def scan_sequential(values, kind: str = "inclusive", p: int = 8) -> np.ndarray:
     """CPU realization of the same chunked summation order, no emulator.
 
-    Runs the kernel's own input check and per-chunk helpers, so it is
+    Runs the kernel's own input check and range helpers, so it is
     bitwise identical to :func:`scan` and raises where it raises, which
     keeps graph outputs independent of the device an operator lands on.
     """
@@ -201,20 +213,20 @@ def scan_sequential(values, kind: str = "inclusive", p: int = 8) -> np.ndarray:
     if n == 0:
         return arr.copy()
     plan = ScanPlan.for_size(n, p)
-    sums = [_running_sums(arr[a:z]) for a, z in partition_chunks(n, plan.p)]
-    cur = [_exact(s[-1]) for s in sums]
+    sums = _running_sums(arr, plan.chunk)
+    cur = [_exact(sums[z - 1]) for _, z in partition_chunks(n, plan.p)]
     for d in range(plan.num_coop_passes):
         stride = 1 << d
         cur = [cur[i] + cur[i - stride] if i >= stride else cur[i] for i in range(plan.p)]
     bases = [_as_base(v, dtype) for v in [0] + cur[:-1]]
-    return np.concatenate([_chunk_out(s, base, kind) for s, base in zip(sums, bases)])
+    return _chunk_out(sums, bases, kind, plan.chunk)
 
 
 def compact(values, keep, p: int = 8, session: Session | None = None) -> tuple[np.ndarray, int]:
     """Keep ``values[i]`` where ``keep[i]``, preserving relative order.
 
-    Scatter positions come from an exclusive scan of the keep flags.
-    Returns (kept buffer, kept count).
+    Positions come from an exclusive scan of the keep flags; one row
+    launch then gathers the kept values. Returns (kept buffer, kept count).
     """
     arr = np.asarray(values)
     flags = np.asarray(keep, dtype=bool)
@@ -227,21 +239,16 @@ def compact(values, keep, p: int = 8, session: Session | None = None) -> tuple[n
     positions = scan(flags.astype(np.int32), kind="exclusive", p=p, session=sess)
     count = int(positions[-1]) + int(flags[-1])
 
-    if arr.dtype.kind == "f":
-        dtype = "f32"
-    else:
+    dtype = "f32" if arr.dtype.kind == "f" else "i32"
+    if dtype == "i32":
         _check_i32(arr, "compact input")  # values pass through untouched; no silent wrap
-        dtype = "i32"
     src = sess.alloc(n, dtype, device=GPU, name="compact_in")
-    src.load(arr.astype(np.float32 if dtype == "f32" else np.int32))
+    src.load(arr)
     dst = sess.alloc(max(count, 1), dtype, device=GPU, name="compact_out")
-    ranges = partition_chunks(n, ScanPlan.for_size(n, p).p)
 
-    def scatter(ctx):
-        a, z = ranges[ctx.block_id]
-        ctx.add_work(z - a)
-        sel = flags[a:z]
-        dst[positions[a:z][sel]] = src[a:z][sel]
+    def gather(lo, hi):
+        # slot k takes the last input at position k: the kept input of rank k
+        return src[np.searchsorted(positions, np.arange(lo, hi), side="right") - 1]
 
-    sess.launch(scatter, LaunchConfig(grid=len(ranges), block=1))
+    launch_rows(sess, LaunchConfig(grid=ScanPlan.for_size(n, p).p, block=1), dst, count, gather)
     return dst.to_numpy()[:count], count

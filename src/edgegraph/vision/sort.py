@@ -75,7 +75,8 @@ def _keyed(a: SegmentedArray, order: str):
     +0: bit 32 is the nan flag, bits 0-31 an order-preserving uint32
     image of the value (0 for a nan). Descending negates the value. Any
     other ``order`` raises, as does an array whose piece ids, each below
-    elements + segments, would not fit above the 33 key bits.
+    elements + segments, would not fit above the 33 key bits, or one of
+    integers that float32 does not hold exactly.
     """
     if order not in ("ascending", "descending"):
         raise ValueError(f"order must be 'ascending' or 'descending', got {order!r}")
@@ -85,6 +86,12 @@ def _keyed(a: SegmentedArray, order: str):
                          f"packed int64 sort key: elements + segments must be at most 2**30")
     slots = np.arange(n)
     vals = np.asarray(a.values, dtype=np.float32)
+    if a.values.dtype.kind in "iu":
+        with np.errstate(invalid="ignore"):  # a cast back out of range is lossy too
+            lossy = vals.astype(a.values.dtype) != a.values
+        if lossy.any():
+            raise ValueError(f"integer value {a.values[lossy][0]} does not round-trip through "
+                             f"float32, the argsort key, so it could tie with a neighbour")
     # adding to or subtracting from +0 also turns -0 into +0, so they tie
     vals = np.float32(0) - vals if order == "descending" else vals + np.float32(0)
     # a negative value's bits flip whole, a non-negative one's sign bit sets
@@ -142,7 +149,7 @@ def argsort_sequential(values, order: str = "ascending", offsets=None) -> np.nda
     Takes flat ``values`` and uses the same checks and key mapping as the
     kernel path, so the (unique) permutation it returns is identical.
     """
-    vals = np.asarray(values, dtype=np.float32)
+    vals = np.asarray(values)
     sa = SegmentedArray(values=vals, offsets=offsets if offsets is not None else [0, vals.size])
     slots, seg, key = _keyed(sa, order)
     return (_ranked(slots, seg, key, 0, slots.size) - sa.offsets[seg]).astype(np.int32)

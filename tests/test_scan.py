@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from edgegraph.simt import Session, log2_ceil
+from edgegraph.simt import LaunchConfig, Session, log2_ceil
 from edgegraph.vision import ScanPlan, compact, partition_chunks, scan, scan_sequential
 
 
@@ -232,3 +232,58 @@ def test_scan_and_compact_race_checked_match_unchecked(p):
         assert got[1] == want[1] == int(keep.sum())
         assert got[0].tobytes() == want[0].tobytes() == v[keep].tobytes()
         assert sessions[0].stats() == sessions[1].stats()
+
+
+def _recorded(run, race_check):
+    """(kernel name, geometry, per-thread items) of each launch ``run`` makes,
+    plus the session's final counters."""
+    sess = Session(race_check=race_check)
+    launches = []
+    launch = sess.launch
+
+    def recording(kernel, config, *buffers):
+        launch(kernel, config, *buffers)
+        launches.append((kernel.__qualname__, config, sess.stats().per_thread_items))
+
+    sess.launch = recording
+    run(sess)
+    st = sess.stats()
+    return launches, sess.launch_log, (st.launches, st.barriers, st.divergence_events)
+
+
+# n=18 on p=5: chunks of 4 with a short last one, three coop passes
+SCAN_18_ON_5 = [
+    ("scan.<locals>.chunk_sums", LaunchConfig(grid=5, block=1), [4, 4, 4, 4, 2]),
+    ("scan.<locals>.coop_scan", LaunchConfig(grid=1, block=5, shared_slots=10), [3] * 5),
+    ("scan.<locals>.add_bases", LaunchConfig(grid=5, block=1), [4, 4, 4, 4, 2]),
+]
+
+
+@pytest.mark.parametrize("race_check", [False, True])
+def test_scan_launch_shape_is_pinned(race_check):
+    got = _recorded(lambda s: scan(np.arange(18), p=5, session=s), race_check)
+    assert got == (SCAN_18_ON_5, [c for _, c, _ in SCAN_18_ON_5], (3, 3, 0))
+
+
+@pytest.mark.parametrize("race_check", [False, True])
+def test_compact_launch_shape_is_pinned(race_check):
+    keep = np.arange(18) % 3 == 0
+    got = _recorded(lambda s: compact(np.arange(18), keep, p=5, session=s), race_check)
+    # the gather splits the 6 kept slots, not the 18 inputs, over the 5 lanes
+    gather = ("compact.<locals>.gather", LaunchConfig(grid=5, block=1), [1, 1, 1, 1, 2])
+    launches = SCAN_18_ON_5 + [gather]
+    assert got == (launches, [c for _, c, _ in launches], (4, 3, 0))
+
+
+@pytest.mark.parametrize("p", [1, 3, 8, 17, 64])
+def test_row_launch_sweeps_match_the_chunked_oracle_with_signed_zeros(p):
+    # a lane's range spans several chunks unchecked and one under race check
+    rng = np.random.default_rng(p)
+    vals = rng.standard_normal(200).astype(np.float32)
+    vals[::3] = -0.0
+    vals[150:] = -0.0  # whole chunks of -0.0 give -0.0 totals and bases
+    for kind in ("inclusive", "exclusive"):
+        want = chunked_scan_oracle(vals, kind, p).tobytes()
+        for race_check in (False, True):
+            assert scan(vals, kind, p=p, session=Session(race_check=race_check)).tobytes() == want
+        assert scan_sequential(vals, kind, p=p).tobytes() == want

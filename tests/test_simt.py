@@ -668,3 +668,44 @@ def test_shared_slice_store_of_another_length_raises(race_check, message):
 
     with pytest.raises(BufferBoundsError, match=message):
         Session(race_check=race_check).launch(kernel, LaunchConfig(grid=2, block=1, shared_slots=4))
+
+
+@pytest.mark.parametrize("race_check", [False, True])
+def test_launch_rows_rejects_a_result_of_the_wrong_size(race_check):
+    # a one-element result would otherwise broadcast over every slot
+    sess = Session(race_check=race_check)
+    out = sess.alloc(8, "i32", name="rows")
+    with pytest.raises(ValueError, match=r"<lambda>\(0, [24]\) returned 1 elements for [24] rows of 2"):
+        launch_rows(sess, LaunchConfig(1, 2), out, 4, lambda lo, hi: np.array([7]))
+    assert out.to_numpy().tolist() == [0] * 8
+
+
+@pytest.mark.parametrize("race_check", [False, True])
+def test_divergence_counts_ragged_guard_lists_per_position(race_check):
+    # thread t makes t guard calls: position 0 is False, True, False over
+    # threads 1-3 (two events), position 1 False, True (one), and
+    # position 2 only thread 3's False, which nothing contradicts
+    sess = Session(race_check=race_check)
+
+    def kernel(ctx):
+        t = ctx.thread_id
+        for j in range(t):
+            ctx.guard((t + j) % 2 == 0)
+
+    sess.launch(kernel, LaunchConfig(grid=2, block=4))
+    assert sess.stats().divergence_events == 2 * 3
+
+
+def test_guard_shape_follows_the_thread_id_shape():
+    # a per-thread kernel passes one bool; a lane-form kernel one per lane,
+    # under race check too, where each call holds a single lane
+    def per_thread(ctx):
+        ctx.guard(np.array([True]))
+
+    @lane_form
+    def scalar_guard(ctx):
+        ctx.guard(True)
+
+    for kernel, race_check in ((per_thread, False), (scalar_guard, True)):
+        with pytest.raises(ValueError, match="one bool per lane"):
+            Session(race_check=race_check).launch(kernel, LaunchConfig(grid=1, block=2))

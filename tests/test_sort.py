@@ -255,3 +255,30 @@ def test_non_integer_offsets_rejected():
         argsort_sequential(np.zeros(3, np.float32), offsets=np.array([0.0, 3.0]))
     sa = SegmentedArray(values=np.zeros(3, np.float32), offsets=np.array([0, 1, 3], np.uint8))
     assert sa.offsets.dtype == np.int64 and sa.offsets.tolist() == [0, 1, 3]
+
+
+def test_integers_float32_cannot_hold_are_rejected_by_both_paths():
+    # 2**24 + 1 rounds to 2**24 as a float32 key, so the two would tie
+    vals = np.array([16777217, 16777216], np.int64)
+    errors = []
+    for run in (lambda: segmented_argsort(SegmentedArray(values=vals, offsets=[0, 2]),
+                                          session=Session()),
+                lambda: argsort_sequential(vals)):
+        with pytest.raises(ValueError, match="16777217 does not round-trip through float32") as e:
+            run()
+        errors.append(str(e.value))
+    assert errors[0] == errors[1]
+    for huge in (np.array([2**63 - 1], np.int64), np.array([2**64 - 1], np.uint64)):
+        with pytest.raises(ValueError, match="round-trip"):
+            argsort_sequential(huge)
+
+
+def test_integers_float32_holds_keep_their_exact_order():
+    vals = np.array([16777216, 3, -5, 16777216, 2**40, -(2**31), 0], np.int64)
+    want = np.argsort(vals, kind="stable")
+    got = segmented_argsort(SegmentedArray(values=vals, offsets=[0, vals.size]), block=2,
+                            session=Session())
+    assert np.array_equal(got, want)
+    assert np.array_equal(argsort_sequential(vals), want)
+    assert np.array_equal(argsort_sequential(vals, "descending"),
+                          argsort_sequential(vals.astype(np.float32), "descending"))

@@ -451,3 +451,35 @@ def test_records_torn_final_line_that_parses_is_still_skipped(tmp_path):
         f.write("[]")  # a torn append can cut a line at a point where it parses
     with pytest.warns(UserWarning, match=":3:.*torn"):
         assert records_load(str(p)) == [rec]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("cost_mean", "fast"), ("cost_std", [1.0]), ("repeats", 1.5), ("repeats", True),
+    ("device", 7), ("created_at", None), ("failed", 0), ("error", 3), ("workload", None),
+])
+def test_records_with_a_wrong_field_type_are_malformed(tmp_path, field, value):
+    p = tmp_path / "typed.jsonl"
+    rec = make_record(WL.key(), ScheduleConfig(), 1.0)
+    records_save([rec], str(p))
+    bad = json.loads(rec.to_json())
+    bad[field] = value
+    with open(p, "a") as f:
+        f.write(json.dumps(bad) + "\n")
+    with pytest.raises(ValueError, match=rf":3: malformed record: .*{field}"):
+        records_load(str(p))
+    # cut short of its newline, the same line is a torn final record
+    p.write_bytes(p.read_bytes()[:-1])
+    with pytest.warns(UserWarning, match=":3:.*torn"):
+        assert records_load(str(p)) == [rec]
+
+
+def test_records_accept_integral_costs_and_missing_optional_fields(tmp_path):
+    p = tmp_path / "typed.jsonl"
+    records_save([], str(p))
+    line = {"workload": WL.key(), "config": ScheduleConfig().as_dict(), "cost_mean": 2,
+            "cost_std": 0, "repeats": 1, "device": "emu", "created_at": 5}
+    with open(p, "a") as f:
+        f.write(json.dumps(line) + "\n")
+    (got,) = records_load(str(p))
+    assert (got.cost_mean, got.failed, got.error) == (2, False, None)
+    assert query_best([got], WL.key()) == got
