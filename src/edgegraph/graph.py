@@ -250,8 +250,8 @@ def _nms_attrs(at: dict, default_score: float) -> dict:
     return dict(
         iou_threshold=float(at.get("iou_threshold", 0.5)),
         score_threshold=float(at.get("score_threshold", default_score)),
-        top_k=at.get("top_k"),
-        max_output=at.get("max_output"),
+        top_k=vision.boxes.check_count("top_k", at.get("top_k")),
+        max_output=vision.boxes.check_count("max_output", at.get("max_output")),
     )
 
 
@@ -297,12 +297,10 @@ def _conv2d(node, args, gpu):
 def _box_nms(node, args, gpu):
     rows = args[0].to_array()
     # leading dims of (..., boxes, 6) input index separate images
-    sets = rows.reshape(-1, *rows.shape[-2:]) if rows.ndim > 2 else rows[None]
-    attrs = _nms_attrs(node.attrs, 0.0)
-    out = np.empty(sets.shape, np.float32)
-    for i, one in enumerate(sets):
-        out[i] = _vision(gpu, "box_nms", vision.BoxSet.from_array(one), **attrs).to_array().reshape(one.shape)
-    return out.reshape(rows.shape)
+    images = max(1, int(np.prod(rows.shape[:-2])))
+    kept = _vision(gpu, "box_nms_batch", vision.BoxSet.from_array(rows), images,
+                   **_nms_attrs(node.attrs, 0.0))
+    return kept.to_array().reshape(rows.shape)
 
 
 def _multibox_detection(node, args, gpu):

@@ -3,6 +3,8 @@
 from .boxes import (
     BoxSet,
     box_nms,
+    box_nms_batch,
+    box_nms_batch_sequential,
     box_nms_sequential,
     decode_boxes,
     iou,
@@ -19,6 +21,8 @@ __all__ = [
     "SegmentedArray",
     "argsort_sequential",
     "box_nms",
+    "box_nms_batch",
+    "box_nms_batch_sequential",
     "box_nms_sequential",
     "compact",
     "decode_boxes",

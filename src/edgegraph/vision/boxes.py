@@ -1,23 +1,24 @@
 """Box-level detection operators: greedy NMS and SSD-style decoding.
 
-box_nms keeps the standard sequential-greedy semantics while running the
-GPU-unfriendly parts the GPU way, in the layout of torchvision's CUDA
-NMS. Scores go through the segmented argsort. One launch then fills a
-candidate x candidate "suppresses" mask, each thread a tile of TILE rows
-computed with the array form of ``iou``. The greedy sweep over that mask
-is a single pass on the host, and a last launch writes the output in one
-pass: kept rows first, then all-invalid rows. Both launches go through
-``simt.launch_rows``, and the sequential twin calls the same range
-functions over all rows.
+box_nms_batch keeps greedy NMS semantics for a batch of images while
+running the GPU-unfriendly parts the GPU way. No class suppresses another,
+so each (image, class) segment of the candidates is independent, as in
+torchvision's batched_nms. One segmented argsort orders each image by
+score and a stable host grouping orders the candidates by (image, class).
+One launch fills the suppression mask, a row per candidate as wide as the
+widest segment, holding only its segment's upper triangle, in tiles of
+TILE rows clipped at segment ends. The greedy sweep runs per segment on
+the host, kept rows merge back into each image's score order, and a last
+launch writes them first, then all-invalid rows. The twin runs the same
+range functions over all rows; box_nms is the batch of one image.
 
 multibox_detection decodes the batch's anchors in flat (image, anchor)
 order, one contiguous slice per thread, with the same range function as
-its sequential twin, then runs box_nms per batch element.
+its sequential twin, then runs one box_nms_batch pass over the batch.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,16 +76,6 @@ class BoxSet:
         return cls(class_ids=rows[:, 0].astype(np.int32), scores=rows[:, 1], corners=rows[:, 2:])
 
 
-def _pymin(x, y):
-    """Elementwise ``min(x, y)`` as Python computes it: y if y < x else x."""
-    return np.where(y < x, y, x)
-
-
-def _pymax(x, y):
-    """Elementwise ``max(x, y)`` as Python computes it: y if y > x else x."""
-    return np.where(y > x, y, x)
-
-
 def iou(a, b):
     """Corner-coordinate intersection over union of (..., 4) box arrays.
 
@@ -93,122 +84,166 @@ def iou(a, b):
     matter for NaN corners), so every value is bitwise what the scalar rule
     gives for that pair. Pairs with no positive width, height or union give
     0. Two single boxes give a float.
+
+    Python's min(x, y) is y if y < x else x, so x wins against a NaN. With
+    x from ``a``, np.fmin and np.fmax agree with that unless ``a`` holds a
+    NaN, so only then do they give way to np.where. They may differ in the
+    sign of a zero, which only changes a width or height that is zero, and
+    such a pair gives 0 either way.
     """
-    ax1, ay1, ax2, ay2 = np.moveaxis(np.asarray(a, dtype=np.float64), -1, 0)
-    bx1, by1, bx2, by2 = np.moveaxis(np.asarray(b, dtype=np.float64), -1, 0)
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    ax1, ay1, ax2, ay2 = (a[..., i] for i in range(4))
+    bx1, by1, bx2, by2 = (b[..., i] for i in range(4))
+    nan = np.isnan(a).any()
+    lo = (lambda x, y: np.where(y < x, y, x)) if nan else np.fmin
+    hi = (lambda x, y: np.where(y > x, y, x)) if nan else np.fmax
     with np.errstate(all="ignore"):
-        iw = _pymin(ax2, bx2) - _pymax(ax1, bx1)
-        ih = _pymin(ay2, by2) - _pymax(ay1, by1)
+        iw = lo(ax2, bx2) - hi(ax1, bx1)
+        ih = lo(ay2, by2) - hi(ay1, by1)
         inter = iw * ih
         union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-        out = np.where((iw <= 0.0) | (ih <= 0.0) | (union <= 0.0), 0.0, inter / union)
+        # fmin skips a NaN, so this is (iw <= 0) | (ih <= 0) in one pass
+        out = np.where((np.fmin(iw, ih) <= 0.0) | (union <= 0.0), 0.0, inter / union)
     return float(out) if out.ndim == 0 else out
 
 
-def _live(boxes: BoxSet, order: np.ndarray, score_threshold: float, top_k):
-    """The rows of ``order`` that are valid and score >= score_threshold
-    (NaN never does), at most the first top_k of them, with their class
-    ids and float64 corners."""
-    ok = (boxes.class_ids[order] >= 0) & (boxes.scores[order].astype(np.float64) >= score_threshold)
-    cands = order[ok] if top_k is None else order[ok][: max(math.ceil(top_k), 0)]
-    return cands, boxes.class_ids[cands], boxes.corners[cands].astype(np.float64)
+def check_count(name: str, value):
+    """``value`` of top_k or max_output as an int >= 0, or None; anything else raises."""
+    bad = isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+    if value is not None and (bad or value % 1 or value < 0):  # NaN % 1 is NaN, which is true
+        raise ValueError(f"{name} must be None or an integer >= 0, got {value!r}")
+    return None if value is None else int(value)
 
 
-def _suppression_rows(cls: np.ndarray, xy: np.ndarray, lo: int, hi: int,
-                      iou_threshold: float) -> np.ndarray:
-    """Rows lo:hi of the candidate x candidate suppression mask.
-
-    Entry [k, j] is True iff candidate k, once kept, suppresses candidate
-    j: same class and iou(box k, box j) >= iou_threshold. The rows are
-    computed TILE at a time from ``lo``, which bounds the float64
-    temporaries.
-    """
-    out = np.empty((hi - lo, len(cls)), dtype=bool)
-    for a in range(lo, hi, TILE):
-        z = min(a + TILE, hi)
-        out[a - lo : z - lo] = (cls[a:z, None] == cls) & (iou(xy[a:z, None], xy) >= iou_threshold)
+def _suppression_rows(xy: np.ndarray, first: np.ndarray, end: np.ndarray, width: int,
+                      lo: int, hi: int, iou_threshold: float) -> np.ndarray:
+    """Rows lo:hi of the segment suppression mask: entry [k, t] is True iff
+    candidate first[k] + t comes after k in k's segment and iou(box k, that
+    box) >= iou_threshold. Rows go TILE at a time from ``lo``, clipped at
+    segment ends, each against the rest of its segment."""
+    out = np.zeros((hi - lo, width), dtype=bool)
+    a = lo
+    while a < hi:
+        s, e = first[a], end[a]
+        z = min(a + TILE, hi, e)
+        hit = iou(xy[a:z, None], xy[a + 1 : e]) >= iou_threshold
+        out[a - lo : z - lo, a + 1 - s : e - s] = hit & ~np.tri(z - a, e - a - 1, -1, bool)
+        a = z
     return out
 
 
-def _greedy_sweep(mask: np.ndarray, max_output) -> list[int]:
-    """Candidate positions greedy NMS keeps, walking them in score order.
+def _sources(mask: np.ndarray, first: np.ndarray, cands: np.ndarray, g: np.ndarray, n: int,
+             rows: int, max_output) -> np.ndarray:
+    """Input row of each output row, -1 for an all-invalid one: greedy NMS
+    walks each segment of the mask in score order, and the kept rows merge
+    back into each n-row image's score order, cut to max_output."""
+    bits = [int.from_bytes(row, "little") for row in np.packbits(mask, axis=1, bitorder="little")]
+    keep = []
+    for k, s in enumerate(first.tolist()):
+        removed = 0 if k == s else removed
+        if not removed >> (k - s) & 1:
+            keep.append(k)
+            removed |= bits[k]
+    kept = cands[np.sort(g[keep])]
+    img = kept // n
+    slot = np.arange(len(kept)) - np.searchsorted(img, img)
+    cut = slot < (len(kept) if max_output is None else max_output)
+    src = np.full(rows, -1)
+    src[(img * n + slot)[cut]] = kept[cut]
+    return src
 
-    A candidate is kept iff no already kept candidate suppresses it;
-    the walk stops once max_output candidates are kept.
+
+def _rows(sess, config: LaunchConfig, dtype: str, rows: int, width: int, fn, name: str,
+          tile: int = 1) -> np.ndarray:
+    """(rows, width) array of ``fn(lo, hi)``: one call if sess is None, else a launch_rows."""
+    if sess is None:
+        return np.reshape(fn(0, rows), (rows, width))
+    buf = sess.alloc(max(1, rows * width), dtype, device=GPU, name=name)
+    launch_rows(sess, config, buf, rows, fn, tile)
+    return buf.to_numpy()[: rows * width].reshape(rows, width)
+
+
+def _nms_pass(boxes: BoxSet, images: int, iou_threshold: float, score_threshold: float, top_k,
+              max_output, sess: Session | None) -> np.ndarray:
+    """box_nms_batch's packed rows on session ``sess``, or the CPU twin's if sess is None."""
+    if not (0.0 < iou_threshold <= 1.0):
+        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+    top_k, max_output = check_count("top_k", top_k), check_count("max_output", max_output)
+    if len(boxes) == 0:
+        return np.zeros((0, 6), np.float32)
+    if images < 1 or len(boxes) % images:
+        raise ValueError(f"{len(boxes)} rows do not split into {images} images of equal size")
+    n = len(boxes) // images
+    offsets = np.arange(0, len(boxes) + 1, n)
+    if sess is None:  # stable descending order with NaN scores last, ties by row index
+        order = np.argsort(-boxes.scores.astype(np.float64).reshape(-1, n), axis=1, kind="stable")
+    else:  # a 64-slot sort block per image keeps the merge passes those of one image
+        order = segmented_argsort(SegmentedArray(values=boxes.scores, offsets=offsets),
+                                  "descending", block=64 * images, session=sess)
+    order = order.reshape(-1) + np.repeat(offsets[:-1], n)
+    # candidates, in score order: valid, score >= score_threshold (not NaN), top_k per image
+    ok = (boxes.class_ids[order] >= 0) & (boxes.scores[order].astype(np.float64) >= score_threshold)
+    if top_k is not None:
+        ok &= (np.cumsum(ok.reshape(-1, n), axis=1) <= top_k).reshape(-1)
+    cands = order[ok]
+    # g: stable (image, class) grouping, group position -> score position;
+    # first and end: the span of each group position's segment
+    key = (cands // n << 32) | boxes.class_ids[cands]
+    g = np.argsort(key, kind="stable")
+    key = key[g]
+    first, end = np.searchsorted(key, key, "left"), np.searchsorted(key, key, "right")
+    xy = boxes.corners[cands[g]].astype(np.float64)
+    c, width = len(g), int(np.max(end - first, initial=0))
+
+    def fill_mask(lo, hi):
+        return _suppression_rows(xy, first, end, width, lo, hi, iou_threshold)
+
+    mask = _rows(sess, LaunchConfig(grid=1, block=max(1, ceil_div(c, TILE))), "bool", c, width,
+                 fill_mask, "nms_mask", TILE)
+    src = _sources(mask, first, cands, g, n, len(boxes), max_output)
+    packed = np.concatenate([boxes.to_array(), np.full((1, 6), INVALID, np.float32)])  # src -1
+
+    def write_out(lo, hi):
+        return packed[src[lo:hi]]
+
+    return _rows(sess, LaunchConfig(grid=images, block=min(32, n)), "f32", len(boxes), 6, write_out,
+                 "nms_out")
+
+
+def box_nms_batch(boxes: BoxSet, images: int, iou_threshold: float, score_threshold: float = 0.0,
+                  top_k: int | None = None, max_output: int | None = None,
+                  session: Session | None = None) -> BoxSet:
+    """Greedy NMS of ``images`` equal images stored one after another.
+
+    Per image, candidates are the valid rows with score >= score_threshold
+    (NaN counts as below any threshold) in descending score order, cut to
+    top_k. A candidate is kept iff its IoU with every kept box of its class
+    stays below iou_threshold, up to max_output. Each image keeps its
+    capacity: kept rows first, in score order, the rest all-invalid.
     """
-    removed = np.zeros(len(mask), dtype=bool)
-    kept = []
-    for j in range(len(mask)):
-        if max_output is not None and len(kept) >= max_output:
-            break
-        if not removed[j]:
-            kept.append(j)
-            removed |= mask[j]
-    return kept
+    return BoxSet.from_array(_nms_pass(boxes, images, iou_threshold, score_threshold, top_k,
+                                       max_output, session if session is not None else Session()))
 
 
-def _result_rows(packed: np.ndarray, kept: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of the NMS output: row r is ``packed[kept[r]]`` for
-    r < len(kept), in score order, and all-invalid past them."""
-    rows = np.full((hi - lo, 6), INVALID, np.float32)
-    ours = kept[lo:hi]
-    rows[: len(ours)] = packed[ours]
-    return rows
+def box_nms_batch_sequential(boxes: BoxSet, images: int, iou_threshold: float,
+                             score_threshold: float = 0.0, top_k: int | None = None,
+                             max_output: int | None = None) -> BoxSet:
+    """box_nms_batch through the same mask rows, sweep and merge, no emulator."""
+    return BoxSet.from_array(_nms_pass(boxes, images, iou_threshold, score_threshold, top_k,
+                                       max_output, None))
 
 
 def box_nms(boxes: BoxSet, iou_threshold: float, score_threshold: float = 0.0,
             top_k: int | None = None, max_output: int | None = None,
             session: Session | None = None) -> BoxSet:
-    """Greedy non-maximum suppression.
-
-    Candidates are the valid rows with score >= score_threshold (NaN
-    counts as below any threshold), sorted by descending score and
-    truncated to top_k. A candidate is kept iff its IoU with every
-    previously kept box of the same class stays below iou_threshold.
-    The result has the same capacity: kept rows first, in score order,
-    the rest all-invalid.
-    """
-    if not (0.0 < iou_threshold <= 1.0):
-        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    n = len(boxes)
-    if n == 0:
-        return BoxSet.invalid(0)
-    sess = session if session is not None else Session()
-    seg = SegmentedArray(values=boxes.scores, offsets=np.array([0, n]))
-    cands, cls, xy = _live(boxes, segmented_argsort(seg, order="descending", session=sess),
-                           score_threshold, top_k)
-    c = len(cands)
-    mask_buf = sess.alloc(max(1, c * c), "bool", device=GPU, name="nms_mask")
-
-    def fill_mask(lo, hi):
-        return _suppression_rows(cls, xy, lo, hi, iou_threshold)
-
-    launch_rows(sess, LaunchConfig(grid=1, block=max(1, ceil_div(c, TILE))), mask_buf, c,
-                fill_mask, tile=TILE)
-    mask = mask_buf.to_numpy()[: c * c].reshape(c, c)
-    kept = cands[_greedy_sweep(mask, max_output)]
-
-    packed = boxes.to_array()
-    out_rows = sess.alloc(n * 6, "f32", device=GPU, name="nms_out")
-
-    def write_out(lo, hi):
-        return _result_rows(packed, kept, lo, hi)
-
-    launch_rows(sess, LaunchConfig(grid=1, block=min(32, n)), out_rows, n, write_out)
-    return BoxSet.from_array(out_rows.to_numpy().reshape(n, 6))
+    """Greedy NMS of one image: box_nms_batch of ``boxes`` as one image."""
+    return box_nms_batch(boxes, 1, iou_threshold, score_threshold, top_k, max_output, session)
 
 
 def box_nms_sequential(boxes: BoxSet, iou_threshold: float, score_threshold: float = 0.0,
                        top_k: int | None = None, max_output: int | None = None) -> BoxSet:
-    """Greedy NMS through the same suppression mask and sweep as box_nms, no emulator."""
-    if not (0.0 < iou_threshold <= 1.0):
-        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    n = len(boxes)
-    # stable descending order with NaN scores last, ties by row index
-    order = np.argsort(-boxes.scores.astype(np.float64), kind="stable")
-    cands, cls, xy = _live(boxes, order, score_threshold, top_k)
-    kept = cands[_greedy_sweep(_suppression_rows(cls, xy, 0, len(cands), iou_threshold), max_output)]
-    return BoxSet.from_array(_result_rows(boxes.to_array(), kept, 0, n))
+    """box_nms without the emulator: box_nms_batch_sequential of one image."""
+    return box_nms_batch_sequential(boxes, 1, iou_threshold, score_threshold, top_k, max_output)
 
 
 DEFAULT_VARIANCES = (0.1, 0.1, 0.2, 0.2)
@@ -303,14 +338,15 @@ def multibox_detection(class_probs, loc_preds, anchors, variances=DEFAULT_VARIAN
     """
     probs, locs, ancs, b, a = _check_multibox(class_probs, loc_preds, anchors)
     sess = session if session is not None else Session()
-    decoded = sess.alloc(b * a * 6, "f32", device=GPU, name="mbx_decoded")
 
     def decode(lo, hi):
         return _detection_rows(probs, locs, ancs, variances, clip, lo, hi)
 
-    launch_rows(sess, LaunchConfig(grid=b, block=min(32, max(1, a))), decoded, b * a, decode)
-    return [box_nms(BoxSet.from_array(r), iou_threshold, score_threshold, top_k, max_output, sess)
-            for r in decoded.to_numpy().reshape(b, a, 6)]
+    rows = _rows(sess, LaunchConfig(grid=b, block=min(32, max(1, a))), "f32", b * a, 6, decode,
+                 "mbx_decoded")
+    kept = _nms_pass(BoxSet.from_array(rows), b, iou_threshold, score_threshold, top_k,
+                     max_output, sess)
+    return [BoxSet.from_array(r) for r in kept.reshape(b, a, 6)]
 
 
 def multibox_detection_sequential(class_probs, loc_preds, anchors, variances=DEFAULT_VARIANCES,
@@ -320,6 +356,7 @@ def multibox_detection_sequential(class_probs, loc_preds, anchors, variances=DEF
     """Straight-line decode + greedy NMS, no emulator; same input check as
     multibox_detection."""
     probs, locs, ancs, b, a = _check_multibox(class_probs, loc_preds, anchors)
-    rows = _detection_rows(probs, locs, ancs, variances, clip, 0, b * a).reshape(b, a, 6)
-    return [box_nms_sequential(BoxSet.from_array(r), iou_threshold, score_threshold, top_k, max_output)
-            for r in rows]
+    rows = _detection_rows(probs, locs, ancs, variances, clip, 0, b * a)
+    kept = _nms_pass(BoxSet.from_array(rows), b, iou_threshold, score_threshold, top_k,
+                     max_output, None)
+    return [BoxSet.from_array(r) for r in kept.reshape(b, a, 6)]

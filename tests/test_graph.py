@@ -405,7 +405,7 @@ def test_executor_looks_up_vision_and_conv_functions_when_called(monkeypatch):
     import edgegraph.graph
     import edgegraph.vision
 
-    calls = {"box_nms": 0, "conv2d_scheduled": 0}
+    calls = {"box_nms_batch": 0, "conv2d_scheduled": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -416,8 +416,8 @@ def test_executor_looks_up_vision_and_conv_functions_when_called(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counting(edgegraph.vision, "box_nms")
+    counting(edgegraph.vision, "box_nms_batch")
     counting(edgegraph.graph, "conv2d_scheduled")
     g = insert_copies(assign_devices(load_graph(ssd_like_doc()), DEFAULT_GPU_OPS))
     run_graph(g, ssd_like_inputs(0))
-    assert calls == {"box_nms": 1, "conv2d_scheduled": 4}
+    assert calls == {"box_nms_batch": 1, "conv2d_scheduled": 4}

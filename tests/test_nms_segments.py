@@ -1,0 +1,242 @@
+"""NMS over (image, class) segments: one pass per batch, equal to the
+greedy oracles and to per-image calls, with a mask of candidates x widest
+segment and a launch count that does not grow with the batch."""
+
+import json
+
+import numpy as np
+import pytest
+
+from edgegraph import vision
+from edgegraph.graph import (
+    DEFAULT_GPU_OPS,
+    GraphExecutionError,
+    assign_devices,
+    insert_copies,
+    load_graph,
+    run_graph,
+)
+from edgegraph.simt import Session
+from edgegraph.vision import (
+    BoxSet,
+    iou,
+    box_nms,
+    box_nms_batch,
+    box_nms_batch_sequential,
+    box_nms_sequential,
+    multibox_detection,
+    multibox_detection_sequential,
+)
+from fixtures import ssd_like_doc, ssd_like_inputs
+from test_vision_boxes import oracle_iou, oracle_multibox, oracle_nms, same_iou
+
+
+def _rows(rng, n, classes, case=""):
+    """(n, 6) float32 box rows of ``classes`` classes, shaped by ``case``."""
+    cls = rng.integers(0, classes, n).astype(np.float32)
+    score = rng.random(n).astype(np.float32)
+    if case == "ties":
+        score = np.round(score * 3) / 3
+    if case == "nan":
+        score[rng.random(n) < 0.2] = np.nan
+    if case == "distinct":
+        cls = np.arange(n, dtype=np.float32)
+    if case == "invalid":
+        cls[:] = -1
+    xy = rng.random((n, 2)) * 0.6
+    corners = np.concatenate([xy, xy + 0.05 + rng.random((n, 2)) * 0.4], axis=1)
+    return np.column_stack([cls, score, corners]).astype(np.float32)
+
+
+def _same(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint32), np.asarray(b).view(np.uint32))
+
+
+# (classes, case, top_k, max_output): a cut by max_output inside a class, a
+# top_k cut, NaN and tied scores, one class, all-distinct and all-invalid
+CASES = [
+    (3, "", None, None),
+    (3, "", None, 2),
+    (2, "", 5, None),
+    (3, "nan", None, 4),
+    (3, "ties", 7, 3),
+    (1, "", None, None),
+    (1, "ties", None, 1),
+    (1, "distinct", None, None),
+    (3, "invalid", None, None),
+]
+
+
+@pytest.mark.parametrize("race_check", [False, True])
+@pytest.mark.parametrize("classes, case, top_k, max_output", CASES)
+def test_batch_equals_oracle_and_per_image_calls(classes, case, top_k, max_output, race_check):
+    rng = np.random.default_rng(classes * 31 + len(case) + (top_k or 0) + (max_output or 0))
+    b, n = 3, 40
+    rows = np.stack([_rows(rng, n, classes, case) for _ in range(b)])
+    rows[1, :, 1] = 0.01  # an image with no candidate above the threshold
+    args = (0.45, 0.05, top_k, max_output)
+    want = np.concatenate([oracle_nms(r, *args) for r in rows])
+    flat = BoxSet.from_array(rows)
+    got = [box_nms_batch(flat, b, *args, session=Session(race_check=race_check)),
+           box_nms_batch_sequential(flat, b, *args)]
+    singles = [box_nms(BoxSet.from_array(r), *args, session=Session(race_check=race_check))
+               for r in rows]
+    twins = [box_nms_sequential(BoxSet.from_array(r), *args) for r in rows]
+    for out in got:
+        assert _same(out.to_array(), want)
+    assert _same(np.concatenate([s.to_array() for s in singles]), want)
+    assert _same(np.concatenate([s.to_array() for s in twins]), want)
+    assert (want[n : 2 * n, 0] == -1).all()
+
+
+@pytest.mark.parametrize("race_check", [False, True])
+def test_multibox_batch_equals_oracles_and_per_image_nms(race_check):
+    rng = np.random.default_rng(21)
+    b, a = 4, 70
+    probs = rng.random((b, 4, a)).astype(np.float32)
+    probs[2, 1:] = 0.001  # image 2 has no candidate
+    locs = (rng.standard_normal((b, 4 * a)) * 0.4).astype(np.float32)
+    xy = rng.random((a, 2)) * 0.6
+    anchors = np.concatenate([xy, xy + 0.05 + rng.random((a, 2)) * 0.3], axis=1)[None]
+    anchors = anchors.astype(np.float32)
+    kwargs = dict(score_threshold=0.1, iou_threshold=0.45, max_output=5)
+    outs = [multibox_detection(probs, locs, anchors, session=Session(race_check=race_check),
+                               **kwargs),
+            multibox_detection_sequential(probs, locs, anchors, **kwargs)]
+    for i in range(b):
+        decoded = np.column_stack([*vision.boxes.best_foreground_class(probs[i]),
+                                   vision.decode_boxes(locs[i], anchors[0])]).astype(np.float32)
+        want = oracle_nms(decoded, 0.45, 0.1, max_output=5)
+        single = box_nms(BoxSet.from_array(decoded), 0.45, 0.1, max_output=5)
+        near = oracle_multibox(probs[i], locs[i], anchors[0], (0.1, 0.1, 0.2, 0.2), 0.1, 0.45)
+        for out in outs:
+            assert _same(out[i].to_array(), want)
+            assert _same(out[i].to_array(), single.to_array())
+            # the oracle decodes in Python floats, so corners agree to rounding
+            kept = out[i].to_array()[:5]
+            assert np.array_equal(kept[:, 0], near[:5, 0])
+            assert np.allclose(kept[:, 1:], near[:5, 1:], atol=1e-6)
+    assert (outs[0][2].class_ids == -1).all()
+
+
+def _launches(run) -> tuple:
+    sess = Session()
+    run(sess)
+    st = sess.stats()
+    return st.launches, st.barriers
+
+
+def test_batched_detection_launch_count_does_not_depend_on_batch():
+    rng = np.random.default_rng(3)
+    a, n = 100, 90  # past one 64-slot sort block, so the argsort merges
+    xy = rng.random((a, 2)) * 0.6
+    anchors = np.concatenate([xy, xy + 0.1], axis=1)[None].astype(np.float32)
+
+    def multibox(b):
+        probs = rng.random((b, 3, a)).astype(np.float32)
+        locs = np.zeros((b, 4 * a), np.float32)
+        return _launches(lambda s: multibox_detection(probs, locs, anchors, session=s))
+
+    def graph_nms(b):
+        g = insert_copies(assign_devices(load_graph(json.dumps({
+            "nodes": [{"id": "y", "op": "box_nms", "attrs": {"iou_threshold": 0.5},
+                       "inputs": ["x"]}],
+            "inputs": {"x": {"shape": [b, n, 6], "dtype": "f32"}}, "outputs": ["y"]})),
+            DEFAULT_GPU_OPS))
+        boxes = np.stack([_rows(rng, n, 3) for _ in range(b)])
+        return _launches(lambda s: run_graph(g, {"x": boxes}, s))
+
+    for run in (multibox, graph_nms):
+        counts = {run(b) for b in (1, 2, 5)}
+        assert len(counts) == 1, counts
+    assert multibox(1) == (1 + 2 + 2, 0)  # decode, argsort block sort + 1 merge, mask, output
+    fixture = insert_copies(assign_devices(load_graph(ssd_like_doc()), DEFAULT_GPU_OPS))
+    assert _launches(lambda s: run_graph(fixture, ssd_like_inputs(0), s)) == (17, 0)
+
+
+def test_mask_is_candidates_by_widest_segment():
+    # classes 0/1/2 with 4/3/2 candidates, interleaved in score order
+    cls = [0, 1, 0, 2, 1, 0, 2, 1, 0]
+    n = len(cls)
+    corners = [[0.1 * i, 0.0, 0.1 * i + 0.15, 0.5] for i in range(n)]
+    boxes = BoxSet(class_ids=cls, scores=np.linspace(0.9, 0.1, n), corners=corners)
+    sess = Session()
+    sizes = {}
+    alloc = sess.alloc
+
+    def recording(length, dtype="f32", device="GPU", name=""):
+        sizes[name] = length
+        return alloc(length, dtype, device, name)
+
+    launch, items = sess.launch, {}
+
+    def launching(kernel, config, *buffers):
+        launch(kernel, config, *buffers)
+        items[kernel.__name__] = sess.stats().per_thread_items
+
+    sess.alloc, sess.launch = recording, launching
+    out = box_nms(boxes, 0.3, session=sess)
+    assert sizes["nms_mask"] == 9 * 4  # not 9 x 9
+    assert items["fill_mask"] == [36]
+    assert _same(out.to_array(), oracle_nms(boxes.to_array(), 0.3, 0.0))
+
+
+BAD_COUNTS = [True, False, np.nan, float("inf"), 2.5, -3, "3", np.float32(np.nan)]
+
+
+@pytest.mark.parametrize("param", ["top_k", "max_output"])
+@pytest.mark.parametrize("bad", BAD_COUNTS, ids=repr)
+def test_top_k_and_max_output_share_one_check(param, bad):
+    rows = _rows(np.random.default_rng(0), 12, 2)
+    boxes = BoxSet.from_array(rows)
+    probs, locs = np.full((1, 3, 4), 0.5, np.float32), np.zeros((1, 16), np.float32)
+    anchors = np.full((1, 4, 4), 0.25, np.float32)
+    calls = [
+        lambda: box_nms(boxes, 0.5, **{param: bad}),
+        lambda: box_nms_sequential(boxes, 0.5, **{param: bad}),
+        lambda: box_nms_batch(boxes, 2, 0.5, **{param: bad}),
+        lambda: box_nms_batch_sequential(boxes, 2, 0.5, **{param: bad}),
+        lambda: multibox_detection(probs, locs, anchors, **{param: bad}),
+        lambda: multibox_detection_sequential(probs, locs, anchors, **{param: bad}),
+    ]
+    message = f"{param} must be None or an integer >= 0, got {bad!r}"
+    for call in calls:
+        with pytest.raises(ValueError) as e:
+            call()
+        assert str(e.value) == message
+    attr = bad.item() if isinstance(bad, np.generic) else bad
+    g = load_graph(json.dumps({
+        "nodes": [{"id": "y", "op": "box_nms", "attrs": {param: attr}, "inputs": ["x"]}],
+        "inputs": {"x": {"shape": [12, 6], "dtype": "f32"}}, "outputs": ["y"]}))
+    for gpu_ops in (DEFAULT_GPU_OPS, set()):
+        with pytest.raises(GraphExecutionError, match="node 'y'") as e:
+            run_graph(insert_copies(assign_devices(g, gpu_ops)), {"x": rows})
+        assert f"{param} must be None or an integer >= 0, got {attr!r}" in str(e.value)
+
+
+@pytest.mark.parametrize("good", [None, 0, 3, np.int64(3), np.int32(2), 4.0])
+def test_top_k_and_max_output_accept_counts(good):
+    rows = _rows(np.random.default_rng(1), 30, 2)
+    boxes = BoxSet.from_array(rows)
+    want = oracle_nms(rows, 0.5, 0.0, top_k=good, max_output=good)
+    for out in (box_nms(boxes, 0.5, top_k=good, max_output=good),
+                box_nms_sequential(boxes, 0.5, top_k=good, max_output=good)):
+        assert _same(out.to_array(), want)
+
+
+def test_iou_fast_min_max_path_matches_the_scalar_rule():
+    # with no NaN in ``a`` iou takes np.fmin/np.fmax; NaN, signed zeros,
+    # infinities and zero-width boxes in either side must not show
+    rng = np.random.default_rng(8)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 1e-300, 0.5, 1.0])
+    a = rng.random((60, 4))
+    a[:, 2:] = a[:, :2] + rng.random((60, 2)) * 0.5
+    b = a[rng.permutation(60)] + rng.normal(0.0, 0.1, (60, 4))
+    for side, with_nan in ((a, False), (b, True)):
+        hit = rng.random(side.shape) < 0.15
+        side[hit] = rng.choice(np.append(special, np.nan) if with_nan else special, hit.sum())
+    a[:10, 2] = a[:10, 0]  # zero width
+    assert not np.isnan(a).any() and np.isnan(b).any()
+    want = [[oracle_iou(p.tolist(), q.tolist()) for q in b] for p in a]
+    assert same_iou(iou(a[:, None], b), want)
+    assert same_iou([[iou(p, q) for q in b[:5]] for p in a[:5]], [row[:5] for row in want[:5]])

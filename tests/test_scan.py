@@ -186,7 +186,7 @@ def test_compact_rejects_values_beyond_i32():
 
 
 def test_compact_launch_structure():
-    # exclusive scan (3 launches) plus one scatter
+    # exclusive scan (3 launches) plus one gather
     sess = Session()
     compact(np.arange(40, dtype=np.int32), np.arange(40) % 3 == 0, p=5, session=sess)
     assert sess.stats().launches == 4
