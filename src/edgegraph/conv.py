@@ -153,10 +153,14 @@ def _check_shapes(inp: np.ndarray, wgt: np.ndarray, wl: ConvWorkload) -> None:
 
 
 def _padded(inp: np.ndarray, wl: ConvWorkload) -> np.ndarray:
+    """``inp`` as contiguous float32, zero-padded by ``wl.pad`` on both sides of H and W."""
     ph, pw = wl.pad
     if ph == 0 and pw == 0:
         return np.ascontiguousarray(inp, dtype=np.float32)
-    return np.pad(inp.astype(np.float32), ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    n, c, h, w = inp.shape
+    x = np.zeros((n, c, h + 2 * ph, w + 2 * pw), np.float32)  # np.pad costs ~15x more
+    x[:, :, ph : ph + h, pw : pw + w] = inp
+    return x
 
 
 def conv2d_reference(inp, wgt, wl: ConvWorkload) -> np.ndarray:

@@ -195,7 +195,7 @@ def _conv_workload(data: np.ndarray, weight: np.ndarray, attrs: dict) -> ConvWor
         stride=tuple(attrs.get("stride", (1, 1))),
         pad=tuple(attrs.get("pad", (0, 0))),
         dilation=tuple(attrs.get("dilation", (1, 1))),
-        groups=int(attrs.get("groups", 1)),
+        groups=_int_attr(attrs, "groups", 1),
     )
 
 
@@ -246,6 +246,10 @@ def _vision(gpu, name: str, *args, **kwargs):
     return getattr(vision, name)(*args, session=gpu, **kwargs)
 
 
+def _int_attr(at: dict, name: str, default: int) -> int:
+    return vision.boxes.check_int(name, at.get(name, default), 1)
+
+
 def _nms_attrs(at: dict, default_score: float) -> dict:
     return dict(
         iou_threshold=float(at.get("iou_threshold", 0.5)),
@@ -271,12 +275,10 @@ def _pool(node, args, gpu):
     at = node.attrs
     x = _f32(args[0])
     n, c, h, w = x.shape
-    kh = int(at.get("kernel", 2))
-    kw = int(at.get("kernel_w", kh))
-    sh = int(at.get("stride", kh))
-    sw = int(at.get("stride_w", sh))
-    if min(kh, kw, sh, sw) < 1:
-        raise ValueError(f"pool kernel {kh}x{kw} and stride {sh}x{sw} must be >= 1")
+    kh = _int_attr(at, "kernel", 2)
+    kw = _int_attr(at, "kernel_w", kh)
+    sh = _int_attr(at, "stride", kh)
+    sw = _int_attr(at, "stride_w", sh)
     if kh > h or kw > w:
         raise ValueError(f"pool window {kh}x{kw} is larger than the {h}x{w} map")
     oh, ow = (h - kh) // sh + 1, (w - kw) // sw + 1
@@ -311,17 +313,14 @@ def _multibox_detection(node, args, gpu):
 
 
 def _roi_align(node, args, gpu):
-    size = tuple(node.attrs.get("output_size", (2, 2)))
-    ratio = int(node.attrs.get("sampling_ratio", 2))
+    size, ratio = tuple(node.attrs.get("output_size", (2, 2))), node.attrs.get("sampling_ratio", 2)
     return _vision(gpu, "roi_align", args[0].to_array(), args[1].to_array(), size, ratio)
 
 
 def _argsort(node, args, gpu):
     vals = args[0].to_array().reshape(-1)
     order = node.attrs.get("order", "ascending")
-    block = int(node.attrs.get("block", 64))
-    if block < 1:
-        raise ValueError(f"block must be >= 1, got {block}")
+    block = _int_attr(node.attrs, "block", 64)
     if gpu is None:
         return vision.argsort_sequential(vals, order)
     sa = vision.SegmentedArray(values=vals.astype(np.float32), offsets=np.array([0, vals.size]))
@@ -330,7 +329,7 @@ def _argsort(node, args, gpu):
 
 def _scan(node, args, gpu):
     vals = args[0].to_array().reshape(-1)
-    return _vision(gpu, "scan", vals, node.attrs.get("kind", "inclusive"), p=int(node.attrs.get("p", 8)))
+    return _vision(gpu, "scan", vals, node.attrs.get("kind", "inclusive"), p=_int_attr(node.attrs, "p", 8))
 
 
 # op kind -> runner(node, args, gpu), returning a Tensor or an array of

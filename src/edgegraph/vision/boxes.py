@@ -107,12 +107,18 @@ def iou(a, b):
     return float(out) if out.ndim == 0 else out
 
 
+def check_int(name: str, value, low: int, rule: str = "") -> int:
+    """Integral int, float or numpy ``value`` >= ``low`` as an int (4.0 is 4); bools,
+    NaN, inf, fractions, strings or less raise ``ValueError`` naming ``name``."""
+    bad = isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+    if bad or value % 1 or value < low:  # NaN % 1 is NaN, which is true
+        raise ValueError(f"{name} must be {rule or f'>= {low} and an integer'}, got {value!r}")
+    return int(value)
+
+
 def check_count(name: str, value):
     """``value`` of top_k or max_output as an int >= 0, or None; anything else raises."""
-    bad = isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
-    if value is not None and (bad or value % 1 or value < 0):  # NaN % 1 is NaN, which is true
-        raise ValueError(f"{name} must be None or an integer >= 0, got {value!r}")
-    return None if value is None else int(value)
+    return None if value is None else check_int(name, value, 0, "None or an integer >= 0")
 
 
 def _suppression_rows(xy: np.ndarray, first: np.ndarray, end: np.ndarray, width: int,

@@ -7,14 +7,16 @@ covering an integer-aligned region samples exactly on pixel centers) and
 are clamped to the feature map. A zero-area ROI degenerates to repeated
 sampling at its origin, which is well defined, not an error.
 
-Sample rows and columns depend only on the ROI, so a launch first builds
-its sampling plan for every ROI in one vectorized float64 pass
-(``_plan``). The pooling then runs on tiles of ``TILE`` consecutive ROIs:
-each tile takes all channels at once, with one gather per bilinear corner
-(``_pool_many``). The kernel is one ``simt.launch_rows`` launch whose
-threads each pool one tile (``_pool_tiles``) and write it with one slice
-store; the sequential twin runs ``_pool_tiles`` over every ROI, so it
-pools the same tiles and the two agree bit for bit, NaNs included.
+A launch sets up once: it casts the map to float64 (exact), plans each
+ROI's sample rows and columns (``_plan``) and turns the plan into flat
+per-sample corner indices and weights (``_sample_planes``). Tiles of
+``TILE`` consecutive ROIs then pool all channels in place in two float64
+workspaces that a range call allocates once (``_pool_tiles``): a gather
+per bilinear corner, then a plane-wise cell mean in numpy's sum order
+(``_cell_mean``). The kernel is one ``simt.launch_rows`` launch whose
+threads each pool tiles and write them with one slice store; the twin
+runs ``_pool_tiles`` over every ROI, so it pools the same tiles and the
+two agree bit for bit, NaNs included.
 """
 
 from __future__ import annotations
@@ -22,12 +24,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..simt import GPU, LaunchConfig, Session, ceil_div, launch_rows
+from .boxes import check_int
 
-# ROIs pooled together. It bounds a tile's float64 temporaries, each
-# C x TILE x ph x pw x ratio**2 values. With 16 channels, 7x7 cells and
-# ratio 2, a tile of 4 pooled faster per ROI than tiles of 1, 2 or 8,
-# and keeps each temporary under glibc's 128 KiB mmap threshold.
-TILE = 4
+# ROIs pooled together in two (C, TILE * ratio**2 * ph * pw) float64 workspaces.
+# On 16 channels, 7x7 cells and ratio 2, 8 pooled faster than 4 or 16.
+TILE = 8
 
 
 def _check_inputs(features, rois, output_size, sampling_ratio):
@@ -50,16 +51,10 @@ def _check_inputs(features, rois, output_size, sampling_ratio):
         row = int(bad[0])
         raise ValueError(f"roi row {row} has a non-finite coordinate: {boxes[row].tolist()}")
     size = tuple(output_size)
-    if len(size) != 2 or not all(map(_positive_int, size)):
+    if len(size) != 2:
         raise ValueError(f"output_size must be two ints >= 1, got {output_size!r}")
-    if not _positive_int(sampling_ratio):
-        raise ValueError(f"sampling_ratio must be an int >= 1, got {sampling_ratio!r}")
-    return feats, boxes, (int(size[0]), int(size[1])), int(sampling_ratio)
-
-
-def _positive_int(v) -> bool:
-    whole = isinstance(v, (int, np.integer)) or (isinstance(v, float) and v.is_integer())
-    return whole and v >= 1
+    size = tuple(check_int(f"output_size[{i}]", v, 1) for i, v in enumerate(size))
+    return feats, boxes, size, check_int("sampling_ratio", sampling_ratio, 1)
 
 
 def _axis_plan(start, stop, bins, ratio, limit):
@@ -86,49 +81,75 @@ def _plan(rois: np.ndarray, output_size, ratio: int, h: int, w: int):
             _axis_plan(r[:, 0], r[:, 2], pw, ratio, w))
 
 
-def _pool_many(flat: np.ndarray, w: int, plan, lo: int, hi: int) -> np.ndarray:
-    """Pooled (hi - lo, C, ph, pw) float32 maps of ROIs lo..hi-1.
-
-    ``flat`` is the float32 feature map as (C, H * W); products run in
-    float64, which holds every float32 value exactly. The tile's samples
-    are laid out flat in (roi, ph, pw, ry, rx) order, so each bilinear
-    corner is one gather and every product runs along one long axis.
+def _sample_planes(plan, w: int):
+    """``((ratio**2, ph, pw), corners)``: per bilinear corner, in the scalar
+    rule's order, its flat map index, row weight and column weight, each a
+    flat array over the samples of every ROI. An ROI's samples run in (ry,
+    rx, ph, pw) order, so each (ry, rx) sample is one plane of its cells.
     """
-    (y0, y1, wy), (x0, x1, wx) = plan
-    n, ph, ratio = y0[lo:hi].shape
-    pw = x0.shape[1]
-    shape = (n, ph, pw, ratio, ratio)
+    (y0, y1, fy), (x0, x1, fx) = plan
+    (n, ph, ratio), pw = y0.shape, x0.shape[1]
+    shape = (n, ratio, ratio, ph, pw)
 
-    def rows(a):
-        return np.broadcast_to(a[lo:hi, :, None, :, None], shape).reshape(-1)
+    def spread(a, axes):  # (n, bins, ratio) -> one value per sample
+        return np.broadcast_to(np.expand_dims(a.transpose(0, 2, 1), axes), shape).reshape(-1)
 
-    def cols(a):
-        return np.broadcast_to(a[lo:hi, None, :, None, :], shape).reshape(-1)
-
-    r0, r1, fy = rows(y0) * w, rows(y1) * w, rows(wy)
-    c0, c1, fx = cols(x0), cols(x1), cols(wx)
-    gy, gx = 1 - fy, 1 - fx
-    # the scalar rule's four corner terms f * wy * wx, summed in its order,
-    # in place: a tile holds two float64 (C, samples) arrays at a time
-    v = np.take(flat, r0 + c0, axis=1) * gy
-    v *= gx
-    t = np.empty_like(v)
-    for idx, ky, kx in ((r0 + c1, gy, fx), (r1 + c0, fy, gx), (r1 + c1, fy, fx)):
-        np.multiply(np.take(flat, idx, axis=1), ky, out=t)
-        t *= kx
-        v += t
-    # mean over a last, contiguous (ry, rx) axis, as the scalar rule sums it
-    cells = v.reshape(flat.shape[0], n, ph, pw, ratio * ratio)
-    return cells.mean(axis=-1).astype(np.float32).transpose(1, 0, 2, 3)
+    r0, r1, gy, ky = (spread(a, (2, 4)) for a in (y0 * w, y1 * w, 1 - fy, fy))
+    c0, c1, gx, kx = (spread(a, (1, 3)) for a in (x0, x1, 1 - fx, fx))
+    corners = (r0 + c0, gy, gx), (r0 + c1, gy, kx), (r1 + c0, ky, gx), (r1 + c1, ky, kx)
+    return (ratio * ratio, ph, pw), corners
 
 
-def _pool_tiles(flat: np.ndarray, w: int, plan, lo: int, hi: int) -> np.ndarray:
-    """Pooled (hi - lo, C, ph, pw) maps of ROIs lo..hi-1, one tile of
-    ``TILE`` ROIs at a time from ``lo``."""
-    (y0, _, _), (x0, _, _) = plan
-    out = np.empty((hi - lo, flat.shape[0], y0.shape[1], x0.shape[1]), np.float32)
+def _cell_mean(v: np.ndarray) -> np.ndarray:
+    """``v.mean(axis=-2)`` of float64 ``v`` (..., k, m) in place, bit for bit
+    as numpy means a contiguous row: +0.0 plus a pairwise sum, which adds
+    under 8 values in turn, up to 128 in 8 running sums combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) then the rest, more in two halves."""
+    def total(v):
+        k, s = v.shape[-2], v[..., 0, :]
+        if k > 128:
+            half = k // 2 - k // 2 % 8
+            total(v[..., :half, :])
+            s += total(v[..., half:, :])
+            return s
+        if k >= 8:
+            r = v[..., :8, :]
+            for i in range(8, k - k % 8, 8):
+                r += v[..., i : i + 8, :]
+            for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+                r[..., a, :] += r[..., b, :]
+        for i in range(k - k % 8 if k >= 8 else 1, k):
+            s += v[..., i, :]
+        return s
+
+    s = total(v)
+    s += 0.0  # a cell of -0.0 samples means +0.0
+    s /= v.shape[-2]
+    return s
+
+
+def _pool_tiles(flat: np.ndarray, planes, lo: int, hi: int) -> np.ndarray:
+    """Pooled (hi - lo, C, ph, pw) float32 maps of ROIs lo..hi-1, from the
+    float64 (C, H * W) map ``flat`` and ``_sample_planes``, one tile of
+    ``TILE`` ROIs at a time from ``lo``, in place in two float64 workspaces.
+    """
+    (k, ph, pw), corners = planes
+    c, size = flat.shape[0], k * ph * pw
+    out = np.empty((hi - lo, c, ph, pw), np.float32)
+    work = np.empty((2, c * TILE * size))
     for a in range(lo, hi, TILE):
-        out[a - lo : a - lo + TILE] = _pool_many(flat, w, plan, a, min(a + TILE, hi))
+        b = min(a + TILE, hi)
+        v, t = (ws[: c * (b - a) * size].reshape(c, -1) for ws in work)
+        for j, (idx, ky, kx) in enumerate(corners):  # v += f[idx] * ky * kx
+            term = t if j else v
+            # every index is in range; mode="raise" would gather into a buffer
+            np.take(flat, idx[a * size : b * size], axis=1, out=term, mode="clip")
+            term *= ky[a * size : b * size]
+            term *= kx[a * size : b * size]
+            if j:
+                v += t
+        cells = _cell_mean(v.reshape(c, b - a, k, ph * pw)).reshape(c, b - a, ph, pw)
+        out[a - lo : b - lo] = cells.transpose(1, 0, 2, 3)
     return out
 
 
@@ -145,15 +166,15 @@ def roi_align(features, rois, output_size, sampling_ratio: int = 2,
     r = boxes.shape[0]
     if r == 0:
         return np.zeros((0, c, ph, pw), np.float32)
-    plan = _plan(boxes, (ph, pw), ratio, h, w)
-    flat = feats[0].reshape(c, h * w)
+    planes = _sample_planes(_plan(boxes, (ph, pw), ratio, h, w), w)
+    flat = feats[0].reshape(c, h * w).astype(np.float64)
     sess = session if session is not None else Session()
     out = sess.alloc(r * c * ph * pw, "f32", device=GPU, name="roi_out")
     tiles = ceil_div(r, TILE)
     block = min(4, tiles)
 
     def pool(lo, hi):
-        return _pool_tiles(flat, w, plan, lo, hi)
+        return _pool_tiles(flat, planes, lo, hi)
 
     launch_rows(sess, LaunchConfig(grid=ceil_div(tiles, block), block=block), out, r, pool,
                 tile=TILE)
@@ -164,5 +185,5 @@ def roi_align_sequential(features, rois, output_size, sampling_ratio: int = 2) -
     """Same pooling without the emulator, over the kernel's tiles."""
     feats, boxes, (ph, pw), ratio = _check_inputs(features, rois, output_size, sampling_ratio)
     _, c, h, w = feats.shape
-    plan = _plan(boxes, (ph, pw), ratio, h, w)
-    return _pool_tiles(feats[0].reshape(c, h * w), w, plan, 0, boxes.shape[0])
+    planes = _sample_planes(_plan(boxes, (ph, pw), ratio, h, w), w)
+    return _pool_tiles(feats[0].reshape(c, h * w).astype(np.float64), planes, 0, boxes.shape[0])

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..simt import GPU, LaunchConfig, Session, ceil_div, launch_rows, log2_ceil
+from .boxes import check_int
 
 I32_MIN = -(2**31)
 I32_MAX = 2**31 - 1
@@ -59,8 +60,7 @@ class ScanPlan:
         """
         if n < 1:
             raise ValueError("scan plan needs n >= 1")
-        if p < 1:
-            raise ValueError(f"processor count must be >= 1, got {p}")
+        p = check_int("processor count p", p, 1)
         chunk = ceil_div(n, min(p, n))
         p_eff = ceil_div(n, chunk)
         return cls(p=p_eff, chunk=chunk, num_coop_passes=log2_ceil(p_eff))

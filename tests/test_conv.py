@@ -8,6 +8,7 @@ from edgegraph.conv import (
     ConvWorkload,
     ScheduleConfig,
     ScheduleRejectedError,
+    _padded,
     conv2d_reference,
     conv2d_scheduled,
     schedule_space,
@@ -263,3 +264,17 @@ def test_sum_of_negative_zero_products_is_positive_zero(race_check):
     for cfg in (ScheduleConfig(), ScheduleConfig(oc_split=4, h_split=2, w_tile=2, vec=4)):
         got = conv2d_scheduled(x, w, wl, cfg, session=Session(race_check=race_check))
         assert got.tobytes() == ref.tobytes(), cfg
+
+
+@pytest.mark.parametrize("pad", [(0, 0), (1, 1), (2, 3), (2, 0), (0, 1)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_padding_equals_np_pad_bitwise(pad, dtype):
+    """Zero, symmetric and one-axis pads give np.pad's array bit for bit:
+    contiguous float32, signed zeros, NaN and infinities kept."""
+    x = np.random.default_rng(5).standard_normal((2, 3, 4, 5)).astype(dtype)
+    x.reshape(-1)[:4] = [-0.0, np.nan, np.inf, -np.inf]
+    wl = ConvWorkload(n=2, c=3, h=4, w=5, k=2, r=1, s=1, pad=pad)
+    want = np.pad(x.astype(np.float32), ((0, 0), (0, 0), (pad[0], pad[0]), (pad[1], pad[1])))
+    got = _padded(x, wl)
+    assert got.dtype == np.float32 and got.flags.c_contiguous
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))

@@ -399,6 +399,52 @@ def test_bad_vision_attrs_raise_the_same_error_on_every_placement(op, attrs, mat
     assert errors[0] == errors[1]
 
 
+@pytest.mark.parametrize("op, attrs, bad", [
+    ("pool", {"kernel": 2.5}, "kernel"),
+    ("pool", {"kernel": 2, "stride": 1.9}, "stride"),
+    ("pool", {"kernel": True}, "kernel"),
+    ("pool", {"kernel": 2, "kernel_w": "2"}, "kernel_w"),
+    ("pool", {"kernel": 2, "stride_w": float("nan")}, "stride_w"),
+    ("roi_align", {"sampling_ratio": 1.5}, "sampling_ratio"),
+    ("roi_align", {"output_size": [2, 2.5]}, "output_size"),
+    ("scan", {"p": 2.7}, "p"),
+    ("argsort", {"block": 2.5}, "block"),
+    ("conv2d", {"groups": 1.5}, "groups"),
+])
+def test_integer_attrs_are_checked_not_truncated_on_every_placement(op, attrs, bad):
+    """A non-integral integer attribute is a node error naming the
+    attribute, alike on both placements, never a truncated value."""
+    feeds = {
+        "pool": ({"x": np.ones((1, 1, 6, 6), np.float32)}, ["x"]),
+        "roi_align": ({"x": np.ones((1, 2, 6, 6), np.float32),
+                       "r": np.array([[0.5, 0.5, 4, 4]], np.float32)}, ["x", "r"]),
+        "scan": ({"x": np.arange(9, dtype=np.float32)}, ["x"]),
+        "argsort": ({"x": np.arange(9, dtype=np.float32)}, ["x"]),
+        "conv2d": ({"x": np.ones((1, 2, 4, 4), np.float32), "r": np.ones((2, 2, 1, 1), np.float32)},
+                   ["x", "r"]),
+    }
+    inputs, refs = feeds[op]
+    g = load_graph(doc(
+        [{"id": "y", "op": op, "attrs": attrs, "inputs": refs}],
+        inputs={k: {"shape": list(v.shape), "dtype": "f32"} for k, v in inputs.items()},
+        outputs=["y"],
+    ))
+    errors = []
+    for ops in (DEFAULT_GPU_OPS, set()):
+        with pytest.raises(GraphExecutionError, match=rf"node 'y' \({op}\): {bad}\S* must be") as e:
+            run_graph(insert_copies(assign_devices(g, ops)), inputs)
+        errors.append(str(e.value))
+    assert errors[0] == errors[1]
+
+
+def test_integral_float_attrs_run_as_ints():
+    x = np.random.default_rng(6).standard_normal((1, 2, 7, 7)).astype(np.float32)
+    want = pool_oracle(x, 3, 2, 2, 1)
+    g = pool_graph({"kernel": 3.0, "kernel_w": 2, "stride": 2.0, "stride_w": 1.0}, x.shape)
+    for ops in (DEFAULT_GPU_OPS, set()):
+        assert np.array_equal(run_graph(insert_copies(assign_devices(g, ops)), {"x": x})["p"].to_array(), want)
+
+
 def test_executor_looks_up_vision_and_conv_functions_when_called(monkeypatch):
     # per-layer tracing wraps these module attributes; the executor must
     # call through them, not through references taken at import

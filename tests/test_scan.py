@@ -54,6 +54,26 @@ def test_partition_chunks_rejects_zero_processors():
         partition_chunks(10, 0)
 
 
+@pytest.mark.parametrize("p", [2.7, 0.5, True, float("nan"), "4", 0])
+def test_processor_count_must_be_an_integer(p):
+    """Scan, its twin and compact raise one ValueError for a bad p."""
+    with pytest.raises(ValueError) as planned:
+        ScanPlan.for_size(10, p)
+    assert str(planned.value) == f"processor count p must be >= 1 and an integer, got {p!r}"
+    values = np.arange(10, dtype=np.int32)
+    for call in (lambda: scan(values, p=p), lambda: scan_sequential(values, p=p),
+                 lambda: compact(values, values % 2 == 0, p=p)):
+        with pytest.raises(ValueError) as e:
+            call()
+        assert str(e.value) == str(planned.value)
+
+
+def test_integral_float_processor_count_counts_as_int():
+    values = np.arange(10, dtype=np.int32)
+    assert ScanPlan.for_size(10, 4.0) == ScanPlan.for_size(10, np.int64(4))
+    assert np.array_equal(scan(values, p=4.0), scan(values, p=4))
+
+
 def test_partition_chunks_cover_and_contiguous():
     rng = np.random.default_rng(0)
     for _ in range(50):

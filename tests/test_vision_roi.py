@@ -5,7 +5,7 @@ import pytest
 
 from edgegraph.simt import Session
 from edgegraph.vision import roi_align, roi_align_sequential
-from edgegraph.vision.roi import TILE
+from edgegraph.vision.roi import TILE, _cell_mean
 
 
 def oracle_bilinear(fm, y, x):
@@ -134,6 +134,55 @@ def test_sums_run_in_the_scalar_rules_order():
             assert np.array_equal(fn(feats, [roi], (1, 1), ratio).view(np.uint32), want)
 
 
+def decades_case(rng, c, n, ratio, size=(3, 2)):
+    """Finite features over 19 decades with some -0.0 values, and n ROIs
+    partly outside the map: the kernel, twin and reference must then agree
+    in every bit, NaN signs never coming into it."""
+    feats = rng.standard_normal((1, c, 9, 7)) * 10.0 ** rng.integers(-9, 10, (1, c, 9, 7))
+    feats = feats.astype(np.float32)
+    feats.reshape(-1)[rng.integers(0, feats.size, feats.size // 7)] = -0.0
+    xy = rng.random((n, 2)) * 11 - 1
+    rois = np.concatenate([xy, xy + rng.random((n, 2)) * 6], axis=1).astype(np.float32)
+    return feats, rois, size, ratio
+
+
+@pytest.mark.parametrize("ratio", [1, 3, 6])
+@pytest.mark.parametrize("nroi", sorted({1, max(1, TILE - 1), TILE, TILE + 1, 5 * TILE - 3}))
+def test_tile_edges_agree_bitwise_with_the_reference(nroi, ratio):
+    """Full and partial tiles, on every path, bit for bit."""
+    feats, rois, size, ratio = decades_case(np.random.default_rng(nroi * 10 + ratio), 5, nroi, ratio)
+    want = per_channel_reference(feats, rois, size, ratio).view(np.uint32)
+    for got in (roi_align(feats, rois, size, ratio, session=Session()),
+                roi_align(feats, rois, size, ratio, session=Session(race_check=True)),
+                roi_align_sequential(feats, rois, size, ratio)):
+        assert got.shape == (nroi, 5) + size
+        assert np.array_equal(got.view(np.uint32), want)
+
+
+def test_successive_calls_share_no_workspace():
+    """Calls that grow, then shrink, in channels, samples and ROIs each
+    match the reference, so no call reuses another's workspaces."""
+    rng = np.random.default_rng(4)
+    for c, ratio, nroi in ((2, 2, TILE + 2), (9, 5, 2 * TILE + 1), (6, 3, 1)):
+        feats, rois, size, ratio = decades_case(rng, c, nroi, ratio, size=(2, 4))
+        want = per_channel_reference(feats, rois, size, ratio).view(np.uint32)
+        for fn in (roi_align, roi_align_sequential):
+            assert np.array_equal(fn(feats, rois, size, ratio).view(np.uint32), want)
+
+
+@pytest.mark.parametrize("k", list(range(1, 37)) + [128, 129, 200])
+def test_cell_mean_is_numpys_mean_bitwise(k):
+    """The plane-wise mean equals .mean(axis=-1) over contiguous rows in
+    every bit, on values spread over 19 decades whose cancellations show a
+    sum taken in any other order; rows of -0.0 mean +0.0, as numpy's do."""
+    rng = np.random.default_rng(k)
+    rows = rng.standard_normal((3, 40, k)) * 10.0 ** rng.integers(-9, 10, (3, 40, k))
+    rows[0, :4] = -0.0
+    want = rows.mean(axis=-1)
+    got = _cell_mean(np.ascontiguousarray(np.swapaxes(rows, -1, -2)))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("nroi", [1, TILE, TILE + 1, 5 * TILE - 3])
 def test_one_launch_per_call(nroi):
     sess = Session()
@@ -219,6 +268,9 @@ def test_single_roi_and_empty_roi_list():
     ((np.zeros((1, 2, 4, 4)), [[0, 0, 1, 1]], (2, 2), 1.5), "sampling_ratio"),
     ((np.zeros((1, 2, 4, 4)), [[0, 0, 1, 1]], (2, 2), float("inf")), "sampling_ratio"),
     ((np.zeros((1, 2, 4, 4)), [[0, 0, 1, 1]], (2, float("nan")), 2), "output_size"),
+    ((np.zeros((1, 2, 4, 4)), [[0, 0, 1, 1]], (2, 2), True), "sampling_ratio"),
+    ((np.zeros((1, 2, 4, 4)), [[0, 0, 1, 1]], (True, 2), 2), "output_size"),
+    ((np.zeros((1, 2, 4, 4)), [[0, 0, 1, 1]], (2, 2), "2"), "sampling_ratio"),
 ])
 def test_kernel_and_twin_reject_bad_inputs_alike(args, match):
     for fn in (roi_align, roi_align_sequential):
