@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simt import GPU, LaunchConfig, Session, lane_form
+from .simt import GPU, LaunchConfig, Session, check_int, lane_form
 
 
 class ScheduleRejectedError(ValueError):
@@ -43,16 +43,11 @@ class ConvWorkload:
     groups: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "stride", tuple(int(x) for x in self.stride))
-        object.__setattr__(self, "pad", tuple(int(x) for x in self.pad))
-        object.__setattr__(self, "dilation", tuple(int(x) for x in self.dilation))
+        for name, low in (("stride", 1), ("pad", 0), ("dilation", 1)):
+            pair = tuple(check_int(f"{name}[{i}]", x, low) for i, x in enumerate(getattr(self, name)))
+            object.__setattr__(self, name, pair)
         for name in ("n", "c", "h", "w", "k", "r", "s", "groups"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if any(x < 1 for x in self.stride) or any(x < 1 for x in self.dilation):
-            raise ValueError("stride and dilation must be >= 1")
-        if any(x < 0 for x in self.pad):
-            raise ValueError("pad must be >= 0")
+            object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
         if self.c % self.groups or self.k % self.groups:
             raise ValueError(f"c={self.c} and k={self.k} must be divisible by groups={self.groups}")
         if self.oh < 1 or self.ow < 1:

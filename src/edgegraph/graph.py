@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import vision
 from .conv import ConvWorkload, ScheduleConfig, conv2d_reference, conv2d_scheduled
-from .simt import CPU, GPU, LaunchConfig, Session, launch_rows
+from .simt import CPU, GPU, LaunchConfig, Session, check_count, check_int, launch_rows
 from .tensor import Tensor
 
 UNASSIGNED = "unassigned"
@@ -195,7 +195,7 @@ def _conv_workload(data: np.ndarray, weight: np.ndarray, attrs: dict) -> ConvWor
         stride=tuple(attrs.get("stride", (1, 1))),
         pad=tuple(attrs.get("pad", (0, 0))),
         dilation=tuple(attrs.get("dilation", (1, 1))),
-        groups=_int_attr(attrs, "groups", 1),
+        groups=attrs.get("groups", 1),
     )
 
 
@@ -247,15 +247,15 @@ def _vision(gpu, name: str, *args, **kwargs):
 
 
 def _int_attr(at: dict, name: str, default: int) -> int:
-    return vision.boxes.check_int(name, at.get(name, default), 1)
+    return check_int(name, at.get(name, default), 1)
 
 
 def _nms_attrs(at: dict, default_score: float) -> dict:
     return dict(
         iou_threshold=float(at.get("iou_threshold", 0.5)),
         score_threshold=float(at.get("score_threshold", default_score)),
-        top_k=vision.boxes.check_count("top_k", at.get("top_k")),
-        max_output=vision.boxes.check_count("max_output", at.get("max_output")),
+        top_k=check_count("top_k", at.get("top_k")),
+        max_output=check_count("max_output", at.get("max_output")),
     )
 
 

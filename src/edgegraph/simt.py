@@ -584,3 +584,17 @@ def ceil_div(a: int, b: int) -> int:
 def log2_ceil(x: int) -> int:
     """ceil(log2 x) for x >= 1, exact for any int."""
     return (x - 1).bit_length() if x > 1 else 0
+
+
+def check_int(name: str, value, low: int, rule: str = "") -> int:
+    """Integral int, float or numpy ``value`` >= ``low`` as an int (4.0 is 4); bools,
+    NaN, inf, fractions, strings or less raise ``ValueError`` naming ``name``."""
+    bad = isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+    if bad or value % 1 or value < low:  # NaN % 1 is NaN, which is true
+        raise ValueError(f"{name} must be {rule or f'>= {low} and an integer'}, got {value!r}")
+    return int(value)
+
+
+def check_count(name: str, value):
+    """``value`` of top_k or max_output as an int >= 0, or None; anything else raises."""
+    return None if value is None else check_int(name, value, 0, "None or an integer >= 0")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..simt import GPU, LaunchConfig, Session, ceil_div, launch_rows
+from ..simt import GPU, LaunchConfig, Session, ceil_div, check_count, launch_rows
 from .sort import SegmentedArray, segmented_argsort
 
 INVALID = -1.0  # marker filled into every field of a suppressed row
@@ -105,20 +105,6 @@ def iou(a, b):
         # fmin skips a NaN, so this is (iw <= 0) | (ih <= 0) in one pass
         out = np.where((np.fmin(iw, ih) <= 0.0) | (union <= 0.0), 0.0, inter / union)
     return float(out) if out.ndim == 0 else out
-
-
-def check_int(name: str, value, low: int, rule: str = "") -> int:
-    """Integral int, float or numpy ``value`` >= ``low`` as an int (4.0 is 4); bools,
-    NaN, inf, fractions, strings or less raise ``ValueError`` naming ``name``."""
-    bad = isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
-    if bad or value % 1 or value < low:  # NaN % 1 is NaN, which is true
-        raise ValueError(f"{name} must be {rule or f'>= {low} and an integer'}, got {value!r}")
-    return int(value)
-
-
-def check_count(name: str, value):
-    """``value`` of top_k or max_output as an int >= 0, or None; anything else raises."""
-    return None if value is None else check_int(name, value, 0, "None or an integer >= 0")
 
 
 def _suppression_rows(xy: np.ndarray, first: np.ndarray, end: np.ndarray, width: int,

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..simt import GPU, LaunchConfig, Session, ceil_div, launch_rows
-from .boxes import check_int
+from ..simt import GPU, LaunchConfig, Session, ceil_div, check_int, launch_rows
 
 # ROIs pooled together in two (C, TILE * ratio**2 * ph * pw) float64 workspaces.
 # On 16 channels, 7x7 cells and ratio 2, 8 pooled faster than 4 or 16.

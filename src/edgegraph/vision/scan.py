@@ -1,16 +1,21 @@
 """Three-stage parallel prefix sum and stream compaction.
 
 The scan assigns ceil(n/p) consecutive elements to each of p processors
-(register blocking). Launch 1 sweeps up: every processor scans its chunk
-sequentially and stores only the running sums. Launch 2 runs a
-cooperative Hillis-Steele scan over the p chunk totals, which it reads
-at the chunk ends of those sums, inside a single block, one barrier per
-pass, so no global synchronization is needed. Launch 3 sweeps down,
-adding each processor's scanned base back onto its chunk. Launches 1
-and 3 are :func:`simt.launch_rows` calls over the elements in tiles of
-one chunk, so lane g owns chunk g. Integer scans are exact (overflow
-raises); float32 scans follow this fixed chunked summation order
-bit-for-bit.
+(register blocking), and both sweeps run in place on the one buffer the
+input is loaded into, as the work-efficient GPU scan does (Harris,
+Sengupta and Owens, GPU Gems 3, 2007). Launch 1 sweeps up: every
+processor overwrites its chunk with the chunk's running sums. Launch 2
+runs a cooperative Hillis-Steele scan over the p chunk totals, which it
+reads at the chunk ends of that buffer, inside a single block, one
+barrier per pass, so no global synchronization is needed; it stores one
+base per chunk in a p-slot buffer. Launch 3 sweeps down, overwriting
+each chunk with its running sums plus its base. Launches 1 and 3 are
+:func:`simt.launch_rows` calls over the elements in tiles of one chunk,
+so lane g owns chunk g. Each range call sums into one workspace of its
+own hi - lo elements, int64 for i32 (so integer scans are exact, and
+overflow raises) and float32 for f32, over views of its full chunks and
+the short tail; the checked slice store narrows it into the buffer.
+float32 scans follow this fixed chunked summation order bit-for-bit.
 
 Compaction is one more row launch, a gather: output slot k holds the
 last input whose exclusive-scan position is k, which is the kept input
@@ -23,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..simt import GPU, LaunchConfig, Session, ceil_div, launch_rows, log2_ceil
-from .boxes import check_int
+from ..simt import GPU, LaunchConfig, Session, ceil_div, check_int, launch_rows, log2_ceil
 
 I32_MIN = -(2**31)
 I32_MAX = 2**31 - 1
@@ -37,8 +41,7 @@ def partition_chunks(n: int, p: int) -> list[tuple[int, int]]:
     the last one; ranges are clamped to n, so trailing ranges may be
     short or empty.
     """
-    if p < 1:
-        raise ValueError(f"processor count must be >= 1, got {p}")
+    p = check_int("processor count p", p, 1)
     chunk = ceil_div(n, p) if n > 0 else 0
     return [(min(i * chunk, n), min((i + 1) * chunk, n)) for i in range(p)]
 
@@ -91,28 +94,36 @@ def _prepare(values, kind: str) -> tuple[np.ndarray, str]:
     raise ValueError(f"unsupported scan dtype {arr.dtype}")
 
 
-def _chunk_rows(vals: np.ndarray, chunk: int) -> np.ndarray:
-    """``vals`` as rows of ``chunk`` elements, the last row padded with
-    zeros, and i32 widened to int64 so that sums of it are exact."""
-    rows = np.zeros((ceil_div(vals.size, chunk), chunk),
-                    np.int64 if vals.dtype == np.int32 else np.float32)
-    rows.reshape(-1)[: vals.size] = vals
-    return rows
+def _rows(x: np.ndarray, chunk: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of flat ``x`` as its full rows of ``chunk`` elements, then the
+    short tail (maybe empty), as they lie in memory."""
+    full = x.size - x.size % chunk
+    return x[:full].reshape(-1, chunk), x[full:]
 
 
-def _from_rows(rows: np.ndarray, size: int, dtype) -> np.ndarray:
-    """The first ``size`` elements of ``rows`` as ``dtype``; i32 exact or raise."""
-    flat = rows.reshape(-1)[:size]
-    if dtype == np.int32:
-        _check_i32(flat)
-    return flat.astype(dtype, copy=False)
+def _workspace(x: np.ndarray) -> np.ndarray:
+    """A fresh array as long as ``x`` for one sweep's results: int64 for
+    integers, so sums of i32 are exact, and float32 for floats."""
+    return np.empty(x.size, np.float32 if x.dtype.kind == "f" else np.int64)
+
+
+def _narrowable(ws: np.ndarray) -> np.ndarray:
+    """``ws``, once an int64 workspace is checked to fit i32."""
+    if ws.dtype == np.int64:
+        _check_i32(ws)
+    return ws
 
 
 def _running_sums(vals: np.ndarray, chunk: int) -> np.ndarray:
     """Inclusive running sums within each ``chunk`` elements of ``vals`` (the
-    last chunk may be short), in its own dtype; i32 sums are exact or raise.
-    Each row is summed in order, so a float32 chunk sums as it does alone."""
-    return _from_rows(np.cumsum(_chunk_rows(vals, chunk), axis=1), vals.size, vals.dtype)
+    last chunk may be short), in a fresh workspace; i32 sums are exact or
+    raise. Each row is summed in order, so a float32 chunk sums as it does
+    alone."""
+    ws = _workspace(vals)
+    ws[:] = vals  # cumsum would widen i32 into a copy of its own
+    for rows in _rows(ws, chunk):
+        np.cumsum(rows, axis=-1, out=rows)
+    return _narrowable(ws)
 
 
 def _exact(total):
@@ -130,15 +141,19 @@ def _as_base(value, dtype: str):
 
 
 def _chunk_out(sums: np.ndarray, bases, kind: str, chunk: int) -> np.ndarray:
-    """The output of consecutive chunks: each chunk's running sums plus its
-    base, shifted one slot right behind the base for an exclusive scan.
-    i32 results are exact or raise."""
-    rows = _chunk_rows(sums, chunk)
-    col = np.asarray(bases, rows.dtype)[:, None]
-    res = rows + col
-    if kind == "exclusive":
-        res = np.concatenate([col, res[:, :-1]], axis=1)
-    return _from_rows(res, sums.size, sums.dtype)
+    """The output of consecutive chunks, in a fresh workspace: each chunk's
+    running sums plus its base, shifted one slot right behind the base for
+    an exclusive scan. i32 results are exact or raise."""
+    ws = _workspace(sums)
+    base = np.asarray(bases, ws.dtype)
+    rows = len(sums) // chunk
+    for src, dst, b in zip(_rows(sums, chunk), _rows(ws, chunk), (base[:rows, None], base[rows:])):
+        if kind == "inclusive":
+            np.add(src, b, out=dst)
+        else:
+            dst[..., :1] = b
+            np.add(src[..., :-1], b, out=dst[..., 1:])
+    return _narrowable(ws)
 
 
 def scan(values, kind: str = "inclusive", p: int = 8, session: Session | None = None) -> np.ndarray:
@@ -160,11 +175,9 @@ def scan(values, kind: str = "inclusive", p: int = 8, session: Session | None = 
     last = [z - 1 for _, z in partition_chunks(n, plan.p)]
     sess = session if session is not None else Session()
 
-    vals = sess.alloc(n, dtype, device=GPU, name="scan_in")
+    vals = sess.alloc(n, dtype, device=GPU, name="scan_data")
     vals.load(arr)
-    local = sess.alloc(n, dtype, device=GPU, name="scan_local")
     scanned = sess.alloc(plan.p, dtype, device=GPU, name="scan_bases")
-    out = sess.alloc(n, dtype, device=GPU, name="scan_out")
 
     def chunk_sums(lo, hi):
         return _running_sums(vals[lo:hi], chunk)
@@ -179,9 +192,9 @@ def scan(values, kind: str = "inclusive", p: int = 8, session: Session | None = 
         for d in range(passes):
             stride = 1 << d
             if d == 0:
-                v = _exact(local[last[i]])
+                v = _exact(vals[last[i]])
                 if i >= stride:
-                    v = v + _exact(local[last[i - stride]])
+                    v = v + _exact(vals[last[i - stride]])
             else:
                 v = ctx.shared[cur + i]
                 if i >= stride:
@@ -192,13 +205,13 @@ def scan(values, kind: str = "inclusive", p: int = 8, session: Session | None = 
         scanned[i] = _as_base(ctx.shared[cur + i - 1] if i > 0 else 0, dtype)
 
     def add_bases(lo, hi):
-        return _chunk_out(local[lo:hi], scanned[lo // chunk : ceil_div(hi, chunk)], kind, chunk)
+        return _chunk_out(vals[lo:hi], scanned[lo // chunk : ceil_div(hi, chunk)], kind, chunk)
 
     rows = LaunchConfig(grid=plan.p, block=1)
-    launch_rows(sess, rows, local, n, chunk_sums, tile=chunk)
+    launch_rows(sess, rows, vals, n, chunk_sums, tile=chunk)
     sess.launch(coop_scan, LaunchConfig(grid=1, block=plan.p, shared_slots=2 * plan.p))
-    launch_rows(sess, rows, out, n, add_bases, tile=chunk)
-    return out.to_numpy()
+    launch_rows(sess, rows, vals, n, add_bases, tile=chunk)
+    return vals.to_numpy()
 
 
 def scan_sequential(values, kind: str = "inclusive", p: int = 8) -> np.ndarray:
@@ -219,7 +232,7 @@ def scan_sequential(values, kind: str = "inclusive", p: int = 8) -> np.ndarray:
         stride = 1 << d
         cur = [cur[i] + cur[i - stride] if i >= stride else cur[i] for i in range(plan.p)]
     bases = [_as_base(v, dtype) for v in [0] + cur[:-1]]
-    return _chunk_out(sums, bases, kind, plan.chunk)
+    return _chunk_out(sums, bases, kind, plan.chunk).astype(arr.dtype, copy=False)
 
 
 def compact(values, keep, p: int = 8, session: Session | None = None) -> tuple[np.ndarray, int]:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..simt import GPU, LaunchConfig, Session, ceil_div, launch_rows, log2_ceil
+from ..simt import GPU, LaunchConfig, Session, ceil_div, check_int, launch_rows, log2_ceil
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,7 @@ def segmented_argsort(a: SegmentedArray, order: str = "ascending", block: int = 
     result is independent of ``block``.
     """
     slots, seg, key = _keyed(a, order)
-    if block < 1:
-        raise ValueError(f"block must be >= 1, got {block}")
+    block = check_int("block", block, 1)
     n = slots.size
     if n == 0:
         return np.zeros(0, dtype=np.int32)

@@ -178,6 +178,30 @@ def test_workload_validation():
         ConvWorkload(n=1, c=1, h=2, w=2, k=1, r=3, s=3)  # oh < 1
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("stride", (1.9, 1), "stride[0] must be >= 1 and an integer, got 1.9"),
+    ("stride", (1, 0), "stride[1] must be >= 1 and an integer, got 0"),
+    ("pad", (0.5, 0), "pad[0] must be >= 0 and an integer, got 0.5"),
+    ("pad", (0, -1), "pad[1] must be >= 0 and an integer, got -1"),
+    ("dilation", (1, True), "dilation[1] must be >= 1 and an integer, got True"),
+    ("h", 4.5, "h must be >= 1 and an integer, got 4.5"),
+    ("groups", 0, "groups must be >= 1 and an integer, got 0"),
+])
+def test_workload_integers_are_checked_not_truncated(field, value, message):
+    shape = dict(n=1, c=2, h=4, w=4, k=2, r=1, s=1)
+    with pytest.raises(ValueError) as e:
+        ConvWorkload(**{**shape, field: value})
+    assert str(e.value) == message
+
+
+def test_integral_float_workload_fields_keep_the_key():
+    wl = ConvWorkload(n=1, c=2.0, h=5, w=5, k=2, r=3, s=3, stride=(2.0, np.int64(1)), pad=(1.0, 0),
+                      dilation=(1, 2.0))
+    assert wl == ConvWorkload(n=1, c=2, h=5, w=5, k=2, r=3, s=3, stride=(2, 1), pad=(1, 0),
+                              dilation=(1, 2))
+    assert wl.key() == "conv2d/1-2-5-5/2-3-3/2x1/1x0/1x2/1"
+
+
 def test_blocks_spanning_groups_match_reference_race_checked():
     # with oc_split=1 one block owns every output channel of all 3 groups
     wl = ConvWorkload(n=2, c=6, h=5, w=6, k=6, r=3, s=3, pad=(1, 1), groups=3)

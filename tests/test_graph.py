@@ -410,6 +410,9 @@ def test_bad_vision_attrs_raise_the_same_error_on_every_placement(op, attrs, mat
     ("scan", {"p": 2.7}, "p"),
     ("argsort", {"block": 2.5}, "block"),
     ("conv2d", {"groups": 1.5}, "groups"),
+    ("conv2d", {"stride": [1.9, 1]}, "stride"),
+    ("conv2d", {"pad": [0.5, 0]}, "pad"),
+    ("conv2d", {"dilation": [1, 1.5]}, "dilation"),
 ])
 def test_integer_attrs_are_checked_not_truncated_on_every_placement(op, attrs, bad):
     """A non-integral integer attribute is a node error naming the

@@ -68,6 +68,14 @@ def test_processor_count_must_be_an_integer(p):
         assert str(e.value) == str(planned.value)
 
 
+@pytest.mark.parametrize("p", [2.5, True, "4"])
+def test_partition_chunks_processor_count_must_be_an_integer(p):
+    with pytest.raises(ValueError) as e:
+        partition_chunks(10, p)
+    assert str(e.value) == f"processor count p must be >= 1 and an integer, got {p!r}"
+    assert partition_chunks(10, 4.0) == partition_chunks(10, 4)
+
+
 def test_integral_float_processor_count_counts_as_int():
     values = np.arange(10, dtype=np.int32)
     assert ScanPlan.for_size(10, 4.0) == ScanPlan.for_size(10, np.int64(4))
@@ -307,3 +315,99 @@ def test_row_launch_sweeps_match_the_chunked_oracle_with_signed_zeros(p):
         for race_check in (False, True):
             assert scan(vals, kind, p=p, session=Session(race_check=race_check)).tobytes() == want
         assert scan_sequential(vals, kind, p=p).tobytes() == want
+
+
+def _allocs(run):
+    """(length, dtype) of each buffer ``run(session)`` allocates."""
+    sess = Session()
+    made = []
+    alloc = sess.alloc
+
+    def counting(length, *args, **kwargs):
+        buf = alloc(length, *args, **kwargs)
+        made.append((length, buf.dtype))
+        return buf
+
+    sess.alloc = counting
+    run(sess)
+    return made
+
+
+@pytest.mark.parametrize("dtype, name", [(np.int32, "i32"), (np.float32, "f32")])
+def test_scan_sweeps_in_place_over_one_data_buffer(dtype, name):
+    """A scan allocates the n-slot data buffer and the p-slot bases only;
+    compact adds its input and output buffers."""
+    vals = np.arange(100).astype(dtype)
+    for kind in ("inclusive", "exclusive"):
+        assert _allocs(lambda s: scan(vals, kind, p=8, session=s)) == [(100, name), (8, name)]
+    keep = np.arange(100) % 3 == 0
+    assert _allocs(lambda s: compact(vals, keep, p=8, session=s)) == [
+        (100, "i32"), (8, "i32"), (100, name), (34, name)]
+
+
+def _i32_oracle(vals, kind):
+    incl = np.cumsum(vals, dtype=np.int64)
+    return (incl if kind == "inclusive" else np.concatenate([[0], incl[:-1]])).astype(np.int32)
+
+
+# (n, p): n a multiple of the chunk, a short tail, n < p, n = 1
+SWEEP_SHAPES = [(64, 8), (24, 6), (61, 8), (17, 5), (5, 8), (3, 64), (1, 1), (1, 8)]
+
+
+@pytest.mark.parametrize("n, p", SWEEP_SHAPES)
+def test_in_place_sweeps_agree_bitwise_with_twin_and_oracle(n, p):
+    rng = np.random.default_rng(n * 100 + p)
+    ints = rng.integers(-(2**20), 2**20, n).astype(np.int32)
+    floats = (rng.standard_normal(n) * 10.0 ** rng.integers(-4, 5, n)).astype(np.float32)
+    floats[rng.random(n) < 0.4] = -0.0
+    floats[rng.random(n) < 0.2] = 0.0
+    for kind in ("inclusive", "exclusive"):
+        for vals, want in ((ints, _i32_oracle(ints, kind)), (floats, chunked_scan_oracle(floats, kind, p))):
+            runs = [scan(vals, kind, p=p, session=Session(race_check=rc)) for rc in (False, True)]
+            runs.append(scan_sequential(vals, kind, p=p))
+            for got in runs:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("vals, launch", [
+    ([2**30, 2**30, 0, 0], 1),  # a chunk's running sum passes I32_MAX
+    ([-(2**30), -(2**30) - 1, 0, 0], 1),  # and below I32_MIN
+    ([2**30, 2**30 - 1, 1, 0], 3),  # base 2**31 - 1 plus a sum of 1
+    ([-(2**30), -(2**30), -1, 0], 3),
+    ([2**31 - 1, 0, 1, 0, 0, 0], 2),  # the base of the third chunk itself
+])
+def test_i32_overflow_raises_alike_from_either_sweep(vals, launch):
+    vals = np.array(vals, np.int64)
+    for kind in ("inclusive", "exclusive"):
+        messages = []
+        for rc in (False, True):
+            sess = Session(race_check=rc)
+            with pytest.raises(OverflowError) as e:
+                scan(vals, kind, p=len(vals) // 2, session=sess)
+            assert sess.stats().launches == launch
+            messages.append(str(e.value))
+        with pytest.raises(OverflowError) as e:
+            scan_sequential(vals, kind, p=len(vals) // 2)
+        messages.append(str(e.value))
+        assert messages == ["scan result exceeds the i32 range"] * 3
+
+
+@pytest.mark.parametrize("dtype, bound", [(np.int32, 21), (np.float32, 13)])
+def test_scan_host_peak_per_element(dtype, bound):
+    """One n-slot buffer and one sweep workspace at a time: the traced
+    host peak of a 100,000-element scan stays under ``bound`` bytes per
+    element (int64 sums and the i32 buffer; float32 sums and buffer)."""
+    import tracemalloc
+
+    n = 100_000
+    vals = (np.arange(n) % 7 - 3).astype(dtype)
+    scan(vals, p=8, session=Session())  # imports and first-call set-up
+    for kind in ("inclusive", "exclusive"):
+        tracemalloc.start()
+        try:
+            out = scan(vals, kind, p=8, session=Session())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.size == n
+        assert peak <= bound * n, f"{kind}: {peak / n:.1f} bytes per element"

@@ -182,6 +182,23 @@ def test_invalid_arguments():
         segmented_argsort(sa, block=0)
 
 
+@pytest.mark.parametrize("block", [2.5, True, "4", float("nan"), 0])
+def test_block_must_be_an_integer(block):
+    sa = SegmentedArray(values=np.array([3, 1, 2], np.float32), offsets=np.array([0, 3]))
+    with pytest.raises(ValueError) as e:
+        segmented_argsort(sa, block=block)
+    assert str(e.value) == f"block must be >= 1 and an integer, got {block!r}"
+
+
+def test_integral_float_block_counts_as_int():
+    sa = SegmentedArray(values=np.arange(20, 0, -1).astype(np.float32), offsets=np.array([0, 7, 20]))
+    runs = []
+    for block in (4, 4.0, np.int64(4)):
+        sess = Session()
+        runs.append((segmented_argsort(sa, block=block, session=sess).tolist(), sess.launch_log))
+    assert runs[0] == runs[1] == runs[2]
+
+
 @pytest.mark.parametrize("values", [np.array([3, 1, 2], np.float32), np.zeros(0, np.float32)])
 def test_kernel_and_twin_reject_unknown_order_alike(values):
     sa = SegmentedArray(values=values, offsets=np.array([0, values.size]))

@@ -134,6 +134,24 @@ def test_sums_run_in_the_scalar_rules_order():
             assert np.array_equal(fn(feats, [roi], (1, 1), ratio).view(np.uint32), want)
 
 
+def test_corner_terms_multiply_row_weight_first():
+    """A corner term is (f * row weight) * column weight. On this map the
+    four terms of the one sample cancel to about 4e-11 of their size, so
+    the other product order, which rounds differently in float64, shows in
+    the float32 output."""
+    feats = np.array([[7314499, -2977657], [11885623, 33707068]], np.float32).reshape(1, 1, 2, 2)
+    roi = [0.704, 0.007, 1.837, 1.035]
+    want = per_channel_reference(feats, [roi], (1, 1), 1).view(np.uint32)
+    for fn in (roi_align, roi_align_sequential):
+        assert np.array_equal(fn(feats, [roi], (1, 1), 1).view(np.uint32), want)
+    x1, y1, x2, y2 = np.float32(roi).tolist()
+    wy, wx = y1 + 0.5 * (y2 - y1) - 0.5, x1 + 0.5 * (x2 - x1) - 0.5
+    f = feats[0, 0].astype(np.float64)
+    swapped = (f[0, 0] * (1 - wx) * (1 - wy) + f[0, 1] * wx * (1 - wy)
+               + f[1, 0] * (1 - wx) * wy + f[1, 1] * wx * wy)
+    assert np.float32(swapped).view(np.uint32) != want.item()
+
+
 def decades_case(rng, c, n, ratio, size=(3, 2)):
     """Finite features over 19 decades with some -0.0 values, and n ROIs
     partly outside the map: the kernel, twin and reference must then agree
