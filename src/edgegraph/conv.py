@@ -44,7 +44,10 @@ class ConvWorkload:
 
     def __post_init__(self):
         for name, low in (("stride", 1), ("pad", 0), ("dilation", 1)):
-            pair = tuple(check_int(f"{name}[{i}]", x, low) for i, x in enumerate(getattr(self, name)))
+            pair = getattr(self, name)
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ValueError(f"{name} must be a pair, got {pair!r}")
+            pair = tuple(check_int(f"{name}[{i}]", x, low) for i, x in enumerate(pair))
             object.__setattr__(self, name, pair)
         for name in ("n", "c", "h", "w", "k", "r", "s", "groups"):
             object.__setattr__(self, name, check_int(name, getattr(self, name), 1))

@@ -192,9 +192,9 @@ def _conv_workload(data: np.ndarray, weight: np.ndarray, attrs: dict) -> ConvWor
     k, _, r, s = weight.shape
     return ConvWorkload(
         n=n, c=c, h=h, w=w, k=k, r=r, s=s,
-        stride=tuple(attrs.get("stride", (1, 1))),
-        pad=tuple(attrs.get("pad", (0, 0))),
-        dilation=tuple(attrs.get("dilation", (1, 1))),
+        stride=attrs.get("stride", (1, 1)),
+        pad=attrs.get("pad", (0, 0)),
+        dilation=attrs.get("dilation", (1, 1)),
         groups=attrs.get("groups", 1),
     )
 
@@ -388,7 +388,7 @@ def run_graph(g: Graph, inputs: dict, session: Session | None = None) -> dict:
         args = [env[r] for r in node.inputs]
         try:
             env[node.id] = _run_node(node, args, sess)
-        except (GraphExecutionError, KeyError):
+        except GraphExecutionError:
             raise
         except Exception as e:
             raise GraphExecutionError(f"node {node.id!r} ({node.op}): {e}") from e

@@ -25,13 +25,15 @@ checked per (block, thread) exactly as for a per-thread kernel.
 :func:`launch_rows` launches one over rows of an output buffer.
 
 Buffers are zero-initialized and fixed-length, and kernels reach them
-only through indexing. Out-of-range accesses raise
-:class:`BufferBoundsError` naming the offending block and thread (or,
-for a lane-form call over every lane, the launch's grid and block). An
-optional race-check mode keeps a shadow last-writer/last-reader map per
-slot per phase, marking exactly the slots each access selects, and
-rejects programs whose output would depend on cross-thread ordering
-without a barrier.
+only through indexing. Out-of-range accesses, and slice stores of
+another length than the slice, raise :class:`BufferBoundsError` naming
+the offending block and thread (or, for a lane-form call over every
+lane, the launch's grid and block). An optional race-check mode keeps a
+shadow last-writer/last-reader map per slot per phase, marking exactly
+the slots each access selects, and rejects programs whose output would
+depend on cross-thread ordering without a barrier. Under race check a
+block's shared storage is a nameless buffer whose slots hold the Python
+values kernels store; unchecked it is a plain list.
 """
 
 from __future__ import annotations
@@ -113,6 +115,10 @@ def _imbalance(items: np.ndarray) -> float:
     return int(items.max() - items.min()) / mean if mean else 0.0
 
 
+def _what(buf) -> str:
+    return "shared storage" if buf.name is None else f"buffer {buf.name!r}"
+
+
 def _check_index(idx, n: int, owner) -> None:
     """Validate an int, slice (any positive step) or int-array index
     against length ``n``. An error names ``owner._where()`` and the
@@ -127,7 +133,7 @@ def _check_index(idx, n: int, owner) -> None:
         stop = n if idx.stop is None else idx.stop
         if 0 <= start <= stop <= n:
             return
-    what = "shared storage" if owner.name is None else f"buffer {owner.name!r}"
+    what = _what(owner)
     if isinstance(idx, (int, np.integer)):
         if idx < 0 or idx >= n:
             raise BufferBoundsError(f"{owner._where()}: index {int(idx)} out of range for {what} "
@@ -157,7 +163,10 @@ class DeviceBuffer:
     under race check it marks exactly the slots it selects, so threads
     that touch disjoint strided or scattered slots never conflict. A
     slice read under race check is a read-only view, so every write goes
-    through ``__setitem__``.
+    through ``__setitem__``. A slice store takes a scalar, which fills
+    the slice, or exactly as many values as the slice selects. A
+    nameless buffer (``name=None``) is a race-checked block's shared
+    storage, and its errors say so.
     """
 
     __slots__ = ("device", "dtype", "data", "name", "_session", "_w_owner", "_r_owner")
@@ -190,13 +199,17 @@ class DeviceBuffer:
             return self.data[idx]
         self._race_read(idx)
         got = self.data[idx]
-        if got.base is self.data:
+        if isinstance(got, np.ndarray) and got.base is self.data:
             # a write through a view of the storage would bypass the checks
             got.flags.writeable = False
         return got
 
     def __setitem__(self, idx, value):
         _check_index(idx, len(self.data), self)
+        if type(idx) is slice and np.ndim(value) and len(value) != len(self.data[idx]):
+            # numpy would broadcast a one-element value over the slice
+            raise BufferBoundsError(f"{self._where()}: slice [{idx.start}:{idx.stop}:{idx.step}] of "
+                                    f"{_what(self)} takes {len(self.data[idx])} values, got {len(value)}")
         if self._w_owner is not None:
             self._race_write(idx)
         self.data[idx] = value
@@ -254,82 +267,8 @@ class DeviceBuffer:
 
     def _race_error(self, what, idx, bad, why):
         slot = np.ravel(np.arange(len(self.data))[idx])[np.flatnonzero(bad)[0]]
-        raise RaceError(
-            f"{self._where()}: {what} buffer {self.name!r} slot {slot} {why} in the same phase"
-        )
-
-
-class _SharedMem:
-    """Block-shared storage with per-slot race tracking.
-
-    Used under race check; as for a buffer, a negative or out-of-range
-    index, or a slice store of another length than the slots it selects,
-    raises :class:`BufferBoundsError` and a conflict :class:`RaceError`,
-    each naming the block and thread.
-    """
-
-    __slots__ = ("slots", "_ctx_session", "_w_owner", "_r_owner")
-    name = None  # so bounds errors call it shared storage, not a named buffer
-
-    def __init__(self, n, session):
-        self.slots = [0] * n
-        self._ctx_session = session
-        self._w_owner = [_FREE] * n
-        self._r_owner = [_FREE] * n
-
-    def __len__(self):
-        return len(self.slots)
-
-    def __getitem__(self, idx):
-        for i in self._slots_of(idx):
-            self._check_read(i)
-        return self.slots[idx]
-
-    def __setitem__(self, idx, value):
-        picked = self._slots_of(idx)
-        if isinstance(idx, slice):
-            value = list(value)
-            if len(value) != len(picked):
-                # a list slice store of another length would resize the storage
-                raise BufferBoundsError(f"{self._where()}: slice [{idx.start}:{idx.stop}:{idx.step}] "
-                                        f"of shared storage takes {len(picked)} values, got {len(value)}")
-        for i in picked:
-            self._check_write(i)
-        self.slots[idx] = value
-
-    def _where(self) -> str:
-        return self._ctx_session._current.where()
-
-    def _slots_of(self, idx):
-        """The slots an int or slice index selects; rejects one out of range."""
-        _check_index(idx, len(self.slots), self)
-        picked = range(len(self.slots))[idx]
-        return picked if isinstance(idx, slice) else (picked,)
-
-    def _check_read(self, i):
-        gid = self._ctx_session._current_gid
-        w = self._w_owner[i]
-        if w != _FREE and w != gid:
-            raise RaceError(f"{self._where()}: read of shared slot {i} written by another "
-                            f"thread in the same phase")
-        if self._r_owner[i] == _FREE:
-            self._r_owner[i] = gid
-        elif self._r_owner[i] != gid:
-            self._r_owner[i] = _MANY
-
-    def _check_write(self, i):
-        gid = self._ctx_session._current_gid
-        if (self._w_owner[i] != _FREE and self._w_owner[i] != gid) or (
-            self._r_owner[i] != _FREE and self._r_owner[i] != gid
-        ):
-            raise RaceError(f"{self._where()}: write to shared slot {i} conflicts with another "
-                            f"thread in the same phase")
-        self._w_owner[i] = gid
-
-    def _reset(self):
-        n = len(self.slots)
-        self._w_owner = [_FREE] * n
-        self._r_owner = [_FREE] * n
+        what = f"{what} shared" if self.name is None else f"{what} buffer {self.name!r}"
+        raise RaceError(f"{self._where()}: {what} slot {slot} {why} in the same phase")
 
 
 class ThreadCtx:
@@ -475,7 +414,14 @@ class Session:
         self._items = work
 
     def _run_block(self, kernel, is_gen, lanes, b, config, buffers, work):
-        shared = _SharedMem(config.shared_slots, self) if self.race_check else [0] * config.shared_slots
+        shared = [0] * config.shared_slots
+        if self.race_check:
+            # nameless, so its errors speak of shared storage; its object
+            # slots hold exactly the Python values kernels store
+            buf = DeviceBuffer(self, 0, name=None)
+            buf.data = np.array(shared, object)
+            buf._race_arm()
+            shared = buf
         base = b * config.block
         # a race-checked lane-form kernel runs here one lane per call, with
         # one-element id arrays, so every access is checked per lane
@@ -513,8 +459,6 @@ class Session:
                 c._guards = []
         if self.race_check:
             self._race_phase_reset()
-            if isinstance(shared, _SharedMem):
-                shared._reset()
         self._current = None
         self._current_gid = None
 

@@ -104,10 +104,15 @@ class Tensor:
 
     @classmethod
     def from_array(cls, array, layout: LayoutTag = NCHW, dtype: str | None = None) -> "Tensor":
-        """Tensor from a logically-shaped array, stored in ``layout`` order."""
+        """Tensor from a logically-shaped array, stored in ``layout`` order. An
+        integer array becomes i32 only if every value fits, else ValueError."""
         arr = np.asarray(array)
         if dtype is None:
-            dtype = {"f": "f32", "i": "i32", "b": "bool"}[arr.dtype.kind]
+            dtype = {"f": "f32", "i": "i32", "u": "i32", "b": "bool"}[arr.dtype.kind]
+        if dtype == "i32" and arr.dtype.kind in "iu" and not np.can_cast(arr.dtype, np.int32):
+            bad = (arr < -2**31) | (arr >= 2**31)
+            if bad.any():
+                raise ValueError(f"{arr.dtype} value {arr.flat[np.argmax(bad)]} does not fit i32")
         arr = arr.astype(DTYPES[dtype])
         _check_compatible(layout, arr.shape)
         flat = _to_physical(arr, layout).reshape(-1)

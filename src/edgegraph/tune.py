@@ -153,8 +153,7 @@ def _workload_data(wl: ConvWorkload):
     return entry
 
 
-def measure(wl: ConvWorkload, cfg: ScheduleConfig, repeats: int = 3, timer=None,
-            device_tag: str = "emu") -> TuningRecord:
+def measure(wl: ConvWorkload, cfg: ScheduleConfig, repeats: int = 3, timer=None) -> TuningRecord:
     """Time one config on fixed pseudo-random inputs for its workload.
 
     Returns a record whose cost_mean is the median of ``repeats`` timed
@@ -174,7 +173,7 @@ def measure(wl: ConvWorkload, cfg: ScheduleConfig, repeats: int = 3, timer=None,
     except ScheduleRejectedError as e:
         return TuningRecord(
             workload_key=wl.key(), config=cfg, cost_mean=None, cost_std=None,
-            repeats=0, device_tag=device_tag, created_at=now, failed=True, error=str(e),
+            repeats=0, device_tag="emu", created_at=now, failed=True, error=str(e),
         )
     data = _workload_data(wl)
     inp, wgt, ref = data["inp"], data["wgt"], data["ref"]
@@ -197,7 +196,7 @@ def measure(wl: ConvWorkload, cfg: ScheduleConfig, repeats: int = 3, timer=None,
     return TuningRecord(
         workload_key=wl.key(), config=cfg,
         cost_mean=float(np.median(samples)), cost_std=float(np.std(samples)),
-        repeats=len(samples), device_tag=device_tag, created_at=now,
+        repeats=len(samples), device_tag="emu", created_at=now,
     )
 
 
@@ -337,8 +336,7 @@ class KnnCostModel:
 
 
 def tune_model(wl: ConvWorkload, budget: int, batch: int = 8, seed: int = 0,
-               repeats: int = 3, timer=None, records_path=None,
-               device_tag: str = "emu") -> TuningRecord:
+               repeats: int = 3, timer=None, records_path=None) -> TuningRecord:
     """Cost-model-guided search: train, rank, measure the top batch, repeat.
 
     The first batch is a uniform draw of distinct configs; each later
@@ -372,7 +370,7 @@ def tune_model(wl: ConvWorkload, budget: int, batch: int = 8, seed: int = 0,
     def run_batch(indices):
         for i in indices:
             unmeasured.remove(i)
-            rec = measure(wl, space[i], repeats=repeats, timer=timer, device_tag=device_tag)
+            rec = measure(wl, space[i], repeats=repeats, timer=timer)
             trials.append(rec)
             if rec.ok:
                 measured_feats.append(feats[i])

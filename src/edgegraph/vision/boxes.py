@@ -241,8 +241,7 @@ def box_nms_sequential(boxes: BoxSet, iou_threshold: float, score_threshold: flo
 DEFAULT_VARIANCES = (0.1, 0.1, 0.2, 0.2)
 
 
-def decode_boxes(loc: np.ndarray, anchors: np.ndarray, variances=DEFAULT_VARIANCES,
-                 clip: bool = True) -> np.ndarray:
+def decode_boxes(loc: np.ndarray, anchors: np.ndarray, variances=DEFAULT_VARIANCES) -> np.ndarray:
     """Center-form offset decoding of (A, 4) offsets against (A, 4) corner anchors.
 
     cx = ax + dx*v0*aw, cy = ay + dy*v1*ah, w = aw*exp(dw*v2),
@@ -260,9 +259,7 @@ def decode_boxes(loc: np.ndarray, anchors: np.ndarray, variances=DEFAULT_VARIANC
     w = aw * np.exp(loc[:, 2] * v2)
     h = ah * np.exp(loc[:, 3] * v3)
     out = np.stack([cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0], axis=1)
-    if clip:
-        out = np.clip(out, 0.0, 1.0)
-    return out.astype(np.float32)
+    return np.clip(out, 0.0, 1.0).astype(np.float32)
 
 
 def best_foreground_class(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -282,7 +279,7 @@ def best_foreground_class(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _detection_rows(probs: np.ndarray, locs: np.ndarray, anchors: np.ndarray, variances,
-                    clip: bool, lo: int, hi: int) -> np.ndarray:
+                    lo: int, hi: int) -> np.ndarray:
     """Packed (hi - lo, 6) detection rows of anchors lo..hi-1.
 
     The inputs are in flat (image, anchor) order: ``probs`` is
@@ -292,7 +289,7 @@ def _detection_rows(probs: np.ndarray, locs: np.ndarray, anchors: np.ndarray, va
     rows = np.empty((hi - lo, 6), np.float32)
     rows[:, 0] = cls
     rows[:, 1] = score
-    rows[:, 2:] = decode_boxes(locs[lo:hi], anchors[lo:hi], variances, clip)
+    rows[:, 2:] = decode_boxes(locs[lo:hi], anchors[lo:hi], variances)
     return rows
 
 
@@ -320,7 +317,7 @@ def _check_multibox(class_probs, loc_preds, anchors):
 def multibox_detection(class_probs, loc_preds, anchors, variances=DEFAULT_VARIANCES,
                        score_threshold: float = 0.01, iou_threshold: float = 0.5,
                        top_k: int | None = None, max_output: int | None = None,
-                       clip: bool = True, session: Session | None = None) -> list[BoxSet]:
+                       session: Session | None = None) -> list[BoxSet]:
     """SSD-style detection: per-anchor class selection, offset decoding, NMS.
 
     class_probs is (batch, classes, anchors) with class 0 = background,
@@ -332,7 +329,7 @@ def multibox_detection(class_probs, loc_preds, anchors, variances=DEFAULT_VARIAN
     sess = session if session is not None else Session()
 
     def decode(lo, hi):
-        return _detection_rows(probs, locs, ancs, variances, clip, lo, hi)
+        return _detection_rows(probs, locs, ancs, variances, lo, hi)
 
     rows = _rows(sess, LaunchConfig(grid=b, block=min(32, max(1, a))), "f32", b * a, 6, decode,
                  "mbx_decoded")
@@ -343,12 +340,12 @@ def multibox_detection(class_probs, loc_preds, anchors, variances=DEFAULT_VARIAN
 
 def multibox_detection_sequential(class_probs, loc_preds, anchors, variances=DEFAULT_VARIANCES,
                                   score_threshold: float = 0.01, iou_threshold: float = 0.5,
-                                  top_k: int | None = None, max_output: int | None = None,
-                                  clip: bool = True) -> list[BoxSet]:
+                                  top_k: int | None = None,
+                                  max_output: int | None = None) -> list[BoxSet]:
     """Straight-line decode + greedy NMS, no emulator; same input check as
     multibox_detection."""
     probs, locs, ancs, b, a = _check_multibox(class_probs, loc_preds, anchors)
-    rows = _detection_rows(probs, locs, ancs, variances, clip, 0, b * a)
+    rows = _detection_rows(probs, locs, ancs, variances, 0, b * a)
     kept = _nms_pass(BoxSet.from_array(rows), b, iou_threshold, score_threshold, top_k,
                      max_output, None)
     return [BoxSet.from_array(r) for r in kept.reshape(b, a, 6)]

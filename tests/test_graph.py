@@ -470,3 +470,42 @@ def test_executor_looks_up_vision_and_conv_functions_when_called(monkeypatch):
     g = insert_copies(assign_devices(load_graph(ssd_like_doc()), DEFAULT_GPU_OPS))
     run_graph(g, ssd_like_inputs(0))
     assert calls == {"box_nms_batch": 1, "conv2d_scheduled": 4}
+
+
+@pytest.mark.parametrize("stride", [[2], 2, [1, 1, 3]])
+def test_conv_pair_attrs_must_be_pairs_on_every_placement(stride):
+    g = load_graph(doc(
+        [{"id": "y", "op": "conv2d", "attrs": {"stride": stride}, "inputs": ["x", "r"]}],
+        inputs={"x": {"shape": [1, 2, 4, 4], "dtype": "f32"}, "r": {"shape": [2, 2, 1, 1], "dtype": "f32"}},
+        outputs=["y"],
+    ))
+    inputs = {"x": np.ones((1, 2, 4, 4), np.float32), "r": np.ones((2, 2, 1, 1), np.float32)}
+    for ops in (DEFAULT_GPU_OPS, set()):
+        with pytest.raises(GraphExecutionError, match=r"node 'y' \(conv2d\): stride must be a pair"):
+            run_graph(insert_copies(assign_devices(g, ops)), inputs)
+
+
+def test_missing_attr_names_the_node():
+    g = load_graph(doc(
+        [{"id": "flat", "op": "reshape", "inputs": ["x"]}],
+        inputs={"x": {"shape": [2, 3], "dtype": "f32"}},
+        outputs=["flat"],
+    ))
+    with pytest.raises(GraphExecutionError, match=r"node 'flat' \(reshape\): 'shape'"):
+        run_graph(g, {"x": np.zeros((2, 3), np.float32)})
+
+
+@pytest.mark.parametrize("x, message", [
+    (np.array([2**40, 3]), "int64 value 1099511627776 does not fit i32"),
+    (np.array([5, 2**31], np.uint32), "uint32 value 2147483648 does not fit i32"),
+])
+def test_graph_inputs_that_do_not_fit_i32_are_rejected(x, message):
+    g = load_graph(doc(
+        [{"id": "a", "op": "identity", "inputs": ["x"]}],
+        inputs={"x": {"shape": [2], "dtype": "i32"}},
+        outputs=["a"],
+    ))
+    with pytest.raises(ValueError, match=message):
+        run_graph(g, {"x": x})
+    out = run_graph(g, {"x": np.array([7, 2**31 - 1], np.uint32)})["a"]
+    assert out.dtype == "i32" and out.to_array().tolist() == [7, 2**31 - 1]

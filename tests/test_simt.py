@@ -709,3 +709,19 @@ def test_guard_shape_follows_the_thread_id_shape():
     for kernel, race_check in ((per_thread, False), (scalar_guard, True)):
         with pytest.raises(ValueError, match="one bool per lane"):
             Session(race_check=race_check).launch(kernel, LaunchConfig(grid=1, block=2))
+
+
+@pytest.mark.parametrize("race_check", [False, True])
+def test_buffer_slice_store_of_another_length_raises(race_check):
+    # numpy alone would broadcast the one value over all four slots
+    sess = Session(race_check=race_check)
+    buf = sess.alloc(6, "i32", name="g")
+    buf.load([1, 2, 3, 4, 5, 6])
+
+    def kernel(ctx):
+        buf[0:4] = [7]
+
+    with pytest.raises(BufferBoundsError, match=r"^block 0, thread 0: slice \[0:4:None\] of buffer 'g' "
+                                                r"takes 4 values, got 1$"):
+        sess.launch(kernel, LaunchConfig(grid=1, block=1))
+    assert buf.to_numpy().tolist() == [1, 2, 3, 4, 5, 6]

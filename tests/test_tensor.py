@@ -176,3 +176,20 @@ def test_tensor_immutable():
     t = Tensor.from_array(np.zeros((2, 2), np.float32))
     with pytest.raises(ValueError):
         t.data[0] = 1.0
+
+
+@pytest.mark.parametrize("values, message", [
+    (np.array([2**40, 3]), "int64 value 1099511627776 does not fit i32"),
+    (np.array([[0, -2**31 - 1]]), "int64 value -2147483649 does not fit i32"),
+    (np.array([2**32], np.uint64), "uint64 value 4294967296 does not fit i32"),
+])
+def test_from_array_rejects_integers_that_do_not_fit_i32(values, message):
+    with pytest.raises(ValueError, match=message):
+        Tensor.from_array(values)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.uint16, np.int64, np.uint64])
+def test_from_array_converts_integers_that_fit_i32(dtype):
+    values = np.array([0, 1, 127], dtype)
+    t = Tensor.from_array(values)
+    assert t.dtype == "i32" and t.data.dtype == np.int32 and t.data.tolist() == [0, 1, 127]
