@@ -7,7 +7,9 @@ nodes are ordinary graph nodes, so the fallback overhead they model is
 inspectable. The executor is one table, ``OPS``, with one runner per
 op kind: it calls the emulator kernel for a GPU-tagged node and the
 kernel's sequential twin for a CPU-tagged one, which keeps graph
-outputs bitwise independent of the placement.
+outputs bitwise independent of the placement. Runners take and return
+numpy arrays: each value between nodes is a read-only f32, i32 or bool
+array, and :class:`Tensor` is only ``run_graph``'s input and output type.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import vision
 from .conv import ConvWorkload, ScheduleConfig, conv2d_reference, conv2d_scheduled
 from .simt import CPU, GPU, LaunchConfig, Session, check_count, check_int, launch_rows
-from .tensor import Tensor
+from .tensor import Tensor, as_dtype
 
 UNASSIGNED = "unassigned"
 
@@ -32,6 +34,10 @@ class GraphError(ValueError):
 
 class GraphExecutionError(RuntimeError):
     """An operator failed while running the graph; names the node."""
+
+
+class GraphInputError(GraphExecutionError, ValueError):
+    """A graph input is missing or does not fit its declaration; names it."""
 
 
 @dataclass
@@ -180,34 +186,16 @@ def count_copies(g: Graph) -> int:
     return sum(1 for n in g.nodes if n.op == "copy")
 
 
-def _as_tensor(value) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    arr = np.asarray(value)
-    return Tensor.from_array(arr)
-
-
-def _conv_workload(data: np.ndarray, weight: np.ndarray, attrs: dict) -> ConvWorkload:
-    n, c, h, w = data.shape
-    k, _, r, s = weight.shape
-    return ConvWorkload(
-        n=n, c=c, h=h, w=w, k=k, r=r, s=s,
-        stride=attrs.get("stride", (1, 1)),
-        pad=attrs.get("pad", (0, 0)),
-        dilation=attrs.get("dilation", (1, 1)),
-        groups=attrs.get("groups", 1),
-    )
-
-
 def _by_rows(gpu, fn, out_shape, *arrays):
-    """``fn(*arrays)``, of shape ``out_shape``, for f32 arrays whose
-    leading axis indexes independent rows.
+    """``fn(*arrays)`` over the arrays as f32, of shape ``out_shape``, for
+    arrays whose leading axis indexes independent rows.
 
     On the CPU (``gpu`` is None) that is one call. On a GPU session one
     :func:`launch_rows` launch splits the rows among up to 8 threads,
     which read each input with one slice read and store with one slice
     write, so the race check sees every access.
     """
+    arrays = [np.asarray(a, np.float32) for a in arrays]
     if gpu is None:
         return fn(*arrays)
     rows = out_shape[0]
@@ -230,10 +218,6 @@ def _max_pool(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
     """Max over every (kh, kw) window of the last two axes, at strides (sh, sw)."""
     win = sliding_window_view(x, (kh, kw), axis=(-2, -1))
     return win[..., ::sh, ::sw, :, :].max(axis=(-2, -1))
-
-
-def _f32(t: Tensor) -> np.ndarray:
-    return t.to_array().astype(np.float32)
 
 
 def _vision(gpu, name: str, *args, **kwargs):
@@ -260,12 +244,12 @@ def _nms_attrs(at: dict, default_score: float) -> dict:
 
 
 def _relu(node, args, gpu):
-    x = _f32(args[0])
+    x = args[0]
     return _by_rows(gpu, lambda v: np.maximum(v, np.float32(0)), (x.size,), x.reshape(-1)).reshape(x.shape)
 
 
 def _add(node, args, gpu):
-    a, b = _f32(args[0]), _f32(args[1])
+    a, b = args
     if a.shape != b.shape:
         raise ValueError(f"add operands differ in shape: {a.shape} vs {b.shape}")
     return _by_rows(gpu, np.add, (a.size,), a.reshape(-1), b.reshape(-1)).reshape(a.shape)
@@ -273,7 +257,7 @@ def _add(node, args, gpu):
 
 def _pool(node, args, gpu):
     at = node.attrs
-    x = _f32(args[0])
+    x = args[0]
     n, c, h, w = x.shape
     kh = _int_attr(at, "kernel", 2)
     kw = _int_attr(at, "kernel_w", kh)
@@ -288,8 +272,11 @@ def _pool(node, args, gpu):
 
 
 def _conv2d(node, args, gpu):
-    data, weight = _f32(args[0]), _f32(args[1])
-    wl = _conv_workload(data, weight, node.attrs)
+    data, weight = args
+    n, c, h, w = data.shape
+    k, _, r, s = weight.shape
+    attrs = {a: node.attrs[a] for a in ("stride", "pad", "dilation", "groups") if a in node.attrs}
+    wl = ConvWorkload(n, c, h, w, k, r, s, **attrs)
     if gpu is None:
         return conv2d_reference(data, weight, wl)
     cfg = node.schedule if node.schedule is not None else ScheduleConfig()
@@ -297,7 +284,7 @@ def _conv2d(node, args, gpu):
 
 
 def _box_nms(node, args, gpu):
-    rows = args[0].to_array()
+    rows = args[0]
     # leading dims of (..., boxes, 6) input index separate images
     images = max(1, int(np.prod(rows.shape[:-2])))
     kept = _vision(gpu, "box_nms_batch", vision.BoxSet.from_array(rows), images,
@@ -307,18 +294,18 @@ def _box_nms(node, args, gpu):
 
 def _multibox_detection(node, args, gpu):
     variances = tuple(node.attrs.get("variances", vision.boxes.DEFAULT_VARIANCES))
-    res = _vision(gpu, "multibox_detection", *(a.to_array() for a in args[:3]), variances=variances,
+    res = _vision(gpu, "multibox_detection", *args[:3], variances=variances,
                   **_nms_attrs(node.attrs, 0.01))
     return np.stack([r.to_array() for r in res])
 
 
 def _roi_align(node, args, gpu):
     size, ratio = tuple(node.attrs.get("output_size", (2, 2))), node.attrs.get("sampling_ratio", 2)
-    return _vision(gpu, "roi_align", args[0].to_array(), args[1].to_array(), size, ratio)
+    return _vision(gpu, "roi_align", args[0], args[1], size, ratio)
 
 
 def _argsort(node, args, gpu):
-    vals = args[0].to_array().reshape(-1)
+    vals = args[0].reshape(-1)
     order = node.attrs.get("order", "ascending")
     block = _int_attr(node.attrs, "block", 64)
     if gpu is None:
@@ -328,17 +315,17 @@ def _argsort(node, args, gpu):
 
 
 def _scan(node, args, gpu):
-    vals = args[0].to_array().reshape(-1)
+    vals = args[0].reshape(-1)
     return _vision(gpu, "scan", vals, node.attrs.get("kind", "inclusive"), p=_int_attr(node.attrs, "p", 8))
 
 
-# op kind -> runner(node, args, gpu), returning a Tensor or an array of
-# its dtype; ``gpu`` is the session on a GPU placement and None on the
-# CPU, where the sequential twins run
+# op kind -> runner(node, args, gpu), taking and returning arrays; ``gpu``
+# is the session on a GPU placement and None on the CPU, where the
+# sequential twins run
 OPS = {
     "identity": lambda node, args, gpu: args[0],
     "copy": lambda node, args, gpu: args[0],
-    "reshape": lambda node, args, gpu: args[0].to_array().reshape(tuple(node.attrs["shape"])),
+    "reshape": lambda node, args, gpu: args[0].reshape(tuple(node.attrs["shape"])),
     "relu": _relu,
     "add": _add,
     "pool": _pool,
@@ -354,9 +341,16 @@ OPS = {
 DEFAULT_GPU_OPS = frozenset(OPS) - {"copy"}
 
 
-def _run_node(node: Node, args: list, session: Session) -> Tensor:
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Read-only view of ``arr``: every consumer of a value shares it."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
+def _run_node(node: Node, args: list, session: Session) -> np.ndarray:
     out = OPS[node.op](node, args, session if node.device == GPU else None)
-    return out if isinstance(out, Tensor) else Tensor.from_array(out)
+    return _frozen(as_dtype(out)[1])
 
 
 def run_graph(g: Graph, inputs: dict, session: Session | None = None) -> dict:
@@ -365,8 +359,9 @@ def run_graph(g: Graph, inputs: dict, session: Session | None = None) -> dict:
     GPU-tagged nodes run through emulator kernels on a shared session;
     CPU-tagged nodes run sequential implementations of the same
     operators, so outputs do not depend on the placement. A graph with
-    no devices assigned runs entirely on the CPU. Each input must have
-    the shape and dtype its graph declares.
+    no devices assigned runs entirely on the CPU. Each input, a Tensor
+    or an array, must have the shape and dtype its graph declares; each
+    output is a Tensor.
     """
     assigned = [n.device != UNASSIGNED for n in g.nodes]
     if any(assigned) and not all(assigned):
@@ -376,14 +371,20 @@ def run_graph(g: Graph, inputs: dict, session: Session | None = None) -> dict:
     env: dict = {}
     for name, spec in g.inputs.items():
         if name not in inputs:
-            raise GraphExecutionError(f"missing graph input {name!r}")
-        t = _as_tensor(inputs[name])
-        want = tuple(spec.get("shape", t.shape))
-        if tuple(t.shape) != want:
-            raise GraphExecutionError(f"input {name!r}: shape {t.shape} does not match declared {want}")
-        if t.dtype != spec.get("dtype", t.dtype):
-            raise GraphExecutionError(f"input {name!r}: dtype {t.dtype} does not match declared {spec['dtype']}")
-        env[name] = t
+            raise GraphInputError(f"missing graph input {name!r}")
+        value = inputs[name]
+        try:
+            dtype, arr = (value.dtype, value.to_array()) if isinstance(value, Tensor) else as_dtype(value)
+        except ValueError as e:
+            raise GraphInputError(f"input {name!r}: {e}") from e
+        if arr.size == 0:
+            raise GraphInputError(f"input {name!r}: extents must be positive, got {arr.shape}")
+        want = tuple(spec.get("shape", arr.shape))
+        if arr.shape != want:
+            raise GraphInputError(f"input {name!r}: shape {arr.shape} does not match declared {want}")
+        if dtype != spec.get("dtype", dtype):
+            raise GraphInputError(f"input {name!r}: dtype {dtype} does not match declared {spec['dtype']}")
+        env[name] = _frozen(arr)
     for node in topo_order(g):
         args = [env[r] for r in node.inputs]
         try:
@@ -392,4 +393,4 @@ def run_graph(g: Graph, inputs: dict, session: Session | None = None) -> dict:
             raise
         except Exception as e:
             raise GraphExecutionError(f"node {node.id!r} ({node.op}): {e}") from e
-    return {out: env[out] for out in g.outputs}
+    return {out: Tensor.from_array(env[out]) for out in g.outputs}

@@ -95,25 +95,17 @@ class Tensor:
             raise ValueError(f"unsupported dtype {self.dtype!r}")
         _check_compatible(self.layout, self.shape)
         n = int(np.prod(self.shape))
-        flat = np.asarray(self.data, dtype=DTYPES[self.dtype]).reshape(-1)
+        flat = np.array(self.data, dtype=DTYPES[self.dtype]).reshape(-1)
         if flat.size != n:
             raise ValueError(f"data length {flat.size} != product(shape) {n}")
-        flat = flat.copy()
         flat.flags.writeable = False
         object.__setattr__(self, "data", flat)
 
     @classmethod
     def from_array(cls, array, layout: LayoutTag = NCHW, dtype: str | None = None) -> "Tensor":
-        """Tensor from a logically-shaped array, stored in ``layout`` order. An
-        integer array becomes i32 only if every value fits, else ValueError."""
-        arr = np.asarray(array)
-        if dtype is None:
-            dtype = {"f": "f32", "i": "i32", "u": "i32", "b": "bool"}[arr.dtype.kind]
-        if dtype == "i32" and arr.dtype.kind in "iu" and not np.can_cast(arr.dtype, np.int32):
-            bad = (arr < -2**31) | (arr >= 2**31)
-            if bad.any():
-                raise ValueError(f"{arr.dtype} value {arr.flat[np.argmax(bad)]} does not fit i32")
-        arr = arr.astype(DTYPES[dtype])
+        """Tensor from a logically-shaped array, stored in ``layout`` order,
+        converted by :func:`as_dtype`."""
+        dtype, arr = as_dtype(array, dtype)
         _check_compatible(layout, arr.shape)
         flat = _to_physical(arr, layout).reshape(-1)
         return cls(shape=arr.shape, dtype=dtype, layout=layout, data=flat)
@@ -131,35 +123,41 @@ class Tensor:
         return int(self.data.size)
 
 
+def as_dtype(array, dtype: str | None = None) -> tuple:
+    """``(dtype, array)``: the values as a ``dtype`` array, copied only if
+    the dtype differs. With no ``dtype``, floats become f32, integers i32
+    and bools bool; any other array raises ValueError, as does an integer
+    value that does not fit i32."""
+    arr = np.asarray(array)
+    if dtype is None:
+        dtype = {"f": "f32", "i": "i32", "u": "i32", "b": "bool"}.get(arr.dtype.kind)
+        if dtype is None:
+            raise ValueError(f"no tensor dtype for {arr.dtype} values; expected float, integer or bool")
+    if dtype == "i32" and arr.dtype.kind in "iu" and not np.can_cast(arr.dtype, np.int32):
+        bad = (arr < -2**31) | (arr >= 2**31)
+        if bad.any():
+            raise ValueError(f"{arr.dtype} value {arr.flat[np.argmax(bad)]} does not fit i32")
+    return dtype, arr.astype(DTYPES[dtype], copy=False)
+
+
 def _to_physical(logical: np.ndarray, layout: LayoutTag) -> np.ndarray:
-    """Reorder a canonical logical array into the layout's physical order."""
+    """Reorder a canonical logical array into the layout's physical order:
+    split the packed axis into (extent // f, f), then move f last."""
     if not layout.tiled:
         return np.ascontiguousarray(logical)
-    a0, a1, a2, a3 = logical.shape
-    f = layout.factor
-    axis = TILED_KINDS[layout.kind]
-    if axis == 1:  # NCHWc: (N, C, H, W) -> (N, C//f, f, H, W) -> (N, C//f, H, W, f)
-        return np.ascontiguousarray(
-            logical.reshape(a0, a1 // f, f, a2, a3).transpose(0, 1, 3, 4, 2)
-        )
-    # OIHWo: (O, I, H, W) -> (O//f, f, I, H, W) -> (O//f, I, H, W, f)
-    return np.ascontiguousarray(
-        logical.reshape(a0 // f, f, a1, a2, a3).transpose(0, 2, 3, 4, 1)
-    )
+    axis, f = TILED_KINDS[layout.kind], layout.factor
+    shape = logical.shape
+    split = logical.reshape(shape[:axis] + (shape[axis] // f, f) + shape[axis + 1:])
+    return np.ascontiguousarray(np.moveaxis(split, axis + 1, -1))
 
 
 def _to_logical(flat: np.ndarray, shape, layout: LayoutTag) -> np.ndarray:
     """Inverse of :func:`_to_physical`."""
     if not layout.tiled:
         return flat.reshape(shape).copy()
-    a0, a1, a2, a3 = shape
-    f = layout.factor
-    axis = TILED_KINDS[layout.kind]
-    if axis == 1:
-        packed = flat.reshape(a0, a1 // f, a2, a3, f)
-        return np.ascontiguousarray(packed.transpose(0, 1, 4, 2, 3).reshape(shape))
-    packed = flat.reshape(a0 // f, a1, a2, a3, f)
-    return np.ascontiguousarray(packed.transpose(0, 4, 1, 2, 3).reshape(shape))
+    axis, f = TILED_KINDS[layout.kind], layout.factor
+    packed = flat.reshape(shape[:axis] + (shape[axis] // f,) + shape[axis + 1:] + (f,))
+    return np.array(np.moveaxis(packed, -1, axis + 1), order="C").reshape(shape)
 
 
 def layout_transform(t: Tensor, target: LayoutTag) -> Tensor:

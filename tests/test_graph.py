@@ -1,12 +1,14 @@
 """Graph loading, two-pass placement, copy insertion, executor."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from edgegraph.graph import (
     DEFAULT_GPU_OPS,
+    OPS,
     GraphError,
     GraphExecutionError,
     assign_devices,
@@ -509,3 +511,108 @@ def test_graph_inputs_that_do_not_fit_i32_are_rejected(x, message):
         run_graph(g, {"x": x})
     out = run_graph(g, {"x": np.array([7, 2**31 - 1], np.uint32)})["a"]
     assert out.dtype == "i32" and out.to_array().tolist() == [7, 2**31 - 1]
+
+
+@pytest.mark.parametrize("x, message", [
+    (np.array(["a", "b"]), "no tensor dtype for <U1 values"),
+    (np.array([1 + 2j, 3]), "no tensor dtype for complex128 values"),
+    (np.zeros((2, 0), np.float32), "extents must be positive, got (2, 0)"),
+])
+def test_graph_input_that_fails_to_convert_names_the_input(x, message):
+    g = load_graph(doc(
+        [{"id": "a", "op": "identity", "inputs": ["x"]}],
+        inputs={"x": {"shape": [2], "dtype": "f32"}},
+        outputs=["a"],
+    ))
+    with pytest.raises(GraphExecutionError, match=re.escape(f"input 'x': {message}")):
+        run_graph(g, {"x": x})
+
+
+@pytest.mark.parametrize("ops", [DEFAULT_GPU_OPS, DEFAULT_GPU_OPS - {"multibox_detection", "box_nms"}])
+def test_fixture_run_converts_only_graph_inputs_and_outputs(ops, monkeypatch):
+    g = insert_copies(assign_devices(load_graph(ssd_like_doc()), ops))
+    inputs = ssd_like_inputs(0)
+    calls = {"from_array": 0, "to_array": 0}
+    from_array, to_array = Tensor.from_array.__func__, Tensor.to_array
+
+    def counted_from_array(cls, *args, **kwargs):
+        calls["from_array"] += 1
+        return from_array(cls, *args, **kwargs)
+
+    def counted_to_array(self):
+        calls["to_array"] += 1
+        return to_array(self)
+
+    monkeypatch.setattr(Tensor, "from_array", classmethod(counted_from_array))
+    monkeypatch.setattr(Tensor, "to_array", counted_to_array)
+    run_graph(g, inputs)
+    assert calls == {"from_array": len(g.outputs), "to_array": len(inputs)}
+
+
+@pytest.mark.parametrize("ops", [DEFAULT_GPU_OPS, set()])
+@pytest.mark.parametrize("target", ["x", "p"])
+def test_runner_that_writes_its_input_fails_and_other_consumers_keep_the_value(ops, target, monkeypatch):
+    g = load_graph(doc(
+        [
+            {"id": "p", "op": "relu", "inputs": ["x"]},
+            {"id": "seen", "op": "identity", "inputs": [target]},
+            {"id": "w", "op": "scan", "inputs": [target]},
+        ],
+        inputs={"x": {"shape": [4], "dtype": "f32"}},
+        outputs=["w"],
+    ))
+    seen = []
+
+    def spy(node, args, gpu):
+        seen.append(args[0])
+        return args[0]
+
+    def writer(node, args, gpu):
+        args[0][0] = 99.0
+        return args[0]
+
+    monkeypatch.setitem(OPS, "identity", spy)
+    monkeypatch.setitem(OPS, "scan", writer)
+    x = np.array([-1.0, 2.0, -3.0, 4.0], np.float32)
+    with pytest.raises(GraphExecutionError, match=r"node 'w' \(scan\): .*read-only"):
+        run_graph(insert_copies(assign_devices(g, ops)), {"x": x})
+    want = x if target == "x" else np.maximum(x, 0)
+    assert np.array_equal(seen[0], want) and seen[0][0] != 99.0
+    assert x.tolist() == [-1.0, 2.0, -3.0, 4.0] and x.flags.writeable
+
+
+@pytest.mark.parametrize("value, dtype, want", [
+    (np.array([0.1, -2.5]), np.float32, np.float32([0.1, -2.5])),
+    (np.array([7, 2**31 - 1], np.int64), np.int32, np.int32([7, 2**31 - 1])),
+])
+def test_runner_results_take_the_tensor_dtypes(value, dtype, want, monkeypatch):
+    g = load_graph(doc(
+        [
+            {"id": "y", "op": "identity", "inputs": ["x"]},
+            {"id": "z", "op": "copy", "inputs": ["y"]},
+        ],
+        inputs={"x": {"shape": [2], "dtype": "f32"}},
+        outputs=["z"],
+    ))
+    seen = []
+
+    def spy(node, args, gpu):
+        seen.append(args[0])
+        return args[0]
+
+    monkeypatch.setitem(OPS, "identity", lambda node, args, gpu: value)
+    monkeypatch.setitem(OPS, "copy", spy)
+    out = run_graph(g, {"x": np.zeros(2, np.float32)})["z"]
+    assert seen[0].dtype == dtype and not seen[0].flags.writeable
+    assert np.array_equal(seen[0], want) and np.array_equal(out.to_array(), want)
+
+
+def test_runner_result_that_does_not_fit_i32_names_the_node(monkeypatch):
+    g = load_graph(doc(
+        [{"id": "y", "op": "identity", "inputs": ["x"]}],
+        inputs={"x": {"shape": [2], "dtype": "f32"}},
+        outputs=["y"],
+    ))
+    monkeypatch.setitem(OPS, "identity", lambda node, args, gpu: np.array([2**40, 3]))
+    with pytest.raises(GraphExecutionError, match=r"node 'y' \(identity\): int64 value 1099511627776 does not fit i32"):
+        run_graph(g, {"x": np.zeros(2, np.float32)})

@@ -9,6 +9,7 @@ from edgegraph.tensor import (
     IncompatibleLayoutError,
     LayoutTag,
     Tensor,
+    as_dtype,
     layout_transform,
     tensor_from_json,
     tensor_to_json,
@@ -193,3 +194,29 @@ def test_from_array_converts_integers_that_fit_i32(dtype):
     values = np.array([0, 1, 127], dtype)
     t = Tensor.from_array(values)
     assert t.dtype == "i32" and t.data.dtype == np.int32 and t.data.tolist() == [0, 1, 127]
+
+
+@pytest.mark.parametrize("values, name", [(np.array(["a"]), "<U1"), (np.array([1 + 2j]), "complex128")])
+def test_from_array_names_a_dtype_with_no_tensor_dtype(values, name):
+    with pytest.raises(ValueError, match=f"no tensor dtype for {name} values"):
+        Tensor.from_array(values)
+
+
+def test_as_dtype_copies_only_to_change_the_dtype():
+    f32, i32 = np.zeros(3, np.float32), np.arange(3, dtype=np.int32)
+    assert as_dtype(f32)[0] == "f32" and as_dtype(f32)[1] is f32
+    assert as_dtype(i32)[0] == "i32" and as_dtype(i32)[1] is i32
+    assert as_dtype(np.zeros(2, bool))[0] == "bool"
+    dtype, arr = as_dtype(np.array([0.1, 2.5]))
+    assert dtype == "f32" and arr.dtype == np.float32 and arr.tolist() == np.float32([0.1, 2.5]).tolist()
+    dtype, arr = as_dtype(np.array([7, -3], np.int64))
+    assert dtype == "i32" and arr.dtype == np.int32 and arr.tolist() == [7, -3]
+
+
+@pytest.mark.parametrize("tag", ["NCHW", "NCHWc1", "NCHWc2", "OIHWo1", "OIHWo2"])
+def test_to_array_is_a_writable_copy_in_every_layout(tag):
+    arr = np.arange(16, dtype=np.float32).reshape(2, 2, 2, 2)
+    t = Tensor.from_array(arr, layout=LayoutTag.parse(tag))
+    out = t.to_array()
+    assert np.array_equal(out, arr) and out.flags.writeable and out.flags.c_contiguous
+    assert not np.shares_memory(out, t.data)
