@@ -8,7 +8,13 @@ emulator's launch statistics, and tests inject scripted timers. A
 config is verified against the reference convolution once before it is
 ever timed; a config that fails verification is a hard error, never a
 cost, while a config rejected by the schedule template is recorded with
-an explicit failure flag.
+an explicit failure flag, as is a timer cost that is not finite.
+
+One process shares, per workload, what is a fixed function of it: the
+measurement inputs, the verification reference and its scale, and, from
+that workload's first ``tune_model`` job on, its schedule space and
+feature matrix. The share holds at most 32 workloads; the 33rd starts it
+afresh.
 
 Records are line-delimited JSON behind a one-line header; the file is
 append-only and a load/save round trip preserves it byte for byte.
@@ -61,7 +67,7 @@ class TuningRecord:
 
     @property
     def ok(self) -> bool:
-        return not self.failed and self.cost_mean is not None
+        return not self.failed and self.cost_mean is not None and math.isfinite(self.cost_mean)
 
     def to_json(self) -> str:
         rec = {
@@ -135,8 +141,8 @@ def _workload_seed(wl: ConvWorkload) -> int:
     return zlib.crc32(wl.key().encode())
 
 
-# measurement inputs are a fixed function of the workload, so share them
-# (and the verification reference) across the configs of one search
+# per-workload state shared across the configs of one search and across
+# searches; see the module docstring
 _workload_cache: dict = {}
 
 
@@ -146,11 +152,34 @@ def _workload_data(wl: ConvWorkload):
         rng = np.random.default_rng(_workload_seed(wl))
         inp = rng.standard_normal((wl.n, wl.c, wl.h, wl.w)).astype(np.float32)
         wgt = rng.standard_normal((wl.k, wl.c // wl.groups, wl.r, wl.s)).astype(np.float32)
-        entry = {"inp": inp, "wgt": wgt, "ref": conv2d_reference(inp, wgt, wl)}
-        if len(_workload_cache) > 32:
+        ref = conv2d_reference(inp, wgt, wl)
+        entry = {"inp": inp, "wgt": wgt, "ref": ref, "scale": max(float(np.max(np.abs(ref))), 1e-30)}
+        if len(_workload_cache) >= 32:
             _workload_cache.clear()
         _workload_cache[wl] = entry
     return entry
+
+
+def _search_space(wl: ConvWorkload):
+    """The workload's schedule space as a tuple, and its read-only feature matrix.
+
+    Checked before the workload's reference convolution is first computed.
+    """
+    entry = _workload_cache.get(wl)
+    if entry is None or "space" not in entry:
+        space = tuple(schedule_space(wl))
+        if not space:
+            raise ValueError(f"empty schedule space for {wl.key()}")
+        if len(space) > MAX_SPACE:
+            raise ValueError(
+                f"schedule space of {wl.key()} has {len(space)} configs, beyond the "
+                f"desk-scale bound of {MAX_SPACE}"
+            )
+        feats = np.stack([config_features(wl, c) for c in space])
+        feats.flags.writeable = False
+        entry = _workload_data(wl)
+        entry["space"], entry["feats"] = space, feats
+    return entry["space"], entry["feats"]
 
 
 def measure(wl: ConvWorkload, cfg: ScheduleConfig, repeats: int = 3, timer=None) -> TuningRecord:
@@ -160,21 +189,26 @@ def measure(wl: ConvWorkload, cfg: ScheduleConfig, repeats: int = 3, timer=None)
     runs and cost_std their standard deviation. Under ``proxy_timer``,
     whose cost is a function of the launch alone, the verification run
     is priced once instead (``repeats=1``, ``cost_std=0``). Rejected
-    configs come back failure-flagged; a correctness mismatch against
-    the reference is a hard error and is never recorded as a cost.
+    configs and non-finite timer costs come back failure-flagged; a
+    correctness mismatch against the reference is a hard error and is
+    never recorded as a cost.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if timer is None:
         timer = wall_timer
     now = time.time()
+
+    def failure(error, timed_runs=0):
+        return TuningRecord(
+            workload_key=wl.key(), config=cfg, cost_mean=None, cost_std=None,
+            repeats=timed_runs, device_tag="emu", created_at=now, failed=True, error=error,
+        )
+
     try:
         cfg.validate_for(wl)
     except ScheduleRejectedError as e:
-        return TuningRecord(
-            workload_key=wl.key(), config=cfg, cost_mean=None, cost_std=None,
-            repeats=0, device_tag="emu", created_at=now, failed=True, error=str(e),
-        )
+        return failure(str(e))
     data = _workload_data(wl)
     inp, wgt, ref = data["inp"], data["wgt"], data["ref"]
 
@@ -185,17 +219,22 @@ def measure(wl: ConvWorkload, cfg: ScheduleConfig, repeats: int = 3, timer=None)
 
     verified = Session()
     got = conv2d_scheduled(inp, wgt, wl, cfg, session=verified)
-    scale = max(float(np.max(np.abs(ref))), 1e-30)
-    if float(np.max(np.abs(got - ref))) / scale > 1e-4:
+    if float(np.max(np.abs(got - ref))) / data["scale"] > 1e-4:
         raise RuntimeError(f"config {cfg} produced wrong output for {wl.key()}")
 
     if timer is proxy_timer:  # looked up when called, so a wrapped proxy_timer matches too
         samples = [float(timer(lambda: verified, wl, cfg))]
     else:
         samples = [float(timer(run, wl, cfg)) for _ in range(repeats)]
+    bad = [s for s in samples if not math.isfinite(s)]
+    if bad:
+        return failure(f"timer returned a non-finite cost {bad[0]}", len(samples))
+    if len(samples) == 1:
+        cost_mean, cost_std = samples[0], 0.0
+    else:
+        cost_mean, cost_std = float(np.median(samples)), float(np.std(samples))
     return TuningRecord(
-        workload_key=wl.key(), config=cfg,
-        cost_mean=float(np.median(samples)), cost_std=float(np.std(samples)),
+        workload_key=wl.key(), config=cfg, cost_mean=cost_mean, cost_std=cost_std,
         repeats=len(samples), device_tag="emu", created_at=now,
     )
 
@@ -351,15 +390,7 @@ def tune_model(wl: ConvWorkload, budget: int, batch: int = 8, seed: int = 0,
         raise ValueError(f"budget must be >= 1, got {budget}")
     if not (1 <= batch <= budget):
         raise ValueError(f"need 1 <= batch <= budget, got batch={batch} budget={budget}")
-    space = schedule_space(wl)
-    if not space:
-        raise ValueError(f"empty schedule space for {wl.key()}")
-    if len(space) > MAX_SPACE:
-        raise ValueError(
-            f"schedule space of {wl.key()} has {len(space)} configs, beyond the "
-            f"desk-scale bound of {MAX_SPACE}"
-        )
-    feats = np.stack([config_features(wl, c) for c in space])
+    space, feats = _search_space(wl)
     rng = np.random.default_rng(seed)
     model = KnnCostModel(k=KNN_K)
 

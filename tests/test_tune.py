@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+import edgegraph.tune as tune
 from edgegraph.conv import ConvWorkload, ScheduleConfig, schedule_space
 from edgegraph.graph import Graph, Node
 from edgegraph.tensor import LayoutTag
@@ -27,6 +28,20 @@ from edgegraph.tune import (
 )
 
 WL = ConvWorkload(n=1, c=4, h=6, w=6, k=4, r=3, s=3, pad=(1, 1))
+
+# the four conv workloads of the fixture graph (tests/fixtures.py)
+FIXTURE_CONVS = {
+    "c1": ConvWorkload(n=1, c=3, h=16, w=16, k=8, r=3, s=3, pad=(1, 1)),
+    "c2": ConvWorkload(n=1, c=8, h=8, w=8, k=8, r=3, s=3, pad=(1, 1)),
+    "cls": ConvWorkload(n=1, c=8, h=8, w=8, k=6, r=1, s=1),
+    "loc": ConvWorkload(n=1, c=8, h=8, w=8, k=8, r=1, s=1),
+}
+
+
+@pytest.fixture(autouse=True)
+def fresh_workload_cache():
+    """Each test starts with no shared per-workload state, whatever ran before it."""
+    tune._workload_cache.clear()
 
 
 def constant_timer(value):
@@ -398,8 +413,6 @@ def running_timer(run, wl, cfg):
     (proxy_timer, 1, 1), (running_timer, 4, 3),
 ])
 def test_proxy_measure_prices_its_verification_run(monkeypatch, timer, runs, repeats):
-    import edgegraph.tune as tune
-
     calls = []
     real = tune.conv2d_scheduled
     monkeypatch.setattr(tune, "conv2d_scheduled", lambda *a, **k: calls.append(1) or real(*a, **k))
@@ -483,3 +496,101 @@ def test_records_accept_integral_costs_and_missing_optional_fields(tmp_path):
     (got,) = records_load(str(p))
     assert (got.cost_mean, got.failed, got.error) == (2, False, None)
     assert query_best([got], WL.key()) == got
+
+
+@pytest.mark.parametrize("timer, repeats, timed", [
+    (constant_timer(math.nan), 3, 3),
+    (scripted_timer([1.0, math.inf, 2.0]), 3, 3),
+    (constant_timer(-math.inf), 1, 1),
+    ("proxy", 3, 1),
+], ids=["nan", "inf-among-finite", "minus-inf", "proxy-nan"])
+def test_measure_flags_a_non_finite_cost_as_failed(monkeypatch, timer, repeats, timed):
+    if timer == "proxy":
+        monkeypatch.setattr(tune, "proxy_timer", constant_timer(math.nan))
+        timer = tune.proxy_timer
+    rec = measure(WL, ScheduleConfig(), repeats=repeats, timer=timer)
+    assert rec.failed and not rec.ok
+    assert (rec.cost_mean, rec.cost_std, rec.repeats) == (None, None, timed)
+    assert re.search(r"non-finite cost -?(nan|inf)", rec.error)
+
+
+def test_records_with_a_non_finite_cost_never_count(tmp_path):
+    p = tmp_path / "old.jsonl"
+    records_save([make_record(WL.key(), ScheduleConfig(), math.nan),
+                  make_record(WL.key(), ScheduleConfig(oc_split=2), math.inf),
+                  make_record(WL.key(), ScheduleConfig(oc_split=4), 1.0)], str(p))
+    loaded = records_load(str(p))
+    assert [r.ok for r in loaded] == [False, False, True]
+    assert query_best(loaded, WL.key()).config == ScheduleConfig(oc_split=4)
+
+
+def test_tuners_skip_a_non_finite_first_cost():
+    rec = tune_random(WL, budget=4, seed=0, repeats=1,
+                      timer=scripted_timer([math.nan, 1.0, 2.0, 3.0]))
+    assert rec.cost_mean == 1.0
+
+
+def test_two_jobs_on_one_workload_build_the_search_space_once(monkeypatch):
+    calls = {"space": 0, "features": 0}
+    real_space, real_features = tune.schedule_space, tune.config_features
+
+    def counted_space(wl):
+        calls["space"] += 1
+        return real_space(wl)
+
+    def counted_features(wl, cfg):
+        calls["features"] += 1
+        return real_features(wl, cfg)
+
+    monkeypatch.setattr(tune, "schedule_space", counted_space)
+    monkeypatch.setattr(tune, "config_features", counted_features)
+    for seed in (0, 1):
+        tune_model(WL, budget=8, batch=4, seed=seed, repeats=1, timer=proxy_timer)
+    assert calls == {"space": 1, "features": len(real_space(WL))}
+
+
+def _trials(wl, seed, path):
+    tune_model(wl, 16, batch=8, seed=seed, repeats=3, timer=proxy_timer, records_path=str(path))
+    return [(r.config, r.cost_mean, r.cost_std, r.repeats, r.failed) for r in records_load(str(path))]
+
+
+@pytest.mark.parametrize("node", sorted(FIXTURE_CONVS))
+def test_trials_are_the_same_with_the_shared_state_cold_or_warm(tmp_path, node):
+    wl = FIXTURE_CONVS[node]
+    for seed in range(8):
+        tune._workload_cache.clear()
+        cold = _trials(wl, seed, tmp_path / f"cold{seed}.jsonl")
+        assert "space" in tune._workload_cache[wl]
+        warm = _trials(wl, seed, tmp_path / f"warm{seed}.jsonl")
+        assert cold == warm and len(cold) == 16
+
+
+@pytest.mark.parametrize("space, bound", [([], 2000), (None, 3)], ids=["empty", "over-bound"])
+def test_a_bad_space_raises_before_any_reference_convolution(monkeypatch, space, bound):
+    def no_reference(*a, **k):
+        raise AssertionError("conv2d_reference was called")
+
+    if space is not None:
+        monkeypatch.setattr(tune, "schedule_space", lambda wl: space)
+    monkeypatch.setattr(tune, "MAX_SPACE", bound)
+    monkeypatch.setattr(tune, "conv2d_reference", no_reference)
+    with pytest.raises(ValueError, match="empty schedule space|desk-scale bound of 3"):
+        tune_model(WL, budget=4, batch=4, seed=0, repeats=1, timer=proxy_timer)
+    assert WL not in tune._workload_cache
+
+
+@pytest.mark.parametrize("wl", [WL, FIXTURE_CONVS["c1"], ConvWorkload(n=1, c=1, h=1, w=1621, k=2, r=1, s=1)],
+                         ids=["small", "c1", "ow-1621"])
+def test_shared_feature_matrix_equals_per_config_features(wl):
+    space, feats = tune._search_space(wl)
+    assert isinstance(space, tuple) and space == tuple(schedule_space(wl))
+    want = np.stack([tune.config_features(wl, c) for c in space])
+    assert feats.dtype == want.dtype and feats.tobytes() == want.tobytes()
+    assert not feats.flags.writeable
+    assert tune._search_space(wl)[1] is feats
+
+
+def test_workload_share_holds_at_most_32_workloads():
+    for w in range(1, 34):
+        tune._workload_data(ConvWorkload(n=1, c=1, h=1, w=w, k=1, r=1, s=1))
+        assert len(tune._workload_cache) <= 32
