@@ -118,10 +118,6 @@ class Tensor:
         """Value at a logical multi-index, independent of physical layout."""
         return self.to_array()[tuple(index)]
 
-    @property
-    def size(self) -> int:
-        return int(self.data.size)
-
 
 def as_dtype(array, dtype: str | None = None) -> tuple:
     """``(dtype, array)``: the values as a ``dtype`` array, copied only if

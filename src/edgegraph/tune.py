@@ -17,7 +17,9 @@ feature matrix. The share holds at most 32 workloads; the 33rd starts it
 afresh.
 
 Records are line-delimited JSON behind a one-line header; the file is
-append-only and a load/save round trip preserves it byte for byte.
+append-only and a load/save round trip preserves it byte for byte. A
+record with a non-finite cost is not JSON, so the writers refuse it
+before they open the file; older files that hold one still load.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ class TuningRecord:
             "failed": self.failed,
             "error": self.error,
         }
-        return json.dumps(rec)
+        return json.dumps(rec, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "TuningRecord":
@@ -242,11 +244,14 @@ def measure(wl: ConvWorkload, cfg: ScheduleConfig, repeats: int = 3, timer=None)
 # --- records database --------------------------------------------------------
 
 def records_save(records, path) -> None:
-    """Write header plus one JSON record per line (overwrites)."""
+    """Write header plus one JSON record per line (overwrites).
+
+    Records are serialized before the file is opened: one that is not JSON
+    (a non-finite cost) raises ValueError and leaves the file unchanged.
+    """
+    lines = "".join(r.to_json() + "\n" for r in records)
     with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(RECORDS_HEADER) + "\n")
-        for r in records:
-            f.write(r.to_json() + "\n")
+        f.write(json.dumps(RECORDS_HEADER) + "\n" + lines)
 
 
 def records_append(records, path) -> None:
@@ -254,8 +259,10 @@ def records_append(records, path) -> None:
 
     A file that does not end in a newline holds what a crashed append
     left: it is cut back to its last newline first, and one with no
-    newline left (a torn header) is started afresh.
+    newline left (a torn header) is started afresh. As in
+    :func:`records_save`, a record that is not JSON changes nothing.
     """
+    lines = "".join(r.to_json() + "\n" for r in records)
     fresh = not os.path.exists(path) or os.path.getsize(path) == 0
     if not fresh:
         with open(path, "rb+") as f:
@@ -268,8 +275,7 @@ def records_append(records, path) -> None:
     with open(path, "a", encoding="utf-8") as f:
         if fresh:
             f.write(json.dumps(RECORDS_HEADER) + "\n")
-        for r in records:
-            f.write(r.to_json() + "\n")
+        f.write(lines)
 
 
 def records_load(path) -> list:
@@ -349,14 +355,13 @@ def config_features(wl: ConvWorkload, cfg: ScheduleConfig) -> np.ndarray:
 
 
 class KnnCostModel:
-    """k-nearest-neighbour regressor over config features.
+    """k-nearest-neighbour regressor (k = ``KNN_K``) over config features.
 
     Dependency-free and deterministic; retrainable incrementally by
     calling :meth:`fit` again with the grown record set.
     """
 
-    def __init__(self, k: int = 3):
-        self.k = k
+    def __init__(self):
         self._x = None
         self._y = None
 
@@ -369,7 +374,7 @@ class KnnCostModel:
         if self._x is None or len(self._x) == 0:
             return np.zeros(len(q))
         d = np.sqrt(((q[:, None, :] - self._x[None, :, :]) ** 2).sum(axis=2))
-        k = min(self.k, len(self._x))
+        k = min(KNN_K, len(self._x))
         idx = np.argsort(d, axis=1, kind="stable")[:, :k]
         return self._y[idx].mean(axis=1)
 
@@ -392,7 +397,7 @@ def tune_model(wl: ConvWorkload, budget: int, batch: int = 8, seed: int = 0,
         raise ValueError(f"need 1 <= batch <= budget, got batch={batch} budget={budget}")
     space, feats = _search_space(wl)
     rng = np.random.default_rng(seed)
-    model = KnnCostModel(k=KNN_K)
+    model = KnnCostModel()
 
     unmeasured = list(range(len(space)))
     trials = []
@@ -430,10 +435,10 @@ def tune_model(wl: ConvWorkload, budget: int, batch: int = 8, seed: int = 0,
 
     if records_path:
         records_append(trials, records_path)
-    ok = [t for t in trials if t.ok]
-    if not ok:
+    best = query_best(trials, wl.key())
+    if best is None:
         raise RuntimeError("no config measured successfully")
-    return min(ok, key=lambda t: t.cost_mean)
+    return best
 
 
 def tune_random(wl: ConvWorkload, budget: int, **kw) -> TuningRecord:
@@ -442,16 +447,6 @@ def tune_random(wl: ConvWorkload, budget: int, **kw) -> TuningRecord:
 
 
 # --- graph-level layout DP ----------------------------------------------------
-
-def _normalize_costs(node_costs: dict) -> dict:
-    out = {}
-    for nid, cand in node_costs.items():
-        pairs = []
-        for tag, cost in cand.items():
-            pairs.append((tag if isinstance(tag, LayoutTag) else LayoutTag.parse(tag), float(cost)))
-        out[nid] = pairs
-    return out
-
 
 def graph_tune_dp(g, node_costs: dict, tc) -> tuple[dict, float]:
     """Pick one layout per node minimizing kernel plus transform cost.
@@ -465,83 +460,61 @@ def graph_tune_dp(g, node_costs: dict, tc) -> tuple[dict, float]:
 
     Returns ({node_id: LayoutTag}, total_cost).
     """
-    cand = _normalize_costs(node_costs)
+    cand = {}
+    for nid, tag_costs in node_costs.items():
+        cand[nid] = [(tag if isinstance(tag, LayoutTag) else LayoutTag.parse(tag), float(cost))
+                     for tag, cost in tag_costs.items()]
     for n in g.nodes:
-        if n.id not in cand or not cand[n.id]:
+        if not cand.get(n.id):
             raise ValueError(f"node {n.id!r} has no candidate layouts")
 
-    edges = list(g.edges())
-    parent_uf = {n.id: n.id for n in g.nodes}
+    uf = {n.id: n.id for n in g.nodes}
 
     def find(x):
-        while parent_uf[x] != x:
-            parent_uf[x] = parent_uf[parent_uf[x]]
-            x = parent_uf[x]
+        while uf[x] != x:
+            uf[x] = uf[uf[x]]
+            x = uf[x]
         return x
 
-    for u, v in edges:
+    # from either end, an edge costs tc(producer's layout, consumer's, producer's shape)
+    adj = {n.id: [] for n in g.nodes}
+    shapes = {n.id: tuple(n.attrs.get("out_shape", ())) for n in g.nodes}
+    for u, v in g.edges():
         ru, rv = find(u), find(v)
         if ru == rv:
             raise UnsupportedGraphError(
                 f"edge {u!r}->{v!r} closes an undirected cycle; layout DP supports chains and trees only"
             )
-        parent_uf[ru] = rv
+        uf[ru] = rv
+        adj[u].append((v, lambda mine, theirs, shape=shapes[u]: tc(mine, theirs, shape)))
+        adj[v].append((u, lambda mine, theirs, shape=shapes[u]: tc(theirs, mine, shape)))
 
-    adj: dict = {n.id: [] for n in g.nodes}
-    shapes = {n.id: tuple(n.attrs.get("out_shape", ())) for n in g.nodes}
-    for u, v in edges:
-        adj[u].append((v, True))  # True: this node is the producer on the edge
-        adj[v].append((u, False))
-
-    assignment: dict = {}
-    total = 0.0
-    visited = set()
+    assignment, total = {}, 0.0
     for root in (n.id for n in g.nodes):
-        if root in visited:
+        if root in assignment:
             continue
-        # iterative post-order over this tree component
-        order = []
-        parent = {root: None}
-        stack = [root]
-        while stack:
-            nid = stack.pop()
-            visited.add(nid)
-            order.append(nid)
+        order, parent = [root], {root: None}
+        for nid in order:  # breadth-first: each node comes after its parent
             for other, _ in adj[nid]:
                 if other not in parent:
                     parent[other] = nid
-                    stack.append(other)
-        dp = {}
-        choice = {}
+                    order.append(other)
+        # best[nid][i]: least cost of nid's subtree with nid on its candidate i;
+        # pick[child, i]: the child's candidate behind it
+        best, pick = {}, {}
         for nid in reversed(order):
-            tags = cand[nid]
-            dp[nid] = []
-            for tag, own in tags:
-                acc = own
-                for child, nid_is_producer in adj[nid]:
-                    if parent.get(child) != nid:
-                        continue
-                    best, best_j = None, None
-                    for j, (ctag, _) in enumerate(cand[child]):
-                        if nid_is_producer:
-                            move = tc(tag, ctag, shapes[nid])
-                        else:
-                            move = tc(ctag, tag, shapes[child])
-                        val = dp[child][j] + move
-                        if best is None or val < best:
-                            best, best_j = val, j
-                    choice[(nid, tag, child)] = best_j
-                    acc += best
-                dp[nid].append(acc)
-        best_i = min(range(len(cand[root])), key=lambda i: dp[root][i])
-        total += dp[root][best_i]
-        # walk back down assigning the argmin layouts
-        todo = [(root, best_i)]
-        while todo:
-            nid, i = todo.pop()
-            tag = cand[nid][i][0]
-            assignment[nid] = tag
-            for child, _ in adj[nid]:
-                if parent.get(child) == nid:
-                    todo.append((child, choice[(nid, tag, child)]))
+            best[nid] = []
+            for i, (tag, acc) in enumerate(cand[nid]):
+                for child, move in adj[nid]:
+                    if parent[child] == nid:
+                        vals = [b + move(tag, ctag) for b, (ctag, _) in zip(best[child], cand[child])]
+                        pick[child, i] = min(range(len(vals)), key=vals.__getitem__)
+                        acc += vals[pick[child, i]]
+                best[nid].append(acc)
+        at = {root: min(range(len(best[root])), key=best[root].__getitem__)}
+        total += best[root][at[root]]
+        for nid in order:
+            if nid != root:
+                at[nid] = pick[nid, at[parent[nid]]]
+            assignment[nid] = cand[nid][at[nid]][0]
     return assignment, float(total)

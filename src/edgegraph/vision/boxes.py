@@ -54,14 +54,6 @@ class BoxSet:
     def __len__(self) -> int:
         return len(self.class_ids)
 
-    @classmethod
-    def invalid(cls, n: int) -> "BoxSet":
-        return cls(
-            class_ids=np.full(n, -1, np.int32),
-            scores=np.full(n, INVALID, np.float32),
-            corners=np.full((n, 4), INVALID, np.float32),
-        )
-
     def to_array(self) -> np.ndarray:
         """Packed (n, 6) float32 rows: class, score, x1, y1, x2, y2."""
         out = np.empty((len(self), 6), np.float32)

@@ -189,6 +189,16 @@ def test_tune_graph_dp_assignment(tmp_path, capsys):
     assert "total_cost\t3.5" in out
 
 
+def test_tune_graph_rejects_the_ssd_fixture_by_its_cycle_closing_edge(tmp_path, capsys):
+    graph = tmp_path / "g.json"
+    graph.write_text(ssd_like_doc())
+    costs = tmp_path / "costs.json"
+    ids = [n["id"] for n in json.loads(ssd_like_doc())["nodes"]]
+    costs.write_text(json.dumps({"node_costs": {nid: {"NCHW": 1.0} for nid in ids}}))
+    assert main(["tune-graph", str(graph), str(costs)]) == 1
+    assert "'rs_loc'->'mbx'" in capsys.readouterr().err
+
+
 def test_bench_table4_yolo_speedup(capsys):
     assert main(["bench", "6429.69", "1097.47"]) == 0
     out = capsys.readouterr().out

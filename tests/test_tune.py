@@ -281,14 +281,17 @@ def test_dp_zero_transform_costs_pick_independent_minima():
     assert total == want
 
 
-def exhaustive_assignment_minimum(n, nl, cost_arr, table_arr, edges):
-    """Minimum over all nl**n layout assignments, enumerated with numpy."""
+def exhaustive_assignment_minimum(n, nl, cost_arr, table_arr, edges, scales=None):
+    """Minimum over all nl**n layout assignments, enumerated with numpy.
+
+    Edge ``e`` prices a change at ``table_arr`` times ``scales[e]`` (1 if None).
+    """
     combos = np.stack(np.unravel_index(np.arange(nl**n), (nl,) * n), axis=1)
     total = np.zeros(len(combos))
     for i in range(n):
         total += cost_arr[i, combos[:, i]]
-    for u, v in edges:
-        total += table_arr[combos[:, u], combos[:, v]]
+    for e, (u, v) in enumerate(edges):
+        total += table_arr[combos[:, u], combos[:, v]] * (1.0 if scales is None else scales[e])
     return float(total.min())
 
 
@@ -337,6 +340,40 @@ def test_dp_matches_brute_force_on_random_trees():
             n, nl, cost_arr, table_arr, [(parents[i], i) for i in range(1, n)]
         )
         assert total == pytest.approx(best), f"trial {trial}"
+
+
+def test_dp_matches_brute_force_on_random_forests():
+    """Edges point either way, so a node may have two inputs and a component
+    may be rooted at a consumer; nodes come shuffled, in several components,
+    and a change costs more on an edge whose producer's out_shape is larger."""
+    rng = np.random.default_rng(4)
+    for trial in range(150):
+        n = int(rng.integers(1, 9))
+        nl = int(rng.integers(1, 4))
+        edges = []  # (producer, consumer)
+        for i in range(1, n):
+            if rng.random() < 0.25:
+                continue  # node i starts another component
+            j = int(rng.integers(0, i))
+            edges.append((j, i) if rng.random() < 0.5 else (i, j))
+        widths = rng.integers(1, 4, n)
+        nodes = [Node(id=f"n{i}", op="relu", inputs=[f"n{u}" for u, v in edges if v == i],
+                      attrs={"out_shape": (int(widths[i]), 2)}) for i in range(n)]
+        g = Graph(nodes=[nodes[i] for i in rng.permutation(n)], inputs={}, outputs=[])
+        cost_arr, table_arr, costs, table_tc = random_dp_instance(rng, n, nl)
+
+        def tc(s, d, shape):
+            return table_tc(s, d, shape) * shape[0]
+
+        assign, total = graph_tune_dp(g, costs, tc)
+        best = exhaustive_assignment_minimum(
+            n, nl, cost_arr, table_arr, edges, scales=[widths[u] for u, _ in edges]
+        )
+        assert total == best, f"trial {trial}"
+        assert sorted(assign) == sorted(n.id for n in nodes)
+        priced = sum(costs[nid][str(tag)] for nid, tag in assign.items())
+        priced += sum(tc(assign[f"n{u}"], assign[f"n{v}"], (int(widths[u]), 2)) for u, v in edges)
+        assert priced == total, f"trial {trial}"
 
 
 def test_dp_rejects_non_tree_shapes():
@@ -516,12 +553,34 @@ def test_measure_flags_a_non_finite_cost_as_failed(monkeypatch, timer, repeats, 
 
 def test_records_with_a_non_finite_cost_never_count(tmp_path):
     p = tmp_path / "old.jsonl"
-    records_save([make_record(WL.key(), ScheduleConfig(), math.nan),
-                  make_record(WL.key(), ScheduleConfig(oc_split=2), math.inf),
-                  make_record(WL.key(), ScheduleConfig(oc_split=4), 1.0)], str(p))
+    lines = [json.dumps(tune.RECORDS_HEADER)]
+    for cost, cfg in ((math.nan, ScheduleConfig()), (math.inf, ScheduleConfig(oc_split=2)),
+                      (1.0, ScheduleConfig(oc_split=4))):
+        rec = json.loads(make_record(WL.key(), cfg, 0.0).to_json())
+        lines.append(json.dumps({**rec, "cost_mean": cost}))  # NaN and Infinity, as older files hold
+    p.write_text("\n".join(lines) + "\n")
     loaded = records_load(str(p))
     assert [r.ok for r in loaded] == [False, False, True]
     assert query_best(loaded, WL.key()).config == ScheduleConfig(oc_split=4)
+
+
+@pytest.mark.parametrize("cost", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("write", [records_save, records_append])
+@pytest.mark.parametrize("tail", [None, b"", b'{"workload": "tor'], ids=["no-file", "whole", "torn"])
+def test_writing_a_non_finite_cost_raises_and_leaves_the_file(tmp_path, cost, write, tail):
+    p = tmp_path / "r.jsonl"
+    if tail is not None:
+        records_save([make_record(WL.key(), ScheduleConfig(), 1.0)], str(p))
+        p.write_bytes(p.read_bytes() + tail)
+        before = p.read_bytes()
+    bad = [make_record(WL.key(), ScheduleConfig(oc_split=2), 2.0),
+           make_record(WL.key(), ScheduleConfig(oc_split=4), cost)]
+    with pytest.raises(ValueError, match="JSON"):
+        write(bad, str(p))
+    if tail is None:
+        assert not p.exists()
+    else:
+        assert p.read_bytes() == before
 
 
 def test_tuners_skip_a_non_finite_first_cost():
