@@ -19,7 +19,15 @@ afresh.
 Records are line-delimited JSON behind a one-line header; the file is
 append-only and a load/save round trip preserves it byte for byte. A
 record with a non-finite cost is not JSON, so the writers refuse it
-before they open the file; older files that hold one still load.
+before they open the file; older files that hold one still load. A load
+checks the header's schema and features tag, and an append refuses a
+file whose complete header fails that check.
+
+One process also keeps, per records path, the text of the complete lines
+it last loaded, their count and their records. A load whose file still
+starts with that exact text parses only the lines after it; any other
+file is parsed whole, so a load never trusts mtime, size or append-only
+use. The cache holds at most 32 paths; the 33rd starts it afresh.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from .simt import Session, ceil_div
 from .tensor import LayoutTag
 
 RECORDS_HEADER = {"schema": 1, "features": "v1"}
+_HEADER_LINE = json.dumps(RECORDS_HEADER) + "\n"  # written first; an append need not parse it
 MAX_SPACE = 2000  # desk-scale bound on exhaustive spaces
 EPSILON = 0.1  # chance that tune_model explores past its model's top pick
 KNN_K = 3  # neighbours the cost model averages
@@ -251,7 +260,7 @@ def records_save(records, path) -> None:
     """
     lines = "".join(r.to_json() + "\n" for r in records)
     with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(RECORDS_HEADER) + "\n" + lines)
+        f.write(_HEADER_LINE + lines)
 
 
 def records_append(records, path) -> None:
@@ -259,13 +268,17 @@ def records_append(records, path) -> None:
 
     A file that does not end in a newline holds what a crashed append
     left: it is cut back to its last newline first, and one with no
-    newline left (a torn header) is started afresh. As in
-    :func:`records_save`, a record that is not JSON changes nothing.
+    newline left (a torn header) is started afresh. A complete header
+    that :func:`records_load` would reject raises ValueError and, like a
+    record that is not JSON (see :func:`records_save`), changes nothing.
     """
     lines = "".join(r.to_json() + "\n" for r in records)
     fresh = not os.path.exists(path) or os.path.getsize(path) == 0
     if not fresh:
         with open(path, "rb+") as f:
+            head = f.readline()
+            if head != _HEADER_LINE.encode() and head.endswith(b"\n"):
+                _check_header(head.decode("utf-8").splitlines()[0], path)
             f.seek(-1, os.SEEK_END)
             if f.read(1) != b"\n":
                 f.seek(0)
@@ -274,8 +287,21 @@ def records_append(records, path) -> None:
                 fresh = keep == 0
     with open(path, "a", encoding="utf-8") as f:
         if fresh:
-            f.write(json.dumps(RECORDS_HEADER) + "\n")
+            f.write(_HEADER_LINE)
         f.write(lines)
+
+
+def _check_header(line: str, path) -> None:
+    try:
+        header = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path}:1: bad header: {e}") from None
+    if not isinstance(header, dict) or any(header.get(k) != v for k, v in RECORDS_HEADER.items()):
+        raise ValueError(f"{path}:1: unsupported schema in header {header!r}, "
+                         f"expected {RECORDS_HEADER!r}")
+
+
+_records_cache: dict = {}  # path -> (complete lines last loaded, their count, records)
 
 
 def records_load(path) -> list:
@@ -284,30 +310,36 @@ def records_load(path) -> list:
     A malformed final line with no newline after it is what a crash in the
     middle of ``records_append`` leaves behind, so it is skipped with a
     warning instead. A complete malformed line anywhere is damage.
+    The lines this path's last load parsed are not parsed again while the
+    file starts with them (see the module docstring); the result is a new list.
     """
-    out = []
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
-    lines = text.splitlines()
-    torn = None if text.endswith("\n") else len(lines)
-    if not lines:
+    if not text:
         raise ValueError(f"{path}: empty records file (missing header)")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{path}:1: bad header: {e}") from None
-    if not isinstance(header, dict) or header.get("schema") != RECORDS_HEADER["schema"]:
-        raise ValueError(f"{path}:1: unsupported schema in header {header!r}")
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            out.append(TuningRecord.from_json(line))
-        except (ValueError, KeyError, TypeError) as e:
-            if i == torn:
-                warnings.warn(f"{path}:{i}: skipping torn final record: {e}", stacklevel=2)
-                continue
-            raise ValueError(f"{path}:{i}: malformed record: {e}") from None
+    key = os.fspath(path)
+    done, i, recs = _records_cache.get(key, ("", 0, ()))
+    if not text.startswith(done):
+        done, i, recs = "", 0, ()
+    cut = text.rfind("\n") + 1
+    parts = text[len(done):cut].splitlines(), text[cut:].splitlines()
+    torn = i + len(parts[0]) + len(parts[1]) if parts[1] else None
+    out, entry = list(recs), None
+    for part in parts:
+        for i, line in enumerate(part, start=i + 1):
+            if i == 1:
+                _check_header(line, path)
+            elif line.strip():
+                try:
+                    out.append(TuningRecord.from_json(line))
+                except (ValueError, KeyError, TypeError) as e:
+                    if i != torn:
+                        raise ValueError(f"{path}:{i}: malformed record: {e}") from None
+                    warnings.warn(f"{path}:{i}: skipping torn final record: {e}", stacklevel=2)
+        entry = entry or (text[:cut], i, tuple(out))
+    if key not in _records_cache and len(_records_cache) >= 32:
+        _records_cache.clear()
+    _records_cache[key] = entry
     return out
 
 

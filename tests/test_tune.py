@@ -4,6 +4,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -40,8 +41,9 @@ FIXTURE_CONVS = {
 
 @pytest.fixture(autouse=True)
 def fresh_workload_cache():
-    """Each test starts with no shared per-workload state, whatever ran before it."""
+    """Each test starts with no shared per-workload or per-path state, whatever ran before it."""
     tune._workload_cache.clear()
+    tune._records_cache.clear()
 
 
 def constant_timer(value):
@@ -653,3 +655,157 @@ def test_workload_share_holds_at_most_32_workloads():
     for w in range(1, 34):
         tune._workload_data(ConvWorkload(n=1, c=1, h=1, w=w, k=1, r=1, s=1))
         assert len(tune._workload_cache) <= 32
+
+
+# --- incremental records_load ----------------------------------------------------
+
+def load_outcome(path):
+    """What records_load gives: its records, or its exception's type and text, and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = records_load(path)
+        except Exception as e:
+            got = (type(e), str(e))
+    return got, [(w.category, str(w.message)) for w in caught]
+
+
+def cold_outcome(path, monkeypatch):
+    """records_load's outcome with no per-path state, leaving the real state alone."""
+    with monkeypatch.context() as m:
+        m.setattr(tune, "_records_cache", {})
+        return load_outcome(path)
+
+
+def random_records(rng, n):
+    space = schedule_space(WL)
+    return [make_record(WL.key(), space[int(rng.integers(len(space)))], float(rng.random()),
+                        float(rng.integers(1000))) for _ in range(n)]
+
+
+BAD_HEADERS = [b'{"schema": 99}', b'{"schema": 1, "features": "v2"}', b'{"schema": 1}', b"[]",
+               b'"v1"', b"not json", b""]
+
+
+def change_file(rng, p):
+    """One random step: an append, an overwrite, a torn tail, a truncation, a
+    same-length edit, blank lines or header damage."""
+    data = p.read_bytes()
+    step = rng.choice(["append", "append", "append", "save", "torn", "truncate", "edit",
+                       "blank", "header"])
+    if step == "append":
+        try:
+            records_append(random_records(rng, int(rng.integers(0, 4))), str(p))
+        except ValueError as e:  # only a header that a load rejects stops an append
+            assert ":1:" in str(e) and p.read_bytes() == data
+    elif step == "save":
+        records_save(random_records(rng, int(rng.integers(0, 6))), str(p))
+    elif step == "torn":
+        line = random_records(rng, 1)[0].to_json().encode()
+        p.write_bytes(data + line[:int(rng.integers(1, len(line) + 1))])
+    elif step == "truncate":
+        p.write_bytes(data[:int(rng.integers(0, len(data) + 1))])
+    elif step == "edit" and data:
+        i = int(rng.integers(len(data)))
+        p.write_bytes(data[:i] + bytes([rng.choice(list(b'0123456789 x"{}\n\r\x0c'))]) + data[i + 1:])
+    elif step == "blank":
+        p.write_bytes(data + rng.choice([b"\n", b"  \n", b"\r\n"]))
+    elif step == "header":
+        cut = data.find(b"\n")
+        p.write_bytes(rng.choice(BAD_HEADERS) + (data[cut:] if cut >= 0 else b"\n"))
+    return step
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_incremental_loads_equal_cold_loads_over_random_changes(tmp_path, monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    p = tmp_path / "r.jsonl"
+    records_save(random_records(rng, 3), str(p))
+    steps = set()
+    for _ in range(120):
+        steps.add(change_file(rng, p))
+        before = dict(tune._records_cache)
+        warm = load_outcome(str(p))
+        assert warm == cold_outcome(str(p), monkeypatch)
+        if isinstance(warm[0], tuple):  # a load that raises keeps the state it found
+            assert tune._records_cache == before
+        else:
+            done, count, recs = tune._records_cache[str(p)]
+            text = p.read_text(encoding="utf-8")
+            assert text.startswith(done) and done.rfind("\n") + 1 == len(done)
+            assert count == len(done.splitlines()) and list(recs) == warm[0][:len(recs)]
+        if rng.random() < 0.1:  # a fresh start now and then, so damage does not stick
+            records_save(random_records(rng, 2), str(p))
+    assert len(steps) == 7  # every kind of step ran
+
+
+def test_a_reload_parses_only_the_appended_records(tmp_path, monkeypatch):
+    p = str(tmp_path / "r.jsonl")
+    rng = np.random.default_rng(0)
+    recs, more = random_records(rng, 20), random_records(rng, 3)
+    records_save(recs, p)
+    calls = []
+    real = TuningRecord.from_json.__func__
+    monkeypatch.setattr(TuningRecord, "from_json",
+                        classmethod(lambda cls, text: calls.append(text) or real(cls, text)))
+    assert records_load(p) == recs and len(calls) == 20
+    calls.clear()
+    assert records_load(p) == recs and calls == []
+    records_append(more, p)
+    assert records_load(p) == recs + more and len(calls) == 3
+    records_save(more, p)  # an overwrite fails the prefix check: the whole file again
+    calls.clear()
+    assert records_load(p) == more and len(calls) == 3
+
+
+def test_a_torn_final_line_warns_on_every_load(tmp_path):
+    p = tmp_path / "torn.jsonl"
+    rec = make_record(WL.key(), ScheduleConfig(), 1.0)
+    records_save([rec], str(p))
+    with open(p, "a") as f:
+        f.write(rec.to_json()[:25])
+    for _ in range(2):
+        with pytest.warns(UserWarning, match=":3:.*torn"):
+            assert records_load(str(p)) == [rec]
+    assert tune._records_cache[str(p)][1] == 2  # the torn line is never kept
+
+
+def test_a_returned_list_is_the_callers_own(tmp_path):
+    p = str(tmp_path / "r.jsonl")
+    recs = random_records(np.random.default_rng(1), 4)
+    records_save(recs, p)
+    first = records_load(p)
+    first.clear()
+    second = records_load(p)
+    assert second == recs
+    second.append(recs[0])
+    assert records_load(p) == recs
+
+
+def test_records_state_holds_at_most_32_paths(tmp_path):
+    for n in range(33):
+        p = str(tmp_path / f"r{n}.jsonl")
+        records_save([], p)
+        records_load(p)
+        assert len(tune._records_cache) == n % 32 + 1
+
+
+@pytest.mark.parametrize("header", BAD_HEADERS[:3])
+def test_records_load_checks_the_features_tag(tmp_path, header):
+    p = tmp_path / "h.jsonl"
+    p.write_bytes(header + b"\n" + make_record(WL.key(), ScheduleConfig(), 1.0).to_json().encode() + b"\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:1: unsupported schema"):
+        records_load(str(p))
+
+
+@pytest.mark.parametrize("header", BAD_HEADERS)
+@pytest.mark.parametrize("tail", [b"", b'{"workload": "tor'], ids=["whole", "torn"])
+def test_records_append_refuses_a_header_that_load_rejects(tmp_path, header, tail):
+    p = tmp_path / "h.jsonl"
+    p.write_bytes(header + b"\n" + tail)
+    before = p.read_bytes()
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:1: "):
+        records_append([make_record(WL.key(), ScheduleConfig(), 1.0)], str(p))
+    assert p.read_bytes() == before
+    with pytest.raises(ValueError, match=":1: "):
+        records_load(str(p))
