@@ -191,6 +191,31 @@ def conv2d_reference(inp, wgt, wl: ConvWorkload) -> np.ndarray:
     return out
 
 
+_tap_plans: dict = {}  # workload -> its tap plan, for at most 32; the 33rd starts afresh
+
+
+def _tap_plan(wl: ConvWorkload):
+    """Per group, the flat padded-input index of every tap of the whole output in
+    the reference's (r, s, c ascending) order, shaped (groups, r*s*cg, n, 1, oh,
+    ow), and the flat index of every output cell; read-only, built once."""
+    plan = _tap_plans.get(wl)
+    if plan is None:
+        # input rows under each filter row, (r, oh); columns under each filter column, (s, ow)
+        iy = (np.arange(wl.r) * wl.dilation[0])[:, None] + np.arange(wl.oh) * wl.stride[0]
+        ix = (np.arange(wl.s) * wl.dilation[1])[:, None] + np.arange(wl.ow) * wl.stride[1]
+        hp, wp = wl.h + 2 * wl.pad[0], wl.w + 2 * wl.pad[1]
+        xi = np.arange(wl.n * wl.c * hp * wp).reshape(wl.n, wl.groups, wl.c // wl.groups, hp, wp)
+        taps = xi[..., iy[:, None, :, None], ix[None, :, None, :]]  # (n, group, c, r, s, oh, ow)
+        plan = (taps.transpose(1, 3, 4, 2, 0, 5, 6).reshape(wl.groups, -1, wl.n, 1, wl.oh, wl.ow),
+                np.arange(wl.n * wl.k * wl.oh * wl.ow).reshape(wl.n, wl.k, wl.oh, wl.ow))
+        for a in plan:
+            a.flags.writeable = False
+        if len(_tap_plans) >= 32:
+            _tap_plans.clear()
+        _tap_plans[wl] = plan
+    return plan
+
+
 def conv2d_scheduled(inp, wgt, wl: ConvWorkload, cfg: ScheduleConfig,
                      session: Session | None = None) -> np.ndarray:
     """Convolution through the emulator under a schedule config.
@@ -201,8 +226,11 @@ def conv2d_scheduled(inp, wgt, wl: ConvWorkload, cfg: ScheduleConfig,
     kernel is lane-form: one call computes the output region its lanes
     own, the whole output when it has every lane, and stores it with
     one checked index-array write, so the race check, which runs it one
-    lane at a time, sees every cell a thread writes. Per-element
-    accumulation order matches the reference, so results agree bitwise.
+    lane at a time, sees every cell a thread writes. It gathers the
+    region's taps in one ``take`` through the workload's tap plan, which
+    is built on the first call and kept for up to 32 workloads.
+    Per-element accumulation order matches the reference, so results
+    agree bitwise.
     """
     inp = np.asarray(inp, dtype=np.float32)
     wgt = np.asarray(wgt, dtype=np.float32)
@@ -211,23 +239,18 @@ def conv2d_scheduled(inp, wgt, wl: ConvWorkload, cfg: ScheduleConfig,
     sess = session if session is not None else Session()
 
     x = _padded(inp, wl)
-    sh, sw = wl.stride
-    dh, dw = wl.dilation
     oh, ow = wl.oh, wl.ow
-    cg = wl.c // wl.groups
     kg_grp = wl.k // wl.groups
     k_per_block = wl.k // cfg.oc_split
     band = oh // cfg.h_split
     threads = cfg.w_tile * cfg.vec
+    taps_at, cells = _tap_plan(wl)
 
     xbuf = sess.alloc(x.size, "f32", device=GPU, name="conv_in")
     xbuf.load(x.reshape(-1))
     wbuf = sess.alloc(wgt.size, "f32", device=GPU, name="conv_w")
     wbuf.load(wgt.reshape(-1))
     obuf = sess.alloc(wl.n * wl.k * oh * ow, "f32", device=GPU, name="conv_out")
-
-    # flat offset of every output cell; the kernel stores its region through them
-    cells = np.arange(len(obuf)).reshape(wl.n, wl.k, oh, ow)
 
     @lane_form
     def kernel(ctx):
@@ -246,24 +269,19 @@ def conv2d_scheduled(inp, wgt, wl: ConvWorkload, cfg: ScheduleConfig,
             x0, xstep = int(t[0]), threads
         else:
             kb, kn, y0, yn, x0, xstep = 0, wl.k, 0, oh, 0, 1
-        x4 = xbuf[:].reshape(x.shape)
+        g0, g1 = kb // kg_grp, (kb + kn - 1) // kg_grp + 1
+        taps = xbuf[:].take(taps_at[g0:g1, ..., y0 : y0 + yn, x0 : ow : xstep])
         w4 = wbuf[:].reshape(wgt.shape)
-        # input rows under each filter row, (r, yn), and columns under each
-        # filter column, (s, xn)
-        iy = (np.arange(wl.r) * dh)[:, None] + (y0 + np.arange(yn)) * sh
-        ix = (np.arange(wl.s) * dw)[:, None] + np.arange(x0, ow, xstep) * sw
-        acc = np.zeros((wl.n, kn, yn, ix.shape[1]), np.float32)
+        acc = np.zeros((wl.n, kn, *taps.shape[-2:]), np.float32)
         # every (n, output channel) plane of the region at once, one run per
         # group its channels fall in. The products come in the reference's
         # (r, s, c ascending) order and are added one at a time; ``unroll``
         # changes only what the proxy timer charges per MAC, never the order
-        for g in range(kb // kg_grp, (kb + kn - 1) // kg_grp + 1):
+        for g in range(g0, g1):
             k0, k1 = max(kb, g * kg_grp), min(kb + kn, (g + 1) * kg_grp)
-            taps = x4[:, g * cg : (g + 1) * cg][:, :, iy[:, None, :, None], ix[None, :, None, :]]
-            taps = taps.transpose(2, 3, 1, 0, 4, 5).reshape(-1, wl.n, 1, *acc.shape[2:])
             wts = w4[k0:k1].transpose(2, 3, 1, 0).reshape(-1, 1, k1 - k0, 1, 1)
             run = acc[:, k0 - kb : k1 - kb]
-            for prod in taps * wts:
+            for prod in taps[g - g0] * wts:
                 run += prod
         obuf[cells[:, kb : kb + kn, y0 : y0 + yn, x0 : ow : xstep]] = acc
 

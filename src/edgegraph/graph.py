@@ -15,11 +15,10 @@ array, and :class:`Tensor` is only ``run_graph``'s input and output type.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
-from functools import wraps
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import vision
 from .conv import ConvWorkload, ScheduleConfig, conv2d_reference, conv2d_scheduled
@@ -204,20 +203,27 @@ def _by_rows(gpu, fn, out_shape, *arrays):
         b = gpu.alloc(a.size, "f32", device=GPU, name=f"rows_in{i}")
         b.load(a.reshape(-1))
         ins.append((b, a.size // rows, a.shape[1:]))
-    out = gpu.alloc(int(np.prod(out_shape)), "f32", device=GPU, name="rows_out")
+    out = gpu.alloc(math.prod(out_shape), "f32", device=GPU, name="rows_out")
 
-    @wraps(fn)
     def by_rows(lo, hi):
         return fn(*(b[lo * k : hi * k].reshape(hi - lo, *shape) for b, k, shape in ins))
 
+    by_rows.__name__, by_rows.__qualname__ = fn.__name__, fn.__qualname__
     launch_rows(gpu, LaunchConfig(grid=1, block=min(8, rows)), out, rows, by_rows)
     return out.to_numpy().reshape(out_shape)
 
 
 def _max_pool(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-    """Max over every (kh, kw) window of the last two axes, at strides (sh, sw)."""
-    win = sliding_window_view(x, (kh, kw), axis=(-2, -1))
-    return win[..., ::sh, ::sw, :, :].max(axis=(-2, -1))
+    """Max over every (kh, kw) window of the last two axes, at strides (sh, sw),
+    taken tap by tap in window row-major order."""
+    oh, ow = (x.shape[-2] - kh) // sh + 1, (x.shape[-1] - kw) // sw + 1
+    tap = lambda i, j: x[..., i : i + (oh - 1) * sh + 1 : sh, j : j + (ow - 1) * sw + 1 : sw]
+    out = tap(0, 0).copy()
+    for i in range(kh):
+        for j in range(kw):
+            if i or j:
+                np.maximum(out, tap(i, j), out=out)
+    return out
 
 
 def _vision(gpu, name: str, *args, **kwargs):
@@ -286,7 +292,7 @@ def _conv2d(node, args, gpu):
 def _box_nms(node, args, gpu):
     rows = args[0]
     # leading dims of (..., boxes, 6) input index separate images
-    images = max(1, int(np.prod(rows.shape[:-2])))
+    images = max(1, math.prod(rows.shape[:-2]))
     kept = _vision(gpu, "box_nms_batch", vision.BoxSet.from_array(rows), images,
                    **_nms_attrs(node.attrs, 0.0))
     return kept.to_array().reshape(rows.shape)

@@ -16,9 +16,11 @@ launch is repeated.
 A kernel with no barrier and no shared storage may instead be marked
 lane-form with :func:`lane_form`. It is then called once per launch,
 with the ids of every lane as int arrays, the way a SIMD machine runs
-work-items as the lanes of one hardware thread. Both kinds get the same
-context class, :class:`ThreadCtx`, whose ids are ints or int arrays:
-``add_work`` takes one count per lane and ``guard`` one bool per lane.
+work-items as the lanes of one hardware thread; the id arrays are built
+the first time the kernel reads one, so a kernel that reads none pays
+for none. Both kinds get the same context class, :class:`ThreadCtx`,
+whose ids are ints or int arrays: ``add_work`` takes one count per lane
+and ``guard`` one bool per lane.
 Under race check a lane-form kernel runs through the per-thread loop,
 one lane per call with one-element id arrays, so every access is
 checked per (block, thread) exactly as for a per-thread kernel.
@@ -274,19 +276,21 @@ class DeviceBuffer:
 class ThreadCtx:
     """The view of one launch handed to a kernel call.
 
-    For a per-thread kernel, ``block_id`` and ``thread_id`` are ints and
-    ``shared`` is the block's storage. A lane-form kernel gets int arrays
-    with one entry per lane instead: every lane of the launch,
-    block-major, or, under race check, a single lane. ``add_work`` takes
-    one count per lane and ``guard`` one bool per lane, so a per-thread
-    kernel passes scalars.
+    For a per-thread kernel, ``block_id``, ``thread_id`` and ``global_id``
+    are ints and ``shared`` is the block's storage. A lane-form kernel
+    gets int arrays with one entry per lane instead: every lane of the
+    launch, block-major, or, under race check, a single lane. A call
+    over every lane is given no ids: they are built when it first reads
+    one, and kept. ``add_work`` takes one count per lane and ``guard`` one
+    bool per lane, so a per-thread kernel passes scalars.
     """
 
-    __slots__ = ("block_id", "thread_id", "block_dim", "grid_dim", "shared", "_work", "_lanes", "_guards")
+    __slots__ = ("block_id", "thread_id", "global_id", "block_dim", "grid_dim", "shared", "_work",
+                 "_lanes", "_guards")
 
-    def __init__(self, block_id, thread_id, config, work, lanes, shared=None):
-        self.block_id = block_id
-        self.thread_id = thread_id
+    def __init__(self, config, work, lanes, ids=None, shared=None):
+        if ids is not None:
+            self.block_id, self.thread_id, self.global_id = ids
         self.block_dim = config.block
         self.grid_dim = config.grid
         self.shared = shared
@@ -294,9 +298,13 @@ class ThreadCtx:
         self._lanes = lanes  # this context's gid, or slice of them
         self._guards = []
 
-    @property
-    def global_id(self):
-        return self.block_id * self.block_dim + self.thread_id
+    def __getattr__(self, name):
+        # reached only for ids not set yet, in a call over every lane
+        if name not in ("block_id", "thread_id", "global_id"):
+            raise AttributeError(f"'ThreadCtx' object has no attribute {name!r}")
+        gid = self.global_id = np.arange(self._work.size)
+        self.block_id, self.thread_id = gid // self.block_dim, gid % self.block_dim
+        return getattr(self, name)
 
     def where(self) -> str:
         b, t = np.ravel(self.block_id), np.ravel(self.thread_id)
@@ -324,9 +332,9 @@ class ThreadCtx:
         of its block is True counts as one divergence event.
         """
         active = np.asarray(active, dtype=bool)
-        if active.shape != np.shape(self.thread_id):
-            raise ValueError(f"guard takes one bool per lane, {np.shape(self.thread_id)}, "
-                             f"got shape {active.shape}")
+        lanes = self._work[self._lanes].shape
+        if active.shape != lanes:
+            raise ValueError(f"guard takes one bool per lane, {lanes}, got shape {active.shape}")
         self._guards.append(active)
         return active
 
@@ -398,8 +406,7 @@ class Session:
         work = np.zeros(grid * block, np.int64)
         try:
             if lanes and not self.race_check:  # one call over every lane
-                gid = np.arange(grid * block)
-                ctx = self._current = ThreadCtx(gid // block, gid % block, config, work, slice(None))
+                ctx = self._current = ThreadCtx(config, work, slice(None))
                 kernel(ctx, *buffers)
                 if ctx._guards:
                     self._stats.divergence_events += _divergence([ctx._guards], block)
@@ -425,8 +432,9 @@ class Session:
         base = b * config.block
         # a race-checked lane-form kernel runs here one lane per call, with
         # one-element id arrays, so every access is checked per lane
-        ctxs = [ThreadCtx(np.array([b]), np.array([t]), config, work, slice(base + t, base + t + 1))
-                if lanes else ThreadCtx(b, t, config, work, base + t, shared)
+        ctxs = [ThreadCtx(config, work, slice(base + t, base + t + 1),
+                          (np.array([b]), np.array([t]), np.array([base + t])))
+                if lanes else ThreadCtx(config, work, base + t, (b, t, base + t), shared)
                 for t in range(config.block)]
 
         # calling a generator kernel runs none of its body yet; a plain
@@ -485,16 +493,16 @@ def launch_rows(session: Session, config: LaunchConfig, out: DeviceBuffer, rows:
     """
     width = len(out) // rows if rows else 0
     tiles = ceil_div(rows, tile)
-    busy = max(1, min(config.grid * config.block, tiles))
+    lanes = config.grid * config.block
+    busy = max(1, min(lanes, tiles))
     # row where each lane's share starts; lane g owns edges[g]..edges[g+1]-1
-    edges = np.minimum(tiles * np.minimum(np.arange(config.grid * config.block + 1), busy)
-                       // busy * tile, rows)
+    edges = np.minimum(tiles * np.minimum(np.arange(lanes + 1), busy) // busy * tile, rows)
 
     @lane_form
     def kernel(ctx):
-        gid = ctx.global_id
-        ctx.add_work((edges[gid + 1] - edges[gid]) * width)
-        lo, hi = int(edges[gid[0]]), int(edges[gid[-1] + 1])
+        a, b, _ = ctx._lanes.indices(lanes)  # the call's lanes, a..b-1
+        ctx.add_work((edges[a + 1 : b + 1] - edges[a:b]) * width)
+        lo, hi = int(edges[a]), int(edges[b])
         if hi > lo:
             got = np.reshape(fn(lo, hi), -1)
             if got.size != (hi - lo) * width:  # a slice store would broadcast it
@@ -533,6 +541,8 @@ def log2_ceil(x: int) -> int:
 def check_int(name: str, value, low: int, rule: str = "") -> int:
     """Integral int, float or numpy ``value`` >= ``low`` as an int (4.0 is 4); bools,
     NaN, inf, fractions, strings or less raise ``ValueError`` naming ``name``."""
+    if type(value) is int and value >= low:
+        return value
     bad = isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
     if bad or value % 1 or value < low:  # NaN % 1 is NaN, which is true
         raise ValueError(f"{name} must be {rule or f'>= {low} and an integer'}, got {value!r}")

@@ -296,7 +296,9 @@ def _check_header(line: str, path) -> None:
         header = json.loads(line)
     except json.JSONDecodeError as e:
         raise ValueError(f"{path}:1: bad header: {e}") from None
-    if not isinstance(header, dict) or any(header.get(k) != v for k, v in RECORDS_HEADER.items()):
+    # type and value, since true == 1 == 1.0 in Python but no writer writes those
+    if not isinstance(header, dict) or any((type(header.get(k)), header.get(k)) != (type(v), v)
+                                           for k, v in RECORDS_HEADER.items()):
         raise ValueError(f"{path}:1: unsupported schema in header {header!r}, "
                          f"expected {RECORDS_HEADER!r}")
 

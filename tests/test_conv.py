@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from edgegraph import tune
+from edgegraph import conv, tune
 from edgegraph.conv import (
     ConvWorkload,
     ScheduleConfig,
@@ -14,6 +14,12 @@ from edgegraph.conv import (
     schedule_space,
 )
 from edgegraph.simt import Session
+
+
+@pytest.fixture(autouse=True)
+def fresh_tap_plans():
+    """Each test builds the tap plans it uses, so none leans on another's."""
+    conv._tap_plans.clear()
 
 
 def enumerate_space_oracle(k, oh, ow):
@@ -302,3 +308,33 @@ def test_padding_equals_np_pad_bitwise(pad, dtype):
     got = _padded(x, wl)
     assert got.dtype == np.float32 and got.flags.c_contiguous
     assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+def test_tap_plan_is_read_only_and_built_once_per_workload(monkeypatch):
+    builds = []
+
+    class Plans(dict):
+        def __setitem__(self, wl, plan):
+            builds.append(wl)
+            super().__setitem__(wl, plan)
+
+    monkeypatch.setattr(conv, "_tap_plans", Plans())
+    order = ["c1", "c2", "c1", "grouped", "c2", "c1"]
+    for name in order:
+        wl = DIFFERENTIAL_WORKLOADS[name]
+        x = np.ones((wl.n, wl.c, wl.h, wl.w), np.float32)
+        w = np.ones((wl.k, wl.c // wl.groups, wl.r, wl.s), np.float32)
+        for race_check in (False, True):
+            for cfg in schedule_space(wl)[::97]:
+                conv2d_scheduled(x, w, wl, cfg, session=Session(race_check=race_check))
+    assert builds == [DIFFERENTIAL_WORKLOADS[n] for n in ("c1", "c2", "grouped")]
+    for taps, cells in conv._tap_plans.values():
+        assert not taps.flags.writeable and not cells.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            taps[(0,) * taps.ndim] = 0
+
+
+def test_tap_plans_hold_at_most_32_workloads():
+    for n in range(33):
+        conv._tap_plan(ConvWorkload(n=1, c=1, h=n + 1, w=1, k=1, r=1, s=1))
+        assert len(conv._tap_plans) == n % 32 + 1

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from edgegraph.graph import (
     DEFAULT_GPU_OPS,
@@ -330,6 +331,35 @@ def test_all_gpu_fixture_inference_launches_and_barriers():
     assert st.barriers == 0
 
 
+class RecordingSession(Session):
+    """A session that keeps, per launch, what its counters say of it."""
+
+    def __init__(self, race_check=False):
+        super().__init__(race_check)
+        self.records = []
+
+    def launch(self, kernel, config, *buffers):
+        super().launch(kernel, config, *buffers)
+        st = self.stats()
+        self.records.append((kernel.__qualname__, config.grid, config.block, st.per_thread_items,
+                             st.divergence_events, st.barriers))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lane_form_launches_record_what_per_lane_launches_record(seed):
+    # the unchecked run calls each lane-form kernel once over every lane;
+    # the race-checked run calls it once per lane
+    g = load_graph(ssd_like_doc())
+    for ops in (DEFAULT_GPU_OPS, DEFAULT_GPU_OPS - {"multibox_detection", "box_nms"}):
+        placed = insert_copies(assign_devices(g, ops))
+        runs = [RecordingSession(race_check) for race_check in (False, True)]
+        outs = [run_graph(placed, ssd_like_inputs(seed), sess)["r3"].to_array().tobytes()
+                for sess in runs]
+        assert outs[0] == outs[1]
+        assert runs[0].records == runs[1].records
+        assert len(runs[0].records) == (17 if ops == DEFAULT_GPU_OPS else 8)
+
+
 def pool_oracle(x, kh, kw, sh, sw):
     """Max pooling by a plain loop over output cells."""
     n, c, h, w = x.shape
@@ -349,14 +379,18 @@ def pool_graph(attrs, shape):
     ))
 
 
-@pytest.mark.parametrize("attrs", [
+POOL_WINDOWS = [
     {"kernel": 2, "stride": 2},
     {"kernel": 3, "stride": 2},
     {"kernel": 3, "stride": 1},
     {"kernel": 2, "stride": 3},
     {"kernel": 3, "kernel_w": 2, "stride": 1, "stride_w": 2},
     {"kernel": 2, "kernel_w": 4, "stride": 2, "stride_w": 1},
-])
+    {"kernel": 2, "kernel_w": 3, "stride": 1, "stride_w": 1},
+]
+
+
+@pytest.mark.parametrize("attrs", POOL_WINDOWS)
 def test_pool_windows_equal_loop_oracle_on_every_placement(attrs):
     x = np.random.default_rng(3).standard_normal((2, 3, 7, 7)).astype(np.float32)
     g = pool_graph(attrs, x.shape)
@@ -367,6 +401,26 @@ def test_pool_windows_equal_loop_oracle_on_every_placement(attrs):
            for ops in (DEFAULT_GPU_OPS, set())]
     assert got[0].data.tobytes() == got[1].data.tobytes()
     assert np.array_equal(got[0].to_array(), want)
+
+
+def window_max_oracle(x, kh, kw, sh, sw):
+    """Max pooling as one max over a sliding-window view's window axes."""
+    win = sliding_window_view(x, (kh, kw), axis=(-2, -1))
+    return win[..., ::sh, ::sw, :, :].max(axis=(-2, -1))
+
+
+@pytest.mark.parametrize("attrs", POOL_WINDOWS)
+@pytest.mark.parametrize("seed", range(3))
+def test_pool_of_signed_zeros_nans_and_infs_is_bitwise_the_window_max(attrs, seed):
+    # which of +0.0 and -0.0 wins a tie, and that NaN wins, must not move
+    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0], np.float32)
+    x = specials[np.random.default_rng(seed).integers(0, specials.size, (2, 3, 7, 7))]
+    g = pool_graph(attrs, x.shape)
+    kh, sh = attrs["kernel"], attrs["stride"]
+    want = window_max_oracle(x, kh, attrs.get("kernel_w", kh), sh, attrs.get("stride_w", sh))
+    for ops in (DEFAULT_GPU_OPS, set()):
+        got = run_graph(insert_copies(assign_devices(g, ops)), {"x": x}, Session(race_check=True))["p"]
+        assert got.to_array().tobytes() == want.tobytes(), ops
 
 
 @pytest.mark.parametrize("attrs, match", [

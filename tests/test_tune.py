@@ -798,6 +798,23 @@ def test_records_load_checks_the_features_tag(tmp_path, header):
         records_load(str(p))
 
 
+# headers equal to the written one in Python but not in JSON type
+MISTYPED_HEADERS = [b'{"schema": true, "features": "v1"}', b'{"schema": 1.0, "features": "v1"}',
+                    b'{"schema": "1", "features": "v1"}']
+
+
+@pytest.mark.parametrize("header", MISTYPED_HEADERS, ids=["true", "1.0", "str"])
+def test_records_header_values_must_have_the_written_types(tmp_path, header):
+    p = tmp_path / "h.jsonl"
+    p.write_bytes(header + b"\n" + make_record(WL.key(), ScheduleConfig(), 1.0).to_json().encode() + b"\n")
+    before = p.read_bytes()
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:1: unsupported schema"):
+        records_load(str(p))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:1: unsupported schema"):
+        records_append([make_record(WL.key(), ScheduleConfig(), 2.0)], str(p))
+    assert p.read_bytes() == before
+
+
 @pytest.mark.parametrize("header", BAD_HEADERS)
 @pytest.mark.parametrize("tail", [b"", b'{"workload": "tor'], ids=["whole", "torn"])
 def test_records_append_refuses_a_header_that_load_rejects(tmp_path, header, tail):
