@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simt import GPU, LaunchConfig, Session, check_int, lane_form
+from .simt import LaunchConfig, Session, check_int, lane_form
 
 
 class ScheduleRejectedError(ValueError):
@@ -246,11 +246,11 @@ def conv2d_scheduled(inp, wgt, wl: ConvWorkload, cfg: ScheduleConfig,
     threads = cfg.w_tile * cfg.vec
     taps_at, cells = _tap_plan(wl)
 
-    xbuf = sess.alloc(x.size, "f32", device=GPU, name="conv_in")
+    xbuf = sess.alloc(x.size, "f32", name="conv_in")
     xbuf.load(x.reshape(-1))
-    wbuf = sess.alloc(wgt.size, "f32", device=GPU, name="conv_w")
+    wbuf = sess.alloc(wgt.size, "f32", name="conv_w")
     wbuf.load(wgt.reshape(-1))
-    obuf = sess.alloc(wl.n * wl.k * oh * ow, "f32", device=GPU, name="conv_out")
+    obuf = sess.alloc(wl.n * wl.k * oh * ow, "f32", name="conv_out")
 
     @lane_form
     def kernel(ctx):

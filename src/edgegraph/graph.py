@@ -22,7 +22,7 @@ import numpy as np
 
 from . import vision
 from .conv import ConvWorkload, ScheduleConfig, conv2d_reference, conv2d_scheduled
-from .simt import CPU, GPU, LaunchConfig, Session, check_count, check_int, launch_rows
+from .simt import CPU, GPU, LaunchConfig, Session, check_count, check_int, run_rows
 from .tensor import Tensor, as_dtype
 
 UNASSIGNED = "unassigned"
@@ -189,28 +189,28 @@ def _by_rows(gpu, fn, out_shape, *arrays):
     """``fn(*arrays)`` over the arrays as f32, of shape ``out_shape``, for
     arrays whose leading axis indexes independent rows.
 
-    On the CPU (``gpu`` is None) that is one call. On a GPU session one
-    :func:`launch_rows` launch splits the rows among up to 8 threads,
-    which read each input with one slice read and store with one slice
-    write, so the race check sees every access.
+    The range function slices the flat inputs on the CPU (``gpu`` is None)
+    or the buffers they are loaded into on a GPU session. :func:`run_rows`
+    calls it once on the CPU, or in a launch whose up to 8 threads each read
+    an input with one slice read and store with one slice write.
     """
-    arrays = [np.asarray(a, np.float32) for a in arrays]
-    if gpu is None:
-        return fn(*arrays)
     rows = out_shape[0]
-    ins = []  # (buffer, elements of one row, shape of one row)
+    ins = []  # (flat input or its buffer, elements of one row, shape of one row)
     for i, a in enumerate(arrays):
-        b = gpu.alloc(a.size, "f32", device=GPU, name=f"rows_in{i}")
-        b.load(a.reshape(-1))
-        ins.append((b, a.size // rows, a.shape[1:]))
-    out = gpu.alloc(math.prod(out_shape), "f32", device=GPU, name="rows_out")
+        a = np.asarray(a, np.float32)
+        flat = a.reshape(-1)
+        if gpu is not None:
+            flat = gpu.alloc(a.size, "f32", name=f"rows_in{i}")
+            flat.load(a.reshape(-1))
+        ins.append((flat, a.size // rows, a.shape[1:]))
 
     def by_rows(lo, hi):
-        return fn(*(b[lo * k : hi * k].reshape(hi - lo, *shape) for b, k, shape in ins))
+        return fn(*(f[lo * k : hi * k].reshape(hi - lo, *shape) for f, k, shape in ins))
 
     by_rows.__name__, by_rows.__qualname__ = fn.__name__, fn.__qualname__
-    launch_rows(gpu, LaunchConfig(grid=1, block=min(8, rows)), out, rows, by_rows)
-    return out.to_numpy().reshape(out_shape)
+    out = run_rows(gpu, LaunchConfig(grid=1, block=min(8, rows)), "f32", rows,
+                   math.prod(out_shape[1:]), by_rows, "rows_out")
+    return out.reshape(out_shape)
 
 
 def _max_pool(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:

@@ -24,7 +24,8 @@ and ``guard`` one bool per lane.
 Under race check a lane-form kernel runs through the per-thread loop,
 one lane per call with one-element id arrays, so every access is
 checked per (block, thread) exactly as for a per-thread kernel.
-:func:`launch_rows` launches one over rows of an output buffer.
+:func:`launch_rows` launches one over rows of an output buffer, and
+:func:`run_rows` runs the same range function on the host or launches it.
 
 Buffers are zero-initialized and fixed-length, and kernels reach them
 only through indexing. Out-of-range accesses, and slice stores of
@@ -156,7 +157,7 @@ def _check_index(idx, n: int, owner) -> None:
 
 
 class DeviceBuffer:
-    """Fixed-length, zero-initialized flat storage with a device tag.
+    """Fixed-length, zero-initialized flat storage.
 
     Index with ints, slices (any positive step) or integer arrays;
     negative indices are rejected (device code has no wraparound).
@@ -171,16 +172,13 @@ class DeviceBuffer:
     storage, and its errors say so.
     """
 
-    __slots__ = ("device", "dtype", "data", "name", "_session", "_w_owner", "_r_owner")
+    __slots__ = ("dtype", "data", "name", "_session", "_w_owner", "_r_owner")
 
-    def __init__(self, session, length: int, dtype: str = "f32", device: str = GPU, name: str = ""):
+    def __init__(self, session, length: int, dtype: str = "f32", name: str = ""):
         if dtype not in DTYPES:
             raise ValueError(f"unsupported dtype {dtype!r}; expected one of {sorted(DTYPES)}")
         if length < 0:
             raise ValueError(f"buffer length must be >= 0, got {length}")
-        if device not in (CPU, GPU):
-            raise ValueError(f"unknown device tag {device!r}")
-        self.device = device
         self.dtype = dtype
         self.data = np.zeros(length, dtype=DTYPES[dtype])
         self.name = name
@@ -373,8 +371,8 @@ class Session:
         self._items = np.zeros(0, np.int64)  # the last launch's work counts
         self.launch_log: list[LaunchConfig] = []
 
-    def alloc(self, length: int, dtype: str = "f32", device: str = GPU, name: str = "") -> DeviceBuffer:
-        buf = DeviceBuffer(self, length, dtype=dtype, device=device, name=name or f"buf{self._allocs}")
+    def alloc(self, length: int, dtype: str = "f32", name: str = "") -> DeviceBuffer:
+        buf = DeviceBuffer(self, length, dtype=dtype, name=name or f"buf{self._allocs}")
         self._allocs += 1
         if self.race_check:
             buf._race_arm()
@@ -496,7 +494,7 @@ def launch_rows(session: Session, config: LaunchConfig, out: DeviceBuffer, rows:
     lanes = config.grid * config.block
     busy = max(1, min(lanes, tiles))
     # row where each lane's share starts; lane g owns edges[g]..edges[g+1]-1
-    edges = np.minimum(tiles * np.minimum(np.arange(lanes + 1), busy) // busy * tile, rows)
+    edges = np.minimum(np.arange(lanes + 1) * tiles // busy * tile, rows)
 
     @lane_form
     def kernel(ctx):
@@ -512,6 +510,17 @@ def launch_rows(session: Session, config: LaunchConfig, out: DeviceBuffer, rows:
 
     kernel.__name__, kernel.__qualname__ = fn.__name__, fn.__qualname__
     session.launch(kernel, config)
+
+
+def run_rows(session: Session | None, config: LaunchConfig, dtype: str, rows: int, width: int, fn,
+             name: str, tile: int = 1) -> np.ndarray:
+    """(rows, width) ``dtype`` array of ``fn(lo, hi)``: one host call ``fn(0, rows)`` if
+    ``session`` is None, else one :func:`launch_rows` into a fresh buffer ``name``."""
+    if session is None:
+        return np.asarray(fn(0, rows), DTYPES[dtype]).reshape(rows, width)
+    out = session.alloc(rows * width, dtype, name=name)
+    launch_rows(session, config, out, rows, fn, tile)
+    return out.to_numpy().reshape(rows, width)
 
 
 def _divergence(guards, block: int) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simt import DTYPES, GPU, LaunchConfig, Session, launch_rows
+from .simt import DTYPES, LaunchConfig, Session, run_rows
 
 TILED_KINDS = {"NCHWc": 1, "OIHWo": 0}  # kind -> index of the packed logical axis
 PLAIN_KINDS = ("NCHW", "OIHW")
@@ -186,15 +186,14 @@ def transform_kernel(t: Tensor, target: LayoutTag, session) -> Tensor:
     _check_compatible(target, t.shape)
     perm = _physical_permutation(t.layout, target, t.shape)
     n = perm.size
-    src = session.alloc(n, t.dtype, device=GPU, name="lt_src")
+    src = session.alloc(n, t.dtype, name="lt_src")
     src.load(t.data)
-    dst = session.alloc(n, t.dtype, device=GPU, name="lt_dst")
 
     def transform(lo, hi):
         return src[perm[lo:hi]]
 
-    launch_rows(session, LaunchConfig(grid=1, block=min(8, max(1, n))), dst, n, transform)
-    return Tensor(shape=t.shape, dtype=t.dtype, layout=target, data=dst.to_numpy())
+    data = run_rows(session, LaunchConfig(grid=1, block=min(8, n)), t.dtype, n, 1, transform, "lt_dst")
+    return Tensor(shape=t.shape, dtype=t.dtype, layout=target, data=data)
 
 
 def transform_cost(src: LayoutTag, dst: LayoutTag, shape, table: dict | None = None,

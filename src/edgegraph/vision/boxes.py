@@ -9,12 +9,12 @@ One launch fills the suppression mask, a row per candidate as wide as the
 widest segment, holding only its segment's upper triangle, in tiles of
 TILE rows clipped at segment ends. The greedy sweep runs per segment on
 the host, kept rows merge back into each image's score order, and a last
-launch writes them first, then all-invalid rows. The twin runs the same
-range functions over all rows; box_nms is the batch of one image.
+launch writes them first, then all-invalid rows. box_nms runs one image.
 
 multibox_detection decodes the batch's anchors in flat (image, anchor)
-order, one contiguous slice per thread, with the same range function as
-its sequential twin, then runs one box_nms_batch pass over the batch.
+order, one contiguous slice per thread, then runs one box_nms_batch pass.
+Kernel and twin share one body, _nms_pass or _multibox, whose simt.run_rows
+calls launch or, for the twin, call each range function once on the host.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..simt import GPU, LaunchConfig, Session, ceil_div, check_count, launch_rows
+from ..simt import LaunchConfig, Session, ceil_div, check_count, run_rows
 from .sort import SegmentedArray, segmented_argsort
 
 INVALID = -1.0  # marker filled into every field of a suppressed row
@@ -137,16 +137,6 @@ def _sources(mask: np.ndarray, first: np.ndarray, cands: np.ndarray, g: np.ndarr
     return src
 
 
-def _rows(sess, config: LaunchConfig, dtype: str, rows: int, width: int, fn, name: str,
-          tile: int = 1) -> np.ndarray:
-    """(rows, width) array of ``fn(lo, hi)``: one call if sess is None, else a launch_rows."""
-    if sess is None:
-        return np.reshape(fn(0, rows), (rows, width))
-    buf = sess.alloc(max(1, rows * width), dtype, device=GPU, name=name)
-    launch_rows(sess, config, buf, rows, fn, tile)
-    return buf.to_numpy()[: rows * width].reshape(rows, width)
-
-
 def _nms_pass(boxes: BoxSet, images: int, iou_threshold: float, score_threshold: float, top_k,
               max_output, sess: Session | None) -> np.ndarray:
     """box_nms_batch's packed rows on session ``sess``, or the CPU twin's if sess is None."""
@@ -182,16 +172,16 @@ def _nms_pass(boxes: BoxSet, images: int, iou_threshold: float, score_threshold:
     def fill_mask(lo, hi):
         return _suppression_rows(xy, first, end, width, lo, hi, iou_threshold)
 
-    mask = _rows(sess, LaunchConfig(grid=1, block=max(1, ceil_div(c, TILE))), "bool", c, width,
-                 fill_mask, "nms_mask", TILE)
+    mask = run_rows(sess, LaunchConfig(grid=1, block=max(1, ceil_div(c, TILE))), "bool", c, width,
+                    fill_mask, "nms_mask", TILE)
     src = _sources(mask, first, cands, g, n, len(boxes), max_output)
     packed = np.concatenate([boxes.to_array(), np.full((1, 6), INVALID, np.float32)])  # src -1
 
     def write_out(lo, hi):
         return packed[src[lo:hi]]
 
-    return _rows(sess, LaunchConfig(grid=images, block=min(32, n)), "f32", len(boxes), 6, write_out,
-                 "nms_out")
+    return run_rows(sess, LaunchConfig(grid=images, block=min(32, n)), "f32", len(boxes), 6,
+                    write_out, "nms_out")
 
 
 def box_nms_batch(boxes: BoxSet, images: int, iou_threshold: float, score_threshold: float = 0.0,
@@ -306,6 +296,21 @@ def _check_multibox(class_probs, loc_preds, anchors):
     return flat_probs, locs.reshape(b * a, 4), np.tile(ancs[0], (b, 1)), b, a
 
 
+def _multibox(class_probs, loc_preds, anchors, variances, score_threshold: float,
+              iou_threshold: float, top_k, max_output, sess: Session | None) -> list[BoxSet]:
+    """multibox_detection's BoxSets on session ``sess``, or the CPU twin's if sess is None."""
+    probs, locs, ancs, b, a = _check_multibox(class_probs, loc_preds, anchors)
+
+    def decode(lo, hi):
+        return _detection_rows(probs, locs, ancs, variances, lo, hi)
+
+    rows = run_rows(sess, LaunchConfig(grid=max(1, b), block=min(32, max(1, a))), "f32", b * a, 6,
+                    decode, "mbx_decoded")
+    kept = _nms_pass(BoxSet.from_array(rows), b, iou_threshold, score_threshold, top_k,
+                     max_output, sess)
+    return [BoxSet.from_array(r) for r in kept.reshape(b, a, 6)]
+
+
 def multibox_detection(class_probs, loc_preds, anchors, variances=DEFAULT_VARIANCES,
                        score_threshold: float = 0.01, iou_threshold: float = 0.5,
                        top_k: int | None = None, max_output: int | None = None,
@@ -317,27 +322,14 @@ def multibox_detection(class_probs, loc_preds, anchors, variances=DEFAULT_VARIAN
     form within [0, 1]. Returns one BoxSet of capacity ``anchors`` per
     batch element.
     """
-    probs, locs, ancs, b, a = _check_multibox(class_probs, loc_preds, anchors)
-    sess = session if session is not None else Session()
-
-    def decode(lo, hi):
-        return _detection_rows(probs, locs, ancs, variances, lo, hi)
-
-    rows = _rows(sess, LaunchConfig(grid=b, block=min(32, max(1, a))), "f32", b * a, 6, decode,
-                 "mbx_decoded")
-    kept = _nms_pass(BoxSet.from_array(rows), b, iou_threshold, score_threshold, top_k,
-                     max_output, sess)
-    return [BoxSet.from_array(r) for r in kept.reshape(b, a, 6)]
+    return _multibox(class_probs, loc_preds, anchors, variances, score_threshold, iou_threshold,
+                     top_k, max_output, session if session is not None else Session())
 
 
 def multibox_detection_sequential(class_probs, loc_preds, anchors, variances=DEFAULT_VARIANCES,
                                   score_threshold: float = 0.01, iou_threshold: float = 0.5,
                                   top_k: int | None = None,
                                   max_output: int | None = None) -> list[BoxSet]:
-    """Straight-line decode + greedy NMS, no emulator; same input check as
-    multibox_detection."""
-    probs, locs, ancs, b, a = _check_multibox(class_probs, loc_preds, anchors)
-    rows = _detection_rows(probs, locs, ancs, variances, 0, b * a)
-    kept = _nms_pass(BoxSet.from_array(rows), b, iou_threshold, score_threshold, top_k,
-                     max_output, None)
-    return [BoxSet.from_array(r) for r in kept.reshape(b, a, 6)]
+    """multibox_detection through the same decode rows and NMS pass, no emulator."""
+    return _multibox(class_probs, loc_preds, anchors, variances, score_threshold, iou_threshold,
+                     top_k, max_output, None)

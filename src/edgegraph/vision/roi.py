@@ -13,17 +13,17 @@ per-sample corner indices and weights (``_sample_planes``). Tiles of
 ``TILE`` consecutive ROIs then pool all channels in place in two float64
 workspaces that a range call allocates once (``_pool_tiles``): a gather
 per bilinear corner, then a plane-wise cell mean in numpy's sum order
-(``_cell_mean``). The kernel is one ``simt.launch_rows`` launch whose
-threads each pool tiles and write them with one slice store; the twin
-runs ``_pool_tiles`` over every ROI, so it pools the same tiles and the
-two agree bit for bit, NaNs included.
+(``_cell_mean``). Kernel and twin are one body, ``_roi_align``: its
+``simt.run_rows`` call is a launch whose threads each pool tiles and write
+them with one slice store, or for the twin one host call over every ROI.
+Both pool the same tiles, so they agree bit for bit, NaNs included.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..simt import GPU, LaunchConfig, Session, ceil_div, check_int, launch_rows
+from ..simt import LaunchConfig, Session, ceil_div, check_int, run_rows
 
 # ROIs pooled together in two (C, TILE * ratio**2 * ph * pw) float64 workspaces.
 # On 16 channels, 7x7 cells and ratio 2, 8 pooled faster than 4 or 16.
@@ -152,6 +152,25 @@ def _pool_tiles(flat: np.ndarray, planes, lo: int, hi: int) -> np.ndarray:
     return out
 
 
+def _roi_align(features, rois, output_size, sampling_ratio, sess: Session | None) -> np.ndarray:
+    """roi_align's pooled maps on session ``sess``, or the CPU twin's if sess is None."""
+    feats, boxes, (ph, pw), ratio = _check_inputs(features, rois, output_size, sampling_ratio)
+    _, c, h, w = feats.shape
+    r = boxes.shape[0]
+    if r == 0:
+        return np.zeros((0, c, ph, pw), np.float32)
+    planes = _sample_planes(_plan(boxes, (ph, pw), ratio, h, w), w)
+    flat = feats[0].reshape(c, h * w).astype(np.float64)
+    tiles = ceil_div(r, TILE)
+    block = min(4, tiles)
+
+    def pool(lo, hi):
+        return _pool_tiles(flat, planes, lo, hi)
+
+    return run_rows(sess, LaunchConfig(grid=ceil_div(tiles, block), block=block), "f32", r,
+                    c * ph * pw, pool, "roi_out", TILE).reshape(r, c, ph, pw)
+
+
 def roi_align(features, rois, output_size, sampling_ratio: int = 2,
               session: Session | None = None) -> np.ndarray:
     """ROIAlign over a (1, C, H, W) feature map.
@@ -160,29 +179,10 @@ def roi_align(features, rois, output_size, sampling_ratio: int = 2,
     returns a (len(rois), C, ph, pw) float32 array. One launch: each
     thread pools one tile of ``TILE`` ROIs across all channels.
     """
-    feats, boxes, (ph, pw), ratio = _check_inputs(features, rois, output_size, sampling_ratio)
-    _, c, h, w = feats.shape
-    r = boxes.shape[0]
-    if r == 0:
-        return np.zeros((0, c, ph, pw), np.float32)
-    planes = _sample_planes(_plan(boxes, (ph, pw), ratio, h, w), w)
-    flat = feats[0].reshape(c, h * w).astype(np.float64)
-    sess = session if session is not None else Session()
-    out = sess.alloc(r * c * ph * pw, "f32", device=GPU, name="roi_out")
-    tiles = ceil_div(r, TILE)
-    block = min(4, tiles)
-
-    def pool(lo, hi):
-        return _pool_tiles(flat, planes, lo, hi)
-
-    launch_rows(sess, LaunchConfig(grid=ceil_div(tiles, block), block=block), out, r, pool,
-                tile=TILE)
-    return out.to_numpy().reshape(r, c, ph, pw)
+    return _roi_align(features, rois, output_size, sampling_ratio,
+                      session if session is not None else Session())
 
 
 def roi_align_sequential(features, rois, output_size, sampling_ratio: int = 2) -> np.ndarray:
     """Same pooling without the emulator, over the kernel's tiles."""
-    feats, boxes, (ph, pw), ratio = _check_inputs(features, rois, output_size, sampling_ratio)
-    _, c, h, w = feats.shape
-    planes = _sample_planes(_plan(boxes, (ph, pw), ratio, h, w), w)
-    return _pool_tiles(feats[0].reshape(c, h * w).astype(np.float64), planes, 0, boxes.shape[0])
+    return _roi_align(features, rois, output_size, sampling_ratio, None)

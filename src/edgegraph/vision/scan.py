@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..simt import GPU, LaunchConfig, Session, ceil_div, check_int, launch_rows, log2_ceil
+from ..simt import LaunchConfig, Session, ceil_div, check_int, launch_rows, log2_ceil, run_rows
 
 I32_MIN = -(2**31)
 I32_MAX = 2**31 - 1
@@ -175,9 +175,9 @@ def scan(values, kind: str = "inclusive", p: int = 8, session: Session | None = 
     last = [z - 1 for _, z in partition_chunks(n, plan.p)]
     sess = session if session is not None else Session()
 
-    vals = sess.alloc(n, dtype, device=GPU, name="scan_data")
+    vals = sess.alloc(n, dtype, name="scan_data")
     vals.load(arr)
-    scanned = sess.alloc(plan.p, dtype, device=GPU, name="scan_bases")
+    scanned = sess.alloc(plan.p, dtype, name="scan_bases")
 
     def chunk_sums(lo, hi):
         return _running_sums(vals[lo:hi], chunk)
@@ -255,13 +255,12 @@ def compact(values, keep, p: int = 8, session: Session | None = None) -> tuple[n
     dtype = "f32" if arr.dtype.kind == "f" else "i32"
     if dtype == "i32":
         _check_i32(arr, "compact input")  # values pass through untouched; no silent wrap
-    src = sess.alloc(n, dtype, device=GPU, name="compact_in")
+    src = sess.alloc(n, dtype, name="compact_in")
     src.load(arr)
-    dst = sess.alloc(max(count, 1), dtype, device=GPU, name="compact_out")
 
     def gather(lo, hi):
         # slot k takes the last input at position k: the kept input of rank k
         return src[np.searchsorted(positions, np.arange(lo, hi), side="right") - 1]
 
-    launch_rows(sess, LaunchConfig(grid=ScanPlan.for_size(n, p).p, block=1), dst, count, gather)
-    return dst.to_numpy()[:count], count
+    return run_rows(sess, LaunchConfig(grid=ScanPlan.for_size(n, p).p, block=1), dtype, count, 1,
+                    gather, "compact_out").reshape(-1), count

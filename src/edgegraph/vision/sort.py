@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..simt import GPU, LaunchConfig, Session, ceil_div, check_int, launch_rows, log2_ceil
+from ..simt import LaunchConfig, Session, ceil_div, check_int, launch_rows, log2_ceil
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def segmented_argsort(a: SegmentedArray, order: str = "ascending", block: int = 
         return np.zeros(0, dtype=np.int32)
 
     sess = session if session is not None else Session()
-    perms = [sess.alloc(n, "i32", device=GPU, name=f"sort_perm_{c}") for c in "ab"]
+    perms = [sess.alloc(n, "i32", name=f"sort_perm_{c}") for c in "ab"]
     src = slots
     for k in range(log2_ceil(ceil_div(n, block)) + 1):
         run = block << k  # sorted-run width this pass leaves

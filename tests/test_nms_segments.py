@@ -164,9 +164,9 @@ def test_mask_is_candidates_by_widest_segment():
     sizes = {}
     alloc = sess.alloc
 
-    def recording(length, dtype="f32", device="GPU", name=""):
+    def recording(length, dtype="f32", name=""):
         sizes[name] = length
-        return alloc(length, dtype, device, name)
+        return alloc(length, dtype, name)
 
     launch, items = sess.launch, {}
 

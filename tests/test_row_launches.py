@@ -64,9 +64,9 @@ CASES = {
     "pool": (_one_node("pool", {"kernel": 3, "stride": 2}, (1, 5, 9, 7)), {"_pool.<locals>.<lambda>"}),
     "transform": (_transform, {"transform_kernel.<locals>.transform"}),
     "box_nms": (_box_nms, {"_nms_pass.<locals>.fill_mask", "_nms_pass.<locals>.write_out"}),
-    "multibox": (_multibox, {"multibox_detection.<locals>.decode",
+    "multibox": (_multibox, {"_multibox.<locals>.decode",
                              "_nms_pass.<locals>.fill_mask", "_nms_pass.<locals>.write_out"}),
-    "roi_align": (_roi_align, {"roi_align.<locals>.pool"}),
+    "roi_align": (_roi_align, {"_roi_align.<locals>.pool"}),
 }
 
 
@@ -150,7 +150,7 @@ def test_coop_scan_is_the_only_per_thread_kernel(monkeypatch):
     vision.segmented_argsort(vision.SegmentedArray(values=vals, offsets=[0, 20, 50]), block=8,
                              session=Session())
     assert per_thread == {"scan.<locals>.coop_scan"}
-    assert {"multibox_detection.<locals>.decode", "_nms_pass.<locals>.fill_mask",
-            "roi_align.<locals>.pool", "segmented_argsort.<locals>.rank",
+    assert {"_multibox.<locals>.decode", "_nms_pass.<locals>.fill_mask",
+            "_roi_align.<locals>.pool", "segmented_argsort.<locals>.rank",
             "scan.<locals>.chunk_sums", "scan.<locals>.add_bases",
             "compact.<locals>.gather"} <= lane_kernels

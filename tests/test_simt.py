@@ -16,6 +16,7 @@ from edgegraph.simt import (
     Session,
     lane_form,
     launch_rows,
+    run_rows,
 )
 
 
@@ -678,6 +679,41 @@ def test_launch_rows_rejects_a_result_of_the_wrong_size(race_check):
     with pytest.raises(ValueError, match=r"<lambda>\(0, [24]\) returned 1 elements for [24] rows of 2"):
         launch_rows(sess, LaunchConfig(1, 2), out, 4, lambda lo, hi: np.array([7]))
     assert out.to_numpy().tolist() == [0] * 8
+
+
+def test_launch_rows_shares_follow_the_six_operation_edge_formula():
+    for lanes in range(1, 21):
+        for tile in range(1, 10):
+            for rows in range(41):
+                tiles = -(-rows // tile)
+                busy = max(1, min(lanes, tiles))
+                edges = np.minimum(tiles * np.minimum(np.arange(lanes + 1), busy) // busy * tile, rows)
+                sess = Session()
+                launch_rows(sess, LaunchConfig(1, lanes), sess.alloc(rows), rows,
+                            lambda lo, hi: np.zeros(hi - lo), tile=tile)
+                assert sess.stats().per_thread_items == np.diff(edges).tolist(), (rows, tile, lanes)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 37])
+@pytest.mark.parametrize("tile", [1, 5])
+@pytest.mark.parametrize("width", [3, 0])
+def test_run_rows_on_the_host_is_bitwise_the_race_checked_launch(rows, tile, width):
+    def sevenths(lo, hi):  # float32 values of rows lo..hi-1, whatever the split
+        return np.arange(lo * width, hi * width, dtype=np.float32) / np.float32(7)
+
+    host = run_rows(None, LaunchConfig(2, 4), "f32", rows, width, sevenths, "sevenths", tile)
+    sess = Session(race_check=True)
+    dev = run_rows(sess, LaunchConfig(2, 4), "f32", rows, width, sevenths, "sevenths", tile)
+    assert host.shape == dev.shape == (rows, width) and host.dtype == dev.dtype == np.float32
+    assert host.tobytes() == dev.tobytes()
+    assert len(sess.launch_log) == 1 and sum(sess.stats().per_thread_items) == rows * width
+
+
+@pytest.mark.parametrize("race_check", [None, False, True])  # None: the host path
+def test_run_rows_rejects_a_result_of_the_wrong_size_on_both_paths(race_check):
+    sess = None if race_check is None else Session(race_check=race_check)
+    with pytest.raises(ValueError):
+        run_rows(sess, LaunchConfig(1, 2), "i32", 4, 2, lambda lo, hi: np.array([7]), "rows")
 
 
 @pytest.mark.parametrize("race_check", [False, True])

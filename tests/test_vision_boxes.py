@@ -328,3 +328,12 @@ def test_multibox_kernel_and_twin_reject_bad_shapes_alike(probs_shape, locs_shap
             run()
         errors.append(str(e.value))
     assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("b, a", [(0, 5), (2, 0)])
+def test_multibox_kernel_and_twin_agree_on_empty_batches_and_anchor_sets(b, a):
+    args = (np.zeros((b, 3, a), np.float32), np.zeros((b, 4 * a), np.float32),
+            np.full((1, a, 4), 0.25, np.float32))
+    got = [[r.to_array().shape for r in run(*args)]
+           for run in (multibox_detection, multibox_detection_sequential)]
+    assert got[0] == got[1] == [(0, 6)] * b
