@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field, replace
-from itertools import zip_longest
 
 import numpy as np
 
@@ -532,10 +531,14 @@ def _divergence(guards, block: int) -> int:
     True skipped a guarded phase. A context with fewer guards takes no
     part in the later positions.
     """
-    # one row per (guard position, block): 1 True, 0 False, -1 no guard
-    vals = np.array([np.concatenate([np.ravel(v) for v in pos])
-                     for pos in zip_longest(*guards, fillvalue=-1)], np.int8).reshape(-1, block)
-    return int(np.count_nonzero((vals == 0) & (vals == 1).any(axis=1, keepdims=True)))
+    events = 0
+    for pos in range(max(map(len, guards))):
+        # the lanes that made a guard here: whole blocks of one context, or
+        # contexts of one lane each, all in one block
+        vals = np.array([g[pos] for g in guards if len(g) > pos])
+        vals = vals.reshape(ceil_div(vals.size, block), -1)
+        events += np.count_nonzero(~vals & vals.any(axis=1, keepdims=True))
+    return int(events)
 
 
 def ceil_div(a: int, b: int) -> int:

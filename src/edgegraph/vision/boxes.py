@@ -7,9 +7,11 @@ torchvision's batched_nms. One segmented argsort orders each image by
 score and a stable host grouping orders the candidates by (image, class).
 One launch fills the suppression mask, a row per candidate as wide as the
 widest segment, holding only its segment's upper triangle, in tiles of
-TILE rows clipped at segment ends. The greedy sweep runs per segment on
-the host, kept rows merge back into each image's score order, and a last
-launch writes them first, then all-invalid rows. box_nms runs one image.
+TILE rows clipped at segment ends. The greedy sweep on the host visits
+only the mask rows that hold a bit, so it costs what the suppressions
+cost, not what the candidates do. Kept rows merge back into each image's
+score order, and a last launch writes them first, then all-invalid rows.
+box_nms runs one image.
 
 multibox_detection decodes the batch's anchors in flat (image, anchor)
 order, one contiguous slice per thread, then runs one box_nms_batch pass.
@@ -94,8 +96,8 @@ def iou(a, b):
         ih = lo(ay2, by2) - hi(ay1, by1)
         inter = iw * ih
         union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-        # fmin skips a NaN, so this is (iw <= 0) | (ih <= 0) in one pass
-        out = np.where((np.fmin(iw, ih) <= 0.0) | (union <= 0.0), 0.0, inter / union)
+        # fmin skips a NaN, so this is (iw <= 0) | (ih <= 0) | (union <= 0) in one test
+        out = np.where(np.fmin(np.fmin(iw, ih), union) <= 0.0, 0.0, inter / union)
     return float(out) if out.ndim == 0 else out
 
 
@@ -104,14 +106,17 @@ def _suppression_rows(xy: np.ndarray, first: np.ndarray, end: np.ndarray, width:
     """Rows lo:hi of the segment suppression mask: entry [k, t] is True iff
     candidate first[k] + t comes after k in k's segment and iou(box k, that
     box) >= iou_threshold. Rows go TILE at a time from ``lo``, clipped at
-    segment ends, each against the rest of its segment."""
+    segment ends, each against the rest of its segment; the top left of one
+    upper triangle, built once per call, clears each tile's earlier boxes."""
     out = np.zeros((hi - lo, width), dtype=bool)
+    upper = ~np.tri(min(TILE, hi - lo), width, -1, bool)  # [i, j] iff j >= i
     a = lo
     while a < hi:
         s, e = first[a], end[a]
         z = min(a + TILE, hi, e)
-        hit = iou(xy[a:z, None], xy[a + 1 : e]) >= iou_threshold
-        out[a - lo : z - lo, a + 1 - s : e - s] = hit & ~np.tri(z - a, e - a - 1, -1, bool)
+        hit = out[a - lo : z - lo, a + 1 - s : e - s]
+        np.greater_equal(iou(xy[a:z, None], xy[a + 1 : e]), iou_threshold, out=hit)
+        hit &= upper[: z - a, : e - a - 1]
         a = z
     return out
 
@@ -119,16 +124,26 @@ def _suppression_rows(xy: np.ndarray, first: np.ndarray, end: np.ndarray, width:
 def _sources(mask: np.ndarray, first: np.ndarray, cands: np.ndarray, g: np.ndarray, n: int,
              rows: int, max_output) -> np.ndarray:
     """Input row of each output row, -1 for an all-invalid one: greedy NMS
-    walks each segment of the mask in score order, and the kept rows merge
-    back into each n-row image's score order, cut to max_output."""
-    bits = [int.from_bytes(row, "little") for row in np.packbits(mask, axis=1, bitorder="little")]
-    keep = []
-    for k, s in enumerate(first.tolist()):
-        removed = 0 if k == s else removed
-        if not removed >> (k - s) & 1:
-            keep.append(k)
-            removed |= bits[k]
-    kept = cands[np.sort(g[keep])]
+    over each segment of the mask in score order, and the kept rows merged
+    back into each n-row image's score order, cut to max_output.
+
+    Only rows that hold a bit can remove anything, so the sweep visits
+    those alone, in ascending order, with one bit set ``drop`` over all
+    candidates: hit row k is kept iff bit k is clear, and a kept one adds
+    its bits from its segment's start. Bit k comes only from a row of k's
+    segment before k, so it is final when row k is reached, and ``drop``
+    ends as exactly the suppressed candidates.
+    """
+    hits = np.flatnonzero(mask.any(axis=1))
+    drop = 0
+    for k, s, row in zip(hits.tolist(), first[hits].tolist(),
+                         np.packbits(mask[hits], axis=1, bitorder="little")):
+        if not drop >> k & 1:
+            drop |= int.from_bytes(row, "little") << s
+    c = len(first)
+    dropped = np.unpackbits(np.frombuffer(drop.to_bytes(ceil_div(c, 8), "little"), np.uint8),
+                            count=c, bitorder="little")
+    kept = cands[np.sort(g[dropped == 0])]
     img = kept // n
     slot = np.arange(len(kept)) - np.searchsorted(img, img)
     cut = slot < (len(kept) if max_output is None else max_output)
@@ -166,7 +181,7 @@ def _nms_pass(boxes: BoxSet, images: int, iou_threshold: float, score_threshold:
     g = np.argsort(key, kind="stable")
     key = key[g]
     first, end = np.searchsorted(key, key, "left"), np.searchsorted(key, key, "right")
-    xy = boxes.corners[cands[g]].astype(np.float64)
+    xy = np.asfortranarray(boxes.corners[cands[g]], dtype=np.float64)  # iou reads whole columns
     c, width = len(g), int(np.max(end - first, initial=0))
 
     def fill_mask(lo, hi):

@@ -157,8 +157,8 @@ def _roi_align(features, rois, output_size, sampling_ratio, sess: Session | None
     feats, boxes, (ph, pw), ratio = _check_inputs(features, rois, output_size, sampling_ratio)
     _, c, h, w = feats.shape
     r = boxes.shape[0]
-    if r == 0:
-        return np.zeros((0, c, ph, pw), np.float32)
+    if r == 0 or c == 0:  # nothing to pool: no launch
+        return np.zeros((r, c, ph, pw), np.float32)
     planes = _sample_planes(_plan(boxes, (ph, pw), ratio, h, w), w)
     flat = feats[0].reshape(c, h * w).astype(np.float64)
     tiles = ceil_div(r, TILE)

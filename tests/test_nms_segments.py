@@ -27,8 +27,9 @@ from edgegraph.vision import (
     multibox_detection,
     multibox_detection_sequential,
 )
+from edgegraph.vision.boxes import _sources
 from fixtures import ssd_like_doc, ssd_like_inputs
-from test_vision_boxes import oracle_iou, oracle_multibox, oracle_nms, same_iou
+from test_vision_boxes import iou_cases, oracle_iou, oracle_multibox, oracle_nms, same_iou
 
 
 def _rows(rng, n, classes, case=""):
@@ -240,3 +241,87 @@ def test_iou_fast_min_max_path_matches_the_scalar_rule():
     want = [[oracle_iou(p.tolist(), q.tolist()) for q in b] for p in a]
     assert same_iou(iou(a[:, None], b), want)
     assert same_iou([[iou(p, q) for q in b[:5]] for p in a[:5]], [row[:5] for row in want[:5]])
+
+
+def walk_every_row(mask, first, cands, g, n, rows, max_output):
+    """_sources by the plain greedy walk: every mask row in order, each
+    segment's removed set restarting at its first row, then each image's
+    kept candidates in score order, the first max_output of them."""
+    removed, kept = 0, []
+    for k, s in enumerate(first.tolist()):
+        if k == s:
+            removed = 0
+        if not removed >> (k - s) & 1:
+            kept.append(int(g[k]))
+            removed |= sum(1 << t for t in np.flatnonzero(mask[k]).tolist())
+    src, slots = [-1] * rows, {}
+    for p in sorted(kept):
+        img = cands[p] // n
+        slot = slots[img] = slots.get(img, -1) + 1
+        if max_output is None or slot < max_output:
+            src[img * n + slot] = cands[p]
+    return src
+
+
+def sweep_case(rng, images, n, classes, density, most):
+    """A random _sources input: up to ``most`` candidates per image in a random score
+    order, grouped by (image, class) as _nms_pass groups them, and a mask
+    with random bits in each row's part of its segment's upper triangle."""
+    cands = np.array([i * n + r for i in range(images)
+                      for r in rng.permutation(n)[: rng.integers(0, most + 1)]], np.int64)
+    key = (cands // n << 32) | rng.integers(0, classes, len(cands))
+    g = np.argsort(key, kind="stable")
+    first, end = np.searchsorted(key[g], key[g], "left"), np.searchsorted(key[g], key[g], "right")
+    mask = np.zeros((len(cands), int(np.max(end - first, initial=0))), bool)
+    for k in range(len(cands)):
+        t = np.arange(k + 1 - first[k], end[k] - first[k])
+        mask[k, t] = rng.random(len(t)) < density
+    return mask, first, cands, g
+
+
+@pytest.mark.parametrize("density", [0.0, 0.02, 0.2, 0.7])
+def test_sweep_of_hit_rows_equals_the_walk_of_every_row(density):
+    rng = np.random.default_rng(int(density * 100))
+    widths = set()
+    for trial in range(60):
+        images, n = int(rng.integers(1, 4)), int(rng.integers(1, 40))
+        most = 0 if trial % 20 == 0 else n  # no candidate: a 0 x 0 mask
+        mask, first, cands, g = sweep_case(rng, images, n, int(rng.integers(1, 5)), density, most)
+        widths.add(mask.shape[1])
+        for max_output in (None, 0, 1, 3):
+            args = (mask, first, cands, g, n, images * n, max_output)
+            got = _sources(*args)
+            assert got.tolist() == walk_every_row(*args), (trial, max_output)
+    assert 0 in widths and len(widths) > 10
+
+
+def test_a_suppressed_box_suppresses_nothing():
+    # A removes B; B would remove C, but A and C only touch, so C is kept
+    boxes = BoxSet(class_ids=[0, 0, 0], scores=[0.9, 0.8, 0.7],
+                   corners=[[0.0, 0.0, 1.0, 1.0], [0.5, 0.0, 1.5, 1.0], [1.0, 0.0, 2.0, 1.0]])
+    want = np.concatenate([boxes.to_array()[[0, 2]], np.full((1, 6), -1.0, np.float32)])
+    for got in (box_nms(boxes, 0.3), box_nms(boxes, 0.3, session=Session(race_check=True)),
+                box_nms_sequential(boxes, 0.3)):
+        assert _same(got.to_array(), want)
+    assert _same(want, oracle_nms(boxes.to_array(), 0.3, 0.0))
+
+
+def test_iou_equals_the_scalar_rule_on_special_corners_and_column_major_input():
+    rng = np.random.default_rng(12)
+    special = np.array([np.inf, -np.inf, 0.0, -0.0, np.nan, 1e-200])
+    a, b = iou_cases(rng, 240)
+    for side in (a, b):
+        hit = rng.random(side.shape) < 0.12
+        side[hit] = rng.choice(special, hit.sum())
+    # zero area: zero height, and boxes whose area underflows to 0 (union 0)
+    a[:12, 3] = a[:12, 1]
+    a[12:24] = b[12:24] = [0.0, 0.0, 1e-200, 1e-200]
+    a[24:36] = [0.0, 0.0, np.inf, np.inf]
+    for x, y in ((a, b), (b, a)):
+        want = [oracle_iou(p.tolist(), q.tolist()) for p, q in zip(x, y)]
+        assert same_iou(iou(x, y), want)
+        assert same_iou(iou(np.asfortranarray(x), np.asfortranarray(y)), want)
+    # _suppression_rows' call: a tile of a column-major array against the rest
+    xy = np.asfortranarray(np.concatenate([a[:40], b[:40]]))
+    want = [[oracle_iou(p.tolist(), q.tolist()) for q in xy[31:]] for p in xy[:30]]
+    assert same_iou(iou(xy[:30, None], xy[31:]), want)

@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from edgegraph.simt import (
     LaunchConfigError,
     RaceError,
     Session,
+    _divergence,
     lane_form,
     launch_rows,
     run_rows,
@@ -761,3 +763,31 @@ def test_buffer_slice_store_of_another_length_raises(race_check):
                                                 r"takes 4 values, got 1$"):
         sess.launch(kernel, LaunchConfig(grid=1, block=1))
     assert buf.to_numpy().tolist() == [1, 2, 3, 4, 5, 6]
+
+
+def padded_divergence(guards, block):
+    """The per-position formula: each context's guards padded to the longest
+    list with -1 (no guard), one row per (position, block) of lanes."""
+    vals = np.array([np.concatenate([np.ravel(v) for v in pos])
+                     for pos in zip_longest(*guards, fillvalue=-1)], np.int8).reshape(-1, block)
+    return int(np.count_nonzero((vals == 0) & (vals == 1).any(axis=1, keepdims=True)))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 8, 31, 64])
+def test_divergence_equals_the_padded_per_position_formula(block):
+    rng = np.random.default_rng(block)
+    for trial in range(40):
+        p = (0.0, 0.3, 0.7, 1.0)[trial % 4]  # all False, mixed, all True
+        # ragged per-thread lists: one lane per context, a per-thread kernel's
+        # 0-d guards or a race-checked lane-form call's 1-element ones
+        shape = ((), (1,))[trial // 4 % 2]
+        ragged = [[np.asarray(rng.random(shape) < p) for _ in range(rng.integers(0, 4))]
+                  for _ in range(block)]
+        if any(ragged):
+            got = _divergence(ragged, block)
+            assert got == padded_divergence(ragged, block) and type(got) is int, (trial, ragged)
+        # one lane-form context over every lane of a grid
+        grid = int(rng.integers(1, 5))
+        lanes = [[rng.random(grid * block) < p for _ in range(rng.integers(1, 4))]]
+        got = _divergence(lanes, block)
+        assert got == padded_divergence(lanes, block) and type(got) is int, (trial, lanes)

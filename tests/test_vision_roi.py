@@ -294,3 +294,13 @@ def test_kernel_and_twin_reject_bad_inputs_alike(args, match):
     for fn in (roi_align, roi_align_sequential):
         with pytest.raises(ValueError, match=match):
             fn(*args)
+
+
+@pytest.mark.parametrize("count", [0, 1, 9])
+def test_zero_channel_map_pools_nothing_on_kernel_and_twin(count):
+    feats = np.zeros((1, 0, 5, 5), np.float32)
+    rois = np.tile(np.float32([0.5, 1.0, 3.0, 4.0]), (count, 1))
+    sess = Session()
+    for got in (roi_align(feats, rois, (2, 3), session=sess), roi_align_sequential(feats, rois, (2, 3))):
+        assert got.shape == (count, 0, 2, 3) and got.dtype == np.float32
+    assert sess.launch_log == []
