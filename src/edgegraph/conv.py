@@ -9,8 +9,8 @@ config that does not fit its workload is rejected, never clamped.
 
 ``conv2d_reference`` is the oracle: a textbook direct convolution with a
 fixed (r, s, c ascending) accumulation order per output element. The
-scheduled kernel preserves that per-element order, so it matches the
-reference bitwise for every valid config.
+scheduled kernel and ``conv2d_host``, its arithmetic without the emulator,
+share one region body that keeps that order, so both match it bitwise.
 """
 
 from __future__ import annotations
@@ -141,32 +141,28 @@ class ScheduleConfig:
         return cls(**d)
 
 
-def _check_shapes(inp: np.ndarray, wgt: np.ndarray, wl: ConvWorkload) -> None:
+def _operands(inp, wgt, wl: ConvWorkload):
+    """``inp`` as contiguous float32, zero-padded by ``wl.pad`` on both sides of
+    H and W, and ``wgt`` as float32, once both shapes are checked against ``wl``."""
+    inp = np.asarray(inp, dtype=np.float32)
+    wgt = np.asarray(wgt, dtype=np.float32)
     if inp.shape != (wl.n, wl.c, wl.h, wl.w):
         raise ValueError(f"input shape {inp.shape} does not match workload {(wl.n, wl.c, wl.h, wl.w)}")
     if wgt.shape != (wl.k, wl.c // wl.groups, wl.r, wl.s):
         raise ValueError(
             f"weight shape {wgt.shape} does not match workload {(wl.k, wl.c // wl.groups, wl.r, wl.s)}"
         )
-
-
-def _padded(inp: np.ndarray, wl: ConvWorkload) -> np.ndarray:
-    """``inp`` as contiguous float32, zero-padded by ``wl.pad`` on both sides of H and W."""
     ph, pw = wl.pad
     if ph == 0 and pw == 0:
-        return np.ascontiguousarray(inp, dtype=np.float32)
-    n, c, h, w = inp.shape
-    x = np.zeros((n, c, h + 2 * ph, w + 2 * pw), np.float32)  # np.pad costs ~15x more
-    x[:, :, ph : ph + h, pw : pw + w] = inp
-    return x
+        return np.ascontiguousarray(inp), wgt
+    x = np.zeros((wl.n, wl.c, wl.h + 2 * ph, wl.w + 2 * pw), np.float32)  # np.pad costs ~15x more
+    x[:, :, ph : ph + wl.h, pw : pw + wl.w] = inp
+    return x, wgt
 
 
 def conv2d_reference(inp, wgt, wl: ConvWorkload) -> np.ndarray:
     """Direct convolution, f32 accumulate, fixed (r, s, c ascending) order."""
-    inp = np.asarray(inp, dtype=np.float32)
-    wgt = np.asarray(wgt, dtype=np.float32)
-    _check_shapes(inp, wgt, wl)
-    x = _padded(inp, wl)
+    x, wgt = _operands(inp, wgt, wl)
     sh, sw = wl.stride
     dh, dw = wl.dilation
     oh, ow = wl.oh, wl.ow
@@ -216,6 +212,35 @@ def _tap_plan(wl: ConvWorkload):
     return plan
 
 
+def _region(x, wgt, wl: ConvWorkload, ks: slice, ys: slice, xs: slice) -> np.ndarray:
+    """Output channels ``ks``, rows ``ys`` and columns ``xs`` of every image,
+    from the padded input ``x`` and the weights ``wgt``, flat or shaped.
+
+    The region's taps come in one ``take`` through the workload's tap plan.
+    Every (n, output channel) plane is summed at once, one run per group its
+    channels fall in, adding the products one at a time in the reference's
+    (r, s, c ascending) order, so each cell is the reference's bitwise."""
+    kg = wl.k // wl.groups
+    g0, g1 = ks.start // kg, (ks.stop - 1) // kg + 1
+    taps = x.take(_tap_plan(wl)[0][g0:g1, ..., ys, xs])
+    w4 = wgt.reshape(wl.k, wl.c // wl.groups, wl.r, wl.s)
+    acc = np.zeros((wl.n, ks.stop - ks.start, *taps.shape[-2:]), np.float32)
+    for g in range(g0, g1):
+        k0, k1 = max(ks.start, g * kg), min(ks.stop, (g + 1) * kg)
+        wts = w4[k0:k1].transpose(2, 3, 1, 0).reshape(-1, 1, k1 - k0, 1, 1)
+        run = acc[:, k0 - ks.start : k1 - ks.start]
+        for prod in taps[g - g0] * wts:
+            run += prod
+    return acc
+
+
+def conv2d_host(inp, wgt, wl: ConvWorkload) -> np.ndarray:
+    """The scheduled kernel's arithmetic over the whole output, without the
+    emulator: bitwise equal to the reference and to every schedule."""
+    x, wgt = _operands(inp, wgt, wl)
+    return _region(x, wgt, wl, slice(0, wl.k), slice(0, wl.oh), slice(0, wl.ow))
+
+
 def conv2d_scheduled(inp, wgt, wl: ConvWorkload, cfg: ScheduleConfig,
                      session: Session | None = None) -> np.ndarray:
     """Convolution through the emulator under a schedule config.
@@ -226,25 +251,19 @@ def conv2d_scheduled(inp, wgt, wl: ConvWorkload, cfg: ScheduleConfig,
     kernel is lane-form: one call computes the output region its lanes
     own, the whole output when it has every lane, and stores it with
     one checked index-array write, so the race check, which runs it one
-    lane at a time, sees every cell a thread writes. It gathers the
-    region's taps in one ``take`` through the workload's tap plan, which
-    is built on the first call and kept for up to 32 workloads.
-    Per-element accumulation order matches the reference, so results
-    agree bitwise.
+    lane at a time, sees every cell a thread writes. The region's
+    arithmetic is :func:`conv2d_host`'s, so results agree with the
+    reference bitwise.
     """
-    inp = np.asarray(inp, dtype=np.float32)
-    wgt = np.asarray(wgt, dtype=np.float32)
-    _check_shapes(inp, wgt, wl)
+    x, wgt = _operands(inp, wgt, wl)
     cfg.validate_for(wl)
     sess = session if session is not None else Session()
 
-    x = _padded(inp, wl)
     oh, ow = wl.oh, wl.ow
-    kg_grp = wl.k // wl.groups
     k_per_block = wl.k // cfg.oc_split
     band = oh // cfg.h_split
     threads = cfg.w_tile * cfg.vec
-    taps_at, cells = _tap_plan(wl)
+    cells = _tap_plan(wl)[1]
 
     xbuf = sess.alloc(x.size, "f32", name="conv_in")
     xbuf.load(x.reshape(-1))
@@ -264,26 +283,11 @@ def conv2d_scheduled(inp, wgt, wl: ConvWorkload, cfg: ScheduleConfig,
             if not live[0]:
                 return
             b = int(ctx.block_id[0])
-            kb, kn = (b // cfg.h_split) * k_per_block, k_per_block
-            y0, yn = (b % cfg.h_split) * band, band
-            x0, xstep = int(t[0]), threads
+            kb, y0 = (b // cfg.h_split) * k_per_block, (b % cfg.h_split) * band
+            ks, ys, xs = slice(kb, kb + k_per_block), slice(y0, y0 + band), slice(int(t[0]), ow, threads)
         else:
-            kb, kn, y0, yn, x0, xstep = 0, wl.k, 0, oh, 0, 1
-        g0, g1 = kb // kg_grp, (kb + kn - 1) // kg_grp + 1
-        taps = xbuf[:].take(taps_at[g0:g1, ..., y0 : y0 + yn, x0 : ow : xstep])
-        w4 = wbuf[:].reshape(wgt.shape)
-        acc = np.zeros((wl.n, kn, *taps.shape[-2:]), np.float32)
-        # every (n, output channel) plane of the region at once, one run per
-        # group its channels fall in. The products come in the reference's
-        # (r, s, c ascending) order and are added one at a time; ``unroll``
-        # changes only what the proxy timer charges per MAC, never the order
-        for g in range(g0, g1):
-            k0, k1 = max(kb, g * kg_grp), min(kb + kn, (g + 1) * kg_grp)
-            wts = w4[k0:k1].transpose(2, 3, 1, 0).reshape(-1, 1, k1 - k0, 1, 1)
-            run = acc[:, k0 - kb : k1 - kb]
-            for prod in taps[g - g0] * wts:
-                run += prod
-        obuf[cells[:, kb : kb + kn, y0 : y0 + yn, x0 : ow : xstep]] = acc
+            ks, ys, xs = slice(0, wl.k), slice(0, oh), slice(0, ow)
+        obuf[cells[:, ks, ys, xs]] = _region(xbuf[:], wbuf[:], wl, ks, ys, xs)
 
     sess.launch(kernel, LaunchConfig(grid=cfg.oc_split * cfg.h_split, block=threads))
     return obuf.to_numpy().reshape(wl.n, wl.k, oh, ow)

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import vision
-from .conv import ConvWorkload, ScheduleConfig, conv2d_reference, conv2d_scheduled
+# conv2d_reference runs on no placement: perfbench/tracing.py patches it here and on conv, as one object
+from .conv import ConvWorkload, ScheduleConfig, conv2d_host, conv2d_reference, conv2d_scheduled
 from .simt import CPU, GPU, LaunchConfig, Session, check_count, check_int, run_rows
 from .tensor import Tensor, as_dtype
 
@@ -284,7 +285,7 @@ def _conv2d(node, args, gpu):
     attrs = {a: node.attrs[a] for a in ("stride", "pad", "dilation", "groups") if a in node.attrs}
     wl = ConvWorkload(n, c, h, w, k, r, s, **attrs)
     if gpu is None:
-        return conv2d_reference(data, weight, wl)
+        return conv2d_host(data, weight, wl)
     cfg = node.schedule if node.schedule is not None else ScheduleConfig()
     return conv2d_scheduled(data, weight, wl, cfg, session=gpu)
 
@@ -316,7 +317,7 @@ def _argsort(node, args, gpu):
     block = _int_attr(node.attrs, "block", 64)
     if gpu is None:
         return vision.argsort_sequential(vals, order)
-    sa = vision.SegmentedArray(values=vals.astype(np.float32), offsets=np.array([0, vals.size]))
+    sa = vision.SegmentedArray(values=vals, offsets=np.array([0, vals.size]))
     return vision.segmented_argsort(sa, order, block=block, session=gpu)
 
 

@@ -164,8 +164,8 @@ class DeviceBuffer:
     kernel path to the storage: every access is bounds-checked, and
     under race check it marks exactly the slots it selects, so threads
     that touch disjoint strided or scattered slots never conflict. A
-    slice read under race check is a read-only view, so every write goes
-    through ``__setitem__``. A slice store takes a scalar, which fills
+    slice read is a read-only view, so every write goes through
+    ``__setitem__``. A slice store takes a scalar, which fills
     the slice, or exactly as many values as the slice selects. A
     nameless buffer (``name=None``) is a race-checked block's shared
     storage, and its errors say so.
@@ -194,9 +194,8 @@ class DeviceBuffer:
 
     def __getitem__(self, idx):
         _check_index(idx, len(self.data), self)
-        if self._w_owner is None:
-            return self.data[idx]
-        self._race_read(idx)
+        if self._w_owner is not None:
+            self._race_read(idx)
         got = self.data[idx]
         if isinstance(got, np.ndarray) and got.base is self.data:
             # a write through a view of the storage would bypass the checks

@@ -8,7 +8,8 @@ from edgegraph.conv import (
     ConvWorkload,
     ScheduleConfig,
     ScheduleRejectedError,
-    _padded,
+    _operands,
+    conv2d_host,
     conv2d_reference,
     conv2d_scheduled,
     schedule_space,
@@ -305,7 +306,7 @@ def test_padding_equals_np_pad_bitwise(pad, dtype):
     x.reshape(-1)[:4] = [-0.0, np.nan, np.inf, -np.inf]
     wl = ConvWorkload(n=2, c=3, h=4, w=5, k=2, r=1, s=1, pad=pad)
     want = np.pad(x.astype(np.float32), ((0, 0), (0, 0), (pad[0], pad[0]), (pad[1], pad[1])))
-    got = _padded(x, wl)
+    got, _ = _operands(x, np.ones((2, 3, 1, 1)), wl)
     assert got.dtype == np.float32 and got.flags.c_contiguous
     assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
@@ -338,3 +339,77 @@ def test_tap_plans_hold_at_most_32_workloads():
     for n in range(33):
         conv._tap_plan(ConvWorkload(n=1, c=1, h=n + 1, w=1, k=1, r=1, s=1))
         assert len(conv._tap_plans) == n % 32 + 1
+
+
+def _planted(rng, shape):
+    """Standard normals with -0.0, NaN and infinities planted."""
+    a = rng.standard_normal(shape).astype(np.float32)
+    flat = a.reshape(-1)
+    for v in (-0.0, np.nan, np.inf, -np.inf):
+        flat[rng.integers(flat.size)] = v
+    return a
+
+
+def _nan_blind_bytes(a):
+    """``a``'s bytes with every NaN made the one quiet NaN.
+
+    Where a NaN made by inf * 0 or inf - inf meets a planted one, numpy's
+    add keeps one of the two by the length of the arrays it adds (numpy
+    2.4, x86-64): a 1-element ``a += b`` keeps b's NaN, a longer one a's. So the sign of a
+    NaN cell tells which array shape summed it, not the summation order;
+    every other cell, -0.0 and infinities included, is compared bit for bit.
+    """
+    return np.where(np.isnan(a), np.float32(np.nan), a).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("name", list(DIFFERENTIAL_WORKLOADS))
+def test_host_path_equals_reference_bitwise_over_differential_workloads(name):
+    wl = DIFFERENTIAL_WORKLOADS[name]
+    xs, ws = (wl.n, wl.c, wl.h, wl.w), (wl.k, wl.c // wl.groups, wl.r, wl.s)
+    rng = np.random.default_rng(11)
+    x, w = rng.standard_normal(xs), rng.standard_normal(ws)
+    assert conv2d_host(x, w, wl).tobytes() == conv2d_reference(x, w, wl).tobytes()
+    x, w = np.zeros(xs), -np.ones(ws)  # -0.0 products only
+    assert conv2d_host(x, w, wl).tobytes() == conv2d_reference(x, w, wl).tobytes()
+    x, w = _planted(rng, xs), _planted(rng, ws)
+    assert _nan_blind_bytes(conv2d_host(x, w, wl)) == _nan_blind_bytes(conv2d_reference(x, w, wl))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_host_path_equals_reference_bitwise_on_random_workloads():
+    # grouped, strided, dilated, padded and batched shapes, with -0.0, NaN
+    # and infinities in input and weights
+    rng = np.random.default_rng(12)
+    done = 0
+    while done < 240:
+        groups, cg, kg = (int(v) for v in rng.integers(1, 4, 3))
+        r, s = (int(v) for v in rng.integers(1, 4, 2))
+        stride = tuple(int(v) for v in rng.integers(1, 3, 2))
+        dilation = tuple(int(v) for v in rng.integers(1, 3, 2))
+        pad = tuple(int(v) for v in rng.integers(0, 3, 2))
+        h, w = (int(v) for v in rng.integers(1, 9, 2))
+        try:
+            wl = ConvWorkload(n=int(rng.integers(1, 3)), c=groups * cg, h=h, w=w, k=groups * kg, r=r, s=s,
+                              stride=stride, pad=pad, dilation=dilation, groups=groups)
+        except ValueError:  # the filter does not fit the padded map
+            continue
+        x = rng.standard_normal((wl.n, wl.c, wl.h, wl.w)).astype(np.float32)
+        wt = rng.standard_normal((wl.k, cg, r, s)).astype(np.float32)
+        got = conv2d_host(x, wt, wl)
+        assert got.shape == (wl.n, wl.k, wl.oh, wl.ow), wl
+        assert got.tobytes() == conv2d_reference(x, wt, wl).tobytes(), wl
+        x, wt = _planted(rng, x.shape), _planted(rng, wt.shape)
+        assert _nan_blind_bytes(conv2d_host(x, wt, wl)) == _nan_blind_bytes(conv2d_reference(x, wt, wl)), wl
+        done += 1
+
+
+def test_host_path_checks_shapes_like_the_reference():
+    wl = DIFFERENTIAL_WORKLOADS["c2"]
+    x, w = np.zeros((1, 8, 8, 8)), np.zeros((8, 8, 3, 3))
+    for bad in ((x[:, :4], w), (x, w[:, :4])):
+        with pytest.raises(ValueError, match="does not match workload") as want:
+            conv2d_reference(*bad, wl)
+        with pytest.raises(ValueError, match="does not match workload") as got:
+            conv2d_host(*bad, wl)
+        assert str(got.value) == str(want.value)

@@ -384,6 +384,23 @@ def test_race_check_rejects_writes_through_a_slice_read():
     assert buf.to_numpy().tolist() == [0, 0, 0, 0]
 
 
+def test_unchecked_launch_rejects_writes_through_a_slice_read_too():
+    sess = Session()
+    buf = sess.alloc(4, "i32")
+    buf[1] = 5
+
+    def kernel(ctx):
+        view = buf[0:4]
+        assert view.tolist() == [0, 5, 0, 0]
+        view[0] = ctx.thread_id
+
+    with pytest.raises(ValueError, match="read-only"):
+        sess.launch(kernel, LaunchConfig(grid=1, block=2))
+    with pytest.raises(ValueError, match="read-only"):
+        buf[::2][0] = 1
+    assert buf.to_numpy().tolist() == [0, 5, 0, 0]
+
+
 def test_race_check_state_does_not_outlive_a_failed_launch():
     sess = Session(race_check=True)
     buf = sess.alloc(1, "i32")
