@@ -11,10 +11,12 @@ config that does not fit its workload is rejected, never clamped.
 fixed (r, s, c ascending) accumulation order per output element. The
 scheduled kernel and ``conv2d_host``, its arithmetic without the emulator,
 share one region body that keeps that order, so both match it bitwise.
+The region's gather plan is kept for the 32 most recently used workloads.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,28 +189,22 @@ def conv2d_reference(inp, wgt, wl: ConvWorkload) -> np.ndarray:
     return out
 
 
-_tap_plans: dict = {}  # workload -> its tap plan, for at most 32; the 33rd starts afresh
-
-
+@functools.lru_cache(maxsize=32)
 def _tap_plan(wl: ConvWorkload):
     """Per group, the flat padded-input index of every tap of the whole output in
     the reference's (r, s, c ascending) order, shaped (groups, r*s*cg, n, 1, oh,
-    ow), and the flat index of every output cell; read-only, built once."""
-    plan = _tap_plans.get(wl)
-    if plan is None:
-        # input rows under each filter row, (r, oh); columns under each filter column, (s, ow)
-        iy = (np.arange(wl.r) * wl.dilation[0])[:, None] + np.arange(wl.oh) * wl.stride[0]
-        ix = (np.arange(wl.s) * wl.dilation[1])[:, None] + np.arange(wl.ow) * wl.stride[1]
-        hp, wp = wl.h + 2 * wl.pad[0], wl.w + 2 * wl.pad[1]
-        xi = np.arange(wl.n * wl.c * hp * wp).reshape(wl.n, wl.groups, wl.c // wl.groups, hp, wp)
-        taps = xi[..., iy[:, None, :, None], ix[None, :, None, :]]  # (n, group, c, r, s, oh, ow)
-        plan = (taps.transpose(1, 3, 4, 2, 0, 5, 6).reshape(wl.groups, -1, wl.n, 1, wl.oh, wl.ow),
-                np.arange(wl.n * wl.k * wl.oh * wl.ow).reshape(wl.n, wl.k, wl.oh, wl.ow))
-        for a in plan:
-            a.flags.writeable = False
-        if len(_tap_plans) >= 32:
-            _tap_plans.clear()
-        _tap_plans[wl] = plan
+    ow), and the flat index of every output cell; read-only, kept for the 32
+    most recently used workloads."""
+    # input rows under each filter row, (r, oh); columns under each filter column, (s, ow)
+    iy = (np.arange(wl.r) * wl.dilation[0])[:, None] + np.arange(wl.oh) * wl.stride[0]
+    ix = (np.arange(wl.s) * wl.dilation[1])[:, None] + np.arange(wl.ow) * wl.stride[1]
+    hp, wp = wl.h + 2 * wl.pad[0], wl.w + 2 * wl.pad[1]
+    xi = np.arange(wl.n * wl.c * hp * wp).reshape(wl.n, wl.groups, wl.c // wl.groups, hp, wp)
+    taps = xi[..., iy[:, None, :, None], ix[None, :, None, :]]  # (n, group, c, r, s, oh, ow)
+    plan = (taps.transpose(1, 3, 4, 2, 0, 5, 6).reshape(wl.groups, -1, wl.n, 1, wl.oh, wl.ow),
+            np.arange(wl.n * wl.k * wl.oh * wl.ow).reshape(wl.n, wl.k, wl.oh, wl.ow))
+    for a in plan:
+        a.flags.writeable = False
     return plan
 
 

@@ -101,7 +101,8 @@ class LaunchStats:
     zero when its kernel reported no work), and ``load_imbalance`` is
     (max - min) / mean of those counts (0 when the profile is empty or
     all-zero). A session keeps the counts as an int64 array, from which
-    :meth:`Session.stats` builds both fields.
+    :meth:`Session.stats` builds both fields, and ``launches`` is the
+    length of its ``launch_log``.
     """
 
     launches: int = 0
@@ -378,8 +379,8 @@ class Session:
 
     def stats(self) -> LaunchStats:
         """Snapshot of the accumulated counters; does not reset them."""
-        return replace(self._stats, per_thread_items=self._items.tolist(),
-                       load_imbalance=_imbalance(self._items))
+        return replace(self._stats, launches=len(self.launch_log),
+                       per_thread_items=self._items.tolist(), load_imbalance=_imbalance(self._items))
 
     def launch(self, kernel, config: LaunchConfig, *buffers: DeviceBuffer) -> None:
         """Run ``kernel(ctx, *buffers)`` over all (block, thread) instances.
@@ -397,7 +398,6 @@ class Session:
                 f"function launched without shared storage, got generator={is_gen} "
                 f"shared_slots={config.shared_slots}"
             )
-        self._stats.launches += 1
         self.launch_log.append(config)
         work = np.zeros(grid * block, np.int64)
         try:

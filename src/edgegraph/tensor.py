@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simt import DTYPES, LaunchConfig, Session, run_rows
+from .simt import DTYPES, LaunchConfig, Session, check_int, run_rows
 
 TILED_KINDS = {"NCHWc": 1, "OIHWo": 0}  # kind -> index of the packed logical axis
 PLAIN_KINDS = ("NCHW", "OIHW")
@@ -220,6 +220,7 @@ def transform_cost(src: LayoutTag, dst: LayoutTag, shape, table: dict | None = N
         raise KeyError(f"no transform-cost table entry for {key}")
     if clock is None:
         return float(np.prod(shape))
+    repeats = check_int("repeats", repeats, 1)
     probe = Tensor.from_array(np.zeros(shape, dtype=np.float32), layout=src)
     samples = []
     for _ in range(repeats):

@@ -17,12 +17,6 @@ from edgegraph.conv import (
 from edgegraph.simt import Session
 
 
-@pytest.fixture(autouse=True)
-def fresh_tap_plans():
-    """Each test builds the tap plans it uses, so none leans on another's."""
-    conv._tap_plans.clear()
-
-
 def enumerate_space_oracle(k, oh, ow):
     """Independent count of the schedule space via set comprehension."""
     divs = lambda x: [d for d in range(1, x + 1) if x % d == 0]
@@ -311,15 +305,7 @@ def test_padding_equals_np_pad_bitwise(pad, dtype):
     assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
-def test_tap_plan_is_read_only_and_built_once_per_workload(monkeypatch):
-    builds = []
-
-    class Plans(dict):
-        def __setitem__(self, wl, plan):
-            builds.append(wl)
-            super().__setitem__(wl, plan)
-
-    monkeypatch.setattr(conv, "_tap_plans", Plans())
+def test_tap_plan_is_read_only_and_built_once_per_workload():
     order = ["c1", "c2", "c1", "grouped", "c2", "c1"]
     for name in order:
         wl = DIFFERENTIAL_WORKLOADS[name]
@@ -328,8 +314,8 @@ def test_tap_plan_is_read_only_and_built_once_per_workload(monkeypatch):
         for race_check in (False, True):
             for cfg in schedule_space(wl)[::97]:
                 conv2d_scheduled(x, w, wl, cfg, session=Session(race_check=race_check))
-    assert builds == [DIFFERENTIAL_WORKLOADS[n] for n in ("c1", "c2", "grouped")]
-    for taps, cells in conv._tap_plans.values():
+    assert conv._tap_plan.cache_info().misses == 3
+    for taps, cells in (conv._tap_plan(DIFFERENTIAL_WORKLOADS[n]) for n in ("c1", "c2", "grouped")):
         assert not taps.flags.writeable and not cells.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             taps[(0,) * taps.ndim] = 0
@@ -337,8 +323,12 @@ def test_tap_plan_is_read_only_and_built_once_per_workload(monkeypatch):
 
 def test_tap_plans_hold_at_most_32_workloads():
     for n in range(33):
-        conv._tap_plan(ConvWorkload(n=1, c=1, h=n + 1, w=1, k=1, r=1, s=1))
-        assert len(conv._tap_plans) == n % 32 + 1
+        wl = ConvWorkload(n=1, c=1, h=n + 1, w=1, k=1, r=1, s=1)
+        taps, cells = conv._tap_plan(wl)
+        assert conv._tap_plan.cache_info().currsize == min(n + 1, 32)
+    x = np.arange(33, dtype=np.float32).reshape(1, 1, 33, 1)
+    assert np.array_equal(conv2d_host(x, np.ones((1, 1, 1, 1)), wl), x)
+    assert taps.shape == (1, 1, 1, 1, 33, 1) and cells.shape == (1, 1, 33, 1)
 
 
 def _planted(rng, shape):

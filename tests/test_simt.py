@@ -158,6 +158,19 @@ def test_stats_snapshot_does_not_reset():
     assert again.launches == 1
 
 
+def test_stats_launches_counts_the_launch_log_a_failed_launch_included():
+    sess = Session()
+
+    def failing(ctx):
+        if ctx.global_id == 1:
+            raise RuntimeError("boom")
+
+    sess.launch(lambda ctx: None, LaunchConfig(grid=1, block=2))
+    with pytest.raises(RuntimeError, match="boom"):
+        sess.launch(failing, LaunchConfig(grid=1, block=2))
+    assert sess.stats().launches == len(sess.launch_log) == 2
+
+
 def test_load_imbalance_ratio():
     sess = Session()
 

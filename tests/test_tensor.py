@@ -127,6 +127,13 @@ def test_transform_cost_measured_reproducible_with_injected_clock():
     assert c1 > 0 and c1 == c2  # each sample is one tick under the stub clock
 
 
+@pytest.mark.parametrize("repeats", [0, -1, 1.5])
+def test_transform_cost_rejects_a_timed_repeat_count_below_one(repeats):
+    with pytest.raises(ValueError, match="repeats must be"):
+        transform_cost(LayoutTag("NCHW"), LayoutTag("NCHWc", 4), (1, 4, 2, 2), clock=time.perf_counter,
+                       repeats=repeats)
+
+
 def test_transform_cost_wall_clock_positive():
     cost = transform_cost(LayoutTag("NCHW"), LayoutTag("NCHWc", 8), (1, 64, 56, 56), clock=time.perf_counter)
     assert cost > 0

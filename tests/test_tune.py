@@ -39,13 +39,6 @@ FIXTURE_CONVS = {
 }
 
 
-@pytest.fixture(autouse=True)
-def fresh_workload_cache():
-    """Each test starts with no shared per-workload or per-path state, whatever ran before it."""
-    tune._workload_cache.clear()
-    tune._records_cache.clear()
-
-
 def constant_timer(value):
     def timer(run, wl, cfg):
         return value
@@ -120,6 +113,33 @@ def test_measure_runs_verification():
 
     rec = measure(WL, ScheduleConfig(oc_split=2), repeats=2, timer=timer)
     assert rec.ok and len(calls) == 2
+
+
+@pytest.mark.parametrize("damage", [lambda v: np.nextafter(v, np.float32(np.inf)), lambda v: v + 1],
+                         ids=["one-ulp", "plus-one"])
+def test_measure_raises_on_output_that_is_not_bitwise_the_reference(monkeypatch, tmp_path, damage):
+    real = tune.conv2d_scheduled
+
+    def off_by(*a, **k):
+        out = real(*a, **k)
+        out[0, 1, 2, 3] = damage(out[0, 1, 2, 3])
+        return out
+
+    monkeypatch.setattr(tune, "conv2d_scheduled", off_by)
+    cfg = ScheduleConfig(oc_split=2)
+    with pytest.raises(RuntimeError, match=re.escape(f"config {cfg} produced wrong output")):
+        measure(WL, cfg, repeats=1, timer=proxy_timer)
+    p = tmp_path / "records.jsonl"
+    with pytest.raises(RuntimeError, match="produced wrong output"):
+        tune_model(WL, budget=4, batch=4, seed=0, repeats=1, timer=proxy_timer, records_path=str(p))
+    assert not p.exists()
+
+
+@pytest.mark.parametrize("node", sorted(FIXTURE_CONVS))
+def test_every_fixture_config_verifies_bitwise(node):
+    wl = FIXTURE_CONVS[node]
+    recs = [measure(wl, cfg, repeats=1, timer=proxy_timer) for cfg in schedule_space(wl)]
+    assert all(r.ok for r in recs)
 
 
 def test_tune_random_budget_covers_space_finds_exhaustive_optimum():
@@ -463,7 +483,7 @@ def test_proxy_measure_prices_its_verification_run(monkeypatch, timer, runs, rep
         # the same cost as pricing a fresh run of the config
         def run():
             sess = tune.Session()
-            real(*(tune._workload_data(WL)[k] for k in ("inp", "wgt")), WL, cfg, session=sess)
+            real(*tune._workload_data(WL)[:2], WL, cfg, session=sess)
             return sess
 
         assert rec.cost_mean == proxy_timer(run, WL, cfg)
@@ -619,10 +639,13 @@ def _trials(wl, seed, path):
 def test_trials_are_the_same_with_the_shared_state_cold_or_warm(tmp_path, node):
     wl = FIXTURE_CONVS[node]
     for seed in range(8):
-        tune._workload_cache.clear()
+        tune._workload_data.cache_clear()
+        tune._search_space.cache_clear()
         cold = _trials(wl, seed, tmp_path / f"cold{seed}.jsonl")
-        assert "space" in tune._workload_cache[wl]
+        misses = tune._workload_data.cache_info().misses, tune._search_space.cache_info().misses
+        assert misses == (1, 1)
         warm = _trials(wl, seed, tmp_path / f"warm{seed}.jsonl")
+        assert (tune._workload_data.cache_info().misses, tune._search_space.cache_info().misses) == misses
         assert cold == warm and len(cold) == 16
 
 
@@ -637,7 +660,7 @@ def test_a_bad_space_raises_before_any_reference_convolution(monkeypatch, space,
     monkeypatch.setattr(tune, "conv2d_reference", no_reference)
     with pytest.raises(ValueError, match="empty schedule space|desk-scale bound of 3"):
         tune_model(WL, budget=4, batch=4, seed=0, repeats=1, timer=proxy_timer)
-    assert WL not in tune._workload_cache
+    assert tune._workload_data.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("wl", [WL, FIXTURE_CONVS["c1"], ConvWorkload(n=1, c=1, h=1, w=1621, k=2, r=1, s=1)],
@@ -653,8 +676,11 @@ def test_shared_feature_matrix_equals_per_config_features(wl):
 
 def test_workload_share_holds_at_most_32_workloads():
     for w in range(1, 34):
-        tune._workload_data(ConvWorkload(n=1, c=1, h=1, w=w, k=1, r=1, s=1))
-        assert len(tune._workload_cache) <= 32
+        wl = ConvWorkload(n=1, c=1, h=1, w=w, k=1, r=1, s=1)
+        inp, wgt, ref = tune._workload_data(wl)
+        assert tune._workload_data.cache_info().currsize <= 32
+    assert ref.shape == (1, 1, 1, 33)
+    assert np.array_equal(ref.view(np.uint32), tune.conv2d_reference(inp, wgt, wl).view(np.uint32))
 
 
 # --- incremental records_load ----------------------------------------------------
