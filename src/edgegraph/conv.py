@@ -245,9 +245,10 @@ def conv2d_scheduled(inp, wgt, wl: ConvWorkload, cfg: ScheduleConfig,
     w_tile * vec threads share the columns of the block's channel group
     and height band, thread t owning columns t, t + block, .... The
     kernel is lane-form: one call computes the output region its lanes
-    own, the whole output when it has every lane, and stores it with
-    one checked index-array write, so the race check, which runs it one
-    lane at a time, sees every cell a thread writes. The region's
+    own. A call over every lane stores the whole output with one checked
+    slice write; under race check, which runs it one lane at a time, a
+    lane stores its cells with one checked index-array write, so the
+    check sees every cell a thread writes. The region's
     arithmetic is :func:`conv2d_host`'s, so results agree with the
     reference bitwise.
     """
@@ -273,17 +274,14 @@ def conv2d_scheduled(inp, wgt, wl: ConvWorkload, cfg: ScheduleConfig,
         live = ctx.guard(t < ow)
         # columns t, t + threads, ... below ow
         ctx.add_work(wl.n * k_per_block * band * np.maximum(-((t - ow) // threads), 0))
-        # the region these lanes own: for one lane (under race check), its
-        # block's channels x band x columns t::threads; for every lane, all
-        if t.size == 1:
-            if not live[0]:
-                return
+        # all lanes own the whole output; one (race check) its block's cells t::threads
+        if t.size > 1:
+            obuf[:] = _region(xbuf[:], wbuf[:], wl, slice(0, wl.k), slice(0, oh), slice(0, ow)).reshape(-1)
+        elif live[0]:
             b = int(ctx.block_id[0])
             kb, y0 = (b // cfg.h_split) * k_per_block, (b % cfg.h_split) * band
             ks, ys, xs = slice(kb, kb + k_per_block), slice(y0, y0 + band), slice(int(t[0]), ow, threads)
-        else:
-            ks, ys, xs = slice(0, wl.k), slice(0, oh), slice(0, ow)
-        obuf[cells[:, ks, ys, xs]] = _region(xbuf[:], wbuf[:], wl, ks, ys, xs)
+            obuf[cells[:, ks, ys, xs]] = _region(xbuf[:], wbuf[:], wl, ks, ys, xs)
 
     sess.launch(kernel, LaunchConfig(grid=cfg.oc_split * cfg.h_split, block=threads))
     return obuf.to_numpy().reshape(wl.n, wl.k, oh, ow)

@@ -41,6 +41,7 @@ values kernels store; unchecked it is a plain list.
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass, field, replace
 
@@ -473,6 +474,19 @@ class Session:
         self._race_touched.clear()
 
 
+@functools.lru_cache(maxsize=32)
+def _row_plan(lanes: int, rows: int, tile: int, width: int):
+    """:func:`launch_rows`' lane plan: the rows (lane g owns rows edges[g]..edges[g+1]-1)
+    and elements of each lane's share of ``rows`` rows of ``width``, in tiles of
+    ``tile``; read-only, kept for the 32 most recently used geometries."""
+    tiles = ceil_div(rows, tile)
+    busy = max(1, min(lanes, tiles))
+    edges = np.minimum(np.arange(lanes + 1) * tiles // busy * tile, rows)
+    shares = (edges[1:] - edges[:-1]) * width
+    edges.flags.writeable = shares.flags.writeable = False
+    return edges, shares
+
+
 def launch_rows(session: Session, config: LaunchConfig, out: DeviceBuffer, rows: int, fn,
                 tile: int = 1) -> None:
     """Launch a lane-form kernel that stores ``fn(lo, hi)`` as rows lo..hi-1 of ``out``.
@@ -488,19 +502,15 @@ def launch_rows(session: Session, config: LaunchConfig, out: DeviceBuffer, rows:
     launch is named after its operator.
     """
     width = len(out) // rows if rows else 0
-    tiles = ceil_div(rows, tile)
-    lanes = config.grid * config.block
-    busy = max(1, min(lanes, tiles))
-    # row where each lane's share starts; lane g owns edges[g]..edges[g+1]-1
-    edges = np.minimum(np.arange(lanes + 1) * tiles // busy * tile, rows)
+    edges, shares = _row_plan(config.grid * config.block, rows, tile, width)
 
     @lane_form
     def kernel(ctx):
-        a, b, _ = ctx._lanes.indices(lanes)  # the call's lanes, a..b-1
-        ctx.add_work((edges[a + 1 : b + 1] - edges[a:b]) * width)
+        a, b, _ = ctx._lanes.indices(shares.size)  # the call's lanes, a..b-1
+        ctx.add_work(shares[a:b])
         lo, hi = int(edges[a]), int(edges[b])
         if hi > lo:
-            got = np.reshape(fn(lo, hi), -1)
+            got = np.asarray(fn(lo, hi)).reshape(-1)
             if got.size != (hi - lo) * width:  # a slice store would broadcast it
                 raise ValueError(f"{ctx.where()}: {fn.__qualname__}({lo}, {hi}) returned {got.size} "
                                  f"elements for {hi - lo} rows of {width}")

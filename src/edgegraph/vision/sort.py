@@ -14,7 +14,8 @@ A lane widens its rows to the run that holds them, ranks that run from
 the previous pass's permutation, and keeps its own rows. Ranking a run
 is one stable sort of packed int64 keys: the piece id above bit 33, the
 nan flag at bit 32 and an order-preserving image of the float32 value
-below it. In a merge pass a piece is at most two sorted pieces of the
+below it. Pass k's piece id is a slot's sort block >> k plus its
+segment. In a merge pass a piece is at most two sorted pieces of the
 previous pass, A before B. Equal keys sit in ascending index order
 within each, and every index in A is below every index in B, so the
 stable sort puts equal keys in index order, as merging A and B does.
@@ -96,15 +97,16 @@ def _keyed(a: SegmentedArray, order: str):
     vals = np.float32(0) - vals if order == "descending" else vals + np.float32(0)
     # a negative value's bits flip whole, a non-negative one's sign bit sets
     flip = (vals.view(np.int32) >> 31).view(np.uint32) | np.uint32(1 << 31)
-    key = np.where(np.isnan(vals), np.int64(1 << 32), vals.view(np.uint32) ^ flip)
-    return slots, np.searchsorted(a.offsets, slots, side="right") - 1, key
+    key = (vals.view(np.uint32) ^ flip).astype(np.int64)
+    key[np.isnan(vals)] = 1 << 32
+    return slots, np.arange(a.num_segments).repeat(a.offsets[1:] - a.offsets[:-1]), key
 
 
 def _ranked(src, piece, key, lo: int, hi: int) -> np.ndarray:
     """``src[lo:hi]`` stably sorted by the key of its entries within each
     run of equal ``piece``, which never decreases."""
     s = src[lo:hi]
-    return s[np.argsort((piece[lo:hi] << 33) | key[s], kind="stable")]
+    return s[((piece[lo:hi] << 33) | key[s]).argsort(kind="stable")]
 
 
 def segmented_argsort(a: SegmentedArray, order: str = "ascending", block: int = 64,
@@ -126,11 +128,12 @@ def segmented_argsort(a: SegmentedArray, order: str = "ascending", block: int = 
     sess = session if session is not None else Session()
     perms = [sess.alloc(n, "i32", name=f"sort_perm_{c}") for c in "ab"]
     src = slots
+    blocks = slots // block  # each slot's sort block, once per call
     for k in range(log2_ceil(ceil_div(n, block)) + 1):
         run = block << k  # sorted-run width this pass leaves
-        # both terms never decrease, so runs of equal sum are the pass's
-        # pieces: one (run, segment) pair each
-        piece = slots // run + seg
+        # the slot's run is its sort block >> k; both terms never decrease,
+        # so runs of equal sum are the pass's pieces: one (run, segment) pair each
+        piece = (blocks >> k) + seg
 
         def rank(lo, hi):
             r0, r1 = lo - lo % run, min(n, ceil_div(hi, run) * run)

@@ -5,6 +5,7 @@ import pytest
 
 from edgegraph.simt import LaunchConfig, Session, log2_ceil
 from edgegraph.vision import ScanPlan, compact, partition_chunks, scan, scan_sequential
+from edgegraph.vision.scan import _check_i32
 
 
 def chunked_scan_oracle(values, kind, p):
@@ -390,6 +391,17 @@ def test_i32_overflow_raises_alike_from_either_sweep(vals, launch):
             scan_sequential(vals, kind, p=len(vals) // 2)
         messages.append(str(e.value))
         assert messages == ["scan result exceeds the i32 range"] * 3
+
+
+@pytest.mark.parametrize("value, fits", [(2**31 - 1, True), (2**31, False), (-(2**31), True),
+                                         (-(2**31) - 1, False)])
+def test_check_i32_takes_ints_and_arrays_alike_at_the_bounds(value, fits):
+    for values in (value, np.array([0, value, 0], np.int64)):
+        if fits:
+            _check_i32(values, "a base")
+        else:
+            with pytest.raises(OverflowError, match=r"^a base exceeds the i32 range$"):
+                _check_i32(values, "a base")
 
 
 @pytest.mark.parametrize("dtype, bound", [(np.int32, 21), (np.float32, 13)])

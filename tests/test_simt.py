@@ -7,6 +7,7 @@ from itertools import zip_longest
 import numpy as np
 import pytest
 
+from edgegraph import simt
 from edgegraph.simt import (
     BarrierDivergenceError,
     BufferBoundsError,
@@ -714,16 +715,35 @@ def test_launch_rows_rejects_a_result_of_the_wrong_size(race_check):
 
 
 def test_launch_rows_shares_follow_the_six_operation_edge_formula():
+    # each geometry launches twice: once building its lane plan, once reusing it
     for lanes in range(1, 21):
         for tile in range(1, 10):
             for rows in range(41):
                 tiles = -(-rows // tile)
                 busy = max(1, min(lanes, tiles))
                 edges = np.minimum(tiles * np.minimum(np.arange(lanes + 1), busy) // busy * tile, rows)
-                sess = Session()
-                launch_rows(sess, LaunchConfig(1, lanes), sess.alloc(rows), rows,
-                            lambda lo, hi: np.zeros(hi - lo), tile=tile)
-                assert sess.stats().per_thread_items == np.diff(edges).tolist(), (rows, tile, lanes)
+                simt._row_plan.cache_clear()
+                for hits in (0, 1):
+                    sess = Session()
+                    launch_rows(sess, LaunchConfig(1, lanes), sess.alloc(rows), rows,
+                                lambda lo, hi: np.zeros(hi - lo), tile=tile)
+                    assert simt._row_plan.cache_info()[:2] == (hits, 1)
+                    assert sess.stats().per_thread_items == np.diff(edges).tolist(), (rows, tile, lanes)
+
+
+def test_row_plan_is_read_only_and_built_once_per_geometry():
+    sess = Session()
+    for grid, rows in [(2, 10), (3, 10), (2, 10), (2, 15), (3, 10)]:
+        launch_rows(sess, LaunchConfig(grid, 2), sess.alloc(3 * rows), rows,
+                    lambda lo, hi: np.zeros(3 * (hi - lo)), tile=2)
+    info = simt._row_plan.cache_info()
+    assert (info.misses, info.hits) == (3, 2)
+    edges, shares = simt._row_plan(4, 10, 2, 3)
+    assert edges.tolist() == [0, 2, 4, 6, 10] and shares.tolist() == [6, 6, 6, 12]
+    for a in (edges, shares):
+        assert a.dtype == np.int64 and not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
 
 
 @pytest.mark.parametrize("rows", [0, 1, 37])
@@ -739,6 +759,14 @@ def test_run_rows_on_the_host_is_bitwise_the_race_checked_launch(rows, tile, wid
     assert host.shape == dev.shape == (rows, width) and host.dtype == dev.dtype == np.float32
     assert host.tobytes() == dev.tobytes()
     assert len(sess.launch_log) == 1 and sum(sess.stats().per_thread_items) == rows * width
+
+
+@pytest.mark.parametrize("race_check", [None, False, True])  # None: the host path
+def test_run_rows_takes_a_range_function_that_returns_a_list_on_both_paths(race_check):
+    sess = None if race_check is None else Session(race_check=race_check)
+    got = run_rows(sess, LaunchConfig(1, 2), "i32", 4, 2, lambda lo, hi: list(range(2 * lo, 2 * hi)),
+                   "rows")
+    assert got.tolist() == np.arange(8).reshape(4, 2).tolist()
 
 
 @pytest.mark.parametrize("race_check", [None, False, True])  # None: the host path

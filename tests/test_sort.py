@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from edgegraph import simt
 from edgegraph.simt import Session, ceil_div, log2_ceil
 from edgegraph.vision import SegmentedArray, argsort_sequential, segmented_argsort
+from edgegraph.vision.sort import _keyed
 
 
 def stable_sort_oracle(values, offsets, order):
@@ -299,3 +301,49 @@ def test_integers_float32_holds_keep_their_exact_order():
     assert np.array_equal(argsort_sequential(vals), want)
     assert np.array_equal(argsort_sequential(vals, "descending"),
                           argsort_sequential(vals.astype(np.float32), "descending"))
+
+
+def test_keyed_segment_ids_follow_the_binary_search_definition():
+    # empty segments at the start, inside and at the end own no slot
+    rng = np.random.default_rng(12)
+    cases = [[0, 0, 3, 0, 2, 0, 0], [0], [4], [0, 5], [5, 0], [1, 0, 0, 1]]
+    sizes = rng.integers(1, 12, 200)
+    cases += [rng.integers(0, 4, k) * (rng.random(k) < 0.6) for k in sizes]
+    for lens in cases:
+        offsets = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
+        sa = SegmentedArray(values=rng.random(offsets[-1], dtype=np.float32), offsets=offsets)
+        slots, seg, _ = _keyed(sa, "ascending")
+        want = np.searchsorted(sa.offsets, slots, side="right") - 1
+        assert seg.dtype == want.dtype and seg.tolist() == want.tolist(), lens
+
+
+def test_argsort_launches_and_outputs_do_not_depend_on_the_lane_plan_memo(monkeypatch):
+    records, cold = [], [True]
+    launch = Session.launch
+
+    def recorded(self, kernel, config, *buffers):
+        if cold[0]:
+            simt._row_plan.cache_clear()
+        launch(self, kernel, config, *buffers)
+        records.append((kernel.__qualname__, config, self.stats().per_thread_items))
+
+    monkeypatch.setattr(Session, "launch", recorded)
+    rng = np.random.default_rng(13)
+    for n in (0, 1, 7, 64, 65, 513, 1990, 3000):
+        lens = rng.multinomial(n, np.ones(9) / 9)
+        lens[[0, 4, 8]] = 0  # empty leading, inner and trailing segments
+        lens[1] += n - lens.sum()
+        vals = rng.random(n, dtype=np.float32)
+        sa = SegmentedArray(values=vals, offsets=np.concatenate([[0], np.cumsum(lens)]))
+        for block in (1, 2, 3, 8, 64):
+            runs = []
+            # cleared at every launch, so each pass builds its own plan; then
+            # warmed by one call and reused by the next
+            for cold[0] in (True, False, False):
+                del records[:]
+                misses = simt._row_plan.cache_info().misses
+                runs.append((segmented_argsort(sa, block=block, session=Session()).tobytes(),
+                             list(records)))
+            assert simt._row_plan.cache_info().misses == misses, (n, block)
+            assert runs[0] == runs[1] == runs[2], (n, block)
+            assert len(runs[0][1]) == (log2_ceil(ceil_div(n, block)) + 1 if n else 0)
