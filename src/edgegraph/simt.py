@@ -51,6 +51,7 @@ CPU = "CPU"
 GPU = "GPU"
 
 DTYPES = {"f32": np.float32, "i32": np.int32, "bool": np.bool_}
+PLAN_LANES = 4096  # launch_rows keeps lane plans of at most this many lanes: 2.1 MB for 32
 
 # sentinel meaning "no owner yet" / "multiple readers" in the shadow maps
 _FREE = -1
@@ -477,8 +478,8 @@ class Session:
 @functools.lru_cache(maxsize=32)
 def _row_plan(lanes: int, rows: int, tile: int, width: int):
     """:func:`launch_rows`' lane plan: the rows (lane g owns rows edges[g]..edges[g+1]-1)
-    and elements of each lane's share of ``rows`` rows of ``width``, in tiles of
-    ``tile``; read-only, kept for the 32 most recently used geometries."""
+    and elements of each lane's share of ``rows`` rows of ``width``, in tiles of ``tile``;
+    read-only, kept for the 32 most recently used geometries of ``PLAN_LANES`` lanes or fewer."""
     tiles = ceil_div(rows, tile)
     busy = max(1, min(lanes, tiles))
     edges = np.minimum(np.arange(lanes + 1) * tiles // busy * tile, rows)
@@ -502,7 +503,9 @@ def launch_rows(session: Session, config: LaunchConfig, out: DeviceBuffer, rows:
     launch is named after its operator.
     """
     width = len(out) // rows if rows else 0
-    edges, shares = _row_plan(config.grid * config.block, rows, tile, width)
+    lanes = config.grid * config.block
+    plan = _row_plan if lanes <= PLAN_LANES else _row_plan.__wrapped__
+    edges, shares = plan(lanes, rows, tile, width)
 
     @lane_form
     def kernel(ctx):

@@ -70,12 +70,8 @@ class ScanPlan:
 
 
 def _check_i32(values, what: str = "scan result") -> None:
-    if type(values) is int:  # a chunk base, compared without building an array
-        bad = not I32_MIN <= values <= I32_MAX
-    else:
-        arr = np.asarray(values)
-        bad = arr.size and (arr.min() < I32_MIN or arr.max() > I32_MAX)
-    if bad:
+    arr = np.asarray(values)
+    if arr.size and (arr.min() < I32_MIN or arr.max() > I32_MAX):
         raise OverflowError(f"{what} exceeds the i32 range")
 
 

@@ -10,18 +10,18 @@ ceil(log2 num_blocks) merge passes sort every segment. Elements never
 cross a segment boundary: a pass sorts each of its pieces, the part of
 one segment that lies in one of the pass's runs.
 
-A lane widens its rows to the run that holds them, ranks that run from
-the previous pass's permutation, and keeps its own rows. Ranking a run
-is one stable sort of packed int64 keys: the piece id above bit 33, the
-nan flag at bit 32 and an order-preserving image of the float32 value
-below it. Pass k's piece id is a slot's sort block >> k plus its
-segment. In a merge pass a piece is at most two sorted pieces of the
-previous pass, A before B. Equal keys sit in ascending index order
-within each, and every index in A is below every index in B, so the
-stable sort puts equal keys in index order, as merging A and B does.
-numpy's stable int64 sort is a timsort, which finds A and B as runs and
-merges them, so a merge pass costs a merge. Ranks are therefore stable,
-and the launches need no barrier and no shared storage.
+A lane widens its rows to the run that holds them, ranks that run from the
+previous pass's permutation, and keeps its own rows. Ranking a run is one
+stable sort of packed int64 keys: the piece id above bit 33, the nan flag
+at bit 32 and an order-preserving image of the float32 value below it; the
+piece id is the element's segment, in its key from the start, plus its run
+in the pass. In a merge pass a piece is at most two sorted pieces of the
+previous pass, A before B. Equal keys sit in ascending index order within
+each, and every index in A is below every index in B, so the stable sort
+puts equal keys in index order, as merging A and B does. numpy's stable
+int64 sort is a timsort, which finds A and B as runs and merges them, so a
+merge pass costs a merge. Ranks are therefore stable, and the launches
+need no barrier and no shared storage.
 """
 
 from __future__ import annotations
@@ -72,12 +72,12 @@ class SegmentedArray:
 def _keyed(a: SegmentedArray, order: str):
     """(slots, segment of each slot, sort key of each slot) of ``a``.
 
-    A key is an int64 whose order is (nan-last flag, value) with -0 ==
-    +0: bit 32 is the nan flag, bits 0-31 an order-preserving uint32
-    image of the value (0 for a nan). Descending negates the value. Any
-    other ``order`` raises, as does an array whose piece ids, each below
-    elements + segments, would not fit above the 33 key bits, or one of
-    integers that float32 does not hold exactly.
+    A key is an int64 ordered by (segment, nan-last flag, value), -0 ==
+    +0: the segment above bit 33, the nan flag at bit 32 and an
+    order-preserving uint32 image of the value (0 for a nan) below it.
+    Descending negates the value. Any other ``order`` raises, as does an
+    array whose piece ids, each below elements + segments, would not fit
+    above the 33 key bits, or one of integers float32 does not hold exactly.
     """
     if order not in ("ascending", "descending"):
         raise ValueError(f"order must be 'ascending' or 'descending', got {order!r}")
@@ -99,14 +99,15 @@ def _keyed(a: SegmentedArray, order: str):
     flip = (vals.view(np.int32) >> 31).view(np.uint32) | np.uint32(1 << 31)
     key = (vals.view(np.uint32) ^ flip).astype(np.int64)
     key[np.isnan(vals)] = 1 << 32
-    return slots, np.arange(a.num_segments).repeat(a.offsets[1:] - a.offsets[:-1]), key
+    seg = np.arange(a.num_segments).repeat(a.offsets[1:] - a.offsets[:-1])
+    return slots, seg, key | (seg << 33)
 
 
-def _ranked(src, piece, key, lo: int, hi: int) -> np.ndarray:
-    """``src[lo:hi]`` stably sorted by the key of its entries within each
-    run of equal ``piece``, which never decreases."""
+def _ranked(src, runs, key, lo: int, hi: int) -> np.ndarray:
+    """``src[lo:hi]`` stably sorted by ``runs`` plus the key of its entries:
+    by key within each run of equal ``runs``, which never decreases."""
     s = src[lo:hi]
-    return s[((piece[lo:hi] << 33) | key[s]).argsort(kind="stable")]
+    return s[(runs[lo:hi] + key[s]).argsort(kind="stable")]
 
 
 def segmented_argsort(a: SegmentedArray, order: str = "ascending", block: int = 64,
@@ -131,13 +132,13 @@ def segmented_argsort(a: SegmentedArray, order: str = "ascending", block: int = 
     blocks = slots // block  # each slot's sort block, once per call
     for k in range(log2_ceil(ceil_div(n, block)) + 1):
         run = block << k  # sorted-run width this pass leaves
-        # the slot's run is its sort block >> k; both terms never decrease,
-        # so runs of equal sum are the pass's pieces: one (run, segment) pair each
-        piece = (blocks >> k) + seg
+        # the slot's run, its sort block >> k, adds to the segment above bit 33; both
+        # never decrease, so slots of equal sum there are the pass's (run, segment) pieces
+        runs = (blocks >> k) << 33
 
         def rank(lo, hi):
             r0, r1 = lo - lo % run, min(n, ceil_div(hi, run) * run)
-            return _ranked(src, piece, key, r0, r1)[lo - r0 : hi - r0]
+            return _ranked(src, runs, key, r0, r1)[lo - r0 : hi - r0]
 
         dst = perms[k % 2]
         launch_rows(sess, LaunchConfig(grid=ceil_div(n, run), block=1 << k), dst, n, rank, tile=block)
@@ -148,10 +149,10 @@ def segmented_argsort(a: SegmentedArray, order: str = "ascending", block: int = 
 def argsort_sequential(values, order: str = "ascending", offsets=None) -> np.ndarray:
     """Per-segment stable argsort without the emulator.
 
-    Takes flat ``values`` and uses the same checks and key mapping as the
-    kernel path, so the (unique) permutation it returns is identical.
+    Takes flat ``values`` and sorts the kernel path's checked keys in one
+    stable sort, so the (unique) permutation it returns is identical.
     """
     vals = np.asarray(values)
     sa = SegmentedArray(values=vals, offsets=offsets if offsets is not None else [0, vals.size])
-    slots, seg, key = _keyed(sa, order)
-    return (_ranked(slots, seg, key, 0, slots.size) - sa.offsets[seg]).astype(np.int32)
+    _, seg, key = _keyed(sa, order)
+    return (key.argsort(kind="stable") - sa.offsets[seg]).astype(np.int32)

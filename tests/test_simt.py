@@ -746,6 +746,15 @@ def test_row_plan_is_read_only_and_built_once_per_geometry():
             a[0] = 1
 
 
+@pytest.mark.parametrize("race_check", [False, True])
+def test_row_plan_keeps_no_plan_wider_than_plan_lanes(race_check):
+    for lanes, kept in [(simt.PLAN_LANES + 1, 0), (simt.PLAN_LANES, 1), (simt.PLAN_LANES + 7, 1)]:
+        sess = Session(race_check=race_check)
+        launch_rows(sess, LaunchConfig(1, lanes), sess.alloc(lanes), lanes, lambda lo, hi: np.ones(hi - lo))
+        assert simt._row_plan.cache_info().currsize == kept
+        assert sess.stats().per_thread_items == [1] * lanes
+
+
 @pytest.mark.parametrize("rows", [0, 1, 37])
 @pytest.mark.parametrize("tile", [1, 5])
 @pytest.mark.parametrize("width", [3, 0])

@@ -347,3 +347,15 @@ def test_argsort_launches_and_outputs_do_not_depend_on_the_lane_plan_memo(monkey
             assert simt._row_plan.cache_info().misses == misses, (n, block)
             assert runs[0] == runs[1] == runs[2], (n, block)
             assert len(runs[0][1]) == (log2_ceil(ceil_div(n, block)) + 1 if n else 0)
+
+
+def test_a_wide_block_one_argsort_leaves_no_lane_plan_behind():
+    # every pass has at least n > PLAN_LANES lanes, so it builds its plan and drops it
+    n = simt.PLAN_LANES + 904
+    rng = np.random.default_rng(14)
+    sa = SegmentedArray(values=rng.random(n, dtype=np.float32), offsets=[0, 17, n - 300, n])
+    sess = Session()
+    got = segmented_argsort(sa, block=1, session=sess)
+    assert len(sess.launch_log) == log2_ceil(n) + 1
+    assert simt._row_plan.cache_info().currsize == 0
+    assert np.array_equal(got, argsort_sequential(sa.values, offsets=sa.offsets))
