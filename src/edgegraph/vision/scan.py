@@ -17,9 +17,11 @@ overflow raises) and float32 for f32, over views of its full chunks and
 the short tail; the checked slice store narrows it into the buffer.
 float32 scans follow this fixed chunked summation order bit-for-bit.
 
-Compaction is one more row launch, a gather: output slot k holds the
-last input whose exclusive-scan position is k, which is the kept input
-of rank k.
+Compaction is one more row launch, a gather over the kept slots. As
+the exclusive-scan positions never decrease, the kept inputs of ranks
+lo..hi-1 are the kept inputs of the one input range whose positions lie
+in lo..hi-1, so each call reads that range with one slice and selects
+its kept values (Billeter, Olsson and Assarsson, HPG 2009).
 """
 
 from __future__ import annotations
@@ -70,8 +72,12 @@ class ScanPlan:
 
 
 def _check_i32(values, what: str = "scan result") -> None:
-    arr = np.asarray(values)
-    if arr.size and (arr.min() < I32_MIN or arr.max() > I32_MAX):
+    if type(values) is int:  # a chunk base: compared as is, with no 0-d array
+        bad = not I32_MIN <= values <= I32_MAX
+    else:
+        arr = np.asarray(values)
+        bad = arr.size and (arr.min() < I32_MIN or arr.max() > I32_MAX)
+    if bad:
         raise OverflowError(f"{what} exceeds the i32 range")
 
 
@@ -239,7 +245,8 @@ def compact(values, keep, p: int = 8, session: Session | None = None) -> tuple[n
     """Keep ``values[i]`` where ``keep[i]``, preserving relative order.
 
     Positions come from an exclusive scan of the keep flags; one row
-    launch then gathers the kept values. Returns (kept buffer, kept count).
+    launch then gathers the kept values, each call from the one input
+    range that holds its ranks. Returns (kept buffer, kept count).
     """
     arr = np.asarray(values)
     flags = np.asarray(keep, dtype=bool)
@@ -259,8 +266,9 @@ def compact(values, keep, p: int = 8, session: Session | None = None) -> tuple[n
     src.load(arr)
 
     def gather(lo, hi):
-        # slot k takes the last input at position k: the kept input of rank k
-        return src[np.searchsorted(positions, np.arange(lo, hi), side="right") - 1]
+        # ranks lo..hi-1 are the kept inputs among a..b-1, as positions never decrease
+        a, b = positions.searchsorted((lo, hi)).tolist()
+        return src[a:b][flags[a:b]]
 
     return run_rows(sess, LaunchConfig(grid=ScanPlan.for_size(n, p).p, block=1), dtype, count, 1,
                     gather, "compact_out").reshape(-1), count
