@@ -304,6 +304,73 @@ def test_compact_launch_shape_is_pinned(race_check):
     assert got == (launches, [c for _, c, _ in launches], (4, 3, 0))
 
 
+def _keep(n, kept):
+    flags = np.zeros(n, bool)
+    flags[list(kept)] = True
+    return flags
+
+
+# (n, p, keep): the gather's lane splits at the edges of the input
+COMPACT_EDGES = {
+    "none kept": (20, 5, _keep(20, [])),
+    "all kept": (20, 5, _keep(20, range(20))),
+    "first only": (20, 5, _keep(20, [0])),
+    "last only": (20, 5, _keep(20, [19])),
+    "fewer kept than lanes": (40, 8, _keep(40, [3, 17, 38])),
+    "n < p": (3, 8, _keep(3, [0, 2])),
+    "p = 1": (20, 1, _keep(20, [1, 2, 7, 19])),
+    # unkept inputs 2-5 hold the scan's chunk split at input 4, and the
+    # gather's split between ranks 1 and 2 (one rank per lane)
+    "split inside an unkept run": (18, 5, _keep(18, [0, 1, 6, 7, 15])),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.float32])
+@pytest.mark.parametrize("case", list(COMPACT_EDGES))
+def test_compact_range_gather_at_lane_split_edges(case, dtype):
+    n, p, keep = COMPACT_EDGES[case]
+    vals = (np.arange(n) * 7 - 50).astype(dtype)
+    runs = []
+    for race_check in (False, True):
+        got = []
+        runs.append(_recorded(lambda s: got.append(compact(vals, keep, p=p, session=s)), race_check))
+        kept, count = got[0]
+        assert count == int(keep.sum())
+        assert kept.dtype == vals.dtype and kept.tobytes() == vals[keep].tobytes()
+    assert runs[0] == runs[1]
+    name, config, items = runs[0][0][-1]
+    assert name == "compact.<locals>.gather" and config == LaunchConfig(grid=min(p, n), block=1)
+    assert sum(items) == int(keep.sum())
+
+
+@pytest.mark.parametrize("race_check", [False, True])
+def test_compact_rejects_uint32_beyond_i32(race_check):
+    vals = np.array([1, 2**31, 3], np.uint32)
+    with pytest.raises(OverflowError, match=r"^compact input exceeds the i32 range$"):
+        compact(vals, np.array([True, False, True]), p=2, session=Session(race_check=race_check))
+
+
+def test_compact_host_peak_per_element():
+    """The gather reads each lane's input range with one slice, so no
+    per-slot index array is built: the traced host peak of compacting
+    100,000 i32 elements, half of them kept, stays under 21 bytes per
+    element."""
+    import tracemalloc
+
+    n = 100_000
+    vals = (np.arange(n) % 7 - 3).astype(np.int32)
+    keep = np.arange(n) % 2 == 0
+    compact(vals, keep, p=8, session=Session())  # imports and first-call set-up
+    tracemalloc.start()
+    try:
+        kept, count = compact(vals, keep, p=8, session=Session())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == n // 2 and kept.tobytes() == vals[keep].tobytes()
+    assert peak <= 21 * n, f"{peak / n:.1f} bytes per element"
+
+
 @pytest.mark.parametrize("p", [1, 3, 8, 17, 64])
 def test_row_launch_sweeps_match_the_chunked_oracle_with_signed_zeros(p):
     # a lane's range spans several chunks unchecked and one under race check
