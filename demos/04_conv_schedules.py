@@ -25,10 +25,10 @@ print(f"schedule space holds {len(space)} configs; first (default) = {space[0]}"
 for cfg in (ScheduleConfig(), ScheduleConfig(oc_split=4, h_split=2, w_tile=4, unroll=1, vec=4)):
     sess = Session()
     out = conv2d_scheduled(x, w, wl, cfg, session=sess)
-    launch = sess.launch_log[-1]
+    rec = sess.records[-1]
     stats = sess.stats()
     print(
-        f"cfg {cfg.as_dict()} -> grid={launch.grid} blocks x {launch.block} threads, "
+        f"cfg {cfg.as_dict()} -> {rec.kernel}: grid={rec.config.grid} blocks x {rec.config.block} threads, "
         f"imbalance={stats.load_imbalance:.3f}, max |diff| vs reference = {np.max(np.abs(out - ref)):.3g}"
     )
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import functools
 import inspect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,6 +85,12 @@ class LaunchConfig:
     shared_slots: int = 0
 
     def __post_init__(self):
+        for name in ("grid", "block", "shared_slots"):
+            if type(value := getattr(self, name)) is not int:  # 2.0 and np.int64(2) become 2
+                try:
+                    object.__setattr__(self, name, check_int(name, value, float("-inf"), "an integer"))
+                except ValueError as e:
+                    raise LaunchConfigError(e) from None
         if self.grid < 1 or self.block < 1:
             raise LaunchConfigError(
                 f"grid and block must be >= 1, got grid={self.grid} block={self.block}"
@@ -93,18 +99,29 @@ class LaunchConfig:
             raise LaunchConfigError(f"shared_slots must be >= 0, got {self.shared_slots}")
 
 
+@dataclass(eq=False, slots=True)
+class LaunchRecord:
+    """What one launch did: its kernel's ``__qualname__``, its config, the
+    int64 work count of each lane, and the barriers and divergence events
+    it reached. ``work`` is an array, so compare records field by field."""
+
+    kernel: str
+    config: LaunchConfig
+    work: np.ndarray
+    barriers: int = 0
+    divergence_events: int = 0
+
+
 @dataclass
 class LaunchStats:
-    """Accumulated counters plus the load profile of the last launch.
+    """A session's launch records summed, plus the load profile of the last.
 
-    ``launches``, ``barriers`` and ``divergence_events`` never decrease
-    within a session. ``per_thread_items`` is a fresh list of one Python
-    ``int`` work-item count per logical thread of the last launch (all
-    zero when its kernel reported no work), and ``load_imbalance`` is
-    (max - min) / mean of those counts (0 when the profile is empty or
-    all-zero). A session keeps the counts as an int64 array, from which
-    :meth:`Session.stats` builds both fields, and ``launches`` is the
-    length of its ``launch_log``.
+    ``launches`` counts the records, and ``barriers`` and
+    ``divergence_events`` sum theirs, so none decreases within a session.
+    ``per_thread_items`` is a fresh list of one Python ``int`` per lane of
+    the last record's ``work`` (all zero when its kernel reported no work),
+    and ``load_imbalance`` is (max - min) / mean of those counts (0 when
+    the profile is empty or all-zero).
     """
 
     launches: int = 0
@@ -355,22 +372,25 @@ def lane_form(kernel):
 
 
 class Session:
-    """One ordered stream of kernel launches with shared counters.
-
-    Not shareable across concurrent callers: one session, one caller at a
-    time.
+    """One ordered stream of kernel launches, with one :class:`LaunchRecord` per
+    launch in ``records``, a launch that raised included. The records' work
+    counts hold 8 bytes per lane launched. Not shareable across concurrent
+    callers: one session, one caller at a time.
     """
 
     def __init__(self, race_check: bool = False):
         self.race_check = race_check
-        self._stats = LaunchStats()
+        self.records: list[LaunchRecord] = []
         # race-checked buffers read or written in the current block phase
         self._race_touched: set[DeviceBuffer] = set()
         self._allocs = 0
         self._current = None
         self._current_gid = None
-        self._items = np.zeros(0, np.int64)  # the last launch's work counts
-        self.launch_log: list[LaunchConfig] = []
+
+    @property
+    def launch_log(self) -> list[LaunchConfig]:
+        """A fresh list of the config of each launch."""
+        return [r.config for r in self.records]
 
     def alloc(self, length: int, dtype: str = "f32", name: str = "") -> DeviceBuffer:
         buf = DeviceBuffer(self, length, dtype=dtype, name=name or f"buf{self._allocs}")
@@ -380,9 +400,11 @@ class Session:
         return buf
 
     def stats(self) -> LaunchStats:
-        """Snapshot of the accumulated counters; does not reset them."""
-        return replace(self._stats, launches=len(self.launch_log),
-                       per_thread_items=self._items.tolist(), load_imbalance=_imbalance(self._items))
+        """Snapshot of the records' counters and of the last launch's work."""
+        rs = self.records
+        work = rs[-1].work if rs else np.zeros(0, np.int64)
+        return LaunchStats(len(rs), sum(r.barriers for r in rs), sum(r.divergence_events for r in rs),
+                           work.tolist(), _imbalance(work))
 
     def launch(self, kernel, config: LaunchConfig, *buffers: DeviceBuffer) -> None:
         """Run ``kernel(ctx, *buffers)`` over all (block, thread) instances.
@@ -400,25 +422,24 @@ class Session:
                 f"function launched without shared storage, got generator={is_gen} "
                 f"shared_slots={config.shared_slots}"
             )
-        self.launch_log.append(config)
-        work = np.zeros(grid * block, np.int64)
+        self.records.append(rec := LaunchRecord(kernel.__qualname__, config, np.zeros(grid * block, np.int64)))
         try:
             if lanes and not self.race_check:  # one call over every lane
-                ctx = self._current = ThreadCtx(config, work, slice(None))
+                ctx = self._current = ThreadCtx(config, rec.work, slice(None))
                 kernel(ctx, *buffers)
                 if ctx._guards:
-                    self._stats.divergence_events += _divergence([ctx._guards], block)
+                    rec.divergence_events += _divergence([ctx._guards], block)
             else:
                 for b in range(grid):
-                    self._run_block(kernel, is_gen, lanes, b, config, buffers, work)
+                    self._run_block(kernel, is_gen, lanes, b, rec, buffers)
         finally:
             self._current = None
             self._current_gid = None
             # a launch that raised mid-phase leaves no owners behind
             self._race_phase_reset()
-        self._items = work
 
-    def _run_block(self, kernel, is_gen, lanes, b, config, buffers, work):
+    def _run_block(self, kernel, is_gen, lanes, b, rec, buffers):
+        config, work = rec.config, rec.work
         shared = [0] * config.shared_slots
         if self.race_check:
             # nameless, so its errors speak of shared storage; its object
@@ -445,22 +466,22 @@ class Session:
                 self._current = ctxs[t]
                 self._current_gid = base + t
                 (finished if next(gens[t], _DONE) is _DONE else yielded).append(t)
-            self._phase_end([ctxs[t] for t in alive], shared, config.shared_slots)
+            self._phase_end([ctxs[t] for t in alive], shared, rec)
             if yielded and finished:
                 raise BarrierDivergenceError(
                     f"block {b}: threads {finished} skipped a barrier reached by threads {yielded}")
             if yielded:
-                self._stats.barriers += 1
+                rec.barriers += 1
             alive = yielded
 
-    def _phase_end(self, ctxs, shared, slots):
-        if len(shared) != slots:
+    def _phase_end(self, ctxs, shared, rec):
+        if len(shared) != rec.config.shared_slots:
             # unchecked storage is a plain list, which a slice store can resize
             raise BufferBoundsError(f"block {ctxs[0].block_id}: a slice store resized shared storage "
-                                    f"of length {slots} to {len(shared)}")
+                                    f"of length {rec.config.shared_slots} to {len(shared)}")
         guards = [c._guards for c in ctxs]
         if any(guards):
-            self._stats.divergence_events += _divergence(guards, len(ctxs))
+            rec.divergence_events += _divergence(guards, len(ctxs))
             for c in ctxs:
                 c._guards = []
         if self.race_check:

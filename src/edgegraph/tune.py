@@ -4,7 +4,7 @@ graph-level dynamic-programming layout tuner.
 Costs come from an injectable timer so every search property is testable
 without flaky clocks: ``wall_timer`` measures real elapsed time,
 ``proxy_timer`` derives a deterministic pseudo-latency from the
-emulator's launch statistics, and tests inject scripted timers. A
+emulator's launch record, and tests inject scripted timers. A
 config's output must equal the reference convolution's bitwise before it
 is ever timed; a config that fails this is a hard error, never a cost,
 while a config rejected by the schedule template is recorded with an
@@ -136,10 +136,8 @@ def proxy_timer(run, wl, cfg) -> float:
     lanes per block, a fixed cost per reduction step (higher when the
     nest is not unrolled), plus per-block and per-launch overheads.
     """
-    sess = run()
-    stats = sess.stats()
-    lc = sess.launch_log[-1]
-    work_max = max(stats.per_thread_items) if stats.per_thread_items else 0
+    rec = run().records[-1]
+    lc, work_max = rec.config, int(rec.work.max())
     red = wl.r * wl.s * (wl.c // wl.groups)
     t_mac = 1e-8 if cfg.unroll else 1.3e-8
     waves = ceil_div(lc.grid, 4)

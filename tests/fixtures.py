@@ -1,4 +1,5 @@
-"""Shared test fixtures: the SSD-like 12-node graph and its inputs."""
+"""Shared test fixtures: the SSD-like 12-node graph, its inputs, and launch records
+as tuples."""
 
 import json
 
@@ -69,3 +70,10 @@ def ssd_like_inputs(seed: int = 0) -> dict:
         "w_loc": Tensor.from_array(small((8, 8, 1, 1))),
         "anchors": Tensor.from_array(anchors),
     }
+
+
+def records_of(sess) -> list:
+    """(kernel, config, work counts, barriers, divergence events) of each of
+    ``sess``'s launch records, as tuples that compare with ``==``."""
+    return [(r.kernel, r.config, r.work.tolist(), r.barriers, r.divergence_events)
+            for r in sess.records]

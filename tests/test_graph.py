@@ -22,7 +22,7 @@ from edgegraph.graph import (
 from edgegraph.simt import CPU, GPU, Session
 from edgegraph.tensor import Tensor
 
-from fixtures import ssd_like_doc, ssd_like_inputs
+from fixtures import records_of, ssd_like_doc, ssd_like_inputs
 
 
 def doc(nodes, inputs=None, outputs=None):
@@ -322,27 +322,53 @@ def test_input_dtype_must_match_declaration():
     assert out.dtype == "i32"
 
 
+CONV, RELU = "conv2d_scheduled.<locals>.kernel", "_relu.<locals>.<lambda>"
+# box_nms on the GPU: the argsort's block sort and one merge, then the mask and the output
+NMS = ["segmented_argsort.<locals>.rank"] * 2 + ["_nms_pass.<locals>.fill_mask",
+                                                  "_nms_pass.<locals>.write_out"]
+FIXTURE_KERNELS = [CONV, RELU, "_pool.<locals>.<lambda>", CONV, RELU, CONV, CONV,
+                   "_multibox.<locals>.decode", *NMS, *NMS, RELU]
+
+
 def test_all_gpu_fixture_inference_launches_and_barriers():
+    from test_row_launches import CASES
+
     g = insert_copies(assign_devices(load_graph(ssd_like_doc()), DEFAULT_GPU_OPS))
     sess = Session()
     run_graph(g, ssd_like_inputs(0), sess)
     st = sess.stats()
     assert st.launches == 17
     assert st.barriers == 0
+    assert [r.kernel for r in sess.records] == FIXTURE_KERNELS
+    # each name but conv's and the argsort's is one that the row-launch cases pin
+    assert set(FIXTURE_KERNELS) - {CONV, NMS[0]} <= set().union(*(names for _, names in CASES.values()))
+    log = sess.launch_log
+    assert log == [r.config for r in sess.records]
+    log.clear()  # a fresh list each time
+    assert len(sess.launch_log) == 17
 
 
-class RecordingSession(Session):
-    """A session that keeps, per launch, what its counters say of it."""
+@pytest.mark.parametrize("race_check", [False, True])
+def test_record_counters_sum_to_the_session_stats(race_check):
+    from edgegraph.conv import conv2d_scheduled, schedule_space
+    from edgegraph.vision import scan
+    from test_conv import DIFFERENTIAL_WORKLOADS
 
-    def __init__(self, race_check=False):
-        super().__init__(race_check)
-        self.records = []
-
-    def launch(self, kernel, config, *buffers):
-        super().launch(kernel, config, *buffers)
-        st = self.stats()
-        self.records.append((kernel.__qualname__, config.grid, config.block, st.per_thread_items,
-                             st.divergence_events, st.barriers))
+    sess = Session(race_check)
+    g = insert_copies(assign_devices(load_graph(ssd_like_doc()), DEFAULT_GPU_OPS))
+    run_graph(g, ssd_like_inputs(1), sess)
+    scan(np.arange(18, dtype=np.int32), p=5, session=sess)  # coop_scan passes 3 barriers
+    wl = DIFFERENTIAL_WORKLOADS["loc"]
+    cfg = next(c for c in schedule_space(wl) if c.w_tile * c.vec > wl.ow)  # lanes past ow are idle
+    rng = np.random.default_rng(2)
+    conv2d_scheduled(rng.standard_normal((1, 8, 8, 8)).astype(np.float32),
+                     rng.standard_normal((8, 8, 1, 1)).astype(np.float32), wl, cfg, session=sess)
+    st, recs = sess.stats(), sess.records
+    assert st.launches == len(recs) == 17 + 3 + 1
+    assert st.barriers == sum(r.barriers for r in recs) == recs[18].barriers == 3
+    idle = cfg.oc_split * cfg.h_split * (cfg.w_tile * cfg.vec - wl.ow)
+    assert st.divergence_events == sum(r.divergence_events for r in recs) == recs[-1].divergence_events == idle
+    assert st.per_thread_items == recs[-1].work.tolist()
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -352,11 +378,11 @@ def test_lane_form_launches_record_what_per_lane_launches_record(seed):
     g = load_graph(ssd_like_doc())
     for ops in (DEFAULT_GPU_OPS, DEFAULT_GPU_OPS - {"multibox_detection", "box_nms"}):
         placed = insert_copies(assign_devices(g, ops))
-        runs = [RecordingSession(race_check) for race_check in (False, True)]
+        runs = [Session(race_check) for race_check in (False, True)]
         outs = [run_graph(placed, ssd_like_inputs(seed), sess)["r3"].to_array().tobytes()
                 for sess in runs]
         assert outs[0] == outs[1]
-        assert runs[0].records == runs[1].records
+        assert records_of(runs[0]) == records_of(runs[1])
         assert len(runs[0].records) == (17 if ops == DEFAULT_GPU_OPS else 8)
 
 
@@ -746,10 +772,11 @@ def test_conv_node_schedules_change_launches_not_outputs(race_check):
         default = run_graph(placed, inputs, Session(race_check))
         for node in placed.nodes:
             node.schedule = cfgs.get(node.id)
-        sess = RecordingSession(race_check)
+        sess = Session(race_check)
         tuned = run_graph(placed, inputs, sess)
         for k in want:
             assert tuned[k].to_array().tobytes() == default[k].to_array().tobytes() == want[k], k
         assert len(sess.records) == launches
-        convs = [rec[1:3] for rec in sess.records if rec[0].startswith("conv2d_scheduled.")]
+        convs = [(r.config.grid, r.config.block) for r in sess.records
+                 if r.kernel.startswith("conv2d_scheduled.")]
         assert convs == [(c.oc_split * c.h_split, c.w_tile * c.vec) for c in cfgs.values()]

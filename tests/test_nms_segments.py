@@ -113,10 +113,8 @@ def test_multibox_batch_equals_oracles_and_per_image_nms(race_check):
         for out in outs:
             assert _same(out[i].to_array(), want)
             assert _same(out[i].to_array(), single.to_array())
-            # the oracle decodes in Python floats, so corners agree to rounding
             kept = out[i].to_array()[:5]
-            assert np.array_equal(kept[:, 0], near[:5, 0])
-            assert np.allclose(kept[:, 1:], near[:5, 1:], atol=1e-6)
+            assert kept.dtype == np.float32 and kept.tobytes() == near[:5].astype(np.float32).tobytes()
     assert (outs[0][2].class_ids == -1).all()
 
 
@@ -169,16 +167,10 @@ def test_mask_is_candidates_by_widest_segment():
         sizes[name] = length
         return alloc(length, dtype, name)
 
-    launch, items = sess.launch, {}
-
-    def launching(kernel, config, *buffers):
-        launch(kernel, config, *buffers)
-        items[kernel.__name__] = sess.stats().per_thread_items
-
-    sess.alloc, sess.launch = recording, launching
+    sess.alloc = recording
     out = box_nms(boxes, 0.3, session=sess)
     assert sizes["nms_mask"] == 9 * 4  # not 9 x 9
-    assert items["fill_mask"] == [36]
+    assert [r.work.tolist() for r in sess.records if r.kernel.endswith(".fill_mask")] == [[36]]
     assert _same(out.to_array(), oracle_nms(boxes.to_array(), 0.3, 0.0))
 
 

@@ -8,6 +8,7 @@ from edgegraph import vision
 from edgegraph.graph import assign_devices, load_graph, run_graph
 from edgegraph.simt import LaunchConfig, Session, ceil_div, log2_ceil
 from edgegraph.tensor import LayoutTag, Tensor, transform_kernel
+from fixtures import records_of
 
 
 def _one_node(op, attrs, *shapes):
@@ -71,18 +72,10 @@ CASES = {
 
 
 def _run(run, race_check):
-    """Output bits plus (kernel name, geometry, per-thread items) of each launch."""
+    """Output bits plus the launch records, as tuples."""
     sess = Session(race_check=race_check)
-    launches = []
-    launch = sess.launch
-
-    def recording(kernel, config, *buffers):
-        launch(kernel, config, *buffers)
-        launches.append((kernel.__qualname__, config, sess.stats().per_thread_items))
-
-    sess.launch = recording
     outs = run(sess, np.random.default_rng(11))
-    return [o.view(np.uint32).tobytes() for o in outs], launches
+    return [o.view(np.uint32).tobytes() for o in outs], records_of(sess)
 
 
 @pytest.mark.parametrize("op", sorted(CASES))
@@ -90,7 +83,7 @@ def test_row_launches_agree_race_checked_and_unchecked(op):
     run, names = CASES[op]
     unchecked, checked = _run(run, False), _run(run, True)
     assert checked == unchecked
-    seen = {name for name, _, _ in unchecked[1]}
+    seen = {name for name, *_ in unchecked[1]}
     # each of the operator's row launches ran, named after it, not after the helper
     assert names <= seen and not any("launch_rows" in n for n in seen)
 
@@ -115,7 +108,7 @@ def test_segmented_argsort_row_launches_agree_race_checked_and_unchecked(block):
     passes = 1 + log2_ceil(ceil_div(n, block))
     launches = unchecked[1]
     assert len(launches) == 2 * passes
-    for i, (name, config, items) in enumerate(launches):
+    for i, (name, config, items, _, _) in enumerate(launches):
         k = i % passes
         assert name == "segmented_argsort.<locals>.rank"
         assert config == LaunchConfig(grid=ceil_div(n, block << k), block=1 << k)

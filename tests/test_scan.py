@@ -6,6 +6,7 @@ import pytest
 from edgegraph.simt import LaunchConfig, Session, log2_ceil
 from edgegraph.vision import ScanPlan, compact, partition_chunks, scan, scan_sequential
 from edgegraph.vision.scan import _check_i32
+from fixtures import records_of
 
 
 def chunked_scan_oracle(values, kind, p):
@@ -264,34 +265,24 @@ def test_scan_and_compact_race_checked_match_unchecked(p):
 
 
 def _recorded(run, race_check):
-    """(kernel name, geometry, per-thread items) of each launch ``run`` makes,
-    plus the session's final counters."""
+    """The launch records of ``run`` on a fresh session, as tuples."""
     sess = Session(race_check=race_check)
-    launches = []
-    launch = sess.launch
-
-    def recording(kernel, config, *buffers):
-        launch(kernel, config, *buffers)
-        launches.append((kernel.__qualname__, config, sess.stats().per_thread_items))
-
-    sess.launch = recording
     run(sess)
-    st = sess.stats()
-    return launches, sess.launch_log, (st.launches, st.barriers, st.divergence_events)
+    return records_of(sess)
 
 
 # n=18 on p=5: chunks of 4 with a short last one, three coop passes
 SCAN_18_ON_5 = [
-    ("scan.<locals>.chunk_sums", LaunchConfig(grid=5, block=1), [4, 4, 4, 4, 2]),
-    ("scan.<locals>.coop_scan", LaunchConfig(grid=1, block=5, shared_slots=10), [3] * 5),
-    ("scan.<locals>.add_bases", LaunchConfig(grid=5, block=1), [4, 4, 4, 4, 2]),
+    ("scan.<locals>.chunk_sums", LaunchConfig(grid=5, block=1), [4, 4, 4, 4, 2], 0, 0),
+    ("scan.<locals>.coop_scan", LaunchConfig(grid=1, block=5, shared_slots=10), [3] * 5, 3, 0),
+    ("scan.<locals>.add_bases", LaunchConfig(grid=5, block=1), [4, 4, 4, 4, 2], 0, 0),
 ]
 
 
 @pytest.mark.parametrize("race_check", [False, True])
 def test_scan_launch_shape_is_pinned(race_check):
     got = _recorded(lambda s: scan(np.arange(18), p=5, session=s), race_check)
-    assert got == (SCAN_18_ON_5, [c for _, c, _ in SCAN_18_ON_5], (3, 3, 0))
+    assert got == SCAN_18_ON_5
 
 
 @pytest.mark.parametrize("race_check", [False, True])
@@ -299,9 +290,8 @@ def test_compact_launch_shape_is_pinned(race_check):
     keep = np.arange(18) % 3 == 0
     got = _recorded(lambda s: compact(np.arange(18), keep, p=5, session=s), race_check)
     # the gather splits the 6 kept slots, not the 18 inputs, over the 5 lanes
-    gather = ("compact.<locals>.gather", LaunchConfig(grid=5, block=1), [1, 1, 1, 1, 2])
-    launches = SCAN_18_ON_5 + [gather]
-    assert got == (launches, [c for _, c, _ in launches], (4, 3, 0))
+    gather = ("compact.<locals>.gather", LaunchConfig(grid=5, block=1), [1, 1, 1, 1, 2], 0, 0)
+    assert got == SCAN_18_ON_5 + [gather]
 
 
 def _keep(n, kept):
@@ -338,7 +328,7 @@ def test_compact_range_gather_at_lane_split_edges(case, dtype):
         assert count == int(keep.sum())
         assert kept.dtype == vals.dtype and kept.tobytes() == vals[keep].tobytes()
     assert runs[0] == runs[1]
-    name, config, items = runs[0][0][-1]
+    name, config, items, _, _ = runs[0][-1]
     assert name == "compact.<locals>.gather" and config == LaunchConfig(grid=min(p, n), block=1)
     assert sum(items) == int(keep.sum())
 

@@ -163,13 +163,43 @@ def test_stats_launches_counts_the_launch_log_a_failed_launch_included():
     sess = Session()
 
     def failing(ctx):
+        ctx.add_work(1)
         if ctx.global_id == 1:
             raise RuntimeError("boom")
 
     sess.launch(lambda ctx: None, LaunchConfig(grid=1, block=2))
     with pytest.raises(RuntimeError, match="boom"):
-        sess.launch(failing, LaunchConfig(grid=1, block=2))
-    assert sess.stats().launches == len(sess.launch_log) == 2
+        sess.launch(failing, LaunchConfig(grid=2, block=2))
+    st = sess.stats()
+    assert st.launches == len(sess.launch_log) == len(sess.records) == 2
+    # the failed launch's record holds the work reported up to the raise
+    rec = sess.records[-1]
+    assert (rec.kernel, rec.config, rec.barriers, rec.divergence_events) == (
+        failing.__qualname__, LaunchConfig(2, 2), 0, 0)
+    assert rec.work.dtype == np.int64 and rec.work.tolist() == st.per_thread_items == [1, 1, 0, 0]
+
+
+@pytest.mark.parametrize("field", ["grid", "block", "shared_slots"])
+@pytest.mark.parametrize("bad", [2.5, True, False, np.nan, float("inf"), np.float32(1.5), "2", None],
+                         ids=repr)
+def test_launch_config_rejects_geometry_that_is_not_an_integer(field, bad):
+    with pytest.raises(LaunchConfigError, match=f"{field} must be an integer, got"):
+        LaunchConfig(**{"grid": 2, "block": 2, field: bad})
+
+
+def test_launch_config_keeps_integral_geometry_as_python_ints():
+    cfg = LaunchConfig(grid=np.int64(2), block=2.0, shared_slots=np.int32(3))
+    assert cfg == LaunchConfig(2, 2, 3)
+    assert [type(v) for v in (cfg.grid, cfg.block, cfg.shared_slots)] == [int] * 3
+    sess = Session()
+    sess.launch(lambda ctx: ctx.add_work(1), LaunchConfig(grid=2.0, block=np.int64(2)))
+    assert sess.stats().per_thread_items == [1] * 4
+    assert type(sess.launch_log[-1].grid) is int and type(sess.launch_log[-1].block) is int
+    # zero and negative geometry keep their messages, whatever its type
+    with pytest.raises(LaunchConfigError, match="grid and block must be >= 1, got grid=0 block=2"):
+        LaunchConfig(grid=0.0, block=2)
+    with pytest.raises(LaunchConfigError, match="shared_slots must be >= 0, got -1"):
+        LaunchConfig(1, 1, shared_slots=np.int64(-1))
 
 
 def test_load_imbalance_ratio():

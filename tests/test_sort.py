@@ -9,6 +9,7 @@ from edgegraph import simt
 from edgegraph.simt import Session, ceil_div, log2_ceil
 from edgegraph.vision import SegmentedArray, argsort_sequential, segmented_argsort
 from edgegraph.vision.sort import _keyed
+from fixtures import records_of
 
 
 def stable_sort_oracle(values, offsets, order):
@@ -318,16 +319,15 @@ def test_keyed_segment_ids_follow_the_binary_search_definition():
 
 
 def test_argsort_launches_and_outputs_do_not_depend_on_the_lane_plan_memo(monkeypatch):
-    records, cold = [], [True]
+    cold = [True]
     launch = Session.launch
 
-    def recorded(self, kernel, config, *buffers):
+    def clearing(self, kernel, config, *buffers):
         if cold[0]:
             simt._row_plan.cache_clear()
         launch(self, kernel, config, *buffers)
-        records.append((kernel.__qualname__, config, self.stats().per_thread_items))
 
-    monkeypatch.setattr(Session, "launch", recorded)
+    monkeypatch.setattr(Session, "launch", clearing)
     rng = np.random.default_rng(13)
     for n in (0, 1, 7, 64, 65, 513, 1990, 3000):
         lens = rng.multinomial(n, np.ones(9) / 9)
@@ -340,10 +340,10 @@ def test_argsort_launches_and_outputs_do_not_depend_on_the_lane_plan_memo(monkey
             # cleared at every launch, so each pass builds its own plan; then
             # warmed by one call and reused by the next
             for cold[0] in (True, False, False):
-                del records[:]
                 misses = simt._row_plan.cache_info().misses
-                runs.append((segmented_argsort(sa, block=block, session=Session()).tobytes(),
-                             list(records)))
+                sess = Session()
+                runs.append((segmented_argsort(sa, block=block, session=sess).tobytes(),
+                             records_of(sess)))
             assert simt._row_plan.cache_info().misses == misses, (n, block)
             assert runs[0] == runs[1] == runs[2], (n, block)
             assert len(runs[0][1]) == (log2_ceil(ceil_div(n, block)) + 1 if n else 0)

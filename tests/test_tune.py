@@ -5,6 +5,7 @@ import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,6 +141,17 @@ def test_every_fixture_config_verifies_bitwise(node):
     wl = FIXTURE_CONVS[node]
     recs = [measure(wl, cfg, repeats=1, timer=proxy_timer) for cfg in schedule_space(wl)]
     assert all(r.ok for r in recs)
+
+
+def test_proxy_timer_prices_every_fixture_config_as_pinned():
+    # golden/proxy_costs.txt holds float.hex of each cost, so a change of any bit fails
+    want = [line for line in (Path(__file__).parent / "golden" / "proxy_costs.txt").read_text()
+            .splitlines() if not line.startswith("#")]
+    got = [" ".join([node, *map(str, cfg.as_dict().values()),
+                     float.hex(measure(wl, cfg, timer=proxy_timer).cost_mean)])
+           for node, wl in FIXTURE_CONVS.items() for cfg in schedule_space(wl)]
+    assert len(got) == 926
+    assert got == want
 
 
 def test_tune_random_budget_covers_space_finds_exhaustive_optimum():

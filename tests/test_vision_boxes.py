@@ -191,7 +191,8 @@ def test_multibox_zero_offsets_decode_to_anchors():
     kept = out.class_ids >= 0
     assert kept.sum() == a
     order = np.argsort(-out.scores[kept], kind="stable")
-    assert np.allclose(np.asarray(out.corners[kept])[order][np.argsort(np.argsort(-probs[0, 1]))], anchors[0], atol=1e-6)
+    corners = np.asarray(out.corners[kept])[order][np.argsort(np.argsort(-probs[0, 1]))]
+    assert corners.dtype == np.float32 and corners.tobytes() == anchors[0].astype(np.float32).tobytes()
 
 
 def test_multibox_all_background_yields_nothing():
@@ -244,8 +245,8 @@ def test_multibox_batched():
     assert len(outs) == 3
     for bi, out in enumerate(outs):
         want = oracle_multibox(probs[bi], locs[bi], anchors[0], (0.1, 0.1, 0.2, 0.2), 0.2, 0.5)
-        assert np.array_equal(out.to_array()[:, 0], want[:, 0])
-        assert np.allclose(out.to_array()[:, 1:], want[:, 1:], atol=1e-6)
+        got = out.to_array()
+        assert got.dtype == np.float32 and got.tobytes() == want.astype(np.float32).tobytes()
 
 
 def iou_cases(rng, n):
@@ -308,8 +309,9 @@ def test_nms_and_multibox_race_checked_against_oracles():
                                   session=Session(race_check=True))
         for bi, out in enumerate(outs):
             want = oracle_multibox(probs[bi], locs[bi], anchors[0], (0.1, 0.1, 0.2, 0.2), 0.1, 0.45)
-            assert np.array_equal(out.to_array()[:, 0], want[:, 0]), f"trial {trial}"
-            assert np.allclose(out.to_array()[:, 1:], want[:, 1:], atol=1e-6), f"trial {trial}"
+            got = out.to_array()
+            assert got.dtype == np.float32, f"trial {trial}"
+            assert got.tobytes() == want.astype(np.float32).tobytes(), f"trial {trial}"
 
 
 @pytest.mark.parametrize("probs_shape, locs_shape, anchors_shape", [

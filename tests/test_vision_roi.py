@@ -213,7 +213,7 @@ def test_one_launch_per_call(nroi):
 def test_constant_feature_map_gives_constant_output():
     feats = np.full((1, 3, 6, 6), 2.75, np.float32)
     out = roi_align(feats, [[0.5, 0.5, 4.0, 5.0]], (3, 3), sampling_ratio=2)
-    assert np.allclose(out, 2.75, atol=1e-6)
+    assert out.dtype == np.float32 and out.tobytes() == np.full(out.shape, 2.75, np.float32).tobytes()
 
 
 def test_integer_aligned_region_returns_underlying_values():
@@ -226,7 +226,7 @@ def test_degenerate_roi_is_not_an_error():
     feats = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
     out = roi_align(feats, [[1.5, 2.0, 1.5, 2.0]], (2, 2), sampling_ratio=2)
     want = oracle_roi_align(feats, [[1.5, 2.0, 1.5, 2.0]], (2, 2), 2)
-    assert np.allclose(out, want, atol=1e-6)
+    assert out.dtype == np.float32 and out.tobytes() == want.astype(np.float32).tobytes()
 
 
 def test_randomized_against_scalar_oracle():
