@@ -6,12 +6,14 @@ so each (image, class) segment of the candidates is independent, as in
 torchvision's batched_nms. One segmented argsort orders each image by
 score and a stable host grouping orders the candidates by (image, class).
 One launch fills the suppression mask, a row per candidate as wide as the
-widest segment, holding only its segment's upper triangle, in tiles of
-TILE rows clipped at segment ends. The greedy sweep on the host visits
-only the mask rows that hold a bit, so it costs what the suppressions
-cost, not what the candidates do. Kept rows merge back into each image's
-score order, and a last launch writes them first, then all-invalid rows.
-box_nms runs one image.
+widest segment, holding only its segment's upper triangle. A sort-and-sweep
+broad phase hands iou only the pairs that overlap along x and y: any other
+pair has no positive overlap width or height, so its IoU is 0 or NaN and
+its bit is clear anyway. A tight cluster, whose pairs mostly overlap along
+x, fills dense tiles of TILE rows instead. The host's greedy sweep visits
+only mask rows that hold a bit, so it costs what the suppressions cost.
+Kept rows merge back into each image's score order, and a last launch
+writes them first, then all-invalid rows. box_nms runs one image.
 
 multibox_detection decodes the batch's anchors in flat (image, anchor)
 order, one contiguous slice per thread, then runs one box_nms_batch pass.
@@ -25,11 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..simt import LaunchConfig, Session, ceil_div, check_count, run_rows
-from .sort import SegmentedArray, segmented_argsort
+from ..simt import LaunchConfig, Session, ceil_div, check_count, check_int, run_rows
+from .sort import SegmentedArray, ordered_bits, segmented_argsort
 
 INVALID = -1.0  # marker filled into every field of a suppressed row
 TILE = 64  # suppression-mask rows one NMS thread fills
+# break-even x-overlap share of a segment's pairs: pair lists took 0.84 / 0.98 / 1.05x the
+# dense tiles' time at 64 square boxes of x-share 0.5 / 0.6 / 0.7, 0.89 / 1.10 / 1.36x at 300
+DENSE_SHARE = 0.6  # and 0.90 / 1.04 / 1.56x at 2,000
+PAIR_CHUNK = 1 << 14  # window pairs per chunk, plus at most one box's window
 
 
 @dataclass(frozen=True)
@@ -101,24 +107,49 @@ def iou(a, b):
     return float(out) if out.ndim == 0 else out
 
 
-def _suppression_rows(xy: np.ndarray, first: np.ndarray, end: np.ndarray, width: int,
-                      lo: int, hi: int, iou_threshold: float) -> np.ndarray:
+def _suppression_rows(xy: np.ndarray, xk: np.ndarray, first: np.ndarray, end: np.ndarray,
+                      width: int, lo: int, hi: int, iou_threshold: float) -> np.ndarray:
     """Rows lo:hi of the segment suppression mask: entry [k, t] is True iff
     candidate first[k] + t comes after k in k's segment and iou(box k, that
-    box) >= iou_threshold. Rows go TILE at a time from ``lo``, clipped at
-    segment ends, each against the rest of its segment; the top left of one
-    upper triangle, built once per call, clears each tile's earlier boxes."""
-    out = np.zeros((hi - lo, width), dtype=bool)
-    upper = ~np.tri(min(TILE, hi - lo), width, -1, bool)  # [i, j] iff j >= i
-    a = lo
-    while a < hi:
-        s, e = first[a], end[a]
-        z = min(a + TILE, hi, e)
-        hit = out[a - lo : z - lo, a + 1 - s : e - s]
-        np.greater_equal(iou(xy[a:z, None], xy[a + 1 : e]), iou_threshold, out=hit)
-        hit &= upper[: z - a, : e - a - 1]
-        a = z
-    return out
+    box) >= iou_threshold. xk[:, k] is first[k] << 32 | ordered_bits(x1, x2).
+    Sorted by x1 key, the touched segments give each box a window: the later
+    boxes whose x1 is below its x2, all its later x-overlapping partners.
+    Window pairs that overlap along y go to iou PAIR_CHUNK or so at a time; a
+    segment whose windows hold over DENSE_SHARE of its pairs fills TILE-row tiles."""
+    s0, s1 = (int(first[lo]), int(end[hi - 1])) if hi > lo else (0, 0)
+    out = np.zeros((s1 - s0, width), bool)  # rows s0:s1 of the mask
+    xs, fs = xy[s0:s1], first[s0:s1] - s0  # the touched rows and their segment starts
+    order = np.argsort(xk[0, s0:s1], kind="stable")
+    ks = xk[:, s0:s1].take(order, axis=1)
+    # window lengths; a NaN corner can end one before it starts
+    wins = np.maximum(np.searchsorted(ks[0], ks[1]) - np.arange(1, s1 - s0 + 1), 0)
+    # a segment's x-order positions are its rows, less s0
+    heads = (fs == np.arange(s1 - s0)).nonzero()[0] + s0
+    size = end.take(heads) - heads
+    dense = np.add.reduceat(wins, heads - s0) > size * (size - 1) * (DENSE_SHARE / 2)
+    wins[np.repeat(dense, size)] = 0
+    tight = list(zip(heads[dense].tolist(), (heads + size)[dense].tolist()))
+    cum = np.cumsum(wins)
+    cuts = sorted(set(np.searchsorted(cum, np.arange(0, wins.sum(), PAIR_CHUNK), "right").tolist()))
+    ys = xs[:, 1::2].take(order, axis=0)  # y1, y2 in x order
+    for b0, b1 in zip(cuts, cuts[1:] + [s1 - s0]):
+        k = wins[b0:b1]  # pair q of box b is (b, b + 1 + q) in x order
+        ia = np.repeat(np.arange(b0, b1), k)
+        ja = np.arange(len(ia)) - np.repeat(np.cumsum(k) - k - np.arange(b0 + 1, b1 + 1), k)
+        ya, yb = ys.take(ia, axis=0), ys.take(ja, axis=0)
+        near = np.flatnonzero((yb[:, 0] < ya[:, 1]) & (ya[:, 0] < yb[:, 1]))
+        i, j = order.take(ia.take(near)), order.take(ja.take(near))
+        row, col = np.minimum(i, j), np.maximum(i, j)
+        hit = iou(xs.take(row, axis=0), xs.take(col, axis=0)) >= iou_threshold
+        out[row[hit], col[hit] - fs[row[hit]]] = True
+    upper = ~np.tri(min(TILE, hi - lo), width, -1, bool) if tight else None  # [i, j] iff j >= i
+    for s, e in tight:
+        for a in range(max(s, lo), min(e, hi), TILE):
+            z = min(a + TILE, e, hi)
+            hit = out[a - s0 : z - s0, a + 1 - s : e - s]
+            np.greater_equal(iou(xy[a:z, None], xy[a + 1 : e]), iou_threshold, out=hit)
+            hit &= upper[: z - a, : e - a - 1]
+    return out[lo - s0 : hi - s0]
 
 
 def _sources(mask: np.ndarray, first: np.ndarray, cands: np.ndarray, g: np.ndarray, n: int,
@@ -155,12 +186,13 @@ def _sources(mask: np.ndarray, first: np.ndarray, cands: np.ndarray, g: np.ndarr
 def _nms_pass(boxes: BoxSet, images: int, iou_threshold: float, score_threshold: float, top_k,
               max_output, sess: Session | None) -> np.ndarray:
     """box_nms_batch's packed rows on session ``sess``, or the CPU twin's if sess is None."""
+    images = check_int("images", images, 1)
     if not (0.0 < iou_threshold <= 1.0):
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
     top_k, max_output = check_count("top_k", top_k), check_count("max_output", max_output)
     if len(boxes) == 0:
         return np.zeros((0, 6), np.float32)
-    if images < 1 or len(boxes) % images:
+    if len(boxes) % images:
         raise ValueError(f"{len(boxes)} rows do not split into {images} images of equal size")
     n = len(boxes) // images
     offsets = np.arange(0, len(boxes) + 1, n)
@@ -182,10 +214,11 @@ def _nms_pass(boxes: BoxSet, images: int, iou_threshold: float, score_threshold:
     key = key[g]
     first, end = np.searchsorted(key, key, "left"), np.searchsorted(key, key, "right")
     xy = np.asfortranarray(boxes.corners[cands[g]], dtype=np.float64)  # iou reads whole columns
+    xk = (first << 32) | ordered_bits(xy[:, ::2].T.astype(np.float32) + np.float32(0))
     c, width = len(g), int(np.max(end - first, initial=0))
 
     def fill_mask(lo, hi):
-        return _suppression_rows(xy, first, end, width, lo, hi, iou_threshold)
+        return _suppression_rows(xy, xk, first, end, width, lo, hi, iou_threshold)
 
     mask = run_rows(sess, LaunchConfig(grid=1, block=max(1, ceil_div(c, TILE))), "bool", c, width,
                     fill_mask, "nms_mask", TILE)
@@ -321,7 +354,7 @@ def _multibox(class_probs, loc_preds, anchors, variances, score_threshold: float
 
     rows = run_rows(sess, LaunchConfig(grid=max(1, b), block=min(32, max(1, a))), "f32", b * a, 6,
                     decode, "mbx_decoded")
-    kept = _nms_pass(BoxSet.from_array(rows), b, iou_threshold, score_threshold, top_k,
+    kept = _nms_pass(BoxSet.from_array(rows), max(1, b), iou_threshold, score_threshold, top_k,
                      max_output, sess)
     return [BoxSet.from_array(r) for r in kept.reshape(b, a, 6)]
 

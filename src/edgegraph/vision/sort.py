@@ -69,6 +69,13 @@ class SegmentedArray:
         return len(self.offsets) - 1
 
 
+def ordered_bits(vals: np.ndarray) -> np.ndarray:
+    """int64 image in [0, 2**32) of float32 ``vals`` ordered as they are, -0 below +0:
+    a negative value's bits flip whole, a non-negative one's sign bit sets."""
+    flip = (vals.view(np.int32) >> 31).view(np.uint32) | np.uint32(1 << 31)
+    return (vals.view(np.uint32) ^ flip).astype(np.int64)
+
+
 def _keyed(a: SegmentedArray, order: str):
     """(slots, segment of each slot, sort key of each slot) of ``a``.
 
@@ -95,9 +102,7 @@ def _keyed(a: SegmentedArray, order: str):
                              f"float32, the argsort key, so it could tie with a neighbour")
     # adding to or subtracting from +0 also turns -0 into +0, so they tie
     vals = np.float32(0) - vals if order == "descending" else vals + np.float32(0)
-    # a negative value's bits flip whole, a non-negative one's sign bit sets
-    flip = (vals.view(np.int32) >> 31).view(np.uint32) | np.uint32(1 << 31)
-    key = (vals.view(np.uint32) ^ flip).astype(np.int64)
+    key = ordered_bits(vals)
     key[np.isnan(vals)] = 1 << 32
     seg = np.arange(a.num_segments).repeat(a.offsets[1:] - a.offsets[:-1])
     return slots, seg, key | (seg << 33)
