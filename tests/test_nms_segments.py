@@ -317,3 +317,218 @@ def test_iou_equals_the_scalar_rule_on_special_corners_and_column_major_input():
     xy = np.asfortranarray(np.concatenate([a[:40], b[:40]]))
     want = [[oracle_iou(p.tolist(), q.tolist()) for q in xy[31:]] for p in xy[:30]]
     assert same_iou(iou(xy[:30, None], xy[31:]), want)
+
+
+@pytest.mark.parametrize("images", [True, False, 2.5, "2", 0, -1, np.nan, None], ids=repr)
+def test_images_is_checked_before_anything_else(images):
+    # an iou_threshold out of range too: the images check comes first
+    boxes = BoxSet.from_array(_rows(np.random.default_rng(2), 12, 2))
+    calls = [lambda: box_nms_batch(boxes, images, 1.5),
+             lambda: box_nms_batch(boxes, images, 1.5, session=Session(race_check=True)),
+             lambda: box_nms_batch_sequential(boxes, images, 1.5)]
+    for call in calls:
+        with pytest.raises(ValueError) as e:
+            call()
+        assert str(e.value) == f"images must be >= 1 and an integer, got {images!r}"
+
+
+@pytest.mark.parametrize("images", [2.0, np.int64(2), np.int32(2), np.float32(2)], ids=repr)
+def test_images_accepts_integral_counts(images):
+    rows = _rows(np.random.default_rng(3), 12, 2)
+    boxes = BoxSet.from_array(rows)
+    want = box_nms_batch_sequential(boxes, 2, 0.5).to_array()
+    assert _same(want, np.concatenate([oracle_nms(r, 0.5, 0.0) for r in rows.reshape(2, 6, 6)]))
+    for got in (box_nms_batch(boxes, images, 0.5),
+                box_nms_batch(boxes, images, 0.5, session=Session(race_check=True)),
+                box_nms_batch_sequential(boxes, images, 0.5)):
+        assert _same(got.to_array(), want)
+    for call in (lambda: box_nms_batch(boxes, 5, 0.5), lambda: box_nms_batch_sequential(boxes, 5, 0.5)):
+        with pytest.raises(ValueError, match="12 rows do not split into 5 images of equal size"):
+            call()
+
+
+def _broad_phase_rows(rng, n, classes, kind):
+    """(n, 6) box rows of ``classes`` classes with distinct scores: ``sparse``
+    boxes scattered over the unit square, a ``cluster`` of boxes around one
+    point (nearly every pair overlaps along x, and many pairs hit), or
+    ``special`` ones: sparse, with NaN, +-inf and -0.0 corners planted, and
+    zero-width boxes, boxes that touch along x and duplicates."""
+    if kind == "cluster":
+        xy = rng.random(2) * 0.5 + rng.normal(0.0, 0.04, (n, 2))
+        wh = 0.2 + rng.random((n, 2)) * 0.02
+    else:
+        xy = rng.random((n, 2))
+        wh = 0.04 + rng.random((n, 2)) * 0.12
+    corners = np.concatenate([xy, xy + wh], axis=1).astype(np.float32)
+    if kind == "special":
+        hit = rng.random(corners.shape) < 0.08
+        corners[hit] = rng.choice(np.float32([np.nan, np.inf, -np.inf, -0.0, 0.0]), hit.sum())
+        corners[: n // 8, 2] = corners[: n // 8, 0]  # zero width
+        corners[n // 8 : n // 4, 0] = corners[n // 4 : 3 * n // 8, 2]  # touching along x
+        corners[-n // 8 :] = corners[-n // 4 : -n // 8]  # duplicates
+        swap = corners[:, :2] > corners[:, 2:]  # keep valid rows ordered, NaN included
+        corners[:, :2], corners[:, 2:] = (np.where(swap, corners[:, 2:], corners[:, :2]),
+                                          np.where(swap, corners[:, :2], corners[:, 2:]))
+    cls = rng.integers(0, classes, n).astype(np.float32)
+    return np.column_stack([cls, rng.permutation(n) / np.float32(n), corners]).astype(np.float32)
+
+
+def _mixed_rows(rng):
+    """A tight cluster in class 0 beside sparse classes 1-3, in one call."""
+    rows = np.concatenate([_broad_phase_rows(rng, 70, 1, "cluster"),
+                           _broad_phase_rows(rng, 90, 3, "sparse") + [1, 0, 0, 0, 0, 0]])
+    rows[:, 1] = rng.permutation(len(rows)) / np.float32(len(rows))
+    return rows
+
+
+BROAD_PHASE_LAYOUTS = {
+    "sparse, one class": lambda rng: _broad_phase_rows(rng, 150, 1, "sparse"),
+    "sparse, many classes": lambda rng: _broad_phase_rows(rng, 160, 6, "sparse"),
+    "cluster, one class": lambda rng: _broad_phase_rows(rng, 130, 1, "cluster"),
+    "cluster, two classes": lambda rng: _broad_phase_rows(rng, 140, 2, "cluster"),
+    "cluster beside sparse classes": _mixed_rows,
+    "special corners, one class": lambda rng: _broad_phase_rows(rng, 150, 1, "special"),
+    "special corners, many classes": lambda rng: _broad_phase_rows(rng, 160, 5, "special"),
+}
+
+
+def _segments(rows):
+    """Candidate corners (float64) in mask-row order, each row's segment
+    start and end, and each segment's share of pairs that overlap along x:
+    score order, grouped stably by class, as box_nms orders its candidates
+    for a score threshold of 0."""
+    order = np.argsort(-rows[:, 1].astype(np.float64), kind="stable")
+    g = order[np.argsort(rows[order, 0], kind="stable")]
+    cls, xy = rows[g, 0], rows[g, 2:].astype(np.float64)
+    first, end = np.searchsorted(cls, cls, "left"), np.searchsorted(cls, cls, "right")
+    shares = []
+    for s in np.unique(first):
+        x1, x2 = xy[s : end[s], 0], xy[s : end[s], 2]
+        over = np.triu((x1[:, None] < x2) & (x1 < x2[:, None]), 1)
+        m = end[s] - s
+        shares.append(over.sum() / max(1, m * (m - 1) // 2))
+    return xy, first, end, shares
+
+
+def _all_pairs_mask(rows, thr):
+    """The suppression mask from every pair: bit [k, t] iff j = first[k] + t
+    is a later box of k's segment and iou(box k, box j) >= thr."""
+    xy, first, end, _ = _segments(rows)
+    mask = np.zeros((len(xy), int(np.max(end - first, initial=0))), bool)
+    for k in range(len(xy)):
+        for j in range(k + 1, end[k]):
+            mask[k, j - first[k]] = iou(xy[k], xy[j]) >= thr
+    return mask
+
+
+def _mask_range_function(rows, thr):
+    """The fill_mask range function and mask width box_nms_sequential builds for ``rows``."""
+    caught = {}
+    run_rows = vision.boxes.run_rows
+
+    def catch(sess, config, dtype, n, width, fn, name, tile=1):
+        if name == "nms_mask":
+            caught.update(fn=fn, width=width)
+        return run_rows(sess, config, dtype, n, width, fn, name, tile)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vision.boxes, "run_rows", catch)
+        box_nms_sequential(BoxSet.from_array(rows), thr)
+    return caught["fn"], caught["width"]
+
+
+@pytest.mark.parametrize("layout", BROAD_PHASE_LAYOUTS)
+def test_broad_phase_mask_equals_the_all_pairs_mask(layout):
+    rng = np.random.default_rng(sorted(BROAD_PHASE_LAYOUTS).index(layout) + 40)
+    rows = BROAD_PHASE_LAYOUTS[layout](rng)
+    for thr in (0.2, 0.5):
+        want = _all_pairs_mask(rows, thr)
+        fill_mask, width = _mask_range_function(rows, thr)
+        c = len(want)
+        assert width == want.shape[1] and want[:, 1:].any(), layout
+        assert np.array_equal(fill_mask(0, c), want)
+        for lo in range(0, c, 64):  # each lane's range, as the race-checked launch runs it
+            assert np.array_equal(fill_mask(lo, min(c, lo + 64)), want[lo : lo + 64]), lo
+
+
+def test_broad_phase_layouts_reach_both_sides_of_the_choice():
+    rng = np.random.default_rng(7)
+    shares = {name: _segments(make(rng))[3] for name, make in BROAD_PHASE_LAYOUTS.items()
+              if not name.startswith("special")}
+    dense = vision.boxes.DENSE_SHARE
+    assert max(shares["sparse, one class"] + shares["sparse, many classes"]) < dense - 0.2
+    assert min(shares["cluster, one class"] + shares["cluster, two classes"]) > dense + 0.3
+    mixed = sorted(shares["cluster beside sparse classes"])
+    assert mixed[-1] > dense + 0.3 and mixed[-2] < dense - 0.2
+
+
+@pytest.mark.parametrize("layout", BROAD_PHASE_LAYOUTS)
+def test_broad_phase_nms_equals_the_oracle(layout):
+    rng = np.random.default_rng(sorted(BROAD_PHASE_LAYOUTS).index(layout) + 60)
+    rows = BROAD_PHASE_LAYOUTS[layout](rng)
+    boxes = BoxSet.from_array(rows)
+    for thr in (0.2, 0.5):
+        want = oracle_nms(rows.astype(np.float64).tolist(), thr, 0.0)
+        for got in (box_nms(boxes, thr), box_nms(boxes, thr, session=Session(race_check=True)),
+                    box_nms_sequential(boxes, thr)):
+            assert _same(got.to_array(), want)
+        half = len(rows) // 2  # two images of the first 2 * half rows
+        want = np.concatenate([oracle_nms(r.astype(np.float64).tolist(), thr, 0.0)
+                               for r in (rows[:half], rows[half : 2 * half])])
+        batch = BoxSet.from_array(rows[: 2 * half])
+        for got in (box_nms_batch(batch, 2, thr),
+                    box_nms_batch(batch, 2, thr, session=Session(race_check=True)),
+                    box_nms_batch_sequential(batch, 2, thr)):
+            assert _same(got.to_array(), want)
+
+
+def _iou_pairs(monkeypatch):
+    """Box pairs of each call that reaches iou through the boxes module global."""
+    pairs = []
+    real = vision.boxes.iou
+
+    def counting(a, b):
+        pairs.append(np.broadcast(a, b).size // 4)  # four corners a pair
+        return real(a, b)
+
+    monkeypatch.setattr(vision.boxes, "iou", counting)
+    return pairs
+
+
+def test_boxes_apart_along_x_reach_iou_in_no_pair(monkeypatch):
+    n = 100
+    x = np.arange(n, dtype=np.float32)
+    rows = np.column_stack([np.zeros(n), np.linspace(1, 0.01, n), x, np.zeros(n), x + 0.5,
+                            np.ones(n)]).astype(np.float32)
+    pairs = _iou_pairs(monkeypatch)
+    for got in (box_nms(BoxSet.from_array(rows), 0.5), box_nms_sequential(BoxSet.from_array(rows), 0.5)):
+        assert _same(got.to_array(), rows)
+    assert sum(pairs) == 0
+
+
+def test_a_sparse_layout_reaches_iou_in_at_most_its_x_overlapping_pairs(monkeypatch):
+    rows = _broad_phase_rows(np.random.default_rng(9), 300, 1, "sparse")
+    overlapping = sum(s * (300 * 299 // 2) for s in _segments(rows)[3])
+    pairs = _iou_pairs(monkeypatch)
+    got = box_nms(BoxSet.from_array(rows), 0.5)
+    assert 0 < sum(pairs) <= round(overlapping) < 300 * 299 // 8
+    assert _same(got.to_array(), oracle_nms(rows.astype(np.float64).tolist(), 0.5, 0.0))
+
+
+@pytest.mark.parametrize("kind", ["sparse", "cluster"])
+def test_nms_host_peak_stays_bounded_on_both_sides_of_the_choice(kind):
+    """Pair lists go a bounded chunk at a time, so the traced host peak of a
+    2,000-box single-class box_nms stays within 1.1x of the 14,571,648
+    bytes that 64-row dense tiles alone peaked at on both layouts: the
+    sparse one goes through pair lists, the tight cluster through tiles."""
+    import tracemalloc
+
+    boxes = BoxSet.from_array(_broad_phase_rows(np.random.default_rng(11), 2000, 1, kind))
+    box_nms(boxes, 0.5, session=Session())  # imports and first-call set-up
+    tracemalloc.start()
+    try:
+        box_nms(boxes, 0.5, session=Session())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 14_571_648, f"{peak} bytes"
