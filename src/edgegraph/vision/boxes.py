@@ -9,9 +9,8 @@ One launch fills the suppression mask, a row per candidate as wide as the
 widest segment, holding only its segment's upper triangle. A sort-and-sweep
 broad phase hands iou only the pairs that overlap along x and y: any other
 pair has no positive overlap width or height, so its IoU is 0 or NaN and
-its bit is clear anyway. A tight cluster, whose pairs mostly overlap along
-x, fills dense tiles of TILE rows instead. The host's greedy sweep visits
-only mask rows that hold a bit, so it costs what the suppressions cost.
+its bit is clear anyway. The host's greedy sweep visits only mask rows
+that hold a bit, so it costs what the suppressions cost.
 Kept rows merge back into each image's score order, and a last launch
 writes them first, then all-invalid rows. box_nms runs one image.
 
@@ -32,9 +31,6 @@ from .sort import SegmentedArray, ordered_bits, segmented_argsort
 
 INVALID = -1.0  # marker filled into every field of a suppressed row
 TILE = 64  # suppression-mask rows one NMS thread fills
-# break-even x-overlap share of a segment's pairs: pair lists took 0.84 / 0.98 / 1.05x the
-# dense tiles' time at 64 square boxes of x-share 0.5 / 0.6 / 0.7, 0.89 / 1.10 / 1.36x at 300
-DENSE_SHARE = 0.6  # and 0.90 / 1.04 / 1.56x at 2,000
 PAIR_CHUNK = 1 << 14  # window pairs per chunk, plus at most one box's window
 
 
@@ -112,44 +108,30 @@ def _suppression_rows(xy: np.ndarray, xk: np.ndarray, first: np.ndarray, end: np
     """Rows lo:hi of the segment suppression mask: entry [k, t] is True iff
     candidate first[k] + t comes after k in k's segment and iou(box k, that
     box) >= iou_threshold. xk[:, k] is first[k] << 32 | ordered_bits(x1, x2).
-    Sorted by x1 key, the touched segments give each box a window: the later
+    Both boxes of a pair in these rows lie at or after lo, so rows
+    lo:end[hi - 1] alone, sorted by x1 key, give each box a window: the later
     boxes whose x1 is below its x2, all its later x-overlapping partners.
-    Window pairs that overlap along y go to iou PAIR_CHUNK or so at a time; a
-    segment whose windows hold over DENSE_SHARE of its pairs fills TILE-row tiles."""
-    s0, s1 = (int(first[lo]), int(end[hi - 1])) if hi > lo else (0, 0)
-    out = np.zeros((s1 - s0, width), bool)  # rows s0:s1 of the mask
-    xs, fs = xy[s0:s1], first[s0:s1] - s0  # the touched rows and their segment starts
-    order = np.argsort(xk[0, s0:s1], kind="stable")
-    ks = xk[:, s0:s1].take(order, axis=1)
+    Window pairs that overlap along y go to iou PAIR_CHUNK or so at a time."""
+    s1 = int(end[hi - 1]) if hi > lo else lo
+    out = np.zeros((s1 - lo, width), bool)  # rows lo:s1 of the mask
+    cols, fs = xy[lo:s1].T, first[lo:s1] - lo  # the touched rows' corners and segment starts
+    order = np.argsort(xk[0, lo:s1], kind="stable")
+    ks = xk[:, lo:s1].take(order, axis=1)
     # window lengths; a NaN corner can end one before it starts
-    wins = np.maximum(np.searchsorted(ks[0], ks[1]) - np.arange(1, s1 - s0 + 1), 0)
-    # a segment's x-order positions are its rows, less s0
-    heads = (fs == np.arange(s1 - s0)).nonzero()[0] + s0
-    size = end.take(heads) - heads
-    dense = np.add.reduceat(wins, heads - s0) > size * (size - 1) * (DENSE_SHARE / 2)
-    wins[np.repeat(dense, size)] = 0
-    tight = list(zip(heads[dense].tolist(), (heads + size)[dense].tolist()))
+    wins = np.maximum(np.searchsorted(ks[0], ks[1]) - np.arange(1, s1 - lo + 1), 0)
     cum = np.cumsum(wins)
-    cuts = sorted(set(np.searchsorted(cum, np.arange(0, wins.sum(), PAIR_CHUNK), "right").tolist()))
-    ys = xs[:, 1::2].take(order, axis=0)  # y1, y2 in x order
-    for b0, b1 in zip(cuts, cuts[1:] + [s1 - s0]):
+    cuts = np.unique(np.searchsorted(cum, np.arange(0, wins.sum(), PAIR_CHUNK), "right")).tolist()
+    y1, y2 = cols[1::2].take(order, axis=1)  # in x order
+    for b0, b1 in zip(cuts, cuts[1:] + [s1 - lo]):
         k = wins[b0:b1]  # pair q of box b is (b, b + 1 + q) in x order
         ia = np.repeat(np.arange(b0, b1), k)
         ja = np.arange(len(ia)) - np.repeat(np.cumsum(k) - k - np.arange(b0 + 1, b1 + 1), k)
-        ya, yb = ys.take(ia, axis=0), ys.take(ja, axis=0)
-        near = np.flatnonzero((yb[:, 0] < ya[:, 1]) & (ya[:, 0] < yb[:, 1]))
+        near = np.flatnonzero((y1.take(ja) < y2.take(ia)) & (y1.take(ia) < y2.take(ja)))
         i, j = order.take(ia.take(near)), order.take(ja.take(near))
-        row, col = np.minimum(i, j), np.maximum(i, j)
-        hit = iou(xs.take(row, axis=0), xs.take(col, axis=0)) >= iou_threshold
-        out[row[hit], col[hit] - fs[row[hit]]] = True
-    upper = ~np.tri(min(TILE, hi - lo), width, -1, bool) if tight else None  # [i, j] iff j >= i
-    for s, e in tight:
-        for a in range(max(s, lo), min(e, hi), TILE):
-            z = min(a + TILE, e, hi)
-            hit = out[a - s0 : z - s0, a + 1 - s : e - s]
-            np.greater_equal(iou(xy[a:z, None], xy[a + 1 : e]), iou_threshold, out=hit)
-            hit &= upper[: z - a, : e - a - 1]
-    return out[lo - s0 : hi - s0]
+        row, col = np.minimum(i, j), np.maximum(i, j)  # the earlier box's row holds the bit
+        hit = iou(cols.take(row, axis=1).T, cols.take(col, axis=1).T) >= iou_threshold
+        out.reshape(-1)[row * width + col - fs.take(row)] = hit  # out starts all False
+    return out[: hi - lo]
 
 
 def _sources(mask: np.ndarray, first: np.ndarray, cands: np.ndarray, g: np.ndarray, n: int,
