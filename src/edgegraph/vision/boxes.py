@@ -120,7 +120,8 @@ def _suppression_rows(xy: np.ndarray, xk: np.ndarray, first: np.ndarray, end: np
     # window lengths; a NaN corner can end one before it starts
     wins = np.maximum(np.searchsorted(ks[0], ks[1]) - np.arange(1, s1 - lo + 1), 0)
     cum = np.cumsum(wins)
-    cuts = np.unique(np.searchsorted(cum, np.arange(0, wins.sum(), PAIR_CHUNK), "right")).tolist()
+    # np.unique would import numpy.ma on its first call, a cost every fresh process pays
+    cuts = sorted(set(np.searchsorted(cum, np.arange(0, wins.sum(), PAIR_CHUNK), "right").tolist()))
     y1, y2 = cols[1::2].take(order, axis=1)  # in x order
     for b0, b1 in zip(cuts, cuts[1:] + [s1 - lo]):
         k = wins[b0:b1]  # pair q of box b is (b, b + 1 + q) in x order
