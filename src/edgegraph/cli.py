@@ -22,7 +22,8 @@ import time
 import numpy as np
 
 from .conv import ConvWorkload
-from .graph import DEFAULT_GPU_OPS, assign_devices, count_copies, insert_copies, load_graph, run_graph, topo_order
+from .graph import (DEFAULT_GPU_OPS, OPS, assign_devices, count_copies, insert_copies, load_graph, run_graph,
+                    topo_order)
 from .simt import Session
 from .tensor import tensor_from_json, tensor_to_json
 from .tune import graph_tune_dp, proxy_timer, tune_model, wall_timer
@@ -50,13 +51,20 @@ def _dump_outputs(outputs: dict, path) -> None:
         f.write("\n")
 
 
+def _op_kinds(text: str) -> set:
+    """The op kinds a comma-separated ``--gpu-ops`` or ``--fallback`` value names;
+    a kind the executor does not have is a usage error."""
+    kinds = {s.strip() for s in text.split(",") if s.strip()}
+    unknown = sorted(kinds - set(OPS))
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown op kind(s) {', '.join(unknown)}; "
+                                         f"known: {', '.join(sorted(OPS))}")
+    return kinds
+
+
 def _gpu_ops(args) -> set:
-    ops = set(DEFAULT_GPU_OPS)
-    if args.gpu_ops is not None:
-        ops = {s.strip() for s in args.gpu_ops.split(",") if s.strip()}
-    if getattr(args, "fallback", None):
-        ops -= {s.strip() for s in args.fallback.split(",") if s.strip()}
-    return ops
+    ops = set(DEFAULT_GPU_OPS) if args.gpu_ops is None else args.gpu_ops
+    return ops - (args.fallback or set())
 
 
 def _place_and_run(args):
@@ -190,16 +198,18 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="place a graph document and execute it")
     run.add_argument("graph")
     run.add_argument("inputs")
-    run.add_argument("--gpu-ops", default=None, help="comma-separated op kinds to keep on the GPU")
-    run.add_argument("--fallback", default=None, help="comma-separated op kinds to force onto the CPU")
+    run.add_argument("--gpu-ops", type=_op_kinds, default=None,
+                     help="comma-separated op kinds to keep on the GPU")
+    run.add_argument("--fallback", type=_op_kinds, default=None,
+                     help="comma-separated op kinds to force onto the CPU")
     run.add_argument("--out", default="outputs.json")
     run.set_defaults(fn=cmd_run)
 
     stats = sub.add_parser("stats", help="run a graph and dump the launch counters")
     stats.add_argument("graph")
     stats.add_argument("inputs")
-    stats.add_argument("--gpu-ops", default=None)
-    stats.add_argument("--fallback", default=None)
+    stats.add_argument("--gpu-ops", type=_op_kinds, default=None)
+    stats.add_argument("--fallback", type=_op_kinds, default=None)
     stats.set_defaults(fn=cmd_stats)
 
     tune = sub.add_parser("tune", help="search schedule configs for a conv workload key")

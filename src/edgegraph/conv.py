@@ -275,7 +275,7 @@ def conv2d_scheduled(inp, wgt, wl: ConvWorkload, cfg: ScheduleConfig,
         # columns t, t + threads, ... below ow
         ctx.add_work(wl.n * k_per_block * band * np.maximum(-((t - ow) // threads), 0))
         # all lanes own the whole output; one (race check) its block's cells t::threads
-        if t.size > 1:
+        if not sess.race_check:
             obuf[:] = _region(xbuf[:], wbuf[:], wl, slice(0, wl.k), slice(0, oh), slice(0, ow)).reshape(-1)
         elif live[0]:
             b = int(ctx.block_id[0])

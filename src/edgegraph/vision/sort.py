@@ -5,8 +5,9 @@ the side, and the flat array is chopped into equal-size sort blocks.
 Every launch is one :func:`simt.launch_rows` call over the output slots
 in tiles of one sort block, so lane g owns sort block g in every pass.
 The first launch, one thread per block, sorts each block; merge pass k,
-blocks of 2**k threads, leaves sorted runs of ``block << k`` slots, so
-ceil(log2 num_blocks) merge passes sort every segment. Elements never
+blocks of min(8**k, num_blocks) threads, merges up to ``WAYS`` = 8 runs
+of the previous pass into sorted runs of ``block * 8**k`` slots, so
+ceil(log8 num_blocks) merge passes sort every segment. Elements never
 cross a segment boundary: a pass sorts each of its pieces, the part of
 one segment that lies in one of the pass's runs.
 
@@ -15,13 +16,15 @@ previous pass's permutation, and keeps its own rows. Ranking a run is one
 stable sort of packed int64 keys: the piece id above bit 33, the nan flag
 at bit 32 and an order-preserving image of the float32 value below it; the
 piece id is the element's segment, in its key from the start, plus its run
-in the pass. In a merge pass a piece is at most two sorted pieces of the
-previous pass, A before B. Equal keys sit in ascending index order within
-each, and every index in A is below every index in B, so the stable sort
-puts equal keys in index order, as merging A and B does. numpy's stable
-int64 sort is a timsort, which finds A and B as runs and merges them, so a
-merge pass costs a merge. Ranks are therefore stable, and the launches
-need no barrier and no shared storage.
+in the pass. In a merge pass a piece is at most ``WAYS`` sorted pieces of
+the previous pass, in index order. Equal keys sit in ascending index order
+within each, and every index in one piece is below every index in the
+pieces after it, so the stable sort puts equal keys in index order, as
+merging the pieces does. numpy's stable int64 sort is a timsort, which
+finds the pieces as runs and merges them, so a call's merge work is about
+n log2(num_blocks) whatever the fan-in, and fewer, wider passes save each
+pass's fixed cost. Ranks are therefore stable, and the launches need no
+barrier and no shared storage.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..simt import LaunchConfig, Session, ceil_div, check_int, launch_rows, log2_ceil
+from ..simt import LaunchConfig, Session, ceil_div, check_int, launch_rows
+
+WAYS = 8  # runs a merge pass merges into one
 
 
 @dataclass(frozen=True)
@@ -122,7 +127,7 @@ def segmented_argsort(a: SegmentedArray, order: str = "ascending", block: int = 
     Returns a flat int32 buffer where the slots of segment s hold a
     permutation of 0..len(s): position j gets the segment-relative index
     of the element ranked j in the requested order. Runs as one
-    block-sort launch plus ceil(log2 num_blocks) merge launches; the
+    block-sort launch plus ceil(log8 num_blocks) merge launches; the
     result is independent of ``block``.
     """
     slots, seg, key = _keyed(a, order)
@@ -135,18 +140,23 @@ def segmented_argsort(a: SegmentedArray, order: str = "ascending", block: int = 
     perms = [sess.alloc(n, "i32", name=f"sort_perm_{c}") for c in "ab"]
     src = slots
     blocks = slots // block  # each slot's sort block, once per call
-    for k in range(log2_ceil(ceil_div(n, block)) + 1):
-        run = block << k  # sorted-run width this pass leaves
-        # the slot's run, its sort block >> k, adds to the segment above bit 33; both
+    sort_blocks = ceil_div(n, block)
+    fans = [1]  # pass k leaves runs of WAYS**k sort blocks, the last one of them all
+    while fans[-1] < sort_blocks:
+        fans.append(fans[-1] * WAYS)
+    for k, fan in enumerate(fans):
+        run = block * fan  # sorted-run width this pass leaves
+        # the slot's run, its sort block // fan, adds to the segment above bit 33; both
         # never decrease, so slots of equal sum there are the pass's (run, segment) pieces
-        runs = (blocks >> k) << 33
+        runs = (blocks // fan) << 33
 
         def rank(lo, hi):
             r0, r1 = lo - lo % run, min(n, ceil_div(hi, run) * run)
             return _ranked(src, runs, key, r0, r1)[lo - r0 : hi - r0]
 
         dst = perms[k % 2]
-        launch_rows(sess, LaunchConfig(grid=ceil_div(n, run), block=1 << k), dst, n, rank, tile=block)
+        cfg = LaunchConfig(grid=ceil_div(n, run), block=min(fan, sort_blocks))
+        launch_rows(sess, cfg, dst, n, rank, tile=block)
         src = dst
     return (src.to_numpy() - a.offsets[seg]).astype(np.int32)
 

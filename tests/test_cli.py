@@ -67,6 +67,20 @@ def test_run_gpu_ops_flag_controls_placement(fixture_files, tmp_path, capsys):
     assert "c1\tconv2d\tGPU" in captured.out
 
 
+@pytest.mark.parametrize("command", ["run", "stats"])
+@pytest.mark.parametrize("flag", ["--gpu-ops", "--fallback"])
+def test_placement_flags_reject_unknown_op_kinds(fixture_files, tmp_path, capsys, command, flag):
+    # a typo would otherwise leave the op on its default device without a word
+    graph, inputs = fixture_files
+    out = tmp_path / "out.json"
+    argv = [command, graph, inputs, flag, "conv2d, box_nm,relu,multibox"]
+    code = main(argv + (["--out", str(out)] if command == "run" else []))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"argument {flag}: unknown op kind(s) box_nm, multibox; known: " in captured.err
+    assert "box_nms" in captured.err and captured.out == "" and not out.exists()
+
+
 def test_run_outputs_identical_across_placements(fixture_files, tmp_path):
     graph, inputs = fixture_files
     a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -6,7 +6,7 @@ import pytest
 
 from edgegraph import vision
 from edgegraph.graph import assign_devices, load_graph, run_graph
-from edgegraph.simt import LaunchConfig, Session, ceil_div, log2_ceil
+from edgegraph.simt import LaunchConfig, Session
 from edgegraph.tensor import LayoutTag, Tensor, transform_kernel
 from fixtures import records_of
 
@@ -88,6 +88,12 @@ def test_row_launches_agree_race_checked_and_unchecked(op):
     assert names <= seen and not any("launch_rows" in n for n in seen)
 
 
+# sort block -> (grid, block) of each launch over 100 elements: runs of block * 8**k slots,
+# no launch wider than the 100, 50, 15 or 2 sort blocks
+ARGSORT_LAUNCHES = {1: [(100, 1), (13, 8), (2, 64), (1, 100)], 2: [(50, 1), (7, 8), (1, 50)],
+                    7: [(15, 1), (2, 8), (1, 15)], 64: [(2, 1), (1, 2)]}
+
+
 @pytest.mark.parametrize("block", [1, 2, 7, 64])
 def test_segmented_argsort_row_launches_agree_race_checked_and_unchecked(block):
     offsets = np.array([0, 9, 9, 40, 41, 100])  # an empty and a one-element segment
@@ -105,13 +111,11 @@ def test_segmented_argsort_row_launches_agree_race_checked_and_unchecked(block):
 
     unchecked, checked = _run(run, False), _run(run, True)
     assert checked == unchecked
-    passes = 1 + log2_ceil(ceil_div(n, block))
+    passes = [LaunchConfig(grid=g, block=b) for g, b in ARGSORT_LAUNCHES[block]]
     launches = unchecked[1]
-    assert len(launches) == 2 * passes
-    for i, (name, config, items, _, _) in enumerate(launches):
-        k = i % passes
+    assert [config for _, config, *_ in launches] == 2 * passes
+    for name, config, items, _, _ in launches:
         assert name == "segmented_argsort.<locals>.rank"
-        assert config == LaunchConfig(grid=ceil_div(n, block << k), block=1 << k)
         # lane g stores sort block g: the block sort and every merge pass alike
         lanes = config.grid * config.block
         assert items == [max(0, min(block, n - g * block)) for g in range(lanes)]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from edgegraph import simt
-from edgegraph.simt import Session, ceil_div, log2_ceil
+from edgegraph.simt import LaunchConfig, Session, ceil_div
 from edgegraph.vision import SegmentedArray, argsort_sequential, segmented_argsort
 from edgegraph.vision.sort import _keyed
 from fixtures import records_of
@@ -29,6 +29,24 @@ def stable_sort_oracle(values, offsets, order):
     return out
 
 
+def eight_way_launches(n, block):
+    """The launches of an n-element argsort in sort blocks of ``block``: the block
+    sort, then merge pass k, which leaves runs of block * 8**k slots in launches of
+    grid ceil(n / run) and block min(8**k, sort blocks), until one run holds them all."""
+    blocks = ceil_div(n, block)
+    launches, fan = [], 1
+    while True:
+        launches.append(LaunchConfig(grid=ceil_div(n, block * fan), block=min(fan, blocks)))
+        if fan >= blocks:
+            return launches
+        fan *= 8
+
+
+def lane_items(n, block, config):
+    """Elements each lane of ``config`` stores: lane g owns sort block g in every pass."""
+    return [max(0, min(block, n - g * block)) for g in range(config.grid * config.block)]
+
+
 def random_segmented(rng, max_segments=20, max_len=60):
     nseg = int(rng.integers(1, max_segments))
     lens = rng.integers(0, max_len, nseg)
@@ -44,25 +62,34 @@ def test_single_segment_hand_case():
     assert gathered.tolist() == [1.0, 2.0, 3.0]
 
 
-def test_five_blocks_three_merge_passes():
-    # coop widths double 2, 4, 8 across the merge tree
+def test_five_blocks_one_merge_pass():
+    # five sort blocks are fewer than eight, so one merge pass of five lanes merges them all
     vals = np.arange(50, dtype=np.float32)[::-1].copy()
     sa = SegmentedArray(values=vals, offsets=np.array([0, 50]))
     sess = Session()
     got = segmented_argsort(sa, "ascending", block=10, session=sess)
-    assert ceil_div(50, 10) == 5
-    assert sess.stats().launches == 1 + 3
+    assert sess.launch_log == [LaunchConfig(grid=5, block=1), LaunchConfig(grid=1, block=5)]
+    assert [r.work.tolist() for r in sess.records] == [[10] * 5, [10] * 5]
     assert got.tolist() == list(range(49, -1, -1))
 
 
-def test_launch_count_is_one_plus_log2_blocks():
+def test_launch_count_is_one_plus_log8_blocks():
+    # 97 elements: 97, 33, 14, 7 and 2 sort blocks
+    want = {1: [(97, 1), (13, 8), (2, 64), (1, 97)],
+            3: [(33, 1), (5, 8), (1, 33)],
+            7: [(14, 1), (2, 8), (1, 14)],
+            16: [(7, 1), (1, 7)],
+            50: [(2, 1), (1, 2)]}
     rng = np.random.default_rng(0)
-    for block in (1, 3, 7, 16, 50):
+    for block, launches in want.items():
         vals = rng.standard_normal(97).astype(np.float32)
         sa = SegmentedArray(values=vals, offsets=np.array([0, 97]))
         sess = Session()
         segmented_argsort(sa, "ascending", block=block, session=sess)
-        assert sess.stats().launches == 1 + log2_ceil(ceil_div(97, block))
+        assert sess.launch_log == [LaunchConfig(grid=g, block=b) for g, b in launches]
+        assert sess.launch_log == eight_way_launches(97, block)
+        for r in sess.records:
+            assert r.work.tolist() == lane_items(97, block, r.config), (block, r.config)
 
 
 def test_randomized_against_oracle():
@@ -100,10 +127,10 @@ def test_race_checked_merges_against_oracle():
         assert np.array_equal(got, stable_sort_oracle(vals, sa.offsets, order))
         if n == 0:
             continue
-        passes = log2_ceil(ceil_div(n, block))
-        st = sess.stats()
-        assert st.launches == 1 + passes
-        assert st.barriers == 0
+        assert sess.launch_log == eight_way_launches(n, block)
+        for r in sess.records:
+            assert r.work.tolist() == lane_items(n, block, r.config)
+        assert sess.stats().barriers == 0
         assert all(cfg.shared_slots == 0 for cfg in sess.launch_log)
 
 
@@ -346,7 +373,9 @@ def test_argsort_launches_and_outputs_do_not_depend_on_the_lane_plan_memo(monkey
                              records_of(sess)))
             assert simt._row_plan.cache_info().misses == misses, (n, block)
             assert runs[0] == runs[1] == runs[2], (n, block)
-            assert len(runs[0][1]) == (log2_ceil(ceil_div(n, block)) + 1 if n else 0)
+            want = eight_way_launches(n, block) if n else []
+            assert [config for _, config, *_ in runs[0][1]] == want, (n, block)
+            assert [items for _, _, items, *_ in runs[0][1]] == [lane_items(n, block, c) for c in want]
 
 
 def test_a_wide_block_one_argsort_leaves_no_lane_plan_behind():
@@ -356,6 +385,37 @@ def test_a_wide_block_one_argsort_leaves_no_lane_plan_behind():
     sa = SegmentedArray(values=rng.random(n, dtype=np.float32), offsets=[0, 17, n - 300, n])
     sess = Session()
     got = segmented_argsort(sa, block=1, session=sess)
-    assert len(sess.launch_log) == log2_ceil(n) + 1
+    assert sess.launch_log == [LaunchConfig(grid=g, block=b) for g, b in
+                               [(5000, 1), (625, 8), (79, 64), (10, 512), (2, 4096), (1, 5000)]]
+    assert all(r.work.tolist() == lane_items(n, 1, r.config) for r in sess.records)
     assert simt._row_plan.cache_info().currsize == 0
     assert np.array_equal(got, argsort_sequential(sa.values, offsets=sa.offsets))
+
+
+@pytest.mark.parametrize("race_check", [False, True])
+@pytest.mark.parametrize("block", [1, 3])
+def test_sort_block_counts_at_powers_of_eight_match_the_twin(block, race_check):
+    # 8**j sort blocks take j merge passes and 8**j + 1 take one more; both
+    # orders, over nans, signed zeros, ties, and empty and one-element segments
+    rng = np.random.default_rng(block)
+    for j in range(4):
+        for blocks, passes in ((8**j, j), (8**j + 1, j + 1)):
+            n = blocks * block - int(rng.integers(0, block))  # a short last block
+            lens = rng.multinomial(n - 1, np.ones(6) / 6)
+            lens[[0, 3]] = 0, 1  # an empty and a one-element segment
+            lens[-1] += n - lens.sum()
+            offsets = np.concatenate([[0], np.cumsum(lens)])
+            vals = rng.choice(SPECIAL, n)
+            ties = rng.random(n) < 0.5
+            vals[ties] = rng.integers(-2, 3, int(ties.sum()))
+            vals = vals.astype(np.float32)
+            sa = SegmentedArray(values=vals, offsets=offsets)
+            for order in ("ascending", "descending"):
+                sess = Session(race_check=race_check)
+                got = segmented_argsort(sa, order, block=block, session=sess)
+                assert np.array_equal(got, argsort_sequential(vals, order, offsets)), (blocks, order)
+                assert sess.launch_log == eight_way_launches(n, block)
+                assert len(sess.launch_log) == 1 + passes
+                assert all(c.block <= blocks for c in sess.launch_log)
+                assert sess.launch_log[-1] == LaunchConfig(grid=1, block=blocks)
+                assert all(r.work.tolist() == lane_items(n, block, r.config) for r in sess.records)
