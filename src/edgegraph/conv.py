@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simt import LaunchConfig, Session, check_int, lane_form
+from .simt import LaunchConfig, Session, canonical_nan, check_int, lane_form
 
 
 class ScheduleRejectedError(ValueError):
@@ -163,7 +163,7 @@ def _operands(inp, wgt, wl: ConvWorkload):
 
 
 def conv2d_reference(inp, wgt, wl: ConvWorkload) -> np.ndarray:
-    """Direct convolution, f32 accumulate, fixed (r, s, c ascending) order."""
+    """Direct convolution, f32 accumulate, fixed (r, s, c ascending) order, one NaN."""
     x, wgt = _operands(inp, wgt, wl)
     sh, sw = wl.stride
     dh, dw = wl.dilation
@@ -186,7 +186,7 @@ def conv2d_reference(inp, wgt, wl: ConvWorkload) -> np.ndarray:
                         ]
                         acc += patch * wgt[ki, ci, ri, si]
             out[ni, ki] = acc
-    return out
+    return canonical_nan(out)
 
 
 @functools.lru_cache(maxsize=32)
@@ -215,7 +215,7 @@ def _region(x, wgt, wl: ConvWorkload, ks: slice, ys: slice, xs: slice) -> np.nda
     The region's taps come in one ``take`` through the workload's tap plan.
     Every (n, output channel) plane is summed at once, one run per group its
     channels fall in, adding the products one at a time in the reference's
-    (r, s, c ascending) order, so each cell is the reference's bitwise."""
+    (r, s, c ascending) order, so each cell is the reference's bitwise, one NaN."""
     kg = wl.k // wl.groups
     g0, g1 = ks.start // kg, (ks.stop - 1) // kg + 1
     taps = x.take(_tap_plan(wl)[0][g0:g1, ..., ys, xs])
@@ -227,7 +227,7 @@ def _region(x, wgt, wl: ConvWorkload, ks: slice, ys: slice, xs: slice) -> np.nda
         run = acc[:, k0 - ks.start : k1 - ks.start]
         for prod in taps[g - g0] * wts:
             run += prod
-    return acc
+    return canonical_nan(acc)
 
 
 def conv2d_host(inp, wgt, wl: ConvWorkload) -> np.ndarray:

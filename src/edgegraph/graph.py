@@ -307,7 +307,7 @@ def _multibox_detection(node, args, gpu):
 
 
 def _roi_align(node, args, gpu):
-    size, ratio = tuple(node.attrs.get("output_size", (2, 2))), node.attrs.get("sampling_ratio", 2)
+    size, ratio = node.attrs.get("output_size", (2, 2)), node.attrs.get("sampling_ratio", 2)
     return _vision(gpu, "roi_align", args[0], args[1], size, ratio)
 
 

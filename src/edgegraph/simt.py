@@ -594,6 +594,14 @@ def check_int(name: str, value, low: int, rule: str = "") -> int:
     return int(value)
 
 
+def canonical_nan(a: np.ndarray) -> np.ndarray:
+    """``a`` with every NaN set in place to the one quiet NaN: numpy's add keeps one
+    of two NaN operands by its place in the vector loop, so by the array's shape."""
+    if a.size and np.isnan(a.max()):  # max propagates NaN
+        a[np.isnan(a)] = np.nan
+    return a
+
+
 def check_count(name: str, value):
     """``value`` of top_k or max_output as an int >= 0, or None; anything else raises."""
     return None if value is None else check_int(name, value, 0, "None or an integer >= 0")

@@ -7,27 +7,29 @@ covering an integer-aligned region samples exactly on pixel centers) and
 are clamped to the feature map. A zero-area ROI degenerates to repeated
 sampling at its origin, which is well defined, not an error.
 
-A launch sets up once: it casts the map to float64 (exact), plans each
-ROI's sample rows and columns (``_plan``) and turns the plan into flat
-per-sample corner indices and weights (``_sample_planes``). Tiles of
-``TILE`` consecutive ROIs then pool all channels in place in two float64
-workspaces that a range call allocates once (``_pool_tiles``): a gather
-per bilinear corner, then a plane-wise cell mean in numpy's sum order
-(``_cell_mean``). Kernel and twin are one body, ``_roi_align``: its
-``simt.run_rows`` call is a launch whose threads each pool tiles and write
-them with one slice store, or for the twin one host call over every ROI.
-Both pool the same tiles, so they agree bit for bit, NaNs included.
+A launch casts the map once to float64 with its last row and column
+repeated, (C, H + 1, W + 1): exact, as a sample on the map's last row or
+column reads that row or column as its far corner too. A range call plans
+its own ROIs as one flat top-left index and four bilinear weights per
+sample (``_plan``, ``_sample_planes``), the corners at that index plus 0,
+1, W + 1 and W + 2, then pools them ``PASS`` float64 elements' worth of
+channels at a time in two float64 workspaces (``_pool``): a gather per
+corner, then a plane-wise cell mean in numpy's sum order (``_cell_mean``).
+Kernel and twin are one body, ``_roi_align``: a ``simt.run_rows`` launch
+whose lanes own tiles of ``TILE`` ROIs, or one host call over every ROI.
+Every NaN output is the one quiet NaN, whose bits would otherwise tell a
+pass's shape, so the two agree bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..simt import LaunchConfig, Session, ceil_div, check_int, run_rows
+from ..simt import LaunchConfig, Session, canonical_nan, ceil_div, check_int, run_rows
 
-# ROIs pooled together in two (C, TILE * ratio**2 * ph * pw) float64 workspaces.
-# On 16 channels, 7x7 cells and ratio 2, 8 pooled faster than 4 or 16.
+# ROIs per lane tile: a launch has ceil(n / TILE) tiles, up to 4 per block.
 TILE = 8
+PASS = 2**15  # float64 elements per channel pass: ran faster than 2**13, 2**14 or 2**16
 
 
 def _check_inputs(features, rois, output_size, sampling_ratio):
@@ -49,7 +51,7 @@ def _check_inputs(features, rois, output_size, sampling_ratio):
     if bad.size:
         row = int(bad[0])
         raise ValueError(f"roi row {row} has a non-finite coordinate: {boxes[row].tolist()}")
-    size = tuple(output_size)
+    size = tuple(output_size) if np.iterable(output_size) else ()
     if len(size) != 2:
         raise ValueError(f"output_size must be two ints >= 1, got {output_size!r}")
     size = tuple(check_int(f"output_size[{i}]", v, 1) for i, v in enumerate(size))
@@ -57,22 +59,22 @@ def _check_inputs(features, rois, output_size, sampling_ratio):
 
 
 def _axis_plan(start, stop, bins, ratio, limit):
-    """Corner indices and weights along one axis: each of shape (n, bins, ratio)."""
+    """Near corner index and far corner weight along one axis: each (n, bins, ratio)."""
     step = (stop - start) / bins
     offs = np.arange(bins, dtype=np.float64)[:, None] + (np.arange(ratio, dtype=np.float64) + 0.5) / ratio
     # half-pixel aligned, in the same float64 operation order as the scalar rule
     s = start[:, None, None] + offs[None] * step[:, None, None] - 0.5
     s = np.clip(s, 0.0, limit - 1.0)
     lo = np.floor(s).astype(np.int64)
-    return lo, np.minimum(lo + 1, limit - 1), s - lo
+    return lo, s - lo
 
 
 def _plan(rois: np.ndarray, output_size, ratio: int, h: int, w: int):
-    """Sampling plan of every ROI of a launch in one float64 pass.
+    """Sampling plan of ROIs in one float64 pass.
 
-    Returns ``((y0, y1, wy), (x0, x1, wx))``: for each ROI, sample row
-    and sample column, the two rows (columns) it blends and the weight of
-    the second, of shapes (n, ph, ratio) and (n, pw, ratio).
+    Returns ``((y0, wy), (x0, wx))``: for each ROI, sample row and sample
+    column, the first row (column) it blends and the weight of the
+    second, of shapes (n, ph, ratio) and (n, pw, ratio).
     """
     r = rois.astype(np.float64)
     ph, pw = output_size
@@ -81,22 +83,21 @@ def _plan(rois: np.ndarray, output_size, ratio: int, h: int, w: int):
 
 
 def _sample_planes(plan, w: int):
-    """``((ratio**2, ph, pw), corners)``: per bilinear corner, in the scalar
-    rule's order, its flat map index, row weight and column weight, each a
-    flat array over the samples of every ROI. An ROI's samples run in (ry,
-    rx, ph, pw) order, so each (ry, rx) sample is one plane of its cells.
+    """``(index, gy, ky, gx, kx)``, flat over the samples in (ry, rx, roi, ph,
+    pw) order, so each (ry, rx) sample is one plane of every cell: a sample's
+    top-left corner in the padded map, whose rows hold w + 1 values, then the
+    weights of its first and second row and of its first and second column.
     """
-    (y0, y1, fy), (x0, x1, fx) = plan
+    (y0, fy), (x0, fx) = plan
     (n, ph, ratio), pw = y0.shape, x0.shape[1]
-    shape = (n, ratio, ratio, ph, pw)
+    shape = (ratio, ratio, n, ph, pw)
 
     def spread(a, axes):  # (n, bins, ratio) -> one value per sample
-        return np.broadcast_to(np.expand_dims(a.transpose(0, 2, 1), axes), shape).reshape(-1)
+        return np.broadcast_to(np.expand_dims(a.transpose(2, 0, 1), axes), shape).reshape(-1)
 
-    r0, r1, gy, ky = (spread(a, (2, 4)) for a in (y0 * w, y1 * w, 1 - fy, fy))
-    c0, c1, gx, kx = (spread(a, (1, 3)) for a in (x0, x1, 1 - fx, fx))
-    corners = (r0 + c0, gy, gx), (r0 + c1, gy, kx), (r1 + c0, ky, gx), (r1 + c1, ky, kx)
-    return (ratio * ratio, ph, pw), corners
+    rows, gy, ky = (spread(a, (1, 4)) for a in (y0 * (w + 1), 1 - fy, fy))
+    cols, gx, kx = (spread(a, (0, 3)) for a in (x0, 1 - fx, fx))
+    return rows + cols, gy, ky, gx, kx
 
 
 def _cell_mean(v: np.ndarray) -> np.ndarray:
@@ -127,29 +128,29 @@ def _cell_mean(v: np.ndarray) -> np.ndarray:
     return s
 
 
-def _pool_tiles(flat: np.ndarray, planes, lo: int, hi: int) -> np.ndarray:
-    """Pooled (hi - lo, C, ph, pw) float32 maps of ROIs lo..hi-1, from the
-    float64 (C, H * W) map ``flat`` and ``_sample_planes``, one tile of
-    ``TILE`` ROIs at a time from ``lo``, in place in two float64 workspaces.
-    """
-    (k, ph, pw), corners = planes
-    c, size = flat.shape[0], k * ph * pw
-    out = np.empty((hi - lo, c, ph, pw), np.float32)
-    work = np.empty((2, c * TILE * size))
-    for a in range(lo, hi, TILE):
-        b = min(a + TILE, hi)
-        v, t = (ws[: c * (b - a) * size].reshape(c, -1) for ws in work)
-        for j, (idx, ky, kx) in enumerate(corners):  # v += f[idx] * ky * kx
+def _pool(padded: np.ndarray, rois: np.ndarray, size, ratio: int, h: int, w: int) -> np.ndarray:
+    """Pooled (n, C, ph, pw) float32 maps of the n ``rois`` from the padded
+    float64 map, one channel pass at a time in two float64 workspaces."""
+    index, gy, ky, gx, kx = _sample_planes(_plan(rois, size, ratio, h, w), w)
+    c, n, samples = padded.shape[0], rois.shape[0], index.size
+    step = min(c, max(1, PASS // samples))
+    out = np.empty((n, c, *size), np.float32)
+    work = np.empty((2, step * samples))
+    corners = (0, gy, gx), (1, gy, kx), (w + 1, ky, gx), (w + 2, ky, kx)
+    for c0 in range(0, c, step):
+        c1 = min(c0 + step, c)
+        v, t = (ws[: (c1 - c0) * samples].reshape(c1 - c0, samples) for ws in work)
+        for j, (shift, wy, wx) in enumerate(corners):  # v += f[index + shift] * wy * wx
             term = t if j else v
             # every index is in range; mode="raise" would gather into a buffer
-            np.take(flat, idx[a * size : b * size], axis=1, out=term, mode="clip")
-            term *= ky[a * size : b * size]
-            term *= kx[a * size : b * size]
+            np.take(padded[c0:c1, shift:], index, axis=1, out=term, mode="clip")
+            term *= wy
+            term *= wx
             if j:
                 v += t
-        cells = _cell_mean(v.reshape(c, b - a, k, ph * pw)).reshape(c, b - a, ph, pw)
-        out[a - lo : b - lo] = cells.transpose(1, 0, 2, 3)
-    return out
+        cells = _cell_mean(v.reshape(c1 - c0, ratio * ratio, -1))
+        out[:, c0:c1] = cells.reshape(c1 - c0, n, *size).transpose(1, 0, 2, 3)
+    return canonical_nan(out)
 
 
 def _roi_align(features, rois, output_size, sampling_ratio, sess: Session | None) -> np.ndarray:
@@ -159,13 +160,14 @@ def _roi_align(features, rois, output_size, sampling_ratio, sess: Session | None
     r = boxes.shape[0]
     if r == 0 or c == 0:  # nothing to pool: no launch
         return np.zeros((r, c, ph, pw), np.float32)
-    planes = _sample_planes(_plan(boxes, (ph, pw), ratio, h, w), w)
-    flat = feats[0].reshape(c, h * w).astype(np.float64)
+    padded = np.empty((c, h + 1, w + 1))
+    padded[:, :h, :w], padded[:, :h, w] = feats[0], feats[0, :, :, w - 1]
+    padded[:, h] = padded[:, h - 1]
     tiles = ceil_div(r, TILE)
     block = min(4, tiles)
 
     def pool(lo, hi):
-        return _pool_tiles(flat, planes, lo, hi)
+        return _pool(padded.reshape(c, -1), boxes[lo:hi], (ph, pw), ratio, h, w)
 
     return run_rows(sess, LaunchConfig(grid=ceil_div(tiles, block), block=block), "f32", r,
                     c * ph * pw, pool, "roi_out", TILE).reshape(r, c, ph, pw)
@@ -177,12 +179,12 @@ def roi_align(features, rois, output_size, sampling_ratio: int = 2,
 
     ``rois`` is a sequence of (x1, y1, x2, y2) in feature coordinates;
     returns a (len(rois), C, ph, pw) float32 array. One launch: each
-    thread pools one tile of ``TILE`` ROIs across all channels.
+    thread owns one tile of ``TILE`` ROIs across all channels.
     """
     return _roi_align(features, rois, output_size, sampling_ratio,
                       session if session is not None else Session())
 
 
 def roi_align_sequential(features, rois, output_size, sampling_ratio: int = 2) -> np.ndarray:
-    """Same pooling without the emulator, over the kernel's tiles."""
+    """Same pooling without the emulator, in one call over every ROI."""
     return _roi_align(features, rois, output_size, sampling_ratio, None)

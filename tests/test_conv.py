@@ -339,18 +339,6 @@ def _planted(rng, shape):
     return a
 
 
-def _nan_blind_bytes(a):
-    """``a``'s bytes with every NaN made the one quiet NaN.
-
-    Where a NaN made by inf * 0 or inf - inf meets a planted one, numpy's
-    add keeps one of the two by the length of the arrays it adds (numpy
-    2.4, x86-64): a 1-element ``a += b`` keeps b's NaN, a longer one a's. So the sign of a
-    NaN cell tells which array shape summed it, not the summation order;
-    every other cell, -0.0 and infinities included, is compared bit for bit.
-    """
-    return np.where(np.isnan(a), np.float32(np.nan), a).tobytes()
-
-
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize("name", list(DIFFERENTIAL_WORKLOADS))
 def test_host_path_equals_reference_bitwise_over_differential_workloads(name):
@@ -362,13 +350,13 @@ def test_host_path_equals_reference_bitwise_over_differential_workloads(name):
     x, w = np.zeros(xs), -np.ones(ws)  # -0.0 products only
     assert conv2d_host(x, w, wl).tobytes() == conv2d_reference(x, w, wl).tobytes()
     x, w = _planted(rng, xs), _planted(rng, ws)
-    assert _nan_blind_bytes(conv2d_host(x, w, wl)) == _nan_blind_bytes(conv2d_reference(x, w, wl))
+    assert conv2d_host(x, w, wl).tobytes() == conv2d_reference(x, w, wl).tobytes()
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
-def test_host_path_equals_reference_bitwise_on_random_workloads():
-    # grouped, strided, dilated, padded and batched shapes, with -0.0, NaN
-    # and infinities in input and weights
+def _random_workloads():
+    """240 grouped, strided, dilated, padded and batched workloads, each
+    with standard-normal operands, then operands with -0.0, NaN and
+    infinities planted: ``(wl, x, wt, planted_x, planted_wt)``."""
     rng = np.random.default_rng(12)
     done = 0
     while done < 240:
@@ -385,12 +373,36 @@ def test_host_path_equals_reference_bitwise_on_random_workloads():
             continue
         x = rng.standard_normal((wl.n, wl.c, wl.h, wl.w)).astype(np.float32)
         wt = rng.standard_normal((wl.k, cg, r, s)).astype(np.float32)
+        yield wl, x, wt, _planted(rng, x.shape), _planted(rng, wt.shape)
+        done += 1
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_host_path_equals_reference_bitwise_on_random_workloads():
+    for wl, x, wt, px, pwt in _random_workloads():
         got = conv2d_host(x, wt, wl)
         assert got.shape == (wl.n, wl.k, wl.oh, wl.ow), wl
         assert got.tobytes() == conv2d_reference(x, wt, wl).tobytes(), wl
-        x, wt = _planted(rng, x.shape), _planted(rng, wt.shape)
-        assert _nan_blind_bytes(conv2d_host(x, wt, wl)) == _nan_blind_bytes(conv2d_reference(x, wt, wl)), wl
-        done += 1
+        assert conv2d_host(px, pwt, wl).tobytes() == conv2d_reference(px, pwt, wl).tobytes(), wl
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_race_checked_and_lane_form_runs_equal_the_reference_on_planted_workloads():
+    """With NaN planted, a race-checked run sums each lane's cells in arrays
+    of another shape than the lane-form call over every lane; every NaN is
+    still the one quiet NaN, so all four paths agree in every byte."""
+    pick = np.random.default_rng(13)
+    nans = 0
+    for wl, _, _, x, wt in _random_workloads():
+        space = schedule_space(wl)
+        cfg = space[int(pick.integers(len(space)))]
+        want = conv2d_reference(x, wt, wl)
+        for race_check in (False, True):
+            got = conv2d_scheduled(x, wt, wl, cfg, session=Session(race_check=race_check))
+            assert got.tobytes() == want.tobytes(), (wl, cfg, race_check)
+        nans += np.count_nonzero(np.isnan(want))
+        assert (want.view(np.uint32)[np.isnan(want)] == np.float32(np.nan).view(np.uint32)).all()
+    assert nans > 1000
 
 
 def test_host_path_checks_shapes_like_the_reference():

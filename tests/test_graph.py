@@ -522,6 +522,20 @@ def test_integer_attrs_are_checked_not_truncated_on_every_placement(op, attrs, b
     assert errors[0] == errors[1]
 
 
+@pytest.mark.parametrize("size", [7, None])
+def test_a_non_sequence_output_size_is_a_named_error_on_every_placement(size):
+    g = load_graph(doc(
+        [{"id": "y", "op": "roi_align", "attrs": {"output_size": size}, "inputs": ["x", "r"]}],
+        inputs={"x": {"shape": [1, 2, 6, 6], "dtype": "f32"}, "r": {"shape": [1, 4], "dtype": "f32"}},
+        outputs=["y"],
+    ))
+    inputs = {"x": np.ones((1, 2, 6, 6), np.float32), "r": np.array([[0.5, 0.5, 4, 4]], np.float32)}
+    for ops in (DEFAULT_GPU_OPS, set()):
+        with pytest.raises(GraphExecutionError) as e:
+            run_graph(insert_copies(assign_devices(g, ops)), inputs)
+        assert str(e.value) == f"node 'y' (roi_align): output_size must be two ints >= 1, got {size}"
+
+
 def test_integral_float_attrs_run_as_ints():
     x = np.random.default_rng(6).standard_normal((1, 2, 7, 7)).astype(np.float32)
     want = pool_oracle(x, 3, 2, 2, 1)

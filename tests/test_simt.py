@@ -17,6 +17,7 @@ from edgegraph.simt import (
     RaceError,
     Session,
     _divergence,
+    canonical_nan,
     lane_form,
     launch_rows,
     run_rows,
@@ -888,3 +889,21 @@ def test_divergence_equals_the_padded_per_position_formula(block):
         lanes = [[rng.random(grid * block) < p for _ in range(rng.integers(1, 4))]]
         got = _divergence(lanes, block)
         assert got == padded_divergence(lanes, block) and type(got) is int, (trial, lanes)
+
+
+@pytest.mark.parametrize("dtype, uint", [(np.float32, np.uint32), (np.float64, np.uint64)])
+def test_canonical_nan_gives_every_nan_one_bit_pattern_in_place(dtype, uint):
+    """NaNs of either sign and any payload become the one quiet NaN; every
+    other value, -0.0 and infinities included, keeps its bits."""
+    quiet = np.array(np.nan, dtype).view(uint)
+    signed = np.array(np.nan, dtype).view(uint) | np.array(-0.0, dtype).view(uint)
+    odd = np.array(np.nan, dtype).view(uint) + 1
+    a = np.array([1.5, -0.0, np.inf, -np.inf, 0, 0, 0, 2.0], dtype)
+    a[4:7] = np.array([quiet, signed, odd], uint).view(dtype)
+    keep = a.copy()
+    assert canonical_nan(a) is a
+    bits = a.view(uint)
+    assert (bits[4:7] == quiet).all()
+    assert bits[[0, 1, 2, 3, 7]].tolist() == keep.view(uint)[[0, 1, 2, 3, 7]].tolist()
+    empty = np.empty((0, 3), dtype)
+    assert canonical_nan(empty) is empty

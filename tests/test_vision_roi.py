@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from edgegraph.simt import Session
-from edgegraph.vision import roi_align, roi_align_sequential
-from edgegraph.vision.roi import TILE, _cell_mean
+from edgegraph.simt import Session, canonical_nan
+from edgegraph.vision import roi, roi_align, roi_align_sequential
+from edgegraph.vision.roi import PASS, TILE, _cell_mean
+
+QUIET_NAN = np.float32(np.nan).view(np.uint32)
 
 
 def oracle_bilinear(fm, y, x):
@@ -96,11 +98,11 @@ def random_case(rng):
 
 
 def test_kernel_twin_and_per_channel_reference_agree_bitwise():
-    """Kernel and twin match bit for bit, NaNs included. The reference
-    matches them in every bit of every non-NaN output and in where the
-    NaNs are. A NaN's sign can differ where a sample adds NaNs of both
-    signs (inf * 0 makes a negative one): which one an add keeps depends
-    on the element's place in numpy's vector loop, so on the array shape."""
+    """Kernel and twin match the reference in every byte once the
+    reference's NaNs are made the one quiet NaN. Without that step a NaN's
+    sign could differ where a sample adds NaNs of both signs (inf * 0 makes
+    a negative one): which one an add keeps depends on the element's place
+    in numpy's vector loop, so on the array shape."""
     rng = np.random.default_rng(7)
     ratios = set()
     with np.errstate(invalid="ignore", over="ignore"):
@@ -110,11 +112,9 @@ def test_kernel_twin_and_per_channel_reference_agree_bitwise():
             sess = Session(race_check=trial % 4 == 0)
             got = roi_align(feats, rois, size, ratio, session=sess)
             twin = roi_align_sequential(feats, rois, size, ratio)
-            want = per_channel_reference(feats, rois, size, ratio)
+            want = canonical_nan(per_channel_reference(feats, rois, size, ratio))
             assert got.shape == want.shape == (len(rois), feats.shape[1]) + size
-            assert np.array_equal(got.view(np.uint32), twin.view(np.uint32)), f"trial {trial}"
-            same = (twin.view(np.uint32) == want.view(np.uint32)) | (np.isnan(twin) & np.isnan(want))
-            assert same.all(), f"trial {trial}"
+            assert got.tobytes() == twin.tobytes() == want.tobytes(), f"trial {trial}"
     assert ratios == {1, 2, 3, 4, 5, 6}
 
 
@@ -210,6 +210,120 @@ def test_one_launch_per_call(nroi):
     assert sum(sess.stats().per_thread_items) == nroi * 3 * 2 * 2
 
 
+@pytest.mark.parametrize("race_check", [False, True])
+def test_launch_record_of_a_five_tile_call(race_check):
+    """5 * TILE - 3 ROIs make 5 tiles on 2 blocks of 4 lanes: each of the
+    first five lanes stores one tile's rows of 3 * 2 * 2 values, the last
+    lane's tile holding TILE - 3 ROIs, and the other three lanes none."""
+    sess = Session(race_check=race_check)
+    feats = np.ones((1, 3, 5, 5), np.float32)
+    roi_align(feats, np.tile([[0.5, 0.5, 3.0, 4.0]], (5 * TILE - 3, 1)), (2, 2), 2, session=sess)
+    (rec,) = sess.records
+    assert rec.kernel == "_roi_align.<locals>.pool"
+    assert (rec.config.grid, rec.config.block) == (2, 4)
+    assert rec.work.tolist() == [TILE * 12] * 4 + [(TILE - 3) * 12, 0, 0, 0]
+    assert (rec.barriers, rec.divergence_events) == (0, 0)
+
+
+def _pass_channels(monkeypatch):
+    """The channel count of each pass of later roi_align calls, in order."""
+    seen, mean = [], roi._cell_mean
+    monkeypatch.setattr(roi, "_cell_mean", lambda v: seen.append(v.shape[0]) or mean(v))
+    return seen
+
+
+def _every_path(feats, rois, size, ratio):
+    return (roi_align(feats, rois, size, ratio, session=Session()),
+            roi_align(feats, rois, size, ratio, session=Session(race_check=True)),
+            roi_align_sequential(feats, rois, size, ratio))
+
+
+@pytest.mark.parametrize("step, passes", [(2, [2, 2, 2, 1]), (3, [3, 3, 1]), (5, [5, 2]), (6, [6, 1])])
+def test_channels_split_unevenly_into_passes(monkeypatch, step, passes):
+    """PASS set so that a pass holds ``step`` of 7 channels: the last pass
+    holds the rest, and every path matches the reference bitwise."""
+    feats, rois, size, ratio = decades_case(np.random.default_rng(step), 7, 3, 2)
+    samples = len(rois) * ratio**2 * size[0] * size[1]
+    monkeypatch.setattr(roi, "PASS", step * samples + samples - 1)
+    seen = _pass_channels(monkeypatch)
+    want = per_channel_reference(feats, rois, size, ratio).tobytes()
+    got = roi_align_sequential(feats, rois, size, ratio)
+    assert seen == passes and got.tobytes() == want
+    for got in _every_path(feats, rois, size, ratio):
+        assert got.tobytes() == want
+
+
+def test_a_call_over_pass_samples_pools_one_channel_per_pass(monkeypatch):
+    feats, rois, size, ratio = decades_case(np.random.default_rng(5), 3, 19, 6, size=(7, 7))
+    assert len(rois) * ratio**2 * 49 > PASS
+    seen = _pass_channels(monkeypatch)
+    got = roi_align_sequential(feats, rois, size, ratio)
+    assert seen == [1, 1, 1]
+    assert got.tobytes() == per_channel_reference(feats, rois, size, ratio).tobytes()
+
+
+def test_a_tiny_call_pools_every_channel_in_one_pass(monkeypatch):
+    feats, rois, size, ratio = decades_case(np.random.default_rng(6), 20, 1, 1, size=(1, 1))
+    seen = _pass_channels(monkeypatch)
+    want = per_channel_reference(feats, rois, size, ratio).tobytes()
+    for got in _every_path(feats, rois, size, ratio):
+        assert got.tobytes() == want
+    assert seen == [20, 20, 20]
+
+
+@pytest.mark.parametrize("h, w", [(1, 1), (1, 6), (5, 1)])
+def test_one_row_and_one_column_maps(h, w):
+    """A 1-pixel axis pads to 2, and every sample along it blends the one
+    pixel with its own copy."""
+    rng = np.random.default_rng(h * 10 + w)
+    feats = (rng.standard_normal((1, 4, h, w)) * 10.0 ** rng.integers(-9, 10, (1, 4, h, w))).astype(np.float32)
+    xy = rng.random((TILE + 3, 2)) * 4 - 1
+    rois = np.concatenate([xy, xy + rng.random(xy.shape) * 5], axis=1).astype(np.float32)
+    want = per_channel_reference(feats, rois, (2, 3), 3).tobytes()
+    for got in _every_path(feats, rois, (2, 3), 3):
+        assert got.tobytes() == want
+
+
+def test_rois_on_the_last_row_and_column_read_the_padded_edge():
+    """ROIs on and past the map's far edges: their samples clamp to the
+    last row and column, whose padded copies they read as far corners with
+    weight zero. Infinities there make those cells NaN (inf * 0), so a
+    padded edge that is not the map's own shows."""
+    rng = np.random.default_rng(9)
+    feats, _, size, ratio = decades_case(rng, 3, 1, 3)
+    h, w = feats.shape[2:]
+    feats[0, 0, h - 1], feats[0, 1, :, w - 1], feats[0, 2, h - 1, w - 1] = np.inf, -np.inf, np.nan
+    rois = np.float32([[w - 1, h - 1, w - 1, h - 1], [w - 1.5, 0, w + 3, h], [0, h - 1.25, w, h + 2],
+                       [w - 1, h - 1, w + 5, h + 5], [w - 2, h - 2, w - 1, h - 1], [0, 0, w, h]])
+    with np.errstate(invalid="ignore"):
+        want = canonical_nan(per_channel_reference(feats, rois, size, ratio))
+        assert np.isnan(want).any() and not np.isnan(want).all()
+        for got in _every_path(feats, rois, size, ratio):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_multi_lane_race_checked_calls_with_planted_values_are_byte_equal():
+    """Race check pools each lane's ROIs in a pass of its own shape: with
+    NaN and infinities planted, its bytes equal the unchecked call's and
+    the twin's, and every NaN is the one quiet NaN."""
+    rng = np.random.default_rng(31)
+    nans = 0
+    with np.errstate(invalid="ignore", over="ignore"):
+        for trial in range(120):
+            feats, _, size, ratio = random_case(rng)
+            k = max(1, feats.size // 5)
+            feats.reshape(-1)[rng.integers(0, feats.size, k)] = rng.choice([np.nan, np.inf, -np.inf], k)
+            n = int(rng.integers(TILE + 1, 6 * TILE))
+            xy = rng.random((n, 2)) * (max(feats.shape[2:]) + 4) - 2
+            rois = np.concatenate([xy, xy + rng.random((n, 2)) * 8], axis=1).astype(np.float32)
+            outs = _every_path(feats, rois, size, ratio)
+            assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes(), f"trial {trial}"
+            bits = outs[1].view(np.uint32)[np.isnan(outs[1])]
+            assert (bits == QUIET_NAN).all(), f"trial {trial}"
+            nans += bits.size
+    assert nans > 1000
+
+
 def test_constant_feature_map_gives_constant_output():
     feats = np.full((1, 3, 6, 6), 2.75, np.float32)
     out = roi_align(feats, [[0.5, 0.5, 4.0, 5.0]], (3, 3), sampling_ratio=2)
@@ -295,6 +409,15 @@ def test_kernel_and_twin_reject_bad_inputs_alike(args, match):
     for fn in (roi_align, roi_align_sequential):
         with pytest.raises(ValueError, match=match):
             fn(*args)
+
+
+@pytest.mark.parametrize("size", [7, None])
+def test_a_non_sequence_output_size_is_named(size):
+    feats = np.zeros((1, 2, 4, 4), np.float32)
+    for fn in (roi_align, roi_align_sequential):
+        with pytest.raises(ValueError) as e:
+            fn(feats, [[0, 0, 1, 1]], size)
+        assert str(e.value) == f"output_size must be two ints >= 1, got {size}"
 
 
 @pytest.mark.parametrize("count", [0, 1, 9])
