@@ -163,7 +163,7 @@ def _operands(inp, wgt, wl: ConvWorkload):
 
 
 def conv2d_reference(inp, wgt, wl: ConvWorkload) -> np.ndarray:
-    """Direct convolution, f32 accumulate, fixed (r, s, c ascending) order, one NaN."""
+    """Direct convolution, f32 accumulate, fixed (r, s, c ascending) order, NaNs made canonical."""
     x, wgt = _operands(inp, wgt, wl)
     sh, sw = wl.stride
     dh, dw = wl.dilation
@@ -215,7 +215,7 @@ def _region(x, wgt, wl: ConvWorkload, ks: slice, ys: slice, xs: slice) -> np.nda
     The region's taps come in one ``take`` through the workload's tap plan.
     Every (n, output channel) plane is summed at once, one run per group its
     channels fall in, adding the products one at a time in the reference's
-    (r, s, c ascending) order, so each cell is the reference's bitwise, one NaN."""
+    (r, s, c ascending) order, so each cell is the reference's bitwise, NaNs made canonical."""
     kg = wl.k // wl.groups
     g0, g1 = ks.start // kg, (ks.stop - 1) // kg + 1
     taps = x.take(_tap_plan(wl)[0][g0:g1, ..., ys, xs])
