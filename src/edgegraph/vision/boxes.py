@@ -137,7 +137,8 @@ def _suppression_rows(xy: np.ndarray, xk: np.ndarray, first: np.ndarray, end: np
 
 def _sources(mask: np.ndarray, first: np.ndarray, cands: np.ndarray, g: np.ndarray, n: int,
              rows: int, max_output) -> np.ndarray:
-    """Input row of each output row, -1 for an all-invalid one: greedy NMS
+    """Input row of each output row, ``rows`` for an all-invalid one (the
+    all-invalid row that the caller appends to the input): greedy NMS
     over each segment of the mask in score order, and the kept rows merged
     back into each n-row image's score order, cut to max_output.
 
@@ -161,7 +162,7 @@ def _sources(mask: np.ndarray, first: np.ndarray, cands: np.ndarray, g: np.ndarr
     img = kept // n
     slot = np.arange(len(kept)) - np.searchsorted(img, img)
     cut = slot < (len(kept) if max_output is None else max_output)
-    src = np.full(rows, -1)
+    src = np.full(rows, rows)
     src[(img * n + slot)[cut]] = kept[cut]
     return src
 
@@ -206,7 +207,7 @@ def _nms_pass(boxes: BoxSet, images: int, iou_threshold: float, score_threshold:
     mask = run_rows(sess, LaunchConfig(grid=1, block=max(1, ceil_div(c, TILE))), "bool", c, width,
                     fill_mask, "nms_mask", TILE)
     src = _sources(mask, first, cands, g, n, len(boxes), max_output)
-    packed = np.concatenate([boxes.to_array(), np.full((1, 6), INVALID, np.float32)])  # src -1
+    packed = np.concatenate([boxes.to_array(), np.full((1, 6), INVALID, np.float32)])  # src len(boxes)
 
     def write_out(lo, hi):
         return packed[src[lo:hi]]

@@ -27,6 +27,7 @@ from edgegraph.vision import (
     multibox_detection,
     multibox_detection_sequential,
 )
+from edgegraph.vision import boxes as boxes_mod
 from edgegraph.vision.boxes import _sources
 from fixtures import ssd_like_doc, ssd_like_inputs
 from test_vision_boxes import iou_cases, oracle_iou, oracle_multibox, oracle_nms, same_iou
@@ -238,7 +239,8 @@ def test_iou_fast_min_max_path_matches_the_scalar_rule():
 def walk_every_row(mask, first, cands, g, n, rows, max_output):
     """_sources by the plain greedy walk: every mask row in order, each
     segment's removed set restarting at its first row, then each image's
-    kept candidates in score order, the first max_output of them."""
+    kept candidates in score order, the first max_output of them; ``rows``,
+    the appended all-invalid row, where no candidate is kept."""
     removed, kept = 0, []
     for k, s in enumerate(first.tolist()):
         if k == s:
@@ -246,7 +248,7 @@ def walk_every_row(mask, first, cands, g, n, rows, max_output):
         if not removed >> (k - s) & 1:
             kept.append(int(g[k]))
             removed |= sum(1 << t for t in np.flatnonzero(mask[k]).tolist())
-    src, slots = [-1] * rows, {}
+    src, slots = [rows] * rows, {}
     for p in sorted(kept):
         img = cands[p] // n
         slot = slots[img] = slots.get(img, -1) + 1
@@ -285,6 +287,32 @@ def test_sweep_of_hit_rows_equals_the_walk_of_every_row(density):
             got = _sources(*args)
             assert got.tolist() == walk_every_row(*args), (trial, max_output)
     assert 0 in widths and len(widths) > 10
+
+
+@pytest.mark.parametrize("case", ["all_below_threshold", "all_invalid", "max_output_0", "one_kept"])
+def test_sources_mark_all_invalid_rows_with_the_appended_row_not_a_negative_index(case, monkeypatch):
+    # the output's all-invalid rows read the row appended after the input, by
+    # its own index: a device read has no wraparound for -1
+    rng = np.random.default_rng(3)
+    rows = _rows(rng, 40, 2, "invalid" if case == "all_invalid" else "")
+    rows[:, 2:] = [0.1, 0.1, 0.5, 0.5]  # one spot: every pair of a class overlaps
+    boxes = BoxSet.from_array(rows)
+    threshold = 2.0 if case == "all_below_threshold" else 0.0
+    max_output = 0 if case == "max_output_0" else None
+    seen = []
+    monkeypatch.setattr(boxes_mod, "_sources", lambda *a: seen.append(_sources(*a)) or seen[-1])
+    outs = [nms(boxes, 2, 0.5, threshold, None, max_output, **kw).to_array()
+            for nms, kw in ((box_nms_batch, {}), (box_nms_batch, {"session": Session(race_check=True)}),
+                            (box_nms_batch_sequential, {}))]
+    assert len(seen) == 3 and all(np.array_equal(src, seen[0]) for src in seen)
+    assert seen[0].min() >= 0 and seen[0].max() <= len(rows)
+    kept = {"one_kept": 4}.get(case, 0)  # per image, the top box of each of its 2 classes
+    assert np.count_nonzero(seen[0] < len(rows)) == kept
+    for got in outs:
+        assert _same(got, outs[0])
+        assert _same(got[seen[0] == len(rows)], np.full((len(rows) - kept, 6), -1.0, np.float32))
+    want = [oracle_nms(rows[i : i + 20], 0.5, threshold, max_output=max_output) for i in (0, 20)]
+    assert _same(outs[0], np.concatenate(want))
 
 
 def test_a_suppressed_box_suppresses_nothing():
