@@ -11,7 +11,10 @@ config that does not fit its workload is rejected, never clamped.
 fixed (r, s, c ascending) accumulation order per output element. The
 scheduled kernel and ``conv2d_host``, its arithmetic without the emulator,
 share one region body that keeps that order, so both match it bitwise.
-The region's gather plan is kept for the 32 most recently used workloads.
+The region's gather plan is kept for the 32 most recently used workloads,
+and the kernel's per-lane guard and work counts, its lane plan, for the 32
+most recently used (workload, config) pairs of at most ``simt.PLAN_LANES``
+lanes; each call indexes that plan by its lanes, race-checked or not.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simt import LaunchConfig, Session, canonical_nan, check_int, lane_form
+from .simt import PLAN_LANES, LaunchConfig, Session, canonical_nan, check_int, lane_form
 
 
 class ScheduleRejectedError(ValueError):
@@ -230,6 +233,20 @@ def _region(x, wgt, wl: ConvWorkload, ks: slice, ys: slice, xs: slice) -> np.nda
     return canonical_nan(acc)
 
 
+@functools.lru_cache(maxsize=32)
+def _lane_plan(wl: ConvWorkload, cfg: ScheduleConfig):
+    """The scheduled kernel's guard (thread id below ow) and work count of every lane,
+    block-major; read-only, kept for the 32 most recently used (workload, config)
+    pairs of ``PLAN_LANES`` lanes or fewer."""
+    threads = cfg.w_tile * cfg.vec
+    t = np.tile(np.arange(threads), cfg.oc_split * cfg.h_split)
+    # columns t, t + threads, ... below ow, over the block's channels and band
+    work = wl.n * (wl.k // cfg.oc_split) * (wl.oh // cfg.h_split) * np.maximum(-((t - wl.ow) // threads), 0)
+    guard = t < wl.ow
+    guard.flags.writeable = work.flags.writeable = False
+    return guard, work
+
+
 def conv2d_host(inp, wgt, wl: ConvWorkload) -> np.ndarray:
     """The scheduled kernel's arithmetic over the whole output, without the
     emulator: bitwise equal to the reference and to every schedule."""
@@ -260,7 +277,8 @@ def conv2d_scheduled(inp, wgt, wl: ConvWorkload, cfg: ScheduleConfig,
     k_per_block = wl.k // cfg.oc_split
     band = oh // cfg.h_split
     threads = cfg.w_tile * cfg.vec
-    cells = _tap_plan(wl)[1]
+    plan = _lane_plan if cfg.oc_split * cfg.h_split * threads <= PLAN_LANES else _lane_plan.__wrapped__
+    guard, work = plan(wl, cfg)
 
     xbuf = sess.alloc(x.size, "f32", name="conv_in")
     xbuf.load(x.reshape(-1))
@@ -270,18 +288,16 @@ def conv2d_scheduled(inp, wgt, wl: ConvWorkload, cfg: ScheduleConfig,
 
     @lane_form
     def kernel(ctx):
-        t = ctx.thread_id
-        live = ctx.guard(t < ow)
-        # columns t, t + threads, ... below ow
-        ctx.add_work(wl.n * k_per_block * band * np.maximum(-((t - ow) // threads), 0))
+        live = ctx.guard(guard[ctx.lanes])
+        ctx.add_work(work[ctx.lanes])
         # all lanes own the whole output; one (race check) its block's cells t::threads
         if not sess.race_check:
             obuf[:] = _region(xbuf[:], wbuf[:], wl, slice(0, wl.k), slice(0, oh), slice(0, ow)).reshape(-1)
         elif live[0]:
-            b = int(ctx.block_id[0])
+            b, t = int(ctx.block_id[0]), int(ctx.thread_id[0])
             kb, y0 = (b // cfg.h_split) * k_per_block, (b % cfg.h_split) * band
-            ks, ys, xs = slice(kb, kb + k_per_block), slice(y0, y0 + band), slice(int(t[0]), ow, threads)
-            obuf[cells[:, ks, ys, xs]] = _region(xbuf[:], wbuf[:], wl, ks, ys, xs)
+            ks, ys, xs = slice(kb, kb + k_per_block), slice(y0, y0 + band), slice(t, ow, threads)
+            obuf[_tap_plan(wl)[1][:, ks, ys, xs]] = _region(xbuf[:], wbuf[:], wl, ks, ys, xs)
 
     sess.launch(kernel, LaunchConfig(grid=cfg.oc_split * cfg.h_split, block=threads))
     return obuf.to_numpy().reshape(wl.n, wl.k, oh, ow)

@@ -14,6 +14,7 @@ array, and :class:`Tensor` is only ``run_graph``'s input and output type.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -278,12 +279,23 @@ def _pool(node, args, gpu):
     return y.reshape(n, c, oh, ow)
 
 
+@functools.lru_cache(maxsize=32)
+def _conv_workload(dshape: tuple, wshape: tuple, attrs: tuple) -> ConvWorkload:
+    """The workload of a conv of ``dshape`` data and ``wshape`` weights under the
+    (name, value) pairs ``attrs``; kept for the 32 most recently used."""
+    (n, c, h, w), (k, _, r, s) = dshape, wshape
+    return ConvWorkload(n, c, h, w, k, r, s, **dict(attrs))
+
+
 def _conv2d(node, args, gpu):
     data, weight = args
-    n, c, h, w = data.shape
-    k, _, r, s = weight.shape
-    attrs = {a: node.attrs[a] for a in ("stride", "pad", "dilation", "groups") if a in node.attrs}
-    wl = ConvWorkload(n, c, h, w, k, r, s, **attrs)
+    attrs = tuple((a, node.attrs[a]) for a in ("stride", "pad", "dilation", "groups") if a in node.attrs)
+    # memo keys are ints and int pairs, a list pair as a tuple, which ConvWorkload takes alike;
+    # any other value could share a key with a different outcome, as True == 1 and 1.0 == 1
+    key = tuple((a, v if type(v) is int else tuple(v)) for a, v in attrs if type(v) is int
+                or type(v) in (list, tuple) and len(v) == 2 and type(v[0]) is type(v[1]) is int)
+    wl = (_conv_workload(data.shape, weight.shape, key) if len(key) == len(attrs)
+          else _conv_workload.__wrapped__(data.shape, weight.shape, attrs))
     if gpu is None:
         return conv2d_host(data, weight, wl)
     cfg = node.schedule if node.schedule is not None else ScheduleConfig()

@@ -141,20 +141,21 @@ def _what(buf) -> str:
     return "shared storage" if buf.name is None else f"buffer {buf.name!r}"
 
 
-def _check_index(idx, n: int, owner) -> None:
+def _check_index(idx, n: int, owner):
     """Validate an int, slice (any positive step) or int-array index
-    against length ``n``. An error names ``owner._where()`` and the
+    against length ``n``, and return the number of slots a slice selects
+    (None for any other index). An error names ``owner._where()`` and the
     buffer ``owner.name``, or shared storage when the name is None."""
     # fast paths for the common in-range int and unit-step slice; any
     # other index, or one out of range, takes the checks below
     if type(idx) is int:
         if 0 <= idx < n:
-            return
+            return None
     elif type(idx) is slice and idx.step is None:
         start = 0 if idx.start is None else idx.start
         stop = n if idx.stop is None else idx.stop
         if 0 <= start <= stop <= n:
-            return
+            return stop - start
     what = _what(owner)
     if isinstance(idx, (int, np.integer)):
         if idx < 0 or idx >= n:
@@ -168,7 +169,7 @@ def _check_index(idx, n: int, owner) -> None:
         if step <= 0 or start < 0 or stop > n or start > stop:
             raise BufferBoundsError(f"{owner._where()}: slice [{idx.start}:{idx.stop}:{idx.step}] "
                                     f"invalid for {what} of length {n}")
-        return
+        return len(range(start, stop, step))
     arr = np.asarray(idx)
     if arr.size and (arr.min() < 0 or arr.max() >= n):
         raise BufferBoundsError(f"{owner._where()}: indices [{int(arr.min())}..{int(arr.max())}] out "
@@ -223,11 +224,12 @@ class DeviceBuffer:
         return got
 
     def __setitem__(self, idx, value):
-        _check_index(idx, len(self.data), self)
-        if type(idx) is slice and np.ndim(value) and len(value) != len(self.data[idx]):
+        count = _check_index(idx, len(self.data), self)
+        if count is not None and (value.ndim if type(value) is np.ndarray else np.ndim(value)) \
+                and len(value) != count:
             # numpy would broadcast a one-element value over the slice
             raise BufferBoundsError(f"{self._where()}: slice [{idx.start}:{idx.stop}:{idx.step}] of "
-                                    f"{_what(self)} takes {len(self.data[idx])} values, got {len(value)}")
+                                    f"{_what(self)} takes {count} values, got {len(value)}")
         if self._w_owner is not None:
             self._race_write(idx)
         self.data[idx] = value
@@ -297,12 +299,14 @@ class ThreadCtx:
     gets int arrays with one entry per lane instead: every lane of the
     launch, block-major, or, under race check, a single lane. A call
     over every lane is given no ids: they are built when it first reads
-    one, and kept. ``add_work`` takes one count per lane and ``guard`` one
-    bool per lane, so a per-thread kernel passes scalars.
+    one, and kept. ``lanes`` is the call's gid, or slice of gids, which
+    indexes any per-lane plan a lane-form kernel keeps across launches.
+    ``add_work`` takes one count per lane and ``guard`` one bool per lane,
+    so a per-thread kernel passes scalars.
     """
 
     __slots__ = ("block_id", "thread_id", "global_id", "block_dim", "grid_dim", "shared", "_work",
-                 "_lanes", "_guards")
+                 "lanes", "_guards")
 
     def __init__(self, config, work, lanes, ids=None, shared=None):
         if ids is not None:
@@ -311,7 +315,7 @@ class ThreadCtx:
         self.grid_dim = config.grid
         self.shared = shared
         self._work = work  # the launch's int64 work counts
-        self._lanes = lanes  # this context's gid, or slice of them
+        self.lanes = lanes  # this context's gid, or slice of them
         self._guards = []
 
     def __getattr__(self, name):
@@ -339,7 +343,7 @@ class ThreadCtx:
 
     def add_work(self, items=1) -> None:
         """Report processed work items, one count per lane."""
-        self._work[self._lanes] += items
+        self._work[self.lanes] += items
 
     def guard(self, active):
         """Record a guarded phase from one bool per lane and return it.
@@ -348,7 +352,7 @@ class ThreadCtx:
         of its block is True counts as one divergence event.
         """
         active = np.asarray(active, dtype=bool)
-        lanes = self._work[self._lanes].shape
+        lanes = self._work[self.lanes].shape
         if active.shape != lanes:
             raise ValueError(f"guard takes one bool per lane, {lanes}, got shape {active.shape}")
         self._guards.append(active)
@@ -412,9 +416,13 @@ class Session:
         The effect on the buffers is identical to lockstep-between-barriers
         execution of every instance, regardless of physical parallelism.
         A kernel marked with :func:`lane_form` runs all of them in one call.
+        Per-launch set-up that depends only on the geometry is kept across
+        launches in plans of 32 entries of at most ``PLAN_LANES`` lanes:
+        :func:`launch_rows`' lane plan and conv's guard and work counts.
         """
         grid, block = config.grid, config.block
-        is_gen = inspect.isgeneratorfunction(kernel)
+        code = getattr(kernel, "__code__", None)  # as inspect.isgeneratorfunction, at a tenth of its cost
+        is_gen = inspect.isgeneratorfunction(kernel) if code is None else bool(code.co_flags & inspect.CO_GENERATOR)
         lanes = getattr(kernel, "lane_form", False)
         if lanes and (is_gen or config.shared_slots):
             raise LaunchConfigError(
@@ -435,8 +443,8 @@ class Session:
         finally:
             self._current = None
             self._current_gid = None
-            # a launch that raised mid-phase leaves no owners behind
-            self._race_phase_reset()
+            if self._race_touched:  # a launch that raised mid-phase leaves no owners behind
+                self._race_phase_reset()
 
     def _run_block(self, kernel, is_gen, lanes, b, rec, buffers):
         config, work = rec.config, rec.work
@@ -521,7 +529,9 @@ def launch_rows(session: Session, config: LaunchConfig, out: DeviceBuffer, rows:
     check); its result must hold hi - lo rows and is stored with one
     checked slice write. Each of ``lo`` and ``hi`` is a multiple of
     ``tile`` or equal to ``rows``. The kernel takes ``fn``'s name, so a
-    launch is named after its operator.
+    launch is named after its operator. The lanes' rows and work counts,
+    the lane plan, are kept for the 32 most recently used geometries of at
+    most ``PLAN_LANES`` lanes; a call reads its lanes' part of the plan.
     """
     width = len(out) // rows if rows else 0
     lanes = config.grid * config.block
@@ -530,9 +540,9 @@ def launch_rows(session: Session, config: LaunchConfig, out: DeviceBuffer, rows:
 
     @lane_form
     def kernel(ctx):
-        a, b, _ = ctx._lanes.indices(shares.size)  # the call's lanes, a..b-1
+        a, b, _ = ctx.lanes.indices(shares.size)  # the call's lanes, a..b-1
         ctx.add_work(shares[a:b])
-        lo, hi = int(edges[a]), int(edges[b])
+        lo, hi = edges.item(a), edges.item(b)
         if hi > lo:
             got = np.asarray(fn(lo, hi)).reshape(-1)
             if got.size != (hi - lo) * width:  # a slice store would broadcast it
@@ -566,11 +576,12 @@ def _divergence(guards, block: int) -> int:
     """
     events = 0
     for pos in range(max(map(len, guards))):
-        # the lanes that made a guard here: whole blocks of one context, or
-        # contexts of one lane each, all in one block
-        vals = np.array([g[pos] for g in guards if len(g) > pos])
+        # the lanes that made a guard here: whole blocks of one context, which
+        # need no stacking, or contexts of one lane each, all in one block
+        vals = guards[0][pos] if len(guards) == 1 else np.array([g[pos] for g in guards if len(g) > pos])
         vals = vals.reshape(ceil_div(vals.size, block), -1)
-        events += np.count_nonzero(~vals & vals.any(axis=1, keepdims=True))
+        # a block with a True lane has one event per False lane
+        events += vals.shape[1] * np.count_nonzero(vals.any(axis=1)) - np.count_nonzero(vals)
     return int(events)
 
 

@@ -55,7 +55,7 @@ class SegmentedArray:
         offs = offs.astype(np.int64)
         if offs.size < 1 or offs[0] != 0:
             raise ValueError("offsets must start at 0")
-        if np.any(np.diff(offs) < 0):
+        if (offs[1:] < offs[:-1]).any():
             raise ValueError("offsets must be non-decreasing")
         if offs[-1] != vals.size:
             raise ValueError(f"offsets must end with the sentinel {vals.size}, got {offs[-1]}")
@@ -139,7 +139,6 @@ def segmented_argsort(a: SegmentedArray, order: str = "ascending", block: int = 
     sess = session if session is not None else Session()
     perms = [sess.alloc(n, "i32", name=f"sort_perm_{c}") for c in "ab"]
     src = slots
-    blocks = slots // block  # each slot's sort block, once per call
     sort_blocks = ceil_div(n, block)
     fans = [1]  # pass k leaves runs of WAYS**k sort blocks, the last one of them all
     while fans[-1] < sort_blocks:
@@ -148,7 +147,7 @@ def segmented_argsort(a: SegmentedArray, order: str = "ascending", block: int = 
         run = block * fan  # sorted-run width this pass leaves
         # the slot's run, its sort block // fan, adds to the segment above bit 33; both
         # never decrease, so slots of equal sum there are the pass's (run, segment) pieces
-        runs = (blocks // fan) << 33
+        runs = (slots // run) << 33
 
         def rank(lo, hi):
             r0, r1 = lo - lo % run, min(n, ceil_div(hi, run) * run)

@@ -14,7 +14,8 @@ from edgegraph.conv import (
     conv2d_scheduled,
     schedule_space,
 )
-from edgegraph.simt import Session
+from edgegraph.simt import PLAN_LANES, Session
+from fixtures import records_of
 
 
 def enumerate_space_oracle(k, oh, ow):
@@ -328,6 +329,58 @@ def test_tap_plans_hold_at_most_32_workloads():
     x = np.arange(33, dtype=np.float32).reshape(1, 1, 33, 1)
     assert np.array_equal(conv2d_host(x, np.ones((1, 1, 1, 1)), wl), x)
     assert taps.shape == (1, 1, 1, 1, 33, 1) and cells.shape == (1, 1, 33, 1)
+
+
+def test_lane_plans_are_read_only_and_hold_at_most_32_pairs():
+    cfg = ScheduleConfig(w_tile=2, vec=1)
+    for n in range(33):
+        wl = ConvWorkload(n=1, c=1, h=1, w=2 * n + 2, k=1, r=1, s=1)
+        guard, work = conv._lane_plan(wl, cfg)
+        assert conv._lane_plan.cache_info().currsize == min(n + 1, 32)
+        assert not guard.flags.writeable and not work.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            work[0] = 1
+    # the 33rd workload's two lanes own columns 0, 2, ... and 1, 3, ... of 66
+    assert guard.tolist() == [True, True] and work.tolist() == [33, 33]
+    x = np.arange(66, dtype=np.float32).reshape(1, 1, 1, 66)
+    assert conv2d_scheduled(x, np.ones((1, 1, 1, 1)), wl, cfg).tobytes() == x.tobytes()
+
+
+def test_lane_plans_keep_no_plan_wider_than_plan_lanes():
+    wl = ConvWorkload(n=1, c=1, h=8, w=8, k=64, r=1, s=1)
+    rng = np.random.default_rng(5)
+    x, w = rng.standard_normal((1, 1, 8, 8)), rng.standard_normal((64, 1, 1, 1))
+    for vec, kept in ((1, 1), (8, 0)):
+        cfg = ScheduleConfig(oc_split=64, h_split=8, w_tile=8, vec=vec)
+        assert 64 * 8 * 8 * vec == PLAN_LANES * (1 if kept else 8)
+        conv._lane_plan.cache_clear()
+        sess = Session()
+        assert conv2d_scheduled(x, w, wl, cfg, session=sess).tobytes() == conv2d_reference(x, w, wl).tobytes()
+        assert conv._lane_plan.cache_info().currsize == kept
+        # lane t of each block owns column t, if t < 8
+        assert sess.records[0].work.tolist() == [int(i % (8 * vec) < 8) for i in range(PLAN_LANES * vec)]
+
+
+def test_a_lane_plan_hit_records_what_a_cleared_cache_miss_records_over_c1():
+    # the race-checked hit is test_lane_form_and_race_checked_runs_agree_over_the_full_space,
+    # whose race-checked run reads the plan its unchecked run built
+    wl = DIFFERENTIAL_WORKLOADS["c1"]
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((wl.n, wl.c, wl.h, wl.w)).astype(np.float32)
+    w = rng.standard_normal((wl.k, wl.c // wl.groups, wl.r, wl.s)).astype(np.float32)
+    ref = conv2d_reference(x, w, wl).tobytes()
+    for cfg in schedule_space(wl):
+        kept = cfg.oc_split * cfg.h_split * cfg.w_tile * cfg.vec <= PLAN_LANES
+        runs = []
+        for race_check, clear in ((False, True), (False, False), (True, True)):
+            if clear:
+                conv._lane_plan.cache_clear()
+            hits = conv._lane_plan.cache_info().hits
+            sess = Session(race_check)
+            assert conv2d_scheduled(x, w, wl, cfg, session=sess).tobytes() == ref, cfg
+            assert conv._lane_plan.cache_info().hits == hits + (kept and not clear), cfg
+            runs.append(records_of(sess))
+        assert runs[0] == runs[1] == runs[2], cfg
 
 
 def _planted(rng, shape):

@@ -794,3 +794,54 @@ def test_conv_node_schedules_change_launches_not_outputs(race_check):
         convs = [(r.config.grid, r.config.block) for r in sess.records
                  if r.kernel.startswith("conv2d_scheduled.")]
         assert convs == [(c.oc_split * c.h_split, c.w_tile * c.vec) for c in cfgs.values()]
+
+
+MALFORMED_CONV_ATTRS = [
+    ({"pad": {"a": 1}}, "pad must be a pair, got {'a': 1}"),
+    ({"pad": [[1], [1]]}, "pad[0] must be >= 0 and an integer, got [1]"),
+    ({"pad": [True, 1]}, "pad[0] must be >= 0 and an integer, got True"),
+    ({"pad": [1, 1, 1]}, "pad must be a pair, got [1, 1, 1]"),
+    ({"pad": (1, 1.5)}, "pad[1] must be >= 0 and an integer, got 1.5"),
+    ({"pad": [-1, 0]}, "pad[0] must be >= 0 and an integer, got -1"),
+    ({"stride": 1}, "stride must be a pair, got 1"),
+    ({"dilation": [1, np.int64(0)]}, "dilation[1] must be >= 1 and an integer, got np.int64(0)"),
+    ({"groups": True}, "groups must be >= 1 and an integer, got True"),
+    ({"groups": 2}, "c=2 and k=3 must be divisible by groups=2"),
+]
+
+
+@pytest.mark.parametrize("attrs, message", MALFORMED_CONV_ATTRS)
+def test_a_malformed_conv_attr_raises_its_own_error_on_every_placement(attrs, message):
+    # a well-formed run of the same attr first, so a key equal to the bad one
+    # (True == 1) would be in any memo of the conv's workload
+    good = {a: 1 if a == "groups" else [1, 1] for a in attrs}
+    doc = lambda at: {"nodes": [{"id": "c", "op": "conv2d", "attrs": at, "inputs": ["x", "w"]}],
+                      "inputs": {"x": {"shape": [1, 2, 5, 5]}, "w": {"shape": [3, 2, 3, 3]}}, "outputs": ["c"]}
+    rng = np.random.default_rng(0)
+    feed = {"x": rng.standard_normal((1, 2, 5, 5)).astype(np.float32),
+            "w": rng.standard_normal((3, 2, 3, 3)).astype(np.float32)}
+    for ops in (DEFAULT_GPU_OPS, DEFAULT_GPU_OPS - {"multibox_detection", "box_nms"}, set()):
+        run_graph(insert_copies(assign_devices(load_graph(doc(good)), ops)), feed)
+        bad = insert_copies(assign_devices(load_graph(doc(attrs)), ops))
+        for _ in range(2):
+            with pytest.raises(GraphExecutionError) as err:
+                run_graph(bad, feed)
+            assert str(err.value) == f"node 'c' (conv2d): {message}"
+
+
+def test_conv_workload_memo_holds_at_most_32_and_keys_pairs_by_type():
+    from edgegraph import graph
+    from edgegraph.conv import ConvWorkload
+
+    for h in range(33):
+        wl = graph._conv_workload((1, 1, h + 1, 1), (1, 1, 1, 1), (("pad", (0, 0)),))
+        assert graph._conv_workload.cache_info().currsize == min(h + 1, 32)
+    assert wl == ConvWorkload(1, 1, 33, 1, 1, 1, 1) and wl.pad == (0, 0)
+    with pytest.raises(AttributeError):  # a frozen dataclass, shared by every hit
+        wl.h = 1
+    # the fixture's list pairs hit one entry per conv node shape after the first run
+    g = insert_copies(assign_devices(load_graph(ssd_like_doc()), DEFAULT_GPU_OPS))
+    graph._conv_workload.cache_clear()
+    for seed in range(3):
+        run_graph(g, ssd_like_inputs(seed))
+    assert graph._conv_workload.cache_info()[:2] == (8, 4)

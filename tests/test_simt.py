@@ -1,6 +1,8 @@
 """Execution-model contract: lockstep launches, barriers, stats, races."""
 
+import functools
 import gc
+import inspect
 import weakref
 from itertools import zip_longest
 
@@ -862,6 +864,37 @@ def test_buffer_slice_store_of_another_length_raises(race_check):
         sess.launch(kernel, LaunchConfig(grid=1, block=1))
     assert buf.to_numpy().tolist() == [1, 2, 3, 4, 5, 6]
 
+    def strided(ctx):
+        buf[1::2] = np.array([7.0])  # slots 1, 3 and 5
+
+    with pytest.raises(BufferBoundsError, match=r"^block 0, thread 0: slice \[1:None:2\] of buffer 'g' "
+                                                r"takes 3 values, got 1$"):
+        sess.launch(strided, LaunchConfig(grid=1, block=1))
+    assert buf.to_numpy().tolist() == [1, 2, 3, 4, 5, 6]
+
+
+def test_launch_tells_a_generator_kernel_as_inspect_does():
+    # a function's code flags, a bound method's function's, or inspect for any other callable
+    class Kernels:
+        def barrier(self, ctx):
+            yield ctx.barrier()
+
+        def plain(self, ctx):
+            ctx.add_work(1)
+
+    def barrier(ctx, steps):
+        for _ in range(steps):
+            yield ctx.barrier()
+
+    k, partial = Kernels(), functools.partial(barrier, steps=2)
+    partial.__qualname__ = "barrier_twice"  # a record names its kernel
+    for kernel, barriers in ((k.barrier, 1), (k.plain, 0), (partial, 2),
+                             (lambda ctx: ctx.add_work(1), 0)):
+        assert inspect.isgeneratorfunction(kernel) == (barriers > 0)
+        sess = Session()
+        sess.launch(kernel, LaunchConfig(grid=1, block=2))
+        assert sess.records[0].barriers == barriers
+
 
 def padded_divergence(guards, block):
     """The per-position formula: each context's guards padded to the longest
@@ -889,6 +922,14 @@ def test_divergence_equals_the_padded_per_position_formula(block):
         lanes = [[rng.random(grid * block) < p for _ in range(rng.integers(1, 4))]]
         got = _divergence(lanes, block)
         assert got == padded_divergence(lanes, block) and type(got) is int, (trial, lanes)
+        # one context's guard list, which takes no stacking: 0-3 masks, mixed,
+        # all True or all False, over one block or the grid, or a lone lane's
+        for size in (block, grid * block) + (((), (1,)) if block == 1 else ()):
+            for fill in (None, True, False):
+                masks = [np.full(size, fill) if fill is not None else np.asarray(rng.random(size) < p)
+                         for _ in range(rng.integers(0, 4))]
+                got = _divergence([masks], block)
+                assert got == padded_divergence([masks], block) and type(got) is int, (trial, masks)
 
 
 @pytest.mark.parametrize("dtype, uint", [(np.float32, np.uint32), (np.float64, np.uint64)])
