@@ -225,8 +225,7 @@ class DeviceBuffer:
 
     def __setitem__(self, idx, value):
         count = _check_index(idx, len(self.data), self)
-        if count is not None and (value.ndim if type(value) is np.ndarray else np.ndim(value)) \
-                and len(value) != count:
+        if count is not None and np.ndim(value) and len(value) != count:
             # numpy would broadcast a one-element value over the slice
             raise BufferBoundsError(f"{self._where()}: slice [{idx.start}:{idx.stop}:{idx.step}] of "
                                     f"{_what(self)} takes {count} values, got {len(value)}")
