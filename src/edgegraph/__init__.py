@@ -2,15 +2,16 @@
 
 Deterministic block/thread kernel emulation, the vision operators that
 make object-detection models hard for GPUs (segmented argsort, prefix
-scan, NMS, multibox decoding, ROIAlign), explicit-layout tensors,
+scan, NMS, multibox decoding, ROIAlign), dense tensors,
 schedule-templated direct convolution, two-pass heterogeneous
-placement with copy insertion, and machine-learning-guided schedule
-search with a persistent records database.
+placement with copy insertion, machine-learning-guided schedule search
+with a persistent records database, and a graph-level layout DP over
+layout labels.
 """
 
 from . import conv, graph, simt, tensor, tune, vision
 from .simt import CPU, GPU, DeviceBuffer, LaunchConfig, LaunchStats, Session
-from .tensor import LayoutTag, Tensor, layout_transform, transform_cost
+from .tensor import Tensor
 
 __version__ = "0.1.0"
 
@@ -20,15 +21,12 @@ __all__ = [
     "DeviceBuffer",
     "LaunchConfig",
     "LaunchStats",
-    "LayoutTag",
     "Session",
     "Tensor",
     "conv",
     "graph",
-    "layout_transform",
     "simt",
     "tensor",
-    "transform_cost",
     "tune",
     "vision",
 ]

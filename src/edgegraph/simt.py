@@ -423,13 +423,15 @@ class Session:
         code = getattr(kernel, "__code__", None)  # as inspect.isgeneratorfunction, at a tenth of its cost
         is_gen = inspect.isgeneratorfunction(kernel) if code is None else bool(code.co_flags & inspect.CO_GENERATOR)
         lanes = getattr(kernel, "lane_form", False)
+        name = getattr(kernel, "__qualname__", None)
+        if name is None:
+            raise LaunchConfigError(f"kernel {kernel!r} has no __qualname__ to name its launch record")
         if lanes and (is_gen or config.shared_slots):
             raise LaunchConfigError(
-                f"lane-form kernel {getattr(kernel, '__qualname__', kernel)!r} must be a plain "
-                f"function launched without shared storage, got generator={is_gen} "
-                f"shared_slots={config.shared_slots}"
+                f"lane-form kernel {name!r} must be a plain function launched without shared storage, "
+                f"got generator={is_gen} shared_slots={config.shared_slots}"
             )
-        self.records.append(rec := LaunchRecord(kernel.__qualname__, config, np.zeros(grid * block, np.int64)))
+        self.records.append(rec := LaunchRecord(name, config, np.zeros(grid * block, np.int64)))
         try:
             if lanes and not self.race_check:  # one call over every lane
                 ctx = self._current = ThreadCtx(config, rec.work, slice(None))

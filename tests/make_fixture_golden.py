@@ -4,8 +4,10 @@ Run from the root of a source checkout:
 
     PYTHONPATH=src python tests/make_fixture_golden.py
 
-For each seed 0-19 of ``fixtures.ssd_like_inputs`` and each placement
-(all-GPU, fallback with multibox and NMS on the CPU, all-CPU) it keeps:
+For each seed 0-19 of ``fixtures.ssd_like_inputs``, then each seed 0-1
+of the tied draw (:func:`tied_inputs`, whose NMS candidates share
+scores), and each placement (all-GPU, fallback with multibox and NMS on
+the CPU, all-CPU) it keeps:
 
 - each output's dtype, shape and the sha256 of its bytes;
 - each launch record as (kernel, [grid, block, shared_slots], sha256 of
@@ -29,11 +31,13 @@ import numpy as np
 from edgegraph import graph
 from edgegraph.graph import DEFAULT_GPU_OPS, assign_devices, insert_copies, load_graph, run_graph
 from edgegraph.simt import GPU, Session
+from edgegraph.tensor import Tensor
 from edgegraph.tune import proxy_timer
 from fixtures import ssd_like_doc, ssd_like_inputs
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "fixture.json"
 SEEDS = range(20)
+TIED_SEEDS = range(2)
 RACE_CHECK_EVERY = 5
 PLACEMENTS = {
     "all_gpu": DEFAULT_GPU_OPS,
@@ -63,20 +67,28 @@ def _conv_proxy_costs(costs: list):
         graph.conv2d_scheduled = scheduled
 
 
-def fixture_entries() -> list:
-    """One entry per (seed, placement), in seed then placement order."""
-    doc = ssd_like_doc()
-    placed = {name: insert_copies(assign_devices(load_graph(doc), ops))
-              for name, ops in PLACEMENTS.items()}
+def tied_inputs(seed: int) -> dict:
+    """``ssd_like_inputs(seed)`` with the image and the weights that feed the
+    class scores rounded to multiples of 0.5. The scores are then exact sums
+    of few terms, so dozens of NMS candidates tie, and the kept rows and
+    their order rest on the sort's tie order."""
+    inputs = ssd_like_inputs(seed)
+    for name in ("data", "w1", "w2", "w_cls"):
+        inputs[name] = Tensor.from_array(np.round(inputs[name].to_array() * 2) / 2)
+    return inputs
+
+
+def _entries(placed: dict, inputs, seeds, **label) -> list:
     entries = []
-    for seed in SEEDS:
+    for seed in seeds:
         race_check = seed % RACE_CHECK_EVERY == 0
         for name, g in placed.items():
             sess, costs = Session(race_check), []
             with _conv_proxy_costs(costs):
-                outs = run_graph(g, ssd_like_inputs(seed), sess)
+                outs = run_graph(g, inputs(seed), sess)
             gpu_convs = [n.id for n in graph.topo_order(g) if n.op == "conv2d" and n.device == GPU]
             entries.append({
+                **label,
                 "seed": seed,
                 "placement": name,
                 "race_check": race_check,
@@ -88,6 +100,15 @@ def fixture_entries() -> list:
                 "conv_proxy": dict(zip(gpu_convs, costs, strict=True)),
             })
     return entries
+
+
+def fixture_entries() -> list:
+    """One entry per (seed, placement), in seed then placement order: the
+    ssd_like draws, then the tied draws, labelled ``"draw": "tied"``."""
+    doc = ssd_like_doc()
+    placed = {name: insert_copies(assign_devices(load_graph(doc), ops))
+              for name, ops in PLACEMENTS.items()}
+    return _entries(placed, ssd_like_inputs, SEEDS) + _entries(placed, tied_inputs, TIED_SEEDS, draw="tied")
 
 
 def golden() -> dict:

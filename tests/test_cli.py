@@ -45,6 +45,18 @@ def test_run_identity_graph_output_equals_input(tmp_path, capsys):
     assert t.data.tolist() == [1, 2, 3, 4, 5, 6]
 
 
+def test_run_rejects_a_packed_tensor_literal(tmp_path, capsys):
+    rec = {"shape": [1, 4, 1, 1], "dtype": "f32", "layout": "NCHWc4", "data": [1, 2, 3, 4]}
+    with pytest.raises(ValueError, match="'NCHWc4'"):
+        tensor_from_json(rec)
+    graph, _ = identity_files(tmp_path)
+    inputs = tmp_path / "packed.json"
+    inputs.write_text(json.dumps({"x": rec}))
+    assert main(["run", graph, str(inputs), "--out", str(tmp_path / "out.json")]) == 1
+    assert "'NCHWc4'" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_run_reports_devices_and_copy_count(fixture_files, tmp_path, capsys):
     graph, inputs = fixture_files
     out = tmp_path / "out.json"
@@ -196,11 +208,8 @@ def test_tune_graph_dp_assignment(tmp_path, capsys):
         "transform_costs": {"NCHWc4->NCHW": 0.5, "NCHW->NCHWc4": 0.5},
     }))
     assert main(["tune-graph", str(graph), str(costs)]) == 0
-    out = capsys.readouterr().out
     # a: NCHWc4 (2.0) -> transform 0.5 -> b: NCHW (1.0) = 3.5
-    assert "a\tNCHWc4" in out
-    assert "b\tNCHW" in out
-    assert "total_cost\t3.5" in out
+    assert capsys.readouterr().out == "a\tNCHWc4\nb\tNCHW\ntotal_cost\t3.5\n"
 
 
 def test_tune_graph_rejects_the_ssd_fixture_by_its_cycle_closing_edge(tmp_path, capsys):

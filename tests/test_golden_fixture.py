@@ -9,7 +9,8 @@ from make_fixture_golden import GOLDEN, golden
 
 def _flat(entry) -> list:
     """(name, value) pairs of one (seed, placement) entry, in a fixed order."""
-    where = f"seed {entry['seed']} {entry['placement']}"
+    draw = f"{entry['draw']} draw, " if "draw" in entry else ""
+    where = f"{draw}seed {entry['seed']} {entry['placement']}"
     pairs = [(f"{where}: race_check", entry["race_check"]),
              (f"{where}: outputs", sorted(entry["outputs"])),
              (f"{where}: launch count", len(entry["launches"])),

@@ -7,7 +7,7 @@ import pytest
 from edgegraph import vision
 from edgegraph.graph import assign_devices, load_graph, run_graph
 from edgegraph.simt import LaunchConfig, Session
-from edgegraph.tensor import LayoutTag, Tensor, transform_kernel
+from edgegraph.tensor import Tensor
 from fixtures import records_of
 
 
@@ -53,17 +53,11 @@ def _roi_align(sess, rng):
     return [vision.roi_align(feats, rois, (2, 3), 2, session=sess)]
 
 
-def _transform(sess, rng):
-    t = Tensor.from_array(rng.standard_normal((1, 16, 3, 5)).astype(np.float32))
-    return [transform_kernel(t, LayoutTag("NCHWc", 8), sess).data]
-
-
 # operator -> (run(session, rng) -> outputs, the names of its launch_rows kernels)
 CASES = {
     "relu": (_one_node("relu", {}, (2, 3, 4, 5)), {"_relu.<locals>.<lambda>"}),
     "add": (_one_node("add", {}, (3, 7), (3, 7)), {"add"}),
     "pool": (_one_node("pool", {"kernel": 3, "stride": 2}, (1, 5, 9, 7)), {"_pool.<locals>.<lambda>"}),
-    "transform": (_transform, {"transform_kernel.<locals>.transform"}),
     "box_nms": (_box_nms, {"_nms_pass.<locals>.fill_mask", "_nms_pass.<locals>.write_out"}),
     "multibox": (_multibox, {"_multibox.<locals>.decode",
                              "_nms_pass.<locals>.fill_mask", "_nms_pass.<locals>.write_out"}),

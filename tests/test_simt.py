@@ -896,6 +896,18 @@ def test_launch_tells_a_generator_kernel_as_inspect_does():
         assert sess.records[0].barriers == barriers
 
 
+def test_launch_rejects_a_kernel_with_no_name_before_recording_it():
+    def body(ctx, scale):
+        ctx.add_work(scale)
+
+    plain, lanes = functools.partial(body, scale=1), lane_form(functools.partial(body, scale=2))
+    for kernel in (plain, lanes):
+        sess = Session()
+        with pytest.raises(LaunchConfigError, match=r"kernel functools\.partial\(.*\) has no __qualname__"):
+            sess.launch(kernel, LaunchConfig(grid=1, block=2))
+        assert sess.records == []
+
+
 def padded_divergence(guards, block):
     """The per-position formula: each context's guards padded to the longest
     list with -1 (no guard), one row per (position, block) of lanes."""

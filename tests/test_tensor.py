@@ -1,92 +1,11 @@
-"""Layout tags, layout transformation, transform costs, tensor literals."""
+"""Layout tags, tensors and tensor literals."""
 
-import time
+import json
 
 import numpy as np
 import pytest
 
-from edgegraph.tensor import (
-    IncompatibleLayoutError,
-    LayoutTag,
-    Tensor,
-    as_dtype,
-    layout_transform,
-    tensor_from_json,
-    tensor_to_json,
-    transform_cost,
-)
-
-
-def brute_force_nchwc_order(shape, factor):
-    """Independently enumerate the physical order of NCHWc(factor).
-
-    Physical axes are (N, C//f, H, W, f); returns the flat logical index
-    visited at each physical position.
-    """
-    n, c, h, w = shape
-    order = []
-    for ni in range(n):
-        for co in range(c // factor):
-            for hi in range(h):
-                for wi in range(w):
-                    for ci in range(factor):
-                        logical_c = co * factor + ci
-                        order.append(((ni * c + logical_c) * h + hi) * w + wi)
-    return order
-
-
-def test_nchwc2_physical_order_matches_brute_force():
-    t = Tensor.from_array(np.arange(8, dtype=np.float32).reshape(1, 4, 1, 2))
-    packed = layout_transform(t, LayoutTag("NCHWc", 2))
-    expected = brute_force_nchwc_order((1, 4, 1, 2), 2)
-    assert expected == [0, 2, 1, 3, 4, 6, 5, 7]
-    assert packed.data.tolist() == [0, 2, 1, 3, 4, 6, 5, 7]
-
-
-def test_round_trip_bitwise():
-    rng = np.random.default_rng(0)
-    arr = rng.standard_normal((2, 8, 3, 5)).astype(np.float32)
-    t = Tensor.from_array(arr)
-    for tag in (LayoutTag("NCHWc", 2), LayoutTag("NCHWc", 4), LayoutTag("NCHWc", 8)):
-        back = layout_transform(layout_transform(t, tag), LayoutTag("NCHW"))
-        assert np.array_equal(back.data, t.data)
-
-
-def test_oihwo_round_trip_and_permutation():
-    rng = np.random.default_rng(1)
-    arr = rng.standard_normal((8, 3, 2, 2)).astype(np.float32)
-    t = Tensor.from_array(arr, layout=LayoutTag("OIHW"))
-    packed = layout_transform(t, LayoutTag("OIHWo", 4))
-    # permutation: same multiset of values, every logical read preserved
-    assert sorted(packed.data.tolist()) == sorted(t.data.tolist())
-    for idx in [(0, 0, 0, 0), (3, 1, 1, 0), (7, 2, 0, 1), (5, 0, 1, 1)]:
-        assert packed.read(idx) == t.read(idx)
-    back = layout_transform(packed, LayoutTag("OIHW"))
-    assert np.array_equal(back.data, t.data)
-
-
-def test_logical_reads_preserved_randomized():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        shape = (1, int(rng.integers(1, 4)) * 4, int(rng.integers(1, 5)), int(rng.integers(1, 5)))
-        arr = rng.standard_normal(shape).astype(np.float32)
-        t = Tensor.from_array(arr)
-        u = layout_transform(t, LayoutTag("NCHWc", 4))
-        logical = u.to_array()
-        assert np.array_equal(logical, arr)
-
-
-def test_non_divisible_factor_rejected():
-    t = Tensor.from_array(np.zeros((1, 3, 2, 2), np.float32))
-    with pytest.raises(IncompatibleLayoutError):
-        layout_transform(t, LayoutTag("NCHWc", 2))
-
-
-def test_source_unchanged():
-    arr = np.arange(16, dtype=np.float32).reshape(1, 4, 2, 2)
-    t = Tensor.from_array(arr)
-    layout_transform(t, LayoutTag("NCHWc", 2))
-    assert np.array_equal(t.data, arr.reshape(-1))
+from edgegraph.tensor import LayoutTag, Tensor, as_dtype, tensor_from_json, tensor_to_json
 
 
 def test_layout_tag_parse_and_str():
@@ -100,70 +19,12 @@ def test_layout_tag_parse_and_str():
         LayoutTag("NCHW", 4)  # plain kinds carry no factor
 
 
-def test_transform_cost_identity_zero():
-    assert transform_cost(LayoutTag("NCHW"), LayoutTag("NCHW"), (1, 4, 2, 2)) == 0.0
-
-
-def test_transform_cost_table_passthrough():
-    cost = transform_cost(
-        LayoutTag("NCHW"), LayoutTag("NCHWc", 4), (1, 4, 2, 2), table={"NCHW->NCHWc4": 3.5}
-    )
-    assert cost == 3.5
-
-
-def test_transform_cost_symmetric_in_element_count():
-    a, b = LayoutTag("NCHW"), LayoutTag("NCHWc", 8)
-    assert transform_cost(a, b, (1, 64, 7, 7)) == transform_cost(b, a, (1, 64, 7, 7))
-
-
-def test_transform_cost_measured_reproducible_with_injected_clock():
-    ticks = iter(range(100))
-
-    def clock():
-        return float(next(ticks))
-
-    c1 = transform_cost(LayoutTag("NCHW"), LayoutTag("NCHWc", 8), (1, 64, 56, 56), clock=clock, repeats=3)
-    c2 = transform_cost(LayoutTag("NCHW"), LayoutTag("NCHWc", 8), (1, 64, 56, 56), clock=clock, repeats=3)
-    assert c1 > 0 and c1 == c2  # each sample is one tick under the stub clock
-
-
-@pytest.mark.parametrize("repeats", [0, -1, 1.5])
-def test_transform_cost_rejects_a_timed_repeat_count_below_one(repeats):
-    with pytest.raises(ValueError, match="repeats must be"):
-        transform_cost(LayoutTag("NCHW"), LayoutTag("NCHWc", 4), (1, 4, 2, 2), clock=time.perf_counter,
-                       repeats=repeats)
-
-
-def test_transform_cost_wall_clock_positive():
-    cost = transform_cost(LayoutTag("NCHW"), LayoutTag("NCHWc", 8), (1, 64, 56, 56), clock=time.perf_counter)
-    assert cost > 0
-
-
-def test_transform_cost_incompatible_shape():
-    with pytest.raises(IncompatibleLayoutError):
-        transform_cost(LayoutTag("NCHW"), LayoutTag("NCHWc", 2), (1, 3, 2, 2))
-
-
-def test_transform_kernel_matches_host_transform():
-    from edgegraph.simt import Session
-    from edgegraph.tensor import transform_kernel
-
-    rng = np.random.default_rng(4)
-    t = Tensor.from_array(rng.standard_normal((2, 8, 3, 3)).astype(np.float32))
-    for dst in (LayoutTag("NCHWc", 2), LayoutTag("NCHWc", 8)):
-        sess = Session()
-        via_kernel = transform_kernel(t, dst, sess)
-        assert np.array_equal(via_kernel.data, layout_transform(t, dst).data)
-        assert sess.stats().launches == 1
-
-
 def test_tensor_literal_round_trip():
     rng = np.random.default_rng(3)
-    t = Tensor.from_array(rng.standard_normal((1, 4, 2, 3)).astype(np.float32), layout=LayoutTag("NCHWc", 2))
+    t = Tensor.from_array(rng.standard_normal((1, 4, 2, 3)).astype(np.float32))
     back = tensor_from_json(tensor_to_json(t))
     assert back.shape == t.shape
     assert back.dtype == t.dtype
-    assert back.layout == t.layout
     assert np.array_equal(back.data, t.data)
 
 
@@ -220,10 +81,22 @@ def test_as_dtype_copies_only_to_change_the_dtype():
     assert dtype == "i32" and arr.dtype == np.int32 and arr.tolist() == [7, -3]
 
 
-@pytest.mark.parametrize("tag", ["NCHW", "NCHWc1", "NCHWc2", "OIHWo1", "OIHWo2"])
+@pytest.mark.parametrize("tag", ["NCHW", "OIHW"])
 def test_to_array_is_a_writable_copy_in_every_layout(tag):
     arr = np.arange(16, dtype=np.float32).reshape(2, 2, 2, 2)
-    t = Tensor.from_array(arr, layout=LayoutTag.parse(tag))
+    t = tensor_from_json({"shape": list(arr.shape), "dtype": "f32", "layout": tag, "data": arr.ravel().tolist()})
     out = t.to_array()
     assert np.array_equal(out, arr) and out.flags.writeable and out.flags.c_contiguous
     assert not np.shares_memory(out, t.data)
+
+
+@pytest.mark.parametrize("layout", ["OIHWo2", "NHWC", "nchw"])
+def test_tensor_literal_rejects_a_layout_other_than_nchw_or_oihw(layout):
+    with pytest.raises(ValueError, match=f"'{layout}'"):
+        tensor_from_json({"shape": [1, 4, 1, 1], "dtype": "f32", "layout": layout, "data": [0, 1, 2, 3]})
+
+
+def test_tensor_literal_layout_key_is_optional_and_written_as_nchw():
+    t = tensor_from_json({"shape": [2, 2], "dtype": "i32", "data": [1, 2, 3, 4]})
+    assert t.to_array().tolist() == [[1, 2], [3, 4]]
+    assert json.loads(tensor_to_json(t))["layout"] == "NCHW"
