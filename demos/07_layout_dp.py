@@ -2,9 +2,11 @@
 
 A packed layout can make a kernel faster but costs a transformation on
 every edge where producer and consumer disagree. The DP weighs both and
-returns the exact optimum for chains and trees. Layouts here are labels
-with a cost: the kernel costs below are given, and a transformation is
-priced from the element count it moves; no tensor is repacked.
+returns the exact optimum for chains and trees. The DP never parses a
+candidate: here the labels are layout names, the kernel costs below are
+given, and a transformation is priced from the element count it moves;
+no tensor is repacked. Any other hashable labels, such as device names,
+work the same way.
 """
 
 import numpy as np

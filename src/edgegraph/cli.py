@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: run (place + execute a graph document), tune (schedule
-search with the records database), tune-graph (DP layout assignment),
-bench (latency/speedup tables), stats (launch counters of a run).
+search with the records database), tune-graph (DP pick of one cost-file
+label per node), bench (latency/speedup tables), stats (launch counters).
 Diagnostics go to stderr and data to stdout or files; given identical
 inputs and seed the stdout report is byte-identical, which is why tune
 defaults to the deterministic proxy timer and the wall-clock time of a
@@ -123,19 +123,30 @@ def cmd_tune(args) -> int:
     return 0
 
 
+def _costs(value, where: str, depth: int):
+    """A cost-file entry as floats: a number (not a bool) at depth 0, else an object of depth - 1 entries."""
+    if depth == 0 and isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    if depth > 0 and isinstance(value, dict):
+        return {key: _costs(item, f"{where}[{key!r}]", depth - 1) for key, item in value.items()}
+    raise ValueError(f"cost file: {where} must be {'a number' if depth == 0 else 'an object'}, got {value!r}")
+
+
 def cmd_tune_graph(args) -> int:
     with open(args.graph, "r", encoding="utf-8") as f:
         g = load_graph(f.read())
     with open(args.costs, "r", encoding="utf-8") as f:
         doc = json.load(f)
-    node_costs = doc["node_costs"]
-    table = doc.get("transform_costs", {})
-    default = float(doc.get("default_transform_cost", 0.0))
+    if not isinstance(doc, dict):
+        raise ValueError(f"cost file must be a JSON object, got {type(doc).__name__}")
+    node_costs = _costs(doc.get("node_costs"), "node_costs", 2)
+    table = _costs(doc.get("transform_costs", {}), "transform_costs", 1)
+    default = _costs(doc.get("default_transform_cost", 0.0), "default_transform_cost", 0)
 
     def tc(src, dst, shape):
         if src == dst:
             return 0.0
-        return float(table.get(f"{src}->{dst}", default))
+        return table.get(f"{src}->{dst}", default)
 
     assignment, total = graph_tune_dp(g, node_costs, tc)
     for node in topo_order(g):
@@ -223,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--timer", choices=("proxy", "wall"), default="proxy")
     tune.set_defaults(fn=cmd_tune)
 
-    tg = sub.add_parser("tune-graph", help="DP layout assignment over a graph")
+    tg = sub.add_parser("tune-graph", help="DP pick of one label per node, such as a layout")
     tg.add_argument("graph")
     tg.add_argument("costs", help="JSON: {node_costs, transform_costs, default_transform_cost}")
     tg.set_defaults(fn=cmd_tune_graph)

@@ -70,35 +70,42 @@ def load_graph(text) -> Graph:
     """Parse and validate a graph document.
 
     Document format: {"nodes": [{"id", "op", "attrs", "inputs": [ids]}],
-    "inputs": {name: {shape, dtype}}, "outputs": [ids]}. Rejects unknown
-    op kinds, dangling references, duplicate ids and cycles, naming the
-    offending node.
+    "inputs": {name: {shape, dtype}}, "outputs": [ids]}. Rejects a part of
+    the wrong JSON type, unknown op kinds, dangling references, duplicate
+    ids and cycles, naming the offending node or input.
     """
     doc = json.loads(text) if isinstance(text, str) else text
-    if not isinstance(doc, dict) or "nodes" not in doc:
-        raise GraphError("graph document must be an object with a 'nodes' list")
+    if not (isinstance(doc, dict) and isinstance(doc.get("nodes"), list) and isinstance(doc.get("inputs", {}), dict)
+            and isinstance(doc.get("outputs", []), list)):
+        raise GraphError("graph document must be an object with a 'nodes' list, 'inputs' object and 'outputs' list")
     graph_inputs = dict(doc.get("inputs", {}))
+    for name, spec in graph_inputs.items():
+        if not isinstance(spec, dict) or not isinstance(spec.get("shape", []), (list, tuple)):
+            raise GraphError(f"graph input {name!r} must be an object whose 'shape' is a list")
     nodes = []
     seen = set()
     for raw in doc["nodes"]:
-        nid = raw.get("id")
+        nid = raw.get("id") if isinstance(raw, dict) else None
         if not nid or not isinstance(nid, str):
-            raise GraphError(f"node without a string id: {raw!r}")
+            raise GraphError(f"node is not an object with a string id: {raw!r}")
         if nid in seen or nid in graph_inputs:
             raise GraphError(f"duplicate tensor producer {nid!r}")
         seen.add(nid)
         op = raw.get("op")
-        if op not in OPS:
+        if not isinstance(op, str) or op not in OPS:
             raise GraphError(f"node {nid!r}: unknown op kind {op!r}")
-        nodes.append(Node(id=nid, op=op, attrs=dict(raw.get("attrs", {})), inputs=list(raw.get("inputs", []))))
+        attrs, inputs = raw.get("attrs", {}), raw.get("inputs", [])
+        if not isinstance(attrs, dict) or not isinstance(inputs, list):
+            raise GraphError(f"node {nid!r}: 'attrs' must be an object and 'inputs' a list of ids")
+        nodes.append(Node(id=nid, op=op, attrs=dict(attrs), inputs=list(inputs)))
     known = seen | set(graph_inputs)
     for n in nodes:
         for ref in n.inputs:
-            if ref not in known:
+            if not isinstance(ref, str) or ref not in known:
                 raise GraphError(f"node {n.id!r}: reference to missing tensor {ref!r}")
     outputs = list(doc.get("outputs", []))
     for out in outputs:
-        if out not in seen:
+        if not isinstance(out, str) or out not in seen:
             raise GraphError(f"graph output {out!r} is not a node id")
     g = Graph(nodes=nodes, inputs=graph_inputs, outputs=outputs)
     topo_order(g)  # raises on cycles

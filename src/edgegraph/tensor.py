@@ -1,10 +1,9 @@
-"""Dense tensors and the layout labels of the graph-level layout DP.
+"""Dense tensors and their JSON literals.
 
 A tensor is a logical shape (NCHW extents for activations, OIHW for
-weights), a dtype and a read-only flat value store in C order. A
-:class:`LayoutTag` such as NCHW or NCHWc(8) names a candidate layout for
-:func:`edgegraph.tune.graph_tune_dp`; no tensor is stored in a packed
-order, so a tensor literal's ``layout`` is NCHW, OIHW or absent.
+weights), a dtype and a read-only flat value store in C order. No tensor
+is stored in a packed order, so a tensor literal's ``layout`` is NCHW,
+OIHW or absent.
 """
 
 from __future__ import annotations
@@ -15,44 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .simt import DTYPES
-
-TILED_KINDS = ("NCHWc", "OIHWo")
-PLAIN_KINDS = ("NCHW", "OIHW")
-
-
-@dataclass(frozen=True)
-class LayoutTag:
-    """Layout label of a rank-4 tensor, e.g. NCHW or NCHWc(8)."""
-
-    kind: str
-    factor: int = 1
-
-    def __post_init__(self):
-        if self.kind in PLAIN_KINDS:
-            if self.factor != 1:
-                raise ValueError(f"{self.kind} carries no packing factor (got {self.factor})")
-        elif self.kind in TILED_KINDS:
-            if self.factor < 1:
-                raise ValueError(f"packing factor must be >= 1, got {self.factor}")
-        else:
-            raise ValueError(f"unknown layout kind {self.kind!r}")
-
-    @property
-    def tiled(self) -> bool:
-        return self.kind in TILED_KINDS
-
-    def __str__(self) -> str:
-        return f"{self.kind}{self.factor}" if self.tiled else self.kind
-
-    @classmethod
-    def parse(cls, text: str) -> "LayoutTag":
-        text = text.strip()
-        for kind in TILED_KINDS:
-            if text.startswith(kind) and text[len(kind):].isdigit():
-                return cls(kind, int(text[len(kind):]))
-        if text in PLAIN_KINDS:
-            return cls(text)
-        raise ValueError(f"cannot parse layout tag {text!r}")
 
 
 @dataclass(frozen=True)
@@ -118,7 +79,9 @@ def tensor_to_json(t: Tensor) -> str:
 def tensor_from_json(text) -> Tensor:
     """Tensor from a literal whose ``layout``, if given, is NCHW or OIHW."""
     record = json.loads(text) if isinstance(text, str) else text
+    if not isinstance(record, dict) or not isinstance(record.get("shape"), (list, tuple)):
+        raise ValueError("tensor literal must be an object whose 'shape' is a list of extents")
     layout = record.get("layout", "NCHW")
-    if layout not in PLAIN_KINDS:
+    if layout not in ("NCHW", "OIHW"):
         raise ValueError(f"tensor literal layout {layout!r} is not NCHW or OIHW; packed layouts are not stored")
     return Tensor(shape=tuple(record["shape"]), dtype=record["dtype"], data=np.asarray(record["data"]))

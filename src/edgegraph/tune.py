@@ -50,7 +50,6 @@ from .conv import (
     schedule_space,
 )
 from .simt import Session, ceil_div
-from .tensor import LayoutTag
 
 RECORDS_HEADER = {"schema": 1, "features": "v1"}
 _HEADER_LINE = json.dumps(RECORDS_HEADER) + "\n"  # written first; an append need not parse it
@@ -463,21 +462,19 @@ def tune_random(wl: ConvWorkload, budget: int, **kw) -> TuningRecord:
 # --- graph-level layout DP ----------------------------------------------------
 
 def graph_tune_dp(g, node_costs: dict, tc) -> tuple[dict, float]:
-    """Pick one layout per node minimizing kernel plus transform cost.
+    """Pick one label per node minimizing kernel plus transform cost.
 
-    ``node_costs`` maps node id to an ordered {layout: cost} mapping;
-    ``tc(src_tag, dst_tag, shape)`` prices a layout change on an edge
+    ``node_costs`` maps node id to an ordered {label: cost} mapping; a
+    label is any hashable key, such as a layout name, and is never parsed.
+    ``tc(src_label, dst_label, shape)`` prices a label change on an edge
     (shape comes from the producer's ``out_shape`` attr, () if absent).
     Exact optimum for graphs whose undirected form is a forest; anything
     with an undirected cycle raises :class:`UnsupportedGraphError`. Ties
-    break toward the earlier layout in candidate order.
+    break toward the earlier label in candidate order.
 
-    Returns ({node_id: LayoutTag}, total_cost).
+    Returns ({node_id: label}, total_cost), each label the caller's own key.
     """
-    cand = {}
-    for nid, tag_costs in node_costs.items():
-        cand[nid] = [(tag if isinstance(tag, LayoutTag) else LayoutTag.parse(tag), float(cost))
-                     for tag, cost in tag_costs.items()]
+    cand = {nid: [(label, float(cost)) for label, cost in costs.items()] for nid, costs in node_costs.items()}
     for n in g.nodes:
         if not cand.get(n.id):
             raise ValueError(f"node {n.id!r} has no candidate layouts")
@@ -490,7 +487,7 @@ def graph_tune_dp(g, node_costs: dict, tc) -> tuple[dict, float]:
             x = uf[x]
         return x
 
-    # from either end, an edge costs tc(producer's layout, consumer's, producer's shape)
+    # from either end, an edge costs tc(producer's label, consumer's, producer's shape)
     adj = {n.id: [] for n in g.nodes}
     shapes = {n.id: tuple(n.attrs.get("out_shape", ())) for n in g.nodes}
     for u, v in g.edges():
@@ -518,10 +515,10 @@ def graph_tune_dp(g, node_costs: dict, tc) -> tuple[dict, float]:
         best, pick = {}, {}
         for nid in reversed(order):
             best[nid] = []
-            for i, (tag, acc) in enumerate(cand[nid]):
+            for i, (label, acc) in enumerate(cand[nid]):
                 for child, move in adj[nid]:
                     if parent[child] == nid:
-                        vals = [b + move(tag, ctag) for b, (ctag, _) in zip(best[child], cand[child])]
+                        vals = [b + move(label, clabel) for b, (clabel, _) in zip(best[child], cand[child])]
                         pick[child, i] = min(range(len(vals)), key=vals.__getitem__)
                         acc += vals[pick[child, i]]
                 best[nid].append(acc)

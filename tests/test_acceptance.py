@@ -24,7 +24,6 @@ from edgegraph.graph import (
     run_graph,
 )
 from edgegraph.simt import Session, log2_ceil
-from edgegraph.tensor import LayoutTag
 from edgegraph.tune import (
     TuningRecord,
     graph_tune_dp,
@@ -255,7 +254,7 @@ def test_placement_fallback_structure_and_transparency():
 
 def test_graph_tune_dp_exhaustive_on_200_chains():
     rng = np.random.default_rng(15)
-    layouts = [LayoutTag("NCHW"), LayoutTag("NCHWc", 2), LayoutTag("NCHWc", 4), LayoutTag("OIHW")]
+    layouts = ["NCHW", "NCHWc2", "NCHWc4", "OIHW"]
     for trial in range(200):
         n = int(rng.integers(1, 11))
         nl = int(rng.integers(1, 5))
@@ -266,11 +265,11 @@ def test_graph_tune_dp_exhaustive_on_200_chains():
         cost_arr = rng.integers(0, 50, (n, nl)).astype(float)
         table = rng.integers(0, 25, (nl, nl)).astype(float)
         np.fill_diagonal(table, 0.0)
-        costs = {f"n{i}": {str(layouts[j]): cost_arr[i, j] for j in range(nl)} for i in range(n)}
-        idx = {str(layouts[j]): j for j in range(nl)}
+        costs = {f"n{i}": {layouts[j]: cost_arr[i, j] for j in range(nl)} for i in range(n)}
+        idx = {layouts[j]: j for j in range(nl)}
 
         def tc(s, d, shape):
-            return table[idx[str(s)], idx[str(d)]]
+            return table[idx[s], idx[d]]
 
         _, total = graph_tune_dp(g, costs, tc)
         combos = np.stack(np.unravel_index(np.arange(nl**n), (nl,) * n), axis=1)

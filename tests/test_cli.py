@@ -57,6 +57,17 @@ def test_run_rejects_a_packed_tensor_literal(tmp_path, capsys):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("literal", [{"shape": 2, "dtype": "f32", "data": [1, 2]}, [1, 2]], ids=["shape-int", "list"])
+def test_run_rejects_a_malformed_tensor_literal(tmp_path, capsys, literal):
+    graph, _ = identity_files(tmp_path)
+    inputs = tmp_path / "bad.json"
+    inputs.write_text(json.dumps({"x": literal}))
+    assert main(["run", graph, str(inputs), "--out", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == "edgegraph: error: tensor literal must be an object whose 'shape' is a list of extents\n"
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_run_reports_devices_and_copy_count(fixture_files, tmp_path, capsys):
     graph, inputs = fixture_files
     out = tmp_path / "out.json"
@@ -192,7 +203,8 @@ def test_records_env_var_default(tmp_path, capsys, monkeypatch):
     assert len(records_load(str(records))) == 3
 
 
-def test_tune_graph_dp_assignment(tmp_path, capsys):
+def tune_graph(tmp_path, costs_doc) -> int:
+    """``tune-graph`` on the chain a = conv2d(x, w) -> b = relu(a) with the given cost document."""
     graph = tmp_path / "g.json"
     graph.write_text(json.dumps({
         "nodes": [
@@ -203,13 +215,51 @@ def test_tune_graph_dp_assignment(tmp_path, capsys):
         "outputs": ["b"],
     }))
     costs = tmp_path / "costs.json"
-    costs.write_text(json.dumps({
+    costs.write_text(json.dumps(costs_doc))
+    return main(["tune-graph", str(graph), str(costs)])
+
+
+def test_tune_graph_dp_assignment(tmp_path, capsys):
+    assert tune_graph(tmp_path, {
         "node_costs": {"a": {"NCHW": 5.0, "NCHWc4": 2.0}, "b": {"NCHW": 1.0, "NCHWc4": 3.0}},
         "transform_costs": {"NCHWc4->NCHW": 0.5, "NCHW->NCHWc4": 0.5},
-    }))
-    assert main(["tune-graph", str(graph), str(costs)]) == 0
+    }) == 0
     # a: NCHWc4 (2.0) -> transform 0.5 -> b: NCHW (1.0) = 3.5
     assert capsys.readouterr().out == "a\tNCHWc4\nb\tNCHW\ntotal_cost\t3.5\n"
+
+
+@pytest.mark.parametrize("first, second", [("GPU", "CPU"), (" NCHW", "NCHWc04")])
+def test_tune_graph_labels_are_opaque_and_printed_as_written(tmp_path, capsys, first, second):
+    assert tune_graph(tmp_path, {
+        "node_costs": {"a": {first: 2.0, second: 4.0}, "b": {first: 6.0, second: 1.0}},
+        "transform_costs": {f"{first}->{second}": 0.75},
+        "default_transform_cost": 10,
+    }) == 0
+    # a on first (2.0) -> change 0.75 -> b on second (1.0) = 3.75; the other paths cost 5, 8 and 20
+    assert capsys.readouterr().out == f"a\t{first}\nb\t{second}\ntotal_cost\t3.75\n"
+
+
+@pytest.mark.parametrize("costs_doc, message", [
+    ({"node_costs": {"a": {"NCHW": None}, "b": {"NCHW": 1}}},
+     "cost file: node_costs['a']['NCHW'] must be a number, got None"),
+    ({"node_costs": {"a": [1, 2], "b": {"NCHW": 1}}}, "cost file: node_costs['a'] must be an object, got [1, 2]"),
+    ([{"node_costs": {}}], "cost file must be a JSON object, got list"),
+    ({"node_costs": {"a": {"NCHW": 1}, "b": {"NCHW": 1}}, "transform_costs": {"x->y": None}},
+     "cost file: transform_costs['x->y'] must be a number, got None"),
+    ({"node_costs": {"a": {"NCHW": True}, "b": {"NCHW": 1}}},
+     "cost file: node_costs['a']['NCHW'] must be a number, got True"),
+    ({"node_costs": {"a": {"NCHW": 1}, "b": {"NCHW": 1}}, "default_transform_cost": "1"},
+     "cost file: default_transform_cost must be a number, got '1'"),
+    ({"node_costs": {"a": {"NCHW": 1}, "b": {"NCHW": 1}}, "transform_costs": [0.5]},
+     "cost file: transform_costs must be an object, got [0.5]"),
+    ({"transform_costs": {}}, "cost file: node_costs must be an object, got None"),
+], ids=["null-cost", "costs-list", "document-list", "null-transform", "bool-cost", "string-default",
+        "transforms-list", "no-node-costs"])
+def test_tune_graph_rejects_a_malformed_cost_file_by_name(tmp_path, capsys, costs_doc, message):
+    assert tune_graph(tmp_path, costs_doc) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"edgegraph: error: {message}\n"
 
 
 def test_tune_graph_rejects_the_ssd_fixture_by_its_cycle_closing_edge(tmp_path, capsys):

@@ -75,6 +75,29 @@ def test_duplicate_id_rejected():
         ]))
 
 
+XY = {"x": {"shape": [2]}, "y": {"shape": [2]}}
+RELU_A = {"id": "a", "op": "relu", "inputs": ["x"]}
+
+
+@pytest.mark.parametrize("document, message", [
+    ({"nodes": [{"id": "a", "op": "add", "inputs": "xy"}], "inputs": XY}, "node 'a': .* 'inputs' a list"),
+    ({"nodes": [RELU_A, dict(RELU_A, id="b")], "inputs": XY, "outputs": "ab"}, "'outputs' list"),
+    ({"nodes": [RELU_A, 5], "inputs": XY}, "node is not an object with a string id: 5"),
+    ({"nodes": [dict(RELU_A, attrs=[1])], "inputs": XY}, "node 'a': 'attrs' must be an object"),
+    ({"nodes": [RELU_A], "inputs": {"x": {"shape": 2}}}, "graph input 'x' must be an object whose 'shape' is a list"),
+    ({"nodes": [RELU_A], "inputs": {"x": [2]}}, "graph input 'x' must be an object"),
+    ({"nodes": [RELU_A], "inputs": ["x"]}, "'inputs' object"),
+    ({"nodes": {"a": RELU_A}, "inputs": XY}, "'nodes' list"),
+    ({"nodes": [dict(RELU_A, inputs=[["x"]])], "inputs": XY}, "node 'a': reference to missing tensor \\['x'\\]"),
+    ({"nodes": [dict(RELU_A, op=["relu"])], "inputs": XY}, "node 'a': unknown op kind \\['relu'\\]"),
+    ({"nodes": [RELU_A], "inputs": XY, "outputs": [["a"]]}, "graph output \\['a'\\] is not a node id"),
+], ids=["node-inputs-string", "outputs-string", "node-not-object", "attrs-list", "input-shape-int",
+        "input-spec-list", "inputs-list", "nodes-object", "node-input-list", "op-list", "output-list"])
+def test_a_part_of_the_wrong_json_type_is_rejected_by_name(document, message):
+    with pytest.raises(GraphError, match=message):
+        load_graph(json.dumps(document))
+
+
 def test_ssd_fixture_loads_with_stable_topo_order():
     g = load_graph(ssd_like_doc())
     assert len(g.nodes) == 12

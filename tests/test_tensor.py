@@ -1,22 +1,11 @@
-"""Layout tags, tensors and tensor literals."""
+"""Tensors and tensor literals."""
 
 import json
 
 import numpy as np
 import pytest
 
-from edgegraph.tensor import LayoutTag, Tensor, as_dtype, tensor_from_json, tensor_to_json
-
-
-def test_layout_tag_parse_and_str():
-    assert str(LayoutTag("NCHWc", 8)) == "NCHWc8"
-    assert LayoutTag.parse("NCHWc8") == LayoutTag("NCHWc", 8)
-    assert LayoutTag.parse("NCHW") == LayoutTag("NCHW")
-    assert LayoutTag.parse("OIHWo16") == LayoutTag("OIHWo", 16)
-    with pytest.raises(ValueError):
-        LayoutTag.parse("NHWC")
-    with pytest.raises(ValueError):
-        LayoutTag("NCHW", 4)  # plain kinds carry no factor
+from edgegraph.tensor import Tensor, as_dtype, tensor_from_json, tensor_to_json
 
 
 def test_tensor_literal_round_trip():
@@ -94,6 +83,17 @@ def test_to_array_is_a_writable_copy_in_every_layout(tag):
 def test_tensor_literal_rejects_a_layout_other_than_nchw_or_oihw(layout):
     with pytest.raises(ValueError, match=f"'{layout}'"):
         tensor_from_json({"shape": [1, 4, 1, 1], "dtype": "f32", "layout": layout, "data": [0, 1, 2, 3]})
+
+
+@pytest.mark.parametrize("literal", [
+    {"shape": 2, "dtype": "f32", "data": [0, 1]},
+    {"dtype": "f32", "data": [0, 1]},
+    [0, 1],
+    "[0, 1]",
+], ids=["shape-int", "shape-missing", "list", "list-text"])
+def test_tensor_literal_rejects_a_non_object_or_a_shape_that_is_not_a_list(literal):
+    with pytest.raises(ValueError, match="tensor literal must be an object whose 'shape' is a list"):
+        tensor_from_json(literal)
 
 
 def test_tensor_literal_layout_key_is_optional_and_written_as_nchw():

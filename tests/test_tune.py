@@ -13,7 +13,6 @@ import pytest
 import edgegraph.tune as tune
 from edgegraph.conv import ConvWorkload, ScheduleConfig, schedule_space
 from edgegraph.graph import Graph, Node
-from edgegraph.tensor import LayoutTag
 from edgegraph.tune import (
     TuningRecord,
     UnsupportedGraphError,
@@ -295,7 +294,7 @@ def chain(n, op="relu"):
     return Graph(nodes=nodes, inputs={}, outputs=[f"n{n-1}"])
 
 
-LAYOUTS = [LayoutTag("NCHW"), LayoutTag("NCHWc", 2), LayoutTag("NCHWc", 4), LayoutTag("OIHW")]
+LAYOUTS = ["NCHW", "NCHWc2", "NCHWc4", "OIHW"]
 
 
 def test_dp_single_node_picks_cheapest():
@@ -304,7 +303,7 @@ def test_dp_single_node_picks_cheapest():
         g, {"n0": {"NCHW": 5.0, "NCHWc4": 3.0}}, lambda s, d, shape: 0.0 if s == d else 1.0
     )
     assert total == 3.0
-    assert assign["n0"] == LayoutTag("NCHWc", 4)
+    assert assign["n0"] == "NCHWc4"
 
 
 def test_dp_zero_transform_costs_pick_independent_minima():
@@ -329,15 +328,15 @@ def exhaustive_assignment_minimum(n, nl, cost_arr, table_arr, edges, scales=None
     return float(total.min())
 
 
-def random_dp_instance(rng, n, nl):
+def random_dp_instance(rng, n, nl, labels=LAYOUTS):
     cost_arr = rng.integers(0, 30, (n, nl)).astype(float)
     table_arr = rng.integers(0, 20, (nl, nl)).astype(float)
     np.fill_diagonal(table_arr, 0.0)
-    costs = {f"n{i}": {str(LAYOUTS[j]): cost_arr[i, j] for j in range(nl)} for i in range(n)}
-    tags = {str(LAYOUTS[j]): j for j in range(nl)}
+    costs = {f"n{i}": {labels[j]: cost_arr[i, j] for j in range(nl)} for i in range(n)}
+    index = {labels[j]: j for j in range(nl)}
 
     def tc(s, d, shape):
-        return table_arr[tags[str(s)], tags[str(d)]]
+        return table_arr[index[s], index[d]]
 
     return cost_arr, table_arr, costs, tc
 
@@ -376,10 +375,12 @@ def test_dp_matches_brute_force_on_random_trees():
         assert total == pytest.approx(best), f"trial {trial}"
 
 
-def test_dp_matches_brute_force_on_random_forests():
+@pytest.mark.parametrize("labels", [LAYOUTS, ("GPU", "CPU", 7)], ids=["layouts", "devices"])
+def test_dp_matches_brute_force_on_random_forests(labels):
     """Edges point either way, so a node may have two inputs and a component
     may be rooted at a consumer; nodes come shuffled, in several components,
-    and a change costs more on an edge whose producer's out_shape is larger."""
+    and a change costs more on an edge whose producer's out_shape is larger.
+    Labels are opaque: each returned one is the caller's own key object."""
     rng = np.random.default_rng(4)
     for trial in range(150):
         n = int(rng.integers(1, 9))
@@ -394,7 +395,7 @@ def test_dp_matches_brute_force_on_random_forests():
         nodes = [Node(id=f"n{i}", op="relu", inputs=[f"n{u}" for u, v in edges if v == i],
                       attrs={"out_shape": (int(widths[i]), 2)}) for i in range(n)]
         g = Graph(nodes=[nodes[i] for i in rng.permutation(n)], inputs={}, outputs=[])
-        cost_arr, table_arr, costs, table_tc = random_dp_instance(rng, n, nl)
+        cost_arr, table_arr, costs, table_tc = random_dp_instance(rng, n, nl, labels)
 
         def tc(s, d, shape):
             return table_tc(s, d, shape) * shape[0]
@@ -405,7 +406,8 @@ def test_dp_matches_brute_force_on_random_forests():
         )
         assert total == best, f"trial {trial}"
         assert sorted(assign) == sorted(n.id for n in nodes)
-        priced = sum(costs[nid][str(tag)] for nid, tag in assign.items())
+        assert all(any(label is key for key in costs[nid]) for nid, label in assign.items()), f"trial {trial}"
+        priced = sum(costs[nid][label] for nid, label in assign.items())
         priced += sum(tc(assign[f"n{u}"], assign[f"n{v}"], (int(widths[u]), 2)) for u, v in edges)
         assert priced == total, f"trial {trial}"
 
@@ -433,7 +435,7 @@ def test_dp_deterministic_tie_break_by_enumeration_order():
     assign, _ = graph_tune_dp(
         g, {"n0": {"NCHWc2": 1.0, "NCHW": 1.0}}, lambda s, d, shape: 0.0
     )
-    assert assign["n0"] == LayoutTag("NCHWc", 2)
+    assert assign["n0"] == "NCHWc2"
 
 
 def test_records_torn_final_line_skipped_with_warning(tmp_path):
