@@ -1,4 +1,5 @@
-"""Write tests/golden/fixture.json, the fixture graph's outputs and launch records.
+"""Write tests/golden/fixture.json, the fixture graph's outputs and launch records,
+and tests/golden/tune.json, the trials of tuning jobs on its conv workloads.
 
 Run from the root of a source checkout:
 
@@ -14,28 +15,42 @@ the CPU, all-CPU) it keeps:
   the little-endian int64 work counts, barriers, divergence events);
 - each GPU conv node's ``tune.proxy_timer`` cost as ``float.hex``.
 
-Every fifth seed runs race-checked. ``test_golden_fixture.py`` recomputes
-the entries and names the first that differs. Rewriting the file is a
+Every fifth seed runs race-checked.
+
+For each of the graph's conv workloads (c1, c2, cls and loc) it runs
+``tune_model`` jobs of the benchmark's shape, under ``tune.proxy_timer``:
+budget 8 in batches of 4 at tuner seeds 0-2, and one random-search job
+(batch 8) at seed 0, each into a fresh records file. Per job it keeps
+each trial's config, ``float.hex`` of its cost mean and std, its repeats,
+failure flag and error, and the records file's lines with each record's
+``created_at`` cut out.
+
+``test_golden_fixture.py`` recomputes the entries and names the first
+that differs. Rewriting the file is a
 deliberate act: the change that does it says which entries moved and why.
 """
 
 import hashlib
 import json
 import platform
+import re
 import sys
+import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from edgegraph import graph
+from edgegraph.conv import ConvWorkload
 from edgegraph.graph import DEFAULT_GPU_OPS, assign_devices, insert_copies, load_graph, run_graph
 from edgegraph.simt import GPU, Session
 from edgegraph.tensor import Tensor
-from edgegraph.tune import proxy_timer
+from edgegraph.tune import proxy_timer, records_load, tune_model
 from fixtures import ssd_like_doc, ssd_like_inputs
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "fixture.json"
+TUNE_GOLDEN = GOLDEN.with_name("tune.json")
 SEEDS = range(20)
 TIED_SEEDS = range(2)
 RACE_CHECK_EVERY = 5
@@ -111,23 +126,72 @@ def fixture_entries() -> list:
     return _entries(placed, ssd_like_inputs, SEEDS) + _entries(placed, tied_inputs, TIED_SEEDS, draw="tied")
 
 
-def golden() -> dict:
+# the fixture graph's conv workloads (tests/fixtures.py)
+TUNE_CONVS = {
+    "c1": ConvWorkload(n=1, c=3, h=16, w=16, k=8, r=3, s=3, pad=(1, 1)),
+    "c2": ConvWorkload(n=1, c=8, h=8, w=8, k=8, r=3, s=3, pad=(1, 1)),
+    "cls": ConvWorkload(n=1, c=8, h=8, w=8, k=6, r=1, s=1),
+    "loc": ConvWorkload(n=1, c=8, h=8, w=8, k=8, r=1, s=1),
+}
+TUNE_BUDGET, TUNE_BATCH = 8, 4
+# (batch, tuner seed) of each job: model-guided at seeds 0-2, then random search
+TUNE_JOBS = [(TUNE_BATCH, seed) for seed in range(3)] + [(TUNE_BUDGET, 0)]
+_CREATED_AT = re.compile(r'"created_at": [^,]*, ')
+
+
+def _hex(x):
+    return None if x is None else float.hex(x)
+
+
+def tune_entries() -> list:
+    """One entry per (workload, job), in workload then job order."""
+    entries = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for node, wl in TUNE_CONVS.items():
+            for batch, seed in TUNE_JOBS:
+                path = Path(tmp, f"{node}-{batch}-{seed}.jsonl")
+                tune_model(wl, TUNE_BUDGET, batch=batch, seed=seed, timer=proxy_timer, records_path=path)
+                entries.append({
+                    "node": node,
+                    "batch": batch,
+                    "seed": seed,
+                    "trials": [[r.config.as_dict(), _hex(r.cost_mean), _hex(r.cost_std), r.repeats,
+                                r.failed, r.error] for r in records_load(path)],
+                    "lines": [_CREATED_AT.sub("", line)
+                              for line in path.read_text(encoding="utf-8").splitlines()],
+                })
+    return entries
+
+
+def _stamped(entries: list) -> dict:
     return {
         "written_by": "tests/make_fixture_golden.py",
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "entries": fixture_entries(),
+        "entries": entries,
     }
 
 
-def main() -> int:
-    doc = golden()
+def golden() -> dict:
+    return _stamped(fixture_entries())
+
+
+def tune_golden() -> dict:
+    return _stamped(tune_entries())
+
+
+def _write(path: Path, doc: dict) -> None:
     entries = doc.pop("entries")
-    # one line per entry, so a diff names the (seed, placement) that moved
+    # one line per entry, so a diff names the entry that moved
     head = json.dumps(doc, indent=1)[:-2]
     body = ",\n  ".join(json.dumps(e) for e in entries)
-    GOLDEN.write_text(f'{head},\n "entries": [\n  {body}\n ]\n}}\n')
-    print(f"wrote {GOLDEN}")
+    path.write_text(f'{head},\n "entries": [\n  {body}\n ]\n}}\n')
+    print(f"wrote {path}")
+
+
+def main() -> int:
+    _write(GOLDEN, golden())
+    _write(TUNE_GOLDEN, tune_golden())
     return 0
 
 

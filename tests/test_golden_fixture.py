@@ -1,10 +1,11 @@
-"""The fixture graph's outputs, launch records and conv proxy costs equal the
-committed golden, tests/golden/fixture.json, entry by entry."""
+"""The fixture graph's outputs, launch records and conv proxy costs, and the
+trials of tuning jobs on its conv workloads, equal the committed goldens,
+tests/golden/fixture.json and tests/golden/tune.json, entry by entry."""
 
 import json
 
 
-from make_fixture_golden import GOLDEN, golden
+from make_fixture_golden import GOLDEN, TUNE_GOLDEN, golden, tune_golden
 
 
 def _flat(entry) -> list:
@@ -22,12 +23,29 @@ def _flat(entry) -> list:
     return pairs
 
 
-def test_fixture_matches_the_committed_golden_entry_by_entry():
-    want = json.loads(GOLDEN.read_text())
-    got = golden()
+def _flat_tune(entry) -> list:
+    """(name, value) pairs of one tuning job's entry, in a fixed order."""
+    where = f"{entry['node']} batch {entry['batch']} seed {entry['seed']}"
+    pairs = [(f"{where}: trial count", len(entry["trials"])),
+             (f"{where}: line count", len(entry["lines"]))]
+    pairs += [(f"{where}: trial {i}", t) for i, t in enumerate(entry["trials"])]
+    pairs += [(f"{where}: records line {i + 1}", line) for i, line in enumerate(entry["lines"])]
+    return pairs
+
+
+def _check(path, got, flat):
+    want = json.loads(path.read_text())
     stamp = (f"golden written on Python {want['python']} and numpy {want['numpy']}, "
              f"recomputed on {got['python']} and {got['numpy']}")
     assert len(got["entries"]) == len(want["entries"]), stamp
     for w, g in zip(want["entries"], got["entries"]):
-        for (name, wv), (_, gv) in zip(_flat(w), _flat(g)):
+        for (name, wv), (_, gv) in zip(flat(w), flat(g)):
             assert gv == wv, f"{name}: golden {wv!r}, got {gv!r}; {stamp}"
+
+
+def test_fixture_matches_the_committed_golden_entry_by_entry():
+    _check(GOLDEN, golden(), _flat)
+
+
+def test_tune_jobs_match_the_committed_golden_entry_by_entry():
+    _check(TUNE_GOLDEN, tune_golden(), _flat_tune)
