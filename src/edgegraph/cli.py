@@ -41,6 +41,8 @@ def _records_path(arg):
 def _load_inputs(path) -> dict:
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: inputs file must be a JSON object of tensor literals, got {type(doc).__name__}")
     return {name: tensor_from_json(rec) for name, rec in doc.items()}
 
 
@@ -124,8 +126,10 @@ def cmd_tune(args) -> int:
 
 
 def _costs(value, where: str, depth: int):
-    """A cost-file entry as floats: a number (not a bool) at depth 0, else an object of depth - 1 entries."""
-    if depth == 0 and isinstance(value, (int, float)) and not isinstance(value, bool):
+    """A cost-file entry as floats: a finite number (not a bool) at depth 0, else an object of depth - 1
+    entries. NaN, infinities and integers past the float range are not numbers here."""
+    finite = isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    if depth == 0 and finite:
         return float(value)
     if depth > 0 and isinstance(value, dict):
         return {key: _costs(item, f"{where}[{key!r}]", depth - 1) for key, item in value.items()}

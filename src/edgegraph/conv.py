@@ -61,16 +61,22 @@ class ConvWorkload:
         if self.oh < 1 or self.ow < 1:
             raise ValueError(f"output extents must be >= 1, got oh={self.oh} ow={self.ow}")
 
-    @property
+    # oh, ow and the key are worked out once per workload; they are not fields, so
+    # equality, hash and repr do not see them
+    @functools.cached_property
     def oh(self) -> int:
         return (self.h + 2 * self.pad[0] - self.dilation[0] * (self.r - 1) - 1) // self.stride[0] + 1
 
-    @property
+    @functools.cached_property
     def ow(self) -> int:
         return (self.w + 2 * self.pad[1] - self.dilation[1] * (self.s - 1) - 1) // self.stride[1] + 1
 
     def key(self) -> str:
         """Canonical records-database key, bit-exact."""
+        return self._key
+
+    @functools.cached_property
+    def _key(self) -> str:
         return (
             f"conv2d/{self.n}-{self.c}-{self.h}-{self.w}/{self.k}-{self.r}-{self.s}/"
             f"{self.stride[0]}x{self.stride[1]}/{self.pad[0]}x{self.pad[1]}/"
@@ -218,7 +224,10 @@ def _region(x, wgt, wl: ConvWorkload, ks: slice, ys: slice, xs: slice) -> np.nda
     The region's taps come in one ``take`` through the workload's tap plan.
     Every (n, output channel) plane is summed at once, one run per group its
     channels fall in, adding the products one at a time in the reference's
-    (r, s, c ascending) order, so each cell is the reference's bitwise, NaNs made canonical."""
+    (r, s, c ascending) order, so each cell is the reference's bitwise, NaNs made canonical.
+    numpy adds along the slow axis of a C-ordered array that way (only a fast axis gets
+    pairwise summation), and the zeroed run then takes the sum as the reference's
+    zero-started accumulator would; a lone cell, whose taps are its fast axis, loops."""
     kg = wl.k // wl.groups
     g0, g1 = ks.start // kg, (ks.stop - 1) // kg + 1
     taps = x.take(_tap_plan(wl)[0][g0:g1, ..., ys, xs])
@@ -228,8 +237,12 @@ def _region(x, wgt, wl: ConvWorkload, ks: slice, ys: slice, xs: slice) -> np.nda
         k0, k1 = max(ks.start, g * kg), min(ks.stop, (g + 1) * kg)
         wts = w4[k0:k1].transpose(2, 3, 1, 0).reshape(-1, 1, k1 - k0, 1, 1)
         run = acc[:, k0 - ks.start : k1 - ks.start]
-        for prod in taps[g - g0] * wts:
-            run += prod
+        prods = np.multiply(taps[g - g0], wts, order="C")
+        if run.size > 1:
+            run += np.add.reduce(prods, axis=0)
+        else:
+            for prod in prods:
+                run += prod
     return canonical_nan(acc)
 
 
@@ -239,7 +252,7 @@ def _lane_plan(wl: ConvWorkload, cfg: ScheduleConfig):
     block-major; read-only, kept for the 32 most recently used (workload, config)
     pairs of ``PLAN_LANES`` lanes or fewer."""
     threads = cfg.w_tile * cfg.vec
-    t = np.tile(np.arange(threads), cfg.oc_split * cfg.h_split)
+    t = np.arange(cfg.oc_split * cfg.h_split * threads) % threads
     # columns t, t + threads, ... below ow, over the block's channels and band
     work = wl.n * (wl.k // cfg.oc_split) * (wl.oh // cfg.h_split) * np.maximum(-((t - wl.ow) // threads), 0)
     guard = t < wl.ow
@@ -318,12 +331,6 @@ def schedule_space(wl: ConvWorkload) -> list[ScheduleConfig]:
     unroll {0, 1} x (VEC_OPTIONS intersected with divisors(oc_split)).
     The all-ones default is always the first entry.
     """
-    out = []
-    for oc in _divisors(wl.k):
-        vecs = [v for v in VEC_OPTIONS if oc % v == 0]
-        for hs in _divisors(wl.oh):
-            for wt in _divisors(wl.ow):
-                for un in (0, 1):
-                    for v in vecs:
-                        out.append(ScheduleConfig(oc_split=oc, h_split=hs, w_tile=wt, unroll=un, vec=v))
-    return out
+    hs_all, wt_all = _divisors(wl.oh), _divisors(wl.ow)
+    return [ScheduleConfig(oc, hs, wt, un, v) for oc in _divisors(wl.k) for hs in hs_all for wt in wt_all
+            for un in (0, 1) for v in VEC_OPTIONS if oc % v == 0]

@@ -575,6 +575,8 @@ def _divergence(guards, block: int) -> int:
     True skipped a guarded phase. A context with fewer guards takes no
     part in the later positions.
     """
+    if len(guards) == 1 and len(guards[0]) == 1 and np.count_nonzero(guards[0][0]) == guards[0][0].size:
+        return 0  # one context's one mask, all True: no lane skipped
     events = 0
     for pos in range(max(map(len, guards))):
         # the lanes that made a guard here: whole blocks of one context, which

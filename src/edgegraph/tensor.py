@@ -9,11 +9,12 @@ OIHW or absent.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simt import DTYPES
+from .simt import DTYPES, check_int
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,7 @@ class Tensor:
     data: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", tuple(int(x) for x in self.shape))
+        object.__setattr__(self, "shape", tuple(check_int("extent", x, -math.inf, "an integer") for x in self.shape))
         if any(x < 1 for x in self.shape):
             raise ValueError(f"extents must be positive, got {self.shape}")
         if self.dtype not in DTYPES:

@@ -22,10 +22,13 @@ checks the header's schema and features tag, and an append refuses a
 file whose complete header fails that check.
 
 One process also keeps, per records path, the text of the complete lines
-it last loaded, their count and their records. A load whose file still
-starts with that exact text parses only the lines after it; any other
-file is parsed whole, so a load never trusts mtime, size or append-only
-use. The cache holds at most 32 paths; the 33rd starts it afresh.
+it last loaded, their count and their records. An append teaches that
+cache the lines and records it wrote when the cached text ends where it
+appended, and only records whose lines load back equal, field type
+included. A load whose file still starts with the cached text parses only
+the lines after it; any other file is parsed whole, so a load never
+trusts mtime, size or append-only use. The cache holds at most 32 paths;
+the 33rd starts it afresh.
 """
 
 from __future__ import annotations
@@ -49,10 +52,11 @@ from .conv import (
     conv2d_scheduled,
     schedule_space,
 )
-from .simt import Session, ceil_div
+from .simt import Session, ceil_div, check_int
 
 RECORDS_HEADER = {"schema": 1, "features": "v1"}
 _HEADER_LINE = json.dumps(RECORDS_HEADER) + "\n"  # written first; an append need not parse it
+_ENCODER = json.JSONEncoder(allow_nan=False)  # json.dumps(rec, allow_nan=False) builds one a call
 MAX_SPACE = 2000  # desk-scale bound on exhaustive spaces
 EPSILON = 0.1  # chance that tune_model explores past its model's top pick
 KNN_K = 3  # neighbours the cost model averages
@@ -90,7 +94,7 @@ class TuningRecord:
             "failed": self.failed,
             "error": self.error,
         }
-        return json.dumps(rec, allow_nan=False)
+        return _ENCODER.encode(rec)
 
     @classmethod
     def from_json(cls, text: str) -> "TuningRecord":
@@ -99,7 +103,7 @@ class TuningRecord:
             raise ValueError("a record and its config must be JSON objects")
         rec = {"failed": False, "error": None, **rec}
         for key, types in _RECORD_TYPES.items():
-            if not isinstance(rec[key], types) or (type(rec[key]) is bool) != (types is bool):
+            if not isinstance(rec[key], types) or (type(rec[key]) is bool) != (bool in types):
                 raise TypeError(f"field {key!r} has type {type(rec[key]).__name__}")
         return cls(
             workload_key=rec["workload"],
@@ -114,10 +118,17 @@ class TuningRecord:
         )
 
 
-# the JSON types each record field may take; a bool is never a number
-_RECORD_TYPES = {"workload": str, "cost_mean": (int, float, type(None)),
-                 "cost_std": (int, float, type(None)), "repeats": int, "device": str,
-                 "created_at": (int, float), "failed": bool, "error": (str, type(None))}
+# the JSON types each record field may take, in field order; a bool is never a number
+_RECORD_TYPES = {"workload": (str,), "cost_mean": (int, float, type(None)),
+                 "cost_std": (int, float, type(None)), "repeats": (int,), "device": (str,),
+                 "created_at": (int, float), "failed": (bool,), "error": (str, type(None))}
+
+
+def _exact(r: TuningRecord) -> bool:
+    """Whether loading ``r``'s line gives back ``r`` with every field of the same type."""
+    fields = (r.workload_key, r.cost_mean, r.cost_std, r.repeats, r.device_tag, r.created_at, r.failed, r.error)
+    return (type(r) is TuningRecord and all(type(v) is int for v in r.config.as_dict().values())
+            and all(type(v) in types for v, types in zip(fields, _RECORD_TYPES.values())))
 
 
 # --- timers -----------------------------------------------------------------
@@ -168,7 +179,7 @@ def _search_space(wl: ConvWorkload):
             f"schedule space of {wl.key()} has {len(space)} configs, beyond the "
             f"desk-scale bound of {MAX_SPACE}"
         )
-    feats = np.stack([config_features(wl, c) for c in space])
+    feats = space_features(wl, space)
     feats.flags.writeable = False
     return space, feats
 
@@ -184,8 +195,7 @@ def measure(wl: ConvWorkload, cfg: ScheduleConfig, repeats: int = 3, timer=None)
     output that is not bitwise the reference's is a hard error and is
     never recorded as a cost.
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    repeats = check_int("repeats", repeats, 1)
     if timer is None:
         timer = wall_timer
     now = time.time()
@@ -209,7 +219,7 @@ def measure(wl: ConvWorkload, cfg: ScheduleConfig, repeats: int = 3, timer=None)
 
     verified = Session()
     got = conv2d_scheduled(inp, wgt, wl, cfg, session=verified)
-    if not np.array_equal(got.view(np.uint32), ref.view(np.uint32)):
+    if got.shape != ref.shape or got.tobytes() != ref.tobytes():
         raise RuntimeError(f"config {cfg} produced wrong output for {wl.key()}")
 
     if timer is proxy_timer:  # looked up when called, so a wrapped proxy_timer matches too
@@ -250,24 +260,27 @@ def records_append(records, path) -> None:
     newline left (a torn header) is started afresh. A complete header
     that :func:`records_load` would reject raises ValueError and, like a
     record that is not JSON (see :func:`records_save`), changes nothing.
+    A load cache that ends where the records went learns them (see the
+    module docstring).
     """
+    records = list(records)
     lines = "".join(r.to_json() + "\n" for r in records)
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
-    if not fresh:
-        with open(path, "rb+") as f:
+    with open(path, "a+b") as f:  # every write lands at the end
+        if end := f.seek(0, os.SEEK_END):
+            f.seek(0)
             head = f.readline()
             if head != _HEADER_LINE.encode() and head.endswith(b"\n"):
                 _check_header(head.decode("utf-8").splitlines()[0], path)
             f.seek(-1, os.SEEK_END)
             if f.read(1) != b"\n":
                 f.seek(0)
-                keep = f.read().rfind(b"\n") + 1
-                f.truncate(keep)
-                fresh = keep == 0
-    with open(path, "a", encoding="utf-8") as f:
-        if fresh:
-            f.write(_HEADER_LINE)
-        f.write(lines)
+                end = f.read().rfind(b"\n") + 1
+                f.truncate(end)
+        f.write((lines if end else _HEADER_LINE + lines).encode())
+    key = os.fspath(path)
+    done, count, recs = _records_cache.get(key, ("", 0, ()))
+    if end and len(done) == end and all(map(_exact, records)):
+        _records_cache[key] = (done + lines, count + len(records), recs + tuple(records))
 
 
 def _check_header(line: str, path) -> None:
@@ -347,24 +360,19 @@ def query_cost(records, workload_key: str, cfg: ScheduleConfig) -> TuningRecord 
 # --- schedule search ----------------------------------------------------------
 
 def config_features(wl: ConvWorkload, cfg: ScheduleConfig) -> np.ndarray:
-    """Feature vector "v1": log2 of the schedule factors plus derived sizes."""
-    blocks = cfg.oc_split * cfg.h_split
-    threads = cfg.w_tile * cfg.vec
-    return np.array(
-        [
-            math.log2(cfg.oc_split),
-            math.log2(cfg.h_split),
-            math.log2(cfg.w_tile),
-            math.log2(cfg.vec),
-            float(cfg.unroll),
-            math.log2(blocks),
-            math.log2(threads),
-            math.log2(wl.k // cfg.oc_split),
-            math.log2(wl.oh // cfg.h_split),
-            math.log2(wl.ow // cfg.w_tile),
-        ],
-        dtype=np.float64,
-    )
+    """Feature vector "v1" of one config (see :func:`space_features`)."""
+    return space_features(wl, [cfg])[0]
+
+
+def space_features(wl: ConvWorkload, configs) -> np.ndarray:
+    """Feature vectors "v1", one row per config: log2 of oc_split, h_split, w_tile and
+    vec, unroll, then log2 of the blocks, the threads and each split's share of its axis."""
+    oc, hs, wt, vec, unroll = np.array([(c.oc_split, c.h_split, c.w_tile, c.vec, c.unroll)
+                                        for c in configs]).T
+    sizes = np.stack([oc, hs, wt, vec, oc * hs, wt * vec, wl.k // oc, wl.oh // hs, wl.ow // wt], axis=1)
+    values, at = np.unique(sizes, return_inverse=True)
+    logs = np.array([math.log2(v) for v in values.tolist()])  # math.log2 of each distinct int
+    return np.insert(logs[at.reshape(sizes.shape)], 4, unroll, axis=1)
 
 
 class KnnCostModel:
@@ -386,7 +394,12 @@ class KnnCostModel:
         q = np.atleast_2d(np.asarray(features, dtype=np.float64))
         if self._x is None or len(self._x) == 0:
             return np.zeros(len(q))
-        d = np.sqrt(((q[:, None, :] - self._x[None, :, :]) ** 2).sum(axis=2))
+        # squared differences as (features, points, queries), added in the pairwise order
+        # of numpy's sum over contiguous features, which this equals for up to 15 features
+        f = list((self._x.T[:, :, None] - q.T[:, None, :]) ** 2)
+        if len(f) >= 8:
+            f[:8] = [((f[0] + f[1]) + (f[2] + f[3])) + ((f[4] + f[5]) + (f[6] + f[7]))]
+        d = np.sqrt(sum(f[1:], f[0])).T
         k = min(KNN_K, len(self._x))
         idx = np.argsort(d, axis=1, kind="stable")[:, :k]
         return self._y[idx].mean(axis=1)
@@ -404,38 +417,35 @@ def tune_model(wl: ConvWorkload, budget: int, batch: int = 8, seed: int = 0,
     ``batch=budget`` it is pure random search, exhaustive once budget
     >= |space|, and deterministic for a given seed.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    if not (1 <= batch <= budget):
+    budget, batch = check_int("budget", budget, 1), check_int("batch", batch, 1)
+    if batch > budget:
         raise ValueError(f"need 1 <= batch <= budget, got batch={batch} budget={budget}")
     space, feats = _search_space(wl)
     rng = np.random.default_rng(seed)
     model = KnnCostModel()
 
-    unmeasured = list(range(len(space)))
+    free = np.ones(len(space), bool)  # the configs not measured yet
     trials = []
-    measured_feats, measured_costs = [], []
+    measured, measured_costs = [], []
 
     def run_batch(indices):
         for i in indices:
-            unmeasured.remove(i)
+            free[i] = False
             rec = measure(wl, space[i], repeats=repeats, timer=timer)
             trials.append(rec)
             if rec.ok:
-                measured_feats.append(feats[i])
+                measured.append(i)
                 measured_costs.append(rec.cost_mean)
 
-    first = rng.permutation(len(space))[: min(batch, budget, len(space))]
-    run_batch([int(i) for i in first])
+    run_batch(rng.permutation(len(space))[: min(batch, budget, len(space))].tolist())
 
-    while len(trials) < budget and unmeasured:
-        room = min(batch, budget - len(trials), len(unmeasured))
+    while len(trials) < budget and (unmeasured := np.flatnonzero(free)).size:
+        room = min(batch, budget - len(trials), unmeasured.size)
         if measured_costs:
-            model.fit(measured_feats, measured_costs)
-            pred = model.predict(feats[unmeasured])
-            ranked = [unmeasured[int(j)] for j in np.argsort(pred, kind="stable")]
+            model.fit(feats[measured], measured_costs)
+            ranked = unmeasured[np.argsort(model.predict(feats[unmeasured]), kind="stable")].tolist()
         else:
-            ranked = list(unmeasured)
+            ranked = unmeasured.tolist()
         picks = []
         for _ in range(room):
             if rng.random() < EPSILON and len(ranked) > 1:

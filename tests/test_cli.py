@@ -1,6 +1,7 @@
 """CLI subcommands: run, stats, tune, tune-graph, bench."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -65,6 +66,26 @@ def test_run_rejects_a_malformed_tensor_literal(tmp_path, capsys, literal):
     assert main(["run", graph, str(inputs), "--out", str(tmp_path / "out.json")]) == 1
     err = capsys.readouterr().err
     assert err == "edgegraph: error: tensor literal must be an object whose 'shape' is a list of extents\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_run_rejects_an_inputs_file_that_is_not_an_object(tmp_path, capsys):
+    graph, _ = identity_files(tmp_path)
+    inputs = tmp_path / "list.json"
+    inputs.write_text(json.dumps([{"shape": [6], "dtype": "f32", "data": [1, 2, 3, 4, 5, 6]}]))
+    assert main(["run", graph, str(inputs), "--out", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"edgegraph: error: {inputs}: inputs file must be a JSON object of tensor literals, got list\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("extent", [2.7, True, "6"], ids=["fraction", "bool", "string"])
+def test_run_rejects_a_literal_extent_that_is_not_an_integer(tmp_path, capsys, extent):
+    graph, _ = identity_files(tmp_path)
+    inputs = tmp_path / "bad.json"
+    inputs.write_text(json.dumps({"x": {"shape": [extent], "dtype": "f32", "data": [1, 2]}}))
+    assert main(["run", graph, str(inputs), "--out", str(tmp_path / "out.json")]) == 1
+    assert capsys.readouterr().err == f"edgegraph: error: extent must be an integer, got {extent!r}\n"
     assert not (tmp_path / "out.json").exists()
 
 
@@ -260,6 +281,15 @@ def test_tune_graph_rejects_a_malformed_cost_file_by_name(tmp_path, capsys, cost
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"edgegraph: error: {message}\n"
+
+
+@pytest.mark.parametrize("cost, shown", [(math.nan, "nan"), (-math.inf, "-inf"), (10**399, "1" + "0" * 399)],
+                         ids=["nan", "infinity", "400-digits"])
+def test_tune_graph_rejects_a_cost_that_is_not_a_finite_float(tmp_path, capsys, cost, shown):
+    # json.dumps writes NaN, -Infinity and all 400 digits, which json.load reads back
+    assert tune_graph(tmp_path, {"node_costs": {"a": {"NCHW": 1}, "b": {"NCHW": cost}}}) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"edgegraph: error: cost file: node_costs['b']['NCHW'] must be a number, got {shown}\n"
 
 
 def test_tune_graph_rejects_the_ssd_fixture_by_its_cycle_closing_edge(tmp_path, capsys):

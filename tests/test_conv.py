@@ -291,6 +291,36 @@ def test_sum_of_negative_zero_products_is_positive_zero(race_check):
         assert got.tobytes() == ref.tobytes(), cfg
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_every_region_shape_adds_its_taps_in_the_reference_order():
+    """Products spanning 13 decades make a sum's bits depend on its order, so a
+    region summed pairwise, or in any order but the reference's, fails. The
+    configs include lanes that own one cell under race check."""
+    rng = np.random.default_rng(5)
+    shapes = set()
+    for _ in range(60):
+        g = int(rng.choice([1, 1, 2, 3]))
+        try:
+            wl = ConvWorkload(n=int(rng.choice([1, 1, 2])), c=g * int(rng.integers(1, 5)),
+                              h=int(rng.integers(1, 9)), w=int(rng.integers(1, 9)), k=g * int(rng.integers(1, 5)),
+                              r=int(rng.integers(1, 4)), s=int(rng.integers(1, 4)), pad=tuple(rng.integers(0, 2, 2)),
+                              dilation=tuple(rng.integers(1, 3, 2)), groups=g)
+        except ValueError:  # the filter does not fit the padded map
+            continue
+        x = (rng.standard_normal((wl.n, wl.c, wl.h, wl.w)) * 10.0 ** rng.integers(-6, 7, (wl.n, wl.c, wl.h, wl.w)))
+        wt = rng.standard_normal((wl.k, wl.c // g, wl.r, wl.s)) * 10.0 ** rng.integers(-3, 4, (wl.k, wl.c // g, wl.r, wl.s))
+        want = conv2d_reference(x, wt, wl).tobytes()
+        space = schedule_space(wl)
+        lone = [c for c in space if c.h_split == wl.oh and c.w_tile * c.vec >= wl.ow]
+        for cfg in [space[int(i)] for i in rng.choice(len(space), min(3, len(space)), replace=False)] + lone[:2]:
+            for race_check in (False, True):
+                got = conv2d_scheduled(x, wt, wl, cfg, session=Session(race_check=race_check))
+                assert got.tobytes() == want, (wl, cfg, race_check)
+            columns = -(-wl.ow // (cfg.w_tile * cfg.vec))  # of thread 0
+            shapes.add(wl.n * wl.k // cfg.oc_split * wl.oh // cfg.h_split * columns == 1)  # one cell
+    assert shapes == {False, True}
+
+
 @pytest.mark.parametrize("pad", [(0, 0), (1, 1), (2, 3), (2, 0), (0, 1)])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_padding_equals_np_pad_bitwise(pad, dtype):

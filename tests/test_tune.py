@@ -1,6 +1,7 @@
 """Measurement, schedule search, records database, layout DP."""
 
 
+import dataclasses
 import json
 import math
 import re
@@ -187,6 +188,21 @@ def test_tune_model_budget_equals_space_is_exhaustive():
 def test_tune_model_batch_larger_than_budget_rejected():
     with pytest.raises(ValueError):
         tune_model(WL, budget=4, batch=8, timer=constant_timer(1.0))
+
+
+@pytest.mark.parametrize("budget, batch, name, shown", [
+    (8.5, 8, "budget", "8.5"), (True, 1, "budget", "True"), (8, 2.5, "batch", "2.5"), (8, "4", "batch", "'4'"),
+], ids=["fractional-budget", "bool-budget", "fractional-batch", "string-batch"])
+def test_tune_model_rejects_a_budget_or_batch_that_is_not_an_integer(budget, batch, name, shown):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1 and an integer, got {re.escape(shown)}$"):
+        tune_model(WL, budget, batch=batch, timer=constant_timer(1.0))
+
+
+@pytest.mark.parametrize("repeats, shown", [(2.5, "2.5"), ("3", "'3'"), (True, "True"), (0, "0")],
+                         ids=["fraction", "string", "bool", "zero"])
+def test_measure_rejects_repeats_that_are_not_an_integer_of_at_least_one(repeats, shown):
+    with pytest.raises(ValueError, match=f"^repeats must be >= 1 and an integer, got {re.escape(shown)}$"):
+        measure(WL, ScheduleConfig(), repeats=repeats, timer=tune.wall_timer)
 
 
 def test_tune_model_never_exceeds_budget(tmp_path):
@@ -627,18 +643,18 @@ def test_tuners_skip_a_non_finite_first_cost():
 
 def test_two_jobs_on_one_workload_build_the_search_space_once(monkeypatch):
     calls = {"space": 0, "features": 0}
-    real_space, real_features = tune.schedule_space, tune.config_features
+    real_space, real_features = tune.schedule_space, tune.space_features
 
     def counted_space(wl):
         calls["space"] += 1
         return real_space(wl)
 
-    def counted_features(wl, cfg):
-        calls["features"] += 1
-        return real_features(wl, cfg)
+    def counted_features(wl, configs):
+        calls["features"] += len(configs)
+        return real_features(wl, configs)
 
     monkeypatch.setattr(tune, "schedule_space", counted_space)
-    monkeypatch.setattr(tune, "config_features", counted_features)
+    monkeypatch.setattr(tune, "space_features", counted_features)
     for seed in (0, 1):
         tune_model(WL, budget=8, batch=4, seed=seed, repeats=1, timer=proxy_timer)
     assert calls == {"space": 1, "features": len(real_space(WL))}
@@ -682,10 +698,42 @@ def test_a_bad_space_raises_before_any_reference_convolution(monkeypatch, space,
 def test_shared_feature_matrix_equals_per_config_features(wl):
     space, feats = tune._search_space(wl)
     assert isinstance(space, tuple) and space == tuple(schedule_space(wl))
-    want = np.stack([tune.config_features(wl, c) for c in space])
+    # the features "v1" one config at a time, with math.log2 of each Python int
+    want = np.array([[math.log2(c.oc_split), math.log2(c.h_split), math.log2(c.w_tile), math.log2(c.vec),
+                      float(c.unroll), math.log2(c.oc_split * c.h_split), math.log2(c.w_tile * c.vec),
+                      math.log2(wl.k // c.oc_split), math.log2(wl.oh // c.h_split), math.log2(wl.ow // c.w_tile)]
+                     for c in space])
     assert feats.dtype == want.dtype and feats.tobytes() == want.tobytes()
+    assert tune.config_features(wl, space[-1]).tobytes() == want[-1].tobytes()
     assert not feats.flags.writeable
     assert tune._search_space(wl)[1] is feats
+
+
+@pytest.mark.parametrize("features", [1, 3, 8, 10, 15])
+def test_knn_distances_equal_numpy_sums_over_the_features_bit_for_bit(features):
+    rng = np.random.default_rng(features)
+    for trial in range(40):
+        points, queries = int(rng.integers(1, 12)), int(rng.integers(1, 300))
+        scale = 10.0 ** rng.integers(-3, 6)
+        x = rng.standard_normal((points, features)) * scale
+        q = rng.standard_normal((queries, features)) * scale
+        if trial % 2:  # ties between neighbours
+            x, q = np.round(x / scale), np.round(q / scale)
+        y = rng.random(points)
+        d = np.sqrt(((q[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
+        idx = np.argsort(d, axis=1, kind="stable")[:, :min(tune.KNN_K, points)]
+        model = tune.KnnCostModel()
+        model.fit(x, y)
+        assert model.predict(q).tobytes() == y[idx].mean(axis=1).tobytes(), (features, trial)
+
+
+def test_knn_ranks_a_near_tie_as_numpys_pairwise_sum_does():
+    # nine squares of 0.49 vanish one by one into 2**52, but numpy's pairwise
+    # sum adds six of them together first, so point 0 is farther than point 1
+    x = np.array([[2.0 ** 26] + [0.7] * 9, [2.0 ** 26] + [0.0] * 9, [0.0] * 10, [1.0] + [0.0] * 9])
+    model = tune.KnnCostModel()
+    model.fit(x, [1.0, 2.0, 3.0, 4.0])
+    assert model.predict(np.zeros(10)).tolist() == [3.0]  # points 1, 2 and 3
 
 
 def test_workload_share_holds_at_most_32_workloads():
@@ -791,11 +839,73 @@ def test_a_reload_parses_only_the_appended_records(tmp_path, monkeypatch):
     assert records_load(p) == recs and len(calls) == 20
     calls.clear()
     assert records_load(p) == recs and calls == []
-    records_append(more, p)
-    assert records_load(p) == recs + more and len(calls) == 3
+    records_append(more, p)  # this process's own append teaches the cache its records
+    assert records_load(p) == recs + more and calls == []
+    with open(p, "a", encoding="utf-8") as f:  # another writer's append is parsed
+        f.write("".join(r.to_json() + "\n" for r in more))
+    assert records_load(p) == recs + more + more and len(calls) == 3
     records_save(more, p)  # an overwrite fails the prefix check: the whole file again
     calls.clear()
     assert records_load(p) == more and len(calls) == 3
+
+
+def typed_fields(records) -> list:
+    """Each record's fields as (name, type, repr), the config's fields too, so
+    that 1 and 1.0, -0.0 and 0.0, and float and np.float64 all differ."""
+    return [[(f.name, type(v), repr(v)) for f in dataclasses.fields(r) for v in [getattr(r, f.name)]]
+            + [(k, type(v), repr(v)) for k, v in r.config.as_dict().items()] for r in records]
+
+
+ODD_RECORDS = [
+    TuningRecord(WL.key(), ScheduleConfig(), None, None, 0, "emu", 1.5, failed=True, error="rejected"),
+    TuningRecord(WL.key(), ScheduleConfig(2, 1, 2), None, None, 2, "emu", 2.0, failed=True,
+                 error="timer returned a non-finite cost nan: résumé ✓ 日本"),
+    TuningRecord(WL.key(), ScheduleConfig(1, 2), -0.0, -0.0, 1, "émû", 3),
+    TuningRecord(WL.key(), ScheduleConfig(4, 1, 1, 1), 7, 0, 3, "emu", 4.25),
+    TuningRecord(WL.key(), ScheduleConfig(2, 2), np.float64(0.5), np.float64(0.25), 3, "emu", np.float64(5)),
+]
+
+
+@pytest.mark.parametrize("odd", range(len(ODD_RECORDS) + 1))
+def test_a_warm_load_after_an_append_equals_a_cold_load_field_type_included(tmp_path, monkeypatch, odd):
+    p = str(tmp_path / "r.jsonl")
+    recs = random_records(np.random.default_rng(odd), 3)
+    records_save(recs, p)
+    records_load(p)
+    more = ODD_RECORDS if odd == len(ODD_RECORDS) else [ODD_RECORDS[odd], *recs[:1]]
+    records_append(more, p)
+    warm = records_load(p)
+    cold, _ = cold_outcome(p, monkeypatch)
+    assert typed_fields(warm) == typed_fields(cold) and len(cold) == 3 + len(more)
+
+
+@pytest.mark.parametrize("change", ["edit", "save", "truncate", "same length"])
+def test_a_file_changed_between_an_append_and_the_next_load_is_parsed_whole(tmp_path, monkeypatch,
+                                                                            change):
+    p = tmp_path / "r.jsonl"
+    rng = np.random.default_rng(2)
+    recs, more = random_records(rng, 5), random_records(rng, 2)
+    records_save(recs, str(p))
+    records_load(str(p))
+    records_append(more, str(p))
+    text = p.read_text(encoding="utf-8")
+    if change == "edit":
+        text = text.replace('"cost_std": 0.0', '"cost_std": 0.5', 1)
+    elif change == "save":
+        text = "".join([text.splitlines(keepends=True)[0]] + [r.to_json() + "\n" for r in more + recs])
+    elif change == "truncate":
+        text = text[: text.rfind("\n", 0, len(text) - 1) + 1]
+    else:  # the last record's cost changes digits but not length
+        i = text.rindex('"cost_mean": 0.') + len('"cost_mean": 0.')
+        text = text[:i] + ("1" if text[i] != "1" else "2") + text[i + 1:]
+    p.write_text(text, encoding="utf-8")
+    calls = []
+    real = TuningRecord.from_json.__func__
+    monkeypatch.setattr(TuningRecord, "from_json",
+                        classmethod(lambda cls, line: calls.append(line) or real(cls, line)))
+    warm = records_load(str(p))
+    assert len(calls) == len(text.splitlines()) - 1  # every record line again
+    assert typed_fields(warm) == typed_fields(cold_outcome(str(p), monkeypatch)[0])
 
 
 def test_a_torn_final_line_warns_on_every_load(tmp_path):
