@@ -128,8 +128,8 @@ def cmd_tune(args) -> int:
 def _costs(value, where: str, depth: int):
     """A cost-file entry as floats: a finite number (not a bool) at depth 0, else an object of depth - 1
     entries. NaN, infinities and integers past the float range are not numbers here."""
-    finite = isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
-    if depth == 0 and finite:
+    number = isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    if depth == 0 and number:
         return float(value)
     if depth > 0 and isinstance(value, dict):
         return {key: _costs(item, f"{where}[{key!r}]", depth - 1) for key, item in value.items()}

@@ -331,6 +331,12 @@ def schedule_space(wl: ConvWorkload) -> list[ScheduleConfig]:
     unroll {0, 1} x (VEC_OPTIONS intersected with divisors(oc_split)).
     The all-ones default is always the first entry.
     """
-    hs_all, wt_all = _divisors(wl.oh), _divisors(wl.ow)
-    return [ScheduleConfig(oc, hs, wt, un, v) for oc in _divisors(wl.k) for hs in hs_all for wt in wt_all
-            for un in (0, 1) for v in VEC_OPTIONS if oc % v == 0]
+    out = []
+    for oc in _divisors(wl.k):
+        vecs = [v for v in VEC_OPTIONS if oc % v == 0]
+        for hs in _divisors(wl.oh):
+            for wt in _divisors(wl.ow):
+                for un in (0, 1):
+                    for v in vecs:
+                        out.append(ScheduleConfig(oc_split=oc, h_split=hs, w_tile=wt, unroll=un, vec=v))
+    return out

@@ -9,7 +9,6 @@ OIHW or absent.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +25,8 @@ class Tensor:
     data: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", tuple(check_int("extent", x, -math.inf, "an integer") for x in self.shape))
+        shape = tuple(check_int("extent", x, float("-inf"), "an integer") for x in self.shape)
+        object.__setattr__(self, "shape", shape)
         if any(x < 1 for x in self.shape):
             raise ValueError(f"extents must be positive, got {self.shape}")
         if self.dtype not in DTYPES:

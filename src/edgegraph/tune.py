@@ -179,7 +179,7 @@ def _search_space(wl: ConvWorkload):
             f"schedule space of {wl.key()} has {len(space)} configs, beyond the "
             f"desk-scale bound of {MAX_SPACE}"
         )
-    feats = space_features(wl, space)
+    feats = config_features(wl, space)
     feats.flags.writeable = False
     return space, feats
 
@@ -359,12 +359,7 @@ def query_cost(records, workload_key: str, cfg: ScheduleConfig) -> TuningRecord 
 
 # --- schedule search ----------------------------------------------------------
 
-def config_features(wl: ConvWorkload, cfg: ScheduleConfig) -> np.ndarray:
-    """Feature vector "v1" of one config (see :func:`space_features`)."""
-    return space_features(wl, [cfg])[0]
-
-
-def space_features(wl: ConvWorkload, configs) -> np.ndarray:
+def config_features(wl: ConvWorkload, configs) -> np.ndarray:
     """Feature vectors "v1", one row per config: log2 of oc_split, h_split, w_tile and
     vec, unroll, then log2 of the blocks, the threads and each split's share of its axis."""
     oc, hs, wt, vec, unroll = np.array([(c.oc_split, c.h_split, c.w_tile, c.vec, c.unroll)
@@ -424,13 +419,13 @@ def tune_model(wl: ConvWorkload, budget: int, batch: int = 8, seed: int = 0,
     rng = np.random.default_rng(seed)
     model = KnnCostModel()
 
-    free = np.ones(len(space), bool)  # the configs not measured yet
+    unmeasured = list(range(len(space)))
     trials = []
     measured, measured_costs = [], []
 
     def run_batch(indices):
         for i in indices:
-            free[i] = False
+            unmeasured.remove(i)
             rec = measure(wl, space[i], repeats=repeats, timer=timer)
             trials.append(rec)
             if rec.ok:
@@ -439,13 +434,14 @@ def tune_model(wl: ConvWorkload, budget: int, batch: int = 8, seed: int = 0,
 
     run_batch(rng.permutation(len(space))[: min(batch, budget, len(space))].tolist())
 
-    while len(trials) < budget and (unmeasured := np.flatnonzero(free)).size:
-        room = min(batch, budget - len(trials), unmeasured.size)
+    while len(trials) < budget and unmeasured:
+        room = min(batch, budget - len(trials), len(unmeasured))
         if measured_costs:
             model.fit(feats[measured], measured_costs)
-            ranked = unmeasured[np.argsort(model.predict(feats[unmeasured]), kind="stable")].tolist()
+            pred = model.predict(feats[unmeasured])
+            ranked = np.array(unmeasured)[np.argsort(pred, kind="stable")].tolist()
         else:
-            ranked = unmeasured.tolist()
+            ranked = list(unmeasured)
         picks = []
         for _ in range(room):
             if rng.random() < EPSILON and len(ranked) > 1:

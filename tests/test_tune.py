@@ -643,7 +643,7 @@ def test_tuners_skip_a_non_finite_first_cost():
 
 def test_two_jobs_on_one_workload_build_the_search_space_once(monkeypatch):
     calls = {"space": 0, "features": 0}
-    real_space, real_features = tune.schedule_space, tune.space_features
+    real_space, real_features = tune.schedule_space, tune.config_features
 
     def counted_space(wl):
         calls["space"] += 1
@@ -654,7 +654,7 @@ def test_two_jobs_on_one_workload_build_the_search_space_once(monkeypatch):
         return real_features(wl, configs)
 
     monkeypatch.setattr(tune, "schedule_space", counted_space)
-    monkeypatch.setattr(tune, "space_features", counted_features)
+    monkeypatch.setattr(tune, "config_features", counted_features)
     for seed in (0, 1):
         tune_model(WL, budget=8, batch=4, seed=seed, repeats=1, timer=proxy_timer)
     assert calls == {"space": 1, "features": len(real_space(WL))}
@@ -704,7 +704,7 @@ def test_shared_feature_matrix_equals_per_config_features(wl):
                       math.log2(wl.k // c.oc_split), math.log2(wl.oh // c.h_split), math.log2(wl.ow // c.w_tile)]
                      for c in space])
     assert feats.dtype == want.dtype and feats.tobytes() == want.tobytes()
-    assert tune.config_features(wl, space[-1]).tobytes() == want[-1].tobytes()
+    assert tune.config_features(wl, space[-1:]).tobytes() == want[-1:].tobytes()
     assert not feats.flags.writeable
     assert tune._search_space(wl)[1] is feats
 
