@@ -127,7 +127,8 @@ _RECORD_TYPES = {"workload": (str,), "cost_mean": (int, float, type(None)),
 def _exact(r: TuningRecord) -> bool:
     """Whether loading ``r``'s line gives back ``r`` with every field of the same type."""
     fields = (r.workload_key, r.cost_mean, r.cost_std, r.repeats, r.device_tag, r.created_at, r.failed, r.error)
-    return (type(r) is TuningRecord and all(type(v) is int for v in r.config.as_dict().values())
+    return (type(r) is TuningRecord and type(r.config) is ScheduleConfig
+            and all(type(v) is int for v in r.config.as_dict().values())
             and all(type(v) in types for v, types in zip(fields, _RECORD_TYPES.values())))
 
 

@@ -710,7 +710,7 @@ def test_shared_feature_matrix_equals_per_config_features(wl):
 
 
 @pytest.mark.parametrize("features", [1, 3, 8, 10, 15])
-def test_knn_distances_equal_numpy_sums_over_the_features_bit_for_bit(features):
+def test_knn_predictions_equal_those_of_a_numpy_feature_sum(features):
     rng = np.random.default_rng(features)
     for trial in range(40):
         points, queries = int(rng.integers(1, 12)), int(rng.integers(1, 300))
