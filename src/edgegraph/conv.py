@@ -11,10 +11,13 @@ config that does not fit its workload is rejected, never clamped.
 fixed (r, s, c ascending) accumulation order per output element. The
 scheduled kernel and ``conv2d_host``, its arithmetic without the emulator,
 share one region body that keeps that order, so both match it bitwise.
-The region's gather plan is kept for the 32 most recently used workloads,
-and the kernel's per-lane guard and work counts, its lane plan, for the 32
-most recently used (workload, config) pairs of at most ``simt.PLAN_LANES``
-lanes; each call indexes that plan by its lanes, race-checked or not.
+The region's gather plan is kept for the 32 most recently used workloads.
+The kernel's lane plan, its launch config and every lane's guard and work
+count, depends only on the launch geometry (blocks, threads, output width,
+cells per column), so configs that differ only in unroll, and workloads of
+one output shape, share it; it is filled one block's row at a time and kept
+for the 32 most recently used geometries of at most ``simt.PLAN_LANES``
+lanes. Each call indexes that plan by its lanes, race-checked or not.
 """
 
 from __future__ import annotations
@@ -120,10 +123,10 @@ class ScheduleConfig:
     vec: int = 1
 
     def __post_init__(self):
-        for name in ("oc_split", "h_split", "w_tile", "vec"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.unroll not in (0, 1):
+        for name in ("oc_split", "h_split", "w_tile", "unroll", "vec"):
+            if type(value := getattr(self, name)) is not int or value < 1:  # 2.0 and np.int64(2) become 2
+                object.__setattr__(self, name, check_int(name, value, int(name != "unroll")))
+        if self.unroll > 1:
             raise ValueError(f"unroll must be 0 or 1, got {self.unroll}")
         if self.oc_split % self.vec:
             raise ValueError(f"vec={self.vec} must divide oc_split={self.oc_split}")
@@ -227,7 +230,10 @@ def _region(x, wgt, wl: ConvWorkload, ks: slice, ys: slice, xs: slice) -> np.nda
     (r, s, c ascending) order, so each cell is the reference's bitwise, NaNs made canonical.
     numpy adds along the slow axis of a C-ordered array that way (only a fast axis gets
     pairwise summation), and the zeroed run then takes the sum as the reference's
-    zero-started accumulator would; a lone cell, whose taps are its fast axis, loops."""
+    zero-started accumulator would; a lone cell, whose taps are its fast axis, loops.
+    ``einsum`` forms 8,192 products or more in about 2/3 of a broadcast multiply's time;
+    it adds each to +0.0, which turns a -0.0 product into +0.0, a difference no sum that
+    the zeroed run starts can show."""
     kg = wl.k // wl.groups
     g0, g1 = ks.start // kg, (ks.stop - 1) // kg + 1
     taps = x.take(_tap_plan(wl)[0][g0:g1, ..., ys, xs])
@@ -235,9 +241,12 @@ def _region(x, wgt, wl: ConvWorkload, ks: slice, ys: slice, xs: slice) -> np.nda
     acc = np.zeros((wl.n, ks.stop - ks.start, *taps.shape[-2:]), np.float32)
     for g in range(g0, g1):
         k0, k1 = max(ks.start, g * kg), min(ks.stop, (g + 1) * kg)
-        wts = w4[k0:k1].transpose(2, 3, 1, 0).reshape(-1, 1, k1 - k0, 1, 1)
+        wts = w4[k0:k1].transpose(2, 3, 1, 0).reshape(-1, k1 - k0)
         run = acc[:, k0 - ks.start : k1 - ks.start]
-        prods = np.multiply(taps[g - g0], wts, order="C")
+        if taps[g - g0].size * (k1 - k0) < 8192:  # below this einsum's set-up costs more than it saves
+            prods = np.multiply(taps[g - g0], wts[:, None, :, None, None], order="C")
+        else:
+            prods = np.einsum("tnyx,tk->tnkyx", taps[g - g0, :, :, 0], wts, order="C")
         if run.size > 1:
             run += np.add.reduce(prods, axis=0)
         else:
@@ -247,17 +256,18 @@ def _region(x, wgt, wl: ConvWorkload, ks: slice, ys: slice, xs: slice) -> np.nda
 
 
 @functools.lru_cache(maxsize=32)
-def _lane_plan(wl: ConvWorkload, cfg: ScheduleConfig):
-    """The scheduled kernel's guard (thread id below ow) and work count of every lane,
-    block-major; read-only, kept for the 32 most recently used (workload, config)
-    pairs of ``PLAN_LANES`` lanes or fewer."""
-    threads = cfg.w_tile * cfg.vec
-    t = np.arange(cfg.oc_split * cfg.h_split * threads) % threads
-    # columns t, t + threads, ... below ow, over the block's channels and band
-    work = wl.n * (wl.k // cfg.oc_split) * (wl.oh // cfg.h_split) * np.maximum(-((t - wl.ow) // threads), 0)
-    guard = t < wl.ow
+def _lane_plan(blocks: int, threads: int, ow: int, cells: int):
+    """The scheduled kernel's launch config of ``blocks`` blocks of ``threads``, the work
+    count of every lane, block-major, lane t of a block owning columns t, t + threads, ...
+    below ``ow`` and ``cells`` cells in each, and its guard (work above 0, so t below ow);
+    read-only, kept for the 32 most recently used geometries of ``PLAN_LANES`` lanes or fewer."""
+    q, m = divmod(ow, threads)  # lanes t < m of a block own q + 1 columns, the others q
+    work = np.empty((blocks, threads), np.int64)
+    work[:, :m], work[:, m:] = (q + 1) * cells, q * cells
+    work = work.reshape(-1)
+    guard = work > 0
     guard.flags.writeable = work.flags.writeable = False
-    return guard, work
+    return LaunchConfig(blocks, threads), guard, work
 
 
 def conv2d_host(inp, wgt, wl: ConvWorkload) -> np.ndarray:
@@ -287,11 +297,10 @@ def conv2d_scheduled(inp, wgt, wl: ConvWorkload, cfg: ScheduleConfig,
     sess = session if session is not None else Session()
 
     oh, ow = wl.oh, wl.ow
-    k_per_block = wl.k // cfg.oc_split
-    band = oh // cfg.h_split
-    threads = cfg.w_tile * cfg.vec
-    plan = _lane_plan if cfg.oc_split * cfg.h_split * threads <= PLAN_LANES else _lane_plan.__wrapped__
-    guard, work = plan(wl, cfg)
+    k_per_block, band, threads = wl.k // cfg.oc_split, oh // cfg.h_split, cfg.w_tile * cfg.vec
+    grid = cfg.oc_split * cfg.h_split
+    plan = _lane_plan if grid * threads <= PLAN_LANES else _lane_plan.__wrapped__
+    config, guard, work = plan(grid, threads, ow, wl.n * k_per_block * band)
 
     xbuf = sess.alloc(x.size, "f32", name="conv_in")
     xbuf.load(x.reshape(-1))
@@ -312,7 +321,7 @@ def conv2d_scheduled(inp, wgt, wl: ConvWorkload, cfg: ScheduleConfig,
             ks, ys, xs = slice(kb, kb + k_per_block), slice(y0, y0 + band), slice(t, ow, threads)
             obuf[_tap_plan(wl)[1][:, ks, ys, xs]] = _region(xbuf[:], wbuf[:], wl, ks, ys, xs)
 
-    sess.launch(kernel, LaunchConfig(grid=cfg.oc_split * cfg.h_split, block=threads))
+    sess.launch(kernel, config)
     return obuf.to_numpy().reshape(wl.n, wl.k, oh, ow)
 
 
@@ -324,19 +333,19 @@ def _divisors(x: int) -> list[int]:
 VEC_OPTIONS = (1, 4, 8)
 
 
-def schedule_space(wl: ConvWorkload) -> list[ScheduleConfig]:
-    """All valid configs for a workload, in a fixed enumeration order.
+def schedule_rows(k: int, oh: int, ow: int) -> np.ndarray:
+    """Every valid config of a workload of output shape (k, oh, ow) as an int row
+    (oc_split, h_split, w_tile, unroll, vec), in a fixed enumeration order.
 
     Cartesian product of divisors(k) x divisors(oh) x divisors(ow) x
     unroll {0, 1} x (VEC_OPTIONS intersected with divisors(oc_split)).
-    The all-ones default is always the first entry.
+    The all-ones default is always the first row.
     """
-    out = []
-    for oc in _divisors(wl.k):
-        vecs = [v for v in VEC_OPTIONS if oc % v == 0]
-        for hs in _divisors(wl.oh):
-            for wt in _divisors(wl.ow):
-                for un in (0, 1):
-                    for v in vecs:
-                        out.append(ScheduleConfig(oc_split=oc, h_split=hs, w_tile=wt, unroll=un, vec=v))
-    return out
+    grid = np.meshgrid(_divisors(k), _divisors(oh), _divisors(ow), (0, 1), VEC_OPTIONS, indexing="ij")
+    rows = np.stack(grid, axis=-1).reshape(-1, 5)
+    return rows[rows[:, 0] % rows[:, 4] == 0]
+
+
+def schedule_space(wl: ConvWorkload) -> list[ScheduleConfig]:
+    """All valid configs for a workload, in :func:`schedule_rows` order."""
+    return [ScheduleConfig(*row) for row in schedule_rows(wl.k, wl.oh, wl.ow).tolist()]

@@ -575,16 +575,15 @@ def _divergence(guards, block: int) -> int:
     True skipped a guarded phase. A context with fewer guards takes no
     part in the later positions.
     """
-    if len(guards) == 1 and len(guards[0]) == 1 and np.count_nonzero(guards[0][0]) == guards[0][0].size:
-        return 0  # one context's one mask, all True: no lane skipped
     events = 0
     for pos in range(max(map(len, guards))):
         # the lanes that made a guard here: whole blocks of one context, which
         # need no stacking, or contexts of one lane each, all in one block
         vals = guards[0][pos] if len(guards) == 1 else np.array([g[pos] for g in guards if len(g) > pos])
-        vals = vals.reshape(ceil_div(vals.size, block), -1)
-        # a block with a True lane has one event per False lane
-        events += vals.shape[1] * np.count_nonzero(vals.any(axis=1)) - np.count_nonzero(vals)
+        if 0 < (true := np.count_nonzero(vals)) < vals.size:  # else no lane skipped
+            vals = vals.reshape(ceil_div(vals.size, block), -1)
+            # a block with a True lane has one event per False lane
+            events += vals.shape[1] * np.count_nonzero(vals.any(axis=1)) - true
     return int(events)
 
 

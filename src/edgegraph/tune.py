@@ -10,9 +10,12 @@ is ever timed; a config that fails this is a hard error, never a cost,
 while a config rejected by the schedule template is recorded with an
 explicit failure flag, as is a timer cost that is not finite.
 
-What is a fixed function of a workload (its measurement inputs and
-reference output, and its schedule space and feature matrix) is kept for
-the 32 most recently used workloads.
+A workload's measurement inputs and reference output are kept for the
+32 most recently used workloads. Its schedule space, as int rows, and
+their feature matrix depend only on its output shape (k, oh, ow), so they
+are kept for the 32 most recently used shapes: workloads of one shape
+share one space, and a search builds a ``ScheduleConfig`` only for a row
+it measures.
 
 Records are line-delimited JSON behind a one-line header; the file is
 append-only and a load/save round trip preserves it byte for byte. A
@@ -50,13 +53,18 @@ from .conv import (
     ScheduleRejectedError,
     conv2d_reference,
     conv2d_scheduled,
-    schedule_space,
+    schedule_rows,
 )
 from .simt import Session, ceil_div, check_int
 
 RECORDS_HEADER = {"schema": 1, "features": "v1"}
 _HEADER_LINE = json.dumps(RECORDS_HEADER) + "\n"  # written first; an append need not parse it
-_ENCODER = json.JSONEncoder(allow_nan=False)  # json.dumps(rec, allow_nan=False) builds one a call
+# json.dumps(rec, allow_nan=False)'s encoder, whose encode builds a C encoder a call: records
+# are encoded by one kept C encoder, with no cycle check (they hold none), where json has one
+_ENCODER = json.JSONEncoder(allow_nan=False, check_circular=False)
+_encode = (json.encoder.c_make_encoder(None, _ENCODER.default, json.encoder.encode_basestring_ascii,
+                                       None, ": ", ", ", False, False, False)
+           if json.encoder.c_make_encoder else lambda rec, level: _ENCODER.iterencode(rec))
 MAX_SPACE = 2000  # desk-scale bound on exhaustive spaces
 EPSILON = 0.1  # chance that tune_model explores past its model's top pick
 KNN_K = 3  # neighbours the cost model averages
@@ -94,7 +102,7 @@ class TuningRecord:
             "failed": self.failed,
             "error": self.error,
         }
-        return _ENCODER.encode(rec)
+        return "".join(_encode(rec, 0))
 
     @classmethod
     def from_json(cls, text: str) -> "TuningRecord":
@@ -128,7 +136,6 @@ def _exact(r: TuningRecord) -> bool:
     """Whether loading ``r``'s line gives back ``r`` with every field of the same type."""
     fields = (r.workload_key, r.cost_mean, r.cost_std, r.repeats, r.device_tag, r.created_at, r.failed, r.error)
     return (type(r) is TuningRecord and type(r.config) is ScheduleConfig
-            and all(type(v) is int for v in r.config.as_dict().values())
             and all(type(v) in types for v, types in zip(fields, _RECORD_TYPES.values())))
 
 
@@ -170,19 +177,18 @@ def _workload_data(wl: ConvWorkload):
 
 
 @functools.lru_cache(maxsize=32)
-def _search_space(wl: ConvWorkload):
-    """The workload's schedule space as a tuple, and its read-only feature matrix."""
-    space = tuple(schedule_space(wl))
-    if not space:
-        raise ValueError(f"empty schedule space for {wl.key()}")
-    if len(space) > MAX_SPACE:
-        raise ValueError(
-            f"schedule space of {wl.key()} has {len(space)} configs, beyond the "
-            f"desk-scale bound of {MAX_SPACE}"
-        )
-    feats = config_features(wl, space)
-    feats.flags.writeable = False
-    return space, feats
+def _search_space(k: int, oh: int, ow: int):
+    """The schedule space of output shape (k, oh, ow) as read-only int rows, and their
+    read-only feature matrix."""
+    rows = schedule_rows(k, oh, ow)
+    if not len(rows):
+        raise ValueError(f"empty schedule space for output shape (k, oh, ow) = {(k, oh, ow)}")
+    if len(rows) > MAX_SPACE:
+        raise ValueError(f"schedule space of output shape (k, oh, ow) = {(k, oh, ow)} has {len(rows)} "
+                         f"configs, beyond the desk-scale bound of {MAX_SPACE}")
+    feats = config_features(k, oh, ow, rows)
+    rows.flags.writeable = feats.flags.writeable = False
+    return rows, feats
 
 
 def measure(wl: ConvWorkload, cfg: ScheduleConfig, repeats: int = 3, timer=None) -> TuningRecord:
@@ -360,12 +366,12 @@ def query_cost(records, workload_key: str, cfg: ScheduleConfig) -> TuningRecord 
 
 # --- schedule search ----------------------------------------------------------
 
-def config_features(wl: ConvWorkload, configs) -> np.ndarray:
-    """Feature vectors "v1", one row per config: log2 of oc_split, h_split, w_tile and
-    vec, unroll, then log2 of the blocks, the threads and each split's share of its axis."""
-    oc, hs, wt, vec, unroll = np.array([(c.oc_split, c.h_split, c.w_tile, c.vec, c.unroll)
-                                        for c in configs]).T
-    sizes = np.stack([oc, hs, wt, vec, oc * hs, wt * vec, wl.k // oc, wl.oh // hs, wl.ow // wt], axis=1)
+def config_features(k: int, oh: int, ow: int, rows) -> np.ndarray:
+    """Feature vectors "v1" of configs of output shape (k, oh, ow), one per int row
+    (oc_split, h_split, w_tile, unroll, vec): log2 of oc_split, h_split, w_tile and vec,
+    unroll, then log2 of the blocks, the threads and each split's share of its axis."""
+    oc, hs, wt, unroll, vec = np.asarray(rows).T
+    sizes = np.stack([oc, hs, wt, vec, oc * hs, wt * vec, k // oc, oh // hs, ow // wt], axis=1)
     values, at = np.unique(sizes, return_inverse=True)
     logs = np.array([math.log2(v) for v in values.tolist()])  # math.log2 of each distinct int
     return np.insert(logs[at.reshape(sizes.shape)], 4, unroll, axis=1)
@@ -416,31 +422,31 @@ def tune_model(wl: ConvWorkload, budget: int, batch: int = 8, seed: int = 0,
     budget, batch = check_int("budget", budget, 1), check_int("batch", batch, 1)
     if batch > budget:
         raise ValueError(f"need 1 <= batch <= budget, got batch={batch} budget={budget}")
-    space, feats = _search_space(wl)
+    rows, feats = _search_space(wl.k, wl.oh, wl.ow)
     rng = np.random.default_rng(seed)
     model = KnnCostModel()
 
-    unmeasured = list(range(len(space)))
+    unmeasured = list(range(len(rows)))
     trials = []
     measured, measured_costs = [], []
 
     def run_batch(indices):
         for i in indices:
             unmeasured.remove(i)
-            rec = measure(wl, space[i], repeats=repeats, timer=timer)
+            rec = measure(wl, ScheduleConfig(*rows[i].tolist()), repeats=repeats, timer=timer)
             trials.append(rec)
             if rec.ok:
                 measured.append(i)
                 measured_costs.append(rec.cost_mean)
 
-    run_batch(rng.permutation(len(space))[: min(batch, budget, len(space))].tolist())
+    run_batch(rng.permutation(len(rows))[: min(batch, budget, len(rows))].tolist())
 
     while len(trials) < budget and unmeasured:
         room = min(batch, budget - len(trials), len(unmeasured))
         if measured_costs:
             model.fit(feats[measured], measured_costs)
-            pred = model.predict(feats[unmeasured])
-            ranked = np.array(unmeasured)[np.argsort(pred, kind="stable")].tolist()
+            idx = np.array(unmeasured)  # one conversion of the list, which indexing would repeat
+            ranked = idx[np.argsort(model.predict(feats[idx]), kind="stable")].tolist()
         else:
             ranked = list(unmeasured)
         picks = []

@@ -365,7 +365,7 @@ def test_lane_plans_are_read_only_and_hold_at_most_32_pairs():
     cfg = ScheduleConfig(w_tile=2, vec=1)
     for n in range(33):
         wl = ConvWorkload(n=1, c=1, h=1, w=2 * n + 2, k=1, r=1, s=1)
-        guard, work = conv._lane_plan(wl, cfg)
+        config, guard, work = conv._lane_plan(1, 2, wl.ow, 1)
         assert conv._lane_plan.cache_info().currsize == min(n + 1, 32)
         assert not guard.flags.writeable and not work.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

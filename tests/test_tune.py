@@ -603,6 +603,56 @@ def test_measure_flags_a_non_finite_cost_as_failed(monkeypatch, timer, repeats, 
     assert re.search(r"non-finite cost -?(nan|inf)", rec.error)
 
 
+@pytest.mark.parametrize("value", [True, False, 2.5, "2", None], ids=["true", "false", "2.5", "str", "none"])
+@pytest.mark.parametrize("field", ["oc_split", "h_split", "w_tile", "unroll", "vec"])
+def test_a_schedule_field_that_is_not_an_integer_is_rejected_by_name(field, value):
+    # a bool field used to be measured and written as JSON true, which no later load of the file accepts
+    with pytest.raises(ValueError, match=f"^{field} must be >= [01] and an integer, got {re.escape(repr(value))}$"):
+        ScheduleConfig(**{field: value})
+
+
+def test_an_integral_float_schedule_field_measures_as_its_int():
+    cfg = ScheduleConfig(h_split=2.0, w_tile=np.float32(3))
+    assert cfg == ScheduleConfig(h_split=2, w_tile=3) and type(cfg.h_split) is type(cfg.w_tile) is int
+    got, want = (measure(WL, c, repeats=1, timer=proxy_timer) for c in (cfg, ScheduleConfig(h_split=2, w_tile=3)))
+    assert got.ok and (got.config, got.cost_mean) == (want.config, want.cost_mean)
+
+
+def test_a_numpy_int_schedule_field_writes_a_record_that_loads_back(tmp_path, monkeypatch):
+    p = str(tmp_path / "r.jsonl")
+    rec = measure(WL, ScheduleConfig(oc_split=np.int64(2), w_tile=np.int32(2)), repeats=1, timer=proxy_timer)
+    assert rec.ok and rec.config == ScheduleConfig(oc_split=2, w_tile=2)
+    records_append([rec], p)
+    loaded, caught = cold_outcome(p, monkeypatch)
+    assert typed_fields(loaded) == typed_fields([rec]) and caught == []
+
+
+LINE_RECORDS = [
+    TuningRecord(WL.key(), ScheduleConfig(), -0.0, -0.0, 1, "emu", 1.0),
+    TuningRecord(WL.key(), ScheduleConfig(2, 3), 5e-324, 1e-310, 3, "emu", 1760000000.123456),  # subnormal
+    TuningRecord(WL.key(), ScheduleConfig(4, 1, 2, 1, 4), 7, np.float64(0.1), 3, "emu", 2),
+    TuningRecord(WL.key(), ScheduleConfig(), None, None, 0, "émû 日本", 3.5, failed=True,
+                 error='rejected: \x00\x1f\x7f\n\t"\\ é ✓ 😀 \u2028'),
+]
+
+
+def test_record_lines_are_the_bytes_json_dumps_writes(tmp_path):
+    p = tmp_path / "r.jsonl"
+    want = [json.dumps({"workload": r.workload_key, "config": r.config.as_dict(), "cost_mean": r.cost_mean,
+                        "cost_std": r.cost_std, "repeats": r.repeats, "device": r.device_tag,
+                        "created_at": r.created_at, "failed": r.failed, "error": r.error}, allow_nan=False)
+            for r in LINE_RECORDS]
+    assert [r.to_json() for r in LINE_RECORDS] == want
+    records_append(LINE_RECORDS[:1], str(p))
+    records_append(LINE_RECORDS[1:], str(p))
+    assert p.read_bytes() == ("\n".join([json.dumps(tune.RECORDS_HEADER)] + want) + "\n").encode()
+    # a NaN cost is refused before the file is opened: a path in no directory raises no OSError
+    nan = dataclasses.replace(LINE_RECORDS[0], cost_mean=math.nan)
+    for write in (records_append, records_save):
+        with pytest.raises(ValueError, match="JSON"):
+            write([nan], str(tmp_path / "missing" / "r.jsonl"))
+
+
 def test_records_with_a_non_finite_cost_never_count(tmp_path):
     p = tmp_path / "old.jsonl"
     lines = [json.dumps(tune.RECORDS_HEADER)]
@@ -641,28 +691,53 @@ def test_tuners_skip_a_non_finite_first_cost():
     assert rec.cost_mean == 1.0
 
 
-def test_two_jobs_on_one_workload_build_the_search_space_once(monkeypatch):
+def count_space_builds(monkeypatch) -> dict:
+    """Counts of the schedule enumerations and of the rows featurized from now on."""
     calls = {"space": 0, "features": 0}
-    real_space, real_features = tune.schedule_space, tune.config_features
+    real_rows, real_features = tune.schedule_rows, tune.config_features
 
-    def counted_space(wl):
+    def counted_rows(k, oh, ow):
         calls["space"] += 1
-        return real_space(wl)
+        return real_rows(k, oh, ow)
 
-    def counted_features(wl, configs):
-        calls["features"] += len(configs)
-        return real_features(wl, configs)
+    def counted_features(k, oh, ow, rows):
+        calls["features"] += len(rows)
+        return real_features(k, oh, ow, rows)
 
-    monkeypatch.setattr(tune, "schedule_space", counted_space)
+    monkeypatch.setattr(tune, "schedule_rows", counted_rows)
     monkeypatch.setattr(tune, "config_features", counted_features)
+    return calls
+
+
+def test_two_jobs_on_one_workload_build_the_search_space_once(monkeypatch):
+    calls = count_space_builds(monkeypatch)
     for seed in (0, 1):
         tune_model(WL, budget=8, batch=4, seed=seed, repeats=1, timer=proxy_timer)
-    assert calls == {"space": 1, "features": len(real_space(WL))}
+    assert calls == {"space": 1, "features": len(schedule_space(WL))}
+
+
+def test_a_search_builds_a_config_only_for_a_row_it_measures(monkeypatch):
+    built = []
+    monkeypatch.setattr(tune, "ScheduleConfig", lambda *row: built.append(row) or ScheduleConfig(*row))
+    best = tune_model(WL, budget=8, batch=4, seed=0, repeats=1, timer=proxy_timer)
+    assert len(built) == len(set(built)) == 8 and dataclasses.astuple(best.config) in built
 
 
 def _trials(wl, seed, path):
     tune_model(wl, 16, batch=8, seed=seed, repeats=3, timer=proxy_timer, records_path=str(path))
     return [(r.config, r.cost_mean, r.cost_std, r.repeats, r.failed) for r in records_load(str(path))]
+
+
+def test_workloads_of_one_output_shape_share_one_search_space(tmp_path, monkeypatch):
+    c2, loc = FIXTURE_CONVS["c2"], FIXTURE_CONVS["loc"]
+    assert c2 != loc and (c2.k, c2.oh, c2.ow) == (loc.k, loc.oh, loc.ow)
+    cold = _trials(loc, 3, tmp_path / "cold.jsonl")
+    tune._search_space.cache_clear()
+    calls = count_space_builds(monkeypatch)
+    _trials(c2, 3, tmp_path / "c2.jsonl")
+    warm = _trials(loc, 3, tmp_path / "warm.jsonl")  # on the space c2 built
+    assert calls == {"space": 1, "features": len(schedule_space(loc))}
+    assert warm == cold and len(cold) == 16
 
 
 @pytest.mark.parametrize("node", sorted(FIXTURE_CONVS))
@@ -685,7 +760,7 @@ def test_a_bad_space_raises_before_any_reference_convolution(monkeypatch, space,
         raise AssertionError("conv2d_reference was called")
 
     if space is not None:
-        monkeypatch.setattr(tune, "schedule_space", lambda wl: space)
+        monkeypatch.setattr(tune, "schedule_rows", lambda k, oh, ow: space)
     monkeypatch.setattr(tune, "MAX_SPACE", bound)
     monkeypatch.setattr(tune, "conv2d_reference", no_reference)
     with pytest.raises(ValueError, match="empty schedule space|desk-scale bound of 3"):
@@ -696,17 +771,22 @@ def test_a_bad_space_raises_before_any_reference_convolution(monkeypatch, space,
 @pytest.mark.parametrize("wl", [WL, FIXTURE_CONVS["c1"], ConvWorkload(n=1, c=1, h=1, w=1621, k=2, r=1, s=1)],
                          ids=["small", "c1", "ow-1621"])
 def test_shared_feature_matrix_equals_per_config_features(wl):
-    space, feats = tune._search_space(wl)
-    assert isinstance(space, tuple) and space == tuple(schedule_space(wl))
-    # the features "v1" one config at a time, with math.log2 of each Python int
-    want = np.array([[math.log2(c.oc_split), math.log2(c.h_split), math.log2(c.w_tile), math.log2(c.vec),
-                      float(c.unroll), math.log2(c.oc_split * c.h_split), math.log2(c.w_tile * c.vec),
-                      math.log2(wl.k // c.oc_split), math.log2(wl.oh // c.h_split), math.log2(wl.ow // c.w_tile)]
-                     for c in space])
-    assert feats.dtype == want.dtype and feats.tobytes() == want.tobytes()
-    assert tune.config_features(wl, space[-1:]).tobytes() == want[-1:].tobytes()
-    assert not feats.flags.writeable
-    assert tune._search_space(wl)[1] is feats
+    rows, feats = tune._search_space(wl.k, wl.oh, wl.ow)
+    # another workload of the same output shape, with other inputs, filter and padding
+    other = ConvWorkload(n=2, c=3, h=wl.oh + 2, w=wl.ow, k=wl.k, r=5, s=1, pad=(1, 0))
+    assert (other.k, other.oh, other.ow) == (wl.k, wl.oh, wl.ow) and other.key() != wl.key()
+    for w in (wl, other):
+        space = schedule_space(w)
+        assert [ScheduleConfig(*row) for row in rows.tolist()] == space
+        # the features "v1" one config at a time, with math.log2 of each Python int
+        want = np.array([[math.log2(c.oc_split), math.log2(c.h_split), math.log2(c.w_tile), math.log2(c.vec),
+                          float(c.unroll), math.log2(c.oc_split * c.h_split), math.log2(c.w_tile * c.vec),
+                          math.log2(w.k // c.oc_split), math.log2(w.oh // c.h_split),
+                          math.log2(w.ow // c.w_tile)] for c in space])
+        assert feats.dtype == want.dtype and feats.tobytes() == want.tobytes()
+        assert tune.config_features(w.k, w.oh, w.ow, rows[-1:]).tobytes() == want[-1:].tobytes()
+        assert tune._search_space(w.k, w.oh, w.ow)[1] is feats
+    assert not rows.flags.writeable and not feats.flags.writeable
 
 
 @pytest.mark.parametrize("features", [1, 3, 8, 10, 15])
