@@ -232,8 +232,8 @@ def _region(x, wgt, wl: ConvWorkload, ks: slice, ys: slice, xs: slice) -> np.nda
     pairwise summation), and the zeroed run then takes the sum as the reference's
     zero-started accumulator would; a lone cell, whose taps are its fast axis, loops.
     ``einsum`` forms 8,192 products or more in about 2/3 of a broadcast multiply's time;
-    it adds each to +0.0, which turns a -0.0 product into +0.0, a difference no sum that
-    the zeroed run starts can show."""
+    it adds each to +0.0, so a -0.0 product comes out +0.0, which a sum that starts from
+    the zeroed run cannot tell apart."""
     kg = wl.k // wl.groups
     g0, g1 = ks.start // kg, (ks.stop - 1) // kg + 1
     taps = x.take(_tap_plan(wl)[0][g0:g1, ..., ys, xs])
