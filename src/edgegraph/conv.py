@@ -230,10 +230,7 @@ def _region(x, wgt, wl: ConvWorkload, ks: slice, ys: slice, xs: slice) -> np.nda
     (r, s, c ascending) order, so each cell is the reference's bitwise, NaNs made canonical.
     numpy adds along the slow axis of a C-ordered array that way (only a fast axis gets
     pairwise summation), and the zeroed run then takes the sum as the reference's
-    zero-started accumulator would; a lone cell, whose taps are its fast axis, loops.
-    ``einsum`` forms 8,192 products or more in about 2/3 of a broadcast multiply's time;
-    it adds each to +0.0, so a -0.0 product comes out +0.0, which a sum that starts from
-    the zeroed run cannot tell apart."""
+    zero-started accumulator would; a lone cell, whose taps are its fast axis, loops."""
     kg = wl.k // wl.groups
     g0, g1 = ks.start // kg, (ks.stop - 1) // kg + 1
     taps = x.take(_tap_plan(wl)[0][g0:g1, ..., ys, xs])
@@ -241,12 +238,9 @@ def _region(x, wgt, wl: ConvWorkload, ks: slice, ys: slice, xs: slice) -> np.nda
     acc = np.zeros((wl.n, ks.stop - ks.start, *taps.shape[-2:]), np.float32)
     for g in range(g0, g1):
         k0, k1 = max(ks.start, g * kg), min(ks.stop, (g + 1) * kg)
-        wts = w4[k0:k1].transpose(2, 3, 1, 0).reshape(-1, k1 - k0)
+        wts = w4[k0:k1].transpose(2, 3, 1, 0).reshape(-1, 1, k1 - k0, 1, 1)
         run = acc[:, k0 - ks.start : k1 - ks.start]
-        if taps[g - g0].size * (k1 - k0) < 8192:  # below this einsum's set-up costs more than it saves
-            prods = np.multiply(taps[g - g0], wts[:, None, :, None, None], order="C")
-        else:
-            prods = np.einsum("tnyx,tk->tnkyx", taps[g - g0, :, :, 0], wts, order="C")
+        prods = np.multiply(taps[g - g0], wts, order="C")
         if run.size > 1:
             run += np.add.reduce(prods, axis=0)
         else:

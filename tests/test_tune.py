@@ -636,7 +636,10 @@ LINE_RECORDS = [
 ]
 
 
-def test_record_lines_are_the_bytes_json_dumps_writes(tmp_path):
+@pytest.mark.parametrize("encoder", ["kept", "pure-python"])
+def test_record_lines_are_the_bytes_json_dumps_writes(tmp_path, monkeypatch, encoder):
+    if encoder == "pure-python":  # the path taken where json has no C encoder
+        monkeypatch.setattr(tune, "_encode", tune._encode_py)
     p = tmp_path / "r.jsonl"
     want = [json.dumps({"workload": r.workload_key, "config": r.config.as_dict(), "cost_mean": r.cost_mean,
                         "cost_std": r.cost_std, "repeats": r.repeats, "device": r.device_tag,
