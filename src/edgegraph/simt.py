@@ -581,9 +581,14 @@ def _divergence(guards, block: int) -> int:
         # need no stacking, or contexts of one lane each, all in one block
         vals = guards[0][pos] if len(guards) == 1 else np.array([g[pos] for g in guards if len(g) > pos])
         if 0 < (true := np.count_nonzero(vals)) < vals.size:  # else no lane skipped
-            vals = vals.reshape(ceil_div(vals.size, block), -1)
             # a block with a True lane has one event per False lane
-            events += vals.shape[1] * np.count_nonzero(vals.any(axis=1)) - true
+            if vals.size <= block:
+                events += vals.size - true
+            else:
+                # a block's first True lane, its argmax, is past lane 0 or is lane 0;
+                # argmax over short rows costs a fraction of any
+                rows = vals.reshape(-1, block)
+                events += block * (np.count_nonzero(rows.argmax(axis=1)) + np.count_nonzero(rows[:, 0])) - true
     return int(events)
 
 

@@ -22,6 +22,7 @@ calls launch or, for the twin, call each range function once on the host.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,7 @@ class BoxSet:
         xy = np.asarray(self.corners, dtype=np.float32).reshape(-1, 4)
         if not (len(cls) == len(sc) == len(xy)):
             raise ValueError("class_ids, scores and corners must have equal row counts")
-        valid = cls >= 0
-        if np.any(valid & ((xy[:, 0] > xy[:, 2]) | (xy[:, 1] > xy[:, 3]))):
+        if np.count_nonzero((xy[:, :2] > xy[:, 2:])[cls >= 0]):  # x1 > x2 or y1 > y2 in a valid row
             raise ValueError("valid rows must satisfy x1 <= x2 and y1 <= y2")
         object.__setattr__(self, "class_ids", cls)
         object.__setattr__(self, "scores", sc)
@@ -70,6 +70,16 @@ class BoxSet:
     def from_array(cls, rows) -> "BoxSet":
         rows = np.asarray(rows, dtype=np.float32).reshape(-1, 6)
         return cls(class_ids=rows[:, 0].astype(np.int32), scores=rows[:, 1], corners=rows[:, 2:])
+
+
+def _checked_rows(rows: np.ndarray) -> BoxSet:
+    """``BoxSet.from_array`` of float32 (n, 6) ``rows`` known to pass its check, which it
+    skips: rows an NMS pass wrote, or rows decoded from anchors _check_multibox passed."""
+    boxes = object.__new__(BoxSet)
+    for name, value in (("class_ids", rows[:, 0].astype(np.int32)), ("scores", rows[:, 1]),
+                        ("corners", rows[:, 2:])):
+        object.__setattr__(boxes, name, value)
+    return boxes
 
 
 def iou(a, b):
@@ -115,19 +125,20 @@ def _suppression_rows(xy: np.ndarray, xk: np.ndarray, first: np.ndarray, end: np
     s1 = int(end[hi - 1]) if hi > lo else lo
     out = np.zeros((s1 - lo, width), bool)  # rows lo:s1 of the mask
     cols, fs = xy[lo:s1].T, first[lo:s1] - lo  # the touched rows' corners and segment starts
-    order = np.argsort(xk[0, lo:s1], kind="stable")
+    order = xk[0, lo:s1].argsort(kind="stable")
     ks = xk[:, lo:s1].take(order, axis=1)
     # window lengths; a NaN corner can end one before it starts
-    wins = np.maximum(np.searchsorted(ks[0], ks[1]) - np.arange(1, s1 - lo + 1), 0)
-    cum = np.cumsum(wins)
-    # np.unique would import numpy.ma on its first call, a cost every fresh process pays
-    cuts = sorted(set(np.searchsorted(cum, np.arange(0, wins.sum(), PAIR_CHUNK), "right").tolist()))
+    wins = np.maximum(ks[0].searchsorted(ks[1]) - np.arange(1, s1 - lo + 1), 0)
+    if (pairs := int(wins.sum())) <= PAIR_CHUNK:  # one chunk from box 0, or none
+        cuts = [0] if pairs else []
+    else:  # np.unique would import numpy.ma on its first call, a cost every fresh process pays
+        cuts = sorted(set(np.searchsorted(np.cumsum(wins), np.arange(0, pairs, PAIR_CHUNK), "right").tolist()))
     y1, y2 = cols[1::2].take(order, axis=1)  # in x order
     for b0, b1 in zip(cuts, cuts[1:] + [s1 - lo]):
         k = wins[b0:b1]  # pair q of box b is (b, b + 1 + q) in x order
-        ia = np.repeat(np.arange(b0, b1), k)
-        ja = np.arange(len(ia)) - np.repeat(np.cumsum(k) - k - np.arange(b0 + 1, b1 + 1), k)
-        near = np.flatnonzero((y1.take(ja) < y2.take(ia)) & (y1.take(ia) < y2.take(ja)))
+        ia = np.arange(b0, b1).repeat(k)
+        ja = np.arange(len(ia)) - (k.cumsum() - k - np.arange(b0 + 1, b1 + 1)).repeat(k)
+        near = ((y1.take(ja) < y2.take(ia)) & (y1.take(ia) < y2.take(ja))).nonzero()[0]
         i, j = order.take(ia.take(near)), order.take(ja.take(near))
         row, col = np.minimum(i, j), np.maximum(i, j)  # the earlier box's row holds the bit
         hit = iou(cols.take(row, axis=1).T, cols.take(col, axis=1).T) >= iou_threshold
@@ -149,18 +160,23 @@ def _sources(mask: np.ndarray, first: np.ndarray, cands: np.ndarray, g: np.ndarr
     segment before k, so it is final when row k is reached, and ``drop``
     ends as exactly the suppressed candidates.
     """
-    hits = np.flatnonzero(mask.any(axis=1))
+    # column 0, a segment's first candidate, follows no row, so a row holds a bit iff
+    # its first one, its argmax, lies past column 0; argmax costs a fraction of any
+    hits = mask.argmax(axis=1).nonzero()[0] if mask.size else np.zeros(0, np.intp)
     drop = 0
-    for k, s, row in zip(hits.tolist(), first[hits].tolist(),
-                         np.packbits(mask[hits], axis=1, bitorder="little")):
+    bits = np.packbits(mask[hits], axis=1, bitorder="little")
+    step, bits = bits.shape[1], bits.tobytes()  # the bytes of hit i, row k, start at i * step
+    for i, (k, s) in enumerate(zip(hits.tolist(), first[hits].tolist())):
         if not drop >> k & 1:
-            drop |= int.from_bytes(row, "little") << s
+            drop |= int.from_bytes(bits[i * step : (i + 1) * step], "little") << s
     c = len(first)
     dropped = np.unpackbits(np.frombuffer(drop.to_bytes(ceil_div(c, 8), "little"), np.uint8),
                             count=c, bitorder="little")
-    kept = cands[np.sort(g[dropped == 0])]
+    kept = g[dropped == 0]
+    kept.sort()
+    kept = cands[kept]
     img = kept // n
-    slot = np.arange(len(kept)) - np.searchsorted(img, img)
+    slot = np.arange(len(kept)) - img.searchsorted(img)
     cut = slot < (len(kept) if max_output is None else max_output)
     src = np.full(rows, rows)
     src[(img * n + slot)[cut]] = kept[cut]
@@ -173,6 +189,8 @@ def _nms_pass(boxes: BoxSet, images: int, iou_threshold: float, score_threshold:
     images = check_int("images", images, 1)
     if not (0.0 < iou_threshold <= 1.0):
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+    if math.isnan(score_threshold):  # it would fail every score; +-inf keep their meaning
+        raise ValueError(f"score_threshold must not be NaN, got {score_threshold}")
     top_k, max_output = check_count("top_k", top_k), check_count("max_output", max_output)
     if len(boxes) == 0:
         return np.zeros((0, 6), np.float32)
@@ -181,25 +199,26 @@ def _nms_pass(boxes: BoxSet, images: int, iou_threshold: float, score_threshold:
     n = len(boxes) // images
     offsets = np.arange(0, len(boxes) + 1, n)
     if sess is None:  # stable descending order with NaN scores last, ties by row index
-        order = np.argsort(-boxes.scores.astype(np.float64).reshape(-1, n), axis=1, kind="stable")
+        order = (-boxes.scores.astype(np.float64).reshape(-1, n)).argsort(axis=1, kind="stable")
     else:  # a 64-slot sort block per image keeps the merge passes those of one image
         order = segmented_argsort(SegmentedArray(values=boxes.scores, offsets=offsets),
                                   "descending", block=64 * images, session=sess)
-    order = order.reshape(-1) + np.repeat(offsets[:-1], n)
+    order = order.reshape(-1) + offsets[:-1].repeat(n)
     # candidates, in score order: valid, score >= score_threshold (not NaN), top_k per image
     ok = (boxes.class_ids[order] >= 0) & (boxes.scores[order].astype(np.float64) >= score_threshold)
     if top_k is not None:
-        ok &= (np.cumsum(ok.reshape(-1, n), axis=1) <= top_k).reshape(-1)
+        ok &= (ok.reshape(-1, n).cumsum(axis=1) <= top_k).reshape(-1)
     cands = order[ok]
     # g: stable (image, class) grouping, group position -> score position;
     # first and end: the span of each group position's segment
     key = (cands // n << 32) | boxes.class_ids[cands]
-    g = np.argsort(key, kind="stable")
+    g = key.argsort(kind="stable")
     key = key[g]
-    first, end = np.searchsorted(key, key, "left"), np.searchsorted(key, key, "right")
-    xy = np.asfortranarray(boxes.corners[cands[g]], dtype=np.float64)  # iou reads whole columns
-    xk = (first << 32) | ordered_bits(xy[:, ::2].T.astype(np.float32) + np.float32(0))
-    c, width = len(g), int(np.max(end - first, initial=0))
+    first, end = key.searchsorted(key, "left"), key.searchsorted(key, "right")
+    corners = boxes.corners[cands[g]]
+    xy = np.asfortranarray(corners, dtype=np.float64)  # iou reads whole columns
+    xk = (first << 32) | ordered_bits(corners[:, ::2].T + np.float32(0))
+    c, width = len(g), int((end - first).max(initial=0))
 
     def fill_mask(lo, hi):
         return _suppression_rows(xy, xk, first, end, width, lo, hi, iou_threshold)
@@ -207,7 +226,8 @@ def _nms_pass(boxes: BoxSet, images: int, iou_threshold: float, score_threshold:
     mask = run_rows(sess, LaunchConfig(grid=1, block=max(1, ceil_div(c, TILE))), "bool", c, width,
                     fill_mask, "nms_mask", TILE)
     src = _sources(mask, first, cands, g, n, len(boxes), max_output)
-    packed = np.concatenate([boxes.to_array(), np.full((1, 6), INVALID, np.float32)])  # src len(boxes)
+    packed = np.full((len(boxes) + 1, 6), INVALID, np.float32)  # src len(boxes) is its last row
+    packed[:-1, 0], packed[:-1, 1], packed[:-1, 2:] = boxes.class_ids, boxes.scores, boxes.corners
 
     def write_out(lo, hi):
         return packed[src[lo:hi]]
@@ -227,16 +247,16 @@ def box_nms_batch(boxes: BoxSet, images: int, iou_threshold: float, score_thresh
     stays below iou_threshold, up to max_output. Each image keeps its
     capacity: kept rows first, in score order, the rest all-invalid.
     """
-    return BoxSet.from_array(_nms_pass(boxes, images, iou_threshold, score_threshold, top_k,
-                                       max_output, session if session is not None else Session()))
+    return _checked_rows(_nms_pass(boxes, images, iou_threshold, score_threshold, top_k, max_output,
+                                   session if session is not None else Session()))
 
 
 def box_nms_batch_sequential(boxes: BoxSet, images: int, iou_threshold: float,
                              score_threshold: float = 0.0, top_k: int | None = None,
                              max_output: int | None = None) -> BoxSet:
     """box_nms_batch through the same mask rows, sweep and merge, no emulator."""
-    return BoxSet.from_array(_nms_pass(boxes, images, iou_threshold, score_threshold, top_k,
-                                       max_output, None))
+    return _checked_rows(_nms_pass(boxes, images, iou_threshold, score_threshold, top_k, max_output,
+                                   None))
 
 
 def box_nms(boxes: BoxSet, iou_threshold: float, score_threshold: float = 0.0,
@@ -272,7 +292,8 @@ def decode_boxes(loc: np.ndarray, anchors: np.ndarray, variances=DEFAULT_VARIANC
     cy = ay + loc[:, 1] * v1 * ah
     w = aw * np.exp(loc[:, 2] * v2)
     h = ah * np.exp(loc[:, 3] * v3)
-    out = np.stack([cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0], axis=1)
+    out = np.empty((len(loc), 4))
+    out[:, 0], out[:, 1], out[:, 2], out[:, 3] = cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
     return np.clip(out, 0.0, 1.0).astype(np.float32)
 
 
@@ -287,7 +308,7 @@ def best_foreground_class(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a = probs.shape[1]
         return np.full(a, -1, np.int32), np.zeros(a, np.float32)
     fg = probs[1:]
-    cls = np.argmax(fg, axis=0).astype(np.int32)  # ties -> lowest class id
+    cls = fg.argmax(axis=0).astype(np.int32)  # ties -> lowest class id
     score = fg[cls, np.arange(fg.shape[1])]
     return cls, score.astype(np.float32)
 
@@ -307,10 +328,12 @@ def _detection_rows(probs: np.ndarray, locs: np.ndarray, anchors: np.ndarray, va
     return rows
 
 
-def _check_multibox(class_probs, loc_preds, anchors):
+def _check_multibox(class_probs, loc_preds, anchors, variances):
     """The batch as float32 (cls, b * a) probs, (b * a, 4) offsets and
-    (b * a, 4) anchors in flat (image, anchor) order, plus b and a;
-    rejects inputs whose shapes do not fit together."""
+    (b * a, 4) anchors in flat (image, anchor) order, plus b, a and the
+    variances as 4 floats; rejects inputs whose shapes do not fit together,
+    an anchor with x1 > x2 or y1 > y2, and variances that are not 4 finite
+    numbers. Rows decoded from these anchors then pass BoxSet's check."""
     probs = np.asarray(class_probs, dtype=np.float32)
     locs = np.asarray(loc_preds, dtype=np.float32)
     ancs = np.asarray(anchors, dtype=np.float32)
@@ -324,23 +347,31 @@ def _check_multibox(class_probs, loc_preds, anchors):
         raise ValueError(
             f"shape mismatch: {probs.shape} probs vs {locs.shape} loc_preds vs {ancs.shape} anchors"
         )
+    if (bad := (ancs[0, :, :2] > ancs[0, :, 2:]).nonzero()[0]).size:  # the rows of x1 > x2 or y1 > y2
+        raise ValueError(f"anchor {bad[0]} must satisfy x1 <= x2 and y1 <= y2, got {ancs[0, bad[0]].tolist()}")
+    try:
+        var = [float(v) for v in variances]
+    except (TypeError, ValueError):
+        var = None
+    if var is None or len(var) != 4 or not all(map(math.isfinite, var)):
+        raise ValueError(f"variances must be 4 finite numbers, got {variances!r}")
     flat_probs = probs.transpose(1, 0, 2).reshape(k, b * a)
-    return flat_probs, locs.reshape(b * a, 4), np.tile(ancs[0], (b, 1)), b, a
+    return flat_probs, locs.reshape(b * a, 4), ancs.repeat(b, axis=0).reshape(b * a, 4), b, a, var
 
 
 def _multibox(class_probs, loc_preds, anchors, variances, score_threshold: float,
               iou_threshold: float, top_k, max_output, sess: Session | None) -> list[BoxSet]:
     """multibox_detection's BoxSets on session ``sess``, or the CPU twin's if sess is None."""
-    probs, locs, ancs, b, a = _check_multibox(class_probs, loc_preds, anchors)
+    probs, locs, ancs, b, a, variances = _check_multibox(class_probs, loc_preds, anchors, variances)
 
     def decode(lo, hi):
         return _detection_rows(probs, locs, ancs, variances, lo, hi)
 
     rows = run_rows(sess, LaunchConfig(grid=max(1, b), block=min(32, max(1, a))), "f32", b * a, 6,
                     decode, "mbx_decoded")
-    kept = _nms_pass(BoxSet.from_array(rows), max(1, b), iou_threshold, score_threshold, top_k,
+    kept = _nms_pass(_checked_rows(rows), max(1, b), iou_threshold, score_threshold, top_k,
                      max_output, sess)
-    return [BoxSet.from_array(r) for r in kept.reshape(b, a, 6)]
+    return [_checked_rows(r) for r in kept.reshape(b, a, 6)]
 
 
 def multibox_detection(class_probs, loc_preds, anchors, variances=DEFAULT_VARIANCES,

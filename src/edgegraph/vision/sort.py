@@ -55,7 +55,7 @@ class SegmentedArray:
         offs = offs.astype(np.int64)
         if offs.size < 1 or offs[0] != 0:
             raise ValueError("offsets must start at 0")
-        if (offs[1:] < offs[:-1]).any():
+        if np.count_nonzero(offs[1:] < offs[:-1]):
             raise ValueError("offsets must be non-decreasing")
         if offs[-1] != vals.size:
             raise ValueError(f"offsets must end with the sentinel {vals.size}, got {offs[-1]}")
@@ -76,9 +76,10 @@ class SegmentedArray:
 
 def ordered_bits(vals: np.ndarray) -> np.ndarray:
     """int64 image in [0, 2**32) of float32 ``vals`` ordered as they are, -0 below +0:
-    a negative value's bits flip whole, a non-negative one's sign bit sets."""
-    flip = (vals.view(np.int32) >> 31).view(np.uint32) | np.uint32(1 << 31)
-    return (vals.view(np.uint32) ^ flip).astype(np.int64)
+    a negative value's bits below the sign flip, which orders the bits as signed
+    ints, and 2**31 more makes them non-negative."""
+    i = vals.view(np.int32)
+    return (i ^ ((i >> 31) & 0x7FFFFFFF)).astype(np.int64) + (1 << 31)
 
 
 def _keyed(a: SegmentedArray, order: str):
@@ -109,15 +110,9 @@ def _keyed(a: SegmentedArray, order: str):
     vals = np.float32(0) - vals if order == "descending" else vals + np.float32(0)
     key = ordered_bits(vals)
     key[np.isnan(vals)] = 1 << 32
-    seg = np.arange(a.num_segments).repeat(a.offsets[1:] - a.offsets[:-1])
-    return slots, seg, key | (seg << 33)
-
-
-def _ranked(src, runs, key, lo: int, hi: int) -> np.ndarray:
-    """``src[lo:hi]`` stably sorted by ``runs`` plus the key of its entries:
-    by key within each run of equal ``runs``, which never decreases."""
-    s = src[lo:hi]
-    return s[(runs[lo:hi] + key[s]).argsort(kind="stable")]
+    seg = a.offsets[1:-1].searchsorted(slots, "right")
+    key |= seg << 33
+    return slots, seg, key
 
 
 def segmented_argsort(a: SegmentedArray, order: str = "ascending", block: int = 64,
@@ -137,21 +132,27 @@ def segmented_argsort(a: SegmentedArray, order: str = "ascending", block: int = 
         return np.zeros(0, dtype=np.int32)
 
     sess = session if session is not None else Session()
-    perms = [sess.alloc(n, "i32", name=f"sort_perm_{c}") for c in "ab"]
-    src = slots
+    perms = sess.alloc(n, "i32", name="sort_perm_a"), sess.alloc(n, "i32", name="sort_perm_b")
+    src = None  # the block sort ranks the slots in place
     sort_blocks = ceil_div(n, block)
     fans = [1]  # pass k leaves runs of WAYS**k sort blocks, the last one of them all
     while fans[-1] < sort_blocks:
         fans.append(fans[-1] * WAYS)
     for k, fan in enumerate(fans):
         run = block * fan  # sorted-run width this pass leaves
-        # the slot's run, its sort block // fan, adds to the segment above bit 33; both
-        # never decrease, so slots of equal sum there are the pass's (run, segment) pieces
-        runs = (slots // run) << 33
+        # an element never leaves the run its slot lies in, so the element's run, its sort
+        # block // fan, adds to its segment above bit 33; both never decrease, so elements
+        # of equal sum there are the pass's (run, segment) pieces. One run adds nothing
+        pkey = key + (slots // run << 33) if run < n else key
 
         def rank(lo, hi):
             r0, r1 = lo - lo % run, min(n, ceil_div(hi, run) * run)
-            return _ranked(src, runs, key, r0, r1)[lo - r0 : hi - r0]
+            if src is None:
+                got = pkey[r0:r1].argsort(kind="stable") + r0
+            else:
+                s = src[r0:r1]
+                got = s[pkey[s].argsort(kind="stable")]
+            return got[lo - r0 : hi - r0]
 
         dst = perms[k % 2]
         cfg = LaunchConfig(grid=ceil_div(n, run), block=min(fan, sort_blocks))
