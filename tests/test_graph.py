@@ -19,7 +19,7 @@ from edgegraph.graph import (
     run_graph,
     topo_order,
 )
-from edgegraph.simt import CPU, GPU, Session
+from edgegraph.simt import CPU, GPU, DeviceBuffer, Session
 from edgegraph.tensor import Tensor
 
 from fixtures import records_of, ssd_like_doc, ssd_like_inputs
@@ -868,3 +868,25 @@ def test_conv_workload_memo_holds_at_most_32_and_keys_pairs_by_type():
     for seed in range(3):
         run_graph(g, ssd_like_inputs(seed))
     assert graph._conv_workload.cache_info()[:2] == (8, 4)
+
+
+# per fixture run: buffers allocated, loads into them and copies out of them. Every
+# GPU conv loads data and weights and copies its output out, and every GPU relu and
+# pool loads its input, so each GPU-to-GPU edge goes through the host
+FIXTURE_TRAFFIC = {"all-GPU": (29, 12, 15), "fallback": (20, 12, 8), "all-CPU": (0, 0, 0)}
+
+
+def test_fixture_runs_make_a_fixed_number_of_allocs_loads_and_copy_outs(monkeypatch):
+    counts = dict.fromkeys(("alloc", "load", "to_numpy"), 0)
+    for owner, name in ((Session, "alloc"), (DeviceBuffer, "load"), (DeviceBuffer, "to_numpy")):
+        def counted(*args, _call=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    fallback = DEFAULT_GPU_OPS - {"multibox_detection", "box_nms"}
+    for placement, gpu_ops in (("all-GPU", DEFAULT_GPU_OPS), ("fallback", fallback), ("all-CPU", set())):
+        g = insert_copies(assign_devices(load_graph(ssd_like_doc()), gpu_ops))
+        for seed in range(4):
+            counts.update(dict.fromkeys(counts, 0))
+            run_graph(g, ssd_like_inputs(seed), Session())
+            assert tuple(counts.values()) == FIXTURE_TRAFFIC[placement], (placement, seed)

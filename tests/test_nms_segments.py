@@ -218,6 +218,51 @@ def test_top_k_and_max_output_accept_counts(good):
         assert _same(out.to_array(), want)
 
 
+@pytest.mark.parametrize("nan", [float("nan"), np.float32("nan")], ids=repr)
+def test_a_nan_score_threshold_is_rejected_by_name(nan):
+    # NaN fails every score test, so it would suppress every box without a word
+    rows = _rows(np.random.default_rng(2), 12, 2)
+    boxes = BoxSet.from_array(rows)
+    probs, locs = np.full((1, 3, 4), 0.5, np.float32), np.zeros((1, 16), np.float32)
+    anchors = np.full((1, 4, 4), 0.25, np.float32)
+    calls = [
+        lambda: box_nms(boxes, 0.5, nan),
+        lambda: box_nms_sequential(boxes, 0.5, nan),
+        lambda: box_nms_batch(boxes, 2, 0.5, nan),
+        lambda: box_nms_batch_sequential(boxes, 2, 0.5, nan),
+        lambda: multibox_detection(probs, locs, anchors, score_threshold=nan),
+        lambda: multibox_detection_sequential(probs, locs, anchors, score_threshold=nan),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="score_threshold must not be NaN, got nan"):
+            call()
+    graphs = {
+        "box_nms": ({"x": {"shape": [12, 6], "dtype": "f32"}}, {"x": rows}),
+        "multibox_detection": ({"c": {"shape": [1, 3, 4], "dtype": "f32"}, "l": {"shape": [1, 16], "dtype": "f32"},
+                                "a": {"shape": [1, 4, 4], "dtype": "f32"}}, {"c": probs, "l": locs, "a": anchors}),
+    }
+    for op, (declared, feeds) in graphs.items():
+        g = load_graph({"nodes": [{"id": "y", "op": op, "attrs": {"score_threshold": float("nan")},
+                                   "inputs": list(declared)}], "inputs": declared, "outputs": ["y"]})
+        for gpu_ops in (DEFAULT_GPU_OPS, set()):
+            with pytest.raises(GraphExecutionError, match="node 'y'.*score_threshold must not be NaN"):
+                run_graph(insert_copies(assign_devices(g, gpu_ops)), feeds)
+
+
+@pytest.mark.parametrize("threshold", [float("inf"), float("-inf")])
+def test_infinite_score_thresholds_keep_their_meaning(threshold):
+    # +inf keeps only +inf scores, -inf every valid score that is not NaN
+    rows = _rows(np.random.default_rng(3), 30, 2)
+    rows[[4, 9], 1] = np.inf, -np.inf
+    rows[12, 1] = np.nan
+    boxes = BoxSet.from_array(rows)
+    want = oracle_nms(rows, 0.5, threshold)
+    if threshold > 0:
+        assert np.count_nonzero(want[:, 0] >= 0) == 1  # row 4 alone
+    for out in (box_nms(boxes, 0.5, threshold), box_nms_sequential(boxes, 0.5, threshold)):
+        assert _same(out.to_array(), want)
+
+
 def test_iou_fast_min_max_path_matches_the_scalar_rule():
     # with no NaN in ``a`` iou takes np.fmin/np.fmax; NaN, signed zeros,
     # infinities and zero-width boxes in either side must not show

@@ -944,6 +944,39 @@ def test_divergence_equals_the_padded_per_position_formula(block):
                 assert got == padded_divergence([masks], block) and type(got) is int, (trial, masks)
 
 
+def plain_divergence(guards, block):
+    """Events counted lane by lane in plain Python: at each guard position, every
+    lane without a True guard in a block of lanes that holds one."""
+    events = 0
+    for pos in range(max(map(len, guards))):
+        lanes = [bool(x) for g in guards if len(g) > pos for x in np.ravel(g[pos])]
+        for b0 in range(0, len(lanes), block):
+            if True in lanes[b0 : b0 + block]:
+                events += lanes[b0 : b0 + block].count(False)
+    return events
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 8, 16, 31, 64])
+def test_divergence_equals_a_plain_count_lane_by_lane(block):
+    rng = np.random.default_rng(100 + block)
+    for trial in range(60):
+        # one lane-form context over a grid: 1-3 masks, each with idle lanes, a tail of
+        # every block guarded off, as a conv config has with more threads than columns
+        grid = int(rng.integers(1, 9))
+        masks = []
+        for _ in range(rng.integers(1, 4)):
+            mask = rng.random((grid, block)) < rng.choice([0.0, 0.2, 0.5, 0.9, 1.0])
+            mask[:, block - int(rng.integers(0, block)):] = False
+            masks.append(mask.reshape(-1))
+        got = _divergence([masks], block)
+        assert got == plain_divergence([masks], block) and type(got) is int, (trial, masks)
+        # per-thread contexts of one block, with 0-3 guards each
+        ragged = [[np.asarray(rng.random() < 0.5) for _ in range(rng.integers(0, 4))] for _ in range(block)]
+        if any(ragged):
+            got = _divergence(ragged, block)
+            assert got == plain_divergence(ragged, block) and type(got) is int, (trial, ragged)
+
+
 @pytest.mark.parametrize("dtype, uint", [(np.float32, np.uint32), (np.float64, np.uint64)])
 def test_canonical_nan_gives_every_nan_one_bit_pattern_in_place(dtype, uint):
     """NaNs of either sign and any payload become the one quiet NaN; every

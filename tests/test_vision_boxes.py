@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgegraph.simt import Session
 from edgegraph.vision import BoxSet, box_nms, iou, multibox_detection, multibox_detection_sequential
+from edgegraph.vision.boxes import _check_multibox, _checked_rows, _detection_rows
 
 INVALID_ROW = [-1.0] * 6
 
@@ -231,6 +234,57 @@ def test_multibox_shape_mismatch():
             np.zeros((1, 30), np.float32),
             np.zeros((1, 8, 4), np.float32),
         )
+
+
+@pytest.mark.parametrize("classes", [1, 3])  # background only, and with foreground classes
+@pytest.mark.parametrize("row, corners", [(2, [0.5, 0.1, 0.4, 0.3]), (0, [0.1, 0.5, 0.3, 0.4])])
+def test_multibox_names_an_inverted_anchor(classes, row, corners):
+    anchors = np.full((1, 4, 4), 0.25, np.float32)
+    anchors[0, row] = corners
+    args = (np.full((1, classes, 4), 0.5, np.float32), np.zeros((1, 16), np.float32), anchors)
+    want = f"anchor {row} must satisfy x1 <= x2 and y1 <= y2, got {anchors[0, row].tolist()}"
+    for run in (lambda: multibox_detection(*args, session=Session()),
+                lambda: multibox_detection_sequential(*args)):
+        with pytest.raises(ValueError) as e:
+            run()
+        assert str(e.value) == want
+
+
+@pytest.mark.parametrize("variances", [(0.1, 0.2), (0.1, 0.1, 0.2, 0.2, 0.2), (0.1, np.nan, 0.2, 0.2),
+                                       (0.1, 0.1, np.inf, 0.2), ("a", "b", "c", "d"), 0.1, None], ids=repr)
+def test_multibox_rejects_variances_that_are_not_four_finite_numbers(variances):
+    args = (np.full((1, 3, 4), 0.5, np.float32), np.zeros((1, 16), np.float32),
+            np.full((1, 4, 4), 0.25, np.float32))
+    for run in (lambda: multibox_detection(*args, variances=variances, session=Session()),
+                lambda: multibox_detection_sequential(*args, variances=variances)):
+        with pytest.raises(ValueError) as e:
+            run()
+        assert str(e.value) == f"variances must be 4 finite numbers, got {variances!r}"
+
+
+F32 = dict(width=32, allow_nan=True, allow_infinity=True)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # exp overflows on large offsets
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(*[st.floats(**F32) | st.sampled_from([0.0, -0.0, 0.5, 1.0])] * 4,
+                          *[st.floats(**F32)] * 4), min_size=1, max_size=12),
+       st.lists(st.floats(-4, 4, width=32), min_size=4, max_size=4))
+def test_rows_decoded_from_checked_anchors_pass_the_boxset_check(draws, variances):
+    # any anchor that passes the multibox check, NaN and infinite corners too, decoded
+    # with any offsets, NaN and infinities too, gives rows BoxSet's own check passes,
+    # so the NMS pass may take them without it
+    raw = np.array(draws, np.float32)
+    a = len(raw)
+    lo, hi = np.fmin(raw[:, :2], raw[:, 2:4]), np.fmax(raw[:, :2], raw[:, 2:4])
+    anchors = np.concatenate([lo, hi], axis=1)[None]
+    probs = np.full((1, 3, a), 0.5, np.float32)
+    probs, locs, anchors, _, _, variances = _check_multibox(probs, raw[:, 4:].reshape(1, 4 * a), anchors,
+                                                             variances)
+    rows = _detection_rows(probs, locs, anchors, variances, 0, a)
+    checked, trusted = BoxSet.from_array(rows), _checked_rows(rows)
+    for field in ("class_ids", "scores", "corners"):
+        assert getattr(checked, field).tobytes() == getattr(trusted, field).tobytes()
 
 
 def test_multibox_batched():
