@@ -371,7 +371,7 @@ DEFAULT_GPU_OPS = frozenset(OPS) - {"copy"}
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """Read-only view of ``arr``: every consumer of a value shares it."""
     view = arr.view()
-    view.flags.writeable = False
+    view.setflags(write=False)
     return view
 
 

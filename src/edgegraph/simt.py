@@ -76,7 +76,7 @@ class RaceError(RuntimeError):
     """Race-check mode found a same-phase conflict on a slot."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LaunchConfig:
     """Grid geometry for one kernel launch."""
 
@@ -85,12 +85,13 @@ class LaunchConfig:
     shared_slots: int = 0
 
     def __post_init__(self):
-        for name in ("grid", "block", "shared_slots"):
-            if type(value := getattr(self, name)) is not int:  # 2.0 and np.int64(2) become 2
+        if not type(self.grid) is type(self.block) is type(self.shared_slots) is int:
+            for name in ("grid", "block", "shared_slots"):  # 2.0 and np.int64(2) become 2
                 try:
-                    object.__setattr__(self, name, check_int(name, value, float("-inf"), "an integer"))
+                    value = check_int(name, getattr(self, name), float("-inf"), "an integer")
                 except ValueError as e:
                     raise LaunchConfigError(e) from None
+                object.__setattr__(self, name, value)
         if self.grid < 1 or self.block < 1:
             raise LaunchConfigError(
                 f"grid and block must be >= 1, got grid={self.grid} block={self.block}"
@@ -219,8 +220,9 @@ class DeviceBuffer:
             self._race_read(idx)
         got = self.data[idx]
         if isinstance(got, np.ndarray) and got.base is self.data:
-            # a write through a view of the storage would bypass the checks
-            got.flags.writeable = False
+            # a write through a view of the storage would bypass the checks; setflags
+            # costs a third of setting flags.writeable
+            got.setflags(write=False)
         return got
 
     def __setitem__(self, idx, value):
@@ -588,7 +590,8 @@ def _divergence(guards, block: int) -> int:
                 # a block's first True lane, its argmax, is past lane 0 or is lane 0;
                 # argmax over short rows costs a fraction of any
                 rows = vals.reshape(-1, block)
-                events += block * (np.count_nonzero(rows.argmax(axis=1)) + np.count_nonzero(rows[:, 0])) - true
+                busy = np.count_nonzero(rows.argmax(axis=1)) + np.count_nonzero(rows[:, 0])
+                events += block * busy - true
     return int(events)
 
 

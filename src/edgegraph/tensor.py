@@ -35,7 +35,7 @@ class Tensor:
         flat = np.array(self.data, dtype=DTYPES[self.dtype]).reshape(-1)
         if flat.size != n:
             raise ValueError(f"data length {flat.size} != product(shape) {n}")
-        flat.flags.writeable = False
+        flat.setflags(write=False)
         object.__setattr__(self, "data", flat)
 
     @classmethod

@@ -132,7 +132,8 @@ def _suppression_rows(xy: np.ndarray, xk: np.ndarray, first: np.ndarray, end: np
     if (pairs := int(wins.sum())) <= PAIR_CHUNK:  # one chunk from box 0, or none
         cuts = [0] if pairs else []
     else:  # np.unique would import numpy.ma on its first call, a cost every fresh process pays
-        cuts = sorted(set(np.searchsorted(np.cumsum(wins), np.arange(0, pairs, PAIR_CHUNK), "right").tolist()))
+        cuts = np.cumsum(wins).searchsorted(np.arange(0, pairs, PAIR_CHUNK), "right")
+        cuts = sorted(set(cuts.tolist()))
     y1, y2 = cols[1::2].take(order, axis=1)  # in x order
     for b0, b1 in zip(cuts, cuts[1:] + [s1 - lo]):
         k = wins[b0:b1]  # pair q of box b is (b, b + 1 + q) in x order
@@ -347,8 +348,9 @@ def _check_multibox(class_probs, loc_preds, anchors, variances):
         raise ValueError(
             f"shape mismatch: {probs.shape} probs vs {locs.shape} loc_preds vs {ancs.shape} anchors"
         )
-    if (bad := (ancs[0, :, :2] > ancs[0, :, 2:]).nonzero()[0]).size:  # the rows of x1 > x2 or y1 > y2
-        raise ValueError(f"anchor {bad[0]} must satisfy x1 <= x2 and y1 <= y2, got {ancs[0, bad[0]].tolist()}")
+    if (bad := (ancs[0, :, :2] > ancs[0, :, 2:]).nonzero()[0]).size:  # rows of x1 > x2 or y1 > y2
+        raise ValueError(f"anchor {bad[0]} must satisfy x1 <= x2 and y1 <= y2, "
+                         f"got {ancs[0, bad[0]].tolist()}")
     try:
         var = [float(v) for v in variances]
     except (TypeError, ValueError):

@@ -236,12 +236,9 @@ def test_a_nan_score_threshold_is_rejected_by_name(nan):
     for call in calls:
         with pytest.raises(ValueError, match="score_threshold must not be NaN, got nan"):
             call()
-    graphs = {
-        "box_nms": ({"x": {"shape": [12, 6], "dtype": "f32"}}, {"x": rows}),
-        "multibox_detection": ({"c": {"shape": [1, 3, 4], "dtype": "f32"}, "l": {"shape": [1, 16], "dtype": "f32"},
-                                "a": {"shape": [1, 4, 4], "dtype": "f32"}}, {"c": probs, "l": locs, "a": anchors}),
-    }
-    for op, (declared, feeds) in graphs.items():
+    graphs = {"box_nms": {"x": rows}, "multibox_detection": {"c": probs, "l": locs, "a": anchors}}
+    for op, feeds in graphs.items():
+        declared = {name: {"shape": list(v.shape), "dtype": "f32"} for name, v in feeds.items()}
         g = load_graph({"nodes": [{"id": "y", "op": op, "attrs": {"score_threshold": float("nan")},
                                    "inputs": list(declared)}], "inputs": declared, "outputs": ["y"]})
         for gpu_ops in (DEFAULT_GPU_OPS, set()):
