@@ -85,13 +85,12 @@ class LaunchConfig:
     shared_slots: int = 0
 
     def __post_init__(self):
-        if not type(self.grid) is type(self.block) is type(self.shared_slots) is int:
-            for name in ("grid", "block", "shared_slots"):  # 2.0 and np.int64(2) become 2
+        for name in ("grid", "block", "shared_slots"):
+            if type(value := getattr(self, name)) is not int:  # 2.0 and np.int64(2) become 2
                 try:
-                    value = check_int(name, getattr(self, name), float("-inf"), "an integer")
+                    object.__setattr__(self, name, check_int(name, value, float("-inf"), "an integer"))
                 except ValueError as e:
                     raise LaunchConfigError(e) from None
-                object.__setattr__(self, name, value)
         if self.grid < 1 or self.block < 1:
             raise LaunchConfigError(
                 f"grid and block must be >= 1, got grid={self.grid} block={self.block}"
@@ -220,9 +219,7 @@ class DeviceBuffer:
             self._race_read(idx)
         got = self.data[idx]
         if isinstance(got, np.ndarray) and got.base is self.data:
-            # a write through a view of the storage would bypass the checks; setflags
-            # costs a third of setting flags.writeable
-            got.setflags(write=False)
+            got.setflags(write=False)  # a write through a view would bypass the checks
         return got
 
     def __setitem__(self, idx, value):
@@ -583,15 +580,11 @@ def _divergence(guards, block: int) -> int:
         # need no stacking, or contexts of one lane each, all in one block
         vals = guards[0][pos] if len(guards) == 1 else np.array([g[pos] for g in guards if len(g) > pos])
         if 0 < (true := np.count_nonzero(vals)) < vals.size:  # else no lane skipped
-            # a block with a True lane has one event per False lane
-            if vals.size <= block:
-                events += vals.size - true
-            else:
-                # a block's first True lane, its argmax, is past lane 0 or is lane 0;
-                # argmax over short rows costs a fraction of any
-                rows = vals.reshape(-1, block)
-                busy = np.count_nonzero(rows.argmax(axis=1)) + np.count_nonzero(rows[:, 0])
-                events += block * busy - true
+            vals = vals.reshape(ceil_div(vals.size, block), -1)
+            # a block whose first True lane, its argmax (cheaper than any), is past lane 0 or is
+            # lane 0 has one event per False lane
+            busy = np.count_nonzero(vals.argmax(axis=1)) + np.count_nonzero(vals[:, 0])
+            events += vals.shape[1] * busy - true
     return int(events)
 
 

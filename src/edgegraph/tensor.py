@@ -49,9 +49,6 @@ class Tensor:
         return self.data.reshape(self.shape).copy()
 
 
-_KIND_DTYPES = {"f": "f32", "i": "i32", "u": "i32", "b": "bool"}  # numpy dtype kind -> tensor dtype
-
-
 def as_dtype(array, dtype: str | None = None) -> tuple:
     """``(dtype, array)``: the values as a ``dtype`` array, copied only if
     the dtype differs. With no ``dtype``, floats become f32, integers i32
@@ -59,7 +56,7 @@ def as_dtype(array, dtype: str | None = None) -> tuple:
     value that does not fit i32."""
     arr = np.asarray(array)
     if dtype is None:
-        dtype = _KIND_DTYPES.get(arr.dtype.kind)
+        dtype = {"f": "f32", "i": "i32", "u": "i32", "b": "bool"}.get(arr.dtype.kind)
         if dtype is None:
             raise ValueError(f"no tensor dtype for {arr.dtype} values; expected float, integer or bool")
     if dtype == "i32" and arr.dtype.kind in "iu" and not np.can_cast(arr.dtype, np.int32):

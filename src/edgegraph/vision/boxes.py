@@ -18,11 +18,13 @@ multibox_detection decodes the batch's anchors in flat (image, anchor)
 order, one contiguous slice per thread, then runs one box_nms_batch pass.
 Kernel and twin share one body, _nms_pass or _multibox, whose simt.run_rows
 calls launch or, for the twin, call each range function once on the host.
+Boxes are checked once, where they enter: a BoxSet's rows, and multibox's
+anchors and variances. Rows an NMS pass writes, and rows decoded from checked
+anchors, pass BoxSet's check by construction, so they become BoxSets without it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,12 +75,9 @@ class BoxSet:
 
 
 def _checked_rows(rows: np.ndarray) -> BoxSet:
-    """``BoxSet.from_array`` of float32 (n, 6) ``rows`` known to pass its check, which it
-    skips: rows an NMS pass wrote, or rows decoded from anchors _check_multibox passed."""
+    """``BoxSet.from_array`` of float32 (n, 6) ``rows`` that pass its check by construction, unchecked."""
     boxes = object.__new__(BoxSet)
-    for name, value in (("class_ids", rows[:, 0].astype(np.int32)), ("scores", rows[:, 1]),
-                        ("corners", rows[:, 2:])):
-        object.__setattr__(boxes, name, value)
+    boxes.__dict__.update(class_ids=rows[:, 0].astype(np.int32), scores=rows[:, 1], corners=rows[:, 2:])
     return boxes
 
 
@@ -98,16 +97,15 @@ def iou(a, b):
     such a pair gives 0 either way.
     """
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    ax1, ay1, ax2, ay2 = (a[..., i] for i in range(4))
-    bx1, by1, bx2, by2 = (b[..., i] for i in range(4))
     nan = np.isnan(a).any()
     lo = (lambda x, y: np.where(y < x, y, x)) if nan else np.fmin
     hi = (lambda x, y: np.where(y > x, y, x)) if nan else np.fmax
     with np.errstate(all="ignore"):
-        iw = lo(ax2, bx2) - hi(ax1, bx1)
-        ih = lo(ay2, by2) - hi(ay1, by1)
+        over = lo(a[..., 2:], b[..., 2:]) - hi(a[..., :2], b[..., :2])  # x and y side by side
+        da, db = a[..., 2:] - a[..., :2], b[..., 2:] - b[..., :2]
+        iw, ih = over[..., 0], over[..., 1]
         inter = iw * ih
-        union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+        union = da[..., 0] * da[..., 1] + db[..., 0] * db[..., 1] - inter
         # fmin skips a NaN, so this is (iw <= 0) | (ih <= 0) | (union <= 0) in one test
         out = np.where(np.fmin(np.fmin(iw, ih), union) <= 0.0, 0.0, inter / union)
     return float(out) if out.ndim == 0 else out
@@ -129,11 +127,9 @@ def _suppression_rows(xy: np.ndarray, xk: np.ndarray, first: np.ndarray, end: np
     ks = xk[:, lo:s1].take(order, axis=1)
     # window lengths; a NaN corner can end one before it starts
     wins = np.maximum(ks[0].searchsorted(ks[1]) - np.arange(1, s1 - lo + 1), 0)
-    if (pairs := int(wins.sum())) <= PAIR_CHUNK:  # one chunk from box 0, or none
-        cuts = [0] if pairs else []
-    else:  # np.unique would import numpy.ma on its first call, a cost every fresh process pays
-        cuts = np.cumsum(wins).searchsorted(np.arange(0, pairs, PAIR_CHUNK), "right")
-        cuts = sorted(set(cuts.tolist()))
+    pairs = int(wins.sum())  # np.unique would import numpy.ma on its first call, in every process
+    cuts = [0] if 0 < pairs <= PAIR_CHUNK else sorted(set(  # one chunk from box 0 has the same pairs
+        np.cumsum(wins).searchsorted(np.arange(0, pairs, PAIR_CHUNK), "right").tolist()))
     y1, y2 = cols[1::2].take(order, axis=1)  # in x order
     for b0, b1 in zip(cuts, cuts[1:] + [s1 - lo]):
         k = wins[b0:b1]  # pair q of box b is (b, b + 1 + q) in x order
@@ -161,21 +157,17 @@ def _sources(mask: np.ndarray, first: np.ndarray, cands: np.ndarray, g: np.ndarr
     segment before k, so it is final when row k is reached, and ``drop``
     ends as exactly the suppressed candidates.
     """
-    # column 0, a segment's first candidate, follows no row, so a row holds a bit iff
-    # its first one, its argmax, lies past column 0; argmax costs a fraction of any
+    # no row's bit is in column 0, a segment's first candidate; argmax costs a fraction of any
     hits = mask.argmax(axis=1).nonzero()[0] if mask.size else np.zeros(0, np.intp)
     drop = 0
-    bits = np.packbits(mask[hits], axis=1, bitorder="little")
-    step, bits = bits.shape[1], bits.tobytes()  # the bytes of hit i, row k, start at i * step
-    for i, (k, s) in enumerate(zip(hits.tolist(), first[hits].tolist())):
+    for k, s, row in zip(hits.tolist(), first[hits].tolist(),
+                         np.packbits(mask[hits], axis=1, bitorder="little")):
         if not drop >> k & 1:
-            drop |= int.from_bytes(bits[i * step : (i + 1) * step], "little") << s
+            drop |= int.from_bytes(row, "little") << s
     c = len(first)
     dropped = np.unpackbits(np.frombuffer(drop.to_bytes(ceil_div(c, 8), "little"), np.uint8),
                             count=c, bitorder="little")
-    kept = g[dropped == 0]
-    kept.sort()
-    kept = cands[kept]
+    kept = cands[np.sort(g[dropped == 0])]
     img = kept // n
     slot = np.arange(len(kept)) - img.searchsorted(img)
     cut = slot < (len(kept) if max_output is None else max_output)
@@ -190,7 +182,7 @@ def _nms_pass(boxes: BoxSet, images: int, iou_threshold: float, score_threshold:
     images = check_int("images", images, 1)
     if not (0.0 < iou_threshold <= 1.0):
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    if math.isnan(score_threshold):  # it would fail every score; +-inf keep their meaning
+    if np.isnan(score_threshold):  # it would fail every score; +-inf keep their meaning
         raise ValueError(f"score_threshold must not be NaN, got {score_threshold}")
     top_k, max_output = check_count("top_k", top_k), check_count("max_output", max_output)
     if len(boxes) == 0:
@@ -216,8 +208,7 @@ def _nms_pass(boxes: BoxSet, images: int, iou_threshold: float, score_threshold:
     g = key.argsort(kind="stable")
     key = key[g]
     first, end = key.searchsorted(key, "left"), key.searchsorted(key, "right")
-    corners = boxes.corners[cands[g]]
-    xy = np.asfortranarray(corners, dtype=np.float64)  # iou reads whole columns
+    xy = np.asfortranarray(corners := boxes.corners[cands[g]], dtype=np.float64)  # iou reads columns
     xk = (first << 32) | ordered_bits(corners[:, ::2].T + np.float32(0))
     c, width = len(g), int((end - first).max(initial=0))
 
@@ -331,10 +322,8 @@ def _detection_rows(probs: np.ndarray, locs: np.ndarray, anchors: np.ndarray, va
 
 def _check_multibox(class_probs, loc_preds, anchors, variances):
     """The batch as float32 (cls, b * a) probs, (b * a, 4) offsets and
-    (b * a, 4) anchors in flat (image, anchor) order, plus b, a and the
-    variances as 4 floats; rejects inputs whose shapes do not fit together,
-    an anchor with x1 > x2 or y1 > y2, and variances that are not 4 finite
-    numbers. Rows decoded from these anchors then pass BoxSet's check."""
+    (b * a, 4) anchors in flat (image, anchor) order, plus b, a and variances;
+    rejects shapes that do not fit, x1 > x2 or y1 > y2 in an anchor and variances not 4 finite numbers."""
     probs = np.asarray(class_probs, dtype=np.float32)
     locs = np.asarray(loc_preds, dtype=np.float32)
     ancs = np.asarray(anchors, dtype=np.float32)
@@ -349,13 +338,8 @@ def _check_multibox(class_probs, loc_preds, anchors, variances):
             f"shape mismatch: {probs.shape} probs vs {locs.shape} loc_preds vs {ancs.shape} anchors"
         )
     if (bad := (ancs[0, :, :2] > ancs[0, :, 2:]).nonzero()[0]).size:  # rows of x1 > x2 or y1 > y2
-        raise ValueError(f"anchor {bad[0]} must satisfy x1 <= x2 and y1 <= y2, "
-                         f"got {ancs[0, bad[0]].tolist()}")
-    try:
-        var = [float(v) for v in variances]
-    except (TypeError, ValueError):
-        var = None
-    if var is None or len(var) != 4 or not all(map(math.isfinite, var)):
+        raise ValueError(f"anchor {bad[0]} must satisfy x1 <= x2 and y1 <= y2, got {ancs[0, bad[0]].tolist()}")
+    if (var := np.asarray(variances)).shape != (4,) or var.dtype.kind not in "iuf" or not np.isfinite(var).all():
         raise ValueError(f"variances must be 4 finite numbers, got {variances!r}")
     flat_probs = probs.transpose(1, 0, 2).reshape(k, b * a)
     return flat_probs, locs.reshape(b * a, 4), ancs.repeat(b, axis=0).reshape(b * a, 4), b, a, var

@@ -16,15 +16,16 @@ previous pass's permutation, and keeps its own rows. Ranking a run is one
 stable sort of packed int64 keys: the piece id above bit 33, the nan flag
 at bit 32 and an order-preserving image of the float32 value below it; the
 piece id is the element's segment, in its key from the start, plus its run
-in the pass. In a merge pass a piece is at most ``WAYS`` sorted pieces of
-the previous pass, in index order. Equal keys sit in ascending index order
-within each, and every index in one piece is below every index in the
-pieces after it, so the stable sort puts equal keys in index order, as
-merging the pieces does. numpy's stable int64 sort is a timsort, which
-finds the pieces as runs and merges them, so a call's merge work is about
-n log2(num_blocks) whatever the fan-in, and fewer, wider passes save each
-pass's fixed cost. Ranks are therefore stable, and the launches need no
-barrier and no shared storage.
+in the pass, which an element never leaves, so a pass adds it to the keys
+once (none if one run holds every slot). In a merge pass a piece is at
+most ``WAYS`` sorted pieces of the previous pass, in index order. Equal
+keys sit in ascending index order within each, and every index in one
+piece is below every index in the pieces after it, so the stable sort puts
+equal keys in index order, as merging the pieces does. numpy's stable
+int64 sort is a timsort, which finds the pieces as runs and merges them,
+so a call's merge work is about n log2(num_blocks) whatever the fan-in,
+and fewer, wider passes save each pass's fixed cost. Ranks are therefore
+stable, and the launches need no barrier and no shared storage.
 """
 
 from __future__ import annotations
@@ -76,10 +77,9 @@ class SegmentedArray:
 
 def ordered_bits(vals: np.ndarray) -> np.ndarray:
     """int64 image in [0, 2**32) of float32 ``vals`` ordered as they are, -0 below +0:
-    a negative value's bits below the sign flip, which orders the bits as signed
-    ints, and 2**31 more makes them non-negative."""
-    i = vals.view(np.int32)
-    return (i ^ ((i >> 31) & 0x7FFFFFFF)).astype(np.int64) + (1 << 31)
+    a negative value's bits flip whole, a non-negative one's sign bit sets."""
+    flip = (vals.view(np.int32) >> 31).view(np.uint32) | np.uint32(1 << 31)
+    return (vals.view(np.uint32) ^ flip).astype(np.int64)
 
 
 def _keyed(a: SegmentedArray, order: str):
@@ -133,26 +133,21 @@ def segmented_argsort(a: SegmentedArray, order: str = "ascending", block: int = 
 
     sess = session if session is not None else Session()
     perms = sess.alloc(n, "i32", name="sort_perm_a"), sess.alloc(n, "i32", name="sort_perm_b")
-    src = None  # the block sort ranks the slots in place
+    src = slots
     sort_blocks = ceil_div(n, block)
     fans = [1]  # pass k leaves runs of WAYS**k sort blocks, the last one of them all
     while fans[-1] < sort_blocks:
         fans.append(fans[-1] * WAYS)
     for k, fan in enumerate(fans):
         run = block * fan  # sorted-run width this pass leaves
-        # an element never leaves the run its slot lies in, so the element's run, its sort
-        # block // fan, adds to its segment above bit 33; both never decrease, so elements
-        # of equal sum there are the pass's (run, segment) pieces. One run adds nothing
+        # an element's run, its slot's sort block // fan, adds to its segment above bit 33;
+        # both never decrease, so elements of equal sum there are the pass's pieces
         pkey = key + (slots // run << 33) if run < n else key
 
         def rank(lo, hi):
             r0, r1 = lo - lo % run, min(n, ceil_div(hi, run) * run)
-            if src is None:
-                got = pkey[r0:r1].argsort(kind="stable") + r0
-            else:
-                s = src[r0:r1]
-                got = s[pkey[s].argsort(kind="stable")]
-            return got[lo - r0 : hi - r0]
+            s = src[r0:r1]
+            return s[pkey[s].argsort(kind="stable")][lo - r0 : hi - r0]
 
         dst = perms[k % 2]
         cfg = LaunchConfig(grid=ceil_div(n, run), block=min(fan, sort_blocks))
