@@ -28,7 +28,7 @@ from .simt import CPU, GPU, LaunchConfig, Session, check_count, check_int, run_r
 from .tensor import Tensor, as_dtype
 
 UNASSIGNED = "unassigned"
-DEFAULT_SCHEDULE = ScheduleConfig()  # a conv node's schedule until one is set
+_DEFAULT_SCHEDULE = ScheduleConfig()  # a conv node's schedule until one is set
 
 class GraphError(ValueError):
     """Graph document or graph state violates the format contract."""
@@ -306,7 +306,7 @@ def _conv2d(node, args, gpu):
           else _conv_workload.__wrapped__(data.shape, weight.shape, attrs))
     if gpu is None:
         return conv2d_host(data, weight, wl)
-    cfg = node.schedule if node.schedule is not None else DEFAULT_SCHEDULE
+    cfg = node.schedule if node.schedule is not None else _DEFAULT_SCHEDULE
     return conv2d_scheduled(data, weight, wl, cfg, session=gpu)
 
 
