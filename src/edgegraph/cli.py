@@ -25,11 +25,12 @@ from .conv import ConvWorkload
 from .graph import (DEFAULT_GPU_OPS, OPS, assign_devices, count_copies, insert_copies, load_graph, run_graph,
                     topo_order)
 from .simt import Session
-from .tensor import tensor_from_json, tensor_to_json
+from .tensor import FINITE, check_json, tensor_from_json, tensor_to_json
 from .tune import graph_tune_dp, proxy_timer, tune_model, wall_timer
 
 DEFAULT_RECORDS = "records.jsonl"
 RECORDS_ENV = "EDGEGRAPH_RECORDS"
+_COSTS = {"node_costs": {str: {str: FINITE}}, "transform_costs?": {str: FINITE}, "default_transform_cost?": FINITE}
 
 
 def _records_path(arg):
@@ -40,10 +41,8 @@ def _records_path(arg):
 
 def _load_inputs(path) -> dict:
     with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: inputs file must be a JSON object of tensor literals, got {type(doc).__name__}")
-    return {name: tensor_from_json(rec) for name, rec in doc.items()}
+        doc = check_json(json.load(f), {}, f"{path}: inputs file")
+    return {name: tensor_from_json(rec, f"{path}: inputs file", name) for name, rec in doc.items()}
 
 
 def _dump_outputs(outputs: dict, path) -> None:
@@ -125,34 +124,18 @@ def cmd_tune(args) -> int:
     return 0
 
 
-def _costs(value, where: str, depth: int):
-    """A cost-file entry as floats: a finite number (not a bool) at depth 0, else an object of depth - 1
-    entries. NaN, infinities and integers past the float range are not numbers here."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
-    if depth == 0 and number:
-        return float(value)
-    if depth > 0 and isinstance(value, dict):
-        return {key: _costs(item, f"{where}[{key!r}]", depth - 1) for key, item in value.items()}
-    raise ValueError(f"cost file: {where} must be {'a number' if depth == 0 else 'an object'}, got {value!r}")
-
-
 def cmd_tune_graph(args) -> int:
     with open(args.graph, "r", encoding="utf-8") as f:
         g = load_graph(f.read())
     with open(args.costs, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    if not isinstance(doc, dict):
-        raise ValueError(f"cost file must be a JSON object, got {type(doc).__name__}")
-    node_costs = _costs(doc.get("node_costs"), "node_costs", 2)
-    table = _costs(doc.get("transform_costs", {}), "transform_costs", 1)
-    default = _costs(doc.get("default_transform_cost", 0.0), "default_transform_cost", 0)
+        doc = check_json(json.load(f), _COSTS, "cost file")
 
     def tc(src, dst, shape):
         if src == dst:
             return 0.0
-        return table.get(f"{src}->{dst}", default)
+        return doc.get("transform_costs", {}).get(f"{src}->{dst}", doc.get("default_transform_cost", 0.0))
 
-    assignment, total = graph_tune_dp(g, node_costs, tc)
+    assignment, total = graph_tune_dp(g, doc["node_costs"], tc)
     for node in topo_order(g):
         print(f"{node.id}\t{assignment[node.id]}")
     print(f"total_cost\t{total:.9g}")
@@ -163,9 +146,11 @@ def _bench_rows(args) -> list:
     if args.file:
         rows = []
         with open(args.file, "r", encoding="utf-8", newline="") as f:
-            for rec in csv.reader(f):
+            for rec in (reader := csv.reader(f)):
                 if not rec or rec[0].startswith("#"):
                     continue
+                if len(rec) < 3:
+                    raise ValueError(f"{args.file}:{reader.line_num}: row must be name,before_ms,after_ms, got {rec!r}")
                 name, before, after = rec[0], rec[1].strip(), rec[2].strip()
                 rows.append((name, float(before) if before and before != "---" else None, float(after)))
         return rows
@@ -178,6 +163,8 @@ def format_bench(rows, fmt: str = "text", metadata=()) -> str:
     """Latency/speedup table; speedup = baseline/ours rounded to 2 decimals."""
     rendered = []
     for name, before, after in rows:
+        if not all(0 < x < np.inf for x in ((after,) if before is None else (before, after))):
+            raise ValueError(f"bench: {name}: each latency must be finite and > 0, got {before}, {after}")
         if before is None:
             rendered.append((name, "---", f"{after:.2f}", "---"))
         else:

@@ -25,10 +25,12 @@ from . import vision
 # conv2d_reference runs on no placement: perfbench/tracing.py patches it here and on conv, as one object
 from .conv import ConvWorkload, ScheduleConfig, conv2d_host, conv2d_reference, conv2d_scheduled
 from .simt import CPU, GPU, LaunchConfig, Session, check_count, check_int, run_rows
-from .tensor import Tensor, as_dtype
+from .tensor import DTYPE, SHAPE, Tensor, as_dtype, check_json
 
 UNASSIGNED = "unassigned"
 _DEFAULT_SCHEDULE = ScheduleConfig()  # a conv node's schedule until one is set
+_GRAPH = {"nodes": [{"id": str, "op": str, "attrs?": {}, "inputs?": [str]}],  # the check_json spec of a document
+          "inputs?": {str: {"shape?": SHAPE, "dtype?": DTYPE}}, "outputs?": [str]}
 
 class GraphError(ValueError):
     """Graph document or graph state violates the format contract."""
@@ -70,43 +72,30 @@ class Graph:
 def load_graph(text) -> Graph:
     """Parse and validate a graph document.
 
-    Document format: {"nodes": [{"id", "op", "attrs", "inputs": [ids]}],
-    "inputs": {name: {shape, dtype}}, "outputs": [ids]}. Rejects a part of
-    the wrong JSON type, unknown op kinds, dangling references, duplicate
-    ids and cycles, naming the offending node or input.
+    Document format: {"nodes": [{"id", "op", "attrs", "inputs": [ids]}], "inputs": {name: {shape, dtype}},
+    "outputs": [ids]}. A part that fails ``_GRAPH`` raises ``GraphError("graph document: <path> must be <what>,
+    got <value!r>")`` (see :func:`check_json`); so do unknown op kinds, dangling refs, duplicate ids and cycles.
     """
-    doc = json.loads(text) if isinstance(text, str) else text
-    if not (isinstance(doc, dict) and isinstance(doc.get("nodes"), list) and isinstance(doc.get("inputs", {}), dict)
-            and isinstance(doc.get("outputs", []), list)):
-        raise GraphError("graph document must be an object with a 'nodes' list, 'inputs' object and 'outputs' list")
+    doc = check_json(json.loads(text) if isinstance(text, str) else text, _GRAPH, "graph document", error=GraphError)
     graph_inputs = dict(doc.get("inputs", {}))
-    for name, spec in graph_inputs.items():
-        if not isinstance(spec, dict) or not isinstance(spec.get("shape", []), (list, tuple)):
-            raise GraphError(f"graph input {name!r} must be an object whose 'shape' is a list")
     nodes = []
     seen = set()
     for raw in doc["nodes"]:
-        nid = raw.get("id") if isinstance(raw, dict) else None
-        if not nid or not isinstance(nid, str):
-            raise GraphError(f"node is not an object with a string id: {raw!r}")
+        nid, op = raw["id"], raw["op"]
         if nid in seen or nid in graph_inputs:
             raise GraphError(f"duplicate tensor producer {nid!r}")
         seen.add(nid)
-        op = raw.get("op")
-        if not isinstance(op, str) or op not in OPS:
+        if op not in OPS:
             raise GraphError(f"node {nid!r}: unknown op kind {op!r}")
-        attrs, inputs = raw.get("attrs", {}), raw.get("inputs", [])
-        if not isinstance(attrs, dict) or not isinstance(inputs, list):
-            raise GraphError(f"node {nid!r}: 'attrs' must be an object and 'inputs' a list of ids")
-        nodes.append(Node(id=nid, op=op, attrs=dict(attrs), inputs=list(inputs)))
+        nodes.append(Node(id=nid, op=op, attrs=dict(raw.get("attrs", {})), inputs=list(raw.get("inputs", []))))
     known = seen | set(graph_inputs)
     for n in nodes:
         for ref in n.inputs:
-            if not isinstance(ref, str) or ref not in known:
+            if ref not in known:
                 raise GraphError(f"node {n.id!r}: reference to missing tensor {ref!r}")
     outputs = list(doc.get("outputs", []))
     for out in outputs:
-        if not isinstance(out, str) or out not in seen:
+        if out not in seen:
             raise GraphError(f"graph output {out!r} is not a node id")
     g = Graph(nodes=nodes, inputs=graph_inputs, outputs=outputs)
     topo_order(g)  # raises on cycles

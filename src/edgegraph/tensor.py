@@ -9,11 +9,15 @@ OIHW or absent.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .simt import DTYPES, check_int
+
+SHAPE, DTYPE, FINITE = [range(1, 2**31)], tuple(DTYPES), "finite"  # check_json specs; FINITE: no NaN, ±Infinity
+_DATA = {"f32": float, "i32": range(-2**31, 2**31), "bool": bool}  # the spec of a literal's datum per dtype
 
 
 @dataclass(frozen=True)
@@ -77,12 +81,36 @@ def tensor_to_json(t: Tensor) -> str:
     return json.dumps(record)
 
 
-def tensor_from_json(text) -> Tensor:
-    """Tensor from a literal whose ``layout``, if given, is NCHW or OIHW."""
-    record = json.loads(text) if isinstance(text, str) else text
-    if not isinstance(record, dict) or not isinstance(record.get("shape"), (list, tuple)):
-        raise ValueError("tensor literal must be an object whose 'shape' is a list of extents")
-    layout = record.get("layout", "NCHW")
-    if layout not in ("NCHW", "OIHW"):
-        raise ValueError(f"tensor literal layout {layout!r} is not NCHW or OIHW; packed layouts are not stored")
+def check_json(value, spec, doc: str, path: str = "", error=ValueError):
+    """``value`` if it has the JSON shape ``spec``, else ``error("<doc>: <path> must be <what>, got <value!r>")``
+    (for the whole document, ``"<doc> must be a JSON <type>, got <type>"``). A spec is ``str``, ``bool``, ``float``
+    (NaN and ±Infinity included), ``FINITE``, a ``range`` of ints, a tuple of strings, ``[spec]``, ``{str: spec}``
+    (free keys) or ``{key: spec}`` (named keys, ``key?`` optional, others ignored). A bool is never an int or a
+    number, nor is an int past the float range a number."""
+    if isinstance(spec, (list, dict)):
+        ok, what = isinstance(value, type(spec)), "a list" if isinstance(spec, list) else "an object"
+        items = (dict(enumerate(value)) if isinstance(value, list) else value) if ok else {}
+        free = spec[0] if isinstance(spec, list) else spec.get(str)  # the spec of every item, if one is
+        named = dict.fromkeys(items, free) if free is not None else {
+            key.removesuffix("?"): sub for key, sub in spec.items() if not key.endswith("?") or key[:-1] in items}
+        for key, sub in named.items() if ok else ():
+            check_json(items.get(key), sub, doc, f"{path}[{key!r}]" if path or isinstance(spec, list) else key, error)
+    elif isinstance(spec, (tuple, range)):  # allowed strings or ints
+        ok = type(value) is type(spec[0]) and value in spec
+        what = f"one of {', '.join(spec)}" if isinstance(spec, tuple) else f"an integer from {spec[0]} to {spec[-1]}"
+    elif spec in (str, bool):
+        ok, what = type(value) is spec, "a string" if spec is str else "a bool"
+    else:  # NaN and ±Infinity fail the bound; a float spec lets them through
+        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max or spec is float and type(value) is float
+        what = "a number"
+    if not ok:
+        raise error(f"{doc}: {path} must be {what}, got {value!r}" if path else
+                    f"{doc} must be a JSON {what.split()[-1]}, got {type(value).__name__}")
+    return value
+
+
+def tensor_from_json(text, doc: str = "tensor literal", path: str = "") -> Tensor:
+    """Tensor from a literal ``{shape, dtype, layout, data}``; check_json names a bad part by ``doc`` and ``path``."""
+    record = check_json(json.loads(text) if isinstance(text, str) else text, {"dtype": DTYPE}, doc, path)
+    check_json(record, {"shape": SHAPE, "layout?": ("NCHW", "OIHW"), "data": [_DATA[record["dtype"]]]}, doc, path)
     return Tensor(shape=tuple(record["shape"]), dtype=record["dtype"], data=np.asarray(record["data"]))

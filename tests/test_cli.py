@@ -1,11 +1,18 @@
 """CLI subcommands: run, stats, tune, tune-graph, bench."""
 
+import contextlib
+import copy
+import io
 import json
 import math
 import os
+import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from edgegraph.cli import main
 from edgegraph.tensor import tensor_from_json, tensor_to_json
@@ -24,13 +31,16 @@ def fixture_files(tmp_path):
     return str(graph), str(inputs)
 
 
+IDENTITY = {
+    "nodes": [{"id": "out", "op": "identity", "attrs": {}, "inputs": ["x"]}],
+    "inputs": {"x": {"shape": [2, 3], "dtype": "f32"}},
+    "outputs": ["out"],
+}
+
+
 def identity_files(tmp_path):
     graph = tmp_path / "g.json"
-    graph.write_text(json.dumps({
-        "nodes": [{"id": "out", "op": "identity", "attrs": {}, "inputs": ["x"]}],
-        "inputs": {"x": {"shape": [2, 3], "dtype": "f32"}},
-        "outputs": ["out"],
-    }))
+    graph.write_text(json.dumps(IDENTITY))
     inputs = tmp_path / "i.json"
     rec = {"shape": [2, 3], "dtype": "f32", "layout": "NCHW", "data": [1, 2, 3, 4, 5, 6]}
     inputs.write_text(json.dumps({"x": rec}))
@@ -58,14 +68,17 @@ def test_run_rejects_a_packed_tensor_literal(tmp_path, capsys):
     assert not (tmp_path / "out.json").exists()
 
 
-@pytest.mark.parametrize("literal", [{"shape": 2, "dtype": "f32", "data": [1, 2]}, [1, 2]], ids=["shape-int", "list"])
-def test_run_rejects_a_malformed_tensor_literal(tmp_path, capsys, literal):
+@pytest.mark.parametrize("literal, message", [
+    ({"shape": 2, "dtype": "f32", "data": [1, 2]}, "x['shape'] must be a list, got 2"),
+    ([1, 2], "x must be an object, got [1, 2]"),
+], ids=["shape-int", "list"])
+def test_run_rejects_a_malformed_tensor_literal(tmp_path, capsys, literal, message):
     graph, _ = identity_files(tmp_path)
     inputs = tmp_path / "bad.json"
     inputs.write_text(json.dumps({"x": literal}))
     assert main(["run", graph, str(inputs), "--out", str(tmp_path / "out.json")]) == 1
     err = capsys.readouterr().err
-    assert err == "edgegraph: error: tensor literal must be an object whose 'shape' is a list of extents\n"
+    assert err == f"edgegraph: error: {inputs}: inputs file: {message}\n"
     assert not (tmp_path / "out.json").exists()
 
 
@@ -75,7 +88,7 @@ def test_run_rejects_an_inputs_file_that_is_not_an_object(tmp_path, capsys):
     inputs.write_text(json.dumps([{"shape": [6], "dtype": "f32", "data": [1, 2, 3, 4, 5, 6]}]))
     assert main(["run", graph, str(inputs), "--out", str(tmp_path / "out.json")]) == 1
     err = capsys.readouterr().err
-    assert err == f"edgegraph: error: {inputs}: inputs file must be a JSON object of tensor literals, got list\n"
+    assert err == f"edgegraph: error: {inputs}: inputs file must be a JSON object, got list\n"
     assert not (tmp_path / "out.json").exists()
 
 
@@ -85,8 +98,58 @@ def test_run_rejects_a_literal_extent_that_is_not_an_integer(tmp_path, capsys, e
     inputs = tmp_path / "bad.json"
     inputs.write_text(json.dumps({"x": {"shape": [extent], "dtype": "f32", "data": [1, 2]}}))
     assert main(["run", graph, str(inputs), "--out", str(tmp_path / "out.json")]) == 1
-    assert capsys.readouterr().err == f"edgegraph: error: extent must be an integer, got {extent!r}\n"
+    err = capsys.readouterr().err
+    want = f"x['shape'][0] must be an integer from 1 to 2147483647, got {extent!r}"
+    assert err == f"edgegraph: error: {inputs}: inputs file: {want}\n"
     assert not (tmp_path / "out.json").exists()
+
+
+I32_RANGE = "an integer from -2147483648 to 2147483647"
+
+
+@pytest.mark.parametrize("literal, message", [
+    ({"shape": [2], "dtype": "f32", "data": None}, "x['data'] must be a list, got None"),
+    ({"shape": [2], "dtype": "f32"}, "x['data'] must be a list, got None"),
+    ({"shape": [1], "dtype": "i32", "data": [2**40]}, f"x['data'][0] must be {I32_RANGE}, got {2**40}"),
+    ({"shape": [2], "dtype": "i32", "data": [1, 1.5]}, f"x['data'][1] must be {I32_RANGE}, got 1.5"),
+    ({"shape": [2], "dtype": "bool", "data": [2, 0.5]}, "x['data'][0] must be a bool, got 2"),
+    ({"shape": [1], "dtype": "f32", "data": ["1.5"]}, "x['data'][0] must be a number, got '1.5'"),
+    ({"shape": [1], "dtype": "f32", "data": {"a": 1}}, "x['data'] must be a list, got {'a': 1}"),
+    ({"shape": [1], "dtype": "i32", "data": [10**30]}, f"x['data'][0] must be {I32_RANGE}, got {10**30}"),
+    ({"shape": [1], "dtype": "f32", "data": [10**400]}, f"x['data'][0] must be a number, got {10**400}"),
+    ({"shape": [1], "dtype": "f32", "data": [[1.5]]}, "x['data'][0] must be a number, got [1.5]"),
+    ({"shape": [1], "dtype": ["f32"], "data": [1]}, "x['dtype'] must be one of f32, i32, bool, got ['f32']"),
+    ({"shape": [1], "dtype": "f64", "data": [1]}, "x['dtype'] must be one of f32, i32, bool, got 'f64'"),
+], ids=["f32-null", "no-data", "i32-past-2**31", "i32-fraction", "bool-numbers", "f32-string", "data-object",
+        "i32-past-2**64", "f32-past-float-range", "f32-nested", "dtype-list", "dtype-unknown"])
+def test_run_rejects_literal_data_that_does_not_fit_its_dtype(tmp_path, capsys, literal, message):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"nodes": [{"id": "out", "op": "identity", "inputs": ["x"]}], "inputs": {"x": {}},
+                                 "outputs": ["out"]}))
+    inputs = tmp_path / "bad.json"
+    inputs.write_text(json.dumps({"x": literal}))
+    assert main(["run", str(graph), str(inputs), "--out", str(tmp_path / "out.json")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"edgegraph: error: {inputs}: inputs file: {message}\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("dtype, data", [
+    ("f32", [math.nan, math.inf, -math.inf, -0.0, 1.5, 7, 2**70]),
+    ("i32", [-2**31, 2**31 - 1, 0, 5, -5, 1, 2]),
+    ("bool", [True, False, False, True, True, False, True]),
+])
+def test_run_passes_literal_data_at_the_edges_of_its_dtype_through(tmp_path, capsys, dtype, data):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"nodes": [{"id": "out", "op": "identity", "inputs": ["x"]}],
+                                 "inputs": {"x": {"shape": [7], "dtype": dtype}}, "outputs": ["out"]}))
+    inputs = tmp_path / "i.json"
+    inputs.write_text(json.dumps({"x": {"shape": [7], "dtype": dtype, "data": data}}))
+    out = tmp_path / "out.json"
+    assert main(["run", str(graph), str(inputs), "--out", str(out)]) == 0
+    got = tensor_from_json(json.loads(out.read_text())["out"])
+    want = np.array(data, dtype={"f32": np.float32, "i32": np.int32, "bool": bool}[dtype])
+    assert got.dtype == dtype and np.array_equal(got.data, want, equal_nan=dtype == "f32")
 
 
 def test_run_reports_devices_and_copy_count(fixture_files, tmp_path, capsys):
@@ -224,17 +287,20 @@ def test_records_env_var_default(tmp_path, capsys, monkeypatch):
     assert len(records_load(str(records))) == 3
 
 
+CHAIN = {
+    "nodes": [
+        {"id": "a", "op": "conv2d", "attrs": {}, "inputs": ["x", "w"]},
+        {"id": "b", "op": "relu", "attrs": {}, "inputs": ["a"]},
+    ],
+    "inputs": {"x": {"shape": [1]}, "w": {"shape": [1]}},
+    "outputs": ["b"],
+}
+
+
 def tune_graph(tmp_path, costs_doc) -> int:
     """``tune-graph`` on the chain a = conv2d(x, w) -> b = relu(a) with the given cost document."""
     graph = tmp_path / "g.json"
-    graph.write_text(json.dumps({
-        "nodes": [
-            {"id": "a", "op": "conv2d", "attrs": {}, "inputs": ["x", "w"]},
-            {"id": "b", "op": "relu", "attrs": {}, "inputs": ["a"]},
-        ],
-        "inputs": {"x": {"shape": [1]}, "w": {"shape": [1]}},
-        "outputs": ["b"],
-    }))
+    graph.write_text(json.dumps(CHAIN))
     costs = tmp_path / "costs.json"
     costs.write_text(json.dumps(costs_doc))
     return main(["tune-graph", str(graph), str(costs)])
@@ -330,6 +396,28 @@ def test_bench_file_with_missing_baseline(tmp_path, capsys):
     assert "---" in lines[2]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bench", "1", "0"], "bench: workload: each latency must be finite and > 0, got 1.0, 0.0"),
+    (["bench", "nan", "1"], "bench: workload: each latency must be finite and > 0, got nan, 1.0"),
+    (["bench", "-1", "2"], "bench: workload: each latency must be finite and > 0, got -1.0, 2.0"),
+    (["bench", "1", "inf"], "bench: workload: each latency must be finite and > 0, got 1.0, inf"),
+], ids=["zero", "nan", "negative", "infinite"])
+def test_bench_rejects_a_latency_that_is_not_finite_and_positive(capsys, argv, message):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"edgegraph: error: {message}\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# model,before,after\nResNet,2.0,1.0\na,1\n", "{f}:3: row must be name,before_ms,after_ms, got ['a', '1']"),
+    ("SSD,---,0\n", "bench: SSD: each latency must be finite and > 0, got None, 0.0"),
+], ids=["short-row", "zero-after-missing-baseline"])
+def test_bench_file_rejects_a_short_row_by_line_and_a_bad_latency(tmp_path, capsys, text, message):
+    f = tmp_path / "lat.csv"
+    f.write_text(text)
+    assert main(["bench", "--file", str(f)]) == 1
+    assert capsys.readouterr() == ("", f"edgegraph: error: {message.format(f=f)}\n")
+
+
 def test_bench_csv_format_deterministic(tmp_path, capsys):
     f = tmp_path / "lat.csv"
     f.write_text("MobileNet1.0,95.00,78.83\n")
@@ -340,3 +428,62 @@ def test_bench_csv_format_deterministic(tmp_path, capsys):
     assert out1 == out2
     assert out1.splitlines()[0] == "model,baseline_ms,ours_ms,speedup"
     assert out1.splitlines()[1] == "MobileNet1.0,95.00,78.83,1.21"
+
+
+# The valid files of the tests above: the identity graph and its inputs, which `run` reads, and a cost
+# file for the chain of tune_graph, which `tune-graph` reads. f32 data and costs are floats here, so
+# that an int part is an extent and a float part a number.
+FUZZ_FILES = {
+    "graph": IDENTITY,
+    "inputs": {"x": {"shape": [2, 3], "dtype": "f32", "layout": "NCHW", "data": [0.5, 1.5, 2.5, 3.5, 4.5, 5.5]}},
+    "costs": {"node_costs": {"a": {"NCHW": 5.0, "NCHWc4": 2.0}, "b": {"NCHW": 1.0}},
+              "transform_costs": {"NCHWc4->NCHW": 0.5}, "default_transform_cost": 10.0},
+}
+SWAPS = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.just(math.nan), st.floats(),
+                  st.integers(2**64, 2**80), st.just(10**400), st.lists(st.integers(0, 3), max_size=2),
+                  st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2))
+
+
+def json_parts(doc, path=()):
+    """The path to every part of a JSON document, the document itself included."""
+    yield path
+    for key, item in doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ():
+        yield from json_parts(item, path + (key,))
+
+
+def json_kind(value):
+    """The JSON type of a value, where an integer past the float range is a kind of its own."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return "number" if isinstance(value, float) or abs(value) <= sys.float_info.max else "huge integer"
+    return type(value).__name__
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(name=st.sampled_from(sorted(FUZZ_FILES)), data=st.data())
+def test_main_rejects_a_file_with_one_part_swapped_by_one_error_line(name, data):
+    doc = copy.deepcopy(FUZZ_FILES[name])
+    path = data.draw(st.sampled_from(list(json_parts(doc))), label="path")
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]] if path else doc
+    new = data.draw(SWAPS, label="new")
+    assume(json_kind(new) != json_kind(old) or type(old) is int)  # an int part is an extent: no swap keeps it valid
+    if path:
+        parent[path[-1]] = new
+    else:
+        doc = new
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {key: os.path.join(tmp, f"{key}.json") for key in (*FUZZ_FILES, "chain")}
+        for key, value in {**FUZZ_FILES, name: doc, "chain": CHAIN}.items():
+            with open(files[key], "w", encoding="utf-8") as f:
+                json.dump(value, f)
+        out = os.path.join(tmp, "out.json")
+        argv = (["tune-graph", files["chain"], files["costs"]] if name == "costs" else
+                ["run", files["graph"], files["inputs"], "--out", out])
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        assert (code, stdout.getvalue(), os.path.exists(out)) == (1, "", False)
+        err = stderr.getvalue()
+        assert err.startswith("edgegraph: error: ") and err.count("\n") == 1 and err.endswith("\n")
