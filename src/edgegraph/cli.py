@@ -25,7 +25,7 @@ from .conv import ConvWorkload
 from .graph import (DEFAULT_GPU_OPS, OPS, assign_devices, count_copies, insert_copies, load_graph, run_graph,
                     topo_order)
 from .simt import Session
-from .tensor import FINITE, check_json, tensor_from_json, tensor_to_json
+from .tensor import FINITE, check_json, json_path, tensor_from_json, tensor_to_json
 from .tune import graph_tune_dp, proxy_timer, tune_model, wall_timer
 
 DEFAULT_RECORDS = "records.jsonl"
@@ -42,7 +42,7 @@ def _records_path(arg):
 def _load_inputs(path) -> dict:
     with open(path, "r", encoding="utf-8") as f:
         doc = check_json(json.load(f), {}, f"{path}: inputs file")
-    return {name: tensor_from_json(rec, f"{path}: inputs file", name) for name, rec in doc.items()}
+    return {name: tensor_from_json(rec, f"{path}: inputs file", json_path("", name)) for name, rec in doc.items()}
 
 
 def _dump_outputs(outputs: dict, path) -> None:
@@ -151,8 +151,13 @@ def _bench_rows(args) -> list:
                     continue
                 if len(rec) < 3:
                     raise ValueError(f"{args.file}:{reader.line_num}: row must be name,before_ms,after_ms, got {rec!r}")
-                name, before, after = rec[0], rec[1].strip(), rec[2].strip()
-                rows.append((name, float(before) if before and before != "---" else None, float(after)))
+                ms = []
+                for field, text in zip(("before_ms", "after_ms"), (t.strip() for t in rec[1:3])):
+                    try:
+                        ms.append(None if field == "before_ms" and text in ("", "---") else float(text))
+                    except ValueError:
+                        raise ValueError(f"{args.file}:{reader.line_num}: {field} must be a number, got {text!r}") from None
+                rows.append((rec[0], *ms))
         return rows
     if args.before is None or args.after is None:
         raise SystemExit("bench needs BEFORE and AFTER latencies or --file")

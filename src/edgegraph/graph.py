@@ -303,7 +303,7 @@ def _box_nms(node, args, gpu):
     rows = args[0]
     # leading dims of (..., boxes, 6) input index separate images
     images = max(1, math.prod(rows.shape[:-2]))
-    kept = _vision(gpu, "box_nms_batch", vision.BoxSet.from_array(rows), images,
+    kept = _vision(gpu, "box_nms", vision.BoxSet.from_array(rows), images=images,
                    **_nms_attrs(node.attrs, 0.0))
     return kept.to_array().reshape(rows.shape)
 

@@ -9,6 +9,7 @@ OIHW or absent.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -16,8 +17,9 @@ import numpy as np
 
 from .simt import DTYPES, check_int
 
-SHAPE, DTYPE, FINITE = [range(1, 2**31)], tuple(DTYPES), "finite"  # check_json specs; FINITE: no NaN, ±Infinity
-_DATA = {"f32": float, "i32": range(-2**31, 2**31), "bool": bool}  # the spec of a literal's datum per dtype
+SHAPE, DTYPE, FINITE, F32 = [range(1, 2**31)], tuple(DTYPES), "finite", "f32"  # check_json specs, see there
+_DATA = {"f32": F32, "i32": range(-2**31, 2**31), "bool": bool}  # the spec of a literal's datum per dtype
+F32_OVERFLOW = 2.0**128 - 2.0**103  # the least magnitude that rounds to ±Infinity in f32
 
 
 @dataclass(frozen=True)
@@ -83,10 +85,10 @@ def tensor_to_json(t: Tensor) -> str:
 
 def check_json(value, spec, doc: str, path: str = "", error=ValueError):
     """``value`` if it has the JSON shape ``spec``, else ``error("<doc>: <path> must be <what>, got <value!r>")``
-    (for the whole document, ``"<doc> must be a JSON <type>, got <type>"``). A spec is ``str``, ``bool``, ``float``
-    (NaN and ±Infinity included), ``FINITE``, a ``range`` of ints, a tuple of strings, ``[spec]``, ``{str: spec}``
-    (free keys) or ``{key: spec}`` (named keys, ``key?`` optional, others ignored). A bool is never an int or a
-    number, nor is an int past the float range a number."""
+    (for the whole document, ``"<doc> must be a JSON <type>, got <type>"``). A spec is ``str``, ``bool``, ``FINITE``
+    (a finite number), ``F32`` (NaN, ±Infinity or a finite number that stays finite in f32), a ``range`` of ints, a
+    tuple of strings, ``[spec]``, ``{str: spec}`` (free keys) or ``{key: spec}`` (named keys, ``key?`` optional,
+    others ignored). A bool is never an int or a number, nor is an int past the float range a number."""
     if isinstance(spec, (list, dict)):
         ok, what = isinstance(value, type(spec)), "a list" if isinstance(spec, list) else "an object"
         items = (dict(enumerate(value)) if isinstance(value, list) else value) if ok else {}
@@ -94,19 +96,27 @@ def check_json(value, spec, doc: str, path: str = "", error=ValueError):
         named = dict.fromkeys(items, free) if free is not None else {
             key.removesuffix("?"): sub for key, sub in spec.items() if not key.endswith("?") or key[:-1] in items}
         for key, sub in named.items() if ok else ():
-            check_json(items.get(key), sub, doc, f"{path}[{key!r}]" if path or isinstance(spec, list) else key, error)
+            check_json(items.get(key), sub, doc, json_path(path, key), error)
     elif isinstance(spec, (tuple, range)):  # allowed strings or ints
         ok = type(value) is type(spec[0]) and value in spec
         what = f"one of {', '.join(spec)}" if isinstance(spec, tuple) else f"an integer from {spec[0]} to {spec[-1]}"
     elif spec in (str, bool):
         ok, what = type(value) is spec, "a string" if spec is str else "a bool"
-    else:  # NaN and ±Infinity fail the bound; a float spec lets them through
-        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max or spec is float and type(value) is float
-        what = "a number"
+    else:  # NaN and ±Infinity fail the bounds; an F32 spec lets them through
+        finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
+        ok = (finite and (spec == FINITE or abs(float(value)) < F32_OVERFLOW)
+              or spec == F32 and type(value) is float and not math.isfinite(value))
+        what = "within the f32 range" if finite and spec == F32 else "a number"
     if not ok:
         raise error(f"{doc}: {path} must be {what}, got {value!r}" if path else
                     f"{doc} must be a JSON {what.split()[-1]}, got {type(value).__name__}")
     return value
+
+
+def json_path(path: str, key) -> str:
+    """check_json's path of ``key`` under ``path``: a non-empty top-level key bare, any other ``[key!r]`` appended,
+    since ``""`` is the whole document's."""
+    return key if not path and isinstance(key, str) and key else f"{path}[{key!r}]"
 
 
 def tensor_from_json(text, doc: str = "tensor literal", path: str = "") -> Tensor:

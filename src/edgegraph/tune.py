@@ -363,15 +363,6 @@ def query_best(records, workload_key: str) -> TuningRecord | None:
     return best
 
 
-def query_cost(records, workload_key: str, cfg: ScheduleConfig) -> TuningRecord | None:
-    """Newest record for one (workload, config) pair."""
-    hit = None
-    for r in records:
-        if r.workload_key == workload_key and r.config == cfg:
-            hit = r
-    return hit
-
-
 # --- schedule search ----------------------------------------------------------
 
 def config_features(k: int, oh: int, ow: int, rows) -> np.ndarray:

@@ -3,8 +3,6 @@
 from .boxes import (
     BoxSet,
     box_nms,
-    box_nms_batch,
-    box_nms_batch_sequential,
     box_nms_sequential,
     decode_boxes,
     iou,
@@ -21,8 +19,6 @@ __all__ = [
     "SegmentedArray",
     "argsort_sequential",
     "box_nms",
-    "box_nms_batch",
-    "box_nms_batch_sequential",
     "box_nms_sequential",
     "compact",
     "decode_boxes",

@@ -1,6 +1,6 @@
 """Box-level detection operators: greedy NMS and SSD-style decoding.
 
-box_nms_batch keeps greedy NMS semantics for a batch of images while
+box_nms(..., images=) keeps greedy NMS semantics for a batch of images while
 running the GPU-unfriendly parts the GPU way. No class suppresses another,
 so each (image, class) segment of the candidates is independent, as in
 torchvision's batched_nms. One segmented argsort orders each image by
@@ -12,10 +12,10 @@ pair has no positive overlap width or height, so its IoU is 0 or NaN and
 its bit is clear anyway. The host's greedy sweep visits only mask rows
 that hold a bit, so it costs what the suppressions cost.
 Kept rows merge back into each image's score order, and a last launch
-writes them first, then all-invalid rows. box_nms runs one image.
+writes them first, then all-invalid rows. images=1, the default, is one image.
 
 multibox_detection decodes the batch's anchors in flat (image, anchor)
-order, one contiguous slice per thread, then runs one box_nms_batch pass.
+order, one contiguous slice per thread, then runs one NMS pass over the batch.
 Kernel and twin share one body, _nms_pass or _multibox, whose simt.run_rows
 calls launch or, for the twin, call each range function once on the host.
 Boxes are checked once, where they enter: a BoxSet's rows, and multibox's
@@ -178,7 +178,7 @@ def _sources(mask: np.ndarray, first: np.ndarray, cands: np.ndarray, g: np.ndarr
 
 def _nms_pass(boxes: BoxSet, images: int, iou_threshold: float, score_threshold: float, top_k,
               max_output, sess: Session | None) -> np.ndarray:
-    """box_nms_batch's packed rows on session ``sess``, or the CPU twin's if sess is None."""
+    """box_nms's packed rows on session ``sess``, or the CPU twin's if sess is None."""
     images = check_int("images", images, 1)
     if not (0.0 < iou_threshold <= 1.0):
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
@@ -228,9 +228,9 @@ def _nms_pass(boxes: BoxSet, images: int, iou_threshold: float, score_threshold:
                     write_out, "nms_out")
 
 
-def box_nms_batch(boxes: BoxSet, images: int, iou_threshold: float, score_threshold: float = 0.0,
-                  top_k: int | None = None, max_output: int | None = None,
-                  session: Session | None = None) -> BoxSet:
+def box_nms(boxes: BoxSet, iou_threshold: float, score_threshold: float = 0.0,
+            top_k: int | None = None, max_output: int | None = None,
+            session: Session | None = None, images: int = 1) -> BoxSet:
     """Greedy NMS of ``images`` equal images stored one after another.
 
     Per image, candidates are the valid rows with score >= score_threshold
@@ -243,25 +243,12 @@ def box_nms_batch(boxes: BoxSet, images: int, iou_threshold: float, score_thresh
                                    session if session is not None else Session()))
 
 
-def box_nms_batch_sequential(boxes: BoxSet, images: int, iou_threshold: float,
-                             score_threshold: float = 0.0, top_k: int | None = None,
-                             max_output: int | None = None) -> BoxSet:
-    """box_nms_batch through the same mask rows, sweep and merge, no emulator."""
+def box_nms_sequential(boxes: BoxSet, iou_threshold: float, score_threshold: float = 0.0,
+                       top_k: int | None = None, max_output: int | None = None,
+                       images: int = 1) -> BoxSet:
+    """box_nms through the same mask rows, sweep and merge, no emulator."""
     return _checked_rows(_nms_pass(boxes, images, iou_threshold, score_threshold, top_k, max_output,
                                    None))
-
-
-def box_nms(boxes: BoxSet, iou_threshold: float, score_threshold: float = 0.0,
-            top_k: int | None = None, max_output: int | None = None,
-            session: Session | None = None) -> BoxSet:
-    """Greedy NMS of one image: box_nms_batch of ``boxes`` as one image."""
-    return box_nms_batch(boxes, 1, iou_threshold, score_threshold, top_k, max_output, session)
-
-
-def box_nms_sequential(boxes: BoxSet, iou_threshold: float, score_threshold: float = 0.0,
-                       top_k: int | None = None, max_output: int | None = None) -> BoxSet:
-    """box_nms without the emulator: box_nms_batch_sequential of one image."""
-    return box_nms_batch_sequential(boxes, 1, iou_threshold, score_threshold, top_k, max_output)
 
 
 DEFAULT_VARIANCES = (0.1, 0.1, 0.2, 0.2)

@@ -83,15 +83,19 @@ I32_RANGE = "an integer from -2147483648 to 2147483647"
     ({"shape": [1], "dtype": "f32", "data": {"a": 1}}, "x['data'] must be a list, got {'a': 1}"),
     ({"shape": [1], "dtype": "i32", "data": [10**30]}, f"x['data'][0] must be {I32_RANGE}, got {10**30}"),
     ({"shape": [1], "dtype": "f32", "data": [10**400]}, f"x['data'][0] must be a number, got {10**400}"),
+    ({"shape": [2], "dtype": "f32", "data": [1e300, -1e300]}, "x['data'][0] must be within the f32 range, got 1e+300"),
     ({"shape": [1], "dtype": "f32", "data": [[1.5]]}, "x['data'][0] must be a number, got [1.5]"),
     ({"shape": [1], "dtype": ["f32"], "data": [1]}, "x['dtype'] must be one of f32, i32, bool, got ['f32']"),
     ({"shape": [1], "dtype": "f64", "data": [1]}, "x['dtype'] must be one of f32, i32, bool, got 'f64'"),
+    (("", [1, 2]), "[''] must be an object, got [1, 2]"),
 ], ids=["shape-int", "list", "f32-null", "no-data", "i32-past-2**31", "i32-fraction", "bool-numbers", "f32-string",
-        "data-object", "i32-past-2**64", "f32-past-float-range", "f32-nested", "dtype-list", "dtype-unknown"])
+        "data-object", "i32-past-2**64", "f32-past-float-range", "f32-past-f32-range", "f32-nested", "dtype-list",
+        "dtype-unknown", "empty-name"])
 def test_run_rejects_a_malformed_tensor_literal(tmp_path, capsys, literal, message):
     graph, _ = identity_files(tmp_path)
     inputs = tmp_path / "bad.json"
-    inputs.write_text(json.dumps({"x": literal}))
+    # a (name, literal) pair is an inputs file of that one name; any other literal is input x's
+    inputs.write_text(json.dumps(dict([literal]) if isinstance(literal, tuple) else {"x": literal}))
     assert main(["run", graph, str(inputs), "--out", str(tmp_path / "out.json")]) == 1
     err = capsys.readouterr().err
     assert err == f"edgegraph: error: {inputs}: inputs file: {message}\n"
@@ -396,7 +400,9 @@ def test_bench_rejects_a_latency_that_is_not_finite_and_positive(capsys, argv, m
 @pytest.mark.parametrize("text, message", [
     ("# model,before,after\nResNet,2.0,1.0\na,1\n", "{f}:3: row must be name,before_ms,after_ms, got ['a', '1']"),
     ("SSD,---,0\n", "bench: SSD: each latency must be finite and > 0, got None, 0.0"),
-], ids=["short-row", "zero-after-missing-baseline"])
+    ("# model,before,after\na,1,x\n", "{f}:2: after_ms must be a number, got 'x'"),
+    ("b, y ,1\n", "{f}:1: before_ms must be a number, got 'y'"),
+], ids=["short-row", "zero-after-missing-baseline", "after-not-a-number", "before-not-a-number"])
 def test_bench_file_rejects_a_short_row_by_line_and_a_bad_latency(tmp_path, capsys, text, message):
     f = tmp_path / "lat.csv"
     f.write_text(text)

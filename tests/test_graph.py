@@ -594,7 +594,7 @@ def test_executor_looks_up_vision_and_conv_functions_when_called(monkeypatch):
     import edgegraph.graph
     import edgegraph.vision
 
-    calls = {"box_nms_batch": 0, "conv2d_scheduled": 0}
+    calls = {}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -605,11 +605,15 @@ def test_executor_looks_up_vision_and_conv_functions_when_called(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counting(edgegraph.vision, "box_nms_batch")
+    counting(edgegraph.vision, "box_nms")
+    counting(edgegraph.vision, "box_nms_sequential")
     counting(edgegraph.graph, "conv2d_scheduled")
-    g = insert_copies(assign_devices(load_graph(ssd_like_doc()), DEFAULT_GPU_OPS))
-    run_graph(g, ssd_like_inputs(0))
-    assert calls == {"box_nms_batch": 1, "conv2d_scheduled": 4}
+    # all-GPU, then the fallback placement: NMS on the CPU, the convs still on the GPU
+    fallback = DEFAULT_GPU_OPS - {"multibox_detection", "box_nms"}
+    for ops, nms, seq in ((DEFAULT_GPU_OPS, 1, 0), (fallback, 0, 1)):
+        calls.update(box_nms=0, box_nms_sequential=0, conv2d_scheduled=0)
+        run_graph(insert_copies(assign_devices(load_graph(ssd_like_doc()), ops)), ssd_like_inputs(0))
+        assert calls == {"box_nms": nms, "box_nms_sequential": seq, "conv2d_scheduled": 4}
 
 
 @pytest.mark.parametrize("stride", [[2], 2, [1, 1, 3]])

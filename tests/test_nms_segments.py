@@ -21,8 +21,6 @@ from edgegraph.vision import (
     BoxSet,
     iou,
     box_nms,
-    box_nms_batch,
-    box_nms_batch_sequential,
     box_nms_sequential,
     multibox_detection,
     multibox_detection_sequential,
@@ -79,8 +77,8 @@ def test_batch_equals_oracle_and_per_image_calls(classes, case, top_k, max_outpu
     args = (0.45, 0.05, top_k, max_output)
     want = np.concatenate([oracle_nms(r, *args) for r in rows])
     flat = BoxSet.from_array(rows)
-    got = [box_nms_batch(flat, b, *args, session=Session(race_check=race_check)),
-           box_nms_batch_sequential(flat, b, *args)]
+    got = [box_nms(flat, *args, session=Session(race_check=race_check), images=b),
+           box_nms_sequential(flat, *args, images=b)]
     singles = [box_nms(BoxSet.from_array(r), *args, session=Session(race_check=race_check))
                for r in rows]
     twins = [box_nms_sequential(BoxSet.from_array(r), *args) for r in rows]
@@ -188,8 +186,8 @@ def test_top_k_and_max_output_share_one_check(param, bad):
     calls = [
         lambda: box_nms(boxes, 0.5, **{param: bad}),
         lambda: box_nms_sequential(boxes, 0.5, **{param: bad}),
-        lambda: box_nms_batch(boxes, 2, 0.5, **{param: bad}),
-        lambda: box_nms_batch_sequential(boxes, 2, 0.5, **{param: bad}),
+        lambda: box_nms(boxes, 0.5, images=2, **{param: bad}),
+        lambda: box_nms_sequential(boxes, 0.5, images=2, **{param: bad}),
         lambda: multibox_detection(probs, locs, anchors, **{param: bad}),
         lambda: multibox_detection_sequential(probs, locs, anchors, **{param: bad}),
     ]
@@ -228,8 +226,8 @@ def test_a_nan_score_threshold_is_rejected_by_name(nan):
     calls = [
         lambda: box_nms(boxes, 0.5, nan),
         lambda: box_nms_sequential(boxes, 0.5, nan),
-        lambda: box_nms_batch(boxes, 2, 0.5, nan),
-        lambda: box_nms_batch_sequential(boxes, 2, 0.5, nan),
+        lambda: box_nms(boxes, 0.5, nan, images=2),
+        lambda: box_nms_sequential(boxes, 0.5, nan, images=2),
         lambda: multibox_detection(probs, locs, anchors, score_threshold=nan),
         lambda: multibox_detection_sequential(probs, locs, anchors, score_threshold=nan),
     ]
@@ -343,9 +341,9 @@ def test_sources_mark_all_invalid_rows_with_the_appended_row_not_a_negative_inde
     max_output = 0 if case == "max_output_0" else None
     seen = []
     monkeypatch.setattr(boxes_mod, "_sources", lambda *a: seen.append(_sources(*a)) or seen[-1])
-    outs = [nms(boxes, 2, 0.5, threshold, None, max_output, **kw).to_array()
-            for nms, kw in ((box_nms_batch, {}), (box_nms_batch, {"session": Session(race_check=True)}),
-                            (box_nms_batch_sequential, {}))]
+    outs = [nms(boxes, 0.5, threshold, None, max_output, images=2, **kw).to_array()
+            for nms, kw in ((box_nms, {}), (box_nms, {"session": Session(race_check=True)}),
+                            (box_nms_sequential, {}))]
     assert len(seen) == 3 and all(np.array_equal(src, seen[0]) for src in seen)
     assert seen[0].min() >= 0 and seen[0].max() <= len(rows)
     kept = {"one_kept": 4}.get(case, 0)  # per image, the top box of each of its 2 classes
@@ -393,9 +391,9 @@ def test_iou_equals_the_scalar_rule_on_special_corners_and_column_major_input():
 def test_images_is_checked_before_anything_else(images):
     # an iou_threshold out of range too: the images check comes first
     boxes = BoxSet.from_array(_rows(np.random.default_rng(2), 12, 2))
-    calls = [lambda: box_nms_batch(boxes, images, 1.5),
-             lambda: box_nms_batch(boxes, images, 1.5, session=Session(race_check=True)),
-             lambda: box_nms_batch_sequential(boxes, images, 1.5)]
+    calls = [lambda: box_nms(boxes, 1.5, images=images),
+             lambda: box_nms(boxes, 1.5, session=Session(race_check=True), images=images),
+             lambda: box_nms_sequential(boxes, 1.5, images=images)]
     for call in calls:
         with pytest.raises(ValueError) as e:
             call()
@@ -406,13 +404,13 @@ def test_images_is_checked_before_anything_else(images):
 def test_images_accepts_integral_counts(images):
     rows = _rows(np.random.default_rng(3), 12, 2)
     boxes = BoxSet.from_array(rows)
-    want = box_nms_batch_sequential(boxes, 2, 0.5).to_array()
+    want = box_nms_sequential(boxes, 0.5, images=2).to_array()
     assert _same(want, np.concatenate([oracle_nms(r, 0.5, 0.0) for r in rows.reshape(2, 6, 6)]))
-    for got in (box_nms_batch(boxes, images, 0.5),
-                box_nms_batch(boxes, images, 0.5, session=Session(race_check=True)),
-                box_nms_batch_sequential(boxes, images, 0.5)):
+    for got in (box_nms(boxes, 0.5, images=images),
+                box_nms(boxes, 0.5, session=Session(race_check=True), images=images),
+                box_nms_sequential(boxes, 0.5, images=images)):
         assert _same(got.to_array(), want)
-    for call in (lambda: box_nms_batch(boxes, 5, 0.5), lambda: box_nms_batch_sequential(boxes, 5, 0.5)):
+    for call in (lambda: box_nms(boxes, 0.5, images=5), lambda: box_nms_sequential(boxes, 0.5, images=5)):
         with pytest.raises(ValueError, match="12 rows do not split into 5 images of equal size"):
             call()
 
@@ -547,9 +545,9 @@ def test_broad_phase_nms_equals_the_oracle(layout):
         want = np.concatenate([oracle_nms(r.astype(np.float64).tolist(), thr, 0.0)
                                for r in (rows[:half], rows[half : 2 * half])])
         batch = BoxSet.from_array(rows[: 2 * half])
-        for got in (box_nms_batch(batch, 2, thr),
-                    box_nms_batch(batch, 2, thr, session=Session(race_check=True)),
-                    box_nms_batch_sequential(batch, 2, thr)):
+        for got in (box_nms(batch, thr, images=2),
+                    box_nms(batch, thr, session=Session(race_check=True), images=2),
+                    box_nms_sequential(batch, thr, images=2)):
             assert _same(got.to_array(), want)
 
 

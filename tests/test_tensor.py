@@ -1,6 +1,7 @@
 """Tensors and tensor literals."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -95,6 +96,18 @@ def test_tensor_literal_rejects_a_non_object_or_a_shape_that_is_not_a_list(liter
     with pytest.raises(ValueError) as e:
         tensor_from_json(literal)
     assert str(e.value) == message
+
+
+def test_f32_literal_data_is_rejected_exactly_where_f32_overflows():
+    # 2**128 - 2**103 lies halfway between the largest f32 and 2**128 and rounds to Infinity
+    edge = 2.0**128 - 2.0**103
+    below = [float(np.finfo(np.float32).max), math.nextafter(edge, 0.0), -math.nextafter(edge, 0.0), 2**127]
+    t = tensor_from_json({"shape": [4], "dtype": "f32", "data": below})
+    assert np.isfinite(t.data).all() and abs(t.data).max() == np.finfo(np.float32).max
+    for bad in (edge, -edge, 2**128, 1e39):
+        with pytest.raises(ValueError) as e:
+            tensor_from_json({"shape": [1], "dtype": "f32", "data": [bad]})
+        assert str(e.value) == f"tensor literal: data[0] must be within the f32 range, got {bad!r}"
 
 
 def test_tensor_literal_layout_key_is_optional_and_written_as_nchw():

@@ -21,7 +21,6 @@ from edgegraph.tune import (
     measure,
     proxy_timer,
     query_best,
-    query_cost,
     records_append,
     records_load,
     records_save,
@@ -291,15 +290,13 @@ def test_records_append_only_and_best_query_monotone(tmp_path):
         best_seen = best
 
 
-def test_query_cost_newest_wins_query_best_takes_min():
+def test_query_best_takes_min():
     key = WL.key()
     cfg = ScheduleConfig()
     recs = [make_record(key, cfg, 3.0, ts=1.0), make_record(key, cfg, 2.5, ts=2.0)]
     assert query_best(recs, key).cost_mean == 2.5
-    assert query_cost(recs, key, cfg).cost_mean == 2.5
     recs.append(make_record(key, cfg, 4.0, ts=3.0))
-    assert query_cost(recs, key, cfg).cost_mean == 4.0  # newest measurement
-    assert query_best(recs, key).cost_mean == 2.5  # best ever seen
+    assert query_best(recs, key).cost_mean == 2.5  # best ever seen, not the newest
 
 
 def chain(n, op="relu"):
