@@ -23,6 +23,7 @@ lanes. Each call indexes that plan by its lanes, race-checked or not.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,20 +89,13 @@ class ConvWorkload:
 
     @classmethod
     def from_key(cls, key: str) -> "ConvWorkload":
-        parts = key.strip().split("/")
-        if len(parts) != 7 or parts[0] != "conv2d":
+        """The workload whose key() is ``key`` with surrounding whitespace stripped; other text raises."""
+        m = re.fullmatch("conv2d/{0}-{0}-{0}-{0}/{0}-{0}-{0}/{0}x{0}/{0}x{0}/{0}x{0}/{0}".format("(0|[1-9][0-9]*)"),
+                         key.strip())
+        if m is None:
             raise ValueError(f"malformed workload key {key!r}")
-        try:
-            n, c, h, w = (int(x) for x in parts[1].split("-"))
-            k, r, s = (int(x) for x in parts[2].split("-"))
-            sh, sw = (int(x) for x in parts[3].split("x"))
-            ph, pw = (int(x) for x in parts[4].split("x"))
-            dh, dw = (int(x) for x in parts[5].split("x"))
-            groups = int(parts[6])
-        except ValueError as e:
-            raise ValueError(f"malformed workload key {key!r}: {e}") from None
-        return cls(n=n, c=c, h=h, w=w, k=k, r=r, s=s, stride=(sh, sw), pad=(ph, pw),
-                   dilation=(dh, dw), groups=groups)
+        n, c, h, w, k, r, s, sh, sw, ph, pw, dh, dw, groups = map(int, m.groups())
+        return cls(n, c, h, w, k, r, s, (sh, sw), (ph, pw), (dh, dw), groups)
 
 
 @dataclass(frozen=True)
@@ -140,16 +134,14 @@ class ScheduleConfig:
             raise ScheduleRejectedError(f"w_tile={self.w_tile} does not divide ow={wl.ow}")
 
     def as_dict(self) -> dict:
-        return {
-            "oc_split": self.oc_split,
-            "h_split": self.h_split,
-            "w_tile": self.w_tile,
-            "unroll": self.unroll,
-            "vec": self.vec,
-        }
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScheduleConfig":
+        """The config of as_dict's five int fields; a missing, extra or non-int field raises."""
+        if d.keys() != (names := cls.__dataclass_fields__.keys()):
+            raise ValueError(f"schedule config must hold exactly {list(names)}: missing "
+                             f"{[n for n in names if n not in d]}, extra {[k for k in d if k not in names]}")
         if any(type(v) is not int for v in d.values()):
             raise ValueError(f"schedule fields must be ints, got {d}")
         return cls(**d)

@@ -24,7 +24,7 @@ import numpy as np
 from . import vision
 # conv2d_reference runs on no placement: perfbench/tracing.py patches it here and on conv, as one object
 from .conv import ConvWorkload, ScheduleConfig, conv2d_host, conv2d_reference, conv2d_scheduled
-from .simt import CPU, GPU, LaunchConfig, Session, check_count, check_int, run_rows
+from .simt import CPU, GPU, LaunchConfig, Session, check_int, run_rows
 from .tensor import DTYPE, SHAPE, Tensor, as_dtype, check_json
 
 UNASSIGNED = "unassigned"
@@ -243,8 +243,8 @@ def _nms_attrs(at: dict, default_score: float) -> dict:
     return dict(
         iou_threshold=float(at.get("iou_threshold", 0.5)),
         score_threshold=float(at.get("score_threshold", default_score)),
-        top_k=check_count("top_k", at.get("top_k")),
-        max_output=check_count("max_output", at.get("max_output")),
+        top_k=at.get("top_k"),
+        max_output=at.get("max_output"),
     )
 
 
@@ -301,6 +301,8 @@ def _conv2d(node, args, gpu):
 
 def _box_nms(node, args, gpu):
     rows = args[0]
+    if rows.ndim < 2 or rows.shape[-1] != 6:
+        raise ValueError(f"box_nms input must be (..., boxes, 6), got shape {rows.shape}")
     # leading dims of (..., boxes, 6) input index separate images
     images = max(1, math.prod(rows.shape[:-2]))
     kept = _vision(gpu, "box_nms", vision.BoxSet.from_array(rows), images=images,

@@ -15,9 +15,10 @@ Kept rows merge back into each image's score order, and a last launch
 writes them first, then all-invalid rows. images=1, the default, is one image.
 
 multibox_detection decodes the batch's anchors in flat (image, anchor)
-order, one contiguous slice per thread, then runs one NMS pass over the batch.
-Kernel and twin share one body, _nms_pass or _multibox, whose simt.run_rows
-calls launch or, for the twin, call each range function once on the host.
+order, one contiguous slice per thread, then calls box_nms(..., images=b),
+or box_nms_sequential for the twin, on the decoded rows. Kernel and twin
+share one body, _nms_pass or _multibox, whose simt.run_rows calls launch
+or, for the twin, call each range function once on the host.
 Boxes are checked once, where they enter: a BoxSet's rows, and multibox's
 anchors and variances. Rows an NMS pass writes, and rows decoded from checked
 anchors, pass BoxSet's check by construction, so they become BoxSets without it.
@@ -340,11 +341,13 @@ def _multibox(class_probs, loc_preds, anchors, variances, score_threshold: float
     def decode(lo, hi):
         return _detection_rows(probs, locs, ancs, variances, lo, hi)
 
-    rows = run_rows(sess, LaunchConfig(grid=max(1, b), block=min(32, max(1, a))), "f32", b * a, 6,
-                    decode, "mbx_decoded")
-    kept = _nms_pass(_checked_rows(rows), max(1, b), iou_threshold, score_threshold, top_k,
-                     max_output, sess)
-    return [_checked_rows(r) for r in kept.reshape(b, a, 6)]
+    rows = _checked_rows(run_rows(sess, LaunchConfig(grid=max(1, b), block=min(32, max(1, a))), "f32",
+                                  b * a, 6, decode, "mbx_decoded"))
+    if sess is None:
+        kept = box_nms_sequential(rows, iou_threshold, score_threshold, top_k, max_output, images=max(1, b))
+    else:
+        kept = box_nms(rows, iou_threshold, score_threshold, top_k, max_output, session=sess, images=max(1, b))
+    return [_checked_rows(r) for r in kept.to_array().reshape(b, a, 6)]
 
 
 def multibox_detection(class_probs, loc_preds, anchors, variances=DEFAULT_VARIANCES,

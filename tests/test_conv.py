@@ -172,6 +172,30 @@ def test_workload_key_round_trip_and_format():
         ConvWorkload.from_key("matmul/1-8-14-14/16-3-3/2x2/1x1/1x1/2")
 
 
+@pytest.mark.parametrize("key", [
+    "conv2d/1-3-1_6-16/8-3-3/1x1/1x1/1x1/1",
+    "conv2d/+1-3-16-16/8-3-3/1x1/1x1/1x1/1",
+    "conv2d/01-3-16-16/8-3-3/1x1/1x1/1x1/1",
+    "conv2d/1-3-16-16/8-3-3/1x1/0x01/1x1/1",
+    "conv2d/1-3- 16-16/8-3-3/1x1/1x1/1x1/1",
+    "conv2d/\uff11-3-16-16/8-3-3/1x1/1x1/1x1/1",
+    "conv2d/1-3-16-16/8-3-3/1x1/1x1/1x1/\u0661",
+], ids=["underscore", "plus", "leading-zero", "leading-zero-pad", "inner-space",
+        "fullwidth-digit", "arabic-indic-digit"])
+def test_workload_key_must_be_canonical(key):
+    with pytest.raises(ValueError, match="malformed workload key"):
+        ConvWorkload.from_key(key)
+
+
+def test_every_test_workload_parses_back_from_its_key():
+    from test_acceptance import CONV_WORKLOADS
+    from test_tune import WL
+
+    for wl in (*DIFFERENTIAL_WORKLOADS.values(), *CONV_WORKLOADS, WL):
+        assert ConvWorkload.from_key(wl.key()) == wl
+        assert ConvWorkload.from_key(f"  {wl.key()}\n") == wl  # surrounding whitespace is stripped
+
+
 def test_workload_validation():
     with pytest.raises(ValueError):
         ConvWorkload(n=1, c=3, h=4, w=4, k=4, r=3, s=3, groups=2)  # c % groups

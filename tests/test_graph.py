@@ -354,6 +354,42 @@ def test_box_nms_node_runs_each_image_of_a_batch_separately():
         assert np.array_equal(out.to_array(), boxes)
 
 
+@pytest.mark.parametrize("shape", [[1, 4, 3], [12], [6]])
+def test_box_nms_node_rejects_rows_that_are_not_6_wide_on_every_placement(shape):
+    g = load_graph(doc(
+        [{"id": "kept", "op": "box_nms", "inputs": ["boxes"]}],
+        inputs={"boxes": {"shape": shape, "dtype": "f32"}},
+        outputs=["kept"],
+    ))
+    want = re.escape(f"node 'kept' (box_nms): box_nms input must be (..., boxes, 6), got shape {tuple(shape)}")
+    for gpu_ops in (DEFAULT_GPU_OPS, set()):
+        with pytest.raises(GraphExecutionError, match=f"^{want}$"):
+            run_graph(insert_copies(assign_devices(g, gpu_ops)), {"boxes": np.zeros(shape, np.float32)})
+
+
+@pytest.mark.parametrize("attrs, want", [
+    ({"top_k": -1}, "top_k must be None or an integer >= 0, got -1"),
+    ({"max_output": 1.5}, "max_output must be None or an integer >= 0, got 1.5"),
+    ({"top_k": True}, "top_k must be None or an integer >= 0, got True"),
+])
+@pytest.mark.parametrize("op", ["box_nms", "multibox_detection"])
+def test_bad_nms_counts_raise_once_with_the_same_error_on_every_placement(op, attrs, want):
+    if op == "box_nms":
+        inputs = {"boxes": np.array([[[0.0, 0.9, 0.1, 0.1, 0.5, 0.5]]], np.float32)}
+    else:
+        inputs = {"cls": np.full((1, 2, 2), 0.5, np.float32), "loc": np.zeros((1, 8), np.float32),
+                  "anchors": np.array([[[0.1, 0.1, 0.4, 0.4], [0.5, 0.5, 0.9, 0.9]]], np.float32)}
+    g = load_graph(doc(
+        [{"id": "n", "op": op, "attrs": attrs, "inputs": list(inputs)}],
+        inputs={k: {"shape": list(v.shape), "dtype": "f32"} for k, v in inputs.items()},
+        outputs=["n"],
+    ))
+    want = re.escape(f"node 'n' ({op}): {want}")
+    for gpu_ops in (DEFAULT_GPU_OPS, set()):
+        with pytest.raises(GraphExecutionError, match=f"^{want}$"):
+            run_graph(insert_copies(assign_devices(g, gpu_ops)), inputs)
+
+
 def test_input_dtype_must_match_declaration():
     g = load_graph(doc(
         [{"id": "a", "op": "identity", "inputs": ["x"]}],
@@ -605,12 +641,15 @@ def test_executor_looks_up_vision_and_conv_functions_when_called(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counting(edgegraph.vision, "box_nms")
-    counting(edgegraph.vision, "box_nms_sequential")
+    # the graph's box_nms node calls the vision package's names, multibox the boxes module's
+    for module in (edgegraph.vision, edgegraph.vision.boxes):
+        counting(module, "box_nms")
+        counting(module, "box_nms_sequential")
     counting(edgegraph.graph, "conv2d_scheduled")
-    # all-GPU, then the fallback placement: NMS on the CPU, the convs still on the GPU
+    # all-GPU, then the fallback placement: NMS on the CPU, the convs still on the GPU;
+    # the mbx node and the nms node each make one NMS call
     fallback = DEFAULT_GPU_OPS - {"multibox_detection", "box_nms"}
-    for ops, nms, seq in ((DEFAULT_GPU_OPS, 1, 0), (fallback, 0, 1)):
+    for ops, nms, seq in ((DEFAULT_GPU_OPS, 2, 0), (fallback, 0, 2)):
         calls.update(box_nms=0, box_nms_sequential=0, conv2d_scheduled=0)
         run_graph(insert_copies(assign_devices(load_graph(ssd_like_doc()), ops)), ssd_like_inputs(0))
         assert calls == {"box_nms": nms, "box_nms_sequential": seq, "conv2d_scheduled": 4}

@@ -516,22 +516,26 @@ def test_proxy_measure_prices_its_verification_run(monkeypatch, timer, runs, rep
         assert rec.cost_mean == proxy_timer(run, WL, cfg)
 
 
-@pytest.mark.parametrize("damage", [
-    lambda doc: [],
-    lambda doc: "a string",
-    lambda doc: {"workload": doc["workload"]},
-    lambda doc: dict(doc, config=dict(doc["config"], w_tile="two")),
-    lambda doc: dict(doc, config=dict(doc["config"], w_tile=1.5)),
-    lambda doc: dict(doc, config=[1]),
+@pytest.mark.parametrize("damage, named", [
+    (lambda doc: [], ""),
+    (lambda doc: "a string", ""),
+    (lambda doc: {"workload": doc["workload"]}, ""),
+    (lambda doc: dict(doc, config=dict(doc["config"], w_tile="two")), ""),
+    (lambda doc: dict(doc, config=dict(doc["config"], w_tile=1.5)), ""),
+    (lambda doc: dict(doc, config=[1]), ""),
+    # a config loads only with all five fields, so no default fills in a config never measured
+    (lambda doc: dict(doc, config={}), r"missing \['oc_split', "),
+    (lambda doc: dict(doc, config={k: v for k, v in doc["config"].items() if k != "vec"}), r"missing \['vec'\], extra \[\]"),
+    (lambda doc: dict(doc, config=dict(doc["config"], tile=2)), r"missing \[\], extra \['tile'\]"),
 ], ids=["list", "string", "missing-fields", "config-field-str", "config-field-float",
-        "config-not-object"])
-def test_records_invalid_complete_line_reports_path_and_line(tmp_path, damage):
+        "config-not-object", "config-empty", "config-missing-field", "config-extra-field"])
+def test_records_invalid_complete_line_reports_path_and_line(tmp_path, damage, named):
     p = tmp_path / "bad.jsonl"
     rec = make_record(WL.key(), ScheduleConfig(), 1.0)
     records_save([rec], str(p))
     with open(p, "a") as f:
         f.write(json.dumps(damage(json.loads(rec.to_json()))) + "\n" + rec.to_json() + "\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:3: malformed record"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:3: malformed record.*{named}"):
         records_load(str(p))
 
 
