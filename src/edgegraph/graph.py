@@ -239,10 +239,17 @@ def _int_attr(at: dict, name: str, default: int) -> int:
     return check_int(name, at.get(name, default), 1)
 
 
+def _number_attr(at: dict, name: str, default: float) -> float:
+    value = at.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _nms_attrs(at: dict, default_score: float) -> dict:
     return dict(
-        iou_threshold=float(at.get("iou_threshold", 0.5)),
-        score_threshold=float(at.get("score_threshold", default_score)),
+        iou_threshold=_number_attr(at, "iou_threshold", 0.5),
+        score_threshold=_number_attr(at, "score_threshold", default_score),
         top_k=at.get("top_k"),
         max_output=at.get("max_output"),
     )

@@ -17,11 +17,12 @@ overflow raises) and float32 for f32, over views of its full chunks and
 the short tail; the checked slice store narrows it into the buffer.
 float32 scans follow this fixed chunked summation order bit-for-bit.
 
-Compaction is one more row launch, a gather over the kept slots. As
-the exclusive-scan positions never decrease, the kept inputs of ranks
-lo..hi-1 are the kept inputs of the one input range whose positions lie
-in lo..hi-1, so each call reads that range with one slice and selects
-its kept values (Billeter, Olsson and Assarsson, HPG 2009).
+Compaction is two row launches over the same chunks and no scan: lane
+g counts chunk g's kept flags, then each gather call sums the p counts
+into the chunks' output bases, reads the chunks holding its ranks with
+one slice of values and one of flags, and selects the kept values
+(Billeter, Olsson and Assarsson, HPG 2009). Scan and compaction share
+one input rule: f32 or i32, no integer outside i32, no finite float past f32.
 """
 
 from __future__ import annotations
@@ -81,23 +82,35 @@ def _check_i32(values, what: str = "scan result") -> None:
         raise OverflowError(f"{what} exceeds the i32 range")
 
 
+def _device_dtype(arr: np.ndarray, what: str) -> tuple[np.ndarray, str]:
+    """``arr`` as f32 or i32 and its buffer dtype name, the one input rule of
+    scan and compact. Rejects a dtype that is neither float nor integer/bool,
+    integers outside the i32 range and finite floats past the f32 range;
+    NaN and +-inf pass through."""
+    if arr.dtype.kind == "f":
+        try:
+            with np.errstate(over="raise"):  # a cast that overflows is a finite float past f32
+                return arr.astype(np.float32, copy=False), "f32"
+        except FloatingPointError:
+            raise OverflowError(f"{what} input exceeds the f32 range") from None
+    if arr.dtype.kind in "iub":
+        _check_i32(arr, f"{what} input")
+        return arr.astype(np.int32, copy=False), "i32"
+    raise ValueError(f"unsupported {what} dtype {arr.dtype}")
+
+
 def _prepare(values, kind: str) -> tuple[np.ndarray, str]:
     """The input as a flat f32 or i32 array and its buffer dtype name.
 
-    Rejects an unknown ``kind``, a non-flat input, a dtype that is
-    neither float nor integer/bool, and integers outside the i32 range.
+    Rejects an unknown ``kind`` and a non-flat input, then applies
+    :func:`_device_dtype`.
     """
     if kind not in ("inclusive", "exclusive"):
         raise ValueError(f"kind must be 'inclusive' or 'exclusive', got {kind!r}")
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"scan expects a flat buffer, got shape {arr.shape}")
-    if arr.dtype.kind == "f":
-        return arr.astype(np.float32, copy=False), "f32"
-    if arr.dtype.kind in "iub":
-        _check_i32(arr)
-        return arr.astype(np.int32, copy=False), "i32"
-    raise ValueError(f"unsupported scan dtype {arr.dtype}")
+    return _device_dtype(arr, "scan")
 
 
 def _rows(x: np.ndarray, chunk: int) -> tuple[np.ndarray, np.ndarray]:
@@ -244,31 +257,39 @@ def scan_sequential(values, kind: str = "inclusive", p: int = 8) -> np.ndarray:
 def compact(values, keep, p: int = 8, session: Session | None = None) -> tuple[np.ndarray, int]:
     """Keep ``values[i]`` where ``keep[i]``, preserving relative order.
 
-    Positions come from an exclusive scan of the keep flags; one row
-    launch then gathers the kept values, each call from the one input
-    range that holds its ranks. Returns (kept buffer, kept count).
+    Lane g counts chunk g's kept flags, and the gather takes each chunk's
+    output base from the prefix sums of those counts: two row launches,
+    no scan. Returns (kept buffer, kept count).
     """
     arr = np.asarray(values)
     flags = np.asarray(keep, dtype=bool)
     if arr.shape != flags.shape or arr.ndim != 1:
         raise ValueError(f"values {arr.shape} and keep {flags.shape} must be equal-length flat buffers")
+    arr, dtype = _device_dtype(arr, "compact")  # values pass through untouched; no silent wrap
     n = arr.size
     if n == 0:
         return arr.copy(), 0
     sess = session if session is not None else Session()
-    positions = scan(flags.astype(np.int32), kind="exclusive", p=p, session=sess)
-    count = int(positions[-1]) + int(flags[-1])
-
-    dtype = "f32" if arr.dtype.kind == "f" else "i32"
-    if dtype == "i32":
-        _check_i32(arr, "compact input")  # values pass through untouched; no silent wrap
-    src = sess.alloc(n, dtype, name="compact_in")
+    plan = ScanPlan.for_size(n, p)
+    chunk = plan.chunk
+    src, kept = sess.alloc(n, dtype, name="compact_in"), sess.alloc(n, "bool", name="compact_keep")
     src.load(arr)
+    kept.load(flags)
+    counts = sess.alloc(plan.p, "i32", name="compact_counts")
+
+    def count(lo, hi):
+        f = kept[lo * chunk : min(hi * chunk, n)]
+        return np.add.reduceat(f, np.arange(0, f.size, chunk), dtype=np.int32)
 
     def gather(lo, hi):
-        # ranks lo..hi-1 are the kept inputs among a..b-1, as positions never decrease
-        a, b = positions.searchsorted((lo, hi)).tolist()
-        return src[a:b][flags[a:b]]
+        # ranks lo..hi-1 lie in chunks a..b, whose kept values start at rank ends[a] - c[a]
+        c = counts[:]
+        ends = np.cumsum(c)
+        a, b = ends.searchsorted((lo, hi - 1), side="right").tolist()
+        x0, x1, base = a * chunk, min((b + 1) * chunk, n), int(ends[a] - c[a])
+        return src[x0:x1][kept[x0:x1]][lo - base : hi - base]
 
-    return run_rows(sess, LaunchConfig(grid=ScanPlan.for_size(n, p).p, block=1), dtype, count, 1,
-                    gather, "compact_out").reshape(-1), count
+    rows = LaunchConfig(grid=plan.p, block=1)
+    launch_rows(sess, rows, counts, plan.p, count)
+    total = int(counts.to_numpy().sum())
+    return run_rows(sess, rows, dtype, total, 1, gather, "compact_out").reshape(-1), total

@@ -374,6 +374,12 @@ def test_box_nms_node_rejects_rows_that_are_not_6_wide_on_every_placement(shape)
 ])
 @pytest.mark.parametrize("op", ["box_nms", "multibox_detection"])
 def test_bad_nms_counts_raise_once_with_the_same_error_on_every_placement(op, attrs, want):
+    _nms_node_raises_on_every_placement(op, attrs, want)
+
+
+def _nms_node_raises_on_every_placement(op, attrs, want):
+    """A one-node graph of ``op`` with ``attrs`` raises ``want``, named after
+    the node, all-GPU and all-CPU."""
     if op == "box_nms":
         inputs = {"boxes": np.array([[[0.0, 0.9, 0.1, 0.1, 0.5, 0.5]]], np.float32)}
     else:
@@ -388,6 +394,17 @@ def test_bad_nms_counts_raise_once_with_the_same_error_on_every_placement(op, at
     for gpu_ops in (DEFAULT_GPU_OPS, set()):
         with pytest.raises(GraphExecutionError, match=f"^{want}$"):
             run_graph(insert_copies(assign_devices(g, gpu_ops)), inputs)
+
+
+@pytest.mark.parametrize("attrs, want", [
+    ({"iou_threshold": "0.5"}, "iou_threshold must be a number, got '0.5'"),
+    ({"score_threshold": True}, "score_threshold must be a number, got True"),
+    ({"score_threshold": "inf"}, "score_threshold must be a number, got 'inf'"),
+    ({"iou_threshold": None}, "iou_threshold must be a number, got None"),
+])
+@pytest.mark.parametrize("op", ["box_nms", "multibox_detection"])
+def test_nms_thresholds_must_be_numbers_on_every_placement(op, attrs, want):
+    _nms_node_raises_on_every_placement(op, attrs, want)
 
 
 def test_input_dtype_must_match_declaration():

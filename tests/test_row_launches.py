@@ -144,4 +144,4 @@ def test_coop_scan_is_the_only_per_thread_kernel(monkeypatch):
     assert {"_multibox.<locals>.decode", "_nms_pass.<locals>.fill_mask",
             "_roi_align.<locals>.pool", "segmented_argsort.<locals>.rank",
             "scan.<locals>.chunk_sums", "scan.<locals>.add_bases",
-            "compact.<locals>.gather"} <= lane_kernels
+            "compact.<locals>.count", "compact.<locals>.gather"} <= lane_kernels

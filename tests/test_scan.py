@@ -1,5 +1,7 @@
 """Prefix scan: chunking, three-stage structure, oracles, compaction."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -216,10 +218,12 @@ def test_compact_rejects_values_beyond_i32():
 
 
 def test_compact_launch_structure():
-    # exclusive scan (3 launches) plus one gather
+    # one count per chunk, then one gather; no scan
     sess = Session()
     compact(np.arange(40, dtype=np.int32), np.arange(40) % 3 == 0, p=5, session=sess)
-    assert sess.stats().launches == 4
+    assert sess.stats().launches == 2
+    assert [r.kernel for r in sess.records] == ["compact.<locals>.count", "compact.<locals>.gather"]
+    assert not any(r.kernel.startswith("scan.<locals>.") for r in sess.records)
 
 
 def test_shared_session_accumulates_across_scans():
@@ -289,9 +293,10 @@ def test_scan_launch_shape_is_pinned(race_check):
 def test_compact_launch_shape_is_pinned(race_check):
     keep = np.arange(18) % 3 == 0
     got = _recorded(lambda s: compact(np.arange(18), keep, p=5, session=s), race_check)
-    # the gather splits the 6 kept slots, not the 18 inputs, over the 5 lanes
+    # lane g counts chunk g; the gather splits the 6 kept slots, not the 18 inputs, over the 5 lanes
+    count = ("compact.<locals>.count", LaunchConfig(grid=5, block=1), [1] * 5, 0, 0)
     gather = ("compact.<locals>.gather", LaunchConfig(grid=5, block=1), [1, 1, 1, 1, 2], 0, 0)
-    assert got == SCAN_18_ON_5 + [gather]
+    assert got == [count, gather]
 
 
 def _keep(n, kept):
@@ -338,6 +343,85 @@ def test_compact_rejects_uint32_beyond_i32(race_check):
     vals = np.array([1, 2**31, 3], np.uint32)
     with pytest.raises(OverflowError, match=r"^compact input exceeds the i32 range$"):
         compact(vals, np.array([True, False, True]), p=2, session=Session(race_check=race_check))
+
+
+# (n, p, keep): the count launch's chunks against the gather's lane splits
+COMPACT_CHUNKS = {
+    # chunks 1-3 keep nothing; the gather's last lane starts at rank 4, in chunk 4
+    "empty chunks where a lane starts": (20, 5, _keep(20, [0, 1, 2, 3, 16, 17])),
+    "none kept": (20, 5, _keep(20, [])),
+    "all kept": (20, 5, _keep(20, range(20))),
+    "short last chunk": (18, 5, _keep(18, [2, 5, 9, 16, 17])),
+    "p > n": (5, 8, _keep(5, [1, 2, 4])),
+    "p = n": (6, 6, _keep(6, [0, 3, 4, 5])),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.float32])
+@pytest.mark.parametrize("case", list(COMPACT_CHUNKS))
+def test_compact_counts_each_chunk_then_gathers(case, dtype):
+    n, p, keep = COMPACT_CHUNKS[case]
+    vals = (np.arange(n) * 7 - 50).astype(dtype)
+    if dtype is np.float32:
+        vals[1::3], vals[2::5] = -0.0, np.nan  # passed through bit for bit
+    rows = LaunchConfig(grid=ScanPlan.for_size(n, p).p, block=1)
+    runs = []
+    for race_check in (False, True):
+        got = []
+        runs.append(_recorded(lambda s: got.append(compact(vals, keep, p=p, session=s)), race_check))
+        kept, count = got[0]
+        assert count == int(keep.sum())
+        assert kept.dtype == vals.dtype and kept.tobytes() == vals[keep].tobytes()
+    assert runs[0] == runs[1]
+    (count_name, count_config, work, _, _), (gather_name, gather_config, items, _, _) = runs[0]
+    assert (count_name, count_config, work) == ("compact.<locals>.count", rows, [1] * rows.grid)
+    assert (gather_name, gather_config, sum(items)) == ("compact.<locals>.gather", rows, int(keep.sum()))
+
+
+@pytest.mark.parametrize("values", [np.array([1 + 2j, 3 - 1j]), np.array(["a", "b"]),
+                                    np.array([None, 1], object)])
+def test_compact_rejects_what_scan_rejects_in_its_words(values):
+    with pytest.raises(ValueError) as scanned:
+        scan(values)
+    with pytest.raises(ValueError) as compacted:
+        compact(values, np.array([True, False]), p=2, session=Session())
+    assert str(scanned.value) == f"unsupported scan dtype {values.dtype}"
+    assert str(compacted.value) == f"unsupported compact dtype {values.dtype}"
+
+
+@pytest.mark.parametrize("dtype, want", [(np.float64, np.float32), (np.float16, np.float32),
+                                         (np.int64, np.int32), (np.uint8, np.int32), (bool, np.int32)])
+def test_empty_input_comes_back_as_a_device_dtype(dtype, want):
+    empty = np.zeros(0, dtype)
+    kept, count = compact(empty, np.zeros(0, bool))
+    assert count == 0 and kept.shape == (0,) and kept.dtype == want
+    for out in (scan(empty), scan_sequential(empty)):
+        assert out.shape == (0,) and out.dtype == want
+
+
+@pytest.mark.parametrize("big", [1e300, -1e300, 3.5e38, np.longdouble(1e300)])
+def test_finite_float_past_f32_raises_with_no_warning(big):
+    vals = np.array([big, 1.0])
+    runs = {"scan": [lambda: scan(vals, p=2, session=Session(race_check=rc)) for rc in (False, True)]
+            + [lambda: scan_sequential(vals, p=2)],
+            "compact": [lambda: compact(vals, np.array([True, True]), p=2, session=Session(race_check=rc))
+                        for rc in (False, True)]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for what, calls in runs.items():
+            for call in calls:
+                with pytest.raises(OverflowError, match=f"^{what} input exceeds the f32 range$"):
+                    call()
+
+
+def test_nan_and_inf_inputs_pass_through_with_no_warning():
+    vals = np.array([np.inf, np.nan, -np.inf, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kept, count = compact(vals, np.array([True, True, True, False]), p=2, session=Session())
+        assert count == 3 and kept.tobytes() == vals[:3].astype(np.float32).tobytes()
+        for out in (scan(vals[[0, 3]], p=2), scan_sequential(vals[[0, 3]], p=2)):
+            assert out.tolist() == [np.inf, np.inf]
 
 
 def test_compact_host_peak_per_element():
@@ -394,13 +478,13 @@ def _allocs(run):
 @pytest.mark.parametrize("dtype, name", [(np.int32, "i32"), (np.float32, "f32")])
 def test_scan_sweeps_in_place_over_one_data_buffer(dtype, name):
     """A scan allocates the n-slot data buffer and the p-slot bases only;
-    compact adds its input and output buffers."""
+    compact allocates its input, its flags, the p-slot counts and its output."""
     vals = np.arange(100).astype(dtype)
     for kind in ("inclusive", "exclusive"):
         assert _allocs(lambda s: scan(vals, kind, p=8, session=s)) == [(100, name), (8, name)]
     keep = np.arange(100) % 3 == 0
     assert _allocs(lambda s: compact(vals, keep, p=8, session=s)) == [
-        (100, "i32"), (8, "i32"), (100, name), (34, name)]
+        (100, name), (100, "bool"), (8, "i32"), (34, name)]
 
 
 def _i32_oracle(vals, kind):
