@@ -13,30 +13,31 @@ ascending thread id, before any thread starts phase k+1. That makes the
 final buffer contents bitwise reproducible however many times the
 launch is repeated.
 
-A kernel with no barrier and no shared storage may instead be marked
-lane-form with :func:`lane_form`. It is then called once per launch,
-with the ids of every lane as int arrays, the way a SIMD machine runs
-work-items as the lanes of one hardware thread; the id arrays are built
-the first time the kernel reads one, so a kernel that reads none pays
-for none. Both kinds get the same context class, :class:`ThreadCtx`,
-whose ids are ints or int arrays: ``add_work`` takes one count per lane
-and ``guard`` one bool per lane.
-Under race check a lane-form kernel runs through the per-thread loop,
-one lane per call with one-element id arrays, so every access is
-checked per (block, thread) exactly as for a per-thread kernel.
+A kernel may instead be marked lane-form with :func:`lane_form`. It is
+then called once per launch, or once per block if it yields barriers or
+uses shared storage, with the ids of the call's lanes as int arrays, the
+way a SIMD machine runs work-items as the lanes of one hardware thread;
+the id arrays are built the first time the kernel reads one, so a kernel
+that reads none pays for none. Both kinds get the same context class,
+:class:`ThreadCtx`, whose ids are ints or int arrays: ``add_work`` takes
+one count per lane and ``guard`` one bool per lane. Under race check a
+lane-form kernel runs through the per-thread loop, one lane per call
+with one-element id arrays, so every access is checked per (block,
+thread) exactly as for a per-thread kernel.
 :func:`launch_rows` launches one over rows of an output buffer, and
 :func:`run_rows` runs the same range function on the host or launches it.
 
 Buffers are zero-initialized and fixed-length, and kernels reach them
 only through indexing. Out-of-range accesses, and slice stores of
 another length than the slice, raise :class:`BufferBoundsError` naming
-the offending block and thread (or, for a lane-form call over every
-lane, the launch's grid and block). An optional race-check mode keeps a
+the offending block and thread (or, for a lane-form call over many
+lanes, the launch's grid and block). An optional race-check mode keeps a
 shadow last-writer/last-reader map per slot per phase, marking exactly
 the slots each access selects, and rejects programs whose output would
 depend on cross-thread ordering without a barrier. Under race check a
 block's shared storage is a nameless buffer whose slots hold the Python
-values kernels store; unchecked it is a plain list.
+values kernels store; unchecked it is a plain list, or for a lane-form
+call an object ndarray.
 """
 
 from __future__ import annotations
@@ -295,12 +296,12 @@ class ThreadCtx:
     For a per-thread kernel, ``block_id``, ``thread_id`` and ``global_id``
     are ints and ``shared`` is the block's storage. A lane-form kernel
     gets int arrays with one entry per lane instead: every lane of the
-    launch, block-major, or, under race check, a single lane. A call
-    over every lane is given no ids: they are built when it first reads
-    one, and kept. ``lanes`` is the call's gid, or slice of gids, which
-    indexes any per-lane plan a lane-form kernel keeps across launches.
-    ``add_work`` takes one count per lane and ``guard`` one bool per lane,
-    so a per-thread kernel passes scalars.
+    launch, block-major, every lane of one block, or, under race check,
+    a single lane. A call over many lanes is given no ids: they are built
+    when it first reads one, and kept. ``lanes`` is the call's gid, or
+    slice of gids, which indexes any per-lane plan a lane-form kernel
+    keeps across launches. ``add_work`` takes one count per lane and
+    ``guard`` one bool per lane, so a per-thread kernel passes scalars.
     """
 
     __slots__ = ("block_id", "thread_id", "global_id", "block_dim", "grid_dim", "shared", "_work",
@@ -317,10 +318,10 @@ class ThreadCtx:
         self._guards = []
 
     def __getattr__(self, name):
-        # reached only for ids not set yet, in a call over every lane
+        # reached only for ids not set yet, in a call over many lanes
         if name not in ("block_id", "thread_id", "global_id"):
             raise AttributeError(f"'ThreadCtx' object has no attribute {name!r}")
-        gid = self.global_id = np.arange(self._work.size)
+        gid = self.global_id = np.arange(*self.lanes.indices(self._work.size))
         self.block_id, self.thread_id = gid // self.block_dim, gid % self.block_dim
         return getattr(self, name)
 
@@ -364,10 +365,9 @@ def _plain(kernel, ctx, buffers):
 
 
 def lane_form(kernel):
-    """Mark ``kernel`` to run once per launch over int arrays of lane ids.
-
-    Only a plain function launched with no shared storage qualifies:
-    lanes of one call cannot meet at a barrier.
+    """Mark ``kernel`` to run over int arrays of lane ids: once per launch,
+    or once per block if it is a generator or the launch has shared
+    storage, since only lanes of one call meet at its barriers.
     """
     kernel.lane_form = True
     return kernel
@@ -413,7 +413,7 @@ class Session:
 
         The effect on the buffers is identical to lockstep-between-barriers
         execution of every instance, regardless of physical parallelism.
-        A kernel marked with :func:`lane_form` runs all of them in one call.
+        A :func:`lane_form` kernel runs them in one call, or per block with barriers or shared storage.
         Per-launch set-up that depends only on the geometry is kept across
         launches in plans of 32 entries of at most ``PLAN_LANES`` lanes:
         :func:`launch_rows`' lane plan and conv's guard and work counts.
@@ -425,18 +425,16 @@ class Session:
         name = getattr(kernel, "__qualname__", None)
         if name is None:
             raise LaunchConfigError(f"kernel {kernel!r} has no __qualname__ to name its launch record")
-        if lanes and (is_gen or config.shared_slots):
-            raise LaunchConfigError(
-                f"lane-form kernel {name!r} must be a plain function launched without shared storage, "
-                f"got generator={is_gen} shared_slots={config.shared_slots}"
-            )
         self.records.append(rec := LaunchRecord(name, config, np.zeros(grid * block, np.int64)))
         try:
-            if lanes and not self.race_check:  # one call over every lane
+            if lanes and not (self.race_check or is_gen or config.shared_slots):  # over every lane
                 ctx = self._current = ThreadCtx(config, rec.work, slice(None))
                 kernel(ctx, *buffers)
                 if ctx._guards:
                     rec.divergence_events += _divergence([ctx._guards], block)
+            elif lanes and not self.race_check:  # a block's lanes meet at barriers or share storage
+                for lo in range(0, grid * block, block):
+                    self._run_lanes(kernel, is_gen, slice(lo, lo + block), rec, buffers)
             else:
                 for b in range(grid):
                     self._run_block(kernel, is_gen, lanes, b, rec, buffers)
@@ -445,6 +443,20 @@ class Session:
             self._current_gid = None
             if self._race_touched:  # a launch that raised mid-phase leaves no owners behind
                 self._race_phase_reset()
+
+    def _run_lanes(self, kernel, is_gen, lanes, rec, buffers):
+        # one lane-form call over a block's gids, each yield a barrier of the block
+        config = rec.config
+        ctx = self._current = ThreadCtx(config, rec.work, lanes, shared=np.zeros(config.shared_slots, object))
+        phases = kernel(ctx, *buffers)  # a plain kernel runs to its end here
+        while True:
+            done = not is_gen or next(phases, _DONE) is _DONE
+            if ctx._guards:
+                rec.divergence_events += _divergence([ctx._guards], config.block)
+                ctx._guards = []
+            if done:
+                return
+            rec.barriers += 1
 
     def _run_block(self, kernel, is_gen, lanes, b, rec, buffers):
         config, work = rec.config, rec.work
@@ -460,7 +472,7 @@ class Session:
         # a race-checked lane-form kernel runs here one lane per call, with
         # one-element id arrays, so every access is checked per lane
         ctxs = [ThreadCtx(config, work, slice(base + t, base + t + 1),
-                          (np.array([b]), np.array([t]), np.array([base + t])))
+                          (np.array([b]), np.array([t]), np.array([base + t])), shared)
                 if lanes else ThreadCtx(config, work, base + t, (b, t, base + t), shared)
                 for t in range(config.block)]
 

@@ -8,14 +8,18 @@ processor overwrites its chunk with the chunk's running sums. Launch 2
 runs a cooperative Hillis-Steele scan over the p chunk totals, which it
 reads at the chunk ends of that buffer, inside a single block, one
 barrier per pass, so no global synchronization is needed; it stores one
-base per chunk in a p-slot buffer. Launch 3 sweeps down, overwriting
-each chunk with its running sums plus its base. Launches 1 and 3 are
-:func:`simt.launch_rows` calls over the elements in tiles of one chunk,
-so lane g owns chunk g. Each range call sums into one workspace of its
-own hi - lo elements, int64 for i32 (so integer scans are exact, and
-overflow raises) and float32 for f32, over views of its full chunks and
-the short tail; the checked slice store narrows it into the buffer.
-float32 scans follow this fixed chunked summation order bit-for-bit.
+base per chunk in a p-slot buffer. Its kernel is lane-form: unchecked,
+one call runs the block, each pass reading and writing every lane's
+shared slots with one slice per operand, the values exact Python ints
+(i32) or np.float32 (f32); race-checked, each lane runs alone. Launch 3
+sweeps down, overwriting each chunk with its running sums plus its
+base. Launches 1 and 3 are :func:`simt.launch_rows` calls over the
+elements in tiles of one chunk, so lane g owns chunk g. Each range call
+sums into one workspace of its own hi - lo elements, int64 for i32 (so
+integer scans are exact, and overflow raises) and float32 for f32, over
+views of its full chunks and the short tail; the checked slice store
+narrows it into the buffer. float32 scans follow this fixed chunked
+summation order bit-for-bit.
 
 Compaction is two row launches over the same chunks and no scan: lane
 g counts chunk g's kept flags, then each gather call sums the p counts
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..simt import LaunchConfig, Session, ceil_div, check_int, launch_rows, log2_ceil, run_rows
+from ..simt import LaunchConfig, Session, ceil_div, check_int, lane_form, launch_rows, log2_ceil, run_rows
 
 I32_MIN = -(2**31)
 I32_MAX = 2**31 - 1
@@ -94,7 +98,8 @@ def _device_dtype(arr: np.ndarray, what: str) -> tuple[np.ndarray, str]:
         except FloatingPointError:
             raise OverflowError(f"{what} input exceeds the f32 range") from None
     if arr.dtype.kind in "iub":
-        _check_i32(arr, f"{what} input")
+        if not np.can_cast(arr.dtype, np.int32):  # else every value fits
+            _check_i32(arr, f"{what} input")
         return arr.astype(np.int32, copy=False), "i32"
     raise ValueError(f"unsupported {what} dtype {arr.dtype}")
 
@@ -145,14 +150,14 @@ def _running_sums(vals: np.ndarray, chunk: int) -> np.ndarray:
     return _narrowable(ws)
 
 
-def _exact(total):
-    """A chunk total as the cooperative scan adds it: i32 as a Python int,
-    so sums of totals never wrap, f32 as is."""
-    return int(total) if isinstance(total, np.integer) else total
+def _exact(totals: np.ndarray) -> np.ndarray:
+    """Chunk totals as the cooperative scan adds them, in an object array:
+    i32 as Python ints, so sums of totals never wrap, f32 as np.float32."""
+    return totals.astype(object) if totals.dtype.kind == "i" else np.fromiter(totals, object, totals.size)
 
 
 def _as_base(value, dtype: str):
-    """A scanned total stored as a chunk base; an i32 base out of range raises."""
+    """A scanned total, or an array of them, stored as chunk bases; an i32 base out of range raises."""
     if dtype == "i32":
         _check_i32(value)
         return np.int32(value)
@@ -191,7 +196,7 @@ def scan(values, kind: str = "inclusive", p: int = 8, session: Session | None = 
 
     plan = ScanPlan.for_size(n, p)
     chunk = plan.chunk
-    last = [z - 1 for _, z in partition_chunks(n, plan.p)]
+    last = np.minimum(np.arange(1, plan.p + 1) * chunk, n) - 1  # each chunk's last element
     sess = session if session is not None else Session()
 
     vals = sess.alloc(n, dtype, name="scan_data")
@@ -201,27 +206,29 @@ def scan(values, kind: str = "inclusive", p: int = 8, session: Session | None = 
     def chunk_sums(lo, hi):
         return _running_sums(vals[lo:hi], chunk)
 
+    @lane_form
     def coop_scan(ctx):
-        # Hillis-Steele over the chunk totals, double-buffered in shared
-        # storage: pass d adds element i - 2**d into element i.
-        i = ctx.thread_id
-        passes = plan.num_coop_passes
-        ctx.add_work(max(1, passes))
+        # Hillis-Steele over the chunk totals, double-buffered in shared storage: pass d adds element
+        # i - 2**d into element i for the call's lanes lo..hi-1 at once, one slice per operand
+        lo, hi, _ = ctx.lanes.indices(plan.p)
+        ctx.add_work(max(1, plan.num_coop_passes))
+        first = max(lo - 1, 0)  # pass 0 reads the lanes' chunk totals and lane lo's left neighbour's
+        totals = _exact(vals[last[first:hi]])
+        v = totals[lo - first :].copy()
         cur, nxt = 0, plan.p
-        for d in range(passes):
-            stride = 1 << d
-            if d == 0:
-                v = _exact(vals[last[i]])
-                if i >= stride:
-                    v = v + _exact(vals[last[i - stride]])
-            else:
-                v = ctx.shared[cur + i]
-                if i >= stride:
-                    v = v + ctx.shared[cur + i - stride]
-            ctx.shared[nxt + i] = v
+        for d in range(plan.num_coop_passes):
+            k = 1 << d
+            a = max(lo, k)  # lanes a..hi-1 add
+            if a < hi:
+                left = totals[: hi - a] if d == 0 else ctx.shared[cur + a - k : cur + hi - k]
+                v[a - lo :] += left
+            ctx.shared[nxt + lo : nxt + hi] = v
             yield ctx.barrier()
             cur, nxt = nxt, cur
-        scanned[i] = _as_base(ctx.shared[cur + i - 1] if i > 0 else 0, dtype)
+        a = max(lo, 1)  # lanes a..hi-1 take their left neighbour's sum, lane 0 takes 0
+        base = np.zeros(hi - lo, object)
+        base[a - lo :] = ctx.shared[cur + a - 1 : cur + hi - 1]
+        scanned[lo:hi] = _as_base(base, dtype)
 
     def add_bases(lo, hi):
         return _chunk_out(vals[lo:hi], scanned[lo // chunk : ceil_div(hi, chunk)], kind, chunk)
@@ -246,7 +253,7 @@ def scan_sequential(values, kind: str = "inclusive", p: int = 8) -> np.ndarray:
         return arr.copy()
     plan = ScanPlan.for_size(n, p)
     sums = _running_sums(arr, plan.chunk)
-    cur = [_exact(sums[z - 1]) for _, z in partition_chunks(n, plan.p)]
+    cur = list(_exact(sums[[z - 1 for _, z in partition_chunks(n, plan.p)]]))
     for d in range(plan.num_coop_passes):
         stride = 1 << d
         cur = [cur[i] + cur[i - stride] if i >= stride else cur[i] for i in range(plan.p)]
@@ -261,8 +268,9 @@ def compact(values, keep, p: int = 8, session: Session | None = None) -> tuple[n
     output base from the prefix sums of those counts: two row launches,
     no scan. Returns (kept buffer, kept count).
     """
-    arr = np.asarray(values)
-    flags = np.asarray(keep, dtype=bool)
+    arr, flags = np.asarray(values), np.asarray(keep)
+    if flags.dtype != bool:  # numpy's truthiness would keep "False", "0" and NaN
+        raise ValueError(f"compact keep flags must be bool, got dtype {flags.dtype}")
     if arr.shape != flags.shape or arr.ndim != 1:
         raise ValueError(f"values {arr.shape} and keep {flags.shape} must be equal-length flat buffers")
     arr, dtype = _device_dtype(arr, "compact")  # values pass through untouched; no silent wrap

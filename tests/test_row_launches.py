@@ -115,8 +115,8 @@ def test_segmented_argsort_row_launches_agree_race_checked_and_unchecked(block):
         assert items == [max(0, min(block, n - g * block)) for g in range(lanes)]
 
 
-def test_coop_scan_is_the_only_per_thread_kernel(monkeypatch):
-    # every other launch, the whole fixture graph's included, is lane-form
+def test_no_library_kernel_is_per_thread(monkeypatch):
+    # every launch, the whole fixture graph's and scan's cooperative stage included, is lane-form
     from fixtures import ssd_like_doc, ssd_like_inputs
 
     from edgegraph.graph import DEFAULT_GPU_OPS
@@ -140,8 +140,8 @@ def test_coop_scan_is_the_only_per_thread_kernel(monkeypatch):
     vision.compact(vals, vals > 0, p=6, session=Session())
     vision.segmented_argsort(vision.SegmentedArray(values=vals, offsets=[0, 20, 50]), block=8,
                              session=Session())
-    assert per_thread == {"scan.<locals>.coop_scan"}
-    assert {"_multibox.<locals>.decode", "_nms_pass.<locals>.fill_mask",
+    assert per_thread == set()
+    assert {"scan.<locals>.coop_scan", "_multibox.<locals>.decode", "_nms_pass.<locals>.fill_mask",
             "_roi_align.<locals>.pool", "segmented_argsort.<locals>.rank",
             "scan.<locals>.chunk_sums", "scan.<locals>.add_bases",
             "compact.<locals>.count", "compact.<locals>.gather"} <= lane_kernels

@@ -564,3 +564,89 @@ def test_scan_host_peak_per_element(dtype, bound):
             tracemalloc.stop()
         assert out.size == n
         assert peak <= bound * n, f"{kind}: {peak / n:.1f} bytes per element"
+
+
+COOP_PS = [1, 2, 3, 5, 8, 13, 17, 64, 100]
+
+
+def _f32_specials(p):
+    """3p floats whose chunk totals cycle through -0.0, +0.0, a finite sum, NaN, +inf, -inf, ...,
+    so the cooperative passes add signed zeros, NaN and infinities (inf + -inf makes a NaN)."""
+    rows = np.random.default_rng(p).standard_normal((p, 3)).astype(np.float32)  # chunk g is row g
+    cycle = [-0.0, 0.0, None, np.nan, np.inf, -np.inf, None, -np.inf, np.inf]
+    for g in range(p):
+        if cycle[g % 9] is not None:
+            rows[g] = [cycle[g % 9], -0.0, -0.0]
+    return rows.reshape(-1)
+
+
+def _i32_at_bounds(p):
+    """3p ints whose chunk bases run 0, I32_MAX, 0, I32_MIN, -1, 0, ... with every running sum,
+    base and output inside i32, while the passes' partial sums of totals leave it."""
+    totals = [2**31 - 1, -(2**31 - 1), -(2**31), 2**31 - 1, 1]
+    vals = np.zeros(3 * p, np.int64)
+    vals[::3] = [totals[g % 5] for g in range(p)]
+    return vals
+
+
+@pytest.mark.parametrize("p", COOP_PS)
+def test_cooperative_stage_agrees_bitwise_checked_unchecked_twin_and_oracle(p):
+    floats, ints = _f32_specials(p), _i32_at_bounds(p)
+    for kind in ("inclusive", "exclusive"):
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            cases = [(floats, chunked_scan_oracle(floats, kind, p)), (ints, _i32_oracle(ints, kind))]
+            for vals, want in cases:
+                runs = [scan(vals, kind, p=p, session=Session(race_check=rc)) for rc in (False, True)]
+                runs.append(scan_sequential(vals, kind, p=p))
+                for got in runs:
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    if p >= 4:  # the bases reach both bounds
+        assert {2**31 - 1, -(2**31)} <= set(_i32_oracle(ints, "exclusive")[::3].tolist())
+    if p >= 8:
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(chunked_scan_oracle(floats, "inclusive", p)[-1])
+
+
+def test_unchecked_p64_scan_calls_the_cooperative_kernel_body_once(monkeypatch):
+    calls = []
+    launch = Session.launch
+
+    def counting(self, kernel, config, *buffers):
+        if kernel.__qualname__ != "scan.<locals>.coop_scan":
+            return launch(self, kernel, config, *buffers)
+
+        def body(ctx, *bufs):
+            calls.append(ctx.lanes)
+            return (yield from kernel(ctx, *bufs))
+
+        body.lane_form, body.__qualname__ = kernel.lane_form, kernel.__qualname__
+        return launch(self, body, config, *buffers)
+
+    monkeypatch.setattr(Session, "launch", counting)
+    vals = np.arange(1024, dtype=np.int32)  # 64 chunks of 16
+    for race_check, want in ((False, [slice(0, 64)]), (True, [slice(t, t + 1) for t in range(64)])):
+        calls.clear()
+        sess = Session(race_check=race_check)
+        assert scan(vals, p=64, session=sess).tobytes() == np.cumsum(vals, dtype=np.int32).tobytes()
+        assert calls == want
+        coop = sess.records[1]
+        assert (coop.config, coop.barriers, coop.work.tolist()) == (
+            LaunchConfig(grid=1, block=64, shared_slots=128), 6, [6] * 64)
+
+
+@pytest.mark.parametrize("keep, dtype", [
+    (np.array(["False", "", "0"]), "<U5"),
+    (np.array([np.nan, 0.5, 2.0]), "float64"),
+    (np.array([1.0, 0.0, 1.0], np.float32), "float32"),
+    (np.array([1, 0, 1]), "int64"),
+    (np.array([1, 0, 1], np.uint8), "uint8"),
+    (np.array([True, False, True], object), "object"),
+])
+def test_compact_takes_only_bool_keep_flags(keep, dtype):
+    with pytest.raises(ValueError, match=rf"^compact keep flags must be bool, got dtype {dtype}$"):
+        compact(np.arange(3), keep, session=Session())
+
+
+def test_compact_takes_a_list_of_python_bools():
+    kept, count = compact(np.arange(3), [True, False, True], session=Session())
+    assert count == 2 and kept.tolist() == [0, 2]

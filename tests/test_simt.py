@@ -577,28 +577,121 @@ def test_race_checked_lane_form_flags_two_lanes_sharing_a_slot():
         sess.launch(kernel, LaunchConfig(grid=2, block=2))
 
 
-def test_lane_form_rejects_barriers_shared_storage_and_scalar_guards():
+def test_lane_form_rejects_scalar_guards():
     sess = Session()
-
-    @lane_form
-    def generator(ctx):
-        yield ctx.barrier()
-
-    @lane_form
-    def plain(ctx):
-        pass
 
     @lane_form
     def scalar_guard(ctx):
         ctx.guard(True)
 
-    with pytest.raises(LaunchConfigError, match="generator=True"):
-        sess.launch(generator, LaunchConfig(grid=1, block=2))
-    with pytest.raises(LaunchConfigError, match="shared_slots=4"):
-        sess.launch(plain, LaunchConfig(grid=1, block=2, shared_slots=4))
-    assert sess.stats().launches == 0 and sess.launch_log == []
     with pytest.raises(ValueError, match="one bool per lane"):
         sess.launch(scalar_guard, LaunchConfig(grid=1, block=2))
+
+
+def _counted(kernel, calls):
+    """``kernel`` as a lane-form generator that appends each call's lanes to ``calls``."""
+    @lane_form
+    def counted(ctx, *buffers):
+        calls.append(ctx.lanes)
+        return (yield from kernel(ctx, *buffers))
+
+    return counted
+
+
+def _coop_toy(out):
+    """A lane-form block kernel of three phases, each with a guard: each lane
+    stores gid + 1 in its shared slot, then reads its left neighbour's (wrapping)."""
+    def kernel(ctx):
+        t = ctx.thread_id
+        ctx.add_work(t + 1)
+        ctx.shared[t] = ctx.global_id + 1
+        ctx.guard(ctx.global_id % 3 != 0)
+        yield ctx.barrier()
+        left = ctx.shared[(t - 1) % ctx.block_dim]
+        out[ctx.global_id] = left
+        ctx.guard(ctx.block_id == 1)
+        yield
+        ctx.guard(t < 2)
+
+    return kernel
+
+
+@pytest.mark.parametrize("gen", [True, False], ids=["generator", "plain"])
+@pytest.mark.parametrize("shared_slots", [4, 0])
+def test_unchecked_lane_form_runs_once_per_block_with_barriers_or_shared_storage(gen, shared_slots):
+    calls = []
+
+    def plain(ctx):
+        calls.append((ctx.lanes, ctx.block_id.tolist(), ctx.thread_id.tolist(), type(ctx.shared)))
+
+    def generator(ctx):
+        plain(ctx)
+        yield ctx.barrier()
+
+    sess = Session()
+    config = LaunchConfig(grid=3, block=4, shared_slots=shared_slots)
+    sess.launch(lane_form(generator if gen else plain), config)
+    if gen or shared_slots:
+        assert calls == [(slice(4 * b, 4 * b + 4), [b] * 4, [0, 1, 2, 3], np.ndarray) for b in range(3)]
+    else:
+        assert [c[:3] for c in calls] == [(slice(None), [0] * 4 + [1] * 4 + [2] * 4, [0, 1, 2, 3] * 3)]
+    assert sess.records[0].barriers == (3 if gen else 0)
+
+
+def test_lane_form_block_calls_count_barriers_and_divergence_as_lane_by_lane():
+    runs = []
+    for race_check in (False, True):
+        sess = Session(race_check=race_check)
+        out, calls = sess.alloc(12, "i32"), []
+        sess.launch(_counted(_coop_toy(out), calls), LaunchConfig(grid=3, block=4, shared_slots=4))
+        assert len(calls) == (12 if race_check else 3)
+        rec = sess.records[0]
+        runs.append((out.to_numpy().tolist(), rec.work.tolist(), rec.barriers, rec.divergence_events))
+    assert runs[0] == runs[1]
+    # 2 barriers per block; divergence: gids 0, 3, 6 and 9 in the first phase, none in the
+    # second (each block agrees), and lanes 2 and 3 of every block in the third
+    assert runs[0] == ([4, 1, 2, 3, 8, 5, 6, 7, 12, 9, 10, 11], [1, 2, 3, 4] * 3, 6, 4 + 0 + 6)
+
+
+def test_lane_form_shared_storage_holds_the_python_values_stored():
+    stored = np.array([2**40, np.float32(-0.0)], object)
+    for race_check in (False, True):
+        seen = []
+
+        @lane_form
+        def kernel(ctx):
+            ctx.shared[ctx.thread_id] = stored[ctx.thread_id]
+            yield ctx.barrier()
+            seen.append([(type(x), str(x)) for x in ctx.shared[:]])
+
+        Session(race_check=race_check).launch(kernel, LaunchConfig(grid=1, block=2, shared_slots=2))
+        assert seen == [[(int, str(2**40)), (np.float32, "-0.0")]] * (2 if race_check else 1)
+
+
+def test_race_checked_lane_form_flags_two_lanes_writing_one_shared_slot():
+    @lane_form
+    def kernel(ctx):
+        ctx.shared[ctx.thread_id // 2] = ctx.thread_id
+        yield
+
+    with pytest.raises(RaceError, match=r"^block 0, thread 1: write to shared slot 0 conflicts"):
+        Session(race_check=True).launch(kernel, LaunchConfig(grid=2, block=2, shared_slots=1))
+    # unchecked, block storage is unchecked
+    Session().launch(kernel, LaunchConfig(grid=2, block=2, shared_slots=1))
+
+
+def test_race_checked_lane_form_flags_lanes_that_disagree_on_a_barrier():
+    @lane_form
+    def kernel(ctx):
+        if np.all(ctx.thread_id < 2):
+            yield ctx.barrier()
+
+    with pytest.raises(BarrierDivergenceError, match=r"^block 0: threads \[2, 3\] skipped a barrier"):
+        Session(race_check=True).launch(kernel, LaunchConfig(grid=2, block=4))
+    # unchecked, a block's lanes reach the one barrier of the call together or not at all
+    sess = Session()
+    sess.launch(kernel, LaunchConfig(grid=2, block=4))
+    assert sess.records[0].barriers == 0
 
 
 @pytest.mark.parametrize("race_check, where", [
