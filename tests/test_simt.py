@@ -588,34 +588,6 @@ def test_lane_form_rejects_scalar_guards():
         sess.launch(scalar_guard, LaunchConfig(grid=1, block=2))
 
 
-def _counted(kernel, calls):
-    """``kernel`` as a lane-form generator that appends each call's lanes to ``calls``."""
-    @lane_form
-    def counted(ctx, *buffers):
-        calls.append(ctx.lanes)
-        return (yield from kernel(ctx, *buffers))
-
-    return counted
-
-
-def _coop_toy(out):
-    """A lane-form block kernel of three phases, each with a guard: each lane
-    stores gid + 1 in its shared slot, then reads its left neighbour's (wrapping)."""
-    def kernel(ctx):
-        t = ctx.thread_id
-        ctx.add_work(t + 1)
-        ctx.shared[t] = ctx.global_id + 1
-        ctx.guard(ctx.global_id % 3 != 0)
-        yield ctx.barrier()
-        left = ctx.shared[(t - 1) % ctx.block_dim]
-        out[ctx.global_id] = left
-        ctx.guard(ctx.block_id == 1)
-        yield
-        ctx.guard(t < 2)
-
-    return kernel
-
-
 @pytest.mark.parametrize("gen", [True, False], ids=["generator", "plain"])
 @pytest.mark.parametrize("shared_slots", [4, 0])
 def test_unchecked_lane_form_runs_once_per_block_with_barriers_or_shared_storage(gen, shared_slots):
@@ -643,7 +615,23 @@ def test_lane_form_block_calls_count_barriers_and_divergence_as_lane_by_lane():
     for race_check in (False, True):
         sess = Session(race_check=race_check)
         out, calls = sess.alloc(12, "i32"), []
-        sess.launch(_counted(_coop_toy(out), calls), LaunchConfig(grid=3, block=4, shared_slots=4))
+
+        @lane_form
+        def kernel(ctx):
+            # three phases, each with a guard: each lane stores gid + 1 in its
+            # shared slot, then reads its left neighbour's (wrapping)
+            calls.append(ctx.lanes)
+            t = ctx.thread_id
+            ctx.add_work(t + 1)
+            ctx.shared[t] = ctx.global_id + 1
+            ctx.guard(ctx.global_id % 3 != 0)
+            yield ctx.barrier()
+            out[ctx.global_id] = ctx.shared[(t - 1) % ctx.block_dim]
+            ctx.guard(ctx.block_id == 1)
+            yield
+            ctx.guard(t < 2)
+
+        sess.launch(kernel, LaunchConfig(grid=3, block=4, shared_slots=4))
         assert len(calls) == (12 if race_check else 3)
         rec = sess.records[0]
         runs.append((out.to_numpy().tolist(), rec.work.tolist(), rec.barriers, rec.divergence_events))
