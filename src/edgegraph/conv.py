@@ -272,11 +272,10 @@ def conv2d_scheduled(inp, wgt, wl: ConvWorkload, cfg: ScheduleConfig,
     and height band, thread t owning columns t, t + block, .... The
     kernel is lane-form: one call computes the output region its lanes
     own. A call over every lane stores the whole output with one checked
-    slice write; under race check, which runs it one lane at a time, a
-    lane stores its cells with one checked index-array write, so the
-    check sees every cell a thread writes. The region's
-    arithmetic is :func:`conv2d_host`'s, so results agree with the
-    reference bitwise.
+    slice write; a one-lane call, as race check makes of a launch of more
+    lanes, stores its cells with one checked index-array write, so the
+    check sees every cell a thread writes. The region's arithmetic is
+    :func:`conv2d_host`'s, so results agree with the reference bitwise.
     """
     x, wgt = _operands(inp, wgt, wl)
     cfg.validate_for(wl)
@@ -298,8 +297,8 @@ def conv2d_scheduled(inp, wgt, wl: ConvWorkload, cfg: ScheduleConfig,
     def kernel(ctx):
         live = ctx.guard(guard[ctx.lanes])
         ctx.add_work(work[ctx.lanes])
-        # all lanes own the whole output; one (race check) its block's cells t::threads
-        if not sess.race_check:
+        # a call over every lane stores the whole output; a one-lane call its block's cells t::threads
+        if live.size == guard.size:
             obuf[:] = _region(xbuf[:], wbuf[:], wl, slice(0, wl.k), slice(0, oh), slice(0, ow)).reshape(-1)
         elif live[0]:
             b, t = int(ctx.block_id[0]), int(ctx.thread_id[0])

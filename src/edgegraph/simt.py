@@ -14,30 +14,34 @@ final buffer contents bitwise reproducible however many times the
 launch is repeated.
 
 A kernel may instead be marked lane-form with :func:`lane_form`. It is
-then called once per launch, or once per block if it yields barriers or
-uses shared storage, with the ids of the call's lanes as int arrays, the
-way a SIMD machine runs work-items as the lanes of one hardware thread;
-the id arrays are built the first time the kernel reads one, so a kernel
-that reads none pays for none. Both kinds get the same context class,
-:class:`ThreadCtx`, whose ids are ints or int arrays: ``add_work`` takes
-one count per lane and ``guard`` one bool per lane. Under race check a
-lane-form kernel runs through the per-thread loop, one lane per call
-with one-element id arrays, so every access is checked per (block,
-thread) exactly as for a per-thread kernel.
-:func:`launch_rows` launches one over rows of an output buffer, and
-:func:`run_rows` runs the same range function on the host or launches it.
+then called once per span of lanes, with the span's ids as int arrays,
+the way a SIMD machine runs work-items as the lanes of one hardware
+thread: the span is the whole launch, or one block if the kernel yields
+barriers or the launch has shared storage. The id arrays are built the
+first time the kernel reads one, so a kernel that reads none pays for
+none. Both kinds get the same context class, :class:`ThreadCtx`, whose
+ids are ints or int arrays: ``add_work`` takes one count per lane and
+``guard`` one bool per lane. Under race check a lane-form kernel runs
+through the per-thread loop, one lane per call with one-element id
+arrays, so every access is checked per (block, thread) exactly as for a
+per-thread kernel. :func:`launch_rows` launches one over rows of an
+output buffer, and :func:`run_rows` runs the same range function on the
+host or launches it.
 
-Buffers are zero-initialized and fixed-length, and kernels reach them
-only through indexing. Out-of-range accesses, and slice stores of
-another length than the slice, raise :class:`BufferBoundsError` naming
-the offending block and thread (or, for a lane-form call over many
-lanes, the launch's grid and block). An optional race-check mode keeps a
-shadow last-writer/last-reader map per slot per phase, marking exactly
-the slots each access selects, and rejects programs whose output would
-depend on cross-thread ordering without a barrier. Under race check a
-block's shared storage is a nameless buffer whose slots hold the Python
-values kernels store; unchecked it is a plain list, or for a lane-form
-call an object ndarray.
+Storage has one rule in both modes and for both kinds of kernel: a
+buffer and a block's shared storage are each a :class:`DeviceBuffer`,
+zero-initialized, fixed-length and reached only by indexing with ints,
+positive-step slices or int arrays; shared storage is nameless, with
+object slots that hold the Python values kernels store. A negative,
+out-of-range, bool or float index, and a slice store of another length
+than the slice, raise :class:`BufferBoundsError` naming the storage and
+the block and thread (or a lane-form call's block and threads, or the
+launch's grid and block). A checked shared slice access takes about 1
+us where a raw object array's took 0.2-0.4 (x86-64, CPython 3.11,
+numpy 2.4). An optional race-check mode arms every buffer with a shadow
+last-writer/last-reader map per slot per phase, marking exactly the
+slots each access selects, and rejects programs whose output would
+depend on cross-thread ordering without a barrier.
 """
 
 from __future__ import annotations
@@ -145,36 +149,32 @@ def _what(buf) -> str:
 def _check_index(idx, n: int, owner):
     """Validate an int, slice (any positive step) or int-array index
     against length ``n``, and return the number of slots a slice selects
-    (None for any other index). An error names ``owner._where()`` and the
-    buffer ``owner.name``, or shared storage when the name is None."""
-    # fast paths for the common in-range int and unit-step slice; any
-    # other index, or one out of range, takes the checks below
-    if type(idx) is int:
-        if 0 <= idx < n:
-            return None
-    elif type(idx) is slice and idx.step is None:
-        start = 0 if idx.start is None else idx.start
-        stop = n if idx.stop is None else idx.stop
-        if 0 <= start <= stop <= n:
-            return stop - start
-    what = _what(owner)
-    if isinstance(idx, (int, np.integer)):
-        if idx < 0 or idx >= n:
-            raise BufferBoundsError(f"{owner._where()}: index {int(idx)} out of range for {what} "
-                                    f"of length {n}")
-        return
-    if isinstance(idx, slice):
+    (None for any other index). Bools, floats and bool or float arrays
+    are rejected, since numpy would read a bool as a mask. An error names
+    ``owner._where()`` and the buffer ``owner.name``, or shared storage
+    when the name is None."""
+    if type(idx) is int and 0 <= idx < n:  # the common case first
+        return None
+    if type(idx) is slice:
         start = 0 if idx.start is None else idx.start
         stop = n if idx.stop is None else idx.stop
         step = 1 if idx.step is None else idx.step
-        if step <= 0 or start < 0 or stop > n or start > stop:
-            raise BufferBoundsError(f"{owner._where()}: slice [{idx.start}:{idx.stop}:{idx.step}] "
-                                    f"invalid for {what} of length {n}")
-        return len(range(start, stop, step))
+        if step > 0 and 0 <= start <= stop <= n:
+            return -(-(stop - start) // step)
+        raise BufferBoundsError(f"{owner._where()}: slice [{idx.start}:{idx.stop}:{idx.step}] "
+                                f"invalid for {_what(owner)} of length {n}")
+    if isinstance(idx, (int, np.integer)) and not isinstance(idx, bool):
+        if idx < 0 or idx >= n:
+            raise BufferBoundsError(f"{owner._where()}: index {int(idx)} out of range for "
+                                    f"{_what(owner)} of length {n}")
+        return
     arr = np.asarray(idx)
+    if arr.dtype.kind not in "iu":
+        raise BufferBoundsError(f"{owner._where()}: {arr.dtype} index into {_what(owner)}; expected "
+                                f"an int, a slice or an int array")
     if arr.size and (arr.min() < 0 or arr.max() >= n):
         raise BufferBoundsError(f"{owner._where()}: indices [{int(arr.min())}..{int(arr.max())}] out "
-                                f"of range for {what} of length {n}")
+                                f"of range for {_what(owner)} of length {n}")
 
 
 class DeviceBuffer:
@@ -189,8 +189,8 @@ class DeviceBuffer:
     slice read is a read-only view, so every write goes through
     ``__setitem__``. A slice store takes a scalar, which fills
     the slice, or exactly as many values as the slice selects. A
-    nameless buffer (``name=None``) is a race-checked block's shared
-    storage, and its errors say so.
+    nameless buffer (``name=None``) is a block's shared storage: its
+    slots hold Python objects, and its errors say so.
     """
 
     __slots__ = ("dtype", "data", "name", "_session", "_w_owner", "_r_owner")
@@ -201,7 +201,8 @@ class DeviceBuffer:
         if length < 0:
             raise ValueError(f"buffer length must be >= 0, got {length}")
         self.dtype = dtype
-        self.data = np.zeros(length, dtype=DTYPES[dtype])
+        # shared storage's object slots hold exactly the Python values kernels store
+        self.data = np.zeros(length, DTYPES[dtype] if name is not None else object)
         self.name = name
         self._session = session
         self._w_owner = None
@@ -326,9 +327,13 @@ class ThreadCtx:
         return getattr(self, name)
 
     def where(self) -> str:
-        b, t = np.ravel(self.block_id), np.ravel(self.thread_id)
-        if t.size == 1:
-            return f"block {b[0]}, thread {t[0]}"
+        lanes = self.lanes
+        lo, hi, _ = lanes.indices(self._work.size) if type(lanes) is slice else (lanes, lanes + 1, 1)
+        b, t = divmod(lo, self.block_dim)
+        if hi - lo == 1:
+            return f"block {b}, thread {t}"
+        if t + hi - lo <= self.block_dim:
+            return f"block {b}, threads {t}-{t + hi - lo - 1}"
         return f"lanes of grid {self.grid_dim} x block {self.block_dim}"
 
     def barrier(self):
@@ -427,14 +432,10 @@ class Session:
             raise LaunchConfigError(f"kernel {kernel!r} has no __qualname__ to name its launch record")
         self.records.append(rec := LaunchRecord(name, config, np.zeros(grid * block, np.int64)))
         try:
-            if lanes and not (self.race_check or is_gen or config.shared_slots):  # over every lane
-                ctx = self._current = ThreadCtx(config, rec.work, slice(None))
-                kernel(ctx, *buffers)
-                if ctx._guards:
-                    rec.divergence_events += _divergence([ctx._guards], block)
-            elif lanes and not self.race_check:  # a block's lanes meet at barriers or share storage
-                for lo in range(0, grid * block, block):
-                    self._run_lanes(kernel, is_gen, slice(lo, lo + block), rec, buffers)
+            if lanes and not self.race_check:  # the launch, or blocks that meet at barriers or share storage
+                span = block if is_gen or config.shared_slots else grid * block
+                for lo in range(0, grid * block, span):
+                    self._run_lanes(kernel, is_gen, slice(lo, lo + span), rec, buffers)
             else:
                 for b in range(grid):
                     self._run_block(kernel, is_gen, lanes, b, rec, buffers)
@@ -444,30 +445,28 @@ class Session:
             if self._race_touched:  # a launch that raised mid-phase leaves no owners behind
                 self._race_phase_reset()
 
+    def _shared(self, slots: int) -> DeviceBuffer:
+        # a block's shared storage, for a per-thread and a lane-form kernel alike
+        buf = DeviceBuffer(self, slots, name=None)
+        if self.race_check:
+            buf._race_arm()
+        return buf
+
     def _run_lanes(self, kernel, is_gen, lanes, rec, buffers):
-        # one lane-form call over a block's gids, each yield a barrier of the block
-        config = rec.config
-        ctx = self._current = ThreadCtx(config, rec.work, lanes, shared=np.zeros(config.shared_slots, object))
+        # one lane-form call over a span of gids, each yield a barrier of its block
+        shared = self._shared(rec.config.shared_slots)
+        ctx = self._current = ThreadCtx(rec.config, rec.work, lanes, shared=shared)
         phases = kernel(ctx, *buffers)  # a plain kernel runs to its end here
         while True:
             done = not is_gen or next(phases, _DONE) is _DONE
-            if ctx._guards:
-                rec.divergence_events += _divergence([ctx._guards], config.block)
-                ctx._guards = []
+            self._phase_end([ctx], rec)
             if done:
                 return
             rec.barriers += 1
 
     def _run_block(self, kernel, is_gen, lanes, b, rec, buffers):
         config, work = rec.config, rec.work
-        shared = [0] * config.shared_slots
-        if self.race_check:
-            # nameless, so its errors speak of shared storage; its object
-            # slots hold exactly the Python values kernels store
-            buf = DeviceBuffer(self, 0, name=None)
-            buf.data = np.array(shared, object)
-            buf._race_arm()
-            shared = buf
+        shared = self._shared(config.shared_slots)
         base = b * config.block
         # a race-checked lane-form kernel runs here one lane per call, with
         # one-element id arrays, so every access is checked per lane
@@ -479,35 +478,27 @@ class Session:
         # calling a generator kernel runs none of its body yet; a plain
         # kernel runs as a generator that reaches no barrier
         gens = [kernel(c, *buffers) if is_gen else _plain(kernel, c, buffers) for c in ctxs]
-        alive = list(range(config.block))
-        while alive:
+        while True:  # every thread is in every phase, or the block raises
             yielded, finished = [], []
-            for t in alive:
-                self._current = ctxs[t]
-                self._current_gid = base + t
-                (finished if next(gens[t], _DONE) is _DONE else yielded).append(t)
-            self._phase_end([ctxs[t] for t in alive], shared, rec)
+            for t, (ctx, phases) in enumerate(zip(ctxs, gens)):
+                self._current, self._current_gid = ctx, base + t
+                (finished if next(phases, _DONE) is _DONE else yielded).append(t)
+            self._phase_end(ctxs, rec)
             if yielded and finished:
                 raise BarrierDivergenceError(
                     f"block {b}: threads {finished} skipped a barrier reached by threads {yielded}")
-            if yielded:
-                rec.barriers += 1
-            alive = yielded
+            if not yielded:
+                return
+            rec.barriers += 1
 
-    def _phase_end(self, ctxs, shared, rec):
-        if len(shared) != rec.config.shared_slots:
-            # unchecked storage is a plain list, which a slice store can resize
-            raise BufferBoundsError(f"block {ctxs[0].block_id}: a slice store resized shared storage "
-                                    f"of length {rec.config.shared_slots} to {len(shared)}")
+    def _phase_end(self, ctxs, rec):
         guards = [c._guards for c in ctxs]
         if any(guards):
-            rec.divergence_events += _divergence(guards, len(ctxs))
+            rec.divergence_events += _divergence(guards, rec.config.block)
             for c in ctxs:
                 c._guards = []
         if self.race_check:
             self._race_phase_reset()
-        self._current = None
-        self._current_gid = None
 
     def _race_phase_reset(self):
         # only the buffers this phase touched hold owners

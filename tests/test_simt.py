@@ -5,6 +5,7 @@ import gc
 import inspect
 import weakref
 from itertools import zip_longest
+from operator import setitem
 
 import numpy as np
 import pytest
@@ -594,7 +595,8 @@ def test_unchecked_lane_form_runs_once_per_block_with_barriers_or_shared_storage
     calls = []
 
     def plain(ctx):
-        calls.append((ctx.lanes, ctx.block_id.tolist(), ctx.thread_id.tolist(), type(ctx.shared)))
+        shared = ctx.shared
+        calls.append((ctx.lanes, ctx.block_id.tolist(), ctx.thread_id.tolist(), type(shared), len(shared)))
 
     def generator(ctx):
         plain(ctx)
@@ -604,9 +606,10 @@ def test_unchecked_lane_form_runs_once_per_block_with_barriers_or_shared_storage
     config = LaunchConfig(grid=3, block=4, shared_slots=shared_slots)
     sess.launch(lane_form(generator if gen else plain), config)
     if gen or shared_slots:
-        assert calls == [(slice(4 * b, 4 * b + 4), [b] * 4, [0, 1, 2, 3], np.ndarray) for b in range(3)]
+        assert calls == [(slice(4 * b, 4 * b + 4), [b] * 4, [0, 1, 2, 3], DeviceBuffer, shared_slots)
+                         for b in range(3)]
     else:
-        assert [c[:3] for c in calls] == [(slice(None), [0] * 4 + [1] * 4 + [2] * 4, [0, 1, 2, 3] * 3)]
+        assert calls == [(slice(0, 12), [0] * 4 + [1] * 4 + [2] * 4, [0, 1, 2, 3] * 3, DeviceBuffer, 0)]
     assert sess.records[0].barriers == (3 if gen else 0)
 
 
@@ -684,6 +687,7 @@ def test_race_checked_lane_form_flags_lanes_that_disagree_on_a_barrier():
 
 @pytest.mark.parametrize("race_check, where", [
     (False, "lanes of grid 2 x block 4"), (True, "block 1, thread 3"),
+    (False, "block 1, threads 0-3"),  # a call per block, as the launch has shared storage
 ])
 def test_lane_form_bounds_error_names_a_readable_location(race_check, where):
     sess = Session(race_check=race_check)
@@ -694,7 +698,7 @@ def test_lane_form_bounds_error_names_a_readable_location(race_check, where):
         buf[ctx.global_id] = 1.0
 
     with pytest.raises(BufferBoundsError) as err:
-        sess.launch(kernel, LaunchConfig(grid=2, block=4))
+        sess.launch(kernel, LaunchConfig(grid=2, block=4, shared_slots=int("threads" in where)))
     assert str(err.value).startswith(f"{where}: ")
     assert "[" not in str(err.value).split(":")[0]
 
@@ -772,14 +776,13 @@ def test_launch_rows_race_check_sees_the_range_functions_reads():
 
 @pytest.mark.parametrize("index", [-1, 2, slice(-1, None), slice(0, 3), slice(1, 0)])
 def test_race_checked_shared_storage_rejects_indices_out_of_range(index):
-    sess = Session(race_check=True)
-
     def kernel(ctx):
         if ctx.block_id == 1:
             ctx.shared[index] = [1]
 
-    with pytest.raises(BufferBoundsError, match=r"^block 1, thread 0: .*shared storage of length 2"):
-        sess.launch(kernel, LaunchConfig(grid=2, block=1, shared_slots=2))
+    for race_check in (False, True):  # unchecked, shared storage is checked alike
+        with pytest.raises(BufferBoundsError, match=r"^block 1, thread 0: .*shared storage of length 2"):
+            Session(race_check=race_check).launch(kernel, LaunchConfig(grid=2, block=1, shared_slots=2))
 
 
 def test_race_checked_shared_slot_race_names_block_thread_and_slot():
@@ -804,18 +807,58 @@ def test_race_checked_shared_slot_race_names_block_thread_and_slot():
     Session().launch(write_write, LaunchConfig(grid=2, block=2, shared_slots=1))
 
 
-@pytest.mark.parametrize("race_check, message", [
-    (False, r"^block 1: a slice store resized shared storage of length 4 to 3$"),
-    (True, r"^block 1, thread 0: slice \[0:2:None\] of shared storage takes 2 values, got 1$"),
-])
-def test_shared_slice_store_of_another_length_raises(race_check, message):
-    # a plain list would take the short store and shrink to 3 slots
+@pytest.mark.parametrize("race_check", [False, True])
+def test_shared_slice_store_of_another_length_raises(race_check):
     def kernel(ctx):
         ctx.shared[0:2] = [7, 8] if ctx.block_id == 0 else [7]
         yield ctx.barrier()
 
-    with pytest.raises(BufferBoundsError, match=message):
+    with pytest.raises(BufferBoundsError, match=r"^block 1, thread 0: slice \[0:2:None\] of shared storage "
+                                                r"takes 2 values, got 1$"):
         Session(race_check=race_check).launch(kernel, LaunchConfig(grid=2, block=1, shared_slots=4))
+
+
+# accesses that broke the storage contract in one mode or kernel form, each made by
+# every thread of a 2 x 2 launch, on storage of 4 slots
+BAD_ACCESSES = {
+    "short_slice_store": lambda s, t: setitem(s, slice(0, 2), [7]),  # numpy would broadcast the 7
+    "slot_tid_minus_1": lambda s, t: setitem(s, t - 1, 1),  # numpy would wrap slot -1 round to slot 3
+    "slot_5": lambda s, t: setitem(s, 5, 1),
+    "bool_index": lambda s, t: setitem(s, True, 5.0),  # numpy would read True as a mask of every slot
+    "bool_scalar_read": lambda s, t: s[np.True_],
+    "bool_mask": lambda s, t: setitem(s, np.array([True, False, True, False]), 1),
+    "float_indices": lambda s, t: setitem(s, np.array([0.0, 1.0]), 1),
+    "float_read": lambda s, t: s[1.0],
+}
+
+
+@pytest.mark.parametrize("access", BAD_ACCESSES)
+@pytest.mark.parametrize("storage", ["shared", "global"])
+@pytest.mark.parametrize("lanes", [False, True], ids=["per-thread", "lane-form"])
+@pytest.mark.parametrize("race_check", [False, True])
+def test_storage_rejects_the_same_bad_accesses_in_every_mode_and_form(race_check, lanes, storage, access):
+    sess = Session(race_check=race_check)
+    buf = sess.alloc(4, "f32", name="g")
+
+    def kernel(ctx):
+        BAD_ACCESSES[access](ctx.shared if storage == "shared" else buf, ctx.thread_id)
+
+    what = "shared storage" if storage == "shared" else "buffer 'g'"
+    with pytest.raises(BufferBoundsError,
+                       match=rf"^(block 0, threads? 0(-1)?|lanes of grid 2 x block 2): .*{what}"):
+        sess.launch(lane_form(kernel) if lanes else kernel,
+                    LaunchConfig(grid=2, block=2, shared_slots=4 if storage == "shared" else 0))
+    assert buf.to_numpy().tolist() == [0] * 4
+
+
+@pytest.mark.parametrize("lanes", [False, True], ids=["per-thread", "lane-form"])
+@pytest.mark.parametrize("race_check", [False, True])
+def test_a_launch_without_shared_slots_rejects_any_shared_access(race_check, lanes):
+    def kernel(ctx):
+        ctx.shared[ctx.thread_id] = 1
+
+    with pytest.raises(BufferBoundsError, match=r"^.*: ind.* out of range for shared storage of length 0$"):
+        Session(race_check=race_check).launch(lane_form(kernel) if lanes else kernel, LaunchConfig(2, 2))
 
 
 @pytest.mark.parametrize("race_check", [False, True])
