@@ -30,24 +30,25 @@ host or launches it.
 
 Storage has one rule in both modes and for both kinds of kernel: a
 buffer and a block's shared storage are each a :class:`DeviceBuffer`,
-zero-initialized, fixed-length and reached only by indexing with ints,
-positive-step slices or int arrays; shared storage is nameless, with
-object slots that hold the Python values kernels store. A negative,
-out-of-range, bool or float index, and a slice store of another length
-than the slice, raise :class:`BufferBoundsError` naming the storage and
-the block and thread (or a lane-form call's block and threads, or the
-launch's grid and block). A checked shared slice access takes about 1
-us where a raw object array's took 0.2-0.4 (x86-64, CPython 3.11,
-numpy 2.4). An optional race-check mode arms every buffer with a shadow
-last-writer/last-reader map per slot per phase, marking exactly the
-slots each access selects, and rejects programs whose output would
-depend on cross-thread ordering without a barrier.
+zero-initialized, fixed-length and reached only by indexing with ints
+(Python or numpy integers), slices of int bounds and positive step, or
+int arrays; shared storage is nameless, with object slots that hold the
+Python values kernels store, and a launch without shared slots gets its
+session's one zero-slot buffer. A negative, out-of-range, bool or float
+index or slice bound, and a store of other than a scalar or one value
+per selected slot, raise :class:`BufferBoundsError` naming the storage
+and the block and thread (or a lane-form call's block and threads, or
+the launch's grid and block). An optional race-check mode arms every
+buffer with a shadow last-writer/last-reader map per slot per phase,
+marking exactly the slots each access selects, and rejects programs
+whose output would depend on cross-thread ordering without a barrier.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,14 +64,17 @@ _FREE = -1
 _MANY = -2
 # what next() returns for a generator kernel that has finished
 _DONE = object()
+# an int is a Python or numpy integer, never a bool or a float
+_INT_TYPES = frozenset({int, *(np.dtype(c).type for c in np.typecodes["AllInteger"])})
 
 
 class LaunchConfigError(ValueError):
-    """Launch with grid=0, block=0, or negative shared storage."""
+    """Launch with grid or block below 1, negative or non-integer fields, or a kernel with no ``__qualname__``."""
 
 
 class BufferBoundsError(IndexError):
-    """Kernel access outside a buffer, annotated with block/thread ids."""
+    """Kernel access outside a buffer, by an index that is not an int, a slice of int bounds or an
+    int array, or a store of other than a scalar or one value per slot; annotated with block/thread ids."""
 
 
 class BarrierDivergenceError(RuntimeError):
@@ -147,10 +151,10 @@ def _what(buf) -> str:
 
 
 def _check_index(idx, n: int, owner):
-    """Validate an int, slice (any positive step) or int-array index
-    against length ``n``, and return the number of slots a slice selects
-    (None for any other index). Bools, floats and bool or float arrays
-    are rejected, since numpy would read a bool as a mask. An error names
+    """Validate an int, slice (int or None bounds, positive step) or int-array
+    index against length ``n``, and return the number of slots it selects
+    (None for a scalar index). Bools, floats and bool or float arrays are
+    rejected, since numpy would read a bool as a mask. An error names
     ``owner._where()`` and the buffer ``owner.name``, or shared storage
     when the name is None."""
     if type(idx) is int and 0 <= idx < n:  # the common case first
@@ -159,22 +163,20 @@ def _check_index(idx, n: int, owner):
         start = 0 if idx.start is None else idx.start
         stop = n if idx.stop is None else idx.stop
         step = 1 if idx.step is None else idx.step
-        if step > 0 and 0 <= start <= stop <= n:
-            return -(-(stop - start) // step)
+        if (type(start) in _INT_TYPES and type(stop) in _INT_TYPES and type(step) in _INT_TYPES
+                and step > 0 and 0 <= start <= stop <= n):
+            return (stop - start + step - 1) // step  # no negative operand, so unsigned bounds count too
         raise BufferBoundsError(f"{owner._where()}: slice [{idx.start}:{idx.stop}:{idx.step}] "
                                 f"invalid for {_what(owner)} of length {n}")
-    if isinstance(idx, (int, np.integer)) and not isinstance(idx, bool):
-        if idx < 0 or idx >= n:
-            raise BufferBoundsError(f"{owner._where()}: index {int(idx)} out of range for "
-                                    f"{_what(owner)} of length {n}")
-        return
-    arr = np.asarray(idx)
+    arr = idx if type(idx) is np.ndarray else np.asarray(idx)  # a numpy integer is a 0-d int array
     if arr.dtype.kind not in "iu":
         raise BufferBoundsError(f"{owner._where()}: {arr.dtype} index into {_what(owner)}; expected "
                                 f"an int, a slice or an int array")
-    if arr.size and (arr.min() < 0 or arr.max() >= n):
-        raise BufferBoundsError(f"{owner._where()}: indices [{int(arr.min())}..{int(arr.max())}] out "
-                                f"of range for {_what(owner)} of length {n}")
+    if np.count_nonzero(arr.astype(np.uint64, copy=False) >= n):  # a negative index wraps past n
+        lo, hi = int(arr.min()), int(arr.max())
+        where = f"{owner._where()}: " + (f"indices [{lo}..{hi}]" if arr.ndim else f"index {lo}")
+        raise BufferBoundsError(f"{where} out of range for {_what(owner)} of length {n}")
+    return arr.size if arr.ndim else None
 
 
 class DeviceBuffer:
@@ -187,9 +189,9 @@ class DeviceBuffer:
     under race check it marks exactly the slots it selects, so threads
     that touch disjoint strided or scattered slots never conflict. A
     slice read is a read-only view, so every write goes through
-    ``__setitem__``. A slice store takes a scalar, which fills
-    the slice, or exactly as many values as the slice selects. A
-    nameless buffer (``name=None``) is a block's shared storage: its
+    ``__setitem__``. A slice or int-array store takes a scalar, which
+    fills the slots, or one value per slot (by size, whatever its shape).
+    A nameless buffer (``name=None``) is a block's shared storage: its
     slots hold Python objects, and its errors say so.
     """
 
@@ -198,21 +200,20 @@ class DeviceBuffer:
     def __init__(self, session, length: int, dtype: str = "f32", name: str = ""):
         if dtype not in DTYPES:
             raise ValueError(f"unsupported dtype {dtype!r}; expected one of {sorted(DTYPES)}")
-        if length < 0:
-            raise ValueError(f"buffer length must be >= 0, got {length}")
         self.dtype = dtype
         # shared storage's object slots hold exactly the Python values kernels store
-        self.data = np.zeros(length, DTYPES[dtype] if name is not None else object)
+        self.data = np.zeros(check_int("buffer length", length, 0), DTYPES[dtype] if name is not None else object)
         self.name = name
         self._session = session
-        self._w_owner = None
-        self._r_owner = None
+        self._w_owner = self._r_owner = None
+        if session.race_check:
+            self._race_arm()
 
     def __len__(self) -> int:
         return len(self.data)
 
     def _where(self) -> str:
-        cur = self._session._current if self._session is not None else None
+        cur = self._session._current
         return "host" if cur is None else cur.where()
 
     def __getitem__(self, idx):
@@ -226,10 +227,11 @@ class DeviceBuffer:
 
     def __setitem__(self, idx, value):
         count = _check_index(idx, len(self.data), self)
-        if count is not None and np.ndim(value) and len(value) != count:
-            # numpy would broadcast a one-element value over the slice
-            raise BufferBoundsError(f"{self._where()}: slice [{idx.start}:{idx.stop}:{idx.step}] of "
-                                    f"{_what(self)} takes {count} values, got {len(value)}")
+        if count is not None and (vals := np.asarray(value)).ndim and vals.size != count:
+            # numpy would broadcast a one-element value over the slots
+            index = f"slice [{idx.start}:{idx.stop}:{idx.step}]" if type(idx) is slice else "int-array index"
+            raise BufferBoundsError(f"{self._where()}: {index} of {_what(self)} takes {count} values, "
+                                    f"got {vals.size}")
         if self._w_owner is not None:
             self._race_write(idx)
         self.data[idx] = value
@@ -393,6 +395,9 @@ class Session:
         self._allocs = 0
         self._current = None
         self._current_gid = None
+        # the shared storage of every launch without shared slots: it has no slot to carry a value, and
+        # it holds the session by a weak proxy, so a dropped session needs no cycle collector
+        self._no_shared = DeviceBuffer(weakref.proxy(self), 0, name=None)
 
     @property
     def launch_log(self) -> list[LaunchConfig]:
@@ -402,8 +407,6 @@ class Session:
     def alloc(self, length: int, dtype: str = "f32", name: str = "") -> DeviceBuffer:
         buf = DeviceBuffer(self, length, dtype=dtype, name=name or f"buf{self._allocs}")
         self._allocs += 1
-        if self.race_check:
-            buf._race_arm()
         return buf
 
     def stats(self) -> LaunchStats:
@@ -447,10 +450,7 @@ class Session:
 
     def _shared(self, slots: int) -> DeviceBuffer:
         # a block's shared storage, for a per-thread and a lane-form kernel alike
-        buf = DeviceBuffer(self, slots, name=None)
-        if self.race_check:
-            buf._race_arm()
-        return buf
+        return DeviceBuffer(self, slots, name=None) if slots else self._no_shared
 
     def _run_lanes(self, kernel, is_gen, lanes, rec, buffers):
         # one lane-form call over a span of gids, each yield a barrier of its block

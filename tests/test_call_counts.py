@@ -1,0 +1,27 @@
+"""A fixture run's count of Python calls is exact: the same in every run, so a
+change to a fixed cost shows in one run, not only in noisy wall times."""
+
+import cProfile
+import pstats
+
+import pytest
+
+from edgegraph.graph import DEFAULT_GPU_OPS, assign_devices, insert_copies, load_graph, run_graph
+from edgegraph.simt import Session
+from fixtures import ssd_like_doc, ssd_like_inputs
+
+
+@pytest.mark.parametrize("gpu_ops", [DEFAULT_GPU_OPS, DEFAULT_GPU_OPS - {"multibox_detection", "box_nms"}],
+                         ids=["all-gpu", "fallback"])
+def test_two_runs_of_the_fixture_make_equal_python_call_counts(gpu_ops):
+    g = insert_copies(assign_devices(load_graph(ssd_like_doc()), gpu_ops))
+    inputs = ssd_like_inputs(0)
+    run_graph(g, inputs, Session())  # a warm-up fills the plan caches
+    counts = []
+    for _ in range(2):
+        profile = cProfile.Profile(builtins=True)
+        profile.enable()
+        run_graph(g, inputs, Session())
+        profile.disable()
+        counts.append(pstats.Stats(profile).total_calls)
+    assert counts[0] == counts[1] > 0

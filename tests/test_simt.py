@@ -399,6 +399,19 @@ def test_dropped_buffers_are_freed_without_the_cycle_collector():
         gc.enable()
 
 
+@pytest.mark.parametrize("race_check", [False, True])
+def test_a_dropped_session_is_freed_without_the_cycle_collector(race_check):
+    sess = Session(race_check=race_check)
+    sess.launch(lane_form(lambda ctx: ctx.shared[0:0]), LaunchConfig(grid=1, block=2))  # the zero-slot buffer
+    session = weakref.ref(sess)
+    gc.disable()
+    try:
+        del sess
+        assert session() is None
+    finally:
+        gc.enable()
+
+
 def test_race_check_resets_only_buffers_the_phase_touched(monkeypatch):
     from edgegraph.vision import SegmentedArray, segmented_argsort
 
@@ -829,6 +842,15 @@ BAD_ACCESSES = {
     "bool_mask": lambda s, t: setitem(s, np.array([True, False, True, False]), 1),
     "float_indices": lambda s, t: setitem(s, np.array([0.0, 1.0]), 1),
     "float_read": lambda s, t: s[1.0],
+    # slice bounds and steps follow the int rule: numpy would read True as 1, or raise a bare TypeError
+    "bool_slice_start": lambda s, t: setitem(s, slice(True, 3), 1.0),
+    "float_slice_start": lambda s, t: setitem(s, slice(0.5, 2), 1.0),
+    "np_float_slice_stop": lambda s, t: setitem(s, slice(0, np.float64(2)), 1.0),
+    "bool_slice_step": lambda s, t: setitem(s, slice(None, None, True), 1.0),
+    "np_bool_slice_stop": lambda s, t: setitem(s, slice(0, np.True_), 1.0),
+    # an int-array store takes a scalar or one value per slot, as a slice store does
+    "one_value_into_three_slots": lambda s, t: setitem(s, np.array([0, 1, 2]), [7.0]),
+    "three_values_into_two_slots": lambda s, t: setitem(s, np.array([0, 1]), [7.0, 8.0, 9.0]),
 }
 
 
@@ -859,6 +881,57 @@ def test_a_launch_without_shared_slots_rejects_any_shared_access(race_check, lan
 
     with pytest.raises(BufferBoundsError, match=r"^.*: ind.* out of range for shared storage of length 0$"):
         Session(race_check=race_check).launch(lane_form(kernel) if lanes else kernel, LaunchConfig(2, 2))
+
+
+@pytest.mark.parametrize("lanes", [False, True], ids=["per-thread", "lane-form"])
+@pytest.mark.parametrize("race_check", [False, True])
+def test_numpy_integer_bounds_and_indices_still_work(race_check, lanes):
+    sess = Session(race_check=race_check)
+    buf = sess.alloc(6, "i32", name="g")
+
+    def kernel(ctx):
+        buf[np.int64(0) : np.int64(2)] = [1, 2]
+        buf[np.uint64(2) : np.uint64(6) : np.uint64(2)] = [3, 4]  # 2 slots, though uint64 has no negatives
+        buf[np.int64(3)] = buf[np.array(0, np.int64)] + 10
+        buf[np.array(5)] = 6
+        ctx.add_work(buf[np.int32(1) :].size)
+
+    sess.launch(lane_form(kernel) if lanes else kernel, LaunchConfig(grid=1, block=1))
+    assert buf.to_numpy().tolist() == [1, 2, 3, 11, 4, 6]
+    assert sess.records[0].work.tolist() == [5]
+
+
+@pytest.mark.parametrize("lanes", [False, True], ids=["per-thread", "lane-form"])
+@pytest.mark.parametrize("race_check", [False, True])
+def test_launches_without_shared_slots_share_one_zero_slot_buffer(race_check, lanes):
+    sess = Session(race_check=race_check)
+    seen, first = [], sess.alloc(4, "i32", name="first")
+
+    def bare(ctx):
+        seen.append(ctx.shared)
+
+    def slots(ctx):
+        # every block starts from zeroed storage, whatever the block before it stored
+        first[ctx.global_id] = ctx.shared[ctx.thread_id] + 1
+        ctx.shared[ctx.thread_id] = 7
+
+    for kernel, config in ((bare, LaunchConfig(2, 2)), (bare, LaunchConfig(1, 3)),
+                           (slots, LaunchConfig(2, 2, shared_slots=2))):
+        sess.launch(lane_form(kernel) if lanes else kernel, config)
+    assert len({id(shared) for shared in seen}) == 1
+    assert type(seen[0]) is DeviceBuffer and len(seen[0]) == 0 and seen[0].name is None
+    assert first.to_numpy().tolist() == [1] * 4
+
+
+@pytest.mark.parametrize("length", [True, 2.5, -1, "4", None])
+def test_buffer_length_must_be_an_integer_of_at_least_zero(length):
+    with pytest.raises(ValueError, match=rf"^buffer length must be >= 0 and an integer, got {length!r}$"):
+        Session().alloc(length)
+
+
+def test_buffer_length_takes_any_integral_number():
+    for length in (0, 3, 3.0, np.int64(3), np.uint8(3)):
+        assert len(Session(race_check=True).alloc(length)) == int(length)
 
 
 @pytest.mark.parametrize("race_check", [False, True])
