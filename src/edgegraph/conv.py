@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simt import PLAN_LANES, LaunchConfig, Session, canonical_nan, check_int, lane_form
+from .simt import PLAN_LANES, LaunchConfig, Session, as_dtype, canonical_nan, check_int, lane_form
 
 
 class ScheduleRejectedError(ValueError):
@@ -150,8 +150,7 @@ class ScheduleConfig:
 def _operands(inp, wgt, wl: ConvWorkload):
     """``inp`` as contiguous float32, zero-padded by ``wl.pad`` on both sides of
     H and W, and ``wgt`` as float32, once both shapes are checked against ``wl``."""
-    inp = np.asarray(inp, dtype=np.float32)
-    wgt = np.asarray(wgt, dtype=np.float32)
+    inp, wgt = as_dtype(inp, "f32")[1], as_dtype(wgt, "f32")[1]
     if inp.shape != (wl.n, wl.c, wl.h, wl.w):
         raise ValueError(f"input shape {inp.shape} does not match workload {(wl.n, wl.c, wl.h, wl.w)}")
     if wgt.shape != (wl.k, wl.c // wl.groups, wl.r, wl.s):

@@ -57,6 +57,7 @@ CPU = "CPU"
 GPU = "GPU"
 
 DTYPES = {"f32": np.float32, "i32": np.int32, "bool": np.bool_}
+F32_OVERFLOW = 2.0**128 - 2.0**103  # the least magnitude that rounds to ±Infinity in f32
 PLAN_LANES = 4096  # launch_rows keeps lane plans of at most this many lanes: 2.1 MB for 32
 
 # sentinel meaning "no owner yet" / "multiple readers" in the shadow maps
@@ -168,10 +169,11 @@ def _check_index(idx, n: int, owner):
             return (stop - start + step - 1) // step  # no negative operand, so unsigned bounds count too
         raise BufferBoundsError(f"{owner._where()}: slice [{idx.start}:{idx.stop}:{idx.step}] "
                                 f"invalid for {_what(owner)} of length {n}")
-    arr = idx if type(idx) is np.ndarray else np.asarray(idx)  # a numpy integer is a 0-d int array
-    if arr.dtype.kind not in "iu":
-        raise BufferBoundsError(f"{owner._where()}: {arr.dtype} index into {_what(owner)}; expected "
-                                f"an int, a slice or an int array")
+    # a numpy integer is a 0-d int array; numpy would read a tuple as one index per axis
+    arr = None if type(idx) is tuple else idx if type(idx) is np.ndarray else np.asarray(idx)
+    if arr is None or arr.dtype.kind not in "iu":
+        raise BufferBoundsError(f"{owner._where()}: {'tuple' if arr is None else arr.dtype} index into "
+                                f"{_what(owner)}; expected an int, a slice or an int array")
     if np.count_nonzero(arr.astype(np.uint64, copy=False) >= n):  # a negative index wraps past n
         lo, hi = int(arr.min()), int(arr.max())
         where = f"{owner._where()}: " + (f"indices [{lo}..{hi}]" if arr.ndim else f"index {lo}")
@@ -237,8 +239,8 @@ class DeviceBuffer:
         self.data[idx] = value
 
     def load(self, values) -> None:
-        """Host-side write of the whole buffer."""
-        arr = np.asarray(values, dtype=DTYPES[self.dtype])
+        """Host-side write of the whole buffer, its values converted by :func:`as_dtype`."""
+        arr = as_dtype(values, self.dtype)[1]
         if arr.shape != self.data.shape:
             raise ValueError(
                 f"cannot load shape {arr.shape} into buffer {self.name!r} of length {len(self)}"
@@ -609,6 +611,33 @@ def check_int(name: str, value, low: int, rule: str = "") -> int:
     if bad or value % 1 or value < low:  # NaN % 1 is NaN, which is true
         raise ValueError(f"{name} must be {rule or f'>= {low} and an integer'}, got {value!r}")
     return int(value)
+
+
+def as_dtype(array, dtype: str | None = None) -> tuple:
+    """``(dtype, array)``: float, integer or bool values as a ``dtype`` array, the one way
+    into a device dtype; with no ``dtype``, floats become f32, integers i32 and bools bool.
+    An array already of ``dtype`` comes back as it is, any other as a copy. f32 takes every
+    value but a finite one of magnitude ``F32_OVERFLOW`` or more (NaN, ±inf and -0.0 pass
+    bit for bit), i32 integers, bools and integral floats in its range, and bool only
+    bools. Any other array raises ``ValueError``, as does a value that does not fit."""
+    arr = np.asarray(array)
+    kind = arr.dtype.kind
+    if kind not in "fiub":
+        raise ValueError(f"no tensor dtype for {arr.dtype} values; expected float, integer or bool")
+    dtype = dtype or {"f": "f32", "i": "i32", "u": "i32", "b": "bool"}[kind]
+    if arr.dtype == DTYPES[dtype]:
+        return dtype, arr
+    bad = None  # an integer or a bool always fits f32, and a narrow one i32
+    if dtype == "bool":  # only a bool array is one, so every value is bad
+        bad = np.ones(arr.shape, bool)
+    elif kind == "f":  # NaN fails every comparison; the bounds are float64, which a float16 would overflow
+        bad = (((a := abs(arr)) >= np.float64(F32_OVERFLOW)) & (a != np.inf) if dtype == "f32" else
+               ~((arr >= np.float64(-2**31)) & (arr < np.float64(2**31)) & (np.floor(arr) == arr)))
+    elif dtype == "i32" and not np.can_cast(arr.dtype, np.int32):
+        bad = (arr < -2**31) | (arr >= 2**31)
+    if bad is not None and bad.any():
+        raise ValueError(f"{arr.dtype} value {arr.flat[np.argmax(bad)]} does not fit {dtype}")
+    return dtype, arr.astype(DTYPES[dtype])
 
 
 def canonical_nan(a: np.ndarray) -> np.ndarray:

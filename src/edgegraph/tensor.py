@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simt import DTYPES, check_int
+from .simt import DTYPES, F32_OVERFLOW, as_dtype, check_int
 
 SHAPE, DTYPE, FINITE, F32 = [range(1, 2**31)], tuple(DTYPES), "finite", "f32"  # check_json specs, see there
 _DATA = {"f32": F32, "i32": range(-2**31, 2**31), "bool": bool}  # the spec of a literal's datum per dtype
-F32_OVERFLOW = 2.0**128 - 2.0**103  # the least magnitude that rounds to ±Infinity in f32
 
 
 @dataclass(frozen=True)
@@ -38,7 +37,7 @@ class Tensor:
         if self.dtype not in DTYPES:
             raise ValueError(f"unsupported dtype {self.dtype!r}")
         n = int(np.prod(self.shape))
-        flat = np.array(self.data, dtype=DTYPES[self.dtype]).reshape(-1)
+        flat = np.array(as_dtype(self.data, self.dtype)[1]).reshape(-1)  # a copy of its own
         if flat.size != n:
             raise ValueError(f"data length {flat.size} != product(shape) {n}")
         flat.setflags(write=False)
@@ -53,23 +52,6 @@ class Tensor:
     def to_array(self) -> np.ndarray:
         """Writable, C-contiguous, logically-shaped copy of the values."""
         return self.data.reshape(self.shape).copy()
-
-
-def as_dtype(array, dtype: str | None = None) -> tuple:
-    """``(dtype, array)``: the values as a ``dtype`` array, copied only if
-    the dtype differs. With no ``dtype``, floats become f32, integers i32
-    and bools bool; any other array raises ValueError, as does an integer
-    value that does not fit i32."""
-    arr = np.asarray(array)
-    if dtype is None:
-        dtype = {"f": "f32", "i": "i32", "u": "i32", "b": "bool"}.get(arr.dtype.kind)
-        if dtype is None:
-            raise ValueError(f"no tensor dtype for {arr.dtype} values; expected float, integer or bool")
-    if dtype == "i32" and arr.dtype.kind in "iu" and not np.can_cast(arr.dtype, np.int32):
-        bad = (arr < -2**31) | (arr >= 2**31)
-        if bad.any():
-            raise ValueError(f"{arr.dtype} value {arr.flat[np.argmax(bad)]} does not fit i32")
-    return dtype, arr.astype(DTYPES[dtype], copy=False)
 
 
 def tensor_to_json(t: Tensor) -> str:
@@ -123,4 +105,6 @@ def tensor_from_json(text, doc: str = "tensor literal", path: str = "") -> Tenso
     """Tensor from a literal ``{shape, dtype, layout, data}``; check_json names a bad part by ``doc`` and ``path``."""
     record = check_json(json.loads(text) if isinstance(text, str) else text, {"dtype": DTYPE}, doc, path)
     check_json(record, {"shape": SHAPE, "layout?": ("NCHW", "OIHW"), "data": [_DATA[record["dtype"]]]}, doc, path)
-    return Tensor(shape=tuple(record["shape"]), dtype=record["dtype"], data=np.asarray(record["data"]))
+    # f32 data may mix floats with ints past int64, which numpy would hold as objects
+    data = np.asarray(record["data"], np.float64 if record["dtype"] == "f32" else None)
+    return Tensor(shape=tuple(record["shape"]), dtype=record["dtype"], data=data)

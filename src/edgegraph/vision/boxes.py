@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..simt import LaunchConfig, Session, ceil_div, check_count, check_int, run_rows
+from ..simt import LaunchConfig, Session, as_dtype, ceil_div, check_count, check_int, run_rows
 from .sort import SegmentedArray, ordered_bits, segmented_argsort
 
 INVALID = -1.0  # marker filled into every field of a suppressed row
@@ -40,16 +40,18 @@ PAIR_CHUNK = 1 << 14  # window pairs per chunk, plus at most one box's window
 
 @dataclass(frozen=True)
 class BoxSet:
-    """Rows of (class_id, score, x1, y1, x2, y2); class_id == -1 marks invalid."""
+    """Rows of (class_id, score, x1, y1, x2, y2); class_id == -1 marks invalid. Class ids
+    enter as i32 and the rest as f32 by :func:`simt.as_dtype`, so a fractional, NaN or
+    out-of-range class id raises."""
 
     class_ids: np.ndarray
     scores: np.ndarray
     corners: np.ndarray
 
     def __post_init__(self):
-        cls = np.asarray(self.class_ids, dtype=np.int32).reshape(-1)
-        sc = np.asarray(self.scores, dtype=np.float32).reshape(-1)
-        xy = np.asarray(self.corners, dtype=np.float32).reshape(-1, 4)
+        cls = as_dtype(self.class_ids, "i32")[1].reshape(-1)
+        sc = as_dtype(self.scores, "f32")[1].reshape(-1)
+        xy = as_dtype(self.corners, "f32")[1].reshape(-1, 4)
         if not (len(cls) == len(sc) == len(xy)):
             raise ValueError("class_ids, scores and corners must have equal row counts")
         if np.count_nonzero((xy[:, :2] > xy[:, 2:])[cls >= 0]):  # x1 > x2 or y1 > y2 in a valid row
@@ -71,8 +73,8 @@ class BoxSet:
 
     @classmethod
     def from_array(cls, rows) -> "BoxSet":
-        rows = np.asarray(rows, dtype=np.float32).reshape(-1, 6)
-        return cls(class_ids=rows[:, 0].astype(np.int32), scores=rows[:, 1], corners=rows[:, 2:])
+        rows = as_dtype(rows, "f32")[1].reshape(-1, 6)
+        return cls(class_ids=rows[:, 0], scores=rows[:, 1], corners=rows[:, 2:])
 
 
 def _checked_rows(rows: np.ndarray) -> BoxSet:
@@ -312,9 +314,7 @@ def _check_multibox(class_probs, loc_preds, anchors, variances):
     """The batch as float32 (cls, b * a) probs, (b * a, 4) offsets and
     (b * a, 4) anchors in flat (image, anchor) order, plus b, a and variances;
     rejects shapes that do not fit, x1 > x2 or y1 > y2 in an anchor and variances not 4 finite numbers."""
-    probs = np.asarray(class_probs, dtype=np.float32)
-    locs = np.asarray(loc_preds, dtype=np.float32)
-    ancs = np.asarray(anchors, dtype=np.float32)
+    probs, locs, ancs = (as_dtype(x, "f32")[1] for x in (class_probs, loc_preds, anchors))
     if probs.ndim != 3 or locs.ndim != 2 or ancs.shape[:1] != (1,) or ancs.ndim != 3:
         raise ValueError(
             f"expected class_probs (b, cls, a), loc_preds (b, 4a), anchors (1, a, 4); "

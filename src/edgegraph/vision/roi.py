@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..simt import LaunchConfig, Session, canonical_nan, ceil_div, check_int, run_rows
+from ..simt import LaunchConfig, Session, as_dtype, canonical_nan, ceil_div, check_int, run_rows
 
 # ROIs per lane tile: a launch has ceil(n / TILE) tiles, up to 4 per block.
 TILE = 8
@@ -39,10 +39,10 @@ def _check_inputs(features, rois, output_size, sampling_ratio):
     of shape (4,), or (n, 4) boxes (an empty sequence is zero boxes), all
     finite. Raises ``ValueError`` otherwise.
     """
-    feats = np.asarray(features, dtype=np.float32)
+    feats = as_dtype(features, "f32")[1]
     if feats.ndim != 4 or feats.shape[0] != 1 or 0 in feats.shape[2:]:
         raise ValueError(f"features must be (1, C, H, W) with H, W >= 1, got {feats.shape}")
-    boxes = np.asarray(rois, dtype=np.float32)
+    boxes = as_dtype(rois, "f32")[1]
     if boxes.shape in ((4,), (0,)):
         boxes = boxes.reshape(-1, 4)
     if boxes.ndim != 2 or boxes.shape[1] != 4:

@@ -25,8 +25,7 @@ Compaction is two row launches over the same chunks and no scan: lane
 g counts chunk g's kept flags, then each gather call sums the p counts
 into the chunks' output bases, reads the chunks holding its ranks with
 one slice of values and one of flags, and selects the kept values
-(Billeter, Olsson and Assarsson, HPG 2009). Scan and compaction share
-one input rule: f32 or i32, no integer outside i32, no finite float past f32.
+(Billeter, Olsson and Assarsson, HPG 2009).
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..simt import LaunchConfig, Session, ceil_div, check_int, lane_form, launch_rows, log2_ceil, run_rows
+from ..simt import LaunchConfig, Session, as_dtype, ceil_div, check_int, lane_form, launch_rows, log2_ceil, run_rows
 
 I32_MIN = -(2**31)
 I32_MAX = 2**31 - 1
@@ -86,36 +85,15 @@ def _check_i32(values, what: str = "scan result") -> None:
         raise OverflowError(f"{what} exceeds the i32 range")
 
 
-def _device_dtype(arr: np.ndarray, what: str) -> tuple[np.ndarray, str]:
-    """``arr`` as f32 or i32 and its buffer dtype name, the one input rule of
-    scan and compact. Rejects a dtype that is neither float nor integer/bool,
-    integers outside the i32 range and finite floats past the f32 range;
-    NaN and +-inf pass through."""
-    if arr.dtype.kind == "f":
-        try:
-            with np.errstate(over="raise"):  # a cast that overflows is a finite float past f32
-                return arr.astype(np.float32, copy=False), "f32"
-        except FloatingPointError:
-            raise OverflowError(f"{what} input exceeds the f32 range") from None
-    if arr.dtype.kind in "iub":
-        if not np.can_cast(arr.dtype, np.int32):  # else every value fits
-            _check_i32(arr, f"{what} input")
-        return arr.astype(np.int32, copy=False), "i32"
-    raise ValueError(f"unsupported {what} dtype {arr.dtype}")
-
-
-def _prepare(values, kind: str) -> tuple[np.ndarray, str]:
-    """The input as a flat f32 or i32 array and its buffer dtype name.
-
-    Rejects an unknown ``kind`` and a non-flat input, then applies
-    :func:`_device_dtype`.
-    """
+def _prepare(values, kind: str) -> tuple[str, np.ndarray]:
+    """The buffer dtype name and the input as a flat f32 array for floats, else
+    i32, by :func:`simt.as_dtype`, once ``kind`` and the shape are checked."""
     if kind not in ("inclusive", "exclusive"):
         raise ValueError(f"kind must be 'inclusive' or 'exclusive', got {kind!r}")
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"scan expects a flat buffer, got shape {arr.shape}")
-    return _device_dtype(arr, "scan")
+    return as_dtype(arr, "f32" if arr.dtype.kind == "f" else "i32")
 
 
 def _rows(x: np.ndarray, chunk: int) -> tuple[np.ndarray, np.ndarray]:
@@ -189,7 +167,7 @@ def scan(values, kind: str = "inclusive", p: int = 8, session: Session | None = 
     passes. i32 input gives exact results or an OverflowError; f32 input
     is summed in the fixed chunked order described in the module docstring.
     """
-    arr, dtype = _prepare(values, kind)
+    dtype, arr = _prepare(values, kind)
     n = arr.size
     if n == 0:
         return arr.copy()
@@ -247,7 +225,7 @@ def scan_sequential(values, kind: str = "inclusive", p: int = 8) -> np.ndarray:
     bitwise identical to :func:`scan` and raises where it raises, which
     keeps graph outputs independent of the device an operator lands on.
     """
-    arr, dtype = _prepare(values, kind)
+    dtype, arr = _prepare(values, kind)
     n = arr.size
     if n == 0:
         return arr.copy()
@@ -268,12 +246,10 @@ def compact(values, keep, p: int = 8, session: Session | None = None) -> tuple[n
     output base from the prefix sums of those counts: two row launches,
     no scan. Returns (kept buffer, kept count).
     """
-    arr, flags = np.asarray(values), np.asarray(keep)
-    if flags.dtype != bool:  # numpy's truthiness would keep "False", "0" and NaN
-        raise ValueError(f"compact keep flags must be bool, got dtype {flags.dtype}")
+    arr, flags = np.asarray(values), as_dtype(keep, "bool")[1]
     if arr.shape != flags.shape or arr.ndim != 1:
         raise ValueError(f"values {arr.shape} and keep {flags.shape} must be equal-length flat buffers")
-    arr, dtype = _device_dtype(arr, "compact")  # values pass through untouched; no silent wrap
+    dtype, arr = as_dtype(arr, "f32" if arr.dtype.kind == "f" else "i32")  # scan's rule
     n = arr.size
     if n == 0:
         return arr.copy(), 0

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..simt import LaunchConfig, Session, ceil_div, check_int, launch_rows
+from ..simt import LaunchConfig, Session, as_dtype, ceil_div, check_int, launch_rows
 
 WAYS = 8  # runs a merge pass merges into one
 
@@ -65,7 +65,7 @@ class SegmentedArray:
 
     @classmethod
     def from_segments(cls, segments) -> "SegmentedArray":
-        parts = [np.asarray(s, dtype=np.float32).reshape(-1) for s in segments]
+        parts = [as_dtype(s, "f32")[1].reshape(-1) for s in segments]
         offsets = np.cumsum([0] + [p.size for p in parts])
         values = np.concatenate(parts) if parts else np.zeros(0, np.float32)
         return cls(values=values, offsets=offsets)
@@ -90,7 +90,8 @@ def _keyed(a: SegmentedArray, order: str):
     order-preserving uint32 image of the value (0 for a nan) below it.
     Descending negates the value. Any other ``order`` raises, as does an
     array whose piece ids, each below elements + segments, would not fit
-    above the 33 key bits, or one of integers float32 does not hold exactly.
+    above the 33 key bits, one that :func:`simt.as_dtype` does not take
+    into f32, or one of integers float32 does not hold exactly.
     """
     if order not in ("ascending", "descending"):
         raise ValueError(f"order must be 'ascending' or 'descending', got {order!r}")
@@ -99,7 +100,7 @@ def _keyed(a: SegmentedArray, order: str):
         raise ValueError(f"argsort of {n} elements in {a.num_segments} segments overflows its "
                          f"packed int64 sort key: elements + segments must be at most 2**30")
     slots = np.arange(n)
-    vals = np.asarray(a.values, dtype=np.float32)
+    vals = as_dtype(a.values, "f32")[1]
     if a.values.dtype.kind in "iu":
         with np.errstate(invalid="ignore"):  # a cast back out of range is lossy too
             lossy = vals.astype(a.values.dtype) != a.values

@@ -851,6 +851,9 @@ BAD_ACCESSES = {
     # an int-array store takes a scalar or one value per slot, as a slice store does
     "one_value_into_three_slots": lambda s, t: setitem(s, np.array([0, 1, 2]), [7.0]),
     "three_values_into_two_slots": lambda s, t: setitem(s, np.array([0, 1]), [7.0, 8.0, 9.0]),
+    # numpy would read a tuple as one index per axis and raise a bare IndexError
+    "tuple_read": lambda s, t: s[(0, 1)],
+    "tuple_store": lambda s, t: setitem(s, (0, 1), 1.0),
 }
 
 
