@@ -33,12 +33,6 @@ RECORDS_ENV = "EDGEGRAPH_RECORDS"
 _COSTS = {"node_costs": {str: {str: FINITE}}, "transform_costs?": {str: FINITE}, "default_transform_cost?": FINITE}
 
 
-def _records_path(arg):
-    if arg:
-        return arg
-    return os.environ.get(RECORDS_ENV, DEFAULT_RECORDS)
-
-
 def _load_inputs(path) -> dict:
     with open(path, "r", encoding="utf-8") as f:
         doc = check_json(json.load(f), {}, f"{path}: inputs file")
@@ -105,11 +99,13 @@ def cmd_stats(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    if args.method == "random" and args.batch is not None:
+        raise ValueError("--batch applies only to --method model")
     wl = ConvWorkload.from_key(args.workload_key)
     timer = proxy_timer if args.timer == "proxy" else wall_timer
-    records = _records_path(args.records)
+    records = args.records or os.environ.get(RECORDS_ENV, DEFAULT_RECORDS)
     # random search is the model search with one batch the size of the budget
-    batch = args.budget if args.method == "random" else args.batch
+    batch = args.budget if args.method == "random" else 8 if args.batch is None else args.batch
     best = tune_model(wl, args.budget, batch=batch, seed=args.seed, repeats=args.repeats,
                       timer=timer, records_path=records)
     cfg = best.config
@@ -156,7 +152,8 @@ def _bench_rows(args) -> list:
                     try:
                         ms.append(None if field == "before_ms" and text in ("", "---") else float(text))
                     except ValueError:
-                        raise ValueError(f"{args.file}:{reader.line_num}: {field} must be a number, got {text!r}") from None
+                        raise ValueError(f"{args.file}:{reader.line_num}: {field} must be a number, "
+                                         f"got {text!r}") from None
                 rows.append((rec[0], *ms))
         return rows
     if args.before is None or args.after is None:
@@ -202,28 +199,24 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="edgegraph", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="place a graph document and execute it")
-    run.add_argument("graph")
-    run.add_argument("inputs")
-    run.add_argument("--gpu-ops", type=_op_kinds, default=None,
-                     help="comma-separated op kinds to keep on the GPU")
-    run.add_argument("--fallback", type=_op_kinds, default=None,
-                     help="comma-separated op kinds to force onto the CPU")
+    placed = argparse.ArgumentParser(add_help=False)  # the placed graph run and stats take
+    placed.add_argument("graph")
+    placed.add_argument("inputs")
+    placed.add_argument("--gpu-ops", type=_op_kinds, help="comma-separated op kinds to keep on the GPU")
+    placed.add_argument("--fallback", type=_op_kinds, help="comma-separated op kinds to force onto the CPU")
+
+    run = sub.add_parser("run", parents=[placed], help="place a graph document and execute it")
     run.add_argument("--out", default="outputs.json")
     run.set_defaults(fn=cmd_run)
 
-    stats = sub.add_parser("stats", help="run a graph and dump the launch counters")
-    stats.add_argument("graph")
-    stats.add_argument("inputs")
-    stats.add_argument("--gpu-ops", type=_op_kinds, default=None)
-    stats.add_argument("--fallback", type=_op_kinds, default=None)
+    stats = sub.add_parser("stats", parents=[placed], help="run a graph and dump the launch counters")
     stats.set_defaults(fn=cmd_stats)
 
     tune = sub.add_parser("tune", help="search schedule configs for a conv workload key")
     tune.add_argument("workload_key")
     tune.add_argument("--budget", type=int, required=True)
     tune.add_argument("--method", choices=("random", "model"), default="random")
-    tune.add_argument("--batch", type=int, default=8)
+    tune.add_argument("--batch", type=int, help="configs a round of --method model measures (default 8)")
     tune.add_argument("--records", default=None, help=f"records path (default ${RECORDS_ENV} or {DEFAULT_RECORDS})")
     tune.add_argument("--seed", type=int, default=0)
     tune.add_argument("--repeats", type=int, default=3)

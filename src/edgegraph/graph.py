@@ -24,10 +24,11 @@ import numpy as np
 from . import vision
 # conv2d_reference runs on no placement: perfbench/tracing.py patches it here and on conv, as one object
 from .conv import ConvWorkload, ScheduleConfig, conv2d_host, conv2d_reference, conv2d_scheduled
-from .simt import CPU, GPU, LaunchConfig, Session, check_int, run_rows
+from .simt import CPU, DTYPES, GPU, LaunchConfig, Session, check_int, run_rows
 from .tensor import DTYPE, SHAPE, Tensor, as_dtype, check_json
 
 UNASSIGNED = "unassigned"
+_DTYPE_NAMES = {np.dtype(t): name for name, t in DTYPES.items()}  # of the values between nodes
 _DEFAULT_SCHEDULE = ScheduleConfig()  # a conv node's schedule until one is set
 _GRAPH = {"nodes": [{"id": str, "op": str, "attrs?": {}, "inputs?": [str]}],  # the check_json spec of a document
           "inputs?": {str: {"shape?": SHAPE, "dtype?": DTYPE}}, "outputs?": [str]}
@@ -185,7 +186,7 @@ def count_copies(g: Graph) -> int:
 
 
 def _by_rows(gpu, fn, out_shape, *arrays):
-    """``fn(*arrays)`` over the arrays as f32, of shape ``out_shape``, for
+    """``fn(*arrays)``, of shape ``out_shape`` and the arrays' one dtype, for
     arrays whose leading axis indexes independent rows.
 
     The range function slices the flat inputs on the CPU (``gpu`` is None)
@@ -193,13 +194,12 @@ def _by_rows(gpu, fn, out_shape, *arrays):
     calls it once on the CPU, or in a launch whose up to 8 threads each read
     an input with one slice read and store with one slice write.
     """
-    rows = out_shape[0]
+    rows, dtype = out_shape[0], _DTYPE_NAMES[arrays[0].dtype]
     ins = []  # (flat input or its buffer, elements of one row, shape of one row)
     for i, a in enumerate(arrays):
-        a = np.asarray(a, np.float32)
         flat = a.reshape(-1)
         if gpu is not None:
-            flat = gpu.alloc(a.size, "f32", name=f"rows_in{i}")
+            flat = gpu.alloc(a.size, dtype, name=f"rows_in{i}")
             flat.load(a.reshape(-1))
         ins.append((flat, a.size // rows, a.shape[1:]))
 
@@ -207,7 +207,7 @@ def _by_rows(gpu, fn, out_shape, *arrays):
         return fn(*(f[lo * k : hi * k].reshape(hi - lo, *shape) for f, k, shape in ins))
 
     by_rows.__name__, by_rows.__qualname__ = fn.__name__, fn.__qualname__
-    out = run_rows(gpu, LaunchConfig(grid=1, block=min(8, rows)), "f32", rows,
+    out = run_rows(gpu, LaunchConfig(grid=1, block=min(8, rows)), dtype, rows,
                    math.prod(out_shape[1:]), by_rows, "rows_out")
     return out.reshape(out_shape)
 
@@ -239,17 +239,10 @@ def _int_attr(at: dict, name: str, default: int) -> int:
     return check_int(name, at.get(name, default), 1)
 
 
-def _number_attr(at: dict, name: str, default: float) -> float:
-    value = at.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
 def _nms_attrs(at: dict, default_score: float) -> dict:
     return dict(
-        iou_threshold=_number_attr(at, "iou_threshold", 0.5),
-        score_threshold=_number_attr(at, "score_threshold", default_score),
+        iou_threshold=at.get("iou_threshold", 0.5),
+        score_threshold=at.get("score_threshold", default_score),
         top_k=at.get("top_k"),
         max_output=at.get("max_output"),
     )
@@ -257,14 +250,19 @@ def _nms_attrs(at: dict, default_score: float) -> dict:
 
 def _relu(node, args, gpu):
     x = args[0]
-    return _by_rows(gpu, lambda v: np.maximum(v, np.float32(0)), (x.size,), x.reshape(-1)).reshape(x.shape)
+    return _by_rows(gpu, lambda v: np.maximum(v, v.dtype.type(0)), (x.size,), x.reshape(-1)).reshape(x.shape)
 
 
 def _add(node, args, gpu):
     a, b = args
     if a.shape != b.shape:
         raise ValueError(f"add operands differ in shape: {a.shape} vs {b.shape}")
-    return _by_rows(gpu, np.add, (a.size,), a.reshape(-1), b.reshape(-1)).reshape(a.shape)
+    if a.dtype != b.dtype or a.dtype == np.bool_:
+        raise ValueError(f"add takes two f32 or two i32 operands, got {_DTYPE_NAMES[a.dtype]} and "
+                         f"{_DTYPE_NAMES[b.dtype]}")
+    # an i32 sum is added in int64, so one past the i32 range raises
+    add = np.add if a.dtype == np.float32 else lambda x, y: as_dtype(np.add(x, y, dtype=np.int64), "i32")[1]
+    return _by_rows(gpu, add, (a.size,), a.reshape(-1), b.reshape(-1)).reshape(a.shape)
 
 
 def _pool(node, args, gpu):

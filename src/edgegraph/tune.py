@@ -39,11 +39,12 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import os
 import time
 import warnings
 import zlib
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -99,52 +100,40 @@ class TuningRecord:
         return not self.failed and self.cost_mean is not None and math.isfinite(self.cost_mean)
 
     def to_json(self) -> str:
-        rec = {
-            "workload": self.workload_key,
-            "config": self.config.as_dict(),
-            "cost_mean": self.cost_mean,
-            "cost_std": self.cost_std,
-            "repeats": self.repeats,
-            "device": self.device_tag,
-            "created_at": self.created_at,
-            "failed": self.failed,
-            "error": self.error,
-        }
+        rec = dict(zip(_KEYS, _FIELDS(self)))
+        rec[_CONFIG] = self.config.as_dict()
         return "".join(_encode(rec, 0))
 
     @classmethod
     def from_json(cls, text: str) -> "TuningRecord":
         rec = json.loads(text)
-        if not isinstance(rec, dict) or not isinstance(rec.get("config"), dict):
+        if not isinstance(rec, dict) or not isinstance(rec.get(_CONFIG), dict):
             raise ValueError("a record and its config must be JSON objects")
-        rec = {"failed": False, "error": None, **rec}
-        for key, types in _RECORD_TYPES.items():
+        rec = {**_DEFAULTS, **rec}
+        for key, types in zip(_KEYS, _TYPES):
             if not isinstance(rec[key], types) or (type(rec[key]) is bool) != (bool in types):
                 raise TypeError(f"field {key!r} has type {type(rec[key]).__name__}")
-        return cls(
-            workload_key=rec["workload"],
-            config=ScheduleConfig.from_dict(rec["config"]),
-            cost_mean=rec["cost_mean"],
-            cost_std=rec["cost_std"],
-            repeats=rec["repeats"],
-            device_tag=rec["device"],
-            created_at=rec["created_at"],
-            failed=rec["failed"],
-            error=rec["error"],
-        )
+        rec[_CONFIG] = ScheduleConfig.from_dict(rec[_CONFIG])
+        return cls(*map(rec.__getitem__, _KEYS))
 
 
-# the JSON types each record field may take, in field order; a bool is never a number
-_RECORD_TYPES = {"workload": (str,), "cost_mean": (int, float, type(None)),
-                 "cost_std": (int, float, type(None)), "repeats": (int,), "device": (str,),
-                 "created_at": (int, float), "failed": (bool,), "error": (str, type(None))}
+# The record line, in line order, which is TuningRecord's field order: each field's JSON key and
+# the JSON types it may take, where a bool is never a number. The config, a ScheduleConfig, is
+# the one JSON object. Older lines may lack the fields that have a default.
+_CONFIG, _NUMBER, _NONE = "config", (int, float), type(None)
+_LINE = (("workload_key", "workload", (str,)), ("config", _CONFIG, (dict,)),
+         ("cost_mean", "cost_mean", (*_NUMBER, _NONE)), ("cost_std", "cost_std", (*_NUMBER, _NONE)),
+         ("repeats", "repeats", (int,)), ("device_tag", "device", (str,)), ("created_at", "created_at", _NUMBER),
+         ("failed", "failed", (bool,)), ("error", "error", (str, _NONE)))
+_NAMES, _KEYS, _TYPES = zip(*_LINE)
+_FIELDS = operator.attrgetter(*_NAMES)
+_DEFAULTS = {key: f.default for key, f in zip(_KEYS, fields(TuningRecord)) if f.default is not MISSING}
 
 
 def _exact(r: TuningRecord) -> bool:
     """Whether loading ``r``'s line gives back ``r`` with every field of the same type."""
-    fields = (r.workload_key, r.cost_mean, r.cost_std, r.repeats, r.device_tag, r.created_at, r.failed, r.error)
     return (type(r) is TuningRecord and type(r.config) is ScheduleConfig
-            and all(type(v) in types for v, types in zip(fields, _RECORD_TYPES.values())))
+            and all(type(v) in types or key == _CONFIG for v, key, types in zip(_FIELDS(r), _KEYS, _TYPES)))
 
 
 # --- timers -----------------------------------------------------------------
@@ -215,16 +204,13 @@ def measure(wl: ConvWorkload, cfg: ScheduleConfig, repeats: int = 3, timer=None)
         timer = wall_timer
     now = time.time()
 
-    def failure(error, timed_runs=0):
-        return TuningRecord(
-            workload_key=wl.key(), config=cfg, cost_mean=None, cost_std=None,
-            repeats=timed_runs, device_tag="emu", created_at=now, failed=True, error=error,
-        )
+    def record(cost_mean=None, cost_std=None, timed_runs=0, error=None):  # failed iff it has an error
+        return TuningRecord(wl.key(), cfg, cost_mean, cost_std, timed_runs, "emu", now, error is not None, error)
 
     try:
         cfg.validate_for(wl)
     except ScheduleRejectedError as e:
-        return failure(str(e))
+        return record(error=str(e))
     inp, wgt, ref = _workload_data(wl)
 
     def run():
@@ -243,15 +229,10 @@ def measure(wl: ConvWorkload, cfg: ScheduleConfig, repeats: int = 3, timer=None)
         samples = [float(timer(run, wl, cfg)) for _ in range(repeats)]
     bad = [s for s in samples if not math.isfinite(s)]
     if bad:
-        return failure(f"timer returned a non-finite cost {bad[0]}", len(samples))
+        return record(timed_runs=len(samples), error=f"timer returned a non-finite cost {bad[0]}")
     if len(samples) == 1:
-        cost_mean, cost_std = samples[0], 0.0
-    else:
-        cost_mean, cost_std = float(np.median(samples)), float(np.std(samples))
-    return TuningRecord(
-        workload_key=wl.key(), config=cfg, cost_mean=cost_mean, cost_std=cost_std,
-        repeats=len(samples), device_tag="emu", created_at=now,
-    )
+        return record(samples[0], 0.0, 1)
+    return record(float(np.median(samples)), float(np.std(samples)), len(samples))
 
 
 # --- records database --------------------------------------------------------

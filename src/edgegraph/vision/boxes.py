@@ -179,10 +179,23 @@ def _sources(mask: np.ndarray, first: np.ndarray, cands: np.ndarray, g: np.ndarr
     return src
 
 
+def _number(name: str, value) -> float:
+    """``value``, an int or a float (numpy's too), as a float; a bool or a value
+    that float() cannot take raises."""
+    if type(value) is not bool and isinstance(value, (int, float, np.integer, np.floating)):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def _nms_pass(boxes: BoxSet, images: int, iou_threshold: float, score_threshold: float, top_k,
               max_output, sess: Session | None) -> np.ndarray:
     """box_nms's packed rows on session ``sess``, or the CPU twin's if sess is None."""
     images = check_int("images", images, 1)
+    iou_threshold = _number("iou_threshold", iou_threshold)
+    score_threshold = _number("score_threshold", score_threshold)
     if not (0.0 < iou_threshold <= 1.0):
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
     if np.isnan(score_threshold):  # it would fail every score; +-inf keep their meaning

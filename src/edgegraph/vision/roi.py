@@ -11,10 +11,10 @@ A launch casts the map once to float64 with its last row and column
 repeated, (C, H + 1, W + 1): exact, as a sample on the map's last row or
 column reads that row or column as its far corner too. A range call plans
 its own ROIs as one flat top-left index and four bilinear weights per
-sample (``_plan``, ``_sample_planes``), the corners at that index plus 0,
-1, W + 1 and W + 2, then pools them ``PASS`` float64 elements' worth of
-channels at a time in two float64 workspaces (``_pool``): a gather per
-corner, then a plane-wise cell mean in numpy's sum order (``_cell_mean``).
+sample (``_sample_planes``), the corners at that index plus 0, 1, W + 1
+and W + 2, then pools them ``PASS`` float64 elements' worth of channels
+at a time in two float64 workspaces (``_pool``): a gather per corner,
+then a plane-wise cell mean in numpy's sum order (``_cell_mean``).
 Kernel and twin are one body, ``_roi_align``: a ``simt.run_rows`` launch
 whose lanes own tiles of ``TILE`` ROIs, or one host call over every ROI.
 Every NaN output is the one quiet NaN, whose bits would otherwise tell a
@@ -69,27 +69,16 @@ def _axis_plan(start, stop, bins, ratio, limit):
     return lo, s - lo
 
 
-def _plan(rois: np.ndarray, output_size, ratio: int, h: int, w: int):
-    """Sampling plan of ROIs in one float64 pass.
-
-    Returns ``((y0, wy), (x0, wx))``: for each ROI, sample row and sample
-    column, the first row (column) it blends and the weight of the
-    second, of shapes (n, ph, ratio) and (n, pw, ratio).
+def _sample_planes(rois: np.ndarray, output_size, ratio: int, h: int, w: int):
+    """The sampling plan of ``rois`` in one float64 pass: ``(index, gy, ky, gx, kx)``,
+    flat over the samples in (ry, rx, roi, ph, pw) order, so each (ry, rx) sample is
+    one plane of every cell: a sample's top-left corner in the padded map, whose rows
+    hold w + 1 values, then the weights of its first and second row and of its first
+    and second column.
     """
     r = rois.astype(np.float64)
-    ph, pw = output_size
-    return (_axis_plan(r[:, 1], r[:, 3], ph, ratio, h),
-            _axis_plan(r[:, 0], r[:, 2], pw, ratio, w))
-
-
-def _sample_planes(plan, w: int):
-    """``(index, gy, ky, gx, kx)``, flat over the samples in (ry, rx, roi, ph,
-    pw) order, so each (ry, rx) sample is one plane of every cell: a sample's
-    top-left corner in the padded map, whose rows hold w + 1 values, then the
-    weights of its first and second row and of its first and second column.
-    """
-    (y0, fy), (x0, fx) = plan
-    (n, ph, ratio), pw = y0.shape, x0.shape[1]
+    (ph, pw), n = output_size, rois.shape[0]
+    (y0, fy), (x0, fx) = _axis_plan(r[:, 1], r[:, 3], ph, ratio, h), _axis_plan(r[:, 0], r[:, 2], pw, ratio, w)
     shape = (ratio, ratio, n, ph, pw)
 
     def spread(a, axes):  # (n, bins, ratio) -> one value per sample
@@ -131,7 +120,7 @@ def _cell_mean(v: np.ndarray) -> np.ndarray:
 def _pool(padded: np.ndarray, rois: np.ndarray, size, ratio: int, h: int, w: int) -> np.ndarray:
     """Pooled (n, C, ph, pw) float32 maps of the n ``rois`` from the padded
     float64 map, one channel pass at a time in two float64 workspaces."""
-    index, gy, ky, gx, kx = _sample_planes(_plan(rois, size, ratio, h, w), w)
+    index, gy, ky, gx, kx = _sample_planes(rois, size, ratio, h, w)
     c, n, samples = padded.shape[0], rois.shape[0], index.size
     step = min(c, max(1, PASS // samples))
     out = np.empty((n, c, *size), np.float32)

@@ -11,8 +11,8 @@ from edgegraph.simt import Session
 from fixtures import ssd_like_doc, ssd_like_inputs
 
 
-@pytest.mark.parametrize("gpu_ops", [DEFAULT_GPU_OPS, DEFAULT_GPU_OPS - {"multibox_detection", "box_nms"}],
-                         ids=["all-gpu", "fallback"])
+@pytest.mark.parametrize("gpu_ops", [DEFAULT_GPU_OPS, DEFAULT_GPU_OPS - {"multibox_detection", "box_nms"}, set()],
+                         ids=["all-gpu", "fallback", "all-cpu"])
 def test_two_runs_of_the_fixture_make_equal_python_call_counts(gpu_ops):
     g = insert_copies(assign_devices(load_graph(ssd_like_doc()), gpu_ops))
     inputs = ssd_like_inputs(0)

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from edgegraph import cli
 from edgegraph.cli import main
 from edgegraph.tensor import tensor_from_json, tensor_to_json
-from edgegraph.tune import records_load
+from edgegraph.tune import records_load, tune_model
 
 from fixtures import ssd_like_doc, ssd_like_inputs
 
@@ -251,6 +252,41 @@ def test_tune_model_method(tmp_path, capsys):
                  "--records", str(records)])
     assert code == 0
     assert len(records_load(str(records))) == 12
+
+
+@pytest.mark.parametrize("method", [[], ["--method", "random"]], ids=["default", "random"])
+def test_tune_batch_with_random_search_is_a_usage_error(tmp_path, capsys, method):
+    records = tmp_path / "r.jsonl"
+    code = main(["tune", "conv2d/1-4-6-6/4-3-3/1x1/1x1/1x1/1", "--budget", "16", *method, "--batch", "4",
+                 "--records", str(records)])
+    assert code == 1
+    assert capsys.readouterr().err == "edgegraph: error: --batch applies only to --method model\n"
+    assert not records.exists()
+
+
+def test_tune_model_method_batch_defaults_to_8(tmp_path, capsys, monkeypatch):
+    batches = []
+
+    def spy(*args, batch, **kwargs):
+        batches.append(batch)
+        return tune_model(*args, batch=batch, **kwargs)
+
+    monkeypatch.setattr(cli, "tune_model", spy)
+    for batch in ([], ["--batch", "4"]):
+        argv = ["tune", "conv2d/1-4-6-6/4-3-3/1x1/1x1/1x1/1", "--budget", "12", "--method", "model", *batch]
+        assert main([*argv, "--records", str(tmp_path / "r.jsonl")]) == 0
+    assert batches == [8, 4]
+
+
+def test_run_and_stats_take_one_declaration_of_the_graph_and_placement(capsys):
+    helps = []
+    for command in ("run", "stats"):
+        assert main([command, "--help"]) == 0
+        helps.append(capsys.readouterr().out)
+    for text in ("graph", "inputs", "comma-separated op kinds to keep on the GPU",
+                 "comma-separated op kinds to force onto the CPU"):
+        assert text in helps[0] and text in helps[1]
+    assert "--out" in helps[0] and "--out" not in helps[1]
 
 
 def test_tune_zero_budget_usage_error(tmp_path, capsys):

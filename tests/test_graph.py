@@ -20,7 +20,7 @@ from edgegraph.graph import (
     topo_order,
 )
 from edgegraph.simt import CPU, GPU, DeviceBuffer, Session
-from edgegraph.tensor import Tensor
+from edgegraph.tensor import Tensor, as_dtype
 
 from fixtures import records_of, ssd_like_doc, ssd_like_inputs
 
@@ -557,6 +557,74 @@ def test_pool_bad_window_raises_on_every_placement(attrs, match):
     for ops in (DEFAULT_GPU_OPS, set()):
         with pytest.raises(GraphExecutionError, match=match):
             run_graph(insert_copies(assign_devices(g, ops)), {"x": np.ones((1, 1, 7, 7), np.float32)})
+
+
+# all-GPU, fallback (multibox and NMS on the CPU), relu alone on the GPU, and all-CPU
+ROW_PLACEMENTS = [DEFAULT_GPU_OPS, DEFAULT_GPU_OPS - {"multibox_detection", "box_nms"}, {"relu"}, set()]
+
+
+def run_row_graph(nodes, feeds, outputs):
+    """``nodes`` over the 4-d ``feeds``, declared with their own dtypes, race-checked on every
+    placement of ``ROW_PLACEMENTS``: a list of each run's outputs or, if it raised, its error text."""
+    g = load_graph(doc(nodes, inputs={k: {"shape": list(v.shape), "dtype": as_dtype(v)[0]} for k, v in feeds.items()},
+                       outputs=outputs))
+    results = []
+    for ops in ROW_PLACEMENTS:
+        try:
+            results.append(run_graph(insert_copies(assign_devices(g, ops)), feeds, Session(race_check=True)))
+        except GraphExecutionError as e:
+            results.append(str(e))
+    return results
+
+
+ROW_VALUES = {
+    "f32": np.array([1.5, -0.0, 0.0, np.nan, -np.inf, 3e38, -2.5, 16777217], np.float32),
+    "i32": np.array([16777217, -3, 2**31 - 1, -2**31, 0, 7, -1, 2**24 + 3], np.int32),
+    "bool": np.array([True, False, False, False, False, True, True, True]),
+}
+
+
+@pytest.mark.parametrize("dtype", ROW_VALUES)
+def test_relu_and_pool_keep_their_input_dtype_exactly_on_every_placement(dtype):
+    x = ROW_VALUES[dtype].reshape(1, 2, 2, 2)
+    runs = run_row_graph([{"id": "r", "op": "relu", "inputs": ["x"]},
+                          {"id": "p", "op": "pool", "attrs": {"kernel": 2}, "inputs": ["r"]}], {"x": x}, ["r", "p"])
+    relu = np.maximum(x, x.dtype.type(0))
+    pool = relu.reshape(2, 4).max(axis=1).reshape(1, 2, 1, 1)
+    for out in runs:
+        assert out["r"].dtype == out["p"].dtype == dtype
+        assert out["r"].to_array().tobytes() == relu.tobytes()
+        assert out["p"].to_array().tobytes() == pool.tobytes()
+    if dtype == "i32":  # past 2**24, which f32 cannot hold
+        assert out["r"].to_array().reshape(-1)[[0, 2, 7]].tolist() == [16777217, 2**31 - 1, 2**24 + 3]
+
+
+ADD = [{"id": "a", "op": "add", "inputs": ["x", "y"]}]
+
+
+def test_an_i32_add_is_exact_and_a_sum_past_i32_names_the_node_on_every_placement():
+    x = ROW_VALUES["i32"].reshape(1, 2, 2, 2)
+    y = np.array([2**24, 2, -1, 2**31 - 1, 0, -7, 1, 2**30], np.int32).reshape(x.shape)
+    for out in run_row_graph(ADD, {"x": x, "y": y}, ["a"]):
+        assert out["a"].dtype == "i32"
+        assert out["a"].to_array().tolist() == (x.astype(np.int64) + y).tolist()
+    y.flat[2] = 1  # to x's 2**31 - 1
+    assert run_row_graph(ADD, {"x": x, "y": y}, ["a"]) == ["node 'a' (add): int64 value 2147483648 does not fit i32"] * 4
+
+
+def test_an_f32_add_is_the_f32_sum_on_every_placement():
+    x = ROW_VALUES["f32"].reshape(1, 2, 2, 2)
+    y = np.array([2.5, 0.0, -0.0, 1.0, -1.0, -3e38, 2.5, 1.0], np.float32).reshape(x.shape)
+    want = x + y
+    for out in run_row_graph(ADD, {"x": x, "y": y}, ["a"]):
+        assert out["a"].dtype == "f32" and out["a"].to_array().tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dx, dy", [("bool", "bool"), ("i32", "f32"), ("f32", "i32"), ("bool", "i32")])
+def test_a_bool_or_mixed_dtype_add_names_both_dtypes_on_every_placement(dx, dy):
+    feeds = {"x": ROW_VALUES[dx].reshape(1, 2, 2, 2), "y": ROW_VALUES[dy].reshape(1, 2, 2, 2)}
+    want = f"node 'a' (add): add takes two f32 or two i32 operands, got {dx} and {dy}"
+    assert run_row_graph(ADD, feeds, ["a"]) == [want] * 4
 
 
 @pytest.mark.parametrize("op, attrs, match", [

@@ -244,6 +244,44 @@ def test_a_nan_score_threshold_is_rejected_by_name(nan):
                 run_graph(insert_copies(assign_devices(g, gpu_ops)), feeds)
 
 
+def _every_nms_path(rows, **kwargs):
+    """box_nms (plain and race-checked), its twin, multibox_detection and its twin, with ``kwargs``."""
+    boxes = BoxSet.from_array(rows)
+    probs, locs = np.full((1, 3, 4), 0.5, np.float32), np.zeros((1, 16), np.float32)
+    anchors = np.full((1, 4, 4), 0.25, np.float32)
+    nms = {"iou_threshold": 0.5, **kwargs}
+    return [
+        lambda: box_nms(boxes, **nms),
+        lambda: box_nms(boxes, session=Session(race_check=True), **nms),
+        lambda: box_nms_sequential(boxes, **nms),
+        lambda: multibox_detection(probs, locs, anchors, **kwargs),
+        lambda: multibox_detection_sequential(probs, locs, anchors, **kwargs),
+    ]
+
+
+@pytest.mark.parametrize("bad", [True, False, "0.5", None, 10**400, [0.5], np.bool_(True)],
+                         ids=["True", "False", "str", "None", "10**400", "list", "np.True_"])
+@pytest.mark.parametrize("name", ["iou_threshold", "score_threshold"])
+def test_a_threshold_that_is_not_a_number_is_rejected_by_name_on_every_path(name, bad):
+    # before its range or NaN check, so neither True as 1.0 nor a bare TypeError gets through
+    for call in _every_nms_path(_rows(np.random.default_rng(2), 12, 2), **{name: bad}):
+        with pytest.raises(ValueError) as e:
+            call()
+        assert str(e.value) == f"{name} must be a number, got {bad!r}"
+
+
+@pytest.mark.parametrize("iou, score", [(1, 0), (np.float32(0.5), np.float64(0.1)), (np.int64(1), np.int32(0))],
+                         ids=repr)
+def test_int_and_numpy_thresholds_run_as_their_floats(iou, score):
+    def outputs(iou, score):  # three of box_nms, then multibox's one image twice
+        got = [call() for call in _every_nms_path(rows, iou_threshold=iou, score_threshold=score)]
+        return [b.to_array() for b in got[:3]] + [images[0].to_array() for images in got[3:]]
+
+    rows = _rows(np.random.default_rng(5), 30, 2)
+    for got, want in zip(outputs(iou, score), outputs(float(iou), float(score))):
+        assert _same(got, want)
+
+
 @pytest.mark.parametrize("threshold", [float("inf"), float("-inf")])
 def test_infinite_score_thresholds_keep_their_meaning(threshold):
     # +inf keeps only +inf scores, -inf every valid score that is not NaN

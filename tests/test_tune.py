@@ -657,6 +657,13 @@ def test_record_lines_are_the_bytes_json_dumps_writes(tmp_path, monkeypatch, enc
             write([nan], str(tmp_path / "missing" / "r.jsonl"))
 
 
+def test_the_record_line_table_names_every_field_in_dataclass_order():
+    # a field added to TuningRecord but not to the table would be missing from every line
+    assert [name for name, _, _ in tune._LINE] == [f.name for f in dataclasses.fields(TuningRecord)]
+    for r in LINE_RECORDS:
+        assert list(json.loads(r.to_json())) == [key for _, key, _ in tune._LINE]
+
+
 def test_records_with_a_non_finite_cost_never_count(tmp_path):
     p = tmp_path / "old.jsonl"
     lines = [json.dumps(tune.RECORDS_HEADER)]
