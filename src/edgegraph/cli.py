@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import os
@@ -30,6 +31,7 @@ from .tune import graph_tune_dp, proxy_timer, tune_model, wall_timer
 
 DEFAULT_RECORDS = "records.jsonl"
 RECORDS_ENV = "EDGEGRAPH_RECORDS"
+_TUNE = inspect.signature(tune_model).parameters  # the defaults tune's help names
 _COSTS = {"node_costs": {str: {str: FINITE}}, "transform_costs?": {str: FINITE}, "default_transform_cost?": FINITE}
 
 
@@ -104,10 +106,11 @@ def cmd_tune(args) -> int:
     wl = ConvWorkload.from_key(args.workload_key)
     timer = proxy_timer if args.timer == "proxy" else wall_timer
     records = args.records or os.environ.get(RECORDS_ENV, DEFAULT_RECORDS)
-    # random search is the model search with one batch the size of the budget
-    batch = args.budget if args.method == "random" else 8 if args.batch is None else args.batch
-    best = tune_model(wl, args.budget, batch=batch, seed=args.seed, repeats=args.repeats,
-                      timer=timer, records_path=records)
+    # the options given only, so each default is tune_model's; random search is one batch of the budget
+    given = {k: getattr(args, k) for k in ("batch", "seed", "repeats") if getattr(args, k) is not None}
+    if args.method == "random":
+        given["batch"] = args.budget
+    best = tune_model(wl, args.budget, **given, timer=timer, records_path=records)
     cfg = best.config
     print(f"workload\t{wl.key()}")
     print(
@@ -216,10 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("workload_key")
     tune.add_argument("--budget", type=int, required=True)
     tune.add_argument("--method", choices=("random", "model"), default="random")
-    tune.add_argument("--batch", type=int, help="configs a round of --method model measures (default 8)")
+    tune.add_argument("--batch", type=int, help=f"configs per --method model round (default {_TUNE['batch'].default})")
     tune.add_argument("--records", default=None, help=f"records path (default ${RECORDS_ENV} or {DEFAULT_RECORDS})")
-    tune.add_argument("--seed", type=int, default=0)
-    tune.add_argument("--repeats", type=int, default=3)
+    tune.add_argument("--seed", type=int, help=f"search seed (default {_TUNE['seed'].default})")
+    tune.add_argument("--repeats", type=int, help=f"timer runs per config (default {_TUNE['repeats'].default})")
     tune.add_argument("--timer", choices=("proxy", "wall"), default="proxy")
     tune.set_defaults(fn=cmd_tune)
 

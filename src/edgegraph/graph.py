@@ -4,10 +4,12 @@ Placement is deliberately simple: pass one tags every node GPU if its
 op kind is on the caller's GPU list and CPU otherwise; pass two inserts
 an explicit copy node on every edge whose endpoints disagree. Copy
 nodes are ordinary graph nodes, so the fallback overhead they model is
-inspectable. The executor is one table, ``OPS``, with one runner per
-op kind: it calls the emulator kernel for a GPU-tagged node and the
-kernel's sequential twin for a CPU-tagged one, which keeps graph
-outputs bitwise independent of the placement. Runners take and return
+inspectable. The executor is one table, ``OPS``, of one :class:`OpKind`
+per op kind: its runner and the attrs its nodes may set. A runner calls
+the emulator kernel for a GPU-tagged node and the kernel's sequential
+twin for a CPU-tagged one, which keeps graph outputs bitwise independent
+of the placement; a vision runner passes the node's attrs to them by
+keyword, so each default is the operator's. Runners take and return
 numpy arrays: each value between nodes is a read-only f32, i32 or bool
 array, and :class:`Tensor` is only ``run_graph``'s input and output type.
 """
@@ -18,6 +20,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -75,7 +78,8 @@ def load_graph(text) -> Graph:
 
     Document format: {"nodes": [{"id", "op", "attrs", "inputs": [ids]}], "inputs": {name: {shape, dtype}},
     "outputs": [ids]}. A part that fails ``_GRAPH`` raises ``GraphError("graph document: <path> must be <what>,
-    got <value!r>")`` (see :func:`check_json`); so do unknown op kinds, dangling refs, duplicate ids and cycles.
+    got <value!r>")`` (see :func:`check_json`); so do unknown op kinds, an attr its kind does not list
+    (but ``out_shape``), dangling refs, duplicate ids and cycles.
     """
     doc = check_json(json.loads(text) if isinstance(text, str) else text, _GRAPH, "graph document", error=GraphError)
     graph_inputs = dict(doc.get("inputs", {}))
@@ -88,7 +92,11 @@ def load_graph(text) -> Graph:
         seen.add(nid)
         if op not in OPS:
             raise GraphError(f"node {nid!r}: unknown op kind {op!r}")
-        nodes.append(Node(id=nid, op=op, attrs=dict(raw.get("attrs", {})), inputs=list(raw.get("inputs", []))))
+        attrs = dict(raw.get("attrs", {}))  # any kind may carry the out_shape tune.graph_tune_dp reads
+        if unknown := [a for a in attrs if a not in OPS[op].attrs and a != "out_shape"]:
+            raise GraphError(f"node {nid!r}: op kind {op!r} takes no attr {unknown[0]!r}; "
+                             f"its attrs are {list(OPS[op].attrs)} and out_shape")
+        nodes.append(Node(id=nid, op=op, attrs=attrs, inputs=list(raw.get("inputs", []))))
     known = seen | set(graph_inputs)
     for n in nodes:
         for ref in n.inputs:
@@ -239,13 +247,9 @@ def _int_attr(at: dict, name: str, default: int) -> int:
     return check_int(name, at.get(name, default), 1)
 
 
-def _nms_attrs(at: dict, default_score: float) -> dict:
-    return dict(
-        iou_threshold=at.get("iou_threshold", 0.5),
-        score_threshold=at.get("score_threshold", default_score),
-        top_k=at.get("top_k"),
-        max_output=at.get("max_output"),
-    )
+def _kwargs(node: Node) -> dict:
+    """The node's attrs as its operator's keywords: all but the graph's own ``out_shape``."""
+    return {k: v for k, v in node.attrs.items() if k != "out_shape"}
 
 
 def _relu(node, args, gpu):
@@ -291,7 +295,7 @@ def _conv_workload(dshape: tuple, wshape: tuple, attrs: tuple) -> ConvWorkload:
 
 def _conv2d(node, args, gpu):
     data, weight = args
-    attrs = tuple((a, node.attrs[a]) for a in ("stride", "pad", "dilation", "groups") if a in node.attrs)
+    attrs = tuple((a, node.attrs[a]) for a in OPS["conv2d"].attrs if a in node.attrs)
     # memo keys are ints and int pairs, a list pair as a tuple, which ConvWorkload takes alike;
     # any other value could share a key with a different outcome, as True == 1 and 1.0 == 1
     key = tuple((a, v if type(v) is int else tuple(v)) for a, v in attrs if type(v) is int
@@ -310,54 +314,54 @@ def _box_nms(node, args, gpu):
         raise ValueError(f"box_nms input must be (..., boxes, 6), got shape {rows.shape}")
     # leading dims of (..., boxes, 6) input index separate images
     images = max(1, math.prod(rows.shape[:-2]))
-    kept = _vision(gpu, "box_nms", vision.BoxSet.from_array(rows), images=images,
-                   **_nms_attrs(node.attrs, 0.0))
+    kept = _vision(gpu, "box_nms", vision.BoxSet.from_array(rows), images=images, **_kwargs(node))
     return kept.to_array().reshape(rows.shape)
 
 
 def _multibox_detection(node, args, gpu):
-    variances = tuple(node.attrs.get("variances", vision.boxes.DEFAULT_VARIANCES))
-    res = _vision(gpu, "multibox_detection", *args[:3], variances=variances,
-                  **_nms_attrs(node.attrs, 0.01))
+    res = _vision(gpu, "multibox_detection", *args[:3], **_kwargs(node))
     return np.stack([r.to_array() for r in res])
 
 
 def _roi_align(node, args, gpu):
-    size, ratio = node.attrs.get("output_size", (2, 2)), node.attrs.get("sampling_ratio", 2)
-    return _vision(gpu, "roi_align", args[0], args[1], size, ratio)
+    return _vision(gpu, "roi_align", args[0], args[1], **{"output_size": (2, 2), **_kwargs(node)})
 
 
 def _argsort(node, args, gpu):
-    vals = args[0].reshape(-1)
-    order = node.attrs.get("order", "ascending")
-    block = _int_attr(node.attrs, "block", 64)
-    if gpu is None:
-        return vision.argsort_sequential(vals, order)
-    sa = vision.SegmentedArray(values=vals, offsets=np.array([0, vals.size]))
-    return vision.segmented_argsort(sa, order, block=block, session=gpu)
+    vals, kw = args[0].reshape(-1), _kwargs(node)
+    if gpu is not None:
+        sa = vision.SegmentedArray(values=vals, offsets=np.array([0, vals.size]))
+        return vision.segmented_argsort(sa, **kw, session=gpu)
+    out = vision.argsort_sequential(vals, **{k: v for k, v in kw.items() if k != "block"})
+    if "block" in kw:  # the twin takes no block: the kernel's rule checks it, after the order as there
+        check_int("block", kw["block"], 1)
+    return out
 
 
 def _scan(node, args, gpu):
-    vals = args[0].reshape(-1)
-    return _vision(gpu, "scan", vals, node.attrs.get("kind", "inclusive"), p=_int_attr(node.attrs, "p", 8))
+    return _vision(gpu, "scan", args[0].reshape(-1), **_kwargs(node))
 
 
-# op kind -> runner(node, args, gpu), taking and returning arrays; ``gpu``
-# is the session on a GPU placement and None on the CPU, where the
-# sequential twins run
+@dataclass(frozen=True)
+class OpKind:
+    run: Callable  # run(node, args, gpu) -> array; gpu: the session on a GPU placement, None on the CPU
+    attrs: tuple = ()  # the attrs its nodes may set
+
+
+_NMS_ATTRS = ("iou_threshold", "score_threshold", "top_k", "max_output")
 OPS = {
-    "identity": lambda node, args, gpu: args[0],
-    "copy": lambda node, args, gpu: args[0],
-    "reshape": lambda node, args, gpu: args[0].reshape(tuple(node.attrs["shape"])),
-    "relu": _relu,
-    "add": _add,
-    "pool": _pool,
-    "conv2d": _conv2d,
-    "box_nms": _box_nms,
-    "multibox_detection": _multibox_detection,
-    "roi_align": _roi_align,
-    "argsort": _argsort,
-    "scan": _scan,
+    "identity": OpKind(lambda node, args, gpu: args[0]),
+    "copy": OpKind(lambda node, args, gpu: args[0], ("direction",)),  # direction: a label insert_copies writes
+    "reshape": OpKind(lambda node, args, gpu: args[0].reshape(tuple(node.attrs["shape"])), ("shape",)),
+    "relu": OpKind(_relu),
+    "add": OpKind(_add),
+    "pool": OpKind(_pool, ("kernel", "kernel_w", "stride", "stride_w")),
+    "conv2d": OpKind(_conv2d, ("stride", "pad", "dilation", "groups")),  # ConvWorkload's fields
+    "box_nms": OpKind(_box_nms, _NMS_ATTRS),
+    "multibox_detection": OpKind(_multibox_detection, ("variances", *_NMS_ATTRS)),
+    "roi_align": OpKind(_roi_align, ("output_size", "sampling_ratio")),
+    "argsort": OpKind(_argsort, ("order", "block")),
+    "scan": OpKind(_scan, ("kind", "p")),
 }
 
 # ops with an emulator-kernel implementation; default GPU list for placement
@@ -372,7 +376,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _run_node(node: Node, args: list, session: Session) -> np.ndarray:
-    out = OPS[node.op](node, args, session if node.device == GPU else None)
+    out = OPS[node.op].run(node, args, session if node.device == GPU else None)
     return _frozen(as_dtype(out)[1])
 
 

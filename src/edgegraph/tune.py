@@ -60,20 +60,8 @@ from .simt import Session, ceil_div, check_int
 
 RECORDS_HEADER = {"schema": 1, "features": "v1"}
 _HEADER_LINE = json.dumps(RECORDS_HEADER) + "\n"  # written first; an append need not parse it
-# json.dumps(rec, allow_nan=False)'s encoder, whose encode builds a C encoder a call: records
-# are encoded by one kept C encoder, with no cycle check (they hold none), where json has one.
-# c_make_encoder is private; it takes the nine arguments JSONEncoder.iterencode passes it, and
-# the tests check both paths against json.dumps.
+# writes the bytes json.dumps(rec, allow_nan=False) writes, with no cycle check: records hold none
 _ENCODER = json.JSONEncoder(allow_nan=False, check_circular=False)
-
-
-def _encode_py(rec, level):
-    return _ENCODER.iterencode(rec)  # not one-shot: json's pure-Python encoder
-
-
-_encode = (json.encoder.c_make_encoder(None, _ENCODER.default, json.encoder.encode_basestring_ascii,
-                                       None, ": ", ", ", False, False, False)
-           if json.encoder.c_make_encoder else _encode_py)
 MAX_SPACE = 2000  # desk-scale bound on exhaustive spaces
 EPSILON = 0.1  # chance that tune_model explores past its model's top pick
 KNN_K = 3  # neighbours the cost model averages
@@ -102,7 +90,7 @@ class TuningRecord:
     def to_json(self) -> str:
         rec = dict(zip(_KEYS, _FIELDS(self)))
         rec[_CONFIG] = self.config.as_dict()
-        return "".join(_encode(rec, 0))
+        return _ENCODER.encode(rec)
 
     @classmethod
     def from_json(cls, text: str) -> "TuningRecord":

@@ -244,7 +244,7 @@ def _nms_pass(boxes: BoxSet, images: int, iou_threshold: float, score_threshold:
                     write_out, "nms_out")
 
 
-def box_nms(boxes: BoxSet, iou_threshold: float, score_threshold: float = 0.0,
+def box_nms(boxes: BoxSet, iou_threshold: float = 0.5, score_threshold: float = 0.0,
             top_k: int | None = None, max_output: int | None = None,
             session: Session | None = None, images: int = 1) -> BoxSet:
     """Greedy NMS of ``images`` equal images stored one after another.
@@ -259,7 +259,7 @@ def box_nms(boxes: BoxSet, iou_threshold: float, score_threshold: float = 0.0,
                                    session if session is not None else Session()))
 
 
-def box_nms_sequential(boxes: BoxSet, iou_threshold: float, score_threshold: float = 0.0,
+def box_nms_sequential(boxes: BoxSet, iou_threshold: float = 0.5, score_threshold: float = 0.0,
                        top_k: int | None = None, max_output: int | None = None,
                        images: int = 1) -> BoxSet:
     """box_nms through the same mask rows, sweep and merge, no emulator."""

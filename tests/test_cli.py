@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import inspect
 import io
 import json
 import math
@@ -265,17 +266,19 @@ def test_tune_batch_with_random_search_is_a_usage_error(tmp_path, capsys, method
 
 
 def test_tune_model_method_batch_defaults_to_8(tmp_path, capsys, monkeypatch):
+    # the CLI passes --batch only when given, so the default is tune_model's own
     batches = []
 
-    def spy(*args, batch, **kwargs):
-        batches.append(batch)
-        return tune_model(*args, batch=batch, **kwargs)
+    def spy(*args, **kwargs):
+        batches.append(kwargs.get("batch"))
+        return tune_model(*args, **kwargs)
 
     monkeypatch.setattr(cli, "tune_model", spy)
     for batch in ([], ["--batch", "4"]):
         argv = ["tune", "conv2d/1-4-6-6/4-3-3/1x1/1x1/1x1/1", "--budget", "12", "--method", "model", *batch]
         assert main([*argv, "--records", str(tmp_path / "r.jsonl")]) == 0
-    assert batches == [8, 4]
+    assert batches == [None, 4]
+    assert inspect.signature(tune_model).parameters["batch"].default == 8
 
 
 def test_run_and_stats_take_one_declaration_of_the_graph_and_placement(capsys):

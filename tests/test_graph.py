@@ -12,6 +12,7 @@ from edgegraph.graph import (
     OPS,
     GraphError,
     GraphExecutionError,
+    OpKind,
     assign_devices,
     count_copies,
     insert_copies,
@@ -654,7 +655,7 @@ def test_bad_vision_attrs_raise_the_same_error_on_every_placement(op, attrs, mat
     ("pool", {"kernel": 2, "stride_w": float("nan")}, "stride_w"),
     ("roi_align", {"sampling_ratio": 1.5}, "sampling_ratio"),
     ("roi_align", {"output_size": [2, 2.5]}, "output_size"),
-    ("scan", {"p": 2.7}, "p"),
+    pytest.param("scan", {"p": 2.7}, "processor count p", id="scan-attrs7-p"),  # scan's own name for p
     ("argsort", {"block": 2.5}, "block"),
     ("conv2d", {"groups": 1.5}, "groups"),
     ("conv2d", {"stride": [1.9, 1]}, "stride"),
@@ -685,6 +686,93 @@ def test_integer_attrs_are_checked_not_truncated_on_every_placement(op, attrs, b
             run_graph(insert_copies(assign_devices(g, ops)), inputs)
         errors.append(str(e.value))
     assert errors[0] == errors[1]
+
+
+_FLAT = {"x": np.arange(9, dtype=np.float32)}
+_BOXES = np.array([[0, 0.9, 0, 0, 1, 1], [0, 0.8, 0, 0, 1, 1], [1, 0.5, 0, 0, 0.5, 0.5], [-1, 0, 0, 0, 0, 0]],
+                  np.float32)
+_PROBS = np.random.default_rng(0).random((1, 3, 4)).astype(np.float32)
+# op kind -> inputs of a one-node graph of that kind, in its input order
+KIND_FEEDS = {
+    "identity": _FLAT, "copy": _FLAT, "relu": _FLAT, "reshape": _FLAT, "argsort": _FLAT, "scan": _FLAT,
+    "add": {"x": _FLAT["x"], "x2": _FLAT["x"]},
+    "pool": {"x": np.arange(36, dtype=np.float32).reshape(1, 1, 6, 6)},
+    "conv2d": {"x": np.ones((1, 2, 4, 4), np.float32), "w": np.ones((2, 2, 1, 1), np.float32)},
+    "box_nms": {"b": _BOXES},
+    "multibox_detection": {"probs": _PROBS / _PROBS.sum(axis=1, keepdims=True),
+                           "locs": np.zeros((1, 16), np.float32), "anchors": _BOXES[None, :, 2:]},
+    "roi_align": {"x": np.ones((1, 2, 6, 6), np.float32), "r": np.array([[0.5, 0.5, 4, 4]], np.float32)},
+}
+_NMS_BAD = {"iou_threshold": "high", "score_threshold": "low", "top_k": 1.5, "max_output": -1}
+# (op kind, attr) -> a malformed value of it
+BAD_ATTRS = {
+    ("reshape", "shape"): [5],
+    **{("pool", a): 2.5 for a in ("kernel", "kernel_w", "stride", "stride_w")},
+    ("conv2d", "stride"): [1.5, 1], ("conv2d", "pad"): [0, -1], ("conv2d", "dilation"): 2, ("conv2d", "groups"): 1.5,
+    **{("box_nms", a): v for a, v in _NMS_BAD.items()},
+    **{("multibox_detection", a): v for a, v in _NMS_BAD.items()}, ("multibox_detection", "variances"): [1, 2],
+    ("roi_align", "output_size"): [2, 0], ("roi_align", "sampling_ratio"): 1.5,
+    ("argsort", "order"): "sideways", ("argsort", "block"): 0,
+    ("scan", "kind"): "both", ("scan", "p"): 2.7,
+}
+
+
+def one_node_graph(op, attrs, nid="y"):
+    feeds = KIND_FEEDS[op]
+    attrs = {"shape": [9], **attrs} if op == "reshape" else attrs  # the one attr without a default
+    return load_graph(doc(
+        [{"id": nid, "op": op, "attrs": attrs, "inputs": list(feeds)}],
+        inputs={k: {"shape": list(v.shape), "dtype": "f32"} for k, v in feeds.items()},
+        outputs=[nid],
+    )), feeds
+
+
+def test_the_kinds_feeds_and_malformed_attrs_cover_every_kind_and_every_listed_attr():
+    assert set(KIND_FEEDS) == set(OPS)
+    # copy's direction is a label insert_copies writes; no runner reads it
+    assert set(BAD_ATTRS) == {(op, a) for op, kind in OPS.items() for a in kind.attrs} - {("copy", "direction")}
+
+
+@pytest.mark.parametrize("op, attr", sorted(BAD_ATTRS))
+def test_every_listed_attr_is_read_on_every_placement(op, attr):
+    """A malformed value of each attr a kind lists is an error naming the node;
+    an attr listed but never read would run."""
+    g, feeds = one_node_graph(op, {attr: BAD_ATTRS[op, attr]})
+    errors = []
+    for ops in (DEFAULT_GPU_OPS, set()):
+        with pytest.raises(GraphExecutionError) as e:
+            run_graph(insert_copies(assign_devices(g, ops)), feeds)
+        errors.append(str(e.value))
+    assert errors[0] == errors[1] and errors[0].startswith(f"node 'y' ({op}): ")
+    assert attr in errors[0], errors[0]
+
+
+@pytest.mark.parametrize("op, attr", [("scan", "P"), ("scan", "knd"), ("argsort", "ordr")])
+def test_an_unlisted_attr_is_rejected_at_load_before_any_launch(op, attr):
+    sess = Session()
+    with pytest.raises(GraphError) as e:
+        g, feeds = one_node_graph(op, {attr: 4}, nid="s")
+        run_graph(insert_copies(assign_devices(g, DEFAULT_GPU_OPS)), feeds, sess)
+    assert str(e.value) == (f"node 's': op kind {op!r} takes no attr {attr!r}; "
+                            f"its attrs are {list(OPS[op].attrs)} and out_shape")
+    assert sess.stats().launches == 0
+
+
+def test_a_misspelt_scan_kind_is_a_load_error_not_an_inclusive_scan():
+    text = doc([{"id": "s", "op": "scan", "attrs": {"knd": "exclusive"}, "inputs": ["x"]}],
+               inputs={"x": {"shape": [9], "dtype": "f32"}}, outputs=["s"])
+    with pytest.raises(GraphError, match=r"node 's': op kind 'scan' takes no attr 'knd'"):
+        load_graph(text)
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_out_shape_loads_and_runs_on_every_kind(op):
+    g, feeds = one_node_graph(op, {"out_shape": [1, 2]})
+    assert g.nodes[0].attrs["out_shape"] == [1, 2]
+    want = run_graph(one_node_graph(op, {})[0], feeds)["y"].to_array()
+    for ops in (DEFAULT_GPU_OPS, set()):
+        got = run_graph(insert_copies(assign_devices(g, ops)), feeds)["y"].to_array()
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
 
 
 @pytest.mark.parametrize("size", [7, None])
@@ -837,8 +925,8 @@ def test_runner_that_writes_its_input_fails_and_other_consumers_keep_the_value(o
         args[0][0] = 99.0
         return args[0]
 
-    monkeypatch.setitem(OPS, "identity", spy)
-    monkeypatch.setitem(OPS, "scan", writer)
+    monkeypatch.setitem(OPS, "identity", OpKind(spy))
+    monkeypatch.setitem(OPS, "scan", OpKind(writer))
     x = np.array([-1.0, 2.0, -3.0, 4.0], np.float32)
     with pytest.raises(GraphExecutionError, match=r"node 'w' \(scan\): .*read-only"):
         run_graph(insert_copies(assign_devices(g, ops)), {"x": x})
@@ -866,8 +954,8 @@ def test_runner_results_take_the_tensor_dtypes(value, dtype, want, monkeypatch):
         seen.append(args[0])
         return args[0]
 
-    monkeypatch.setitem(OPS, "identity", lambda node, args, gpu: value)
-    monkeypatch.setitem(OPS, "copy", spy)
+    monkeypatch.setitem(OPS, "identity", OpKind(lambda node, args, gpu: value))
+    monkeypatch.setitem(OPS, "copy", OpKind(spy))
     out = run_graph(g, {"x": np.zeros(2, np.float32)})["z"]
     assert seen[0].dtype == dtype and not seen[0].flags.writeable
     assert np.array_equal(seen[0], want) and np.array_equal(out.to_array(), want)
@@ -879,7 +967,7 @@ def test_runner_result_that_does_not_fit_i32_names_the_node(monkeypatch):
         inputs={"x": {"shape": [2], "dtype": "f32"}},
         outputs=["y"],
     ))
-    monkeypatch.setitem(OPS, "identity", lambda node, args, gpu: np.array([2**40, 3]))
+    monkeypatch.setitem(OPS, "identity", OpKind(lambda node, args, gpu: np.array([2**40, 3])))
     with pytest.raises(GraphExecutionError, match=r"node 'y' \(identity\): int64 value 1099511627776 does not fit i32"):
         run_graph(g, {"x": np.zeros(2, np.float32)})
 

@@ -637,10 +637,8 @@ LINE_RECORDS = [
 ]
 
 
-@pytest.mark.parametrize("encoder", ["kept", "pure-python"])
-def test_record_lines_are_the_bytes_json_dumps_writes(tmp_path, monkeypatch, encoder):
-    if encoder == "pure-python":  # the path taken where json has no C encoder
-        monkeypatch.setattr(tune, "_encode", tune._encode_py)
+@pytest.mark.parametrize("encoder", ["kept"])  # one encoder: tune's kept json.JSONEncoder
+def test_record_lines_are_the_bytes_json_dumps_writes(tmp_path, encoder):
     p = tmp_path / "r.jsonl"
     want = [json.dumps({"workload": r.workload_key, "config": r.config.as_dict(), "cost_mean": r.cost_mean,
                         "cost_std": r.cost_std, "repeats": r.repeats, "device": r.device_tag,
