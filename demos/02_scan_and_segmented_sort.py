@@ -4,9 +4,9 @@ The scan splits the input into per-processor chunks (up-sweep), runs a
 cooperative Hillis-Steele ladder over the chunk totals inside a single
 block, and adds the scanned bases back (down-sweep) -- three launches,
 no global synchronization. The segmented sort flattens many
-variable-length rows, block-sorts, then merges up to eight sorted runs
-per pass, so 1 + ceil(log8 blocks) launches, never moving values across
-segment boundaries.
+variable-length rows, block-sorts, then merges every sorted run in one
+pass, so two launches (one for a single sort block), never moving values
+across segment boundaries.
 """
 
 import numpy as np
@@ -42,4 +42,4 @@ for s, row in enumerate(rows):
     print(f"  row {s} gathered descending: {[row[i] for i in ranks[a:b]]}")
 blocks = -(-sa.values.size // 2)
 print(f"sort used {sess.stats().launches} launches for {blocks} sort blocks "
-      "(1 block sort, then merge passes of up to 8 runs each)")
+      "(1 block sort, then 1 merge pass over every run)")

@@ -65,6 +65,7 @@ _ENCODER = json.JSONEncoder(allow_nan=False, check_circular=False)
 MAX_SPACE = 2000  # desk-scale bound on exhaustive spaces
 EPSILON = 0.1  # chance that tune_model explores past its model's top pick
 KNN_K = 3  # neighbours the cost model averages
+REPEATS = 3  # timed runs of a config: measure's default, and so tune_model's and the CLI's
 
 
 class UnsupportedGraphError(ValueError):
@@ -176,7 +177,7 @@ def _search_space(k: int, oh: int, ow: int):
     return rows, feats
 
 
-def measure(wl: ConvWorkload, cfg: ScheduleConfig, repeats: int = 3, timer=None) -> TuningRecord:
+def measure(wl: ConvWorkload, cfg: ScheduleConfig, repeats: int = REPEATS, timer=None) -> TuningRecord:
     """Time one config on fixed pseudo-random inputs for its workload.
 
     Returns a record whose cost_mean is the median of ``repeats`` timed
@@ -376,7 +377,7 @@ class KnnCostModel:
 
 
 def tune_model(wl: ConvWorkload, budget: int, batch: int = 8, seed: int = 0,
-               repeats: int = 3, timer=None, records_path=None) -> TuningRecord:
+               repeats: int = REPEATS, timer=None, records_path=None) -> TuningRecord:
     """Cost-model-guided search: train, rank, measure the top batch, repeat.
 
     The first batch is a uniform draw of distinct configs; each later

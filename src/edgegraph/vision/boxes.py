@@ -209,7 +209,7 @@ def _nms_pass(boxes: BoxSet, images: int, iou_threshold: float, score_threshold:
     offsets = np.arange(0, len(boxes) + 1, n)
     if sess is None:  # stable descending order with NaN scores last, ties by row index
         order = (-boxes.scores.astype(np.float64).reshape(-1, n)).argsort(axis=1, kind="stable")
-    else:  # a 64-slot sort block per image keeps the merge passes those of one image
+    else:  # a 64-slot sort block per image keeps the launches those of one image
         order = segmented_argsort(SegmentedArray(values=boxes.scores, offsets=offsets),
                                   "descending", block=64 * images, session=sess)
     order = order.reshape(-1) + offsets[:-1].repeat(n)

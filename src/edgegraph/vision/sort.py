@@ -3,29 +3,28 @@
 Variable-length segments are kept flat, with segment start offsets on
 the side, and the flat array is chopped into equal-size sort blocks.
 Every launch is one :func:`simt.launch_rows` call over the output slots
-in tiles of one sort block, so lane g owns sort block g in every pass.
-The first launch, one thread per block, sorts each block; merge pass k,
-blocks of min(8**k, num_blocks) threads, merges up to ``WAYS`` = 8 runs
-of the previous pass into sorted runs of ``block * 8**k`` slots, so
-ceil(log8 num_blocks) merge passes sort every segment. Elements never
-cross a segment boundary: a pass sorts each of its pieces, the part of
-one segment that lies in one of the pass's runs.
+in tiles of one sort block, so lane g owns sort block g in both passes.
+The first launch, one thread per block, sorts each block; if there is
+more than one block, one merge pass, a single block of one thread per
+sort block, merges them all, so a call is at most two launches.
+Elements never cross a segment boundary: a pass sorts each of its
+pieces, the part of one segment that lies in one of the pass's runs.
 
 A lane widens its rows to the run that holds them, ranks that run from the
 previous pass's permutation, and keeps its own rows. Ranking a run is one
 stable sort of packed int64 keys: the piece id above bit 33, the nan flag
 at bit 32 and an order-preserving image of the float32 value below it; the
-piece id is the element's segment, in its key from the start, plus its run
-in the pass, which an element never leaves, so a pass adds it to the keys
-once (none if one run holds every slot). In a merge pass a piece is at
-most ``WAYS`` sorted pieces of the previous pass, in index order. Equal
-keys sit in ascending index order within each, and every index in one
+piece id is the element's segment, in its key from the start, plus, in the
+block sort, its sort block, which an element never leaves. The merge pass's
+one run holds every slot, so it sorts the keys as they are, and a piece
+there is the segment's sorted pieces of the block sort, in index order.
+Equal keys sit in ascending index order within each, and every index in one
 piece is below every index in the pieces after it, so the stable sort puts
-equal keys in index order, as merging the pieces does. numpy's stable
-int64 sort is a timsort, which finds the pieces as runs and merges them,
-so a call's merge work is about n log2(num_blocks) whatever the fan-in,
-and fewer, wider passes save each pass's fixed cost. Ranks are therefore
-stable, and the launches need no barrier and no shared storage.
+equal keys in index order, as merging the pieces does. numpy's stable int64
+sort is a timsort, which finds the pieces as runs and merges them, so a
+call's merge work is about n log2(num_blocks) in one pass, and a second
+pass would only add its fixed cost. Ranks are therefore stable, and the
+launches need no barrier and no shared storage.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..simt import LaunchConfig, Session, as_dtype, ceil_div, check_int, launch_rows
-
-WAYS = 8  # runs a merge pass merges into one
 
 
 @dataclass(frozen=True)
@@ -123,8 +120,8 @@ def segmented_argsort(a: SegmentedArray, order: str = "ascending", block: int = 
     Returns a flat int32 buffer where the slots of segment s hold a
     permutation of 0..len(s): position j gets the segment-relative index
     of the element ranked j in the requested order. Runs as one
-    block-sort launch plus ceil(log8 num_blocks) merge launches; the
-    result is independent of ``block``.
+    block-sort launch plus, if there is more than one sort block, one
+    merge launch; the result is independent of ``block``.
     """
     slots, seg, key = _keyed(a, order)
     block = check_int("block", block, 1)
@@ -133,16 +130,12 @@ def segmented_argsort(a: SegmentedArray, order: str = "ascending", block: int = 
         return np.zeros(0, dtype=np.int32)
 
     sess = session if session is not None else Session()
-    perms = sess.alloc(n, "i32", name="sort_perm_a"), sess.alloc(n, "i32", name="sort_perm_b")
     src = slots
-    sort_blocks = ceil_div(n, block)
-    fans = [1]  # pass k leaves runs of WAYS**k sort blocks, the last one of them all
-    while fans[-1] < sort_blocks:
-        fans.append(fans[-1] * WAYS)
-    for k, fan in enumerate(fans):
-        run = block * fan  # sorted-run width this pass leaves
-        # an element's run, its slot's sort block // fan, adds to its segment above bit 33;
-        # both never decrease, so elements of equal sum there are the pass's pieces
+    # the block sort leaves runs of one sort block; the merge pass, if there is more than
+    # one, leaves one run of every slot
+    for k, run in enumerate((block, n) if block < n else (n,)):
+        # an element's run, its slot's sort block, adds to its segment above bit 33; both
+        # never decrease, so elements of equal sum there are the block sort's pieces
         pkey = key + (slots // run << 33) if run < n else key
 
         def rank(lo, hi):
@@ -150,8 +143,8 @@ def segmented_argsort(a: SegmentedArray, order: str = "ascending", block: int = 
             s = src[r0:r1]
             return s[pkey[s].argsort(kind="stable")][lo - r0 : hi - r0]
 
-        dst = perms[k % 2]
-        cfg = LaunchConfig(grid=ceil_div(n, run), block=min(fan, sort_blocks))
+        dst = sess.alloc(n, "i32", name=("sort_perm_a", "sort_perm_b")[k])
+        cfg = LaunchConfig(grid=ceil_div(n, run), block=ceil_div(run, block))
         launch_rows(sess, cfg, dst, n, rank, tile=block)
         src = dst
     return (src.to_numpy() - a.offsets[seg]).astype(np.int32)

@@ -1,13 +1,15 @@
-"""A fixture run's count of Python calls is exact: the same in every run, so a
-change to a fixed cost shows in one run, not only in noisy wall times."""
+"""A fixture run's or an argsort call's count of Python calls is exact: the same in
+every run, so a change to a fixed cost shows in one run, not only in noisy wall times."""
 
 import cProfile
 import pstats
 
+import numpy as np
 import pytest
 
 from edgegraph.graph import DEFAULT_GPU_OPS, assign_devices, insert_copies, load_graph, run_graph
 from edgegraph.simt import Session
+from edgegraph.vision import SegmentedArray, segmented_argsort
 from fixtures import ssd_like_doc, ssd_like_inputs
 
 
@@ -22,6 +24,22 @@ def test_two_runs_of_the_fixture_make_equal_python_call_counts(gpu_ops):
         profile = cProfile.Profile(builtins=True)
         profile.enable()
         run_graph(g, inputs, Session())
+        profile.disable()
+        counts.append(pstats.Stats(profile).total_calls)
+    assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("block", [2, 8, 64])
+def test_two_argsort_calls_of_1990_elements_in_50_segments_make_equal_python_call_counts(block):
+    rng = np.random.default_rng(block)
+    offsets = np.concatenate([[0], np.cumsum(rng.permutation(1 + np.arange(50) * 80 // 50))])
+    sa = SegmentedArray(values=rng.random(1990, dtype=np.float32), offsets=offsets)
+    segmented_argsort(sa, block=block, session=Session())  # a warm-up fills the plan caches
+    counts = []
+    for _ in range(2):
+        profile = cProfile.Profile(builtins=True)
+        profile.enable()
+        segmented_argsort(sa, block=block, session=Session())
         profile.disable()
         counts.append(pstats.Stats(profile).total_calls)
     assert counts[0] == counts[1] > 0

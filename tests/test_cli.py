@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from edgegraph import cli
 from edgegraph.cli import main
 from edgegraph.tensor import tensor_from_json, tensor_to_json
-from edgegraph.tune import records_load, tune_model
+from edgegraph.tune import measure, records_load, tune_model
 
 from fixtures import ssd_like_doc, ssd_like_inputs
 
@@ -279,6 +279,13 @@ def test_tune_model_method_batch_defaults_to_8(tmp_path, capsys, monkeypatch):
         assert main([*argv, "--records", str(tmp_path / "r.jsonl")]) == 0
     assert batches == [None, 4]
     assert inspect.signature(tune_model).parameters["batch"].default == 8
+
+
+def test_tune_repeats_default_is_measures_and_the_help_names_it(capsys):
+    defaults = {f.__name__: inspect.signature(f).parameters["repeats"].default for f in (measure, tune_model)}
+    assert defaults == {"measure": 3, "tune_model": 3}
+    assert main(["tune", "--help"]) == 0
+    assert "timer runs per config (default 3)" in " ".join(capsys.readouterr().out.split())
 
 
 def test_run_and_stats_take_one_declaration_of_the_graph_and_placement(capsys):

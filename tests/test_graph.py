@@ -1,5 +1,6 @@
 """Graph loading, two-pass placement, copy insertion, executor."""
 
+import inspect
 import json
 import re
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from edgegraph import vision
 from edgegraph.graph import (
     DEFAULT_GPU_OPS,
     OPS,
@@ -626,6 +628,16 @@ def test_a_bool_or_mixed_dtype_add_names_both_dtypes_on_every_placement(dx, dy):
     feeds = {"x": ROW_VALUES[dx].reshape(1, 2, 2, 2), "y": ROW_VALUES[dy].reshape(1, 2, 2, 2)}
     want = f"node 'a' (add): add takes two f32 or two i32 operands, got {dx} and {dy}"
     assert run_row_graph(ADD, feeds, ["a"]) == [want] * 4
+
+
+@pytest.mark.parametrize("name", ["box_nms", "multibox_detection", "scan", "roi_align"])
+def test_each_vision_kernel_and_its_twin_state_the_same_parameters_and_defaults(name):
+    # an attr a node leaves out takes the default of whichever of the two its placement runs
+    def params(f):
+        return [(p.name, p.kind, p.default) for p in inspect.signature(f).parameters.values()
+                if p.name != "session"]
+
+    assert params(getattr(vision, name)) == params(getattr(vision, name + "_sequential"))
 
 
 @pytest.mark.parametrize("op, attrs, match", [

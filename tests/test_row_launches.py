@@ -82,10 +82,10 @@ def test_row_launches_agree_race_checked_and_unchecked(op):
     assert names <= seen and not any("launch_rows" in n for n in seen)
 
 
-# sort block -> (grid, block) of each launch over 100 elements: runs of block * 8**k slots,
-# no launch wider than the 100, 50, 15 or 2 sort blocks
-ARGSORT_LAUNCHES = {1: [(100, 1), (13, 8), (2, 64), (1, 100)], 2: [(50, 1), (7, 8), (1, 50)],
-                    7: [(15, 1), (2, 8), (1, 15)], 64: [(2, 1), (1, 2)]}
+# sort block -> (grid, block) of each launch over 100 elements: the block sort, one lane per
+# sort block, then one merge pass of the 100, 50, 15 or 2 sort blocks in one block
+ARGSORT_LAUNCHES = {1: [(100, 1), (1, 100)], 2: [(50, 1), (1, 50)], 7: [(15, 1), (1, 15)],
+                    64: [(2, 1), (1, 2)]}
 
 
 @pytest.mark.parametrize("block", [1, 2, 7, 64])
@@ -110,7 +110,7 @@ def test_segmented_argsort_row_launches_agree_race_checked_and_unchecked(block):
     assert [config for _, config, *_ in launches] == 2 * passes
     for name, config, items, _, _ in launches:
         assert name == "segmented_argsort.<locals>.rank"
-        # lane g stores sort block g: the block sort and every merge pass alike
+        # lane g stores sort block g: the block sort and the merge pass alike
         lanes = config.grid * config.block
         assert items == [max(0, min(block, n - g * block)) for g in range(lanes)]
 

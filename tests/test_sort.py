@@ -1,4 +1,4 @@
-"""Segmented argsort: stability, segment isolation, merge-tree launches."""
+"""Segmented argsort: stability, segment isolation, a block sort and one merge pass."""
 
 import math
 
@@ -29,17 +29,12 @@ def stable_sort_oracle(values, offsets, order):
     return out
 
 
-def eight_way_launches(n, block):
+def two_pass_launches(n, block):
     """The launches of an n-element argsort in sort blocks of ``block``: the block
-    sort, then merge pass k, which leaves runs of block * 8**k slots in launches of
-    grid ceil(n / run) and block min(8**k, sort blocks), until one run holds them all."""
+    sort, one lane per block, then, if there is more than one block, one merge pass
+    in a single block of one lane per sort block."""
     blocks = ceil_div(n, block)
-    launches, fan = [], 1
-    while True:
-        launches.append(LaunchConfig(grid=ceil_div(n, block * fan), block=min(fan, blocks)))
-        if fan >= blocks:
-            return launches
-        fan *= 8
+    return [LaunchConfig(grid=blocks, block=1)] + [LaunchConfig(grid=1, block=blocks)] * (blocks > 1)
 
 
 def lane_items(n, block, config):
@@ -63,7 +58,7 @@ def test_single_segment_hand_case():
 
 
 def test_five_blocks_one_merge_pass():
-    # five sort blocks are fewer than eight, so one merge pass of five lanes merges them all
+    # five sort blocks: one merge pass of five lanes merges them all
     vals = np.arange(50, dtype=np.float32)[::-1].copy()
     sa = SegmentedArray(values=vals, offsets=np.array([0, 50]))
     sess = Session()
@@ -73,13 +68,34 @@ def test_five_blocks_one_merge_pass():
     assert got.tolist() == list(range(49, -1, -1))
 
 
-def test_launch_count_is_one_plus_log8_blocks():
-    # 97 elements: 97, 33, 14, 7 and 2 sort blocks
-    want = {1: [(97, 1), (13, 8), (2, 64), (1, 97)],
-            3: [(33, 1), (5, 8), (1, 33)],
-            7: [(14, 1), (2, 8), (1, 14)],
+def test_each_launch_allocates_one_permutation_buffer(monkeypatch):
+    made = []
+    alloc = Session.alloc
+
+    def recording(self, *args, **kwargs):
+        buf = alloc(self, *args, **kwargs)
+        made.append((len(buf), buf.dtype))
+        return buf
+
+    monkeypatch.setattr(Session, "alloc", recording)
+    sa = SegmentedArray(values=np.arange(50, dtype=np.float32), offsets=np.array([0, 20, 50]))
+    for block, launches in ((64, 1), (50, 1), (49, 2), (8, 2)):
+        made.clear()
+        sess = Session()
+        segmented_argsort(sa, block=block, session=sess)
+        assert len(sess.launch_log) == launches
+        assert made == [(50, "i32")] * launches, block
+
+
+def test_launch_count_is_two_for_two_or_more_sort_blocks():
+    # 97 elements: 97, 33, 14, 7, 2 and 1 sort blocks
+    want = {1: [(97, 1), (1, 97)],
+            3: [(33, 1), (1, 33)],
+            7: [(14, 1), (1, 14)],
             16: [(7, 1), (1, 7)],
-            50: [(2, 1), (1, 2)]}
+            50: [(2, 1), (1, 2)],
+            97: [(1, 1)],
+            200: [(1, 1)]}
     rng = np.random.default_rng(0)
     for block, launches in want.items():
         vals = rng.standard_normal(97).astype(np.float32)
@@ -87,7 +103,7 @@ def test_launch_count_is_one_plus_log8_blocks():
         sess = Session()
         segmented_argsort(sa, "ascending", block=block, session=sess)
         assert sess.launch_log == [LaunchConfig(grid=g, block=b) for g, b in launches]
-        assert sess.launch_log == eight_way_launches(97, block)
+        assert sess.launch_log == two_pass_launches(97, block)
         for r in sess.records:
             assert r.work.tolist() == lane_items(97, block, r.config), (block, r.config)
 
@@ -127,7 +143,7 @@ def test_race_checked_merges_against_oracle():
         assert np.array_equal(got, stable_sort_oracle(vals, sa.offsets, order))
         if n == 0:
             continue
-        assert sess.launch_log == eight_way_launches(n, block)
+        assert sess.launch_log == two_pass_launches(n, block)
         for r in sess.records:
             assert r.work.tolist() == lane_items(n, block, r.config)
         assert sess.stats().barriers == 0
@@ -373,7 +389,7 @@ def test_argsort_launches_and_outputs_do_not_depend_on_the_lane_plan_memo(monkey
                              records_of(sess)))
             assert simt._row_plan.cache_info().misses == misses, (n, block)
             assert runs[0] == runs[1] == runs[2], (n, block)
-            want = eight_way_launches(n, block) if n else []
+            want = two_pass_launches(n, block) if n else []
             assert [config for _, config, *_ in runs[0][1]] == want, (n, block)
             assert [items for _, _, items, *_ in runs[0][1]] == [lane_items(n, block, c) for c in want]
 
@@ -385,8 +401,7 @@ def test_a_wide_block_one_argsort_leaves_no_lane_plan_behind():
     sa = SegmentedArray(values=rng.random(n, dtype=np.float32), offsets=[0, 17, n - 300, n])
     sess = Session()
     got = segmented_argsort(sa, block=1, session=sess)
-    assert sess.launch_log == [LaunchConfig(grid=g, block=b) for g, b in
-                               [(5000, 1), (625, 8), (79, 64), (10, 512), (2, 4096), (1, 5000)]]
+    assert sess.launch_log == [LaunchConfig(grid=5000, block=1), LaunchConfig(grid=1, block=5000)]
     assert all(r.work.tolist() == lane_items(n, 1, r.config) for r in sess.records)
     assert simt._row_plan.cache_info().currsize == 0
     assert np.array_equal(got, argsort_sequential(sa.values, offsets=sa.offsets))
@@ -395,11 +410,11 @@ def test_a_wide_block_one_argsort_leaves_no_lane_plan_behind():
 @pytest.mark.parametrize("race_check", [False, True])
 @pytest.mark.parametrize("block", [1, 3])
 def test_sort_block_counts_at_powers_of_eight_match_the_twin(block, race_check):
-    # 8**j sort blocks take j merge passes and 8**j + 1 take one more; both
-    # orders, over nans, signed zeros, ties, and empty and one-element segments
+    # one sort block takes no merge pass and more take one, 8**j + 1 as 8**j does;
+    # both orders, over nans, signed zeros, ties, and empty and one-element segments
     rng = np.random.default_rng(block)
     for j in range(4):
-        for blocks, passes in ((8**j, j), (8**j + 1, j + 1)):
+        for blocks in (8**j, 8**j + 1):
             n = blocks * block - int(rng.integers(0, block))  # a short last block
             lens = rng.multinomial(n - 1, np.ones(6) / 6)
             lens[[0, 3]] = 0, 1  # an empty and a one-element segment
@@ -414,8 +429,8 @@ def test_sort_block_counts_at_powers_of_eight_match_the_twin(block, race_check):
                 sess = Session(race_check=race_check)
                 got = segmented_argsort(sa, order, block=block, session=sess)
                 assert np.array_equal(got, argsort_sequential(vals, order, offsets)), (blocks, order)
-                assert sess.launch_log == eight_way_launches(n, block)
-                assert len(sess.launch_log) == 1 + passes
+                assert sess.launch_log == two_pass_launches(n, block)
+                assert len(sess.launch_log) == 1 + (blocks > 1)
                 assert all(c.block <= blocks for c in sess.launch_log)
                 assert sess.launch_log[-1] == LaunchConfig(grid=1, block=blocks)
                 assert all(r.work.tolist() == lane_items(n, block, r.config) for r in sess.records)
