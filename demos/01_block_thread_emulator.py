@@ -49,7 +49,7 @@ target = racy_sess.alloc(1, "i32", name="target")
 
 
 def racy(ctx):
-    target[0] = ctx.thread_id
+    target[0:1] = ctx.thread_id  # every lane stores into slot 0
 
 
 try:

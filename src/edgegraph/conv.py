@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simt import PLAN_LANES, LaunchConfig, Session, as_dtype, canonical_nan, check_int, lane_form
+from .simt import PLAN_LANES, LaunchConfig, Session, as_dtype, canonical_nan, check_int
 
 
 class ScheduleRejectedError(ValueError):
@@ -268,12 +268,12 @@ def conv2d_scheduled(inp, wgt, wl: ConvWorkload, cfg: ScheduleConfig,
 
     The launch uses grid = oc_split * h_split blocks; each block's
     w_tile * vec threads share the columns of the block's channel group
-    and height band, thread t owning columns t, t + block, .... The
-    kernel is lane-form: one call computes the output region its lanes
-    own. A call over every lane stores the whole output with one checked
-    slice write; a one-lane call, as race check makes of a launch of more
-    lanes, stores its cells with one checked index-array write, so the
-    check sees every cell a thread writes. The region's arithmetic is
+    and height band, thread t owning columns t, t + block, .... One
+    call of the kernel computes the output region its lanes own. A call
+    over every lane stores the whole output with one checked slice write;
+    a one-lane call, as race check makes of a launch of more lanes, stores
+    its cells with one checked index-array write, so the check sees every
+    cell a thread writes. The region's arithmetic is
     :func:`conv2d_host`'s, so results agree with the reference bitwise.
     """
     x, wgt = _operands(inp, wgt, wl)
@@ -292,7 +292,6 @@ def conv2d_scheduled(inp, wgt, wl: ConvWorkload, cfg: ScheduleConfig,
     wbuf.load(wgt.reshape(-1))
     obuf = sess.alloc(wl.n * wl.k * oh * ow, "f32", name="conv_out")
 
-    @lane_form
     def kernel(ctx):
         live = ctx.guard(guard[ctx.lanes])
         ctx.add_work(work[ctx.lanes])

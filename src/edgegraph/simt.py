@@ -8,40 +8,38 @@ a launch, and launches in a session are totally ordered.
 Kernels are plain Python functions called as ``kernel(ctx, *buffers)``.
 A kernel that needs barriers is written as a generator and marks each
 barrier with ``yield ctx.barrier()`` (a bare ``yield`` is equivalent).
-The emulator runs phase k of every thread of a block to completion, in
-ascending thread id, before any thread starts phase k+1. That makes the
-final buffer contents bitwise reproducible however many times the
-launch is repeated.
+Every kernel runs lane-form, as a SIMD machine runs work-items as the
+lanes of one hardware thread: each call covers a span of lanes, whose
+ids (``ctx.block_id``, ``thread_id``, ``global_id``) are always int
+arrays, built when the call first reads one. Unchecked, the span is the
+launch, or one block if the kernel yields barriers or the launch has
+shared storage, so a branch on an id raises numpy's ambiguous-truth
+error; ``add_work`` takes one count per lane and ``guard`` one bool per
+lane. Under race check each call holds one lane, and phase k of every
+lane of a block runs, in ascending thread id, before any lane starts
+phase k+1, so every access is checked per (block, thread) and lanes
+that disagree on a barrier raise :class:`BarrierDivergenceError`. The
+final buffer contents of a race-free launch are bitwise reproducible; a
+racy kernel may keep any lane's value, which only the race check
+rejects. :func:`launch_rows` launches a kernel over rows of an output
+buffer, and :func:`run_rows` runs the same range function on the host
+or launches it.
 
-A kernel may instead be marked lane-form with :func:`lane_form`. It is
-then called once per span of lanes, with the span's ids as int arrays,
-the way a SIMD machine runs work-items as the lanes of one hardware
-thread: the span is the whole launch, or one block if the kernel yields
-barriers or the launch has shared storage. The id arrays are built the
-first time the kernel reads one, so a kernel that reads none pays for
-none. Both kinds get the same context class, :class:`ThreadCtx`, whose
-ids are ints or int arrays: ``add_work`` takes one count per lane and
-``guard`` one bool per lane. Under race check a lane-form kernel runs
-through the per-thread loop, one lane per call with one-element id
-arrays, so every access is checked per (block, thread) exactly as for a
-per-thread kernel. :func:`launch_rows` launches one over rows of an
-output buffer, and :func:`run_rows` runs the same range function on the
-host or launches it.
-
-Storage has one rule in both modes and for both kinds of kernel: a
-buffer and a block's shared storage are each a :class:`DeviceBuffer`,
-zero-initialized, fixed-length and reached only by indexing with ints
-(Python or numpy integers), slices of int bounds and positive step, or
-int arrays; shared storage is nameless, with object slots that hold the
-Python values kernels store, and a launch without shared slots gets its
+Storage has one rule in both modes: a buffer and a block's shared
+storage are each a :class:`DeviceBuffer`, zero-initialized,
+fixed-length and reached only by indexing with ints (Python or numpy
+integers), slices of int bounds and positive step, or int arrays;
+shared storage is nameless, with object slots that hold the Python
+values kernels store, and a launch without shared slots gets its
 session's one zero-slot buffer. A negative, out-of-range, bool or float
-index or slice bound, and a store of other than a scalar or one value
-per selected slot, raise :class:`BufferBoundsError` naming the storage
-and the block and thread (or a lane-form call's block and threads, or
-the launch's grid and block). An optional race-check mode arms every
-buffer with a shadow last-writer/last-reader map per slot per phase,
-marking exactly the slots each access selects, and rejects programs
-whose output would depend on cross-thread ordering without a barrier.
+index or slice bound, a store of other than one 0-d value at an int
+index, and a store of other than a scalar or one value per selected
+slot at a slice or int array, raise :class:`BufferBoundsError` naming
+the storage and the call's block and threads (or the launch's grid and
+block). An optional race-check mode arms every buffer with a shadow
+last-writer/last-reader map per slot per phase, marking exactly the
+slots each access selects, and rejects programs whose output would
+depend on cross-thread ordering without a barrier.
 """
 
 from __future__ import annotations
@@ -75,7 +73,7 @@ class LaunchConfigError(ValueError):
 
 class BufferBoundsError(IndexError):
     """Kernel access outside a buffer, by an index that is not an int, a slice of int bounds or an
-    int array, or a store of other than a scalar or one value per slot; annotated with block/thread ids."""
+    int array, or a store of other than one value per slot; annotated with block/thread ids."""
 
 
 class BarrierDivergenceError(RuntimeError):
@@ -191,8 +189,9 @@ class DeviceBuffer:
     under race check it marks exactly the slots it selects, so threads
     that touch disjoint strided or scattered slots never conflict. A
     slice read is a read-only view, so every write goes through
-    ``__setitem__``. A slice or int-array store takes a scalar, which
-    fills the slots, or one value per slot (by size, whatever its shape).
+    ``__setitem__``. An int store takes one 0-d value; a slice or int-array
+    store takes a scalar, which fills the slots, or one value per slot (by
+    size, whatever its shape).
     A nameless buffer (``name=None``) is a block's shared storage: its
     slots hold Python objects, and its errors say so.
     """
@@ -229,11 +228,12 @@ class DeviceBuffer:
 
     def __setitem__(self, idx, value):
         count = _check_index(idx, len(self.data), self)
-        if count is not None and (vals := np.asarray(value)).ndim and vals.size != count:
-            # numpy would broadcast a one-element value over the slots
-            index = f"slice [{idx.start}:{idx.stop}:{idx.step}]" if type(idx) is slice else "int-array index"
-            raise BufferBoundsError(f"{self._where()}: {index} of {_what(self)} takes {count} values, "
-                                    f"got {vals.size}")
+        if (vals := np.asarray(value)).ndim and (count is None or vals.size != count):
+            # numpy would broadcast a one-element value over the slots, or keep an array in an object slot
+            index = (f"index {int(idx)}" if count is None else "int-array index" if type(idx) is not slice
+                     else f"slice [{idx.start}:{idx.stop}:{idx.step}]")
+            want, got = ("one 0-d value", f"shape {vals.shape}") if count is None else (f"{count} values", vals.size)
+            raise BufferBoundsError(f"{self._where()}: {index} of {_what(self)} takes {want}, got {got}")
         if self._w_owner is not None:
             self._race_write(idx)
         self.data[idx] = value
@@ -296,43 +296,38 @@ class DeviceBuffer:
 
 
 class ThreadCtx:
-    """The view of one launch handed to a kernel call.
+    """The view of one kernel call over a span of lanes.
 
-    For a per-thread kernel, ``block_id``, ``thread_id`` and ``global_id``
-    are ints and ``shared`` is the block's storage. A lane-form kernel
-    gets int arrays with one entry per lane instead: every lane of the
-    launch, block-major, every lane of one block, or, under race check,
-    a single lane. A call over many lanes is given no ids: they are built
-    when it first reads one, and kept. ``lanes`` is the call's gid, or
-    slice of gids, which indexes any per-lane plan a lane-form kernel
-    keeps across launches. ``add_work`` takes one count per lane and
-    ``guard`` one bool per lane, so a per-thread kernel passes scalars.
+    ``block_id``, ``thread_id`` and ``global_id`` are int arrays with one
+    entry per lane of the call, block-major: every lane of the launch,
+    every lane of one block, or, under race check, a single lane. They
+    are built when the call first reads one, and kept. ``lanes`` is the
+    call's slice of gids, which indexes any per-lane plan a kernel keeps
+    across launches, and ``shared`` is its block's storage. ``add_work``
+    takes one count per lane and ``guard`` one bool per lane.
     """
 
     __slots__ = ("block_id", "thread_id", "global_id", "block_dim", "grid_dim", "shared", "_work",
                  "lanes", "_guards")
 
-    def __init__(self, config, work, lanes, ids=None, shared=None):
-        if ids is not None:
-            self.block_id, self.thread_id, self.global_id = ids
+    def __init__(self, config, work, lanes, shared):
         self.block_dim = config.block
         self.grid_dim = config.grid
         self.shared = shared
         self._work = work  # the launch's int64 work counts
-        self.lanes = lanes  # this context's gid, or slice of them
+        self.lanes = lanes  # this call's slice of gids
         self._guards = []
 
     def __getattr__(self, name):
-        # reached only for ids not set yet, in a call over many lanes
+        # reached only for ids not set yet
         if name not in ("block_id", "thread_id", "global_id"):
             raise AttributeError(f"'ThreadCtx' object has no attribute {name!r}")
         gid = self.global_id = np.arange(*self.lanes.indices(self._work.size))
-        self.block_id, self.thread_id = gid // self.block_dim, gid % self.block_dim
+        self.block_id, self.thread_id = np.divmod(gid, self.block_dim)
         return getattr(self, name)
 
     def where(self) -> str:
-        lanes = self.lanes
-        lo, hi, _ = lanes.indices(self._work.size) if type(lanes) is slice else (lanes, lanes + 1, 1)
+        lo, hi, _ = self.lanes.indices(self._work.size)
         b, t = divmod(lo, self.block_dim)
         if hi - lo == 1:
             return f"block {b}, thread {t}"
@@ -371,15 +366,6 @@ def _plain(kernel, ctx, buffers):
     """``kernel(ctx, *buffers)`` as a generator that reaches no barrier."""
     kernel(ctx, *buffers)
     yield from ()
-
-
-def lane_form(kernel):
-    """Mark ``kernel`` to run over int arrays of lane ids: once per launch,
-    or once per block if it is a generator or the launch has shared
-    storage, since only lanes of one call meet at its barriers.
-    """
-    kernel.lane_form = True
-    return kernel
 
 
 class Session:
@@ -423,7 +409,8 @@ class Session:
 
         The effect on the buffers is identical to lockstep-between-barriers
         execution of every instance, regardless of physical parallelism.
-        A :func:`lane_form` kernel runs them in one call, or per block with barriers or shared storage.
+        Unchecked, one call runs them all, or one per block with barriers or
+        shared storage; under race check, one call runs each.
         Per-launch set-up that depends only on the geometry is kept across
         launches in plans of 32 entries of at most ``PLAN_LANES`` lanes:
         :func:`launch_rows`' lane plan and conv's guard and work counts.
@@ -431,19 +418,18 @@ class Session:
         grid, block = config.grid, config.block
         code = getattr(kernel, "__code__", None)  # as inspect.isgeneratorfunction, at a tenth of its cost
         is_gen = inspect.isgeneratorfunction(kernel) if code is None else bool(code.co_flags & inspect.CO_GENERATOR)
-        lanes = getattr(kernel, "lane_form", False)
         name = getattr(kernel, "__qualname__", None)
         if name is None:
             raise LaunchConfigError(f"kernel {kernel!r} has no __qualname__ to name its launch record")
         self.records.append(rec := LaunchRecord(name, config, np.zeros(grid * block, np.int64)))
         try:
-            if lanes and not self.race_check:  # the launch, or blocks that meet at barriers or share storage
+            if self.race_check:
+                for b in range(grid):
+                    self._run_block(kernel, is_gen, b, rec, buffers)
+            else:  # the launch, or blocks that meet at barriers or share storage
                 span = block if is_gen or config.shared_slots else grid * block
                 for lo in range(0, grid * block, span):
                     self._run_lanes(kernel, is_gen, slice(lo, lo + span), rec, buffers)
-            else:
-                for b in range(grid):
-                    self._run_block(kernel, is_gen, lanes, b, rec, buffers)
         finally:
             self._current = None
             self._current_gid = None
@@ -451,13 +437,12 @@ class Session:
                 self._race_phase_reset()
 
     def _shared(self, slots: int) -> DeviceBuffer:
-        # a block's shared storage, for a per-thread and a lane-form kernel alike
+        # a block's shared storage, checked in both modes
         return DeviceBuffer(self, slots, name=None) if slots else self._no_shared
 
     def _run_lanes(self, kernel, is_gen, lanes, rec, buffers):
-        # one lane-form call over a span of gids, each yield a barrier of its block
-        shared = self._shared(rec.config.shared_slots)
-        ctx = self._current = ThreadCtx(rec.config, rec.work, lanes, shared=shared)
+        # one call over a span of gids, each yield a barrier of its block
+        ctx = self._current = ThreadCtx(rec.config, rec.work, lanes, self._shared(rec.config.shared_slots))
         phases = kernel(ctx, *buffers)  # a plain kernel runs to its end here
         while True:
             done = not is_gen or next(phases, _DONE) is _DONE
@@ -466,16 +451,12 @@ class Session:
                 return
             rec.barriers += 1
 
-    def _run_block(self, kernel, is_gen, lanes, b, rec, buffers):
+    def _run_block(self, kernel, is_gen, b, rec, buffers):
+        # race check runs a block one lane per call, so every access is checked per lane
         config, work = rec.config, rec.work
         shared = self._shared(config.shared_slots)
         base = b * config.block
-        # a race-checked lane-form kernel runs here one lane per call, with
-        # one-element id arrays, so every access is checked per lane
-        ctxs = [ThreadCtx(config, work, slice(base + t, base + t + 1),
-                          (np.array([b]), np.array([t]), np.array([base + t])), shared)
-                if lanes else ThreadCtx(config, work, base + t, (b, t, base + t), shared)
-                for t in range(config.block)]
+        ctxs = [ThreadCtx(config, work, slice(base + t, base + t + 1), shared) for t in range(config.block)]
 
         # calling a generator kernel runs none of its body yet; a plain
         # kernel runs as a generator that reaches no barrier
@@ -524,7 +505,7 @@ def _row_plan(lanes: int, rows: int, tile: int, width: int):
 
 def launch_rows(session: Session, config: LaunchConfig, out: DeviceBuffer, rows: int, fn,
                 tile: int = 1) -> None:
-    """Launch a lane-form kernel that stores ``fn(lo, hi)`` as rows lo..hi-1 of ``out``.
+    """Launch a kernel that stores ``fn(lo, hi)`` as rows lo..hi-1 of ``out``.
 
     ``out`` holds ``rows`` rows of ``len(out) // rows`` elements. The
     lanes split the rows, in tiles of ``tile`` rows, into consecutive
@@ -543,7 +524,6 @@ def launch_rows(session: Session, config: LaunchConfig, out: DeviceBuffer, rows:
     plan = _row_plan if lanes <= PLAN_LANES else _row_plan.__wrapped__
     edges, shares = plan(lanes, rows, tile, width)
 
-    @lane_form
     def kernel(ctx):
         a, b, _ = ctx.lanes.indices(shares.size)  # the call's lanes, a..b-1
         ctx.add_work(shares[a:b])

@@ -8,10 +8,10 @@ processor overwrites its chunk with the chunk's running sums. Launch 2
 runs a cooperative Hillis-Steele scan over the p chunk totals, which it
 reads at the chunk ends of that buffer, inside a single block, one
 barrier per pass, so no global synchronization is needed; it stores one
-base per chunk in a p-slot buffer. Its kernel is lane-form: unchecked,
-one call runs the block, each pass reading and writing every lane's
-shared slots with one slice per operand, the values exact Python ints
-(i32) or np.float32 (f32); race-checked, each lane runs alone. Launch 3
+base per chunk in a p-slot buffer. Unchecked, one call of its kernel
+runs the block, each pass reading and writing every lane's shared
+slots with one slice per operand, the values exact Python ints (i32)
+or np.float32 (f32); race-checked, each lane runs alone. Launch 3
 sweeps down, overwriting each chunk with its running sums plus its
 base. Launches 1 and 3 are :func:`simt.launch_rows` calls over the
 elements in tiles of one chunk, so lane g owns chunk g. Each range call
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..simt import LaunchConfig, Session, as_dtype, ceil_div, check_int, lane_form, launch_rows, log2_ceil, run_rows
+from ..simt import LaunchConfig, Session, as_dtype, ceil_div, check_int, launch_rows, log2_ceil, run_rows
 
 I32_MIN = -(2**31)
 I32_MAX = 2**31 - 1
@@ -184,7 +184,6 @@ def scan(values, kind: str = "inclusive", p: int = 8, session: Session | None = 
     def chunk_sums(lo, hi):
         return _running_sums(vals[lo:hi], chunk)
 
-    @lane_form
     def coop_scan(ctx):
         # Hillis-Steele over the chunk totals, double-buffered in shared storage: pass d adds element
         # i - 2**d into element i for the call's lanes lo..hi-1 at once, one slice per operand

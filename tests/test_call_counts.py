@@ -1,5 +1,5 @@
-"""A fixture run's or an argsort call's count of Python calls is exact: the same in
-every run, so a change to a fixed cost shows in one run, not only in noisy wall times."""
+"""A fixture run's, an argsort call's or a bare launch's count of Python calls is exact: the same
+in every run, so a change to a fixed cost shows in one run, not only in noisy wall times."""
 
 import cProfile
 import pstats
@@ -8,9 +8,22 @@ import numpy as np
 import pytest
 
 from edgegraph.graph import DEFAULT_GPU_OPS, assign_devices, insert_copies, load_graph, run_graph
-from edgegraph.simt import Session
+from edgegraph.simt import LaunchConfig, Session, run_rows
 from edgegraph.vision import SegmentedArray, segmented_argsort
 from fixtures import ssd_like_doc, ssd_like_inputs
+
+
+def _two_counts(run):
+    """Python calls of two profiled runs of ``run``, after a warm-up that fills the plan caches."""
+    run()
+    counts = []
+    for _ in range(2):
+        profile = cProfile.Profile(builtins=True)
+        profile.enable()
+        run()
+        profile.disable()
+        counts.append(pstats.Stats(profile).total_calls)
+    return counts
 
 
 @pytest.mark.parametrize("gpu_ops", [DEFAULT_GPU_OPS, DEFAULT_GPU_OPS - {"multibox_detection", "box_nms"}, set()],
@@ -18,14 +31,7 @@ from fixtures import ssd_like_doc, ssd_like_inputs
 def test_two_runs_of_the_fixture_make_equal_python_call_counts(gpu_ops):
     g = insert_copies(assign_devices(load_graph(ssd_like_doc()), gpu_ops))
     inputs = ssd_like_inputs(0)
-    run_graph(g, inputs, Session())  # a warm-up fills the plan caches
-    counts = []
-    for _ in range(2):
-        profile = cProfile.Profile(builtins=True)
-        profile.enable()
-        run_graph(g, inputs, Session())
-        profile.disable()
-        counts.append(pstats.Stats(profile).total_calls)
+    counts = _two_counts(lambda: run_graph(g, inputs, Session()))
     assert counts[0] == counts[1] > 0
 
 
@@ -34,12 +40,23 @@ def test_two_argsort_calls_of_1990_elements_in_50_segments_make_equal_python_cal
     rng = np.random.default_rng(block)
     offsets = np.concatenate([[0], np.cumsum(rng.permutation(1 + np.arange(50) * 80 // 50))])
     sa = SegmentedArray(values=rng.random(1990, dtype=np.float32), offsets=offsets)
-    segmented_argsort(sa, block=block, session=Session())  # a warm-up fills the plan caches
-    counts = []
-    for _ in range(2):
-        profile = cProfile.Profile(builtins=True)
-        profile.enable()
-        segmented_argsort(sa, block=block, session=Session())
-        profile.disable()
-        counts.append(pstats.Stats(profile).total_calls)
+    counts = _two_counts(lambda: segmented_argsort(sa, block=block, session=Session()))
+    assert counts[0] == counts[1] > 0
+
+
+def _empty(ctx):
+    pass
+
+
+def _zeros(lo, hi):
+    return np.zeros(hi - lo, np.float32)
+
+
+@pytest.mark.parametrize("launch", [
+    lambda sess: sess.launch(_empty, LaunchConfig(grid=1, block=2)),
+    lambda sess: run_rows(sess, LaunchConfig(grid=1, block=2), "f32", 2, 1, _zeros, "rows"),
+], ids=["empty-launch", "bare-run-rows"])
+def test_two_bare_2_lane_launches_make_equal_python_call_counts(launch):
+    sess = Session()
+    counts = _two_counts(lambda: launch(sess))
     assert counts[0] == counts[1] > 0

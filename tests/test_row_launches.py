@@ -114,34 +114,3 @@ def test_segmented_argsort_row_launches_agree_race_checked_and_unchecked(block):
         lanes = config.grid * config.block
         assert items == [max(0, min(block, n - g * block)) for g in range(lanes)]
 
-
-def test_no_library_kernel_is_per_thread(monkeypatch):
-    # every launch, the whole fixture graph's and scan's cooperative stage included, is lane-form
-    from fixtures import ssd_like_doc, ssd_like_inputs
-
-    from edgegraph.graph import DEFAULT_GPU_OPS
-
-    per_thread, lane_kernels = set(), set()
-    launch = Session.launch
-
-    def recording(self, kernel, config, *buffers):
-        named = lane_kernels if getattr(kernel, "lane_form", False) else per_thread
-        named.add(kernel.__qualname__)
-        return launch(self, kernel, config, *buffers)
-
-    monkeypatch.setattr(Session, "launch", recording)
-    g = assign_devices(load_graph(ssd_like_doc()), DEFAULT_GPU_OPS)
-    run_graph(g, ssd_like_inputs(0), Session())
-    rng = np.random.default_rng(5)
-    for op in ("box_nms", "roi_align"):
-        CASES[op][0](Session(), rng)
-    vals = rng.standard_normal(50).astype(np.float32)
-    vision.scan(vals, p=6, session=Session())
-    vision.compact(vals, vals > 0, p=6, session=Session())
-    vision.segmented_argsort(vision.SegmentedArray(values=vals, offsets=[0, 20, 50]), block=8,
-                             session=Session())
-    assert per_thread == set()
-    assert {"scan.<locals>.coop_scan", "_multibox.<locals>.decode", "_nms_pass.<locals>.fill_mask",
-            "_roi_align.<locals>.pool", "segmented_argsort.<locals>.rank",
-            "scan.<locals>.chunk_sums", "scan.<locals>.add_bases",
-            "compact.<locals>.count", "compact.<locals>.gather"} <= lane_kernels

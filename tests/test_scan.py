@@ -626,7 +626,7 @@ def test_unchecked_p64_scan_calls_the_cooperative_kernel_body_once(monkeypatch):
             calls.append(ctx.lanes)
             return (yield from kernel(ctx, *bufs))
 
-        body.lane_form, body.__qualname__ = kernel.lane_form, kernel.__qualname__
+        body.__qualname__ = kernel.__qualname__
         return launch(self, body, config, *buffers)
 
     monkeypatch.setattr(Session, "launch", counting)

@@ -21,7 +21,6 @@ from edgegraph.simt import (
     Session,
     _divergence,
     canonical_nan,
-    lane_form,
     launch_rows,
     run_rows,
 )
@@ -77,8 +76,9 @@ def test_buffers_zero_initialized():
     assert buf.to_numpy().tolist() == [0.0] * 5
 
 
-def test_out_of_range_access_names_block_and_thread():
-    sess = Session()
+@pytest.mark.parametrize("race_check, where", [(False, "block 0, threads 0-1"), (True, "block 0, thread 1")])
+def test_out_of_range_access_names_block_and_thread(race_check, where):
+    sess = Session(race_check=race_check)
     buf = sess.alloc(4, "i32", name="small")
 
     def kernel(ctx):
@@ -87,7 +87,7 @@ def test_out_of_range_access_names_block_and_thread():
     with pytest.raises(BufferBoundsError) as err:
         sess.launch(kernel, LaunchConfig(grid=1, block=2))
     msg = str(err.value)
-    assert "block 0" in msg and "thread 1" in msg and "small" in msg
+    assert msg.startswith(f"{where}: ") and "small" in msg
 
 
 def test_negative_index_rejected():
@@ -131,10 +131,10 @@ def test_single_thread_barrier_is_noop():
 
 
 def test_divergent_barrier_names_block():
-    sess = Session()
+    sess = Session(race_check=True)  # only one-lane calls can disagree on a barrier
 
     def kernel(ctx):
-        if ctx.thread_id < 2:
+        if np.all(ctx.thread_id < 2):
             yield ctx.barrier()
 
     with pytest.raises(BarrierDivergenceError) as err:
@@ -167,8 +167,8 @@ def test_stats_launches_counts_the_launch_log_a_failed_launch_included():
     sess = Session()
 
     def failing(ctx):
-        ctx.add_work(1)
-        if ctx.global_id == 1:
+        ctx.add_work(ctx.global_id < 2)
+        if np.any(ctx.global_id == 1):
             raise RuntimeError("boom")
 
     sess.launch(lambda ctx: None, LaunchConfig(grid=1, block=2))
@@ -210,7 +210,7 @@ def test_load_imbalance_ratio():
     sess = Session()
 
     def kernel(ctx):
-        ctx.add_work([4, 4, 4, 4, 2][ctx.global_id])
+        ctx.add_work(np.array([4, 4, 4, 4, 2])[ctx.global_id])
 
     sess.launch(kernel, LaunchConfig(grid=5, block=1))
     st = sess.stats()
@@ -222,8 +222,7 @@ def test_divergence_events_count_skipping_threads():
     sess = Session()
 
     def kernel(ctx):
-        if ctx.guard(ctx.thread_id < 3):
-            ctx.add_work(1)
+        ctx.add_work(ctx.guard(ctx.thread_id < 3))
 
     sess.launch(kernel, LaunchConfig(grid=1, block=8))
     assert sess.stats().divergence_events == 5
@@ -285,7 +284,7 @@ def test_race_detection_flags_unsynchronized_writes():
     buf = sess.alloc(1, "i32")
 
     def racy(ctx):
-        buf[0] = ctx.thread_id
+        buf[0:1] = ctx.thread_id
 
     with pytest.raises(RaceError):
         sess.launch(racy, LaunchConfig(grid=1, block=2))
@@ -310,10 +309,10 @@ def test_race_mode_off_by_default():
     buf = sess.alloc(1, "i32")
 
     def racy(ctx):
-        buf[0] = ctx.thread_id
+        buf[0 * ctx.thread_id] = ctx.thread_id  # every lane stores into slot 0
 
-    sess.launch(racy, LaunchConfig(grid=1, block=2))  # last writer wins, no error
-    assert buf.to_numpy().tolist() == [1]
+    sess.launch(racy, LaunchConfig(grid=1, block=2))  # some lane's value is kept, with no error
+    assert buf.to_numpy().tolist() in ([0], [1])
 
 
 def test_buffers_passed_as_launch_arguments():
@@ -365,23 +364,24 @@ def test_ids_are_right_in_every_block_and_phase():
 
     def kernel(ctx):
         for phase in range(3):
-            seen.append((phase, ctx.block_id, ctx.thread_id, ctx.global_id))
+            seen.append((phase, ctx.block_id.tolist(), ctx.thread_id.tolist(), ctx.global_id.tolist()))
             yield ctx.barrier()
 
     sess.launch(kernel, LaunchConfig(grid=4, block=3))
-    want = [(p, b, t, b * 3 + t) for b in range(4) for p in range(3) for t in range(3)]
+    want = [(p, [b] * 3, [0, 1, 2], [b * 3, b * 3 + 1, b * 3 + 2]) for b in range(4) for p in range(3)]
     assert seen == want
 
 
-def test_guards_do_not_carry_across_blocks_or_phases():
-    sess = Session()
+@pytest.mark.parametrize("race_check", [False, True])
+def test_guards_do_not_carry_across_blocks_or_phases(race_check):
+    sess = Session(race_check=race_check)
 
     def kernel(ctx):
-        if ctx.block_id == 0:
+        if np.all(ctx.block_id == 0):
             ctx.guard(ctx.thread_id == 0)  # threads 1-3 skip: 3 events
         yield ctx.barrier()
-        if ctx.thread_id == 0:
-            ctx.guard(True)  # no sibling guards in this phase: no event
+        if np.all(ctx.thread_id == 0):  # under race check, thread 0's call alone
+            ctx.guard([True])  # no sibling guards in this phase: no event
 
     sess.launch(kernel, LaunchConfig(grid=3, block=4))
     assert sess.stats().divergence_events == 3
@@ -402,7 +402,7 @@ def test_dropped_buffers_are_freed_without_the_cycle_collector():
 @pytest.mark.parametrize("race_check", [False, True])
 def test_a_dropped_session_is_freed_without_the_cycle_collector(race_check):
     sess = Session(race_check=race_check)
-    sess.launch(lane_form(lambda ctx: ctx.shared[0:0]), LaunchConfig(grid=1, block=2))  # the zero-slot buffer
+    sess.launch(lambda ctx: ctx.shared[0:0], LaunchConfig(grid=1, block=2))  # the zero-slot buffer
     session = weakref.ref(sess)
     gc.disable()
     try:
@@ -438,7 +438,7 @@ def test_race_check_rejects_writes_through_a_slice_read():
 
     def kernel(ctx):
         view = buf[0:4]
-        view[0] = ctx.thread_id
+        view[ctx.thread_id] = ctx.thread_id
 
     with pytest.raises(ValueError, match="read-only"):
         sess.launch(kernel, LaunchConfig(grid=1, block=2))
@@ -453,7 +453,7 @@ def test_unchecked_launch_rejects_writes_through_a_slice_read_too():
     def kernel(ctx):
         view = buf[0:4]
         assert view.tolist() == [0, 5, 0, 0]
-        view[0] = ctx.thread_id
+        view[ctx.thread_id] = ctx.thread_id
 
     with pytest.raises(ValueError, match="read-only"):
         sess.launch(kernel, LaunchConfig(grid=1, block=2))
@@ -467,7 +467,7 @@ def test_race_check_state_does_not_outlive_a_failed_launch():
     buf = sess.alloc(1, "i32")
 
     def racy(ctx):
-        buf[0] = ctx.thread_id
+        buf[0:1] = ctx.thread_id
 
     def read_all(ctx):
         ctx.add_work(int(buf[0]))
@@ -488,7 +488,7 @@ def test_race_check_tracks_exactly_the_slots_an_access_touches(index):
     buf = sess.alloc(8, "i32")
 
     def kernel(ctx):
-        t = ctx.thread_id
+        t = ctx.thread_id.item()  # race check calls the kernel once per lane
         buf[index(t)] = t + 1
         ctx.add_work(int(np.sum(buf[index(t)])))
 
@@ -503,7 +503,7 @@ def test_race_check_flags_index_arrays_sharing_one_slot(second):
     buf = sess.alloc(8, "i32")
 
     def kernel(ctx):
-        if ctx.thread_id == 0:
+        if ctx.thread_id.item() == 0:  # race check calls the kernel once per lane
             buf[np.array([0, 3, 6])] = 1
         elif second == "write":
             buf[np.array([1, 6, 7])] = 2
@@ -514,8 +514,7 @@ def test_race_check_flags_index_arrays_sharing_one_slot(second):
         sess.launch(kernel, LaunchConfig(grid=1, block=2))
 
 
-def _toy_lane_kernel(out):
-    @lane_form
+def _toy_kernel(out):
     def kernel(ctx):
         b, t = ctx.block_id, ctx.thread_id
         live = ctx.guard(t <= b)  # mixed in blocks 0-2, all True in block 3
@@ -527,26 +526,12 @@ def _toy_lane_kernel(out):
     return kernel
 
 
-def _toy_thread_kernel(out):
-    def kernel(ctx):
-        b, t = ctx.block_id, ctx.thread_id
-        live = ctx.guard(t <= b)
-        ctx.guard(b % 2 == 0)
-        if live:
-            ctx.add_work(t + 2 * b)
-            out[ctx.global_id] = ctx.global_id + 1
-
-    return kernel
-
-
-@pytest.mark.parametrize("make, race_check", [
-    (_toy_lane_kernel, False), (_toy_lane_kernel, True), (_toy_thread_kernel, False),
-], ids=["lanes", "one-lane-at-a-time", "per-thread"])
-def test_lane_form_counts_like_one_lane_at_a_time(make, race_check):
+@pytest.mark.parametrize("race_check", [False, True], ids=["lanes", "one-lane-at-a-time"])
+def test_lane_form_counts_like_one_lane_at_a_time(race_check):
     sess = Session(race_check=race_check)
     out = sess.alloc(16, "i32")
     sess.launch(lambda ctx: None, LaunchConfig(grid=2, block=3))
-    sess.launch(make(out), LaunchConfig(grid=4, block=4))
+    sess.launch(_toy_kernel(out), LaunchConfig(grid=4, block=4))
     st = sess.stats()
     assert (st.launches, st.barriers, st.divergence_events) == (2, 0, 3 + 2 + 1)
     assert st.per_thread_items == [0, 0, 0, 0, 2, 3, 0, 0, 4, 5, 6, 0, 6, 7, 8, 9]
@@ -556,8 +541,7 @@ def test_lane_form_counts_like_one_lane_at_a_time(make, race_check):
     assert out.to_numpy().tolist() == [1, 0, 0, 0, 5, 6, 0, 0, 9, 10, 11, 0, 13, 14, 15, 16]
 
 
-@pytest.mark.parametrize("lanes", [True, False], ids=["lane-form", "per-thread"])
-def test_work_profile_is_a_fresh_int_list_and_imbalance_is_the_list_formula(lanes):
+def test_work_profile_is_a_fresh_int_list_and_imbalance_is_the_list_formula():
     rng = np.random.default_rng(11)
     sess = Session()
     for trial in range(30):
@@ -568,7 +552,7 @@ def test_work_profile_is_a_fresh_int_list_and_imbalance_is_the_list_formula(lane
         def kernel(ctx):
             ctx.add_work(work[ctx.global_id])
 
-        sess.launch(lane_form(kernel) if lanes else kernel, LaunchConfig(grid, block))
+        sess.launch(kernel, LaunchConfig(grid, block))
         st = sess.stats()
         items = st.per_thread_items
         assert type(items) is list and all(type(x) is int for x in items)
@@ -583,23 +567,11 @@ def test_race_checked_lane_form_flags_two_lanes_sharing_a_slot():
     sess = Session(race_check=True)
     buf = sess.alloc(8, "i32")
 
-    @lane_form
     def kernel(ctx):
         buf[ctx.global_id // 2] = ctx.thread_id
 
     with pytest.raises(RaceError, match=r"block 0, thread 1: write to buffer 'buf0' slot 0 "):
         sess.launch(kernel, LaunchConfig(grid=2, block=2))
-
-
-def test_lane_form_rejects_scalar_guards():
-    sess = Session()
-
-    @lane_form
-    def scalar_guard(ctx):
-        ctx.guard(True)
-
-    with pytest.raises(ValueError, match="one bool per lane"):
-        sess.launch(scalar_guard, LaunchConfig(grid=1, block=2))
 
 
 @pytest.mark.parametrize("gen", [True, False], ids=["generator", "plain"])
@@ -617,7 +589,7 @@ def test_unchecked_lane_form_runs_once_per_block_with_barriers_or_shared_storage
 
     sess = Session()
     config = LaunchConfig(grid=3, block=4, shared_slots=shared_slots)
-    sess.launch(lane_form(generator if gen else plain), config)
+    sess.launch(generator if gen else plain, config)
     if gen or shared_slots:
         assert calls == [(slice(4 * b, 4 * b + 4), [b] * 4, [0, 1, 2, 3], DeviceBuffer, shared_slots)
                          for b in range(3)]
@@ -632,7 +604,6 @@ def test_lane_form_block_calls_count_barriers_and_divergence_as_lane_by_lane():
         sess = Session(race_check=race_check)
         out, calls = sess.alloc(12, "i32"), []
 
-        @lane_form
         def kernel(ctx):
             # three phases, each with a guard: each lane stores gid + 1 in its
             # shared slot, then reads its left neighbour's (wrapping)
@@ -662,7 +633,6 @@ def test_lane_form_shared_storage_holds_the_python_values_stored():
     for race_check in (False, True):
         seen = []
 
-        @lane_form
         def kernel(ctx):
             ctx.shared[ctx.thread_id] = stored[ctx.thread_id]
             yield ctx.barrier()
@@ -673,7 +643,6 @@ def test_lane_form_shared_storage_holds_the_python_values_stored():
 
 
 def test_race_checked_lane_form_flags_two_lanes_writing_one_shared_slot():
-    @lane_form
     def kernel(ctx):
         ctx.shared[ctx.thread_id // 2] = ctx.thread_id
         yield
@@ -685,7 +654,6 @@ def test_race_checked_lane_form_flags_two_lanes_writing_one_shared_slot():
 
 
 def test_race_checked_lane_form_flags_lanes_that_disagree_on_a_barrier():
-    @lane_form
     def kernel(ctx):
         if np.all(ctx.thread_id < 2):
             yield ctx.barrier()
@@ -706,7 +674,6 @@ def test_lane_form_bounds_error_names_a_readable_location(race_check, where):
     sess = Session(race_check=race_check)
     buf = sess.alloc(7, "f32")
 
-    @lane_form
     def kernel(ctx):
         buf[ctx.global_id] = 1.0
 
@@ -790,8 +757,8 @@ def test_launch_rows_race_check_sees_the_range_functions_reads():
 @pytest.mark.parametrize("index", [-1, 2, slice(-1, None), slice(0, 3), slice(1, 0)])
 def test_race_checked_shared_storage_rejects_indices_out_of_range(index):
     def kernel(ctx):
-        if ctx.block_id == 1:
-            ctx.shared[index] = [1]
+        if np.all(ctx.block_id == 1):
+            ctx.shared[index] = 1
 
     for race_check in (False, True):  # unchecked, shared storage is checked alike
         with pytest.raises(BufferBoundsError, match=r"^block 1, thread 0: .*shared storage of length 2"):
@@ -803,14 +770,13 @@ def test_race_checked_shared_slot_race_names_block_thread_and_slot():
     out = sess.alloc(2, "i32")
 
     def write_write(ctx):
-        if ctx.block_id == 1:
-            ctx.shared[0] = ctx.thread_id
+        t = ctx.thread_id[ctx.block_id == 1]
+        ctx.shared[0 * t] = t  # block 1's lanes each store into slot 0
 
     def write_read(ctx):
-        if ctx.thread_id == 0:
-            ctx.shared[1] = 5
-        else:
-            out[1] = ctx.shared[1]
+        t = ctx.thread_id
+        ctx.shared[t[t == 0] + 1] = 5  # lane 0 stores into slot 1, lane 1 reads it
+        out[t[t == 1]] = ctx.shared[t[t == 1]]
 
     with pytest.raises(RaceError, match=r"^block 1, thread 1: write to shared slot 0 conflicts"):
         sess.launch(write_write, LaunchConfig(grid=2, block=2, shared_slots=1))
@@ -823,7 +789,7 @@ def test_race_checked_shared_slot_race_names_block_thread_and_slot():
 @pytest.mark.parametrize("race_check", [False, True])
 def test_shared_slice_store_of_another_length_raises(race_check):
     def kernel(ctx):
-        ctx.shared[0:2] = [7, 8] if ctx.block_id == 0 else [7]
+        ctx.shared[0:2] = [7, 8] if np.all(ctx.block_id == 0) else [7]
         yield ctx.barrier()
 
     with pytest.raises(BufferBoundsError, match=r"^block 1, thread 0: slice \[0:2:None\] of shared storage "
@@ -831,8 +797,8 @@ def test_shared_slice_store_of_another_length_raises(race_check):
         Session(race_check=race_check).launch(kernel, LaunchConfig(grid=2, block=1, shared_slots=4))
 
 
-# accesses that broke the storage contract in one mode or kernel form, each made by
-# every thread of a 2 x 2 launch, on storage of 4 slots
+# accesses that broke the storage contract in one mode, each made by every lane of a
+# 2 x 2 launch, on storage of 4 slots
 BAD_ACCESSES = {
     "short_slice_store": lambda s, t: setitem(s, slice(0, 2), [7]),  # numpy would broadcast the 7
     "slot_tid_minus_1": lambda s, t: setitem(s, t - 1, 1),  # numpy would wrap slot -1 round to slot 3
@@ -854,14 +820,17 @@ BAD_ACCESSES = {
     # numpy would read a tuple as one index per axis and raise a bare IndexError
     "tuple_read": lambda s, t: s[(0, 1)],
     "tuple_store": lambda s, t: setitem(s, (0, 1), 1.0),
+    # an int store takes one 0-d value: numpy would raise a bare ValueError, or keep the array in an object slot
+    "one_element_array_into_one_slot": lambda s, t: setitem(s, 0, np.array([1.0])),
+    "two_element_array_into_one_slot": lambda s, t: setitem(s, 1, np.array([1.0, 2.0])),
+    "list_into_one_slot": lambda s, t: setitem(s, np.int64(2), [1.0]),
 }
 
 
 @pytest.mark.parametrize("access", BAD_ACCESSES)
 @pytest.mark.parametrize("storage", ["shared", "global"])
-@pytest.mark.parametrize("lanes", [False, True], ids=["per-thread", "lane-form"])
 @pytest.mark.parametrize("race_check", [False, True])
-def test_storage_rejects_the_same_bad_accesses_in_every_mode_and_form(race_check, lanes, storage, access):
+def test_storage_rejects_the_same_bad_accesses_in_every_mode(race_check, storage, access):
     sess = Session(race_check=race_check)
     buf = sess.alloc(4, "f32", name="g")
 
@@ -871,24 +840,21 @@ def test_storage_rejects_the_same_bad_accesses_in_every_mode_and_form(race_check
     what = "shared storage" if storage == "shared" else "buffer 'g'"
     with pytest.raises(BufferBoundsError,
                        match=rf"^(block 0, threads? 0(-1)?|lanes of grid 2 x block 2): .*{what}"):
-        sess.launch(lane_form(kernel) if lanes else kernel,
-                    LaunchConfig(grid=2, block=2, shared_slots=4 if storage == "shared" else 0))
+        sess.launch(kernel, LaunchConfig(grid=2, block=2, shared_slots=4 if storage == "shared" else 0))
     assert buf.to_numpy().tolist() == [0] * 4
 
 
-@pytest.mark.parametrize("lanes", [False, True], ids=["per-thread", "lane-form"])
 @pytest.mark.parametrize("race_check", [False, True])
-def test_a_launch_without_shared_slots_rejects_any_shared_access(race_check, lanes):
+def test_a_launch_without_shared_slots_rejects_any_shared_access(race_check):
     def kernel(ctx):
         ctx.shared[ctx.thread_id] = 1
 
     with pytest.raises(BufferBoundsError, match=r"^.*: ind.* out of range for shared storage of length 0$"):
-        Session(race_check=race_check).launch(lane_form(kernel) if lanes else kernel, LaunchConfig(2, 2))
+        Session(race_check=race_check).launch(kernel, LaunchConfig(2, 2))
 
 
-@pytest.mark.parametrize("lanes", [False, True], ids=["per-thread", "lane-form"])
 @pytest.mark.parametrize("race_check", [False, True])
-def test_numpy_integer_bounds_and_indices_still_work(race_check, lanes):
+def test_numpy_integer_bounds_and_indices_still_work(race_check):
     sess = Session(race_check=race_check)
     buf = sess.alloc(6, "i32", name="g")
 
@@ -899,14 +865,13 @@ def test_numpy_integer_bounds_and_indices_still_work(race_check, lanes):
         buf[np.array(5)] = 6
         ctx.add_work(buf[np.int32(1) :].size)
 
-    sess.launch(lane_form(kernel) if lanes else kernel, LaunchConfig(grid=1, block=1))
+    sess.launch(kernel, LaunchConfig(grid=1, block=1))
     assert buf.to_numpy().tolist() == [1, 2, 3, 11, 4, 6]
     assert sess.records[0].work.tolist() == [5]
 
 
-@pytest.mark.parametrize("lanes", [False, True], ids=["per-thread", "lane-form"])
 @pytest.mark.parametrize("race_check", [False, True])
-def test_launches_without_shared_slots_share_one_zero_slot_buffer(race_check, lanes):
+def test_launches_without_shared_slots_share_one_zero_slot_buffer(race_check):
     sess = Session(race_check=race_check)
     seen, first = [], sess.alloc(4, "i32", name="first")
 
@@ -920,7 +885,7 @@ def test_launches_without_shared_slots_share_one_zero_slot_buffer(race_check, la
 
     for kernel, config in ((bare, LaunchConfig(2, 2)), (bare, LaunchConfig(1, 3)),
                            (slots, LaunchConfig(2, 2, shared_slots=2))):
-        sess.launch(lane_form(kernel) if lanes else kernel, config)
+        sess.launch(kernel, config)
     assert len({id(shared) for shared in seen}) == 1
     assert type(seen[0]) is DeviceBuffer and len(seen[0]) == 0 and seen[0].name is None
     assert first.to_numpy().tolist() == [1] * 4
@@ -1018,35 +983,28 @@ def test_run_rows_rejects_a_result_of_the_wrong_size_on_both_paths(race_check):
         run_rows(sess, LaunchConfig(1, 2), "i32", 4, 2, lambda lo, hi: np.array([7]), "rows")
 
 
-@pytest.mark.parametrize("race_check", [False, True])
-def test_divergence_counts_ragged_guard_lists_per_position(race_check):
+def test_divergence_counts_ragged_guard_lists_per_position():
     # thread t makes t guard calls: position 0 is False, True, False over
     # threads 1-3 (two events), position 1 False, True (one), and
-    # position 2 only thread 3's False, which nothing contradicts
-    sess = Session(race_check=race_check)
+    # position 2 only thread 3's False, which nothing contradicts; the
+    # lists are ragged only under race check, one lane per call
+    sess = Session(race_check=True)
 
     def kernel(ctx):
         t = ctx.thread_id
-        for j in range(t):
+        for j in range(t.item()):
             ctx.guard((t + j) % 2 == 0)
 
     sess.launch(kernel, LaunchConfig(grid=2, block=4))
     assert sess.stats().divergence_events == 2 * 3
 
 
-def test_guard_shape_follows_the_thread_id_shape():
-    # a per-thread kernel passes one bool; a lane-form kernel one per lane,
+@pytest.mark.parametrize("race_check", [False, True])
+def test_guard_takes_one_bool_per_lane(race_check):
     # under race check too, where each call holds a single lane
-    def per_thread(ctx):
-        ctx.guard(np.array([True]))
-
-    @lane_form
-    def scalar_guard(ctx):
-        ctx.guard(True)
-
-    for kernel, race_check in ((per_thread, False), (scalar_guard, True)):
+    for active in (True, np.array(True), np.array([True, True, True])):
         with pytest.raises(ValueError, match="one bool per lane"):
-            Session(race_check=race_check).launch(kernel, LaunchConfig(grid=1, block=2))
+            Session(race_check=race_check).launch(lambda ctx: ctx.guard(active), LaunchConfig(grid=1, block=2))
 
 
 @pytest.mark.parametrize("race_check", [False, True])
@@ -1100,12 +1058,10 @@ def test_launch_rejects_a_kernel_with_no_name_before_recording_it():
     def body(ctx, scale):
         ctx.add_work(scale)
 
-    plain, lanes = functools.partial(body, scale=1), lane_form(functools.partial(body, scale=2))
-    for kernel in (plain, lanes):
-        sess = Session()
-        with pytest.raises(LaunchConfigError, match=r"kernel functools\.partial\(.*\) has no __qualname__"):
-            sess.launch(kernel, LaunchConfig(grid=1, block=2))
-        assert sess.records == []
+    sess = Session()
+    with pytest.raises(LaunchConfigError, match=r"kernel functools\.partial\(.*\) has no __qualname__"):
+        sess.launch(functools.partial(body, scale=1), LaunchConfig(grid=1, block=2))
+    assert sess.records == []
 
 
 def padded_divergence(guards, block):
@@ -1121,22 +1077,19 @@ def test_divergence_equals_the_padded_per_position_formula(block):
     rng = np.random.default_rng(block)
     for trial in range(40):
         p = (0.0, 0.3, 0.7, 1.0)[trial % 4]  # all False, mixed, all True
-        # ragged per-thread lists: one lane per context, a per-thread kernel's
-        # 0-d guards or a race-checked lane-form call's 1-element ones
-        shape = ((), (1,))[trial // 4 % 2]
-        ragged = [[np.asarray(rng.random(shape) < p) for _ in range(rng.integers(0, 4))]
-                  for _ in range(block)]
+        # ragged lists, as race check makes: one lane per context, 1-element guards
+        ragged = [[rng.random(1) < p for _ in range(rng.integers(0, 4))] for _ in range(block)]
         if any(ragged):
             got = _divergence(ragged, block)
             assert got == padded_divergence(ragged, block) and type(got) is int, (trial, ragged)
-        # one lane-form context over every lane of a grid
+        # one context over every lane of a grid
         grid = int(rng.integers(1, 5))
         lanes = [[rng.random(grid * block) < p for _ in range(rng.integers(1, 4))]]
         got = _divergence(lanes, block)
         assert got == padded_divergence(lanes, block) and type(got) is int, (trial, lanes)
         # one context's guard list, which takes no stacking: 0-3 masks, mixed,
-        # all True or all False, over one block or the grid, or a lone lane's
-        for size in (block, grid * block) + (((), (1,)) if block == 1 else ()):
+        # all True or all False, over one block or the grid
+        for size in (block, grid * block):
             for fill in (None, True, False):
                 masks = [np.full(size, fill) if fill is not None else np.asarray(rng.random(size) < p)
                          for _ in range(rng.integers(0, 4))]
@@ -1160,7 +1113,7 @@ def plain_divergence(guards, block):
 def test_divergence_equals_a_plain_count_lane_by_lane(block):
     rng = np.random.default_rng(100 + block)
     for trial in range(60):
-        # one lane-form context over a grid: 1-3 masks, each with idle lanes, a tail of
+        # one context over a grid: 1-3 masks, each with idle lanes, a tail of
         # every block guarded off, as a conv config has with more threads than columns
         grid = int(rng.integers(1, 9))
         masks = []
@@ -1170,8 +1123,8 @@ def test_divergence_equals_a_plain_count_lane_by_lane(block):
             masks.append(mask.reshape(-1))
         got = _divergence([masks], block)
         assert got == plain_divergence([masks], block) and type(got) is int, (trial, masks)
-        # per-thread contexts of one block, with 0-3 guards each
-        ragged = [[np.asarray(rng.random() < 0.5) for _ in range(rng.integers(0, 4))] for _ in range(block)]
+        # one-lane contexts of one block, with 0-3 guards each
+        ragged = [[rng.random(1) < 0.5 for _ in range(rng.integers(0, 4))] for _ in range(block)]
         if any(ragged):
             got = _divergence(ragged, block)
             assert got == plain_divergence(ragged, block) and type(got) is int, (trial, ragged)
