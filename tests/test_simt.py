@@ -829,14 +829,22 @@ BAD_ACCESSES = {
 
 @pytest.mark.parametrize("access", BAD_ACCESSES)
 @pytest.mark.parametrize("storage", ["shared", "global"])
+@pytest.mark.parametrize("after_barrier", [False, True], ids=["plain", "after-barrier"])
 @pytest.mark.parametrize("race_check", [False, True])
-def test_storage_rejects_the_same_bad_accesses_in_every_mode(race_check, storage, access):
+def test_storage_rejects_the_same_bad_accesses_in_every_mode(race_check, after_barrier, storage, access):
+    # a plain kernel makes the access in its one call; a generator makes it in its
+    # second phase, once per block unchecked and lane by lane under race check
     sess = Session(race_check=race_check)
     buf = sess.alloc(4, "f32", name="g")
 
-    def kernel(ctx):
+    def plain(ctx):
         BAD_ACCESSES[access](ctx.shared if storage == "shared" else buf, ctx.thread_id)
 
+    def generator(ctx):
+        yield ctx.barrier()
+        plain(ctx)
+
+    kernel = generator if after_barrier else plain
     what = "shared storage" if storage == "shared" else "buffer 'g'"
     with pytest.raises(BufferBoundsError,
                        match=rf"^(block 0, threads? 0(-1)?|lanes of grid 2 x block 2): .*{what}"):
