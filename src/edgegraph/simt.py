@@ -11,17 +11,19 @@ barrier with ``yield ctx.barrier()`` (a bare ``yield`` is equivalent).
 Every kernel runs lane-form, as a SIMD machine runs work-items as the
 lanes of one hardware thread: each call covers a span of lanes, whose
 ids (``ctx.block_id``, ``thread_id``, ``global_id``) are always int
-arrays, built when the call first reads one. Unchecked, the span is the
-launch, or one block if the kernel yields barriers or the launch has
-shared storage, so a branch on an id raises numpy's ambiguous-truth
-error; ``add_work`` takes one count per lane and ``guard`` one bool per
-lane. Under race check each call holds one lane, and phase k of every
-lane of a block runs, in ascending thread id, before any lane starts
-phase k+1, so every access is checked per (block, thread) and lanes
-that disagree on a barrier raise :class:`BarrierDivergenceError`. The
-final buffer contents of a race-free launch are bitwise reproducible; a
-racy kernel may keep any lane's value, which only the race check
-rejects. :func:`launch_rows` launches a kernel over rows of an output
+arrays, built when the call first reads one; ``add_work`` takes one
+count per lane and ``guard`` one bool per lane. One lockstep loop runs
+every launch: a block's calls share one storage, and phase k of each
+call runs, in ascending lane order, before any call starts phase k+1.
+The mode sets only how many lanes a call holds. Unchecked, one call
+holds the launch, or its block if the kernel yields barriers or the
+launch has shared storage, so a branch on an id raises numpy's
+ambiguous-truth error. Under race check each call holds one lane, so
+every access is checked per (block, thread) and lanes that disagree on
+a barrier raise :class:`BarrierDivergenceError`. The final buffer
+contents of a race-free launch are bitwise reproducible; a racy kernel
+may keep any lane's value, which only the race check rejects.
+:func:`launch_rows` launches a kernel over rows of an output
 buffer, and :func:`run_rows` runs the same range function on the host
 or launches it.
 
@@ -193,7 +195,8 @@ class DeviceBuffer:
     store takes a scalar, which fills the slots, or one value per slot (by
     size, whatever its shape).
     A nameless buffer (``name=None``) is a block's shared storage: its
-    slots hold Python objects, and its errors say so.
+    slots hold Python objects (a 0-d array stored at an int index as its
+    item, as a one-slot slice store stores it), and its errors say so.
     """
 
     __slots__ = ("dtype", "data", "name", "_session", "_w_owner", "_r_owner")
@@ -234,6 +237,8 @@ class DeviceBuffer:
                      else f"slice [{idx.start}:{idx.stop}:{idx.step}]")
             want, got = ("one 0-d value", f"shape {vals.shape}") if count is None else (f"{count} values", vals.size)
             raise BufferBoundsError(f"{self._where()}: {index} of {_what(self)} takes {want}, got {got}")
+        if vals is value and count is None and self.name is None:
+            value = value.item()  # a 0-d array in an object slot stores what a one-slot slice store does
         if self._w_owner is not None:
             self._race_write(idx)
         self.data[idx] = value
@@ -266,9 +271,9 @@ class DeviceBuffer:
     # each access marks exactly the slots its own index selects
 
     def _race_read(self, idx):
-        gid = self._session._current_gid
-        if gid is None:
+        if (cur := self._session._current) is None:  # a host access
             return
+        gid = cur.lanes.start  # each race-checked call holds one lane
         self._session._race_touched.add(self)
         w = self._w_owner[idx]
         bad = (w != _FREE) & (w != gid)
@@ -278,9 +283,9 @@ class DeviceBuffer:
         self._r_owner[idx] = np.where((r == _FREE) | (r == gid), gid, _MANY)
 
     def _race_write(self, idx):
-        gid = self._session._current_gid
-        if gid is None:
+        if (cur := self._session._current) is None:  # a host access
             return
+        gid = cur.lanes.start  # each race-checked call holds one lane
         self._session._race_touched.add(self)
         w = self._w_owner[idx]
         r = self._r_owner[idx]
@@ -362,12 +367,6 @@ class ThreadCtx:
         return active
 
 
-def _plain(kernel, ctx, buffers):
-    """``kernel(ctx, *buffers)`` as a generator that reaches no barrier."""
-    kernel(ctx, *buffers)
-    yield from ()
-
-
 class Session:
     """One ordered stream of kernel launches, with one :class:`LaunchRecord` per
     launch in ``records``, a launch that raised included. The records' work
@@ -382,7 +381,6 @@ class Session:
         self._race_touched: set[DeviceBuffer] = set()
         self._allocs = 0
         self._current = None
-        self._current_gid = None
         # the shared storage of every launch without shared slots: it has no slot to carry a value, and
         # it holds the session by a weak proxy, so a dropped session needs no cycle collector
         self._no_shared = DeviceBuffer(weakref.proxy(self), 0, name=None)
@@ -411,77 +409,59 @@ class Session:
         execution of every instance, regardless of physical parallelism.
         Unchecked, one call runs them all, or one per block with barriers or
         shared storage; under race check, one call runs each.
-        Per-launch set-up that depends only on the geometry is kept across
-        launches in plans of 32 entries of at most ``PLAN_LANES`` lanes:
-        :func:`launch_rows`' lane plan and conv's guard and work counts.
         """
         grid, block = config.grid, config.block
         code = getattr(kernel, "__code__", None)  # as inspect.isgeneratorfunction, at a tenth of its cost
-        is_gen = inspect.isgeneratorfunction(kernel) if code is None else bool(code.co_flags & inspect.CO_GENERATOR)
+        is_gen = inspect.isgeneratorfunction(kernel) if code is None else code.co_flags & inspect.CO_GENERATOR
         name = getattr(kernel, "__qualname__", None)
         if name is None:
             raise LaunchConfigError(f"kernel {kernel!r} has no __qualname__ to name its launch record")
         self.records.append(rec := LaunchRecord(name, config, np.zeros(grid * block, np.int64)))
+        # unchecked, one call runs the launch, or a block if its lanes meet at barriers or share
+        # storage; under race check, one call runs each lane of a block
+        span = block if is_gen or config.shared_slots or self.race_check else grid * block
+        width = 1 if self.race_check else span
         try:
-            if self.race_check:
-                for b in range(grid):
-                    self._run_block(kernel, is_gen, b, rec, buffers)
-            else:  # the launch, or blocks that meet at barriers or share storage
-                span = block if is_gen or config.shared_slots else grid * block
-                for lo in range(0, grid * block, span):
-                    self._run_lanes(kernel, is_gen, slice(lo, lo + span), rec, buffers)
+            for lo in range(0, grid * block, span):
+                self._run(kernel, is_gen, lo, span, width, rec, buffers)
         finally:
             self._current = None
-            self._current_gid = None
             if self._race_touched:  # a launch that raised mid-phase leaves no owners behind
                 self._race_phase_reset()
 
-    def _shared(self, slots: int) -> DeviceBuffer:
-        # a block's shared storage, checked in both modes
-        return DeviceBuffer(self, slots, name=None) if slots else self._no_shared
-
-    def _run_lanes(self, kernel, is_gen, lanes, rec, buffers):
-        # one call over a span of gids, each yield a barrier of its block
-        ctx = self._current = ThreadCtx(rec.config, rec.work, lanes, self._shared(rec.config.shared_slots))
-        phases = kernel(ctx, *buffers)  # a plain kernel runs to its end here
+    def _run(self, kernel, is_gen, lo, span, width, rec, buffers):
+        # the calls of `width` lanes over gids lo..lo+span-1 share one storage and run in lockstep
+        # phases, ascending; each yield is a barrier of their block, which every call reaches or none.
+        # Plain loops, not comprehensions, which would put this frame's locals in cells
+        config = rec.config
+        shared = DeviceBuffer(self, config.shared_slots, name=None) if config.shared_slots else self._no_shared
+        calls = []
+        for g in range(lo, lo + span, width):
+            ctx = ThreadCtx(config, rec.work, slice(g, g + width), shared)
+            # calling a generator kernel runs none of its body yet; a plain kernel's one phase is its call
+            calls.append((ctx, kernel(ctx, *buffers) if is_gen else None))
         while True:
-            done = not is_gen or next(phases, _DONE) is _DONE
-            self._phase_end([ctx], rec)
-            if done:
-                return
-            rec.barriers += 1
-
-    def _run_block(self, kernel, is_gen, b, rec, buffers):
-        # race check runs a block one lane per call, so every access is checked per lane
-        config, work = rec.config, rec.work
-        shared = self._shared(config.shared_slots)
-        base = b * config.block
-        ctxs = [ThreadCtx(config, work, slice(base + t, base + t + 1), shared) for t in range(config.block)]
-
-        # calling a generator kernel runs none of its body yet; a plain
-        # kernel runs as a generator that reaches no barrier
-        gens = [kernel(c, *buffers) if is_gen else _plain(kernel, c, buffers) for c in ctxs]
-        while True:  # every thread is in every phase, or the block raises
-            yielded, finished = [], []
-            for t, (ctx, phases) in enumerate(zip(ctxs, gens)):
-                self._current, self._current_gid = ctx, base + t
-                (finished if next(phases, _DONE) is _DONE else yielded).append(t)
-            self._phase_end(ctxs, rec)
-            if yielded and finished:
-                raise BarrierDivergenceError(
-                    f"block {b}: threads {finished} skipped a barrier reached by threads {yielded}")
+            yielded, guards = [], []
+            for ctx, phases in calls:
+                self._current = ctx
+                if phases is None:
+                    kernel(ctx, *buffers)
+                elif next(phases, _DONE) is not _DONE:
+                    yielded.append(ctx.lanes.start - lo)
+                if ctx._guards:
+                    guards.append(ctx._guards)
+                    ctx._guards = []
+            if guards:
+                rec.divergence_events += _divergence(guards, config.block)
+            if self.race_check:
+                self._race_phase_reset()
             if not yielded:
                 return
+            if len(yielded) < len(calls):  # only one-lane calls can disagree, each a thread of the block
+                finished = sorted(set(range(len(calls))).difference(yielded))
+                raise BarrierDivergenceError(f"block {lo // config.block}: threads {finished} "
+                                             f"skipped a barrier reached by threads {yielded}")
             rec.barriers += 1
-
-    def _phase_end(self, ctxs, rec):
-        guards = [c._guards for c in ctxs]
-        if any(guards):
-            rec.divergence_events += _divergence(guards, rec.config.block)
-            for c in ctxs:
-                c._guards = []
-        if self.race_check:
-            self._race_phase_reset()
 
     def _race_phase_reset(self):
         # only the buffers this phase touched hold owners
@@ -553,11 +533,11 @@ def run_rows(session: Session | None, config: LaunchConfig, dtype: str, rows: in
 def _divergence(guards, block: int) -> int:
     """Divergence events of one phase, given each context's guard masks.
 
-    ``guards`` holds one list per context, in launch order, and the lanes
-    of all the contexts form blocks of ``block`` lanes. At each guard
-    position, a lane that reports False while a lane of its block reports
-    True skipped a guarded phase. A context with fewer guards takes no
-    part in the later positions.
+    ``guards`` holds the list of each context that made a guard, in launch
+    order: one context of whole blocks of ``block`` lanes, or one-lane
+    contexts of one block. At each guard position, a lane that reports
+    False while a lane of its block reports True skipped a guarded phase.
+    A context with fewer guards takes no part in the later positions.
     """
     events = 0
     for pos in range(max(map(len, guards))):

@@ -52,11 +52,19 @@ def _zeros(lo, hi):
     return np.zeros(hi - lo, np.float32)
 
 
-@pytest.mark.parametrize("launch", [
-    lambda sess: sess.launch(_empty, LaunchConfig(grid=1, block=2)),
-    lambda sess: run_rows(sess, LaunchConfig(grid=1, block=2), "f32", 2, 1, _zeros, "rows"),
-], ids=["empty-launch", "bare-run-rows"])
-def test_two_bare_2_lane_launches_make_equal_python_call_counts(launch):
-    sess = Session()
+def _barrier(ctx):
+    ctx.shared[ctx.thread_id] = ctx.thread_id
+    yield ctx.barrier()
+
+
+@pytest.mark.parametrize("race_check, launch", [
+    (False, lambda sess: sess.launch(_empty, LaunchConfig(grid=1, block=2))),
+    (False, lambda sess: run_rows(sess, LaunchConfig(grid=1, block=2), "f32", 2, 1, _zeros, "rows")),
+    # one lane per call, so both branches of the lockstep loop: a plain kernel's call, a generator's phases
+    (True, lambda sess: sess.launch(_empty, LaunchConfig(grid=1, block=2))),
+    (True, lambda sess: sess.launch(_barrier, LaunchConfig(grid=1, block=2, shared_slots=2))),
+], ids=["empty-launch", "bare-run-rows", "race-checked-empty-launch", "race-checked-barrier-launch"])
+def test_two_bare_2_lane_launches_make_equal_python_call_counts(race_check, launch):
+    sess = Session(race_check=race_check)
     counts = _two_counts(lambda: launch(sess))
     assert counts[0] == counts[1] > 0

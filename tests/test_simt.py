@@ -130,18 +130,6 @@ def test_single_thread_barrier_is_noop():
     assert out.to_numpy().tolist() == [7]
 
 
-def test_divergent_barrier_names_block():
-    sess = Session(race_check=True)  # only one-lane calls can disagree on a barrier
-
-    def kernel(ctx):
-        if np.all(ctx.thread_id < 2):
-            yield ctx.barrier()
-
-    with pytest.raises(BarrierDivergenceError) as err:
-        sess.launch(kernel, LaunchConfig(grid=3, block=4))
-    assert "block 0" in str(err.value)
-
-
 def test_fresh_session_stats_zero():
     st = Session().stats()
     assert st.launches == 0 and st.barriers == 0 and st.divergence_events == 0
@@ -635,11 +623,13 @@ def test_lane_form_shared_storage_holds_the_python_values_stored():
 
         def kernel(ctx):
             ctx.shared[ctx.thread_id] = stored[ctx.thread_id]
+            for t in ctx.thread_id.tolist():  # a 0-d array at an int index stores its item
+                ctx.shared[2 + t] = np.array(5)
             yield ctx.barrier()
             seen.append([(type(x), str(x)) for x in ctx.shared[:]])
 
-        Session(race_check=race_check).launch(kernel, LaunchConfig(grid=1, block=2, shared_slots=2))
-        assert seen == [[(int, str(2**40)), (np.float32, "-0.0")]] * (2 if race_check else 1)
+        Session(race_check=race_check).launch(kernel, LaunchConfig(grid=1, block=2, shared_slots=4))
+        assert seen == [[(int, str(2**40)), (np.float32, "-0.0"), (int, "5"), (int, "5")]] * (2 if race_check else 1)
 
 
 def test_race_checked_lane_form_flags_two_lanes_writing_one_shared_slot():
@@ -653,17 +643,19 @@ def test_race_checked_lane_form_flags_two_lanes_writing_one_shared_slot():
     Session().launch(kernel, LaunchConfig(grid=2, block=2, shared_slots=1))
 
 
-def test_race_checked_lane_form_flags_lanes_that_disagree_on_a_barrier():
-    def kernel(ctx):
-        if np.all(ctx.thread_id < 2):
+@pytest.mark.parametrize("grid, bad", [(2, 0), (3, 2), (5, 3)])
+def test_race_checked_lane_form_flags_lanes_that_disagree_on_a_barrier(grid, bad):
+    def kernel(ctx):  # every lane of every other block reaches the barrier
+        if np.all(ctx.thread_id < 2) or np.all(ctx.block_id != bad):
             yield ctx.barrier()
 
-    with pytest.raises(BarrierDivergenceError, match=r"^block 0: threads \[2, 3\] skipped a barrier"):
-        Session(race_check=True).launch(kernel, LaunchConfig(grid=2, block=4))
+    with pytest.raises(BarrierDivergenceError,
+                       match=rf"^block {bad}: threads \[2, 3\] skipped a barrier reached by threads \[0, 1\]"):
+        Session(race_check=True).launch(kernel, LaunchConfig(grid=grid, block=4))
     # unchecked, a block's lanes reach the one barrier of the call together or not at all
     sess = Session()
-    sess.launch(kernel, LaunchConfig(grid=2, block=4))
-    assert sess.records[0].barriers == 0
+    sess.launch(kernel, LaunchConfig(grid=grid, block=4))
+    assert sess.records[0].barriers == grid - 1
 
 
 @pytest.mark.parametrize("race_check, where", [
