@@ -5,8 +5,8 @@ search with the records database), tune-graph (DP pick of one cost-file
 label per node), bench (latency/speedup tables), stats (launch counters).
 Diagnostics go to stderr and data to stdout or files; given identical
 inputs and seed the stdout report is byte-identical, which is why tune
-defaults to the deterministic proxy timer and the wall-clock time of a
-run is a stderr diagnostic.
+prices every config by the deterministic proxy timer alone and the
+wall-clock time of a run is a stderr diagnostic.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .graph import (DEFAULT_GPU_OPS, OPS, assign_devices, count_copies, insert_c
                     topo_order)
 from .simt import Session
 from .tensor import FINITE, check_json, json_path, tensor_from_json, tensor_to_json
-from .tune import graph_tune_dp, proxy_timer, tune_model, wall_timer
+from .tune import graph_tune_dp, tune_model
 
 DEFAULT_RECORDS = "records.jsonl"
 RECORDS_ENV = "EDGEGRAPH_RECORDS"
@@ -104,13 +104,12 @@ def cmd_tune(args) -> int:
     if args.method == "random" and args.batch is not None:
         raise ValueError("--batch applies only to --method model")
     wl = ConvWorkload.from_key(args.workload_key)
-    timer = proxy_timer if args.timer == "proxy" else wall_timer
     records = args.records or os.environ.get(RECORDS_ENV, DEFAULT_RECORDS)
     # the options given only, so each default is tune_model's; random search is one batch of the budget
-    given = {k: getattr(args, k) for k in ("batch", "seed", "repeats") if getattr(args, k) is not None}
+    given = {k: getattr(args, k) for k in ("batch", "seed") if getattr(args, k) is not None}
     if args.method == "random":
         given["batch"] = args.budget
-    best = tune_model(wl, args.budget, **given, timer=timer, records_path=records)
+    best = tune_model(wl, args.budget, **given, records_path=records)
     cfg = best.config
     print(f"workload\t{wl.key()}")
     print(
@@ -222,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--batch", type=int, help=f"configs per --method model round (default {_TUNE['batch'].default})")
     tune.add_argument("--records", default=None, help=f"records path (default ${RECORDS_ENV} or {DEFAULT_RECORDS})")
     tune.add_argument("--seed", type=int, help=f"search seed (default {_TUNE['seed'].default})")
-    tune.add_argument("--repeats", type=int, help=f"timer runs per config (default {_TUNE['repeats'].default})")
-    tune.add_argument("--timer", choices=("proxy", "wall"), default="proxy")
     tune.set_defaults(fn=cmd_tune)
 
     tg = sub.add_parser("tune-graph", help="DP pick of one label per node, such as a layout")

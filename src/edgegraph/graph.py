@@ -79,7 +79,7 @@ def load_graph(text) -> Graph:
     Document format: {"nodes": [{"id", "op", "attrs", "inputs": [ids]}], "inputs": {name: {shape, dtype}},
     "outputs": [ids]}. A part that fails ``_GRAPH`` raises ``GraphError("graph document: <path> must be <what>,
     got <value!r>")`` (see :func:`check_json`); so do unknown op kinds, an attr its kind does not list
-    (but ``out_shape``), dangling refs, duplicate ids and cycles.
+    (but ``out_shape``), a reshape without ``shape``, dangling refs, duplicate ids and cycles.
     """
     doc = check_json(json.loads(text) if isinstance(text, str) else text, _GRAPH, "graph document", error=GraphError)
     graph_inputs = dict(doc.get("inputs", {}))
@@ -96,6 +96,8 @@ def load_graph(text) -> Graph:
         if unknown := [a for a in attrs if a not in OPS[op].attrs and a != "out_shape"]:
             raise GraphError(f"node {nid!r}: op kind {op!r} takes no attr {unknown[0]!r}; "
                              f"its attrs are {list(OPS[op].attrs)} and out_shape")
+        if op == "reshape" and "shape" not in attrs:  # the one attr with no default
+            raise GraphError(f"node {nid!r}: op kind 'reshape' needs attr 'shape'")
         nodes.append(Node(id=nid, op=op, attrs=attrs, inputs=list(raw.get("inputs", []))))
     known = seen | set(graph_inputs)
     for n in nodes:

@@ -195,8 +195,9 @@ class DeviceBuffer:
     store takes a scalar, which fills the slots, or one value per slot (by
     size, whatever its shape).
     A nameless buffer (``name=None``) is a block's shared storage: its
-    slots hold Python objects (a 0-d array stored at an int index as its
-    item, as a one-slot slice store stores it), and its errors say so.
+    slots hold Python objects, one a slot whatever the shape of a slice or
+    int-array store's value (a 0-d array as its item, alone or inside a
+    list or object array), and its errors say so.
     """
 
     __slots__ = ("dtype", "data", "name", "_session", "_w_owner", "_r_owner")
@@ -239,6 +240,10 @@ class DeviceBuffer:
             raise BufferBoundsError(f"{self._where()}: {index} of {_what(self)} takes {want}, got {got}")
         if vals is value and count is None and self.name is None:
             value = value.item()  # a 0-d array in an object slot stores what a one-slot slice store does
+        elif self.name is None and vals.ndim:  # one value a slot, whatever the shape: numpy would keep a list or array
+            value = np.asarray(value, object).ravel()
+            if np.ndarray in set(map(type, items := value.tolist())):
+                value = [x.item() if type(x) is np.ndarray else x for x in items]
         if self._w_owner is not None:
             self._race_write(idx)
         self.data[idx] = value

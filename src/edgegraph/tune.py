@@ -1,10 +1,9 @@
 """Schedule search, measurement, the tuning-records database, and the
 graph-level dynamic-programming layout tuner.
 
-Costs come from an injectable timer so every search property is testable
-without flaky clocks: ``wall_timer`` measures real elapsed time,
-``proxy_timer`` derives a deterministic pseudo-latency from the
-emulator's launch record, and tests inject scripted timers. A
+A config's cost is ``proxy_timer``'s deterministic pseudo-latency from
+the emulator's launch record, one clock for every record the tuner
+writes; tests inject scripted timers through ``timer=``. A
 config's output must equal the reference convolution's bitwise before it
 is ever timed; a config that fails this is a hard error, never a cost,
 while a config rejected by the schedule template is recorded with an
@@ -65,7 +64,7 @@ _ENCODER = json.JSONEncoder(allow_nan=False, check_circular=False)
 MAX_SPACE = 2000  # desk-scale bound on exhaustive spaces
 EPSILON = 0.1  # chance that tune_model explores past its model's top pick
 KNN_K = 3  # neighbours the cost model averages
-REPEATS = 3  # timed runs of a config: measure's default, and so tune_model's and the CLI's
+REPEATS = 3  # runs of a config under a timer other than proxy_timer: measure's default, and so tune_model's
 
 
 class UnsupportedGraphError(ValueError):
@@ -127,12 +126,6 @@ def _exact(r: TuningRecord) -> bool:
 
 # --- timers -----------------------------------------------------------------
 
-def wall_timer(run, wl, cfg) -> float:
-    t0 = time.perf_counter()
-    run()
-    return time.perf_counter() - t0
-
-
 def proxy_timer(run, wl, cfg) -> float:
     """Deterministic pseudo-latency from the launch's load profile.
 
@@ -178,19 +171,18 @@ def _search_space(k: int, oh: int, ow: int):
 
 
 def measure(wl: ConvWorkload, cfg: ScheduleConfig, repeats: int = REPEATS, timer=None) -> TuningRecord:
-    """Time one config on fixed pseudo-random inputs for its workload.
+    """Price one config on fixed pseudo-random inputs for its workload.
 
-    Returns a record whose cost_mean is the median of ``repeats`` timed
-    runs and cost_std their standard deviation. Under ``proxy_timer``,
-    whose cost is a function of the launch alone, the verification run
-    is priced once instead (``repeats=1``, ``cost_std=0``). Rejected
+    Under ``proxy_timer``, the default, whose cost is a function of the
+    launch alone, the verification run is priced once (``repeats=1``,
+    ``cost_std=0``). Any other ``timer``, such as a test's scripted one,
+    gives the median of ``repeats`` runs and their standard deviation. Rejected
     configs and non-finite timer costs come back failure-flagged; an
     output that is not bitwise the reference's is a hard error and is
     never recorded as a cost.
     """
     repeats = check_int("repeats", repeats, 1)
-    if timer is None:
-        timer = wall_timer
+    timer = proxy_timer if timer is None else timer
     now = time.time()
 
     def record(cost_mean=None, cost_std=None, timed_runs=0, error=None):  # failed iff it has an error

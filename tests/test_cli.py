@@ -1,5 +1,6 @@
 """CLI subcommands: run, stats, tune, tune-graph, bench."""
 
+import argparse
 import contextlib
 import copy
 import inspect
@@ -281,11 +282,42 @@ def test_tune_model_method_batch_defaults_to_8(tmp_path, capsys, monkeypatch):
     assert inspect.signature(tune_model).parameters["batch"].default == 8
 
 
-def test_tune_repeats_default_is_measures_and_the_help_names_it(capsys):
+def test_tune_repeats_default_is_measures():
     defaults = {f.__name__: inspect.signature(f).parameters["repeats"].default for f in (measure, tune_model)}
     assert defaults == {"measure": 3, "tune_model": 3}
-    assert main(["tune", "--help"]) == 0
-    assert "timer runs per config (default 3)" in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("option", [["--timer", "wall"], ["--repeats", "3"]], ids=["timer", "repeats"])
+def test_tune_has_one_clock_and_no_timer_or_repeats_option(tmp_path, capsys, option):
+    records = tmp_path / "r.jsonl"
+    argv = ["tune", "conv2d/1-4-6-6/4-3-3/1x1/1x1/1x1/1", "--budget", "2", "--records", str(records)]
+    assert main([*argv, *option]) == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+    assert not records.exists()
+
+
+# two values of each tune argument; every one must change what tune prints or the records it writes
+TUNE_VALUES = {
+    "workload_key": ("conv2d/1-4-6-6/4-3-3/1x1/1x1/1x1/1", "conv2d/1-4-4-4/4-3-3/1x1/1x1/1x1/1"),
+    "--budget": ("9", "10"), "--method": ("model", "random"), "--batch": ("4", "5"), "--seed": ("0", "1"),
+}
+
+
+def test_every_tune_argument_changes_its_output_or_records(tmp_path, capsys):
+    tune = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices["tune"]
+    names = {a.option_strings[0] if a.option_strings else a.dest for a in tune._actions} - {"-h", "--records"}
+    assert names == set(TUNE_VALUES), f"no two values for {sorted(names - set(TUNE_VALUES))}"
+    base = {"workload_key": TUNE_VALUES["workload_key"][0], "--budget": "9", "--method": "model"}
+    for name, values in TUNE_VALUES.items():
+        seen = []
+        for value in values:
+            args = {**base, name: value}
+            records = tmp_path / f"{name.strip('-')}-{value.replace('/', '_')}.jsonl"
+            argv = [args.pop("workload_key"), *(x for kv in args.items() for x in kv)]
+            assert main(["tune", *argv, "--records", str(records)]) == 0
+            lines = [json.loads(line) for line in records.read_text().splitlines()[1:]]
+            seen.append((capsys.readouterr().out, [{k: v for k, v in r.items() if k != "created_at"} for r in lines]))
+        assert seen[0][0] != seen[1][0] or seen[0][1] != seen[1][1], f"tune {name} {values}: same output and records"
 
 
 def test_run_and_stats_take_one_declaration_of_the_graph_and_placement(capsys):
@@ -525,3 +557,10 @@ def test_main_rejects_a_file_with_one_part_swapped_by_one_error_line(name, data)
         assert (code, stdout.getvalue(), os.path.exists(out)) == (1, "", False)
         err = stderr.getvalue()
         assert err.startswith("edgegraph: error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [[], ["5.0"]], ids=["no-latency", "one-latency"])
+def test_bench_with_neither_both_latencies_nor_a_file_exits_with_its_usage(argv):
+    with pytest.raises(SystemExit) as e:
+        main(["bench", *argv])
+    assert str(e.value) == "bench needs BEFORE and AFTER latencies or --file"

@@ -521,3 +521,8 @@ def test_host_path_checks_shapes_like_the_reference():
         with pytest.raises(ValueError, match="does not match workload") as got:
             conv2d_host(*bad, wl)
         assert str(got.value) == str(want.value)
+
+
+def test_an_unroll_past_one_is_rejected():
+    with pytest.raises(ValueError, match=r"^unroll must be 0 or 1, got 2$"):
+        ScheduleConfig(unroll=2)

@@ -853,14 +853,12 @@ def test_conv_pair_attrs_must_be_pairs_on_every_placement(stride):
             run_graph(insert_copies(assign_devices(g, ops)), inputs)
 
 
-def test_missing_attr_names_the_node():
-    g = load_graph(doc(
-        [{"id": "flat", "op": "reshape", "inputs": ["x"]}],
-        inputs={"x": {"shape": [2, 3], "dtype": "f32"}},
-        outputs=["flat"],
-    ))
-    with pytest.raises(GraphExecutionError, match=r"node 'flat' \(reshape\): 'shape'"):
-        run_graph(g, {"x": np.zeros((2, 3), np.float32)})
+@pytest.mark.parametrize("attrs", [None, {}, {"out_shape": [6]}], ids=["no-attrs", "empty", "out-shape-only"])
+def test_missing_attr_names_the_node(attrs):
+    node = {"id": "flat", "op": "reshape", "inputs": ["x"], **({} if attrs is None else {"attrs": attrs})}
+    with pytest.raises(GraphError) as e:  # at load, so before any launch
+        load_graph(doc([node], inputs={"x": {"shape": [2, 3], "dtype": "f32"}}, outputs=["flat"]))
+    assert str(e.value) == "node 'flat': op kind 'reshape' needs attr 'shape'"
 
 
 @pytest.mark.parametrize("x, message", [
@@ -1139,3 +1137,18 @@ def test_fixture_runs_make_a_fixed_number_of_allocs_loads_and_copy_outs(monkeypa
             counts.update(dict.fromkeys(counts, 0))
             run_graph(g, ssd_like_inputs(seed), Session())
             assert tuple(counts.values()) == FIXTURE_TRAFFIC[placement], (placement, seed)
+
+
+@pytest.mark.parametrize("out", ["ghost", "x"], ids=["no-such-tensor", "a-graph-input"])
+def test_a_graph_output_that_names_no_node_is_rejected_at_load(out):
+    text = doc([{"id": "a", "op": "relu", "inputs": ["x"]}], inputs={"x": {"shape": [2]}}, outputs=[out])
+    with pytest.raises(GraphError, match=rf"^graph output '{out}' is not a node id$"):
+        load_graph(text)
+
+
+def test_an_input_whose_shape_differs_from_its_declaration_is_named():
+    g = load_graph(doc([{"id": "a", "op": "relu", "inputs": ["x"]}], inputs={"x": {"shape": [2, 3]}}, outputs=["a"]))
+    for x in (np.zeros(6, np.float32), np.zeros((3, 2), np.float32)):
+        with pytest.raises(GraphExecutionError,
+                           match=rf"^input 'x': shape \({x.shape[0]},(?: 2)?\) does not match declared \(2, 3\)$"):
+            run_graph(g, {"x": x})

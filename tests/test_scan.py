@@ -658,3 +658,9 @@ def test_compact_takes_only_bool_keep_flags(keep, message):
 def test_compact_takes_a_list_of_python_bools():
     kept, count = compact(np.arange(3), [True, False, True], session=Session())
     assert count == 2 and kept.tolist() == [0, 2]
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_a_scan_plan_of_no_elements_is_rejected(n):
+    with pytest.raises(ValueError, match=r"^scan plan needs n >= 1$"):
+        ScanPlan.for_size(n, 8)

@@ -625,11 +625,20 @@ def test_lane_form_shared_storage_holds_the_python_values_stored():
             ctx.shared[ctx.thread_id] = stored[ctx.thread_id]
             for t in ctx.thread_id.tolist():  # a 0-d array at an int index stores its item
                 ctx.shared[2 + t] = np.array(5)
+            if 0 in ctx.thread_id:  # and so does each 0-d array of a list or object array a slice or int array takes
+                ctx.shared[4:5] = [np.array(7)]
+                ctx.shared[np.array([5, 6])] = [np.array(9), np.array(10)]
+                ctx.shared[7:8] = np.array([np.array(11)], dtype=object)
+                ctx.shared[8:10] = stored  # while numpy scalars and exact ints are stored as given
+                for i, value in enumerate([[[3]], [(6,)], [[np.array(8)]], np.array([[12]], object)]):
+                    ctx.shared[10 + i : 11 + i] = value  # one value a slot, whatever the value's shape
             yield ctx.barrier()
             seen.append([(type(x), str(x)) for x in ctx.shared[:]])
 
-        Session(race_check=race_check).launch(kernel, LaunchConfig(grid=1, block=2, shared_slots=4))
-        assert seen == [[(int, str(2**40)), (np.float32, "-0.0"), (int, "5"), (int, "5")]] * (2 if race_check else 1)
+        Session(race_check=race_check).launch(kernel, LaunchConfig(grid=1, block=2, shared_slots=14))
+        given = [(int, str(2**40)), (np.float32, "-0.0")]
+        want = [*given, *[(int, str(v)) for v in (5, 5, 7, 9, 10, 11)], *given, *[(int, str(v)) for v in (3, 6, 8, 12)]]
+        assert seen == [want] * (2 if race_check else 1)
 
 
 def test_race_checked_lane_form_flags_two_lanes_writing_one_shared_slot():
@@ -1146,3 +1155,18 @@ def test_canonical_nan_gives_every_nan_one_bit_pattern_in_place(dtype, uint):
     assert bits[[0, 1, 2, 3, 7]].tolist() == keep.view(uint)[[0, 1, 2, 3, 7]].tolist()
     empty = np.empty((0, 3), dtype)
     assert canonical_nan(empty) is empty
+
+
+def test_a_buffer_of_an_unknown_dtype_is_rejected():
+    with pytest.raises(ValueError, match=r"^unsupported dtype 'f64'; expected one of \['bool', 'f32', 'i32'\]$"):
+        Session().alloc(4, "f64")
+
+
+@pytest.mark.parametrize("values", [np.zeros(3), np.zeros(5), np.zeros((2, 2))], ids=["short", "long", "2-d"])
+def test_a_load_of_the_wrong_shape_is_rejected_and_leaves_the_buffer(values):
+    buf = Session().alloc(4, "f32", name="b")
+    buf.load(np.arange(4))
+    with pytest.raises(ValueError) as e:
+        buf.load(values)
+    assert str(e.value) == f"cannot load shape {values.shape} into buffer 'b' of length 4"
+    assert buf.to_numpy().tolist() == [0, 1, 2, 3]

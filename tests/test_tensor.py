@@ -114,3 +114,14 @@ def test_tensor_literal_layout_key_is_optional_and_written_as_nchw():
     t = tensor_from_json({"shape": [2, 2], "dtype": "i32", "data": [1, 2, 3, 4]})
     assert t.to_array().tolist() == [[1, 2], [3, 4]]
     assert json.loads(tensor_to_json(t))["layout"] == "NCHW"
+
+
+@pytest.mark.parametrize("shape", [(2, 0), (-1, 3)])
+def test_a_tensor_extent_that_is_not_positive_is_rejected(shape):
+    with pytest.raises(ValueError, match=rf"^extents must be positive, got \({shape[0]}, {shape[1]}\)$"):
+        Tensor(shape, "f32", np.zeros(0, np.float32))
+
+
+def test_a_tensor_of_an_unknown_dtype_is_rejected():
+    with pytest.raises(ValueError, match=r"^unsupported dtype 'f64'$"):
+        Tensor((2,), "f64", np.zeros(2))

@@ -201,7 +201,7 @@ def test_tune_model_rejects_a_budget_or_batch_that_is_not_an_integer(budget, bat
                          ids=["fraction", "string", "bool", "zero"])
 def test_measure_rejects_repeats_that_are_not_an_integer_of_at_least_one(repeats, shown):
     with pytest.raises(ValueError, match=f"^repeats must be >= 1 and an integer, got {re.escape(shown)}$"):
-        measure(WL, ScheduleConfig(), repeats=repeats, timer=tune.wall_timer)
+        measure(WL, ScheduleConfig(), repeats=repeats, timer=proxy_timer)
 
 
 def test_tune_model_never_exceeds_budget(tmp_path):
@@ -514,6 +514,21 @@ def test_proxy_measure_prices_its_verification_run(monkeypatch, timer, runs, rep
             return sess
 
         assert rec.cost_mean == proxy_timer(run, WL, cfg)
+
+
+def test_measure_and_tune_model_with_no_timer_price_by_the_proxy(monkeypatch, tmp_path):
+    runs = []
+    real = tune.conv2d_scheduled
+    monkeypatch.setattr(tune, "conv2d_scheduled", lambda *a, **k: runs.append(k["session"]) or real(*a, **k))
+    cfg = ScheduleConfig(oc_split=2, w_tile=3)
+    rec = measure(WL, cfg)
+    assert (rec.repeats, rec.cost_std, len(runs)) == (1, 0.0, 1)
+    assert rec.cost_mean == proxy_timer(lambda: runs[0], WL, cfg)  # the verified run's price
+    p = tmp_path / "r.jsonl"
+    tune_model(WL, budget=6, batch=3, records_path=str(p))
+    got = records_load(str(p))
+    assert [(r.repeats, r.cost_std) for r in got] == [(1, 0.0)] * 6
+    assert [r.cost_mean for r in got] == [measure(WL, r.config, timer=proxy_timer).cost_mean for r in got]
 
 
 @pytest.mark.parametrize("damage, named", [
@@ -1065,3 +1080,11 @@ def test_records_append_refuses_a_header_that_load_rejects(tmp_path, header, tai
     assert p.read_bytes() == before
     with pytest.raises(ValueError, match=":1: "):
         records_load(str(p))
+
+
+def test_tune_model_under_a_nan_timer_measures_its_budget_and_raises(tmp_path):
+    p = tmp_path / "r.jsonl"
+    with pytest.raises(RuntimeError, match=r"^no config measured successfully$"):
+        tune_model(WL, budget=4, batch=2, repeats=1, timer=constant_timer(math.nan), records_path=str(p))
+    # later rounds, with no cost to rank by, take the unmeasured configs in order
+    assert [r.error for r in records_load(str(p))] == ["timer returned a non-finite cost nan"] * 4

@@ -393,3 +393,22 @@ def test_multibox_kernel_and_twin_agree_on_empty_batches_and_anchor_sets(b, a):
     got = [[r.to_array().shape for r in run(*args)]
            for run in (multibox_detection, multibox_detection_sequential)]
     assert got[0] == got[1] == [(0, 6)] * b
+
+
+def test_box_set_rows_of_unequal_count_are_rejected():
+    with pytest.raises(ValueError, match=r"^class_ids, scores and corners must have equal row counts$"):
+        BoxSet(np.zeros(2), np.zeros(3), np.zeros((2, 4)))
+
+
+@pytest.mark.parametrize("corners", [[0.5, 0, 0.4, 1], [0, 0.5, 1, 0.4]], ids=["x1>x2", "y1>y2"])
+def test_a_valid_box_row_with_crossed_corners_is_rejected_but_an_invalid_one_passes(corners):
+    with pytest.raises(ValueError, match=r"^valid rows must satisfy x1 <= x2 and y1 <= y2$"):
+        BoxSet(np.array([0]), np.array([0.5]), np.array([corners]))
+    assert len(BoxSet(np.array([-1]), np.array([0.5]), np.array([corners])).scores) == 1
+
+
+def test_best_foreground_class_of_background_only_probs_marks_every_anchor_invalid():
+    from edgegraph.vision.boxes import best_foreground_class
+
+    cls, score = best_foreground_class(np.full((1, 5), 0.5, np.float32))
+    assert (cls.dtype, cls.tolist(), score.dtype, score.tolist()) == (np.int32, [-1] * 5, np.float32, [0.0] * 5)
